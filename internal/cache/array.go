@@ -4,6 +4,8 @@
 // MSHR merging, and the eviction/reuse accounting behind Fig 2.
 package cache
 
+import "math/bits"
+
 // MESI stable states tracked at the private L2 (L1 holds valid/dirty only
 // and is kept inclusive in L2).
 type state uint8
@@ -64,12 +66,15 @@ type array struct {
 	brripLongEvery int
 	fillCount      int
 
-	// localIndex, when set, maps a line address to the array's private
-	// index space before set selection. L3 banks need this: a bank only
-	// ever sees addresses whose interleave chunk is congruent to its bank
-	// id, so indexing sets by the raw address would exercise a tiny,
-	// aliased subset of the sets.
-	localIndex func(lineAddr uint64) uint64
+	// Set selection: set = index % sets, where index is the line number
+	// (lineAddr / lineBytes) or, after setBankLocal, the bank-local line
+	// number. pow2 says every divisor is a power of two (Table III always
+	// is), so setOf shifts and masks instead of dividing by run-time values.
+	interleave, tiles uint64 // bank-local indexing; interleave 0 = raw line number
+	pow2              bool
+	lineShift         uint // log2(lineBytes)
+	chunkShift        uint // log2(interleave)
+	tileShift         uint // log2(tiles)
 }
 
 func newArray(sizeBytes, ways, lineBytes int, brripProb float64) *array {
@@ -92,14 +97,45 @@ func newArray(sizeBytes, ways, lineBytes int, brripProb float64) *array {
 		a.lines[i].owner = -1
 		a.lines[i].streamID = noStream
 	}
+	a.setBankLocal(0, 1)
 	return a
 }
 
+// setBankLocal switches set selection to bank-local indexing (interleave 0
+// switches it back to the raw line number). L3 banks need this: a bank only
+// ever sees addresses whose interleave chunk is congruent to its bank id, so
+// indexing sets by the raw address would exercise a tiny, aliased subset of
+// the sets. Numbering the lines a bank actually owns (chunk-major within the
+// interleaving) uses all of them.
+func (a *array) setBankLocal(interleaveBytes, tiles int) {
+	a.interleave, a.tiles = uint64(interleaveBytes), uint64(tiles)
+	isPow2 := func(v uint64) bool { return v&(v-1) == 0 }
+	a.pow2 = isPow2(a.lineBytes) && isPow2(uint64(a.sets)) && isPow2(a.tiles) && isPow2(a.interleave)
+	a.lineShift = uint(bits.TrailingZeros64(a.lineBytes))
+	a.chunkShift = uint(bits.TrailingZeros64(a.interleave))
+	a.tileShift = uint(bits.TrailingZeros64(a.tiles))
+}
+
 func (a *array) setOf(lineAddr uint64) int {
-	if a.localIndex != nil {
-		return int(a.localIndex(lineAddr) % uint64(a.sets))
+	if !a.pow2 {
+		return a.setOfDiv(lineAddr)
 	}
-	return int((lineAddr / a.lineBytes) % uint64(a.sets))
+	idx := lineAddr >> a.lineShift
+	if a.interleave != 0 {
+		idx = lineAddr>>a.chunkShift>>a.tileShift<<(a.chunkShift-a.lineShift) +
+			(lineAddr&(a.interleave-1))>>a.lineShift
+	}
+	return int(idx & uint64(a.sets-1))
+}
+
+// setOfDiv is setOf for any geometry, in the division form that defines it.
+func (a *array) setOfDiv(lineAddr uint64) int {
+	idx := lineAddr / a.lineBytes
+	if a.interleave != 0 {
+		chunk := lineAddr / a.interleave
+		idx = (chunk/a.tiles)*(a.interleave/a.lineBytes) + (lineAddr%a.interleave)/a.lineBytes
+	}
+	return int(idx % uint64(a.sets))
 }
 
 // lookup returns the line holding lineAddr, or nil.

@@ -404,6 +404,52 @@ func TestBankLocalIndexingUsesAllSets(t *testing.T) {
 	}
 }
 
+// TestSetOfShiftFormMatchesDivisionForm: the shift-and-mask set selection
+// taken when the geometry is a power of two picks exactly the sets of the
+// division form that defines it, for private and bank-local arrays; any other
+// geometry (a 3x3 mesh, a 12-way-sized array) stays on the division form and
+// matches the formula the L3 banks were built with before either existed.
+func TestSetOfShiftFormMatchesDivisionForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cases := []struct {
+		sizeBytes, ways, lineBytes, interleave, tiles int
+		pow2                                          bool
+	}{
+		{32 << 10, 8, 64, 0, 1, true},      // Table III L1
+		{256 << 10, 16, 64, 0, 1, true},    // Table III L2
+		{1 << 20, 16, 64, 64, 64, true},    // Table III L3 bank, 64 B interleave
+		{1 << 20, 16, 64, 1024, 64, true},  // 1 KiB interleave (SF)
+		{1 << 20, 16, 64, 4096, 16, true},  // Fig 17 sweep end, 4x4
+		{1 << 20, 16, 64, 1024, 9, false},  // 3x3 mesh
+		{1 << 20, 16, 64, 192, 64, false},  // odd interleave
+		{48 << 10, 8, 64, 0, 1, false},     // 96 sets
+		{96 << 10, 8, 64, 1024, 64, false}, // 192 sets, bank-local
+	}
+	for _, c := range cases {
+		a := newArray(c.sizeBytes, c.ways, c.lineBytes, 0)
+		if c.interleave != 0 {
+			a.setBankLocal(c.interleave, c.tiles)
+		}
+		if a.pow2 != c.pow2 {
+			t.Errorf("%+v: pow2 = %v, want %v", c, a.pow2, c.pow2)
+		}
+		il, tiles, lb := uint64(c.interleave), uint64(c.tiles), uint64(c.lineBytes)
+		for i := 0; i < 20000; i++ {
+			la := rng.Uint64() >> uint(rng.Intn(40)) &^ (lb - 1)
+			want := int(la / lb % uint64(a.sets))
+			if il != 0 {
+				want = int(((la/il/tiles)*(il/lb) + (la%il)/lb) % uint64(a.sets))
+			}
+			if got := a.setOf(la); got != want {
+				t.Fatalf("%+v: setOf(%#x) = %d, want %d", c, la, got, want)
+			}
+			if got := a.setOfDiv(la); got != want {
+				t.Fatalf("%+v: setOfDiv(%#x) = %d, want %d", c, la, got, want)
+			}
+		}
+	}
+}
+
 // Property: after any sequence of reads/writes, directory sharer bits agree
 // with actual private-cache contents.
 func TestPropertyDirectoryAgreesWithCaches(t *testing.T) {

@@ -250,16 +250,7 @@ func NewSystem(eng *event.Engine, st *stats.Stats, cfg config.Config, mesh *noc.
 			mshr: make(map[uint64][]*accessOp),
 		}
 		bank := newArray(cfg.L3.SizeBytes, cfg.L3.Ways, cfg.L3.LineBytes, cfg.L3.BRRIPProb)
-		// Bank-local indexing: number the lines a bank actually owns
-		// (chunk-major within the interleaving) so all sets are used.
-		interleave := uint64(cfg.L3InterleaveBytes)
-		linesPerChunk := interleave / uint64(cfg.L3.LineBytes)
-		tiles := uint64(n)
-		lineBytes := uint64(cfg.L3.LineBytes)
-		bank.localIndex = func(la uint64) uint64 {
-			chunk := la / interleave
-			return (chunk/tiles)*linesPerChunk + (la%interleave)/lineBytes
-		}
+		bank.setBankLocal(cfg.L3InterleaveBytes, n)
 		s.banks[i] = bank
 	}
 	return s

@@ -368,13 +368,3 @@ func (e *Engines) DebugCached() string {
 	}
 	return string(b)
 }
-
-// Debug counters for fallback/sink causes (not part of Stats; diagnostics).
-var dbgFallbackUngranted, dbgFallbackGone, dbgFallbackDead, dbgSinkHits, dbgSinkAlias int
-
-// DebugCounters returns and resets the cause counters.
-func DebugCounters() (ungranted, gone, dead, sinkHits, sinkAlias int) {
-	u, g, d, sh, sa := dbgFallbackUngranted, dbgFallbackGone, dbgFallbackDead, dbgSinkHits, dbgSinkAlias
-	dbgFallbackUngranted, dbgFallbackGone, dbgFallbackDead, dbgSinkHits, dbgSinkAlias = 0, 0, 0, 0, 0
-	return u, g, d, sh, sa
-}

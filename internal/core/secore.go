@@ -511,7 +511,6 @@ func (c *seCore) requestElement(sid int, idx int64, cb func(event.Cycle)) {
 			c.e.sys.Access(c.tile, addr, cache.Read,
 				cache.Meta{PC: s.decl.PC, StreamID: s.decl.ID}, cb)
 			if s.hitStreak >= c.e.cfg.SinkHitThreshold {
-				dbgSinkHits++
 				c.sinkStream(s, false)
 			}
 			return

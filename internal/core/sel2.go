@@ -283,7 +283,6 @@ func (g *l2Group) evictOverflow() {
 // It returns false when the element cannot be served (core must fall back).
 func (l *seL2) requestLeader(g *l2Group, idx int64, cb func(event.Cycle)) bool {
 	if g == nil || g.dead {
-		dbgFallbackDead++
 		return false
 	}
 	seq, ok := g.elemSeq[idx]
@@ -294,12 +293,10 @@ func (l *seL2) requestLeader(g *l2Group, idx int64, cb func(event.Cycle)) bool {
 			g.pendingGrant[idx] = append(g.pendingGrant[idx], cb)
 			return true
 		}
-		dbgFallbackUngranted++
 		return false
 	}
 	b := g.bySeq[seq]
 	if b == nil || b.gone {
-		dbgFallbackGone++
 		return false
 	}
 	l.serveLine(b, cb)

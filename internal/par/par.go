@@ -3,20 +3,29 @@
 // one conservative lookahead. It is the parallel execution substrate behind
 // system.Machine: tiles (core + private caches + L3 bank + stream engines,
 // with DRAM controllers pinned to their corner tile's shard) are partitioned
-// round-robin into P shards, and cross-shard interaction is funneled through
-// per-shard op logs that the quantum barrier drains in one canonical order.
+// round-robin into one shard per effective worker, and cross-tile
+// interaction is funneled through per-shard op logs that the quantum barrier
+// drains in one canonical order.
+//
+// # Layout
+//
+// A machine is built with exactly as many shards as it will have workers:
+// EffectiveWorkers(requested, ShardsFor(tiles)). At the default of one worker
+// that is one shard on one engine — the canonical schedule (same windows,
+// same barrier-drained op log) without a second calendar to allocate or poll.
+// How tiles are placed onto host execution units is a host decision and must
+// not reach the result.
 //
 // # Determinism
 //
-// The shard count P is derived from the configuration alone (ShardsFor), so
-// the shard layout, every engine's event schedule, and the op logs are all
-// functions of the configuration — the worker count only chooses how many
-// goroutines drive the P shards. Within a quantum, shards touch disjoint
-// state (each tile's components live on exactly one shard and never mutate
-// another tile's state directly); at the barrier, the logged ops are sorted
-// by (cycle, source tile) with per-tile log order as the tiebreak, a total
-// order independent of both the shard layout and the thread schedule.
-// Results are therefore bit-identical for any worker count.
+// Within a quantum, shards touch disjoint state (each tile's components live
+// on exactly one shard and never mutate another tile's state directly), and
+// every effect one tile has on another is logged, not executed. At the
+// barrier the logged ops run sorted by (cycle, source tile) with per-tile log
+// order as the tiebreak: a total order that names no shard, so it is the
+// same for every shard layout and every thread schedule. Results are
+// therefore bit-identical for any worker count; system's
+// TestShardLayoutInvariance holds the claim to 1, 2, 4 and 16 shards.
 //
 // # Lookahead
 //
@@ -27,10 +36,11 @@
 package par
 
 import (
+	"cmp"
 	"context"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -49,10 +59,9 @@ const shardThreshold = 16
 // polling overhead without exposing more parallelism per worker.
 const maxShards = 16
 
-// ShardsFor returns the shard count for a machine with the given number of
-// tiles. It is a pure function of the configuration — never of the worker
-// count — so the event schedule is identical however many goroutines drive
-// the shards.
+// ShardsFor returns the most shards a machine with the given number of tiles
+// may be split into: 1 (unpartitioned) below shardThreshold tiles, else
+// min(tiles, maxShards).
 func ShardsFor(tiles int) int {
 	if tiles < shardThreshold {
 		return 1
@@ -61,6 +70,14 @@ func ShardsFor(tiles int) int {
 		return tiles
 	}
 	return maxShards
+}
+
+// EffectiveWorkers resolves a requested worker count against a shard bound:
+// at least 1, at most min(shards, GOMAXPROCS). The builder calls it with
+// ShardsFor(tiles) to pick the layout, Group.Run with the shards it was given
+// to pick the goroutines, so a machine has one shard per worker.
+func EffectiveWorkers(requested, shards int) int {
+	return max(1, min(requested, shards, runtime.GOMAXPROCS(0)))
 }
 
 // ShardOf maps a tile to its shard under the round-robin partition. The
@@ -85,8 +102,9 @@ type Op struct {
 
 // Shard is one partition of the machine: a set of tiles driven by a private
 // engine, accumulating into private stats, with an op log for cross-tile
-// effects. A direct shard (single-shard machine) executes deferred ops
-// immediately, which reproduces the legacy sequential semantics exactly.
+// effects. A direct shard (NewDirect) executes deferred ops immediately,
+// which reproduces the legacy sequential semantics exactly; a machine built
+// as one NewShard shard still logs and drains at the barrier like any other.
 type Shard struct {
 	Eng *event.Engine
 	St  *stats.Stats
@@ -129,9 +147,9 @@ type Group struct {
 	Shards  []*Shard
 	Quantum event.Cycle // conservative lookahead = quantum width
 
-	// Workers is the number of goroutines driving the shards (clamped to
-	// [1, len(Shards)]). It is an execution knob: results are identical for
-	// every value.
+	// Workers is the number of goroutines driving the shards (resolved by
+	// EffectiveWorkers against len(Shards)). It is an execution knob: results
+	// are identical for every value.
 	Workers int
 
 	// Labels, when non-empty, annotate the per-shard worker goroutines for
@@ -172,21 +190,6 @@ func (g *Group) takeFailure() error {
 	return g.failErr
 }
 
-// workers resolves the worker count.
-func (g *Group) workers() int {
-	w := g.Workers
-	if w <= 0 {
-		w = 1
-	}
-	if w > len(g.Shards) {
-		w = len(g.Shards)
-	}
-	if max := runtime.GOMAXPROCS(0); w > max {
-		w = max
-	}
-	return w
-}
-
 // next returns the earliest pending cycle across all shards.
 func (g *Group) next() (event.Cycle, bool) {
 	var min event.Cycle
@@ -199,6 +202,22 @@ func (g *Group) next() (event.Cycle, bool) {
 	return min, ok
 }
 
+// cmpOps is the canonical barrier order: (When, Tile).
+func cmpOps(a, b Op) int {
+	if c := cmp.Compare(a.When, b.When); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Tile, b.Tile)
+}
+
+// sortOps puts one wave into canonical order, keeping each tile's issue
+// order. An engine fires in time order, so most waves arrive sorted already.
+func sortOps(ops []Op) {
+	if !slices.IsSortedFunc(ops, cmpOps) {
+		slices.SortStableFunc(ops, cmpOps)
+	}
+}
+
 // drain executes all logged ops in canonical order: sorted by (When, Tile),
 // with each tile's issue order preserved (a tile's ops live in exactly one
 // shard's log, appended in execution order, and the sort is stable over the
@@ -206,23 +225,25 @@ func (g *Group) next() (event.Cycle, bool) {
 // subsequent wave of the same barrier.
 func (g *Group) drain() {
 	for {
-		g.batch = g.batch[:0]
-		for _, s := range g.Shards {
-			g.batch = append(g.batch, s.ops...)
-			s.ops = s.ops[:0]
+		wave := g.batch[:0]
+		if len(g.Shards) == 1 {
+			// One log needs no merge: run it where it is and let the shard
+			// log its next wave into the spare buffer.
+			s := g.Shards[0]
+			wave, s.ops = s.ops, wave
+		} else {
+			for _, s := range g.Shards {
+				wave = append(wave, s.ops...)
+				s.ops = s.ops[:0]
+			}
 		}
-		if len(g.batch) == 0 {
+		g.batch = wave[:0]
+		if len(wave) == 0 {
 			return
 		}
-		sort.SliceStable(g.batch, func(i, j int) bool {
-			a, b := &g.batch[i], &g.batch[j]
-			if a.When != b.When {
-				return a.When < b.When
-			}
-			return a.Tile < b.Tile
-		})
-		for i := range g.batch {
-			op := &g.batch[i]
+		sortOps(wave)
+		for i := range wave {
+			op := &wave[i]
 			op.Call(op.When, op.Arg)
 			*op = Op{} // release payload references
 		}
@@ -280,7 +301,7 @@ func (g *Group) Run(maxCycles event.Cycle, stop func() bool) (stopped bool, err 
 	if g.Quantum == 0 {
 		g.Quantum = 1
 	}
-	workers := g.workers()
+	workers := EffectiveWorkers(g.Workers, len(g.Shards))
 	var wg sync.WaitGroup
 	if workers > 1 {
 		start := g.epoch.Load()

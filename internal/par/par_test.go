@@ -1,8 +1,11 @@
 package par
 
 import (
+	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -72,7 +75,13 @@ func TestDirectShardExecutesImmediately(t *testing.T) {
 func TestDrainCanonicalOrder(t *testing.T) {
 	a := NewShard(event.New(), &stats.Stats{})
 	b := NewShard(event.New(), &stats.Stats{})
-	g := &Group{Shards: []*Shard{a, b}, Quantum: 6}
+	testDrainCanonicalOrder(t, &Group{Shards: []*Shard{a, b}, Quantum: 6}, a, b)
+	// One shard holding every tile sorts its own log in place: same order.
+	one := NewShard(event.New(), &stats.Stats{})
+	testDrainCanonicalOrder(t, &Group{Shards: []*Shard{one}, Quantum: 6}, one, one)
+}
+
+func testDrainCanonicalOrder(t *testing.T, g *Group, a, b *Shard) {
 
 	type fired struct {
 		when event.Cycle
@@ -335,16 +344,59 @@ func TestGroupRunViolationPanic(t *testing.T) {
 	}
 }
 
-// TestWorkersClamped: worker resolution never exceeds the shard count and
-// never drops below 1.
-func TestWorkersClamped(t *testing.T) {
-	g := &Group{Shards: []*Shard{NewShard(event.New(), &stats.Stats{}), NewShard(event.New(), &stats.Stats{})}}
-	g.Workers = 0
-	if w := g.workers(); w != 1 {
-		t.Errorf("Workers=0 resolved to %d", w)
+// TestEffectiveWorkers: the one clamp the builder (shard layout) and Group.Run
+// (goroutines) share: floor 1, cap min(shards, GOMAXPROCS).
+func TestEffectiveWorkers(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+	cases := []struct{ requested, shards, want int }{
+		{0, 16, 1}, {-3, 16, 1}, // floor
+		{1, 16, 1}, {2, 16, 2}, {4, 16, 4},
+		{8, 16, 4}, {99, 16, 4}, // Workers > GOMAXPROCS
+		{4, 2, 2}, {4, 1, 1}, // never more workers than shards
 	}
-	g.Workers = 99
-	if w := g.workers(); w > 2 {
-		t.Errorf("Workers=99 resolved to %d with 2 shards", w)
+	for _, c := range cases {
+		if got := EffectiveWorkers(c.requested, c.shards); got != c.want {
+			t.Errorf("EffectiveWorkers(%d, %d) = %d at GOMAXPROCS 4, want %d", c.requested, c.shards, got, c.want)
+		}
+	}
+	runtime.GOMAXPROCS(32)
+	if got := EffectiveWorkers(99, ShardsFor(64)); got != 16 {
+		t.Errorf("EffectiveWorkers(99, 16) = %d at GOMAXPROCS 32, want the shard bound 16", got)
+	}
+}
+
+// TestSortOpsMatchesSliceStable: the sorted-already pass plus
+// slices.SortStableFunc orders every log exactly as the sort.SliceStable
+// comparator it replaced, on shuffled logs, engine-ordered logs (When
+// ascending, the common case) and logs dense in equal keys.
+func TestSortOpsMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 500; trial++ {
+		n := rng.Intn(64)
+		ops := make([]Op, n)
+		var when event.Cycle
+		for i := range ops {
+			switch trial % 3 {
+			case 0:
+				when = event.Cycle(rng.Intn(8))
+			case 1:
+				when += event.Cycle(rng.Intn(2))
+			}
+			// Arg carries the issue index, so a stability slip shows.
+			ops[i] = Op{When: when, Tile: rng.Intn(4), Arg: i}
+		}
+		want := slices.Clone(ops)
+		sort.SliceStable(want, func(i, j int) bool {
+			a, b := &want[i], &want[j]
+			if a.When != b.When {
+				return a.When < b.When
+			}
+			return a.Tile < b.Tile
+		})
+		sortOps(ops)
+		if !reflect.DeepEqual(ops, want) {
+			t.Fatalf("trial %d: sortOps = %v, want %v", trial, ops, want)
+		}
 	}
 }

@@ -1,0 +1,9 @@
+package system
+
+// SetLayoutShards forces partitioned machines to be built with n shards until
+// the returned restore function runs. Not safe for parallel tests.
+func SetLayoutShards(n int) (restore func()) {
+	prev := layoutShards
+	layoutShards = n
+	return func() { layoutShards = prev }
+}

@@ -29,35 +29,47 @@ func parConfig(t *testing.T, sys string) config.Config {
 	return cfg
 }
 
-// TestPartitionedBuild checks the shard layout the builder produces: 64 tiles
-// partition into par.ShardsFor(64) shards, round-robin, with per-shard
-// engines; a sanitized or small machine stays unpartitioned.
+// TestPartitionedBuild checks the shard layout the builder produces: one
+// non-direct shard per effective worker (Workers floored at 1 and capped at
+// min(par.ShardsFor(tiles), GOMAXPROCS)), tiles round-robin, engines private;
+// a sanitized or small machine stays unpartitioned.
 func TestPartitionedBuild(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
 	cfg := parConfig(t, "SF")
-	m, err := Build(cfg, "mv", 0.02)
-	if err != nil {
-		t.Fatal(err)
+	if par.ShardsFor(cfg.Tiles()) != 16 {
+		t.Fatalf("ShardsFor(%d) = %d, expected 16", cfg.Tiles(), par.ShardsFor(cfg.Tiles()))
 	}
-	want := par.ShardsFor(cfg.Tiles())
-	if want <= 1 {
-		t.Fatalf("ShardsFor(%d) = %d, expected a partitioned machine", cfg.Tiles(), want)
+	cases := []struct{ workers, procs, want int }{
+		{0, 4, 1}, {1, 4, 1}, {2, 4, 2}, {4, 4, 4},
+		{8, 4, 4},    // Workers > GOMAXPROCS
+		{99, 32, 16}, // Workers > the shard bound
 	}
-	if len(m.Shards) != want {
-		t.Fatalf("built %d shards, want %d", len(m.Shards), want)
-	}
-	for tile, sh := range m.tileShard {
-		if sh != m.Shards[par.ShardOf(tile, want)] {
-			t.Fatalf("tile %d assigned off the round-robin layout", tile)
+	for _, c := range cases {
+		runtime.GOMAXPROCS(c.procs)
+		cfg.Workers = c.workers
+		m, err := Build(cfg, "mv", 0.02)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Shards) != c.want || m.group == nil {
+			t.Fatalf("workers=%d GOMAXPROCS=%d: built %d shards, want %d", c.workers, c.procs, len(m.Shards), c.want)
+		}
+		for tile, sh := range m.tileShard {
+			if sh != m.Shards[par.ShardOf(tile, c.want)] {
+				t.Fatalf("workers=%d: tile %d assigned off the round-robin layout", c.workers, tile)
+			}
+		}
+		for i, sh := range m.Shards {
+			if sh.Eng == m.Eng {
+				t.Fatalf("workers=%d: shard %d shares the root engine", c.workers, i)
+			}
+			if sh.Direct() {
+				t.Fatalf("workers=%d: shard %d is direct on a partitioned machine", c.workers, i)
+			}
 		}
 	}
-	for i, sh := range m.Shards {
-		if sh.Eng == m.Eng {
-			t.Fatalf("shard %d shares the root engine", i)
-		}
-		if sh.Direct() {
-			t.Fatalf("shard %d is direct on a partitioned machine", i)
-		}
-	}
+	cfg.Workers = 1
 
 	san := cfg
 	san.Sanitize = sanitize.ModeOn
@@ -77,6 +89,34 @@ func TestPartitionedBuild(t *testing.T) {
 	}
 	if msm.Shards != nil {
 		t.Fatal("4-tile machine must stay on the legacy unpartitioned path")
+	}
+}
+
+// TestTracerForcesOneWorker: a traced machine keeps whatever layout it was
+// built with and is driven by one goroutine (the tracer's ring is shared
+// across tiles), with the untraced run's Results.
+func TestTracerForcesOneWorker(t *testing.T) {
+	withProcs(t, 2)
+	cfg := parConfig(t, "SF")
+	cfg.Workers = 2
+	want, err := RunBenchmark(context.Background(), cfg, "mv", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := Build(cfg, "mv", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.AttachTracer(NewTracer(cfg, "mv", "SF/OOO8", 0))
+	got, err := m.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.Shards) != 2 || m.group.Workers != 1 {
+		t.Errorf("traced machine: %d shards driven by %d workers, want 2 shards and 1 worker", len(m.Shards), m.group.Workers)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("traced run diverges from untraced:\n want: %+v\n  got: %+v", want.Stats, got.Stats)
 	}
 }
 
@@ -112,7 +152,8 @@ func runWorkers(t *testing.T, sys, bench string, scale float64, workers int) Res
 // TestWorkerDeterminism is the parallel kernel's core acceptance gate: the
 // figure-level spot points (a Fig 13 speedup point, a Fig 14 L3-provenance
 // point, a Fig 15 traffic point) must produce bit-identical Results for every
-// worker count, including the sequential workers=1 drive of the same shards.
+// worker count. The layout follows the worker count, so this also compares
+// four different shard layouts, starting from the single-shard workers=1 one.
 func TestWorkerDeterminism(t *testing.T) {
 	points := []struct{ sys, bench string }{
 		{"SF", "mv"},      // Fig 13: speedup spot point

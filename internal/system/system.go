@@ -62,11 +62,12 @@ type Machine struct {
 	phaseHook func(phase int, now event.Cycle, snap stats.Stats)
 
 	// Shards is the tile partition of the parallel event kernel, nil on
-	// small (unpartitioned) machines. Each shard owns a subset of tiles, a
-	// private engine and private stats; group drives them in barrier-
-	// synchronized quanta of one NoC lookahead. The shard layout is a pure
-	// function of the configuration, so results are bit-identical for every
-	// worker count — Workers only picks how many goroutines drive them.
+	// small or sanitized (unpartitioned) machines. Each shard owns a subset
+	// of tiles, a private engine and private stats; group drives them in
+	// barrier-synchronized quanta of one NoC lookahead. There is one shard
+	// per effective worker (see BuildPrepared), and the barrier order names
+	// no shard, so results are bit-identical for every layout and every
+	// worker count.
 	Shards    []*par.Shard
 	group     *par.Group
 	tileShard []*par.Shard
@@ -125,6 +126,11 @@ func Build(cfg config.Config, bench string, scale float64) (*Machine, error) {
 	return BuildPrepared(cfg, bench, bk, progs)
 }
 
+// layoutShards, when non-zero, overrides the shard count of partitioned
+// machines. Only tests set it (export_test.go), to hold results invariant
+// across layouts; production always builds one shard per effective worker.
+var layoutShards int
+
 // BuildPrepared constructs the machine around an already-prepared workload:
 // a populated backing store and per-core programs. It is the entry point for
 // callers that rewrite programs before simulation — the sampled-simulation
@@ -139,29 +145,32 @@ func BuildPrepared(cfg config.Config, bench string, bk *mem.Backing, progs []wor
 	eng := event.New()
 	st := &stats.Stats{}
 
-	// Partition the tiles into shards. The shard count is a pure function of
-	// the configuration (never of Workers), so the partitioned machine has one
-	// canonical event schedule; small machines stay on the exact legacy
-	// single-engine path (tileShard nil, Partition never called).
+	// Partition the tiles into one shard per effective worker: the layout is
+	// a host decision, like the worker count it follows, and cannot reach the
+	// result because the barrier drains every cross-tile effect in (cycle,
+	// tile, issue) order whatever shard logged it (TestShardLayoutInvariance).
+	// At Workers=1 the whole machine is one barrier-drained shard on one
+	// engine. Small machines stay on the exact legacy single-engine path
+	// (tileShard nil, Partition never called).
 	//
 	// Sanitized machines also stay on the legacy path: the checker's global
-	// books require one time-sorted total event order, while the partitioned
-	// kernel fires each shard's whole window before the next shard's — a
+	// books require one time-sorted total event order, and even a single
+	// shard defers directory updates past the events that read them — a
 	// time-skew the protocol checks would misread as violations. This cannot
 	// alias cached results, because the canonical encoding keys on the
-	// resolved sanitize bit (see config.CanonicalBytes); the partitioned
-	// schedule itself is validated by worker-determinism tests that disable
-	// the sanitizer explicitly.
-	numShards := par.ShardsFor(cfg.Tiles())
-	if cfg.SanitizeEnabled() {
-		numShards = 1
+	// resolved sanitize bit (see config.CanonicalBytes).
+	maxShards := par.ShardsFor(cfg.Tiles())
+	partitioned := maxShards > 1 && !cfg.SanitizeEnabled()
+	numShards := par.EffectiveWorkers(cfg.Workers, maxShards)
+	if layoutShards != 0 {
+		numShards = layoutShards
 	}
 	var (
 		shards    []*par.Shard
 		tileShard []*par.Shard
 		shardIdx  []int
 	)
-	if numShards > 1 {
+	if partitioned {
 		shards = make([]*par.Shard, numShards)
 		for i := range shards {
 			shards[i] = par.NewShard(event.New(), &stats.Stats{})
@@ -189,7 +198,7 @@ func BuildPrepared(cfg config.Config, bench string, bk *mem.Backing, progs []wor
 	mesh := noc.New(eng, st, cfg.MeshWidth, cfg.MeshHeight, cfg.LinkBits, cfg.RouterLatency, cfg.LinkLatency)
 	dram := mem.NewDRAM(eng, st, cfg.DRAMLatency, cfg.DRAMBandwidthBpc, cfg.MemControllerTiles())
 	caches := cache.NewSystem(eng, st, cfg, mesh, dram)
-	if numShards > 1 {
+	if partitioned {
 		mesh.Partition(tileShard, shardIdx, numShards)
 		caches.Partition(tileShard, shardIdx, numShards)
 		ctrlEngs := make([]*event.Engine, dram.NumControllers())
@@ -219,7 +228,7 @@ func BuildPrepared(cfg config.Config, bench string, bk *mem.Backing, progs []wor
 		Cfg: cfg, Eng: eng, St: st, Mesh: mesh, DRAM: dram,
 		Caches: caches, Backing: bk, bench: bench, numPhases: numPhases,
 	}
-	if numShards > 1 {
+	if partitioned {
 		m.Shards = shards
 		m.tileShard = tileShard
 		m.group = &par.Group{
@@ -235,7 +244,7 @@ func BuildPrepared(cfg config.Config, bench string, bk *mem.Backing, progs []wor
 	if cfg.Stream != config.StreamOff {
 		m.Engines = score.NewEngines(eng, st, cfg, mesh, caches, bk)
 		se = m.Engines
-		if numShards > 1 {
+		if partitioned {
 			m.Engines.Partition(tileShard)
 		}
 	}
@@ -449,10 +458,9 @@ func (m *Machine) RunContext(ctx context.Context, maxCycles event.Cycle) (Result
 	case m.group != nil:
 		workers := m.Cfg.Workers
 		if m.Tr != nil {
-			// The tracer's ring is shared across tiles; drive the shards
-			// sequentially but keep the partitioned layout (and thus the
-			// canonical schedule) unchanged. (Sanitized machines are never
-			// partitioned — see BuildPrepared.)
+			// The tracer's ring is shared across tiles; drive whatever
+			// layout was built with one goroutine. (Sanitized machines are
+			// never partitioned — see BuildPrepared.)
 			workers = 1
 		}
 		m.group.Workers = workers
