@@ -4,7 +4,11 @@
 // MSHR merging, and the eviction/reuse accounting behind Fig 2.
 package cache
 
-import "math/bits"
+import (
+	"math/bits"
+	"sync"
+	"sync/atomic"
+)
 
 // MESI stable states tracked at the private L2 (L1 holds valid/dirty only
 // and is kept inclusive in L2).
@@ -38,9 +42,16 @@ const rrpvMax = 3
 const noStream = -1
 
 // line is one cache line's metadata. The directory fields (sharers, owner)
-// are only meaningful in L3 bank arrays.
+// are only meaningful in L3 bank arrays. Fields are ordered widest first so
+// the struct packs into 32 bytes: two lines per host cache line.
 type line struct {
-	addr     uint64 // full line-aligned address; identifies the line
+	addr uint64 // full line-aligned address; identifies the line
+
+	// Directory state (L3 only).
+	sharers uint64 // bitmask of tiles with the line in S
+	owner   int16  // tile holding the line in E/M, or -1
+
+	streamID int16 // stream that brought the line in (noStream if none)
 	valid    bool
 	dirty    bool
 	reused   bool // hit at least once after fill
@@ -48,11 +59,48 @@ type line struct {
 	stream   bool // brought in by a compiler-identified stream access
 	state    state
 	rrpv     uint8
-	streamID int16 // stream that brought the line in (noStream if none)
+}
 
-	// Directory state (L3 only).
-	sharers uint64 // bitmask of tiles with the line in S
-	owner   int16  // tile holding the line in E/M, or -1
+// emptyLine is the state of a way that holds nothing.
+var emptyLine = line{owner: -1, streamID: noStream}
+
+// slabPools recycles line slabs between machines, one sync.Pool per slab
+// length (a machine has three: L1, L2, L3 bank). Every pooled slab holds
+// only emptyLine, so a recycled slab is indistinguishable from a fresh one.
+var slabPools sync.Map // int (lines) -> *sync.Pool of *[]line
+
+func slabPool(n int) *sync.Pool {
+	if p, ok := slabPools.Load(n); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := slabPools.LoadOrStore(n, new(sync.Pool))
+	return p.(*sync.Pool)
+}
+
+// newSlab returns n empty lines, recycled if the pool has a slab that size.
+func newSlab(n int) []line {
+	if !poolBypass.Load() {
+		if p, ok := slabPool(n).Get().(*[]line); ok {
+			return *p
+		}
+	}
+	ls := make([]line, n)
+	for i := range ls {
+		ls[i] = emptyLine
+	}
+	return ls
+}
+
+// poolBypass, while set, makes newSlab build every slab fresh.
+var poolBypass atomic.Bool
+
+// SetPoolBypass is a test hook, not an option: it makes every newArray build
+// a fresh slab until the returned restore function runs, so a test can hold
+// a recycled run against a pristine one. It is exported only because that
+// oracle (TestRecycledStateInvisible) lives in internal/system.
+func SetPoolBypass(on bool) (restore func()) {
+	prev := poolBypass.Swap(on)
+	return func() { poolBypass.Store(prev) }
 }
 
 // array is a set-associative cache array with (Bimodal) RRIP replacement.
@@ -61,6 +109,10 @@ type array struct {
 	ways      int
 	lineBytes uint64
 	lines     []line
+	// touched has bit s set once set s has been filled; release resets only
+	// those sets. insert is the only writer of line.valid, so a set whose bit
+	// is clear still holds what newSlab handed out.
+	touched []uint64
 	// brripLongEvery inserts at "long" re-reference once every N fills
 	// (N = round(1/p)); 1 means always long (SRRIP).
 	brripLongEvery int
@@ -90,15 +142,30 @@ func newArray(sizeBytes, ways, lineBytes int, brripProb float64) *array {
 		sets:           sets,
 		ways:           ways,
 		lineBytes:      uint64(lineBytes),
-		lines:          make([]line, sets*ways),
+		lines:          newSlab(sets * ways),
+		touched:        make([]uint64, (sets+63)/64),
 		brripLongEvery: longEvery,
-	}
-	for i := range a.lines {
-		a.lines[i].owner = -1
-		a.lines[i].streamID = noStream
 	}
 	a.setBankLocal(0, 1)
 	return a
+}
+
+// release empties every set that was ever filled and hands the slab back
+// for the next machine's newArray. The array is unusable afterwards: lines
+// is nil, so any later access panics instead of reading recycled state.
+func (a *array) release() {
+	for w, word := range a.touched {
+		for ; word != 0; word &= word - 1 {
+			set := w*64 + bits.TrailingZeros64(word)
+			ls := a.lines[set*a.ways : (set+1)*a.ways]
+			for i := range ls {
+				ls[i] = emptyLine
+			}
+		}
+	}
+	ls := a.lines
+	a.lines, a.touched = nil, nil
+	slabPool(len(ls)).Put(&ls)
 }
 
 // setBankLocal switches set selection to bank-local indexing (interleave 0
@@ -179,6 +246,8 @@ func (a *array) victim(lineAddr uint64) *line {
 // resetting metadata and applying the bimodal insertion policy. The caller
 // must have handled the victim's eviction first.
 func (a *array) insert(slot *line, lineAddr uint64) {
+	set := a.setOf(lineAddr)
+	a.touched[set>>6] |= 1 << (set & 63)
 	a.fillCount++
 	rrpv := uint8(rrpvMax) // distant
 	if a.brripLongEvery <= 1 || a.fillCount%a.brripLongEvery == 0 {
@@ -196,7 +265,7 @@ func (a *array) insert(slot *line, lineAddr uint64) {
 
 // invalidate drops a line.
 func (a *array) invalidate(l *line) {
-	*l = line{owner: -1, streamID: noStream}
+	*l = emptyLine
 }
 
 // forEachValid visits every valid line (used by tests and drain logic).

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"streamfloat/internal/config"
 	"streamfloat/internal/event"
@@ -385,6 +386,50 @@ func TestRRIPVictimSelection(t *testing.T) {
 	if v.addr != 4*64 {
 		t.Errorf("victim = %#x, want the untouched line", v.addr)
 	}
+}
+
+// TestLineSizeof pins the packed layout: two lines per 64-byte host cache
+// line, so a 16-way set scan touches 8 of them and a machine's slabs stay
+// 20% smaller than with the fields in declaration-by-meaning order.
+func TestLineSizeof(t *testing.T) {
+	if sz := unsafe.Sizeof(line{}); sz > 32 {
+		t.Fatalf("sizeof(line) = %d bytes, want <= 32", sz)
+	}
+}
+
+// TestReleaseEmptiesTouchedSets checks the recycling invariant at its source:
+// whatever an array went through, the slab it hands back holds only empty
+// lines, and the array itself fails loudly if used again.
+func TestReleaseEmptiesTouchedSets(t *testing.T) {
+	a := newArray(64*64*4, 4, 64, 0.03) // 64 sets x 4 ways
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		la := uint64(rng.Intn(1<<14)) * 64
+		if l := a.lookup(la); l != nil {
+			a.touch(l)
+			l.dirty, l.sharers, l.owner = true, rng.Uint64(), int16(rng.Intn(64))
+			continue
+		}
+		slot := a.victim(la)
+		a.insert(slot, la)
+		slot.state, slot.stream, slot.streamID = stModified, true, 7
+		if i%5 == 0 {
+			a.invalidate(slot)
+		}
+	}
+	slab := a.lines
+	a.release()
+	for i := range slab {
+		if slab[i] != emptyLine {
+			t.Fatalf("released slab line %d = %+v, want the empty line", i, slab[i])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("lookup on a released array must panic")
+		}
+	}()
+	a.lookup(0)
 }
 
 func TestBankLocalIndexingUsesAllSets(t *testing.T) {

@@ -256,6 +256,19 @@ func NewSystem(eng *event.Engine, st *stats.Stats, cfg config.Config, mesh *noc.
 	return s
 }
 
+// Release hands every array's line slab back for the next machine to build
+// on (see array.release). Optional, and only for a hierarchy whose run
+// returned normally: nothing may touch it afterwards.
+func (s *System) Release() {
+	for _, tc := range s.tiles {
+		tc.l1.release()
+		tc.l2.release()
+	}
+	for _, b := range s.banks {
+		b.release()
+	}
+}
+
 // SetL1Observer registers a callback invoked on every demand L1 access
 // (prefetcher training).
 func (s *System) SetL1Observer(fn func(tile int, addr uint64, pc uint32, hit bool)) {

@@ -81,6 +81,28 @@ func (e *refEngine) Run(maxCycles Cycle) Cycle {
 	return e.now
 }
 
+func (e *refEngine) NextWhen() (Cycle, bool) {
+	if len(e.queue) == 0 {
+		return 0, false
+	}
+	return e.queue[0].when, true
+}
+
+func (e *refEngine) RunWindow(horizon Cycle) int {
+	n := 0
+	for len(e.queue) > 0 && e.queue[0].when < horizon {
+		e.Step()
+		n++
+	}
+	return n
+}
+
+func (e *refEngine) AdvanceTo(t Cycle) {
+	if t > e.now {
+		e.now = t
+	}
+}
+
 // scheduler is the operation surface both engines share.
 type scheduler interface {
 	Now() Cycle
@@ -89,6 +111,9 @@ type scheduler interface {
 	At(Cycle, Func)
 	Step() bool
 	Run(Cycle) Cycle
+	NextWhen() (Cycle, bool)
+	RunWindow(Cycle) int
+	AdvanceTo(Cycle)
 }
 
 var (
@@ -97,9 +122,10 @@ var (
 )
 
 // diffPlan is a deterministic workload: node i, when it fires, schedules its
-// children. Delays cover zero (same-cycle FIFO), typical latencies, and
-// far-future values crossing the overflow boundary; At nodes target absolute
-// cycles including the past (exercising the clamp).
+// children. Delays cover zero (same-cycle FIFO), the current and the next
+// 6-cycle window, typical latencies, and far-future values crossing the
+// overflow boundary; At nodes target absolute cycles including the past
+// (exercising the clamp).
 type diffPlan struct {
 	children [][]diffChild
 	horizon  Cycle
@@ -109,8 +135,13 @@ type diffPlan struct {
 type diffChild struct {
 	node     int
 	absolute bool
+	deferred bool  // runWindows: scheduled at the barrier, not from the handler
 	when     Cycle // delay, or absolute target if absolute
 }
+
+// diffQuantum is the window width runWindows drives, the NoC lookahead of
+// the default machine.
+const diffQuantum = 6
 
 func makePlan(rng *rand.Rand) diffPlan {
 	n := 40 + rng.Intn(120)
@@ -119,7 +150,7 @@ func makePlan(rng *rand.Rand) diffPlan {
 		kids := rng.Intn(3)
 		for k := 0; k < kids; k++ {
 			child := diffChild{node: rng.Intn(n)}
-			switch rng.Intn(6) {
+			switch rng.Intn(8) {
 			case 0: // same-cycle
 				child.when = 0
 			case 1: // far future: at or beyond the ring window
@@ -127,6 +158,11 @@ func makePlan(rng *rand.Rand) diffPlan {
 			case 2: // absolute, possibly in the past
 				child.absolute = true
 				child.when = Cycle(rng.Intn(2 * ringSize))
+			case 3: // this window or the next
+				child.when = Cycle(rng.Intn(2 * diffQuantum))
+			case 4: // a cross-shard effect: lands one lookahead past the barrier
+				child.deferred = true
+				child.when = diffQuantum + Cycle(rng.Intn(40))
 			default: // typical component latency
 				child.when = Cycle(rng.Intn(300))
 			}
@@ -138,47 +174,101 @@ func makePlan(rng *rand.Rand) diffPlan {
 	return p
 }
 
-// run drives one engine through the plan and returns the observed firing
-// trace: (node, cycle) per event, plus the final clock and pending count.
-func (p diffPlan) run(e scheduler) (trace [][2]uint64, final Cycle, pending int) {
-	budget := 4000 // the node graph can cycle; cap total events
-	var fire func(node int) Func
-	fire = func(node int) Func {
-		return func(now Cycle) {
-			trace = append(trace, [2]uint64{uint64(node), uint64(now)})
-			if budget == 0 {
-				return
-			}
-			budget--
-			for _, c := range p.children[node] {
-				if c.absolute {
-					e.At(c.when, fire(c.node))
-				} else {
-					e.Schedule(c.when, fire(c.node))
-				}
+// diffRun is one engine's pass over a plan: the observed firing trace, (node,
+// cycle) per event, and the handler every node fires.
+type diffRun struct {
+	p      diffPlan
+	e      scheduler
+	trace  [][2]uint64
+	budget int         // the node graph can cycle; cap total events
+	ops    []diffChild // deferred children awaiting the barrier (runWindows)
+	defers bool
+}
+
+func (r *diffRun) schedule(c diffChild) {
+	if c.absolute {
+		r.e.At(c.when, r.fire(c.node))
+	} else {
+		r.e.Schedule(c.when, r.fire(c.node))
+	}
+}
+
+func (r *diffRun) fire(node int) Func {
+	return func(now Cycle) {
+		r.trace = append(r.trace, [2]uint64{uint64(node), uint64(now)})
+		if r.budget == 0 {
+			return
+		}
+		r.budget--
+		for _, c := range r.p.children[node] {
+			if c.deferred && r.defers {
+				r.ops = append(r.ops, c)
+			} else {
+				r.schedule(c)
 			}
 		}
 	}
-	// Seed roots at staggered delays, then interleave Step, a horizon Run,
-	// and a drain Run — the three consumption modes call sites use.
+}
+
+func (p diffPlan) start(e scheduler) *diffRun {
+	r := &diffRun{p: p, e: e, budget: 4000}
 	for i := 0; i < 8 && i < len(p.children); i++ {
-		e.Schedule(Cycle(i*i), fire(i))
+		e.Schedule(Cycle(i*i), r.fire(i))
 	}
+	return r
+}
+
+// run seeds roots at staggered delays, then interleaves Step, a horizon Run,
+// and a drain Run — the consumption modes the single-engine call sites use.
+func (p diffPlan) run(e scheduler) (trace [][2]uint64, final Cycle, pending int) {
+	r := p.start(e)
 	for i := 0; i < p.steps && e.Step(); i++ {
 	}
 	e.Run(p.horizon)
 	e.Run(0)
-	return trace, e.Now(), e.Pending()
+	return r.trace, e.Now(), e.Pending()
+}
+
+// runWindows drives the plan the way par.Group drives every unsanitized
+// point: NextWhen picks the window start (jumping empty quanta, however many
+// overflow promotions that crosses), RunWindow fires one lookahead's worth,
+// AdvanceTo normalizes the clock to the window end, and the effects the
+// handlers deferred are scheduled from outside any handler at the barrier.
+// Each window start is recorded in the trace, so NextWhen is compared too.
+func (p diffPlan) runWindows(e scheduler) (trace [][2]uint64, final Cycle, pending int) {
+	r := p.start(e)
+	r.defers = true
+	for {
+		w, ok := e.NextWhen()
+		if !ok {
+			break
+		}
+		horizon := w + diffQuantum
+		fired := e.RunWindow(horizon)
+		r.trace = append(r.trace, [2]uint64{^uint64(0) - uint64(fired), uint64(w)})
+		e.AdvanceTo(horizon)
+		ops := r.ops
+		r.ops = nil
+		for _, c := range ops {
+			r.schedule(c)
+		}
+	}
+	return r.trace, e.Now(), e.Pending()
 }
 
 // TestDifferentialCalendarVsHeap drives the calendar-queue engine and the
-// reference heap through identical randomized workloads and requires
-// identical firing order, clocks, and queue lengths.
+// reference heap through identical randomized workloads, in both consumption
+// styles (Step/Run and the windowed NextWhen/RunWindow/AdvanceTo loop), and
+// requires identical firing order, clocks, and queue lengths.
 func TestDifferentialCalendarVsHeap(t *testing.T) {
-	f := func(seed int64) bool {
+	f := func(seed int64, windows bool) bool {
 		plan := makePlan(rand.New(rand.NewSource(seed)))
-		gotTrace, gotFinal, gotPend := plan.run(New())
-		wantTrace, wantFinal, wantPend := plan.run(&refEngine{})
+		drive := plan.run
+		if windows {
+			drive = plan.runWindows
+		}
+		gotTrace, gotFinal, gotPend := drive(New())
+		wantTrace, wantFinal, wantPend := drive(&refEngine{})
 		if gotFinal != wantFinal || gotPend != wantPend {
 			t.Logf("seed %d: final=%d want %d, pending=%d want %d",
 				seed, gotFinal, wantFinal, gotPend, wantPend)
@@ -196,7 +286,7 @@ func TestDifferentialCalendarVsHeap(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 600}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -239,6 +329,32 @@ func TestScheduleCallZeroAlloc(t *testing.T) {
 	}
 	if fired == 0 {
 		t.Fatal("callbacks did not run")
+	}
+}
+
+// TestFreshEngineAllocBudget bounds what a NEW engine allocates before it
+// reaches steady state — the cost every point of a sweep pays, which
+// TestScheduleCallZeroAlloc's 16 warmed cycles cannot see. 200k events with
+// delays spread over the whole ring and at most ringSize pending must fit in
+// a handful of slab chunks, not one growing slice per cycle.
+func TestFreshEngineAllocBudget(t *testing.T) {
+	var fired int64
+	count := func(_ Cycle, ref Ref) { fired += ref.A }
+	allocs := testing.AllocsPerRun(1, func() {
+		e := New()
+		for i := 0; i < 200_000; i++ {
+			e.ScheduleCall(Cycle(uint32(i)*2654435761>>20), count, Ref{Obj: e, A: 1})
+			if e.Pending() == ringSize {
+				e.Step()
+			}
+		}
+		e.Run(0)
+	})
+	if allocs > 64 {
+		t.Fatalf("a fresh engine allocated %v times for 200k events with <= %d pending, want <= 64", allocs, ringSize)
+	}
+	if fired != 2*200_000 {
+		t.Fatalf("fired %d events, want %d", fired, 2*200_000)
 	}
 }
 

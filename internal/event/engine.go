@@ -12,13 +12,31 @@
 // The scheduler is a two-level calendar queue. Near-future events — almost
 // everything a cycle-level simulation produces: L1/L2 lookup latencies,
 // per-hop NoC delays, stream-engine advances — land in a power-of-two ring
-// of per-cycle buckets covering the next ringSize cycles. Far-future events
-// (deep DRAM bandwidth queues, long horizons) go to a slice-based binary
-// heap ordered by (when, seq) with no interface boxing. Whenever simulated
-// time advances, overflow events whose cycle has entered the ring window are
-// promoted into their bucket — always before any handler at the new time can
-// schedule into those cycles, which keeps bucket append order equal to
-// global seq order and preserves exact FIFO semantics.
+// covering the next ringSize cycles. Far-future events (deep DRAM bandwidth
+// queues, long horizons) go to a slice-based binary heap ordered by
+// (when, seq) with no interface boxing. Whenever simulated time advances,
+// overflow events whose cycle has entered the ring window are promoted into
+// their cycle's list — always before any handler at the new time can schedule
+// into those cycles, which keeps list order equal to global seq order and
+// preserves exact FIFO semantics.
+//
+// # Slab
+//
+// A ring slot is only a {head, tail} pair of node indices; the events
+// themselves live in one per-engine slab of nodes, each cycle's events
+// chained through node.next in schedule order. Scheduling links a node at
+// its cycle's tail, firing unlinks the head and pushes the node on a LIFO
+// free list. LIFO on purpose: the node an event just vacated is the one the
+// next scheduled event is written into, so the queue's working set is the
+// handful of host cache lines that are already hot, and an engine's memory
+// is O(max pending events) rather than the sum of every cycle's peak. The
+// slab grows by whole fixed-size chunks: growth never copies live nodes
+// (indices stay valid, nothing is stranded at half size for the GC) and a
+// fresh engine stops allocating after a handful of chunks — which matters
+// because a sweep is made of short points that each start from a fresh engine.
+// None of this can reach the schedule: a list is appended at the tail and
+// consumed at the head, so list order == append order == seq order, exactly
+// as with an append-only slice per cycle.
 package event
 
 import (
@@ -52,7 +70,7 @@ type CallFunc func(now Cycle, ref Ref)
 func runFunc(now Cycle, ref Ref) { ref.Obj.(Func)(now) }
 
 // item is one scheduled event. No interface boxing: items live directly in
-// bucket slices and the overflow heap.
+// slab nodes and the overflow heap.
 type item struct {
 	when Cycle
 	seq  uint64
@@ -69,12 +87,26 @@ const (
 	ringMask = ringSize - 1
 )
 
-// bucket holds the events of one cycle in schedule order. head indexes the
-// next unfired event; the slice is reset (retaining capacity) once drained,
-// so steady-state operation allocates nothing.
+// node is one slab slot: a pending event linked into its cycle's list, or a
+// free slot linked into the free list. Index 0 is reserved as the nil link,
+// which keeps the zero bucket an empty list.
+type node struct {
+	item
+	next int32
+}
+
+// chunkBits sizes the slab's growth step: 2^chunkBits nodes (64 KB) per
+// chunk, enough that a typical 64-tile point needs only a few.
+const (
+	chunkBits = 10
+	chunkSize = 1 << chunkBits
+	chunkMask = chunkSize - 1
+)
+
+// bucket is the list of one cycle's events in schedule order: head is the
+// next to fire, tail the last scheduled; both 0 when the cycle is empty.
 type bucket struct {
-	items []item
-	head  int
+	head, tail int32
 }
 
 // Engine is a discrete-event scheduler. The zero value is ready to use.
@@ -85,8 +117,11 @@ type Engine struct {
 	size  int // pending events, ring + overflow
 
 	ringCnt  int      // pending events in the ring
-	ring     []bucket // ringSize per-cycle buckets, indexed by when & ringMask
+	ring     []bucket // ringSize per-cycle lists, indexed by when & ringMask
 	overflow []item   // binary min-heap by (when, seq) for when-now >= ringSize
+
+	chunks []*[chunkSize]node // the node slab; node i is chunks[i>>chunkBits][i&chunkMask]
+	free   int32              // LIFO free list through node.next, 0 when empty
 
 	// scanFrom is a lower bound on the earliest pending ring event's cycle:
 	// no ring event exists strictly before it. nextWhen starts its bucket
@@ -148,18 +183,57 @@ func (e *Engine) AtCall(when Cycle, fn CallFunc, ref Ref) {
 	it := item{when: when, seq: e.seq, call: fn, ref: ref}
 	e.size++
 	if when-e.now < ringSize {
-		if e.ring == nil {
-			e.ring = make([]bucket, ringSize)
-		}
 		if when < e.scanFrom {
 			e.scanFrom = when
 		}
-		b := &e.ring[when&ringMask]
-		b.items = append(b.items, it)
-		e.ringCnt++
+		e.link(it)
 		return
 	}
 	e.overflowPush(it)
+}
+
+// node returns slab slot i.
+func (e *Engine) node(i int32) *node { return &e.chunks[i>>chunkBits][i&chunkMask] }
+
+// grow adds one chunk to the slab and threads its slots onto the free list
+// in ascending order, so a fresh engine fills each chunk front to back. The
+// first growth of a zero-value engine also makes the ring.
+func (e *Engine) grow() {
+	if e.ring == nil {
+		e.ring = make([]bucket, ringSize)
+	}
+	c := new([chunkSize]node)
+	base := int32(len(e.chunks)) << chunkBits
+	e.chunks = append(e.chunks, c)
+	first := int32(0)
+	if base == 0 {
+		first = 1 // slot 0 is the nil link
+	}
+	for i := int32(chunkSize - 1); i >= first; i-- {
+		c[i].next = e.free
+		e.free = base + i
+	}
+}
+
+// link appends it to the list of its cycle, which must lie inside the ring
+// window. The node comes off the free list's top: the most recently fired
+// event's slot.
+func (e *Engine) link(it item) {
+	if e.free == 0 {
+		e.grow()
+	}
+	i := e.free
+	n := e.node(i)
+	e.free = n.next
+	n.item, n.next = it, 0
+	b := &e.ring[it.when&ringMask]
+	if b.tail == 0 {
+		b.head = i
+	} else {
+		e.node(b.tail).next = i
+	}
+	b.tail = i
+	e.ringCnt++
 }
 
 // nextWhen reports the cycle of the earliest pending event without advancing
@@ -176,8 +250,7 @@ func (e *Engine) nextWhen() (Cycle, bool) {
 			t = e.scanFrom
 		}
 		for ; t-e.now < ringSize; t++ {
-			b := &e.ring[t&ringMask]
-			if b.head < len(b.items) {
+			if e.ring[t&ringMask].head != 0 {
 				e.scanFrom = t
 				return t, true
 			}
@@ -221,13 +294,7 @@ func (e *Engine) advanceTo(t Cycle) {
 		e.now = t
 	}
 	for len(e.overflow) > 0 && e.overflow[0].when-e.now < ringSize {
-		if e.ring == nil {
-			e.ring = make([]bucket, ringSize)
-		}
-		it := e.overflowPop()
-		b := &e.ring[it.when&ringMask]
-		b.items = append(b.items, it)
-		e.ringCnt++
+		e.link(e.overflowPop())
 	}
 }
 
@@ -236,13 +303,15 @@ func (e *Engine) fire(t Cycle) {
 	prev := e.now
 	e.advanceTo(t)
 	b := &e.ring[t&ringMask]
-	it := b.items[b.head]
-	b.items[b.head] = item{} // release payload references
-	b.head++
-	if b.head == len(b.items) {
-		b.items = b.items[:0]
-		b.head = 0
+	i := b.head
+	n := e.node(i)
+	it := n.item
+	if b.head = n.next; b.head == 0 {
+		b.tail = 0
 	}
+	n.call, n.ref.Obj = nil, nil // release payload references
+	n.next = e.free
+	e.free = i
 	e.ringCnt--
 	e.size--
 	if e.chk != nil && it.when < prev {

@@ -57,6 +57,9 @@ type Mesh struct {
 	shardIdx  []int         // tile -> shard index, for the per-shard pools
 	sendFree  [][]*sendMsg  // per-shard sendMsg freelists
 	mcastFree [][]*mcastMsg // per-shard mcastMsg freelists
+	// The barrier-op handlers, bound once in Partition: passing the method
+	// value m.commitSendOp at each Defer would heap-allocate it per send.
+	commitSend, commitMcast func(event.Cycle, any)
 
 	// pathBuf is the scratch route reused by path(): the mesh is driven from
 	// the single event-loop goroutine and every route is consumed before the
@@ -139,6 +142,7 @@ func (m *Mesh) Partition(tileShard []*par.Shard, shardIdx []int, numShards int) 
 	m.shardIdx = shardIdx
 	m.sendFree = make([][]*sendMsg, numShards)
 	m.mcastFree = make([][]*mcastMsg, numShards)
+	m.commitSend, m.commitMcast = m.commitSendOp, m.commitMcastOp
 }
 
 // Lookahead is the minimum latency of any cross-tile interaction: one
@@ -277,11 +281,10 @@ func (m *Mesh) SendCall(src, dst int, class stats.MsgClass, payloadBytes int, ca
 	sh := m.tileShard[src]
 	msg := m.getSend(src)
 	*msg = sendMsg{src: src, dst: dst, class: class, flits: flits, call: call, ref: ref}
-	sh.Defer(eng.Now(), src, m.commitSendOp, msg)
+	sh.Defer(eng.Now(), src, m.commitSend, msg)
 }
 
-// commitSendOp is the barrier-op form of commitUnicast (bound once to avoid
-// a per-send method-value allocation).
+// commitSendOp is the barrier-op form of commitUnicast.
 func (m *Mesh) commitSendOp(now event.Cycle, arg any) {
 	msg := arg.(*sendMsg)
 	si := m.shardIdx[msg.src]
@@ -398,7 +401,7 @@ func (m *Mesh) Multicast(src int, dsts []int, class stats.MsgClass, payloadBytes
 	mc := m.getMcast(src)
 	mc.src, mc.class, mc.flits, mc.deliver = src, class, flits, deliver
 	mc.dsts = append(mc.dsts[:0], dsts...)
-	sh.Defer(eng.Now(), src, m.commitMcastOp, mc)
+	sh.Defer(eng.Now(), src, m.commitMcast, mc)
 }
 
 // commitMcastOp is the barrier-op form of commitMulticast.

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"streamfloat/internal/event"
+	"streamfloat/internal/par"
 	"streamfloat/internal/sanitize"
 	"streamfloat/internal/stats"
 	"streamfloat/internal/trace"
@@ -213,6 +214,55 @@ func BenchmarkMeshSend(b *testing.B) {
 		}
 	}
 	eng.Run(0)
+}
+
+// TestPartitionedSendZeroAlloc proves a link-touching send on a partitioned
+// mesh — logged as a barrier op, committed at the drain, delivered on the
+// destination's engine — allocates nothing once the per-shard pools are warm.
+// Multicast copies its destinations into a pooled message too, so it is held
+// to the same budget.
+func TestPartitionedSendZeroAlloc(t *testing.T) {
+	_, _, m := newTestMesh(4, 4, 256)
+	sh := par.NewShard(event.New(), &stats.Stats{})
+	tileShard := make([]*par.Shard, m.Tiles())
+	for i := range tileShard {
+		tileShard[i] = sh
+	}
+	m.Partition(tileShard, make([]int, m.Tiles()), 1)
+	g := &par.Group{Shards: []*par.Shard{sh}, Quantum: m.Lookahead()}
+
+	delivered := 0
+	arrive := func(event.Cycle, event.Ref) { delivered++ }
+	arriveAt := func(int, event.Cycle) { delivered++ }
+	dsts := []int{3, 12, 15}
+	const perRound = 32
+	send := func(event.Cycle, event.Ref) {
+		for i := 0; i < perRound; i++ {
+			m.SendCall(i%16, 15-i%16, stats.ClassData, 64, arrive, event.Ref{})
+			m.Multicast(5, dsts, stats.ClassData, 64, arriveAt)
+		}
+	}
+	idle := func(event.Cycle, event.Ref) {}
+	round := func(fn event.CallFunc) func() {
+		return func() {
+			sh.Eng.ScheduleCall(1, fn, event.Ref{})
+			if _, err := g.Run(0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i := 0; i < 10; i++ { // warm the message pools, op log and engine slab
+		round(send)()
+	}
+	// Group.Run has a small fixed cost per call; the sends must add nothing.
+	base := testing.AllocsPerRun(100, round(idle))
+	if avg := testing.AllocsPerRun(100, round(send)); avg != base {
+		t.Fatalf("%d partitioned sends+multicasts allocate %v allocs/round over an idle round's %v, want 0",
+			perRound, avg-base, base)
+	}
+	if want := (10 + 101) * perRound * (1 + len(dsts)); delivered != want {
+		t.Fatalf("delivered %d messages, want %d", delivered, want)
+	}
 }
 
 // TestAuditBalancedBooks drives unicast, local and multicast traffic with

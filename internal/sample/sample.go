@@ -184,6 +184,7 @@ func RunEstimate(ctx context.Context, cfg config.Config, bench string, scale flo
 	if err != nil {
 		return nil, fmt.Errorf("sample: %w", err)
 	}
+	m.Release() // everything below works from res and the snapshots
 	if res.Stats.Iterations == 0 {
 		return nil, fmt.Errorf("sample: %s: detailed window carried no work (K=%d, m=%d)",
 			bench, sp.Intervals, sp.Measure)

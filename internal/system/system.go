@@ -510,7 +510,18 @@ func (m *Machine) RunContext(ctx context.Context, maxCycles event.Cycle) (Result
 	}, nil
 }
 
-// RunBenchmark is the one-call helper: build and run. ctx cancels the
+// Release recycles the machine's bulk state (the cache arrays' line slabs)
+// into the next machine built in this process, which is most of what a short
+// sweep point would otherwise allocate and zero. It is an optimisation, never
+// an obligation: call it only after a Run that returned normally — a
+// cancelled, failed or panicking machine may still have goroutines or
+// in-flight events touching its arrays and is simply left to the GC — and
+// only when nothing will look at the machine again. A released machine's
+// arrays are nil, so use-after-release panics instead of reading another
+// point's state.
+func (m *Machine) Release() { m.Caches.Release() }
+
+// RunBenchmark is the one-call helper: build, run, release. ctx cancels the
 // simulation mid-flight (see RunContext); pass context.Background() for an
 // unconditional run.
 func RunBenchmark(ctx context.Context, cfg config.Config, bench string, scale float64) (Results, error) {
@@ -518,7 +529,12 @@ func RunBenchmark(ctx context.Context, cfg config.Config, bench string, scale fl
 	if err != nil {
 		return Results{}, err
 	}
-	return m.RunContext(ctx, 0)
+	res, err := m.RunContext(ctx, 0)
+	if err != nil {
+		return Results{}, err
+	}
+	m.Release()
+	return res, nil
 }
 
 // RunBenchmarkTraced builds and runs one benchmark with tracing on,
@@ -534,5 +550,6 @@ func RunBenchmarkTraced(cfg config.Config, bench, label string, scale float64) (
 	if err != nil {
 		return Results{}, nil, err
 	}
+	m.Release()
 	return res, tr, nil
 }
