@@ -8,6 +8,7 @@ import (
 	"math/bits"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // MESI stable states tracked at the private L2 (L1 holds valid/dirty only
@@ -41,18 +42,17 @@ const rrpvMax = 3
 // noStream marks a line not brought in by a stream access.
 const noStream = -1
 
-// line is one cache line's metadata. The directory fields (sharers, owner)
-// are only meaningful in L3 bank arrays. Fields are ordered widest first so
-// the struct packs into 32 bytes: two lines per host cache line.
+// line is one cache line's metadata. Which address a way holds, if any, is
+// not here but in the array's tag slice, so a lookup that misses never reads
+// a line. The directory fields (sharers, owner) are only meaningful in L3
+// bank arrays. Fields are ordered widest first so the struct packs into 24
+// bytes: with its 8-byte tag a way costs 32.
 type line struct {
-	addr uint64 // full line-aligned address; identifies the line
-
 	// Directory state (L3 only).
 	sharers uint64 // bitmask of tiles with the line in S
 	owner   int16  // tile holding the line in E/M, or -1
 
 	streamID int16 // stream that brought the line in (noStream if none)
-	valid    bool
 	dirty    bool
 	reused   bool // hit at least once after fill
 	pf       bool // brought in by a prefetcher and not yet demanded
@@ -64,10 +64,19 @@ type line struct {
 // emptyLine is the state of a way that holds nothing.
 var emptyLine = line{owner: -1, streamID: noStream}
 
-// slabPools recycles line slabs between machines, one sync.Pool per slab
-// length (a machine has three: L1, L2, L3 bank). Every pooled slab holds
-// only emptyLine, so a recycled slab is indistinguishable from a fresh one.
-var slabPools sync.Map // int (lines) -> *sync.Pool of *[]line
+// slab is the storage of one array: a line and a tag per way. tags[i] is
+// lineAddr|1 for the address way i holds (line addresses are 64-byte aligned,
+// so bit 0 is free to tell address 0 from nothing) and 0 for an empty way.
+type slab struct {
+	lines []line
+	tags  []uint64
+}
+
+// slabPools recycles slabs between machines, one sync.Pool per slab length
+// (a machine has three: L1, L2, L3 bank). Every pooled slab holds only
+// emptyLine and zero tags, so a recycled slab is indistinguishable from a
+// fresh one.
+var slabPools sync.Map // int (ways) -> *sync.Pool of *slab
 
 func slabPool(n int) *sync.Pool {
 	if p, ok := slabPools.Load(n); ok {
@@ -77,18 +86,20 @@ func slabPool(n int) *sync.Pool {
 	return p.(*sync.Pool)
 }
 
-// newSlab returns n empty lines, recycled if the pool has a slab that size.
-func newSlab(n int) []line {
+// newSlab returns n empty ways, recycled if the pool has a slab that size. A
+// fresh slab's tags are whatever zeroed memory make returns and are never
+// written here, so the tag pages of sets a run never fills stay untouched.
+func newSlab(n int) *slab {
 	if !poolBypass.Load() {
-		if p, ok := slabPool(n).Get().(*[]line); ok {
-			return *p
+		if sl, ok := slabPool(n).Get().(*slab); ok {
+			return sl
 		}
 	}
-	ls := make([]line, n)
-	for i := range ls {
-		ls[i] = emptyLine
+	sl := &slab{lines: make([]line, n), tags: make([]uint64, n)}
+	for i := range sl.lines {
+		sl.lines[i] = emptyLine
 	}
-	return ls
+	return sl
 }
 
 // poolBypass, while set, makes newSlab build every slab fresh.
@@ -108,10 +119,12 @@ type array struct {
 	sets      int
 	ways      int
 	lineBytes uint64
-	lines     []line
+	slab      *slab
+	lines     []line   // slab.lines
+	tags      []uint64 // slab.tags; insert, invalidate and release are the only writers
 	// touched has bit s set once set s has been filled; release resets only
-	// those sets. insert is the only writer of line.valid, so a set whose bit
-	// is clear still holds what newSlab handed out.
+	// those sets. insert is the only code that makes a way non-empty, so a set
+	// whose bit is clear still holds what newSlab handed out.
 	touched []uint64
 	// brripLongEvery inserts at "long" re-reference once every N fills
 	// (N = round(1/p)); 1 means always long (SRRIP).
@@ -142,30 +155,32 @@ func newArray(sizeBytes, ways, lineBytes int, brripProb float64) *array {
 		sets:           sets,
 		ways:           ways,
 		lineBytes:      uint64(lineBytes),
-		lines:          newSlab(sets * ways),
+		slab:           newSlab(sets * ways),
 		touched:        make([]uint64, (sets+63)/64),
 		brripLongEvery: longEvery,
 	}
+	a.lines, a.tags = a.slab.lines, a.slab.tags
 	a.setBankLocal(0, 1)
 	return a
 }
 
 // release empties every set that was ever filled and hands the slab back
 // for the next machine's newArray. The array is unusable afterwards: lines
-// is nil, so any later access panics instead of reading recycled state.
+// and tags are nil, so any later access panics instead of reading recycled
+// state.
 func (a *array) release() {
 	for w, word := range a.touched {
 		for ; word != 0; word &= word - 1 {
 			set := w*64 + bits.TrailingZeros64(word)
-			ls := a.lines[set*a.ways : (set+1)*a.ways]
-			for i := range ls {
-				ls[i] = emptyLine
+			for i := set * a.ways; i < (set+1)*a.ways; i++ {
+				a.lines[i] = emptyLine
+				a.tags[i] = 0
 			}
 		}
 	}
-	ls := a.lines
-	a.lines, a.touched = nil, nil
-	slabPool(len(ls)).Put(&ls)
+	sl := a.slab
+	a.slab, a.lines, a.tags, a.touched = nil, nil, nil, nil
+	slabPool(len(sl.lines)).Put(sl)
 }
 
 // setBankLocal switches set selection to bank-local indexing (interleave 0
@@ -205,31 +220,45 @@ func (a *array) setOfDiv(lineAddr uint64) int {
 	return int(idx % uint64(a.sets))
 }
 
-// lookup returns the line holding lineAddr, or nil.
+// lookup returns the line holding lineAddr, or nil. Only the set's tags are
+// scanned: a 16-way miss reads two host cache lines, not eight.
 func (a *array) lookup(lineAddr uint64) *line {
-	set := a.setOf(lineAddr)
-	ls := a.lines[set*a.ways : (set+1)*a.ways]
-	for i := range ls {
-		if ls[i].valid && ls[i].addr == lineAddr {
-			return &ls[i]
+	base := a.setOf(lineAddr) * a.ways
+	want := lineAddr | 1
+	for i, tag := range a.tags[base : base+a.ways] {
+		if tag == want {
+			return &a.lines[base+i]
 		}
 	}
 	return nil
 }
 
+// indexOf returns the way index of a line of this array.
+func (a *array) indexOf(l *line) int {
+	off := uintptr(unsafe.Pointer(l)) - uintptr(unsafe.Pointer(unsafe.SliceData(a.lines)))
+	return int(off / unsafe.Sizeof(line{}))
+}
+
+// addrOf returns the line address the way holds; ok is false for an empty
+// way. Eviction code asks this of the slot victim returned.
+func (a *array) addrOf(l *line) (lineAddr uint64, ok bool) {
+	tag := a.tags[a.indexOf(l)]
+	return tag &^ 1, tag != 0
+}
+
 // touch promotes a line on hit (RRIP near re-reference).
 func (a *array) touch(l *line) { l.rrpv = 0 }
 
-// victim selects the replacement victim in lineAddr's set: an invalid way if
+// victim selects the replacement victim in lineAddr's set: an empty way if
 // one exists, otherwise the RRIP victim (aging RRPVs as needed).
 func (a *array) victim(lineAddr uint64) *line {
-	set := a.setOf(lineAddr)
-	ls := a.lines[set*a.ways : (set+1)*a.ways]
-	for i := range ls {
-		if !ls[i].valid {
-			return &ls[i]
+	base := a.setOf(lineAddr) * a.ways
+	for i, tag := range a.tags[base : base+a.ways] {
+		if tag == 0 {
+			return &a.lines[base+i]
 		}
 	}
+	ls := a.lines[base : base+a.ways]
 	for {
 		for i := range ls {
 			if ls[i].rrpv >= rrpvMax {
@@ -253,9 +282,8 @@ func (a *array) insert(slot *line, lineAddr uint64) {
 	if a.brripLongEvery <= 1 || a.fillCount%a.brripLongEvery == 0 {
 		rrpv = rrpvMax - 1 // long
 	}
+	a.tags[a.indexOf(slot)] = lineAddr | 1
 	*slot = line{
-		addr:     lineAddr,
-		valid:    true,
 		state:    stInvalid, // caller sets
 		rrpv:     rrpv,
 		streamID: noStream,
@@ -265,14 +293,16 @@ func (a *array) insert(slot *line, lineAddr uint64) {
 
 // invalidate drops a line.
 func (a *array) invalidate(l *line) {
+	a.tags[a.indexOf(l)] = 0
 	*l = emptyLine
 }
 
-// forEachValid visits every valid line (used by tests and drain logic).
-func (a *array) forEachValid(fn func(*line)) {
-	for i := range a.lines {
-		if a.lines[i].valid {
-			fn(&a.lines[i])
+// forEachValid visits every held line with its address (used by tests and
+// drain logic).
+func (a *array) forEachValid(fn func(lineAddr uint64, l *line)) {
+	for i, tag := range a.tags {
+		if tag != 0 {
+			fn(tag&^1, &a.lines[i])
 		}
 	}
 }

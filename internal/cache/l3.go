@@ -7,55 +7,74 @@ import (
 	"streamfloat/internal/trace"
 )
 
-// bankHandle services a GetS (excl=false) or GetX (excl=true) that has
-// arrived at an L3 bank. respond is invoked with the granted MESI state at
-// the time the data (or upgrade ack) reaches the requesting tile. p (may be
-// nil) is the requesting load's latency-attribution probe.
+// bankHandle services a GetS (m.excl false) or GetX (true) that has arrived
+// at its L3 bank: the lookup runs after the bank's access latency, and the
+// reply carries the granted MESI state to the requesting tile.
 //
 // Directory state is updated immediately and messages model the traffic and
 // latency; per-line transient races are thereby serialized by the event
 // loop, which preserves message counts — the quantity the paper measures.
-func (s *System) bankHandle(bank int, la uint64, reqTile int, excl bool, l3kind stats.L3ReqKind, p *trace.LoadProbe, respond func(granted state, now event.Cycle)) {
+func (s *System) bankHandle(m *missOp) {
+	s.engAt(m.bank).ScheduleCall(event.Cycle(s.cfg.L3.LatCycles), runBankLookup, event.Ref{Obj: m})
+}
+
+func runBankLookup(now event.Cycle, ref event.Ref) {
+	m := ref.Obj.(*missOp)
+	m.s.bankLookup(m, now)
+}
+
+// bankLookup is the L3 tag lookup of a request: a hit applies the directory
+// transition, a miss first fills the line from memory.
+func (s *System) bankLookup(m *missOp, now event.Cycle) {
+	bank, la, p := m.bank, m.la, m.meta.Probe
 	st := s.stAt(bank)
-	s.engAt(bank).Schedule(event.Cycle(s.cfg.L3.LatCycles), func(now event.Cycle) {
-		st.L3Requests[l3kind]++
-		l := s.banks[bank].lookup(la)
+	st.L3Requests[m.l3kind]++
+	l := s.banks[bank].lookup(la)
+	if s.tr != nil {
+		s.tr.CacheAccess(bank, 3, l != nil)
+	}
+	if l == nil {
+		st.L3Misses++
 		if s.tr != nil {
-			s.tr.CacheAccess(bank, 3, l != nil)
+			s.tr.Emit(uint64(now), bank, trace.KindL3Miss, la, int64(m.tile), int64(m.l3kind))
 		}
-		if l == nil {
-			st.L3Misses++
-			if s.tr != nil {
-				s.tr.Emit(uint64(now), bank, trace.KindL3Miss, la, int64(reqTile), int64(l3kind))
-			}
-			if p != nil {
-				p.DRAMStart = uint64(now)
-				p.Level = trace.LevelDRAM
-			}
-			s.dramFill(bank, la, func() {
-				if p != nil {
-					p.DRAMEnd = uint64(s.engAt(bank).Now())
-				}
-				// Re-lookup: the fill installed the line.
-				if fresh := s.banks[bank].lookup(la); fresh != nil {
-					s.bankHitChecked(bank, fresh, la, reqTile, excl, respond)
-				} else {
-					// The freshly installed line was itself evicted by a
-					// racing fill; respond as if granting E from memory.
-					s.mesh.Send(bank, reqTile, stats.ClassData, lineSize, func(now event.Cycle) {
-						respond(grantFor(excl, true), now)
-					})
-				}
-			})
-			return
+		if p != nil {
+			p.DRAMStart = uint64(now)
+			p.Level = trace.LevelDRAM
 		}
-		st.L3Hits++
-		if p != nil && p.Level == trace.LevelMerged {
-			p.Level = trace.LevelL3
-		}
-		s.banks[bank].touch(l)
-		s.bankHitChecked(bank, l, la, reqTile, excl, respond)
-	})
+		s.dramFill(bank, la, m.afterFill)
+		return
+	}
+	st.L3Hits++
+	if p != nil && p.Level == trace.LevelMerged {
+		p.Level = trace.LevelL3
+	}
+	s.banks[bank].touch(l)
+	s.bankHitChecked(m, l)
+}
+
+// filled continues a request whose line the bank had to fetch from memory
+// (bound as m.afterFill).
+func (m *missOp) filled() {
+	s := m.s
+	if p := m.meta.Probe; p != nil {
+		p.DRAMEnd = uint64(s.engAt(m.bank).Now())
+	}
+	// Re-lookup: the fill installed the line.
+	if fresh := s.banks[m.bank].lookup(m.la); fresh != nil {
+		s.bankHitChecked(m, fresh)
+		return
+	}
+	// The freshly installed line was itself evicted by a racing fill;
+	// respond as if granting E from memory.
+	m.granted = grantFor(m.excl, true)
+	s.mesh.SendCall(m.bank, m.tile, stats.ClassData, lineSize, runMissReply, event.Ref{Obj: m})
+}
+
+// forward sends the line from the forwarding owner to the requester once the
+// owner's L2 has been probed (bound as m.forwardData).
+func (m *missOp) forward(event.Cycle) {
+	m.s.mesh.SendCall(m.owner, m.tile, stats.ClassData, lineSize, runMissReply, event.Ref{Obj: m})
 }
 
 // runInvAck sends the invalidation acknowledgement for a remote-sharer
@@ -80,16 +99,17 @@ func grantFor(excl, exclusiveOK bool) state {
 }
 
 // bankHit applies the directory transition for a request hitting (or just
-// filled into) the bank.
-func (s *System) bankHit(bank int, l *line, la uint64, reqTile int, excl bool, respond func(state, event.Cycle)) {
+// filled into) the bank, and sends the reply that will land as runMissReply.
+func (s *System) bankHit(m *missOp, l *line) {
+	bank, la, reqTile := m.bank, m.la, m.tile
 	owner := int(l.owner)
 	reqBit := uint64(1) << uint(reqTile)
 
-	if excl {
+	if m.excl {
 		if s.bankWrite != nil {
 			s.bankWrite(bank, la, reqTile)
 		}
-		granted := stModified
+		m.granted = stModified
 		upgrade := l.sharers&reqBit != 0
 		// Invalidate all other sharers (inv + ack pairs). Remote copies on
 		// other shards are dropped at the quantum barrier.
@@ -112,20 +132,13 @@ func (s *System) bankHit(bank int, l *line, la uint64, reqTile int, excl bool, r
 		}
 		if owner >= 0 && owner != reqTile {
 			// Owner forwards the (possibly dirty) data to the requester.
-			s.ownerForward(bank, owner, la, true, func(now event.Cycle) {
-				s.mesh.Send(owner, reqTile, stats.ClassData, lineSize, func(now event.Cycle) {
-					respond(granted, now)
-				})
-			})
+			m.owner = owner
+			s.ownerForward(bank, owner, la, true, m.forwardData)
 		} else if upgrade {
 			// Requester already has the data: ownership ack only.
-			s.mesh.Send(bank, reqTile, stats.ClassCtrlCoh, 0, func(now event.Cycle) {
-				respond(granted, now)
-			})
+			s.mesh.SendCall(bank, reqTile, stats.ClassCtrlCoh, 0, runMissReply, event.Ref{Obj: m})
 		} else {
-			s.mesh.Send(bank, reqTile, stats.ClassData, lineSize, func(now event.Cycle) {
-				respond(granted, now)
-			})
+			s.mesh.SendCall(bank, reqTile, stats.ClassData, lineSize, runMissReply, event.Ref{Obj: m})
 		}
 		l.sharers = 0
 		l.owner = int16(reqTile)
@@ -136,11 +149,8 @@ func (s *System) bankHit(bank int, l *line, la uint64, reqTile int, excl bool, r
 	if owner >= 0 && owner != reqTile {
 		// Forward from the exclusive/modified owner; owner downgrades to S
 		// and writes back if dirty.
-		s.ownerForward(bank, owner, la, false, func(now event.Cycle) {
-			s.mesh.Send(owner, reqTile, stats.ClassData, lineSize, func(now event.Cycle) {
-				respond(stShared, now)
-			})
-		})
+		m.granted, m.owner = stShared, owner
+		s.ownerForward(bank, owner, la, false, m.forwardData)
 		l.owner = -1
 		l.sharers |= (1 << uint(owner)) | reqBit
 		return
@@ -151,9 +161,8 @@ func (s *System) bankHit(bank int, l *line, la uint64, reqTile int, excl bool, r
 	} else {
 		l.sharers |= reqBit
 	}
-	s.mesh.Send(bank, reqTile, stats.ClassData, lineSize, func(now event.Cycle) {
-		respond(grantFor(false, exclusiveOK), now)
-	})
+	m.granted = grantFor(false, exclusiveOK)
+	s.mesh.SendCall(bank, reqTile, stats.ClassData, lineSize, runMissReply, event.Ref{Obj: m})
 }
 
 // ownerForward sends the forward request to the current owner, downgrading
@@ -226,25 +235,40 @@ func (s *System) dropPrivate(bank, tile int, la uint64) {
 // Concurrent fills of the same line at the same bank merge into one memory
 // access (the bank's fill MSHR).
 func (s *System) dramFill(bank int, la uint64, cont func()) {
-	if waiters, busy := s.fillMSHR[bank][la]; busy {
-		s.fillMSHR[bank][la] = append(waiters, cont)
+	if f, busy := s.fillMSHR[bank][la]; busy {
+		f.waiters = append(f.waiters, cont)
 		return
 	}
-	s.fillMSHR[bank][la] = []func(){cont}
-	ctrl := s.dram.CtrlFor(la)
-	ctrlTile := s.dram.CtrlTile(ctrl)
-	s.mesh.Send(bank, ctrlTile, stats.ClassCtrlReq, 8, func(event.Cycle) {
-		s.dram.Access(la, lineSize, false, func(event.Cycle) {
-			s.mesh.Send(ctrlTile, bank, stats.ClassData, lineSize, func(event.Cycle) {
-				s.installL3(bank, la)
-				waiters := s.fillMSHR[bank][la]
-				delete(s.fillMSHR[bank], la)
-				for _, w := range waiters {
-					w()
-				}
-			})
-		})
-	})
+	f := s.getFill(bank)
+	f.bank, f.ctrlTile, f.la = bank, s.dram.CtrlTile(s.dram.CtrlFor(la)), la
+	f.waiters = append(f.waiters, cont)
+	s.fillMSHR[bank][la] = f
+	s.mesh.SendCall(bank, f.ctrlTile, stats.ClassCtrlReq, 8, runFillAtCtrl, event.Ref{Obj: f})
+}
+
+// runFillAtCtrl is the fill request reaching its memory controller's tile.
+func runFillAtCtrl(_ event.Cycle, ref event.Ref) {
+	f := ref.Obj.(*fillOp)
+	f.s.dram.Access(f.la, lineSize, false, f.dramDone)
+}
+
+// dataFromDRAM sends the line back to the bank once the device has it (bound
+// as f.dramDone).
+func (f *fillOp) dataFromDRAM(event.Cycle) {
+	f.s.mesh.SendCall(f.ctrlTile, f.bank, stats.ClassData, lineSize, runFillAtBank, event.Ref{Obj: f})
+}
+
+// runFillAtBank installs the arrived line and continues every request that
+// merged into the fill.
+func runFillAtBank(_ event.Cycle, ref event.Ref) {
+	f := ref.Obj.(*fillOp)
+	s := f.s
+	s.installL3(f.bank, f.la)
+	delete(s.fillMSHR[f.bank], f.la)
+	for _, w := range f.waiters {
+		w()
+	}
+	s.putFill(f.bank, f)
 }
 
 // installL3 places la into the bank, handling victim eviction.
@@ -254,8 +278,8 @@ func (s *System) installL3(bank int, la uint64) {
 		return // racing fill already installed it
 	}
 	slot := arr.victim(la)
-	if slot.valid {
-		s.evictL3(bank, slot)
+	if va, ok := arr.addrOf(slot); ok {
+		s.evictL3(bank, slot, va)
 	}
 	arr.insert(slot, la)
 }
@@ -263,10 +287,9 @@ func (s *System) installL3(bank int, la uint64) {
 // evictL3 removes a victim from a bank: inclusive back-invalidation of all
 // private copies (invalidation + ack traffic), dirty-owner writeback, and a
 // DRAM write if the line is dirty.
-func (s *System) evictL3(bank int, victim *line) {
-	va := victim.addr
+func (s *System) evictL3(bank int, victim *line, va uint64) {
 	dirty := victim.dirty
-	s.traceEvict("l3", bank, victim, s.engAt(bank).Now())
+	s.traceEvict("l3", bank, va, victim, s.engAt(bank).Now())
 	if s.tr != nil {
 		var a int64
 		if dirty {

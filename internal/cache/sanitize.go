@@ -65,25 +65,26 @@ func (s *System) checkDirectoryLine(bank int, la uint64, l *line, when string) {
 
 // bankHitChecked wraps bankHit with the MESI probe: the directory entry is
 // traced and checked both before and after the transition it applies.
-func (s *System) bankHitChecked(bank int, l *line, la uint64, reqTile int, excl bool, respond func(state, event.Cycle)) {
+func (s *System) bankHitChecked(m *missOp, l *line) {
 	if s.chk != nil {
+		bank, la := m.bank, m.la
 		ev := "gets"
-		if excl {
+		if m.excl {
 			ev = "getx"
 		}
 		s.chk.Trace(sanitize.Record{
-			Cycle: uint64(s.engAt(bank).Now()), Tile: reqTile, Comp: "l3dir", Event: ev,
+			Cycle: uint64(s.engAt(bank).Now()), Tile: m.tile, Comp: "l3dir", Event: ev,
 			Key: la, A: int64(l.sharers), B: int64(l.owner),
 		})
 		s.checkDirectoryLine(bank, la, l, "pre:"+ev)
 		defer s.checkDirectoryLine(bank, la, l, "post:"+ev)
 	}
-	s.bankHit(bank, l, la, reqTile, excl, respond)
+	s.bankHit(m, l)
 }
 
 // traceEvict records a private- or shared-cache eviction for violation
 // dumps. lvl is "l2" or "l3".
-func (s *System) traceEvict(lvl string, tile int, victim *line, now event.Cycle) {
+func (s *System) traceEvict(lvl string, tile int, va uint64, victim *line, now event.Cycle) {
 	if s.chk == nil {
 		return
 	}
@@ -93,7 +94,7 @@ func (s *System) traceEvict(lvl string, tile int, victim *line, now event.Cycle)
 	}
 	s.chk.Trace(sanitize.Record{
 		Cycle: uint64(now), Tile: tile, Comp: lvl, Event: "evict",
-		Key: victim.addr, A: int64(victim.state), B: dirty,
+		Key: va, A: int64(victim.state), B: dirty,
 	})
 }
 
@@ -108,13 +109,23 @@ func (s *System) traceFill(tile int, la uint64, granted state, now event.Cycle) 
 	})
 }
 
-// Audit verifies the hierarchy's drained end-of-run state: all miss
-// handling registers empty, L1 contents included in L2, and every
-// directory entry consistent with the private caches. No-op without a
-// checker; call only after the event queue has drained.
+// Audit verifies the hierarchy's drained end-of-run state: every op record
+// back on a freelist, all miss handling registers empty, L1 contents
+// included in L2, and every directory entry consistent with the private
+// caches. No-op without a checker; call only after the event queue has
+// drained.
 func (s *System) Audit() {
 	if s.chk == nil {
 		return
+	}
+	var access, miss, fill int
+	for i := range s.lists {
+		access += s.lists[i].access.Out()
+		miss += s.lists[i].miss.Out()
+		fill += s.lists[i].fill.Out()
+	}
+	if access != 0 || miss != 0 || fill != 0 {
+		s.chk.Failf(0, "cache: run drained with op records outstanding: %d accessOp, %d missOp, %d fillOp", access, miss, fill)
 	}
 	for t, tc := range s.tiles {
 		if n := len(tc.mshr); n != 0 {
@@ -122,9 +133,9 @@ func (s *System) Audit() {
 				s.chk.Failf(la, "cache: tile %d finished the run with %d open MSHR entries (line %#x among them)", t, n, la)
 			}
 		}
-		tc.l1.forEachValid(func(l *line) {
-			if tc.l2.lookup(l.addr) == nil {
-				s.chk.Failf(l.addr, "cache: tile %d L1 holds line %#x with no inclusive L2 copy", t, l.addr)
+		tc.l1.forEachValid(func(la uint64, _ *line) {
+			if tc.l2.lookup(la) == nil {
+				s.chk.Failf(la, "cache: tile %d L1 holds line %#x with no inclusive L2 copy", t, la)
 			}
 		})
 	}
@@ -135,8 +146,8 @@ func (s *System) Audit() {
 			}
 		}
 		bank := b
-		s.banks[b].forEachValid(func(l *line) {
-			s.checkDirectoryLine(bank, l.addr, l, "audit")
+		s.banks[b].forEachValid(func(la uint64, l *line) {
+			s.checkDirectoryLine(bank, la, l, "audit")
 		})
 	}
 }
@@ -159,8 +170,8 @@ func (s *System) FlipSharerBit(la uint64, tile int) bool {
 func (s *System) ForEachDirectoryLine(fn func(bank int, la uint64, sharers uint64, owner int)) {
 	for b, arr := range s.banks {
 		bank := b
-		arr.forEachValid(func(l *line) {
-			fn(bank, l.addr, l.sharers, int(l.owner))
+		arr.forEachValid(func(la uint64, l *line) {
+			fn(bank, la, l.sharers, int(l.owner))
 		})
 	}
 }

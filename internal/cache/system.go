@@ -1,8 +1,6 @@
 package cache
 
 import (
-	"sync"
-
 	"streamfloat/internal/config"
 	"streamfloat/internal/event"
 	"streamfloat/internal/mem"
@@ -48,14 +46,37 @@ const lineSize = 64
 
 // tileCaches is the private cache state of one tile.
 type tileCaches struct {
-	l1   *array
-	l2   *array
-	mshr map[uint64][]*accessOp // L2 miss merging, by line address
+	l1 *array
+	l2 *array
+	// mshr merges L2 misses by line address. An entry is the last waiter of a
+	// circular list threaded through accessOp.next (last.next is the first),
+	// so parking a waiter allocates nothing; nil marks a prefetch in flight
+	// with nobody waiting.
+	mshr map[uint64]*accessOp
 }
 
-// accessOp carries one in-flight access through the hierarchy's latency
-// chain (L1 lookup → L2 lookup → MSHR wait) without allocating a closure
-// per stage. Ops are pooled; the terminal stage of each path returns them.
+// park adds op behind last (nil: an entry with no waiter yet) and makes it
+// la's MSHR entry. Waiters wake in the order they parked.
+func (tc *tileCaches) park(la uint64, last, op *accessOp) {
+	if last == nil {
+		op.next = op
+	} else {
+		op.next, last.next = last.next, op
+	}
+	tc.mshr[la] = op
+}
+
+// The op records below carry one access through the hierarchy without
+// allocating a closure per stage: each stage is a package-level handler
+// scheduled with event.Ref{Obj: op}. Where a callee only takes a func value,
+// the record holds one bound to itself when it is first allocated. Records
+// are recycled through per-context freelists (opLists); a put resets the
+// record (keeping its bound funcs and reusable slices), so a stage that
+// touches a record after its put dereferences a nil System.
+
+// accessOp is one access from System.Access to its completion at the issuing
+// tile: L1 lookup -> L2 lookup -> MSHR wait. Every stage runs in op.tile's
+// context.
 type accessOp struct {
 	s    *System
 	tile int
@@ -64,43 +85,50 @@ type accessOp struct {
 	kind Kind
 	meta Meta
 	done func(event.Cycle)
+	next *accessOp // MSHR waiter list link
 }
 
-var accessOpPool = sync.Pool{New: func() any { return new(accessOp) }}
+// missOp is one GetS/GetX from the requesting tile to its home bank and
+// back: fetch (tile) -> arrival and L3 lookup (bank) -> bankHit reply or
+// owner forward (bank, owner) -> finishFetch (tile). It is taken where the
+// request is issued and returned where the reply lands, so a record migrates
+// from the bank's list to the tile's when a bulk prefetch issues it at the
+// bank. With lines non-empty it is instead the bulk-prefetch request message
+// itself, taken at the tile and returned at the bank.
+type missOp struct {
+	s       *System
+	tile    int // requester
+	bank    int // home bank
+	la      uint64
+	excl    bool
+	l3kind  stats.L3ReqKind
+	meta    Meta
+	kind    Kind
+	granted state    // set by the bank before the reply leaves
+	owner   int      // forwarding owner, on the owner-forward arms
+	lines   []uint64 // bulk request payload; capacity kept across puts
 
-// getOp pops a pooled accessOp for an access issued at tile. Partitioned
-// machines use per-shard freelists (get and put both happen in the tile's
-// shard context, so no locking); unpartitioned machines keep the sync.Pool.
-func (s *System) getOp(tile int) *accessOp {
-	if s.tileShard == nil {
-		return accessOpPool.Get().(*accessOp)
-	}
-	si := s.shardIdx[tile]
-	free := s.opFree[si]
-	if n := len(free); n > 0 {
-		op := free[n-1]
-		s.opFree[si] = free[:n-1]
-		return op
-	}
-	return new(accessOp)
+	afterFill   func()            // dramFill continuation, bound once
+	forwardData func(event.Cycle) // ownerForward continuation, bound once
 }
 
-// putOp returns an op to its pool. Always called in op.tile's execution
-// context (the terminal stage of every access path runs at the issuing tile).
-func (s *System) putOp(op *accessOp) {
-	if s.tileShard == nil {
-		*op = accessOp{} // drop done/probe references before pooling
-		accessOpPool.Put(op)
-		return
-	}
-	si := s.shardIdx[op.tile]
-	*op = accessOp{}
-	s.opFree[si] = append(s.opFree[si], op)
+// fillOp is one DRAM fill of a line into a bank: request to the controller
+// tile (bank) -> DRAM access (controller) -> data back, install, wake the
+// merged waiters (bank). Taken and returned in the bank's context.
+type fillOp struct {
+	s        *System
+	bank     int
+	ctrlTile int
+	la       uint64
+	waiters  []func() // continuations of every request merged into this fill; capacity kept
+
+	dramDone func(event.Cycle) // mem.DRAM.Access completion, bound once
 }
 
 // cohOp is one deferred cross-tile coherence action (remote invalidation,
-// remote directory update, L3-eviction flush). Pooled per shard like
-// accessOp; si remembers the owning freelist.
+// remote directory update, L3-eviction flush). Taken in the issuing tile's
+// context and returned by the barrier op that applies it; barrier ops run
+// single-threaded, so it goes back to the list it came from (si).
 type cohOp struct {
 	s    *System
 	si   int
@@ -111,22 +139,109 @@ type cohOp struct {
 	bits uint64
 }
 
-func (s *System) getCoh(issueTile int) *cohOp {
-	si := s.shardIdx[issueTile]
-	free := s.cohFree[si]
-	if n := len(free); n > 0 {
-		op := free[n-1]
-		s.cohFree[si] = free[:n-1]
-		op.si = si
-		return op
+// opLists is the set of freelists one execution context owns: one per shard
+// on a partitioned machine, a single set otherwise. Two rules keep them
+// lock-free: a list is only touched by code executing in its context (get
+// and put both name the tile whose event is running, not the tile the record
+// was first taken for), and barrier ops run with every shard quiescent.
+type opLists struct {
+	access event.Freelist[accessOp]
+	miss   event.Freelist[missOp]
+	fill   event.Freelist[fillOp]
+	coh    event.Freelist[cohOp]
+}
+
+// ctxOf returns the index of the execution context that runs tile's events.
+func (s *System) ctxOf(tile int) int {
+	if s.shardIdx == nil {
+		return 0
 	}
-	return &cohOp{si: si}
+	return s.shardIdx[tile]
+}
+
+// doublePut reports a record returned twice (a put leaves the owner nil).
+func (s *System) doublePut(what string) {
+	if s.chk != nil {
+		s.chk.Failf(0, "cache: %s returned to its freelist twice", what)
+	}
+	panic("cache: " + what + " returned to its freelist twice")
+}
+
+// getOp takes an accessOp for an access issued at tile.
+func (s *System) getOp(tile int) *accessOp {
+	op := s.lists[s.ctxOf(tile)].access.Get()
+	if op == nil {
+		op = new(accessOp)
+	}
+	return op
+}
+
+// putOp returns an op. Always called in op.tile's execution context (the
+// terminal stage of every access path runs at the issuing tile).
+func (s *System) putOp(op *accessOp) {
+	if op.s == nil {
+		s.doublePut("accessOp")
+	}
+	tile := op.tile
+	*op = accessOp{}
+	s.lists[s.ctxOf(tile)].access.Put(op)
+}
+
+// getMiss takes a missOp in tile's context, owned by s.
+func (s *System) getMiss(tile int) *missOp {
+	m := s.lists[s.ctxOf(tile)].miss.Get()
+	if m == nil {
+		m = new(missOp)
+		m.afterFill, m.forwardData = m.filled, m.forward
+	}
+	m.s = s
+	return m
+}
+
+// putMiss returns m from code executing in tile's context.
+func (s *System) putMiss(tile int, m *missOp) {
+	if m.s == nil {
+		s.doublePut("missOp")
+	}
+	*m = missOp{lines: m.lines[:0], afterFill: m.afterFill, forwardData: m.forwardData}
+	s.lists[s.ctxOf(tile)].miss.Put(m)
+}
+
+// getFill takes a fillOp in bank's context.
+func (s *System) getFill(bank int) *fillOp {
+	f := s.lists[s.ctxOf(bank)].fill.Get()
+	if f == nil {
+		f = &fillOp{waiters: make([]func(), 0, 4)}
+		f.dramDone = f.dataFromDRAM
+	}
+	f.s = s
+	return f
+}
+
+// putFill returns f from code executing in bank's context.
+func (s *System) putFill(bank int, f *fillOp) {
+	if f.s == nil {
+		s.doublePut("fillOp")
+	}
+	clear(f.waiters)
+	*f = fillOp{waiters: f.waiters[:0], dramDone: f.dramDone}
+	s.lists[s.ctxOf(bank)].fill.Put(f)
+}
+
+func (s *System) getCoh(issueTile int) *cohOp {
+	si := s.ctxOf(issueTile)
+	op := s.lists[si].coh.Get()
+	if op == nil {
+		op = new(cohOp)
+	}
+	op.si = si
+	return op
 }
 
 func (s *System) putCoh(op *cohOp) {
 	si := op.si
 	*op = cohOp{}
-	s.cohFree[si] = append(s.cohFree[si], op)
+	s.lists[si].coh.Put(op)
 }
 
 // deferCoh logs op for execution at the quantum barrier, issued by
@@ -141,8 +256,7 @@ func (s *System) deferCoh(issueTile int, call func(event.Cycle, any), op *cohOp)
 func (s *System) Partition(tileShard []*par.Shard, shardIdx []int, numShards int) {
 	s.tileShard = tileShard
 	s.shardIdx = shardIdx
-	s.opFree = make([][]*accessOp, numShards)
-	s.cohFree = make([][]*cohOp, numShards)
+	s.lists = make([]opLists, numShards)
 }
 
 // engAt returns the engine driving a tile's shard (the shared engine when
@@ -208,7 +322,7 @@ type System struct {
 	banks []*array
 
 	// fillMSHR merges concurrent DRAM fills per bank and line.
-	fillMSHR []map[uint64][]func()
+	fillMSHR []map[uint64]*fillOp
 
 	// Partitioned execution (nil when unpartitioned). Each tile's private
 	// caches, MSHRs and its L3 bank are then owned by the tile's shard and
@@ -217,8 +331,9 @@ type System struct {
 	// invalidation) is deferred as a barrier op instead of applied inline.
 	tileShard []*par.Shard
 	shardIdx  []int
-	opFree    [][]*accessOp // per-shard accessOp freelists
-	cohFree   [][]*cohOp    // per-shard coherence-op freelists
+
+	// lists holds the op-record freelists, one set per execution context.
+	lists []opLists
 
 	// chk, when non-nil, attaches the sanitizer probes (see sanitize.go).
 	chk *sanitize.Checker
@@ -238,16 +353,16 @@ type System struct {
 // NewSystem builds the hierarchy for cfg over the given mesh and DRAM.
 func NewSystem(eng *event.Engine, st *stats.Stats, cfg config.Config, mesh *noc.Mesh, dram *mem.DRAM) *System {
 	n := cfg.Tiles()
-	s := &System{eng: eng, st: st, cfg: cfg, mesh: mesh, dram: dram}
+	s := &System{eng: eng, st: st, cfg: cfg, mesh: mesh, dram: dram, lists: make([]opLists, 1)}
 	s.tiles = make([]*tileCaches, n)
 	s.banks = make([]*array, n)
-	s.fillMSHR = make([]map[uint64][]func(), n)
+	s.fillMSHR = make([]map[uint64]*fillOp, n)
 	for i := 0; i < n; i++ {
-		s.fillMSHR[i] = make(map[uint64][]func())
+		s.fillMSHR[i] = make(map[uint64]*fillOp)
 		s.tiles[i] = &tileCaches{
 			l1:   newArray(cfg.L1.SizeBytes, cfg.L1.Ways, cfg.L1.LineBytes, cfg.L1.BRRIPProb),
 			l2:   newArray(cfg.L2.SizeBytes, cfg.L2.Ways, cfg.L2.LineBytes, cfg.L2.BRRIPProb),
-			mshr: make(map[uint64][]*accessOp),
+			mshr: make(map[uint64]*accessOp),
 		}
 		bank := newArray(cfg.L3.SizeBytes, cfg.L3.Ways, cfg.L3.LineBytes, cfg.L3.BRRIPProb)
 		bank.setBankLocal(cfg.L3InterleaveBytes, n)
@@ -437,11 +552,11 @@ func (s *System) loadAfterL2(op *accessOp, now event.Cycle) {
 	// Merge into an outstanding miss if one exists: the op parks in the MSHR
 	// and op.complete runs when the fill (its own or the one it merged into)
 	// arrives.
-	if waiters, ok := tc.mshr[la]; ok {
-		tc.mshr[la] = append(waiters, op)
+	last, busy := tc.mshr[la]
+	tc.park(la, last, op)
+	if busy {
 		return
 	}
-	tc.mshr[la] = []*accessOp{op}
 	l3kind := stats.L3CoreNormal
 	if kind == StreamRead {
 		l3kind = stats.L3CoreStream
@@ -501,11 +616,11 @@ func (s *System) storeAfterL1(op *accessOp, now event.Cycle) {
 			s.tr.Emit(uint64(now), tile, trace.KindL2Miss, la, int64(meta.StreamID), 1)
 		}
 	}
-	if waiters, ok := tc.mshr[la]; ok {
-		tc.mshr[la] = append(waiters, op)
+	last, busy := tc.mshr[la]
+	tc.park(la, last, op)
+	if busy {
 		return
 	}
-	tc.mshr[la] = []*accessOp{op}
 	s.fetch(tile, la, true, stats.L3CoreNormal, meta, Write)
 }
 
@@ -528,7 +643,7 @@ func (s *System) l2Prefetch(tile int, la uint64, meta Meta) {
 // the same bank; the caller guarantees this.
 func (s *System) PrefetchBulkL2(tile int, bank int, lineAddrs []uint64, meta Meta) {
 	tc := s.tiles[tile]
-	var todo []uint64
+	var bulk *missOp
 	for _, la := range lineAddrs {
 		if tc.l2.lookup(la) != nil {
 			continue
@@ -538,37 +653,56 @@ func (s *System) PrefetchBulkL2(tile int, bank int, lineAddrs []uint64, meta Met
 		}
 		tc.mshr[la] = nil
 		s.stAt(tile).PrefetchIssued++
-		todo = append(todo, la)
+		if bulk == nil {
+			bulk = s.getMiss(tile)
+			bulk.tile, bulk.bank = tile, bank
+		}
+		bulk.lines = append(bulk.lines, la)
 	}
-	if len(todo) == 0 {
+	if bulk == nil {
 		return
 	}
 	// One request message carries all grouped line addresses.
-	payload := 8 * len(todo)
-	s.mesh.Send(tile, bank, stats.ClassCtrlReq, payload, func(event.Cycle) {
-		for _, la := range todo {
-			la := la
-			s.bankHandle(bank, la, tile, false, stats.L3CoreNormal, nil, func(granted state, now event.Cycle) {
-				s.finishFetch(tile, la, granted, Meta{StreamID: -1}, PrefL2, now)
-			})
-		}
-	})
+	s.mesh.SendCall(tile, bank, stats.ClassCtrlReq, 8*len(bulk.lines), runBulkAtBank, event.Ref{Obj: bulk})
 }
 
-// fetch sends a GetS/GetX to the home bank and completes the fill.
+// runBulkAtBank unpacks a bulk request at its bank into one GetS per line.
+func runBulkAtBank(_ event.Cycle, ref event.Ref) {
+	bulk := ref.Obj.(*missOp)
+	s := bulk.s
+	for _, la := range bulk.lines {
+		m := s.getMiss(bulk.bank)
+		m.tile, m.bank, m.la, m.l3kind, m.meta, m.kind = bulk.tile, bulk.bank, la, stats.L3CoreNormal, NoMeta, PrefL2
+		s.bankHandle(m)
+	}
+	s.putMiss(bulk.bank, bulk)
+}
+
+// fetch sends a GetS/GetX to the home bank; the reply completes the fill.
 func (s *System) fetch(tile int, la uint64, excl bool, l3kind stats.L3ReqKind, meta Meta, kind Kind) {
-	bank := s.cfg.HomeBank(la)
 	if kind == PrefL1 || kind == PrefL2 {
 		s.stAt(tile).PrefetchIssued++
 	}
-	s.mesh.Send(tile, bank, stats.ClassCtrlReq, 8, func(now event.Cycle) {
-		if p := meta.Probe; p != nil {
-			p.ReqAtBank = uint64(now)
-		}
-		s.bankHandle(bank, la, tile, excl, l3kind, meta.Probe, func(granted state, now event.Cycle) {
-			s.finishFetch(tile, la, granted, meta, kind, now)
-		})
-	})
+	m := s.getMiss(tile)
+	m.tile, m.bank, m.la, m.excl, m.l3kind, m.meta, m.kind = tile, s.cfg.HomeBank(la), la, excl, l3kind, meta, kind
+	s.mesh.SendCall(tile, m.bank, stats.ClassCtrlReq, 8, runMissAtBank, event.Ref{Obj: m})
+}
+
+// runMissAtBank is the request's arrival at its home bank.
+func runMissAtBank(now event.Cycle, ref event.Ref) {
+	m := ref.Obj.(*missOp)
+	if p := m.meta.Probe; p != nil {
+		p.ReqAtBank = uint64(now)
+	}
+	m.s.bankHandle(m)
+}
+
+// runMissReply is the data (or upgrade ack) reaching the requester.
+func runMissReply(now event.Cycle, ref event.Ref) {
+	m := ref.Obj.(*missOp)
+	s := m.s
+	s.finishFetch(m.tile, m.la, m.granted, m.meta, m.kind, now)
+	s.putMiss(m.tile, m)
 }
 
 // finishFetch installs the response in the private caches and wakes MSHR
@@ -583,12 +717,18 @@ func (s *System) finishFetch(tile int, la uint64, granted state, meta Meta, kind
 	if kind != PrefL2 {
 		s.fillL1(tile, la, kind == PrefL1 || kind == StreamRead, meta)
 	}
-	waiters := tc.mshr[la]
+	last := tc.mshr[la]
 	delete(tc.mshr, la)
-	for _, w := range waiters {
-		if w != nil {
-			w.complete(now)
+	if last == nil {
+		return
+	}
+	for w := last.next; ; {
+		next := w.next // complete returns w to its freelist
+		w.complete(now)
+		if w == last {
+			return
 		}
+		w = next
 	}
 }
 
@@ -604,8 +744,8 @@ func (s *System) fillL2(tile int, la uint64, granted state, meta Meta, kind Kind
 		return
 	}
 	slot := tc.l2.victim(la)
-	if slot.valid {
-		s.evictL2(tile, slot)
+	if va, ok := tc.l2.addrOf(slot); ok {
+		s.evictL2(tile, slot, va)
 	}
 	tc.l2.insert(slot, la)
 	slot.state = granted
@@ -624,8 +764,8 @@ func (s *System) fillL1(tile int, la uint64, pf bool, meta Meta) {
 		return
 	}
 	slot := tc.l1.victim(la)
-	if slot.valid {
-		s.evictL1(tile, slot)
+	if va, ok := tc.l1.addrOf(slot); ok {
+		s.evictL1(tile, slot, va)
 	}
 	tc.l1.insert(slot, la)
 	slot.pf = pf
@@ -637,9 +777,9 @@ func (s *System) fillL1(tile int, la uint64, pf bool, meta Meta) {
 
 // evictL1 handles an L1 replacement: dirty data merges into the (inclusive)
 // L2 copy locally, with no network traffic.
-func (s *System) evictL1(tile int, victim *line) {
+func (s *System) evictL1(tile int, victim *line, va uint64) {
 	if victim.dirty {
-		if l2 := s.tiles[tile].l2.lookup(victim.addr); l2 != nil {
+		if l2 := s.tiles[tile].l2.lookup(va); l2 != nil {
 			l2.dirty = true
 			if l2.state == stExclusive {
 				l2.state = stModified
@@ -653,12 +793,11 @@ func (s *System) evictL1(tile int, victim *line) {
 // bank; clean lines send the directory a PutS notification — the coherence
 // bookkeeping traffic that Fig 2b measures. The victim's L1 copy is
 // back-invalidated to preserve inclusion.
-func (s *System) evictL2(tile int, victim *line) {
-	va := victim.addr
+func (s *System) evictL2(tile int, victim *line, va uint64) {
 	home := s.cfg.HomeBank(va)
 	st := s.stAt(tile)
 	dirty := victim.dirty || victim.state == stModified
-	s.traceEvict("l2", tile, victim, s.engAt(tile).Now())
+	s.traceEvict("l2", tile, va, victim, s.engAt(tile).Now())
 	if s.tr != nil {
 		var a, b int64
 		if dirty {

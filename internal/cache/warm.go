@@ -107,8 +107,8 @@ func (s *System) warmBankLine(la uint64) *line {
 		return l
 	}
 	slot := arr.victim(la)
-	if slot.valid {
-		s.warmEvictL3(bank, slot)
+	if va, ok := arr.addrOf(slot); ok {
+		s.warmEvictL3(bank, slot, va)
 	}
 	arr.insert(slot, la)
 	return slot
@@ -116,8 +116,7 @@ func (s *System) warmBankLine(la uint64) *line {
 
 // warmEvictL3 drops a bank victim and back-invalidates every private copy
 // the directory names, preserving inclusion without traffic or stats.
-func (s *System) warmEvictL3(bank int, victim *line) {
-	va := victim.addr
+func (s *System) warmEvictL3(bank int, victim *line, va uint64) {
 	if o := int(victim.owner); o >= 0 {
 		s.invalidatePrivate(o, va)
 	}
@@ -142,8 +141,8 @@ func (s *System) warmFillL2(tile int, la uint64, st state, dirty bool) {
 		return
 	}
 	slot := tc.l2.victim(la)
-	if slot.valid {
-		s.warmEvictL2(tile, slot)
+	if va, ok := tc.l2.addrOf(slot); ok {
+		s.warmEvictL2(tile, slot, va)
 	}
 	tc.l2.insert(slot, la)
 	slot.state = st
@@ -153,8 +152,7 @@ func (s *System) warmFillL2(tile int, la uint64, st state, dirty bool) {
 // warmEvictL2 drops an L2 victim: L1 copy merges and back-invalidates, and
 // the home directory forgets this tile — the drained end state of the PutS/
 // PutM the detailed protocol would send.
-func (s *System) warmEvictL2(tile int, victim *line) {
-	va := victim.addr
+func (s *System) warmEvictL2(tile int, victim *line, va uint64) {
 	tc := s.tiles[tile]
 	dirty := victim.dirty || victim.state == stModified
 	if l1 := tc.l1.lookup(va); l1 != nil {
@@ -187,8 +185,8 @@ func (s *System) warmFillL1(tile int, la uint64, dirty bool) {
 		return
 	}
 	slot := tc.l1.victim(la)
-	if slot.valid {
-		s.evictL1(tile, slot)
+	if va, ok := tc.l1.addrOf(slot); ok {
+		s.evictL1(tile, slot, va)
 	}
 	tc.l1.insert(slot, la)
 	slot.dirty = dirty

@@ -59,10 +59,21 @@ type Core struct {
 	retired    int64
 	issueReady float64
 
-	outLoads  int // plain loads in flight (LQ bound)
-	loadQ     []func()
-	outStores int // stores in flight (SQ bound)
-	storeQ    []func()
+	outLoads  int             // plain loads in flight (LQ bound)
+	loadQ     opQueue[loadOp] // loads waiting for a load-queue entry
+	outStores int             // stores in flight (SQ bound)
+	storeQ    opQueue[storeOp]
+
+	// hasDeps[k] says phase.Loads[k] is the base of at least one indirect
+	// load; numIndirect counts the indirect loads. Both per phase.
+	hasDeps     []bool
+	numIndirect int
+
+	// Op-record freelists. A core's events all run in its own tile's
+	// context, so the lists are the core's.
+	iterFree  event.Freelist[iterOp]
+	loadFree  event.Freelist[loadOp]
+	storeFree event.Freelist[storeOp]
 
 	phaseIdx  int
 	phaseDone func()
@@ -117,6 +128,9 @@ func (c *Core) BeginPhase(idx int, done func()) {
 		return
 	}
 	c.window = c.computeWindow()
+	if c.se == nil {
+		c.setupPhaseLoads()
+	}
 	if c.se != nil && len(c.phase.Loads) > 0 {
 		c.se.ConfigurePhase(c.ID, c.phase, func() { c.startIters() })
 		return
@@ -150,6 +164,149 @@ func runBeginIter(_ event.Cycle, ref event.Ref) { ref.Obj.(*Core).beginIter(ref.
 
 func runRetire(_ event.Cycle, ref event.Ref) { ref.Obj.(*Core).retire(ref.A) }
 
+// The op records below replace the closures an iteration and its accesses
+// would otherwise capture. Each is recycled through its core's freelist; the
+// func values they hand to callees that only take a func (RequestElement's
+// cb, cache.System.Access's done) are bound to the record once, when it is
+// first allocated. A put resets everything else, so a late callback into a
+// returned record dereferences a nil Core.
+
+// iterOp is one in-flight iteration from beginIter until its last load
+// returns and its retire is scheduled.
+type iterOp struct {
+	c       *Core
+	i       int64       // iteration index
+	pending int         // loads not yet returned
+	start   event.Cycle // issue cycle (stream-element latency base)
+	issuing bool        // beginIter is still issuing loads: do not recycle
+
+	elemDone func(event.Cycle) // RequestElement callback, bound once
+}
+
+// loadOp is one plain demand load from plainLoad to its completion.
+type loadOp struct {
+	c     *Core
+	it    *iterOp
+	addr  uint64
+	pc    uint32
+	sid   int
+	probe *trace.LoadProbe
+	start event.Cycle // cycle the load queue admitted it
+
+	// base, when non-nil, is this load's own (affine) stream declaration and
+	// says indirect loads are chained on it: they issue when it completes.
+	base *stream.Decl
+	// chase, when non-nil, is a pointer chase this load is element k of: the
+	// next element issues when it completes.
+	chase []uint64
+	k     int
+
+	done func(event.Cycle) // cache.System.Access completion, bound once
+}
+
+// storeOp is one committed store from retire to ownership.
+type storeOp struct {
+	c    *Core
+	addr uint64
+	pc   uint32
+	sid  int
+
+	done func(event.Cycle) // cache.System.Access completion, bound once
+}
+
+func (c *Core) getIter(i int64) *iterOp {
+	it := c.iterFree.Get()
+	if it == nil {
+		it = new(iterOp)
+		it.elemDone = it.elementArrived
+	}
+	it.c, it.i, it.start, it.issuing = c, i, c.eng.Now(), true
+	return it
+}
+
+func (c *Core) putIter(it *iterOp) {
+	if it.c == nil {
+		c.doublePut("iterOp")
+	}
+	*it = iterOp{elemDone: it.elemDone}
+	c.iterFree.Put(it)
+}
+
+func (c *Core) getLoad(it *iterOp, addr uint64, pc uint32, sid int) *loadOp {
+	op := c.loadFree.Get()
+	if op == nil {
+		op = new(loadOp)
+		op.done = op.complete
+	}
+	op.c, op.it, op.addr, op.pc, op.sid = c, it, addr, pc, sid
+	return op
+}
+
+func (c *Core) putLoad(op *loadOp) {
+	if op.c == nil {
+		c.doublePut("loadOp")
+	}
+	*op = loadOp{done: op.done}
+	c.loadFree.Put(op)
+}
+
+func (c *Core) getStore() *storeOp {
+	op := c.storeFree.Get()
+	if op == nil {
+		op = new(storeOp)
+		op.done = op.complete
+	}
+	op.c = c
+	return op
+}
+
+func (c *Core) putStore(op *storeOp) {
+	if op.c == nil {
+		c.doublePut("storeOp")
+	}
+	*op = storeOp{done: op.done}
+	c.storeFree.Put(op)
+}
+
+// doublePut reports a record returned twice (a put leaves the owner nil).
+func (c *Core) doublePut(what string) {
+	if c.chk != nil {
+		c.chk.Failf(c.sanKey(), "cpu: core %d returned %s to its freelist twice", c.ID, what)
+	}
+	panic("cpu: " + what + " returned to its freelist twice")
+}
+
+// opQueue is a FIFO of op records waiting for a queue entry. It is indexed
+// by head, not re-sliced: a popped slot is cleared at once, and the backing
+// array is reused, from the start whenever the queue runs empty, and by
+// sliding the live entries down when it is full but mostly consumed, so a
+// queue that never quite drains stays the size of its backlog.
+type opQueue[T any] struct {
+	ops  []*T
+	head int
+}
+
+func (q *opQueue[T]) len() int { return len(q.ops) - q.head }
+
+func (q *opQueue[T]) push(op *T) {
+	if len(q.ops) == cap(q.ops) && q.head > len(q.ops)/2 {
+		n := copy(q.ops, q.ops[q.head:])
+		clear(q.ops[n:])
+		q.ops, q.head = q.ops[:n], 0
+	}
+	q.ops = append(q.ops, op)
+}
+
+func (q *opQueue[T]) pop() *T {
+	op := q.ops[q.head]
+	q.ops[q.head] = nil
+	q.head++
+	if q.head == len(q.ops) {
+		q.ops, q.head = q.ops[:0], 0
+	}
+	return op
+}
+
 func (c *Core) startIters() {
 	for c.inflight < c.window && c.nextIter < c.phase.NumIters {
 		i := c.nextIter
@@ -170,61 +327,28 @@ func (c *Core) beginIter(i int64) {
 		c.tr.Emit(uint64(c.eng.Now()), c.ID, trace.KindIterIssue, uint64(i),
 			int64(len(c.phase.Loads)), int64(c.inflight))
 	}
-	pending := 0
-	var onLoad func(event.Cycle)
-	complete := func() {
-		c.eng.ScheduleCall(event.Cycle(c.phase.ComputeCycles), runRetire, event.Ref{Obj: c, A: i})
-	}
-	onLoad = func(event.Cycle) {
-		pending--
-		if pending == 0 {
-			complete()
-		}
-	}
+	it := c.getIter(i)
 
 	if c.se != nil {
-		for _, d := range c.phase.Loads {
-			pending++
-			start := c.eng.Now()
-			c.se.RequestElement(c.ID, d.ID, i, func(now event.Cycle) {
-				c.st.RecordLoadLatency(uint64(now - start))
-				onLoad(now)
-			})
+		for k := range c.phase.Loads {
+			it.pending++
+			c.se.RequestElement(c.ID, c.phase.Loads[k].ID, i, it.elemDone)
 		}
 	} else {
 		// Plain core: affine loads issue immediately; indirect loads wait
-		// for their base stream's element value.
-		baseDone := make(map[int]func(event.Cycle)) // base id -> chained issue
-		for _, d := range c.phase.Loads {
-			d := d
-			if d.IsIndirect() {
-				pending++
-				base := c.findLoad(d.BaseOn)
-				prev := baseDone[d.BaseOn]
-				baseDone[d.BaseOn] = func(now event.Cycle) {
-					if prev != nil {
-						prev(now)
-					}
-					idx := c.bk.ReadU32(base.Affine.AddrAt(i))
-					c.plainLoad(d.Indirect.AddrFor(uint64(idx)), d.PC, d.ID, onLoad)
-				}
-			}
-		}
-		for _, d := range c.phase.Loads {
-			d := d
+		// for their base stream's element value (see loadOp.complete).
+		it.pending += c.numIndirect
+		for k := range c.phase.Loads {
+			d := &c.phase.Loads[k]
 			if d.IsIndirect() {
 				continue
 			}
-			pending++
-			chain := baseDone[d.ID]
-			cb := onLoad
-			if chain != nil {
-				cb = func(now event.Cycle) {
-					chain(now)
-					onLoad(now)
-				}
+			it.pending++
+			op := c.getLoad(it, d.Affine.AddrAt(i), d.PC, d.ID)
+			if c.hasDeps[k] {
+				op.base = d
 			}
-			c.plainLoad(d.Affine.AddrAt(i), d.PC, d.ID, cb)
+			c.plainLoad(op)
 		}
 	}
 
@@ -232,81 +356,139 @@ func (c *Core) beginIter(i int64) {
 	if c.phase.SeqLoads != nil {
 		chainAddrs := c.phase.SeqLoads(i)
 		if len(chainAddrs) > 0 {
-			pending++
-			c.chaseChain(chainAddrs, 0, onLoad)
+			it.pending++
+			op := c.getLoad(it, chainAddrs[0], chasePC, -1)
+			op.chase = chainAddrs
+			c.plainLoad(op)
 		}
 	}
 
-	if pending == 0 {
-		complete()
+	it.issuing = false
+	if it.pending == 0 {
+		it.complete()
 	}
 }
 
-// findLoad returns the load stream declaration with the given id.
-func (c *Core) findLoad(id int) *stream.Decl {
+// chasePC is the synthetic PC of pointer-chase loads.
+const chasePC = uint32(0xC0DE)
+
+// elementArrived is a stream element becoming consumable (bound as
+// it.elemDone).
+func (it *iterOp) elementArrived(now event.Cycle) {
+	it.c.st.RecordLoadLatency(uint64(now - it.start))
+	it.loadDone()
+}
+
+// loadDone counts one of the iteration's loads as returned.
+func (it *iterOp) loadDone() {
+	it.pending--
+	if it.pending == 0 {
+		it.complete()
+	}
+}
+
+// complete schedules the iteration's retire after its dependent compute. The
+// record is done with unless beginIter is still issuing (a callback fired
+// synchronously): then beginIter's own tail returns it.
+func (it *iterOp) complete() {
+	c := it.c
+	c.eng.ScheduleCall(event.Cycle(c.phase.ComputeCycles), runRetire, event.Ref{Obj: c, A: it.i})
+	if !it.issuing {
+		c.putIter(it)
+	}
+}
+
+// setupPhaseLoads derives the per-phase indirect-chaining tables.
+func (c *Core) setupPhaseLoads() {
+	loads := c.phase.Loads
+	c.hasDeps = append(c.hasDeps[:0], make([]bool, len(loads))...)
+	c.numIndirect = 0
+	for k := range loads {
+		if !loads[k].IsIndirect() {
+			continue
+		}
+		c.numIndirect++
+		c.hasDeps[c.findLoad(loads[k].BaseOn)] = true
+	}
+}
+
+// findLoad returns the index of the load stream declaration with the given
+// id.
+func (c *Core) findLoad(id int) int {
 	for k := range c.phase.Loads {
 		if c.phase.Loads[k].ID == id {
-			return &c.phase.Loads[k]
+			return k
 		}
 	}
 	panic("cpu: indirect stream chained on missing base stream")
 }
 
-// chaseChain issues dependent loads one after another.
-func (c *Core) chaseChain(addrs []uint64, k int, done func(event.Cycle)) {
-	c.plainLoad(addrs[k], uint32(0xC0DE), -1, func(now event.Cycle) {
-		if k+1 < len(addrs) {
-			c.chaseChain(addrs, k+1, done)
-			return
-		}
-		done(now)
-	})
-}
-
 // plainLoad sends a demand load through the hierarchy, respecting the load
 // queue bound.
-func (c *Core) plainLoad(addr uint64, pc uint32, sid int, done func(event.Cycle)) {
+func (c *Core) plainLoad(op *loadOp) {
 	// A tracer probe rides the load through the hierarchy via cache.Meta;
 	// Enq is stamped here (load-queue entry), Issue when the LQ admits it.
-	var p *trace.LoadProbe
 	if c.tr != nil {
-		p = c.tr.Probe()
-		p.Enq = uint64(c.eng.Now())
-	}
-	issue := func() {
-		c.outLoads++
-		if c.chk != nil && c.outLoads > c.params.LQSize {
-			c.chk.Failf(c.sanKey(), "cpu: core %d has %d loads in flight, LQ size %d", c.ID, c.outLoads, c.params.LQSize)
-		}
-		start := c.eng.Now()
-		if p != nil {
-			p.Issue = uint64(start)
-		}
-		c.mem.Access(c.ID, addr, cache.Read, cache.Meta{PC: pc, StreamID: sid, Probe: p}, func(now event.Cycle) {
-			c.outLoads--
-			if c.chk != nil && c.outLoads < 0 {
-				c.chk.Failf(c.sanKey(), "cpu: core %d load-queue count went negative", c.ID)
-			}
-			c.st.RecordLoadLatency(uint64(now - start))
-			c.drainLoadQ()
-			done(now)
-		})
+		op.probe = c.tr.Probe()
+		op.probe.Enq = uint64(c.eng.Now())
 	}
 	if c.outLoads >= c.params.LQSize {
 		if c.tr != nil {
-			c.tr.Emit(uint64(c.eng.Now()), c.ID, trace.KindStallLQ, addr, int64(len(c.loadQ)), int64(sid))
+			c.tr.Emit(uint64(c.eng.Now()), c.ID, trace.KindStallLQ, op.addr, int64(c.loadQ.len()), int64(op.sid))
 		}
-		c.loadQ = append(c.loadQ, issue)
+		c.loadQ.push(op)
 		return
 	}
-	issue()
+	c.issueLoad(op)
+}
+
+// issueLoad admits a load to the load queue and sends it to memory.
+func (c *Core) issueLoad(op *loadOp) {
+	c.outLoads++
+	if c.chk != nil && c.outLoads > c.params.LQSize {
+		c.chk.Failf(c.sanKey(), "cpu: core %d has %d loads in flight, LQ size %d", c.ID, c.outLoads, c.params.LQSize)
+	}
+	op.start = c.eng.Now()
+	if op.probe != nil {
+		op.probe.Issue = uint64(op.start)
+	}
+	c.mem.Access(c.ID, op.addr, cache.Read, cache.Meta{PC: op.pc, StreamID: op.sid, Probe: op.probe}, op.done)
+}
+
+// complete is the load's data arriving (bound as op.done): the load-queue
+// entry frees, queued loads issue, then whatever depended on this load goes
+// next: the following pointer-chase element, or the indirect loads chained on
+// this stream, and last the iteration's own count.
+func (op *loadOp) complete(now event.Cycle) {
+	c := op.c
+	c.outLoads--
+	if c.chk != nil && c.outLoads < 0 {
+		c.chk.Failf(c.sanKey(), "cpu: core %d load-queue count went negative", c.ID)
+	}
+	c.st.RecordLoadLatency(uint64(now - op.start))
+	c.drainLoadQ()
+	if op.k+1 < len(op.chase) {
+		op.k++
+		op.addr, op.probe = op.chase[op.k], nil
+		c.plainLoad(op)
+		return
+	}
+	it := op.it
+	if base := op.base; base != nil {
+		idx := uint64(c.bk.ReadU32(base.Affine.AddrAt(it.i)))
+		for k := range c.phase.Loads {
+			if d := &c.phase.Loads[k]; d.IsIndirect() && d.BaseOn == base.ID {
+				c.plainLoad(c.getLoad(it, d.Indirect.AddrFor(idx), d.PC, d.ID))
+			}
+		}
+	}
+	c.putLoad(op)
+	it.loadDone()
 }
 
 func (c *Core) drainLoadQ() {
-	for len(c.loadQ) > 0 && c.outLoads < c.params.LQSize {
-		next := c.loadQ[0]
-		c.loadQ = c.loadQ[1:]
-		next()
+	for c.loadQ.len() > 0 && c.outLoads < c.params.LQSize {
+		c.issueLoad(c.loadQ.pop())
 	}
 }
 
@@ -314,26 +496,32 @@ func (c *Core) drainLoadQ() {
 // are posted (they do not block retirement) but must drain before the
 // barrier.
 func (c *Core) store(addr uint64, pc uint32, sid int) {
-	issue := func() {
-		c.mem.Access(c.ID, addr, cache.Write, cache.Meta{PC: pc, StreamID: sid}, func(event.Cycle) {
-			c.outStores--
-			c.drainStoreQ()
-			c.maybeFinishPhase()
-		})
-	}
+	op := c.getStore()
+	op.addr, op.pc, op.sid = addr, pc, sid
 	c.outStores++
 	if c.outStores > c.params.SQSize {
-		c.storeQ = append(c.storeQ, issue)
+		c.storeQ.push(op)
 		return
 	}
-	issue()
+	c.issueStore(op)
+}
+
+func (c *Core) issueStore(op *storeOp) {
+	c.mem.Access(c.ID, op.addr, cache.Write, cache.Meta{PC: op.pc, StreamID: op.sid}, op.done)
+}
+
+// complete is the store's ownership arriving (bound as op.done).
+func (op *storeOp) complete(event.Cycle) {
+	c := op.c
+	c.putStore(op)
+	c.outStores--
+	c.drainStoreQ()
+	c.maybeFinishPhase()
 }
 
 func (c *Core) drainStoreQ() {
-	if len(c.storeQ) > 0 {
-		next := c.storeQ[0]
-		c.storeQ = c.storeQ[1:]
-		next()
+	if c.storeQ.len() > 0 {
+		c.issueStore(c.storeQ.pop())
 	}
 }
 
@@ -372,7 +560,7 @@ func (c *Core) Progress() string {
 		return fmt.Sprintf("core %d: idle", c.ID)
 	}
 	return fmt.Sprintf("core %d: phase %d %q retired %d/%d inflight %d outLoads %d outStores %d loadQ %d",
-		c.ID, c.phaseIdx, c.phase.Name, c.retired, c.phase.NumIters, c.inflight, c.outLoads, c.outStores, len(c.loadQ))
+		c.ID, c.phaseIdx, c.phase.Name, c.retired, c.phase.NumIters, c.inflight, c.outLoads, c.outStores, c.loadQ.len())
 }
 
 // maybeFinishPhase signals the barrier once all work and stores complete.
@@ -385,9 +573,13 @@ func (c *Core) maybeFinishPhase() {
 			c.chk.Failf(c.sanKey(), "cpu: core %d finished phase %d with %d iterations still in flight",
 				c.ID, c.phaseIdx, c.inflight)
 		}
-		if len(c.loadQ) != 0 || len(c.storeQ) != 0 || c.outLoads != 0 {
+		if c.loadQ.len() != 0 || c.storeQ.len() != 0 || c.outLoads != 0 {
 			c.chk.Failf(c.sanKey(), "cpu: core %d finished phase %d with queued work (loadQ %d, storeQ %d, outLoads %d)",
-				c.ID, c.phaseIdx, len(c.loadQ), len(c.storeQ), c.outLoads)
+				c.ID, c.phaseIdx, c.loadQ.len(), c.storeQ.len(), c.outLoads)
+		}
+		if it, ld, st := c.iterFree.Out(), c.loadFree.Out(), c.storeFree.Out(); it != 0 || ld != 0 || st != 0 {
+			c.chk.Failf(c.sanKey(), "cpu: core %d finished phase %d with op records outstanding: %d iterOp, %d loadOp, %d storeOp",
+				c.ID, c.phaseIdx, it, ld, st)
 		}
 	}
 	done := c.phaseDone

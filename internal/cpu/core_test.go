@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"streamfloat/internal/cache"
@@ -8,6 +10,7 @@ import (
 	"streamfloat/internal/event"
 	"streamfloat/internal/mem"
 	"streamfloat/internal/noc"
+	"streamfloat/internal/sanitize"
 	"streamfloat/internal/stats"
 	"streamfloat/internal/stream"
 	"streamfloat/internal/workload"
@@ -303,7 +306,7 @@ func TestSQBoundsOutstandingStores(t *testing.T) {
 	if !done {
 		t.Fatalf("phase incomplete: %s", c.Progress())
 	}
-	if len(c.storeQ) != 0 || c.outStores != 0 {
+	if c.storeQ.len() != 0 || c.outStores != 0 {
 		t.Error("store queue not drained")
 	}
 }
@@ -342,4 +345,244 @@ func runCoreProg(t *testing.T, r *rig, prog workload.Program) event.Cycle {
 		t.Fatal("phase incomplete")
 	}
 	return r.eng.Now()
+}
+
+// indirectStorePhase is a one-phase program with an affine index stream A, an
+// indirect stream B chained on it (scattered over 4 MB, so B mostly misses)
+// and an affine store stream.
+func indirectStorePhase(bk *mem.Backing, n int64) workload.Program {
+	aBase := bk.Alloc(uint64(n)*4, 64)
+	bBase := bk.Alloc(1<<22, 64)
+	outBase := bk.Alloc(uint64(n)*64, 64)
+	for i := int64(0); i < n; i++ {
+		bk.WriteU32(aBase+uint64(i)*4, uint32(i*7919%(1<<16))*64)
+	}
+	return workload.Program{Phases: []workload.Phase{{
+		Name: "ind-store",
+		Loads: []stream.Decl{
+			{ID: 0, Name: "A", PC: 1, Affine: &stream.Affine{
+				Base: aBase, ElemSize: 4, Strides: [3]int64{4}, Lens: [3]int64{n}}},
+			{ID: 1, Name: "B", PC: 2, BaseOn: 0,
+				Indirect: &stream.Indirect{Base: bBase, ElemSize: 4, Scale: 1, WBytes: 4}},
+		},
+		Stores: []stream.Decl{{ID: 2, Name: "out", PC: 3, Affine: &stream.Affine{
+			Base: outBase, ElemSize: 64, Strides: [3]int64{64}, Lens: [3]int64{n},
+		}}},
+		NumIters:      n,
+		ComputeCycles: 2,
+		InstrsPerIter: 8,
+	}}}
+}
+
+// TestIterationZeroAlloc: once its freelists are warm, a plain core runs an
+// iteration — an affine load, an indirect load chained on it, a store, every
+// miss they cause down to DRAM — without allocating.
+func TestIterationZeroAlloc(t *testing.T) {
+	r := newRig(config.OOO8)
+	prog := indirectStorePhase(r.bk, 8192)
+	c := NewCore(0, r.eng, r.st, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
+	done := false
+	c.BeginPhase(0, func() { done = true })
+	advance := func(iters int64) {
+		for target := c.retired + iters; c.retired < target; {
+			if !r.eng.Step() {
+				t.Fatalf("event queue drained mid-phase: %s", c.Progress())
+			}
+		}
+	}
+	advance(2048)
+	missesBefore := r.st.L2Misses
+	const perRun, runs = 128, 20
+	if avg := testing.AllocsPerRun(runs, func() { advance(perRun) }); avg != 0 {
+		t.Errorf("%d iterations allocate %v times, want 0", perRun, avg)
+	}
+	if got := r.st.L2Misses - missesBefore; got < perRun*runs {
+		t.Errorf("measured iterations caused only %d L2 misses: the miss path was not exercised", got)
+	}
+	r.eng.Run(0)
+	if !done {
+		t.Fatalf("phase did not complete: %s", c.Progress())
+	}
+}
+
+// TestAccessOrderUnderLQ1 pins the issue order the per-iteration closures
+// used to encode, now spread over iterOp/loadOp and the load queue: with a
+// one-entry load queue, two overlapped iterations of an affine base A, two
+// indirect loads chained on it (B declared before A, C after) and a 3-long
+// pointer chase reach cache.System.Access in exactly this order at exactly
+// these cycles. The table was captured from the closure implementation
+// (commit 273d5d5) on this same 2x2 system; the L1 observer fires one L1
+// latency after Access, which is subtracted.
+func TestAccessOrderUnderLQ1(t *testing.T) {
+	cfg := config.Default()
+	cfg.MeshWidth, cfg.MeshHeight = 2, 2
+	cfg.Core = config.OOO8
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	eng := event.New()
+	st := &stats.Stats{}
+	mesh := noc.New(eng, st, 2, 2, cfg.LinkBits, cfg.RouterLatency, cfg.LinkLatency)
+	dram := mem.NewDRAM(eng, st, cfg.DRAMLatency, cfg.DRAMBandwidthBpc, cfg.MemControllerTiles())
+	sys := cache.NewSystem(eng, st, cfg, mesh, dram)
+	bk := mem.NewBacking()
+
+	const iters = 2
+	aBase := bk.Alloc(64, 64)
+	bBase := bk.Alloc(1<<16, 64)
+	cBase := bk.Alloc(1<<16, 64)
+	bk.WriteU32(aBase, 0x1040)
+	bk.WriteU32(aBase+4, 0x2080)
+	prog := workload.Program{Phases: []workload.Phase{{
+		Name: "order",
+		Loads: []stream.Decl{
+			{ID: 0, Name: "B", PC: 2, BaseOn: 1,
+				Indirect: &stream.Indirect{Base: bBase, ElemSize: 4, Scale: 1, WBytes: 4}},
+			{ID: 1, Name: "A", PC: 1, Affine: &stream.Affine{
+				Base: aBase, ElemSize: 4, Strides: [3]int64{4}, Lens: [3]int64{iters}}},
+			{ID: 2, Name: "C", PC: 3, BaseOn: 1,
+				Indirect: &stream.Indirect{Base: cBase, ElemSize: 4, Scale: 2, WBytes: 4}},
+		},
+		SeqLoads: func(i int64) []uint64 {
+			base := uint64(0x900000 + i*0x10000)
+			return []uint64{base, base + 0x2000, base + 0x4000}
+		},
+		NumIters:      iters,
+		ComputeCycles: 3,
+		InstrsPerIter: 8,
+	}}}
+	params := cfg.CoreParams()
+	params.LQSize = 1
+	type access struct {
+		cycle event.Cycle
+		addr  uint64
+	}
+	var got []access
+	sys.SetL1Observer(func(_ int, addr uint64, _ uint32, _ bool) {
+		got = append(got, access{eng.Now() - event.Cycle(cfg.L1.LatCycles), addr})
+	})
+	c := NewCore(0, eng, st, params, sys, bk, nil, &prog)
+	done := false
+	c.BeginPhase(0, func() { done = true })
+	eng.Run(0)
+	if !done {
+		t.Fatalf("phase did not complete: %s", c.Progress())
+	}
+	want := []access{
+		{0, 0x100000},    // A[0]
+		{162, 0x900000},  // chase 0, element 0
+		{324, 0x100004},  // A[1]
+		{326, 0x910000},  // chase 1, element 0
+		{488, 0x101080},  // B on A[0]
+		{686, 0x1120c0},  // C on A[0]
+		{884, 0x902000},  // chase 0, element 1
+		{1058, 0x1020c0}, // B on A[1]
+		{1256, 0x114140}, // C on A[1]
+		{1442, 0x912000}, // chase 1, element 1
+		{1616, 0x904000}, // chase 0, element 2
+		{1778, 0x914000}, // chase 1, element 2
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("access order changed:\n got %v\nwant %v", got, want)
+	}
+	if end := eng.Now(); end != 1943 {
+		t.Errorf("phase ended at cycle %d, want 1943", end)
+	}
+}
+
+// TestOpLifecycleProbe: with the sanitizer attached, a phase cannot end while
+// an iteration, load or store record is still out, and returning a record
+// twice trips at the second put.
+func TestOpLifecycleProbe(t *testing.T) {
+	sanitized := func() (*rig, *Core) {
+		r := newRig(config.OOO8)
+		prog := indirectStorePhase(r.bk, 64)
+		c := NewCore(0, r.eng, r.st, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
+		c.SetChecker(sanitize.New(64))
+		return r, c
+	}
+	expectViolation := func(t *testing.T, want string, fn func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			v, ok := recover().(*sanitize.Violation)
+			if !ok {
+				t.Fatalf("no sanitizer violation, want one mentioning %q", want)
+			}
+			if !strings.Contains(v.Error(), want) {
+				t.Errorf("violation does not mention %q:\n%s", want, v.Error())
+			}
+		}()
+		fn()
+	}
+	run := func(r *rig, c *Core) func() {
+		return func() {
+			c.BeginPhase(0, func() {})
+			r.eng.Run(0)
+		}
+	}
+
+	t.Run("clean", func(t *testing.T) {
+		r, c := sanitized()
+		done := false
+		c.BeginPhase(0, func() { done = true })
+		r.eng.Run(0)
+		if !done {
+			t.Fatalf("phase did not complete: %s", c.Progress())
+		}
+	})
+	leaks := map[string]func(*Core){
+		"1 iterOp":  func(c *Core) { c.getIter(0).issuing = false },
+		"1 loadOp":  func(c *Core) { c.getLoad(nil, 0, 0, 0) },
+		"1 storeOp": func(c *Core) { c.getStore() },
+	}
+	for want, leak := range leaks {
+		t.Run("leak "+want, func(t *testing.T) {
+			r, c := sanitized()
+			leak(c)
+			expectViolation(t, want, run(r, c))
+		})
+	}
+	twice := map[string]func(*Core){
+		"iterOp":  func(c *Core) { it := c.getIter(0); c.putIter(it); c.putIter(it) },
+		"loadOp":  func(c *Core) { op := c.getLoad(nil, 0, 0, 0); c.putLoad(op); c.putLoad(op) },
+		"storeOp": func(c *Core) { op := c.getStore(); c.putStore(op); c.putStore(op) },
+	}
+	for what, put := range twice {
+		t.Run("double put "+what, func(t *testing.T) {
+			_, c := sanitized()
+			expectViolation(t, what+" to its freelist twice", func() { put(c) })
+		})
+	}
+}
+
+// TestOpQueueStaysBounded: a queue that is pushed as fast as it is popped and
+// never runs empty keeps FIFO order and a backing array the size of its
+// backlog, not of everything that ever passed through it.
+func TestOpQueueStaysBounded(t *testing.T) {
+	var q opQueue[int]
+	vals := make([]int, 10_000)
+	next := 0
+	for i := range vals {
+		vals[i] = i
+		q.push(&vals[i])
+		if i >= 8 { // backlog of 8
+			if got := *q.pop(); got != next {
+				t.Fatalf("pop %d = %d, want FIFO order", next, got)
+			}
+			next++
+		}
+	}
+	if q.len() != 8 || cap(q.ops) > 64 {
+		t.Errorf("backlog %d in an array of %d, want 8 in a few dozen", q.len(), cap(q.ops))
+	}
+	for q.len() > 0 {
+		if got := *q.pop(); got != next {
+			t.Fatalf("pop %d = %d, want FIFO order", next, got)
+		}
+		next++
+	}
+	if q.head != 0 || len(q.ops) != 0 {
+		t.Errorf("an emptied queue restarts at the front: head %d len %d", q.head, len(q.ops))
+	}
 }

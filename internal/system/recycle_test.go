@@ -126,31 +126,51 @@ func TestRecycledStateInvisible(t *testing.T) {
 }
 
 // TestPointAllocBudget holds the second point of a sweep to what it should
-// cost once the first has left its slabs behind: the 8x8 machine's arrays
-// alone are 41 MB, so the budget only holds if they are recycled. Back to
+// cost once the first has left its slabs behind, in bytes and in objects. The
+// 8x8 machine's arrays alone are 41 MB, so the byte budget only holds if they
+// are recycled; the object budgets only hold if loads travel on pooled op
+// records instead of closures (Base/IO4 bfs took 140k mallocs and Base/OOO8
+// mv 177k when every iteration and every L2 miss allocated its own). Back to
 // back on one goroutine, and best of three: two GC cycles between a Put and
 // the next Get legitimately empty a sync.Pool.
 func TestPointAllocBudget(t *testing.T) {
-	const budget = 30 << 20
-	p := newRecyclePoint(t, "SF", config.OOO8, "mv", 0.03, sanitize.ModeOff)
-	point := func() {
-		if _, err := p.run(context.Background()); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		sys        string
+		core       config.CoreKind
+		bench      string
+		maxBytes   uint64
+		maxObjects uint64
+	}{
+		{sys: "SF", core: config.OOO8, bench: "mv", maxBytes: 30 << 20},
+		{sys: "Base", core: config.IO4, bench: "bfs", maxObjects: 20_000},
+		{sys: "Base", core: config.OOO8, bench: "mv", maxObjects: 110_000},
+	} {
+		p := newRecyclePoint(t, c.sys, c.core, c.bench, 0.03, sanitize.ModeOff)
+		point := func() {
+			if _, err := p.run(context.Background()); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	point()
-	best := uint64(0)
-	var before, after runtime.MemStats
-	for attempt := 0; attempt < 3; attempt++ {
-		runtime.ReadMemStats(&before)
 		point()
-		runtime.ReadMemStats(&after)
-		if d := after.TotalAlloc - before.TotalAlloc; best == 0 || d < best {
-			best = d
+		var bytes, objects uint64
+		var before, after runtime.MemStats
+		for attempt := 0; attempt < 3; attempt++ {
+			runtime.ReadMemStats(&before)
+			point()
+			runtime.ReadMemStats(&after)
+			if d := after.TotalAlloc - before.TotalAlloc; attempt == 0 || d < bytes {
+				bytes = d
+			}
+			if d := after.Mallocs - before.Mallocs; attempt == 0 || d < objects {
+				objects = d
+			}
 		}
-	}
-	t.Logf("second point allocates %.1f MB", float64(best)/(1<<20))
-	if best >= budget {
-		t.Fatalf("a recycled scale-0.03 mv point allocates %.1f MB, want < %d MB", float64(best)/(1<<20), budget>>20)
+		t.Logf("second %s point allocates %.1f MB in %d objects", p.name, float64(bytes)/(1<<20), objects)
+		if c.maxBytes != 0 && bytes >= c.maxBytes {
+			t.Errorf("a recycled scale-0.03 %s point allocates %.1f MB, want < %d MB", p.name, float64(bytes)/(1<<20), c.maxBytes>>20)
+		}
+		if c.maxObjects != 0 && objects >= c.maxObjects {
+			t.Errorf("a recycled scale-0.03 %s point allocates %d objects, want < %d", p.name, objects, c.maxObjects)
+		}
 	}
 }
