@@ -11,15 +11,15 @@ import (
 	"streamfloat/internal/event"
 	"streamfloat/internal/mem"
 	"streamfloat/internal/noc"
-	"streamfloat/internal/par"
+	"streamfloat/internal/par/partest"
 	"streamfloat/internal/sanitize"
 	"streamfloat/internal/stats"
 )
 
-// rig bundles a small hierarchy for protocol tests.
+// rig bundles a small hierarchy for protocol tests, built on the shared
+// one-shard rig (Eng, St, Run): the layout every default sweep point runs on.
 type rig struct {
-	eng  *event.Engine
-	st   *stats.Stats
+	*partest.Rig
 	cfg  config.Config
 	mesh *noc.Mesh
 	sys  *System
@@ -34,24 +34,23 @@ func newRig(t testing.TB, mutate func(*config.Config)) *rig {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	eng := event.New()
-	st := &stats.Stats{}
-	mesh := noc.New(eng, st, cfg.MeshWidth, cfg.MeshHeight, cfg.LinkBits, cfg.RouterLatency, cfg.LinkLatency)
-	dram := mem.NewDRAM(eng, st, cfg.DRAMLatency, cfg.DRAMBandwidthBpc, cfg.MemControllerTiles())
-	sys := NewSystem(eng, st, cfg, mesh, dram)
-	return &rig{eng: eng, st: st, cfg: cfg, mesh: mesh, sys: sys}
+	pr := partest.New(cfg.Tiles(), event.Cycle(cfg.RouterLatency+cfg.LinkLatency))
+	mesh := noc.New(pr.Layout, cfg.MeshWidth, cfg.MeshHeight, cfg.LinkBits, cfg.RouterLatency, cfg.LinkLatency)
+	dram := mem.NewDRAM(pr.Layout, cfg.DRAMLatency, cfg.DRAMBandwidthBpc, cfg.MemControllerTiles())
+	sys := NewSystem(pr.Layout, cfg, mesh, dram)
+	return &rig{Rig: pr, cfg: cfg, mesh: mesh, sys: sys}
 }
 
 // access runs one access to completion and returns its latency.
 func (r *rig) access(tile int, addr uint64, kind Kind) event.Cycle {
-	start := r.eng.Now()
+	start := r.Eng.Now()
 	var done event.Cycle
 	fired := false
 	r.sys.Access(tile, addr, kind, NoMeta, func(now event.Cycle) {
 		done = now
 		fired = true
 	})
-	r.eng.Run(0)
+	r.Run()
 	if !fired && (kind == Read || kind == Write) {
 		panic("demand access did not complete")
 	}
@@ -68,23 +67,23 @@ func TestColdMissThenHit(t *testing.T) {
 	if hit != event.Cycle(r.cfg.L1.LatCycles) {
 		t.Errorf("L1 hit latency = %d, want %d", hit, r.cfg.L1.LatCycles)
 	}
-	if r.st.L1Hits != 1 || r.st.L1Misses != 1 {
-		t.Errorf("L1 hits/misses = %d/%d", r.st.L1Hits, r.st.L1Misses)
+	if r.St.L1Hits != 1 || r.St.L1Misses != 1 {
+		t.Errorf("L1 hits/misses = %d/%d", r.St.L1Hits, r.St.L1Misses)
 	}
-	if r.st.DRAMReads != 1 {
-		t.Errorf("dram reads = %d", r.st.DRAMReads)
+	if r.St.DRAMReads != 1 {
+		t.Errorf("dram reads = %d", r.St.DRAMReads)
 	}
 }
 
 func TestSecondTileHitsL3(t *testing.T) {
 	r := newRig(t, nil)
 	r.access(0, 0x200000, Read)
-	before := r.st.DRAMReads
+	before := r.St.DRAMReads
 	r.access(5, 0x200000, Read)
-	if r.st.DRAMReads != before {
+	if r.St.DRAMReads != before {
 		t.Error("second tile's read should hit L3, not DRAM")
 	}
-	if r.st.L3Hits == 0 {
+	if r.St.L3Hits == 0 {
 		t.Error("no L3 hit recorded")
 	}
 }
@@ -97,9 +96,9 @@ func TestExclusiveGrantThenSilentUpgrade(t *testing.T) {
 	if l2 == nil || l2.state != stExclusive {
 		t.Fatalf("state after solo read = %v, want E", l2.state)
 	}
-	msgs := r.st.Messages[stats.ClassCtrlReq]
+	msgs := r.St.Messages[stats.ClassCtrlReq]
 	r.access(3, addr, Write) // silent E->M
-	if r.st.Messages[stats.ClassCtrlReq] != msgs {
+	if r.St.Messages[stats.ClassCtrlReq] != msgs {
 		t.Error("E->M upgrade must not generate requests")
 	}
 	if l2.state != stModified {
@@ -130,9 +129,9 @@ func TestOwnerForwardOnRead(t *testing.T) {
 	r := newRig(t, nil)
 	addr := uint64(0x500000)
 	r.access(2, addr, Write) // tile 2 owns M
-	dramBefore := r.st.DRAMReads
+	dramBefore := r.St.DRAMReads
 	r.access(9, addr, Read) // must forward from owner
-	if r.st.DRAMReads != dramBefore {
+	if r.St.DRAMReads != dramBefore {
 		t.Error("owner forward must not touch DRAM")
 	}
 	o := r.sys.tiles[2].l2.lookup(LineAddr(addr))
@@ -189,16 +188,16 @@ func TestCleanEvictionSendsCoherenceCtrl(t *testing.T) {
 	for i := 0; i < linesToStream; i++ {
 		r.access(0, uint64(0x1000000+i*64), Read)
 	}
-	if r.st.L2Evictions == 0 {
+	if r.St.L2Evictions == 0 {
 		t.Fatal("no L2 evictions")
 	}
-	if r.st.L2EvictCleanNoReuse == 0 {
+	if r.St.L2EvictCleanNoReuse == 0 {
 		t.Fatal("no clean-unreused evictions counted (Fig 2a)")
 	}
-	if r.st.Messages[stats.ClassCtrlCoh] == 0 {
+	if r.St.Messages[stats.ClassCtrlCoh] == 0 {
 		t.Fatal("clean evictions must notify the directory (PutS)")
 	}
-	if r.st.UnreusedCtrlFlitHops == 0 || r.st.UnreusedDataFlitHops == 0 {
+	if r.St.UnreusedCtrlFlitHops == 0 || r.St.UnreusedDataFlitHops == 0 {
 		t.Fatal("Fig 2b attribution not collected")
 	}
 }
@@ -209,12 +208,12 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	for i := 0; i < linesToStream; i++ {
 		r.access(0, uint64(0x2000000+i*64), Write)
 	}
-	if r.st.L2Evictions == 0 {
+	if r.St.L2Evictions == 0 {
 		t.Fatal("no evictions")
 	}
 	// Dirty evictions carry data; re-reading an evicted dirty line must hit
 	// L3 (writeback preserved it), not DRAM... unless L3 also evicted it.
-	if r.st.L2EvictCleanNoReuse != 0 {
+	if r.St.L2EvictCleanNoReuse != 0 {
 		t.Error("dirty evictions misclassified as clean")
 	}
 }
@@ -233,7 +232,7 @@ func TestGetUDoesNotTrackSharer(t *testing.T) {
 	delivered := false
 	r.sys.FloatRead(r.cfg.HomeBank(addr), addr, []int{7}, stats.L3FloatAffine, 64, nil,
 		func(dst int, now event.Cycle) { delivered = dst == 7 })
-	r.eng.Run(0)
+	r.Run()
 	if !delivered {
 		t.Fatal("GetU response not delivered")
 	}
@@ -256,7 +255,7 @@ func TestGetUForwardFromOwnerKeepsState(t *testing.T) {
 	delivered := false
 	r.sys.FloatRead(r.cfg.HomeBank(addr), addr, []int{11}, stats.L3FloatAffine, 64, nil,
 		func(int, event.Cycle) { delivered = true })
-	r.eng.Run(0)
+	r.Run()
 	if !delivered {
 		t.Fatal("no delivery")
 	}
@@ -271,13 +270,13 @@ func TestFloatReadSubline(t *testing.T) {
 	addr := LineAddr(0x900000)
 	r.sys.FloatRead(r.cfg.HomeBank(addr), addr, []int{3}, stats.L3FloatIndirect, 8, nil,
 		func(int, event.Cycle) {})
-	r.eng.Run(0)
+	r.Run()
 	// An 8-byte subline response is a single flit; a full line would be 3.
-	if r.st.Flits[stats.ClassData] > uint64(2*r.mesh.Hops(r.cfg.HomeBank(addr), 3)+4) {
+	if r.St.Flits[stats.ClassData] > uint64(2*r.mesh.Hops(r.cfg.HomeBank(addr), 3)+4) {
 		// The DRAM fill moves a full line bank<-ctrl; just check the
 		// response leg was not 3 flits by bounding total data flits.
 	}
-	if r.st.L3Requests[stats.L3FloatIndirect] != 1 {
+	if r.St.L3Requests[stats.L3FloatIndirect] != 1 {
 		t.Error("indirect request not counted")
 	}
 }
@@ -289,12 +288,12 @@ func TestMSHRMergesConcurrentMisses(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		r.sys.Access(0, addr+uint64(i*4), Read, NoMeta, func(event.Cycle) { done++ })
 	}
-	r.eng.Run(0)
+	r.Run()
 	if done != 4 {
 		t.Fatalf("completions = %d", done)
 	}
-	if r.st.DRAMReads != 1 {
-		t.Errorf("dram reads = %d, want 1 (merged)", r.st.DRAMReads)
+	if r.St.DRAMReads != 1 {
+		t.Errorf("dram reads = %d, want 1 (merged)", r.St.DRAMReads)
 	}
 }
 
@@ -305,12 +304,12 @@ func TestBankFillMSHRMergesAcrossTiles(t *testing.T) {
 	for tile := 0; tile < 8; tile++ {
 		r.sys.Access(tile, addr, Read, NoMeta, func(event.Cycle) { done++ })
 	}
-	r.eng.Run(0)
+	r.Run()
 	if done != 8 {
 		t.Fatalf("completions = %d", done)
 	}
-	if r.st.DRAMReads != 1 {
-		t.Errorf("dram reads = %d, want 1 (bank fill MSHR)", r.st.DRAMReads)
+	if r.St.DRAMReads != 1 {
+		t.Errorf("dram reads = %d, want 1 (bank fill MSHR)", r.St.DRAMReads)
 	}
 }
 
@@ -318,15 +317,15 @@ func TestPrefetchFillAndUseful(t *testing.T) {
 	r := newRig(t, nil)
 	addr := uint64(0xc00000)
 	r.access(0, addr, PrefL1)
-	if r.st.PrefetchIssued != 1 {
-		t.Fatalf("issued = %d", r.st.PrefetchIssued)
+	if r.St.PrefetchIssued != 1 {
+		t.Fatalf("issued = %d", r.St.PrefetchIssued)
 	}
 	lat := r.access(0, addr, Read)
 	if lat != event.Cycle(r.cfg.L1.LatCycles) {
 		t.Errorf("post-prefetch latency = %d", lat)
 	}
-	if r.st.PrefetchUseful != 1 {
-		t.Errorf("useful = %d", r.st.PrefetchUseful)
+	if r.St.PrefetchUseful != 1 {
+		t.Errorf("useful = %d", r.St.PrefetchUseful)
 	}
 }
 
@@ -349,7 +348,7 @@ func TestStreamTaggedLinesAndReuseObserver(t *testing.T) {
 	addr := uint64(0xe00000)
 	var fired bool
 	r.sys.Access(0, addr, StreamRead, Meta{StreamID: 7}, func(event.Cycle) { fired = true })
-	r.eng.Run(0)
+	r.Run()
 	if !fired {
 		t.Fatal("stream read lost")
 	}
@@ -540,13 +539,13 @@ func TestL3EvictionBackInvalidates(t *testing.T) {
 	if victim == nil {
 		t.Fatal("line not in L3")
 	}
-	wrBefore := r.st.DRAMWrites
+	wrBefore := r.St.DRAMWrites
 	r.sys.evictL3(bank, victim, addr)
-	r.eng.Run(0)
+	r.Run()
 	if r.sys.tiles[5].l2.lookup(addr) != nil {
 		t.Error("owner's copy survived L3 eviction (inclusion violated)")
 	}
-	if r.st.DRAMWrites == wrBefore {
+	if r.St.DRAMWrites == wrBefore {
 		t.Error("dirty L3 eviction did not write memory")
 	}
 }
@@ -608,9 +607,9 @@ func TestUpgradeAckNotData(t *testing.T) {
 	addr := uint64(0x1600000)
 	r.access(0, addr, Read)
 	r.access(1, addr, Read) // both S
-	dataBefore := r.st.Messages[stats.ClassData]
+	dataBefore := r.St.Messages[stats.ClassData]
 	r.access(0, addr, Write) // upgrade: ack only
-	if got := r.st.Messages[stats.ClassData] - dataBefore; got != 0 {
+	if got := r.St.Messages[stats.ClassData] - dataBefore; got != 0 {
 		t.Errorf("upgrade moved %d data messages", got)
 	}
 }
@@ -621,7 +620,7 @@ func BenchmarkDemandHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.sys.Access(0, 0x100000, Read, NoMeta, nil)
-		r.eng.Run(0)
+		r.Run()
 	}
 }
 
@@ -630,7 +629,7 @@ func BenchmarkColdMissPath(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r.sys.Access(i%16, uint64(0x4000000+i*64), Read, NoMeta, nil)
-		r.eng.Run(0)
+		r.Run()
 	}
 }
 
@@ -641,7 +640,7 @@ func sanitizedRig(t testing.TB) *rig {
 	chk := sanitize.New(256)
 	r.sys.SetChecker(chk)
 	r.mesh.SetChecker(chk)
-	r.eng.SetChecker(chk)
+	r.Eng.SetChecker(chk)
 	return r
 }
 
@@ -660,7 +659,7 @@ func TestSanitizerCleanProtocolRun(t *testing.T) {
 	served := 0
 	r.sys.FloatRead(r.cfg.HomeBank(line), line, []int{5}, stats.L3FloatAffine, 64, nil,
 		func(int, event.Cycle) { served++ })
-	r.eng.Run(0)
+	r.Run()
 	if served != 1 {
 		t.Fatalf("float read served %d", served)
 	}
@@ -669,7 +668,7 @@ func TestSanitizerCleanProtocolRun(t *testing.T) {
 		r.access(int(i%4), 0x900000+i*64, Read)
 	}
 	r.sys.Audit()
-	r.mesh.Audit()
+	r.mesh.Audit(r.St)
 }
 
 // TestFlipSharerBitCaught seeds the acceptance-criteria coherence bug: a
@@ -725,41 +724,10 @@ func TestFlipOwnerVariantCaught(t *testing.T) {
 	r.sys.Audit()
 }
 
-// shardedRig is a rig partitioned into one barrier-drained shard: the layout
-// every default unsanitized 8x8 point runs, at 4x4.
-type shardedRig struct {
-	*rig
-	sh *par.Shard
-	g  *par.Group
-}
-
-func newShardedRig(t testing.TB) *shardedRig {
-	r := newRig(t, nil)
-	n := r.cfg.Tiles()
-	sh := par.NewShard(event.New(), &stats.Stats{})
-	tileShard := make([]*par.Shard, n)
-	for i := range tileShard {
-		tileShard[i] = sh
-	}
-	shardIdx := make([]int, n)
-	r.mesh.Partition(tileShard, shardIdx, 1)
-	r.sys.Partition(tileShard, shardIdx, 1)
-	dram := r.sys.dram
-	engs := make([]*event.Engine, dram.NumControllers())
-	sts := make([]*stats.Stats, dram.NumControllers())
-	for i := range engs {
-		engs[i], sts[i] = sh.Eng, sh.St
-	}
-	dram.Partition(engs, sts)
-	return &shardedRig{rig: r, sh: sh, g: &par.Group{Shards: []*par.Shard{sh}, Quantum: r.mesh.Lookahead()}}
-}
-
 // read runs one demand read from tile to completion.
-func (r *shardedRig) read(t testing.TB, tile int, addr uint64, done func(event.Cycle)) {
+func (r *rig) read(tile int, addr uint64, done func(event.Cycle)) {
 	r.sys.Access(tile, addr, Read, NoMeta, done)
-	if _, err := r.g.Run(0, nil); err != nil {
-		t.Fatal(err)
-	}
+	r.Run()
 }
 
 // missRounds prepares the two kinds of L2 miss the zero-alloc test and the
@@ -768,17 +736,17 @@ func (r *shardedRig) read(t testing.TB, tile int, addr uint64, done func(event.C
 // already share: L3 hit answered by the bank (no owner to forward from).
 // Both run the access to completion; i must not repeat within a kind, and
 // l3hit's lines are warmed here for i < hits.
-func missRounds(t testing.TB, r *shardedRig, hits int) (dram, l3hit func(i int), completed *int) {
+func missRounds(r *rig, hits int) (dram, l3hit func(i int), completed *int) {
 	completed = new(int)
 	done := func(event.Cycle) { *completed++ }
 	const coldBase, sharedBase = 0x4000000, 0x8000000
 	for i := 0; i < hits; i++ {
-		r.read(t, 0, uint64(sharedBase+i*lineSize), done)
-		r.read(t, 1, uint64(sharedBase+i*lineSize), done)
+		r.read(0, uint64(sharedBase+i*lineSize), done)
+		r.read(1, uint64(sharedBase+i*lineSize), done)
 	}
 	*completed = 0
-	dram = func(i int) { r.read(t, i%16, uint64(coldBase+i*lineSize), done) }
-	l3hit = func(i int) { r.read(t, 5, uint64(sharedBase+i*lineSize), done) }
+	dram = func(i int) { r.read(i%16, uint64(coldBase+i*lineSize), done) }
+	l3hit = func(i int) { r.read(5, uint64(sharedBase+i*lineSize), done) }
 	return dram, l3hit, completed
 }
 
@@ -788,8 +756,8 @@ func missRounds(t testing.TB, r *shardedRig, hits int) (dram, l3hit func(i int),
 // nothing.
 func TestDemandMissZeroAlloc(t *testing.T) {
 	const perRound, rounds, warm = 16, 20, 4
-	r := newShardedRig(t)
-	dram, l3hit, completed := missRounds(t, r, perRound*(warm+rounds+1))
+	r := newRig(t, nil)
+	dram, l3hit, completed := missRounds(r, perRound*(warm+rounds+1))
 	next := 0
 	round := func(miss func(int)) func() {
 		return func() {
@@ -800,8 +768,8 @@ func TestDemandMissZeroAlloc(t *testing.T) {
 		}
 	}
 	// Group.Run has a small fixed cost per call; the misses must add nothing.
-	idle := func(int) { r.read(t, 0, 0, nil) }
-	r.read(t, 0, 0, nil)
+	idle := func(int) { r.read(0, 0, nil) }
+	r.read(0, 0, nil)
 	base := testing.AllocsPerRun(rounds, round(idle))
 	for _, c := range []struct {
 		name string
@@ -811,7 +779,7 @@ func TestDemandMissZeroAlloc(t *testing.T) {
 		for i := 0; i < warm; i++ {
 			round(c.miss)()
 		}
-		l3Before, fillsBefore := r.sh.St.L3Hits, r.sh.St.DRAMReads
+		l3Before, fillsBefore := r.St.L3Hits, r.St.DRAMReads
 		*completed = 0
 		if avg := testing.AllocsPerRun(rounds, round(c.miss)); avg != base {
 			t.Errorf("%s: %d read misses allocate %v times per round over %v for as many L1 hits, want 0",
@@ -822,7 +790,7 @@ func TestDemandMissZeroAlloc(t *testing.T) {
 		if *completed != int(n) {
 			t.Errorf("%s: %d of %d reads completed", c.name, *completed, n)
 		}
-		hits, fills := r.sh.St.L3Hits-l3Before, r.sh.St.DRAMReads-fillsBefore
+		hits, fills := r.St.L3Hits-l3Before, r.St.DRAMReads-fillsBefore
 		if c.name == "DRAM fill" && (fills != n || hits != 0) {
 			t.Errorf("DRAM fill rounds saw %d fills and %d L3 hits, want %d and 0", fills, hits, n)
 		}
@@ -833,7 +801,7 @@ func TestDemandMissZeroAlloc(t *testing.T) {
 }
 
 // BenchmarkDemandMiss times one demand read that misses L2, run to
-// completion on a one-shard partitioned 4x4 system, for the two ways the
+// completion on a one-shard 4x4 system, for the two ways the
 // home bank can answer it. A fresh system every 16k reads keeps the L3-hit
 // lines inside the L3 whatever b.N is.
 func BenchmarkDemandMiss(b *testing.B) {
@@ -844,10 +812,10 @@ func BenchmarkDemandMiss(b *testing.B) {
 			for left := b.N; left > 0; left -= chunk {
 				b.StopTimer()
 				n := min(chunk, left)
-				r := newShardedRig(b)
-				miss, _, _ := missRounds(b, r, 0)
+				r := newRig(b, nil)
+				miss, _, _ := missRounds(r, 0)
 				if kind == "L3Hit" {
-					_, miss, _ = missRounds(b, r, n)
+					_, miss, _ = missRounds(r, n)
 				}
 				b.StartTimer()
 				for i := 0; i < n; i++ {
@@ -886,7 +854,7 @@ func TestOpLifecycleOracle(t *testing.T) {
 			r.access(int((i+1)%16), 0x900000+i*64, Write) // owner forward
 		}
 		r.sys.PrefetchBulkL2(3, r.cfg.HomeBank(0xa00000), []uint64{0xa00000}, NoMeta)
-		r.eng.Run(0)
+		r.Run()
 		r.sys.Audit()
 	})
 	leaks := map[string]func(*System){

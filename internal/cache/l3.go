@@ -15,7 +15,7 @@ import (
 // latency; per-line transient races are thereby serialized by the event
 // loop, which preserves message counts — the quantity the paper measures.
 func (s *System) bankHandle(m *missOp) {
-	s.engAt(m.bank).ScheduleCall(event.Cycle(s.cfg.L3.LatCycles), runBankLookup, event.Ref{Obj: m})
+	s.lay.Eng(m.bank).ScheduleCall(event.Cycle(s.cfg.L3.LatCycles), runBankLookup, event.Ref{Obj: m})
 }
 
 func runBankLookup(now event.Cycle, ref event.Ref) {
@@ -27,7 +27,7 @@ func runBankLookup(now event.Cycle, ref event.Ref) {
 // transition, a miss first fills the line from memory.
 func (s *System) bankLookup(m *missOp, now event.Cycle) {
 	bank, la, p := m.bank, m.la, m.meta.Probe
-	st := s.stAt(bank)
+	st := s.lay.St(bank)
 	st.L3Requests[m.l3kind]++
 	l := s.banks[bank].lookup(la)
 	if s.tr != nil {
@@ -58,7 +58,7 @@ func (s *System) bankLookup(m *missOp, now event.Cycle) {
 func (m *missOp) filled() {
 	s := m.s
 	if p := m.meta.Probe; p != nil {
-		p.DRAMEnd = uint64(s.engAt(m.bank).Now())
+		p.DRAMEnd = uint64(s.lay.Eng(m.bank).Now())
 	}
 	// Re-lookup: the fill installed the line.
 	if fresh := s.banks[m.bank].lookup(m.la); fresh != nil {
@@ -118,15 +118,10 @@ func (s *System) bankHit(m *missOp, l *line) {
 				continue
 			}
 			s.dropPrivate(bank, t, la)
-			if s.tileShard == nil {
-				s.mesh.Send(bank, t, stats.ClassCtrlCoh, 0, func(event.Cycle) {})
-				s.mesh.Send(t, bank, stats.ClassCtrlCoh, 0, func(event.Cycle) {})
-				continue
-			}
-			// Partitioned: the ack injection belongs to tile t's shard —
-			// issuing it here would touch t's engine and message pools from
-			// the bank's execution context. Ride the invalidation instead:
-			// the ack departs when the inv arrives at t.
+			// The ack injection belongs to tile t's shard — issuing it here
+			// would touch t's engine and message pools from the bank's
+			// execution context. Ride the invalidation instead: the ack
+			// departs when the inv arrives at t.
 			s.mesh.SendCall(bank, t, stats.ClassCtrlCoh, 0, runInvAck,
 				event.Ref{Obj: s, A: int64(t), B: int64(bank)})
 		}
@@ -171,7 +166,7 @@ func (s *System) bankHit(m *missOp, l *line) {
 // been accessed. A dirty copy also writes back to the bank.
 func (s *System) ownerForward(bank, owner int, la uint64, invalidate bool, then func(event.Cycle)) {
 	s.mesh.Send(bank, owner, stats.ClassCtrlCoh, 0, func(event.Cycle) {
-		s.engAt(owner).Schedule(event.Cycle(s.cfg.L2.LatCycles), func(now event.Cycle) {
+		s.lay.Eng(owner).Schedule(event.Cycle(s.cfg.L2.LatCycles), func(now event.Cycle) {
 			tc := s.tiles[owner]
 			dirty := false
 			if l2 := tc.l2.lookup(la); l2 != nil {
@@ -188,17 +183,11 @@ func (s *System) ownerForward(bank, owner int, la uint64, invalidate bool, then 
 			}
 			if dirty {
 				// Writeback to the bank so L3 holds the latest data (the
-				// directory bit flips at the barrier when the bank lives on
-				// another shard).
-				if s.tileShard == nil {
-					if dl := s.banks[bank].lookup(la); dl != nil {
-						dl.dirty = true
-					}
-				} else {
-					op := s.getCoh(owner)
-					op.s, op.bank, op.la = s, bank, la
-					s.deferCoh(owner, runBankDirty, op)
-				}
+				// directory bit flips at the barrier: the bank is another
+				// tile's state).
+				op := s.getCoh(owner)
+				op.s, op.bank, op.la = s, bank, la
+				s.lay.Defer(owner, runBankDirty, op)
 				s.mesh.Send(owner, bank, stats.ClassData, lineSize, func(event.Cycle) {})
 			}
 			then(now)
@@ -207,7 +196,7 @@ func (s *System) ownerForward(bank, owner int, la uint64, invalidate bool, then 
 }
 
 // invalidatePrivate drops a line from a tile's L1 and L2 (back-invalidation
-// or remote invalidation). State change is immediate.
+// or remote invalidation). Call it from the tile's own context or the barrier.
 func (s *System) invalidatePrivate(tile int, la uint64) {
 	tc := s.tiles[tile]
 	if l1 := tc.l1.lookup(la); l1 != nil {
@@ -218,16 +207,12 @@ func (s *System) invalidatePrivate(tile int, la uint64) {
 	}
 }
 
-// dropPrivate invalidates a tile's private copy on behalf of a bank:
-// immediately when unpartitioned, at the quantum barrier otherwise.
+// dropPrivate invalidates a tile's private copy on behalf of a bank, at the
+// quantum barrier.
 func (s *System) dropPrivate(bank, tile int, la uint64) {
-	if s.tileShard == nil {
-		s.invalidatePrivate(tile, la)
-		return
-	}
 	op := s.getCoh(bank)
 	op.s, op.tile, op.la = s, tile, la
-	s.deferCoh(bank, runInvalidate, op)
+	s.lay.Defer(bank, runInvalidate, op)
 }
 
 // dramFill fetches la from memory into the bank, evicting an L3 victim
@@ -289,31 +274,30 @@ func (s *System) installL3(bank int, la uint64) {
 // DRAM write if the line is dirty.
 func (s *System) evictL3(bank int, victim *line, va uint64) {
 	dirty := victim.dirty
-	s.traceEvict("l3", bank, va, victim, s.engAt(bank).Now())
+	s.traceEvict("l3", bank, va, victim, s.lay.Eng(bank).Now())
 	if s.tr != nil {
 		var a int64
 		if dirty {
 			a = 1
 		}
-		s.tr.Emit(uint64(s.engAt(bank).Now()), bank, trace.KindL3Evict, va, a, int64(victim.owner))
+		s.tr.Emit(uint64(s.lay.Eng(bank).Now()), bank, trace.KindL3Evict, va, a, int64(victim.owner))
 	}
-	if s.tileShard != nil {
-		// Partitioned: the owner probe and back-invalidations touch other
-		// tiles' private caches — run the whole flush at the quantum barrier.
-		op := s.getCoh(bank)
-		op.s, op.bank, op.tile, op.la, op.flag, op.bits = s, bank, int(victim.owner), va, dirty, victim.sharers
-		s.deferCoh(bank, runEvictL3Flush, op)
-		s.banks[bank].invalidate(victim)
-		return
-	}
-	s.evictL3Flush(bank, int(victim.owner), victim.sharers, va, dirty)
+	// The owner probe and back-invalidations touch other tiles' private
+	// caches — run the whole flush at the quantum barrier.
+	op := s.getCoh(bank)
+	op.s, op.bank, op.tile, op.la, op.flag, op.bits = s, bank, int(victim.owner), va, dirty, victim.sharers
+	s.lay.Defer(bank, runEvictL3Flush, op)
 	s.banks[bank].invalidate(victim)
 }
 
-// evictL3Flush performs the cross-tile part of a bank eviction: dirty-owner
-// writeback probe, inclusive back-invalidation of every private copy the
-// directory names, and the DRAM write if the line ends dirty.
-func (s *System) evictL3Flush(bank, owner int, sharers uint64, va uint64, dirty bool) {
+// runEvictL3Flush is the barrier op performing the cross-tile part of a bank
+// eviction: dirty-owner writeback probe, inclusive back-invalidation of every
+// private copy the directory names, and the DRAM write if the line ends
+// dirty.
+func runEvictL3Flush(_ event.Cycle, arg any) {
+	op := arg.(*cohOp)
+	s, bank, owner, sharers, va, dirty := op.s, op.bank, op.tile, op.bits, op.la, op.flag
+	s.putCoh(op)
 	if owner >= 0 {
 		tc := s.tiles[owner]
 		if l2 := tc.l2.lookup(va); l2 != nil && (l2.dirty || l2.state == stModified) {
@@ -334,24 +318,12 @@ func (s *System) evictL3Flush(bank, owner int, sharers uint64, va uint64, dirty 
 	}
 	if dirty {
 		ctrlTile := s.dram.CtrlTile(s.dram.CtrlFor(va))
-		if s.tileShard == nil {
-			s.mesh.Send(bank, ctrlTile, stats.ClassData, lineSize, func(event.Cycle) {})
+		// The controller's queue belongs to its hosting tile's shard; reserve
+		// bandwidth when the writeback message arrives there.
+		s.mesh.Send(bank, ctrlTile, stats.ClassData, lineSize, func(event.Cycle) {
 			s.dram.Access(va, lineSize, true, func(event.Cycle) {})
-		} else {
-			// The controller's queue belongs to its hosting tile's shard;
-			// reserve bandwidth when the writeback message arrives there.
-			s.mesh.Send(bank, ctrlTile, stats.ClassData, lineSize, func(event.Cycle) {
-				s.dram.Access(va, lineSize, true, func(event.Cycle) {})
-			})
-		}
+		})
 	}
-}
-
-// runEvictL3Flush is the barrier-op form of evictL3Flush.
-func runEvictL3Flush(_ event.Cycle, arg any) {
-	op := arg.(*cohOp)
-	op.s.evictL3Flush(op.bank, op.tile, op.bits, op.la, op.flag)
-	op.s.putCoh(op)
 }
 
 // FloatRead services an SE_L3-issued stream read at a bank: a GetU access
@@ -362,8 +334,8 @@ func runEvictL3Flush(_ event.Cycle, arg any) {
 // available at the bank (used by the operands table to chain indirect
 // accesses); deliver fires once per destination at arrival.
 func (s *System) FloatRead(bank int, la uint64, dsts []int, l3kind stats.L3ReqKind, payloadBytes int, onBankReady func(event.Cycle), deliver func(dst int, now event.Cycle)) {
-	st := s.stAt(bank)
-	s.engAt(bank).Schedule(event.Cycle(s.cfg.L3.LatCycles), func(now event.Cycle) {
+	st := s.lay.St(bank)
+	s.lay.Eng(bank).Schedule(event.Cycle(s.cfg.L3.LatCycles), func(now event.Cycle) {
 		st.L3Requests[l3kind]++
 		l := s.banks[bank].lookup(la)
 		if s.chk != nil && l != nil {
@@ -385,7 +357,7 @@ func (s *System) FloatRead(bank int, la uint64, dsts []int, l3kind stats.L3ReqKi
 		}
 		send := func() {
 			if onBankReady != nil {
-				onBankReady(s.engAt(bank).Now())
+				onBankReady(s.lay.Eng(bank).Now())
 			}
 			s.mesh.Multicast(bank, dsts, stats.ClassData, payloadBytes, deliver)
 		}
@@ -406,17 +378,12 @@ func (s *System) FloatRead(bank int, la uint64, dsts []int, l3kind stats.L3ReqKi
 			// Another L2 owns the line: it forwards the data without
 			// changing its own state (Fig 12c).
 			s.mesh.Send(bank, o, stats.ClassCtrlCoh, 0, func(event.Cycle) {
-				s.engAt(o).Schedule(event.Cycle(s.cfg.L2.LatCycles), func(now event.Cycle) {
+				s.lay.Eng(o).Schedule(event.Cycle(s.cfg.L2.LatCycles), func(now event.Cycle) {
 					if onBankReady != nil {
-						if s.tileShard == nil {
-							onBankReady(now)
-						} else {
-							// The ready hook mutates bank-side state (the
-							// operands table); partitioned, the owner copies
-							// the index data back so the hook fires in the
-							// bank's own execution context.
-							s.mesh.Send(o, bank, stats.ClassCtrlCoh, 0, onBankReady)
-						}
+						// The ready hook mutates bank-side state (the operands
+						// table): the owner copies the index data back so the
+						// hook fires in the bank's own execution context.
+						s.mesh.Send(o, bank, stats.ClassCtrlCoh, 0, onBankReady)
 					}
 					s.mesh.Multicast(o, dsts, stats.ClassData, payloadBytes, deliver)
 				})

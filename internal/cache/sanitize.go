@@ -12,20 +12,33 @@ import (
 // owner, owner never in the sharer vector, sharer bits only for tiles that
 // hold or are filling the line), GetU float reads are checked to never
 // mutate directory state, and Audit can verify the drained end-of-run
-// state. nil detaches.
-func (s *System) SetChecker(chk *sanitize.Checker) { s.chk = chk }
+// state. nil detaches. Call before any access.
+func (s *System) SetChecker(chk *sanitize.Checker) {
+	s.chk = chk
+	s.evicting = nil
+	if chk != nil {
+		s.evicting = make([]map[uint64]int, len(s.tiles))
+		for i := range s.evicting {
+			s.evicting[i] = make(map[uint64]int)
+		}
+	}
+}
 
-// privateOrPending reports whether the tile's L2 holds la or has an MSHR
-// entry covering an in-flight fill of it. Directory bits are set at the
-// bank before the data reaches the requester, so "pending" is a legal
-// directory-consistent state for the whole fill window.
+// privateOrPending reports whether the directory may legally name tile for
+// la: the tile's L2 holds the line, an MSHR entry covers an in-flight fill of
+// it, or the tile evicted it and the directory update is still in the op log.
+// Directory bits are set at the bank before the data reaches the requester
+// and cleared at the barrier after the copy is gone, so both windows are
+// directory-consistent states.
 func (s *System) privateOrPending(tile int, la uint64) bool {
 	tc := s.tiles[tile]
 	if tc.l2.lookup(la) != nil {
 		return true
 	}
-	_, pending := tc.mshr[la]
-	return pending
+	if _, pending := tc.mshr[la]; pending {
+		return true
+	}
+	return s.evicting[tile][la] > 0
 }
 
 // checkDirectoryLine verifies the per-line MESI invariants for one
@@ -73,7 +86,7 @@ func (s *System) bankHitChecked(m *missOp, l *line) {
 			ev = "getx"
 		}
 		s.chk.Trace(sanitize.Record{
-			Cycle: uint64(s.engAt(bank).Now()), Tile: m.tile, Comp: "l3dir", Event: ev,
+			Cycle: uint64(s.lay.Eng(bank).Now()), Tile: m.tile, Comp: "l3dir", Event: ev,
 			Key: la, A: int64(l.sharers), B: int64(l.owner),
 		})
 		s.checkDirectoryLine(bank, la, l, "pre:"+ev)
@@ -132,6 +145,9 @@ func (s *System) Audit() {
 			for la := range tc.mshr {
 				s.chk.Failf(la, "cache: tile %d finished the run with %d open MSHR entries (line %#x among them)", t, n, la)
 			}
+		}
+		for la := range s.evicting[t] {
+			s.chk.Failf(la, "cache: tile %d finished the run with the directory update of its eviction of line %#x never applied", t, la)
 		}
 		tc.l1.forEachValid(func(la uint64, _ *line) {
 			if tc.l2.lookup(la) == nil {

@@ -139,9 +139,8 @@ type cohOp struct {
 	bits uint64
 }
 
-// opLists is the set of freelists one execution context owns: one per shard
-// on a partitioned machine, a single set otherwise. Two rules keep them
-// lock-free: a list is only touched by code executing in its context (get
+// opLists is the set of freelists one execution context owns: one per shard.
+// Two rules keep them lock-free: a list is only touched by code executing in its context (get
 // and put both name the tile whose event is running, not the tile the record
 // was first taken for), and barrier ops run with every shard quiescent.
 type opLists struct {
@@ -149,14 +148,6 @@ type opLists struct {
 	miss   event.Freelist[missOp]
 	fill   event.Freelist[fillOp]
 	coh    event.Freelist[cohOp]
-}
-
-// ctxOf returns the index of the execution context that runs tile's events.
-func (s *System) ctxOf(tile int) int {
-	if s.shardIdx == nil {
-		return 0
-	}
-	return s.shardIdx[tile]
 }
 
 // doublePut reports a record returned twice (a put leaves the owner nil).
@@ -169,7 +160,7 @@ func (s *System) doublePut(what string) {
 
 // getOp takes an accessOp for an access issued at tile.
 func (s *System) getOp(tile int) *accessOp {
-	op := s.lists[s.ctxOf(tile)].access.Get()
+	op := s.lists[s.lay.Index(tile)].access.Get()
 	if op == nil {
 		op = new(accessOp)
 	}
@@ -184,12 +175,12 @@ func (s *System) putOp(op *accessOp) {
 	}
 	tile := op.tile
 	*op = accessOp{}
-	s.lists[s.ctxOf(tile)].access.Put(op)
+	s.lists[s.lay.Index(tile)].access.Put(op)
 }
 
 // getMiss takes a missOp in tile's context, owned by s.
 func (s *System) getMiss(tile int) *missOp {
-	m := s.lists[s.ctxOf(tile)].miss.Get()
+	m := s.lists[s.lay.Index(tile)].miss.Get()
 	if m == nil {
 		m = new(missOp)
 		m.afterFill, m.forwardData = m.filled, m.forward
@@ -204,12 +195,12 @@ func (s *System) putMiss(tile int, m *missOp) {
 		s.doublePut("missOp")
 	}
 	*m = missOp{lines: m.lines[:0], afterFill: m.afterFill, forwardData: m.forwardData}
-	s.lists[s.ctxOf(tile)].miss.Put(m)
+	s.lists[s.lay.Index(tile)].miss.Put(m)
 }
 
 // getFill takes a fillOp in bank's context.
 func (s *System) getFill(bank int) *fillOp {
-	f := s.lists[s.ctxOf(bank)].fill.Get()
+	f := s.lists[s.lay.Index(bank)].fill.Get()
 	if f == nil {
 		f = &fillOp{waiters: make([]func(), 0, 4)}
 		f.dramDone = f.dataFromDRAM
@@ -225,11 +216,11 @@ func (s *System) putFill(bank int, f *fillOp) {
 	}
 	clear(f.waiters)
 	*f = fillOp{waiters: f.waiters[:0], dramDone: f.dramDone}
-	s.lists[s.ctxOf(bank)].fill.Put(f)
+	s.lists[s.lay.Index(bank)].fill.Put(f)
 }
 
 func (s *System) getCoh(issueTile int) *cohOp {
-	si := s.ctxOf(issueTile)
+	si := s.lay.Index(issueTile)
 	op := s.lists[si].coh.Get()
 	if op == nil {
 		op = new(cohOp)
@@ -242,38 +233,6 @@ func (s *System) putCoh(op *cohOp) {
 	si := op.si
 	*op = cohOp{}
 	s.lists[si].coh.Put(op)
-}
-
-// deferCoh logs op for execution at the quantum barrier, issued by
-// issueTile at its current cycle.
-func (s *System) deferCoh(issueTile int, call func(event.Cycle, any), op *cohOp) {
-	sh := s.tileShard[issueTile]
-	sh.Defer(sh.Eng.Now(), issueTile, call, op)
-}
-
-// Partition switches the hierarchy to sharded operation. Call once at
-// machine construction, before any accesses.
-func (s *System) Partition(tileShard []*par.Shard, shardIdx []int, numShards int) {
-	s.tileShard = tileShard
-	s.shardIdx = shardIdx
-	s.lists = make([]opLists, numShards)
-}
-
-// engAt returns the engine driving a tile's shard (the shared engine when
-// unpartitioned).
-func (s *System) engAt(tile int) *event.Engine {
-	if s.tileShard != nil {
-		return s.tileShard[tile].Eng
-	}
-	return s.eng
-}
-
-// stAt returns the stats shard a tile accumulates into.
-func (s *System) stAt(tile int) *stats.Stats {
-	if s.tileShard != nil {
-		return s.tileShard[tile].St
-	}
-	return s.st
 }
 
 // Stage handlers for the fixed-payload scheduling form: one per pipeline
@@ -312,8 +271,6 @@ func (op *accessOp) complete(now event.Cycle) {
 
 // System is the full memory hierarchy of the simulated machine.
 type System struct {
-	eng  *event.Engine
-	st   *stats.Stats
 	cfg  config.Config
 	mesh *noc.Mesh
 	dram *mem.DRAM
@@ -324,19 +281,24 @@ type System struct {
 	// fillMSHR merges concurrent DRAM fills per bank and line.
 	fillMSHR []map[uint64]*fillOp
 
-	// Partitioned execution (nil when unpartitioned). Each tile's private
-	// caches, MSHRs and its L3 bank are then owned by the tile's shard and
-	// touched only from its execution context; every cross-tile action (a
-	// directory update at a remote home bank, a remote private-copy
-	// invalidation) is deferred as a barrier op instead of applied inline.
-	tileShard []*par.Shard
-	shardIdx  []int
+	// lay is the machine's shard layout. Each tile's private caches, MSHRs
+	// and its L3 bank are owned by the tile's shard and touched only from its
+	// execution context; every cross-tile action (a directory update at the
+	// home bank, a remote private-copy invalidation) is deferred as a barrier
+	// op instead of applied inline.
+	lay *par.Layout
 
 	// lists holds the op-record freelists, one set per execution context.
 	lists []opLists
 
 	// chk, when non-nil, attaches the sanitizer probes (see sanitize.go).
 	chk *sanitize.Checker
+
+	// evicting[tile][la] counts tile's L2 evictions of la whose directory
+	// update still sits in the op log: until the barrier applies it the
+	// directory legally names a copy the tile no longer holds (see
+	// privateOrPending). Kept only under a checker.
+	evicting []map[uint64]int
 
 	// tr, when non-nil, records hit/miss/evict/fill activity and finalizes
 	// the latency attribution of probed loads. Purely observational.
@@ -350,10 +312,11 @@ type System struct {
 	bankWrite      func(bank int, lineAddr uint64, writerTile int)
 }
 
-// NewSystem builds the hierarchy for cfg over the given mesh and DRAM.
-func NewSystem(eng *event.Engine, st *stats.Stats, cfg config.Config, mesh *noc.Mesh, dram *mem.DRAM) *System {
+// NewSystem builds the hierarchy for cfg over the machine's shard layout and
+// the given mesh and DRAM.
+func NewSystem(lay *par.Layout, cfg config.Config, mesh *noc.Mesh, dram *mem.DRAM) *System {
 	n := cfg.Tiles()
-	s := &System{eng: eng, st: st, cfg: cfg, mesh: mesh, dram: dram, lists: make([]opLists, 1)}
+	s := &System{lay: lay, cfg: cfg, mesh: mesh, dram: dram, lists: make([]opLists, len(lay.Shards))}
 	s.tiles = make([]*tileCaches, n)
 	s.banks = make([]*array, n)
 	s.fillMSHR = make([]map[uint64]*fillOp, n)
@@ -425,7 +388,7 @@ func LineAddr(addr uint64) uint64 { return addr &^ (lineSize - 1) }
 // complete silently.
 func (s *System) Access(tile int, addr uint64, kind Kind, meta Meta, done func(event.Cycle)) {
 	la := LineAddr(addr)
-	eng := s.engAt(tile)
+	eng := s.lay.Eng(tile)
 	// Demand/stream reads entering without a core-attached probe (SEcore
 	// fetches, pointer chases) still get latency attribution when tracing.
 	if s.tr != nil && meta.Probe == nil && done != nil && (kind == Read || kind == StreamRead) {
@@ -456,7 +419,7 @@ func (s *System) notifyDone(done func(event.Cycle), now event.Cycle) {
 func (s *System) loadAfterL1(op *accessOp, now event.Cycle) {
 	tile, la, kind, meta := op.tile, op.la, op.kind, op.meta
 	tc := s.tiles[tile]
-	st := s.stAt(tile)
+	st := s.lay.St(tile)
 	demand := kind == Read || kind == StreamRead
 	l := tc.l1.lookup(la)
 	if s.l1Observer != nil && demand {
@@ -491,7 +454,7 @@ func (s *System) loadAfterL1(op *accessOp, now event.Cycle) {
 		p.L1Done = uint64(now)
 	}
 	// L1 miss: continue to L2 after its lookup latency.
-	s.engAt(tile).ScheduleCall(event.Cycle(s.cfg.L2.LatCycles), runLoadAfterL2, event.Ref{Obj: op})
+	s.lay.Eng(tile).ScheduleCall(event.Cycle(s.cfg.L2.LatCycles), runLoadAfterL2, event.Ref{Obj: op})
 }
 
 // demandHitLine updates reuse/prefetch/stream bookkeeping when a demand
@@ -499,7 +462,7 @@ func (s *System) loadAfterL1(op *accessOp, now event.Cycle) {
 func (s *System) demandHitLine(tile int, l *line) {
 	if l.pf {
 		l.pf = false
-		s.stAt(tile).PrefetchUseful++
+		s.lay.St(tile).PrefetchUseful++
 	}
 	if !l.reused {
 		l.reused = true
@@ -512,7 +475,7 @@ func (s *System) demandHitLine(tile int, l *line) {
 func (s *System) loadAfterL2(op *accessOp, now event.Cycle) {
 	tile, la, kind, meta := op.tile, op.la, op.kind, op.meta
 	tc := s.tiles[tile]
-	st := s.stAt(tile)
+	st := s.lay.St(tile)
 	demand := kind == Read || kind == StreamRead
 	p := meta.Probe
 	if p != nil {
@@ -568,7 +531,7 @@ func (s *System) loadAfterL2(op *accessOp, now event.Cycle) {
 func (s *System) storeAfterL1(op *accessOp, now event.Cycle) {
 	tile, la, meta := op.tile, op.la, op.meta
 	tc := s.tiles[tile]
-	st := s.stAt(tile)
+	st := s.lay.St(tile)
 	l1 := tc.l1.lookup(la)
 	if s.l1Observer != nil {
 		s.l1Observer(tile, op.addr, meta.PC, l1 != nil)
@@ -634,7 +597,7 @@ func (s *System) l2Prefetch(tile int, la uint64, meta Meta) {
 		return // demand or another prefetch already fetching
 	}
 	tc.mshr[la] = nil
-	s.stAt(tile).PrefetchIssued++
+	s.lay.St(tile).PrefetchIssued++
 	s.fetch(tile, la, false, stats.L3CoreNormal, meta, PrefL2)
 }
 
@@ -652,7 +615,7 @@ func (s *System) PrefetchBulkL2(tile int, bank int, lineAddrs []uint64, meta Met
 			continue
 		}
 		tc.mshr[la] = nil
-		s.stAt(tile).PrefetchIssued++
+		s.lay.St(tile).PrefetchIssued++
 		if bulk == nil {
 			bulk = s.getMiss(tile)
 			bulk.tile, bulk.bank = tile, bank
@@ -681,7 +644,7 @@ func runBulkAtBank(_ event.Cycle, ref event.Ref) {
 // fetch sends a GetS/GetX to the home bank; the reply completes the fill.
 func (s *System) fetch(tile int, la uint64, excl bool, l3kind stats.L3ReqKind, meta Meta, kind Kind) {
 	if kind == PrefL1 || kind == PrefL2 {
-		s.stAt(tile).PrefetchIssued++
+		s.lay.St(tile).PrefetchIssued++
 	}
 	m := s.getMiss(tile)
 	m.tile, m.bank, m.la, m.excl, m.l3kind, m.meta, m.kind = tile, s.cfg.HomeBank(la), la, excl, l3kind, meta, kind
@@ -795,9 +758,9 @@ func (s *System) evictL1(tile int, victim *line, va uint64) {
 // back-invalidated to preserve inclusion.
 func (s *System) evictL2(tile int, victim *line, va uint64) {
 	home := s.cfg.HomeBank(va)
-	st := s.stAt(tile)
+	st := s.lay.St(tile)
 	dirty := victim.dirty || victim.state == stModified
-	s.traceEvict("l2", tile, va, victim, s.engAt(tile).Now())
+	s.traceEvict("l2", tile, va, victim, s.lay.Eng(tile).Now())
 	if s.tr != nil {
 		var a, b int64
 		if dirty {
@@ -806,7 +769,7 @@ func (s *System) evictL2(tile int, victim *line, va uint64) {
 		if victim.reused {
 			b = 1
 		}
-		s.tr.Emit(uint64(s.engAt(tile).Now()), tile, trace.KindL2Evict, va, a, b)
+		s.tr.Emit(uint64(s.lay.Eng(tile).Now()), tile, trace.KindL2Evict, va, a, b)
 	}
 
 	st.L2Evictions++
@@ -832,14 +795,13 @@ func (s *System) evictL2(tile int, victim *line, va uint64) {
 		s.tiles[tile].l1.invalidate(l1)
 	}
 
-	// Directory update is applied immediately (at the barrier when the home
-	// bank lives on another shard); the message models traffic and occupancy.
-	if s.tileShard == nil {
-		s.applyDirUpdate(home, va, tile, dirty)
-	} else {
-		op := s.getCoh(tile)
-		op.s, op.bank, op.tile, op.la, op.flag = s, home, tile, va, dirty
-		s.deferCoh(tile, runDirUpdate, op)
+	// The directory update is applied at the barrier (the home bank belongs
+	// to another tile); the message models traffic and occupancy.
+	op := s.getCoh(tile)
+	op.s, op.bank, op.tile, op.la, op.flag = s, home, tile, va, dirty
+	s.lay.Defer(tile, runDirUpdate, op)
+	if s.chk != nil {
+		s.evicting[tile][va]++
 	}
 	if dirty {
 		if s.l2DirtyEvict != nil {
@@ -852,24 +814,26 @@ func (s *System) evictL2(tile int, victim *line, va uint64) {
 	s.tiles[tile].l2.invalidate(victim)
 }
 
-// applyDirUpdate makes the home directory forget an evicted L2 copy.
-func (s *System) applyDirUpdate(home int, va uint64, tile int, dirty bool) {
-	if dl := s.banks[home].lookup(va); dl != nil {
+// runDirUpdate is the barrier op that makes the home directory forget an
+// evicted L2 copy.
+func runDirUpdate(_ event.Cycle, arg any) {
+	op := arg.(*cohOp)
+	s, tile := op.s, op.tile
+	if dl := s.banks[op.bank].lookup(op.la); dl != nil {
 		dl.sharers &^= 1 << uint(tile)
 		if dl.owner == int16(tile) {
 			dl.owner = -1
 		}
-		if dirty {
+		if op.flag {
 			dl.dirty = true
 		}
 	}
-}
-
-// runDirUpdate is the barrier-op form of applyDirUpdate.
-func runDirUpdate(_ event.Cycle, arg any) {
-	op := arg.(*cohOp)
-	op.s.applyDirUpdate(op.bank, op.la, op.tile, op.flag)
-	op.s.putCoh(op)
+	if s.chk != nil {
+		if s.evicting[tile][op.la]--; s.evicting[tile][op.la] == 0 {
+			delete(s.evicting[tile], op.la)
+		}
+	}
+	s.putCoh(op)
 }
 
 // runInvalidate is the barrier-op form of invalidatePrivate: a bank drops a
@@ -880,8 +844,8 @@ func runInvalidate(_ event.Cycle, arg any) {
 	op.s.putCoh(op)
 }
 
-// runBankDirty marks a remote home-bank directory entry dirty (owner
-// writeback in flight).
+// runBankDirty marks a home-bank directory entry dirty (owner writeback in
+// flight).
 func runBankDirty(_ event.Cycle, arg any) {
 	op := arg.(*cohOp)
 	if dl := op.s.banks[op.bank].lookup(op.la); dl != nil {

@@ -114,11 +114,11 @@ func TestWarmAuditUnderPressure(t *testing.T) {
 		}
 	}
 
-	if *r.st != (stats.Stats{}) {
-		t.Errorf("warm accesses mutated statistics: %+v", r.st)
+	if *r.St != (stats.Stats{}) {
+		t.Errorf("warm accesses mutated statistics: %+v", r.St)
 	}
-	if r.eng.Pending() != 0 {
-		t.Errorf("warm accesses scheduled %d events", r.eng.Pending())
+	if r.Eng.Pending() != 0 {
+		t.Errorf("warm accesses scheduled %d events", r.Eng.Pending())
 	}
 	s.Audit() // panics on any directory/inclusion violation
 }
@@ -137,8 +137,8 @@ func TestWarmThenDetailed(t *testing.T) {
 	if lat := r.access(0, a, Read); lat != event.Cycle(r.cfg.L1.LatCycles) {
 		t.Errorf("detailed read of warmed line took %d cycles, want L1 hit latency %d", lat, r.cfg.L1.LatCycles)
 	}
-	if r.st.L1Hits != 1 || r.st.L1Misses != 0 {
-		t.Errorf("warmed line was not an L1 hit: hits=%d misses=%d", r.st.L1Hits, r.st.L1Misses)
+	if r.St.L1Hits != 1 || r.St.L1Misses != 0 {
+		t.Errorf("warmed line was not an L1 hit: hits=%d misses=%d", r.St.L1Hits, r.St.L1Misses)
 	}
 
 	// Detailed traffic over the warm working set, then more warm traffic.

@@ -20,7 +20,6 @@ import (
 	"streamfloat/internal/config"
 	"streamfloat/internal/experiments"
 	"streamfloat/internal/fault"
-	"streamfloat/internal/sanitize"
 	"streamfloat/internal/serve"
 	"streamfloat/internal/system"
 )
@@ -241,21 +240,10 @@ func (c *Client) DoPoint(ctx context.Context, key string, cfg config.Config, ben
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Pin the sanitize mode to its resolved value before shipping the job:
-	// ModeAuto resolves differently inside and outside `go test`, and the
-	// backend must run exactly the configuration the key was derived from.
-	// (CanonicalBytes already encodes the resolved value, so the key is
-	// unchanged.)
-	if cfg.Sanitize == sanitize.ModeAuto {
-		if cfg.SanitizeEnabled() {
-			cfg.Sanitize = sanitize.ModeOn
-		} else {
-			cfg.Sanitize = sanitize.ModeOff
-		}
-	}
-	// cfg.Workers rides along verbatim: it is outside the canonical key, so
-	// the backend runs the same simulation however many shard workers drive
-	// it (see serve.JobRequest.Workers for per-backend overrides).
+	// cfg.Workers and cfg.Sanitize ride along verbatim: both are outside the
+	// canonical key, so the backend runs the same simulation however many
+	// shard workers drive it and whatever an "auto" sanitizer resolves to
+	// over there (see serve.JobRequest.Workers for per-backend overrides).
 	job := serve.JobRequest{Config: &cfg, Benchmark: bench, Scale: scale}
 
 	order := c.ring.successors(key)

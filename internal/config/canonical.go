@@ -15,21 +15,15 @@ const canonicalVersion = 2
 // encoding accounts for. A test asserts it against reflect.TypeOf(Config{}).
 // NumField() so that adding a Config field without extending CanonicalBytes
 // (or deliberately excluding it below) fails loudly rather than silently
-// aliasing distinct configurations. Workers is counted here but excluded
-// from the encoding: it is an execution knob with bit-identical results for
-// every value, so runs at different worker counts share one cache key.
+// aliasing distinct configurations. Workers and Sanitize are counted here but
+// excluded from the encoding: they are host knobs with bit-identical results
+// for every value, so runs that differ only in them share one cache key.
 const CanonicalFieldCount = 27
 
 // CanonicalBytes returns a deterministic, version-tagged binary encoding of
 // every simulation-affecting Config field. Two configurations produce the
 // same bytes iff they run the same simulation, so the encoding is a sound
 // content-address component for result caches (see system.CacheKey).
-//
-// The sanitizer mode is encoded by its *resolved* value (SanitizeEnabled),
-// not the raw tri-state: ModeAuto resolves differently inside and outside
-// `go test`, and probes do not change results only when they stay silent —
-// keying on the resolved value keeps a cache shared across both worlds
-// honest.
 func (c Config) CanonicalBytes() []byte {
 	buf := make([]byte, 0, 256)
 	u := func(v uint64) {
@@ -78,7 +72,17 @@ func (c Config) CanonicalBytes() []byte {
 	f(c.FloatMissRatio)
 	i(c.SinkHitThreshold)
 	i(c.ConfluenceBlock)
-	b(c.SanitizeEnabled())
+	// This word was the resolved sanitize bit while sanitized machines ran a
+	// schedule of their own. They no longer do: the probes watch the one
+	// schedule and a sanitized run's Results equal the unsanitized run's
+	// (system's TestSanitizeInvariance), so Sanitize is a host knob like
+	// Workers and stays out of the key. The word is kept, as the constant an
+	// unsanitized run always wrote, instead of bumping canonicalVersion:
+	// every entry cached under an unsanitized key is a result of the schedule
+	// all machines now run and stays valid, while entries cached under
+	// sanitized keys (the retired sequential schedule) can no longer be
+	// looked up.
+	u(0)
 	// Sampling is encoded by its *resolved* parameters (like the sanitizer
 	// mode): disabled sampling collapses to zeros regardless of inert Seed/
 	// Measure values, and defaulted Measure encodes as its concrete value.
@@ -89,8 +93,8 @@ func (c Config) CanonicalBytes() []byte {
 	i(sp.Measure)
 	u(uint64(sp.Seed))
 	u(uint64(sp.Warmup))
-	// Workers is intentionally not encoded: the partitioned event kernel
-	// produces bit-identical results for every worker count (see
-	// internal/par), so the knob must not fragment the result cache.
+	// Workers is intentionally not encoded: the event kernel produces
+	// bit-identical results for every worker count (see internal/par), so
+	// the knob must not fragment the result cache.
 	return buf
 }

@@ -42,12 +42,12 @@ func TestCanonicalBytesDistinguishes(t *testing.T) {
 	ref := base.CanonicalBytes()
 
 	muts := map[string]func(*Config){
-		"MeshWidth":       func(c *Config) { c.MeshWidth++ },
-		"Core":            func(c *Config) { c.Core = IO4 },
-		"FloatIndirect":   func(c *Config) { c.FloatIndirect = !c.FloatIndirect },
-		"L2.SizeBytes":    func(c *Config) { c.L2.SizeBytes *= 2 },
-		"L3.BRRIPProb":    func(c *Config) { c.L3.BRRIPProb /= 2 },
-		"DRAMLatency":     func(c *Config) { c.DRAMLatency++ },
+		"MeshWidth":        func(c *Config) { c.MeshWidth++ },
+		"Core":             func(c *Config) { c.Core = IO4 },
+		"FloatIndirect":    func(c *Config) { c.FloatIndirect = !c.FloatIndirect },
+		"L2.SizeBytes":     func(c *Config) { c.L2.SizeBytes *= 2 },
+		"L3.BRRIPProb":     func(c *Config) { c.L3.BRRIPProb /= 2 },
+		"DRAMLatency":      func(c *Config) { c.DRAMLatency++ },
 		"FloatMissRatio":   func(c *Config) { c.FloatMissRatio += 0.01 },
 		"ConfluenceBlock":  func(c *Config) { c.ConfluenceBlock++ },
 		"Sample.Intervals": func(c *Config) { c.Sample.Intervals = 16 },
@@ -103,26 +103,22 @@ func TestCanonicalBytesSampleResolved(t *testing.T) {
 	}
 }
 
-// TestCanonicalBytesSanitizeResolved: the encoding keys on the *resolved*
-// sanitize value. Inside `go test`, ModeAuto resolves to on, so Auto and On
-// must encode identically here while Off differs.
-func TestCanonicalBytesSanitizeResolved(t *testing.T) {
+// TestCanonicalBytesIgnoresSanitize: the sanitizer only adds probes to the
+// one schedule every machine runs (system's TestSanitizeInvariance holds
+// sanitize on == off), so no spelling of the mode may reach the encoding —
+// in particular ModeAuto, which resolves differently inside and outside
+// `go test`, keys the same in both worlds.
+func TestCanonicalBytesIgnoresSanitize(t *testing.T) {
 	base, err := ForSystem("Base", OOO8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	auto, on, off := base, base, base
-	auto.Sanitize = sanitize.ModeAuto
-	on.Sanitize = sanitize.ModeOn
-	off.Sanitize = sanitize.ModeOff
-
-	if !base.SanitizeEnabled() {
-		t.Skip("auto does not resolve to on in this build; resolution covered elsewhere")
-	}
-	if !bytes.Equal(auto.CanonicalBytes(), on.CanonicalBytes()) {
-		t.Error("auto (resolved on) and explicit on encode differently")
-	}
-	if bytes.Equal(auto.CanonicalBytes(), off.CanonicalBytes()) {
-		t.Error("resolved-on and off encode identically")
+	ref := base.CanonicalBytes()
+	for _, mode := range []sanitize.Mode{sanitize.ModeAuto, sanitize.ModeOn, sanitize.ModeOff} {
+		cfg := base
+		cfg.Sanitize = mode
+		if !bytes.Equal(cfg.CanonicalBytes(), ref) {
+			t.Errorf("Sanitize = %v changed CanonicalBytes", mode)
+		}
 	}
 }

@@ -191,8 +191,9 @@ type Config struct {
 	// the cache key.
 	Sample SampleParams
 
-	// Workers is the number of goroutines driving the partitioned event
-	// kernel (internal/par): 0 or 1 runs single-threaded, higher values
+	// Workers is the number of goroutines driving the event kernel
+	// (internal/par), and with it the number of tile shards a machine is
+	// built as: 0 or 1 runs one shard single-threaded, higher values
 	// parallelize large meshes across tile shards. It is purely an
 	// execution knob — results are bit-identical for every value — so it is
 	// deliberately NOT part of the canonical encoding or the cache key.

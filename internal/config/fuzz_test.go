@@ -107,17 +107,12 @@ func deriveConfig(data []byte) config.Config {
 	return c
 }
 
-// resolved is a config with its tri-state sanitize mode pinned to the
-// concrete decision and its sampling parameters normalized — the equality
-// CanonicalBytes is specified against, since ModeAuto and ModeOn run
-// identical simulations inside a test binary, and disabled/defaulted
+// resolved is a config with its sanitize mode cleared and its sampling
+// parameters normalized — the equality CanonicalBytes is specified against:
+// every sanitize mode runs the same simulation, and disabled/defaulted
 // sampling spellings run the same simulation as their resolved form.
 func resolved(c config.Config) config.Config {
-	if c.SanitizeEnabled() {
-		c.Sanitize = sanitize.ModeOn
-	} else {
-		c.Sanitize = sanitize.ModeOff
-	}
+	c.Sanitize = sanitize.ModeAuto
 	c.Sample = c.Sample.Resolved()
 	return c
 }

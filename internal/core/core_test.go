@@ -8,14 +8,15 @@ import (
 	"streamfloat/internal/event"
 	"streamfloat/internal/mem"
 	"streamfloat/internal/noc"
+	"streamfloat/internal/par/partest"
 	"streamfloat/internal/stats"
 	"streamfloat/internal/stream"
 	"streamfloat/internal/workload"
 )
 
 type rig struct {
-	eng *event.Engine
-	st  *stats.Stats
+	*partest.Rig // the shared one-shard rig: Eng, St, Run
+
 	cfg config.Config
 	sys *cache.System
 	bk  *mem.Backing
@@ -28,14 +29,13 @@ func newRig(mutate func(*config.Config)) *rig {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	eng := event.New()
-	st := &stats.Stats{}
-	mesh := noc.New(eng, st, cfg.MeshWidth, cfg.MeshHeight, cfg.LinkBits, cfg.RouterLatency, cfg.LinkLatency)
-	dram := mem.NewDRAM(eng, st, cfg.DRAMLatency, cfg.DRAMBandwidthBpc, cfg.MemControllerTiles())
-	sys := cache.NewSystem(eng, st, cfg, mesh, dram)
+	pr := partest.New(cfg.Tiles(), event.Cycle(cfg.RouterLatency+cfg.LinkLatency))
+	mesh := noc.New(pr.Layout, cfg.MeshWidth, cfg.MeshHeight, cfg.LinkBits, cfg.RouterLatency, cfg.LinkLatency)
+	dram := mem.NewDRAM(pr.Layout, cfg.DRAMLatency, cfg.DRAMBandwidthBpc, cfg.MemControllerTiles())
+	sys := cache.NewSystem(pr.Layout, cfg, mesh, dram)
 	bk := mem.NewBacking()
-	return &rig{eng: eng, st: st, cfg: cfg, sys: sys, bk: bk,
-		e: NewEngines(eng, st, cfg, mesh, sys, bk)}
+	return &rig{Rig: pr, cfg: cfg, sys: sys, bk: bk,
+		e: NewEngines(pr.Layout, cfg, mesh, sys, bk)}
 }
 
 // bigStream returns a phase with one affine stream whose footprint exceeds
@@ -58,7 +58,7 @@ func (r *rig) consume(t *testing.T, tile int, ph *workload.Phase, window int) {
 	t.Helper()
 	ready := false
 	r.e.ConfigurePhase(tile, ph, func() { ready = true })
-	r.eng.Run(0)
+	r.Run()
 	if !ready {
 		t.Fatal("configure did not complete")
 	}
@@ -81,33 +81,33 @@ func (r *rig) consume(t *testing.T, tile int, ph *workload.Phase, window int) {
 		}
 	}
 	pump()
-	r.eng.Run(0)
+	r.Run()
 	if done != ph.NumIters {
 		t.Fatalf("consumed %d/%d elements", done, ph.NumIters)
 	}
 	r.e.EndPhase(tile)
-	r.eng.Run(0)
+	r.Run()
 }
 
 func TestFloatAtConfigureByFootprint(t *testing.T) {
 	r := newRig(nil)
 	lines := int64(r.cfg.L2.SizeBytes/64 + 100) // footprint > L2
 	r.consume(t, 0, bigStream(0x100000, lines), 8)
-	if r.st.StreamsFloated != 1 {
-		t.Fatalf("floated = %d, want 1", r.st.StreamsFloated)
+	if r.St.StreamsFloated != 1 {
+		t.Fatalf("floated = %d, want 1", r.St.StreamsFloated)
 	}
-	if r.st.StreamConfigs != 1 {
-		t.Errorf("configs = %d", r.st.StreamConfigs)
+	if r.St.StreamConfigs != 1 {
+		t.Errorf("configs = %d", r.St.StreamConfigs)
 	}
-	if r.st.L3Requests[stats.L3FloatAffine] == 0 {
+	if r.St.L3Requests[stats.L3FloatAffine] == 0 {
 		t.Error("no floated affine requests issued")
 	}
 	// With 1 kB interleaving the stream must migrate about every 16 lines.
 	wantMig := uint64(lines/16) - 2
-	if r.st.StreamMigrations < wantMig/2 {
-		t.Errorf("migrations = %d, want about %d", r.st.StreamMigrations, wantMig)
+	if r.St.StreamMigrations < wantMig/2 {
+		t.Errorf("migrations = %d, want about %d", r.St.StreamMigrations, wantMig)
 	}
-	if r.st.StreamCredits == 0 {
+	if r.St.StreamCredits == 0 {
 		t.Error("no flow-control credits sent")
 	}
 }
@@ -115,10 +115,10 @@ func TestFloatAtConfigureByFootprint(t *testing.T) {
 func TestSmallStreamStaysCached(t *testing.T) {
 	r := newRig(nil)
 	r.consume(t, 0, bigStream(0x200000, 32), 4) // 2 kB footprint
-	if r.st.StreamsFloated != 0 {
+	if r.St.StreamsFloated != 0 {
 		t.Errorf("small stream floated")
 	}
-	if r.st.L3Requests[stats.L3CoreStream] == 0 {
+	if r.St.L3Requests[stats.L3CoreStream] == 0 {
 		t.Error("SEcore should have prefetched through the caches")
 	}
 }
@@ -131,7 +131,7 @@ func TestHistoryFloatsRepeatedStream(t *testing.T) {
 		ph := bigStream(uint64(0x400000+p*0x40000), 48)
 		r.consume(t, 0, ph, 4)
 	}
-	if r.st.StreamsFloated == 0 {
+	if r.St.StreamsFloated == 0 {
 		t.Error("history policy never floated a thrashing stream")
 	}
 }
@@ -145,10 +145,10 @@ func TestSSModeNeverFloats(t *testing.T) {
 	})
 	lines := int64(r.cfg.L2.SizeBytes/64 + 100)
 	r.consume(t, 0, bigStream(0x300000, lines), 8)
-	if r.st.StreamsFloated != 0 {
+	if r.St.StreamsFloated != 0 {
 		t.Error("SS mode must not float")
 	}
-	if r.st.L3Requests[stats.L3FloatAffine] != 0 {
+	if r.St.L3Requests[stats.L3FloatAffine] != 0 {
 		t.Error("SS mode issued floated requests")
 	}
 }
@@ -174,10 +174,10 @@ func TestIndirectFloating(t *testing.T) {
 		InstrsPerIter: 6,
 	}
 	r.consume(t, 0, ph, 8)
-	if r.st.L3Requests[stats.L3FloatIndirect] == 0 {
+	if r.St.L3Requests[stats.L3FloatIndirect] == 0 {
 		t.Error("no indirect floated requests")
 	}
-	if r.st.SublineResponses == 0 {
+	if r.St.SublineResponses == 0 {
 		t.Error("indirect responses must use subline transfer")
 	}
 }
@@ -200,10 +200,10 @@ func TestSFAffKeepsIndirectAtCore(t *testing.T) {
 		InstrsPerIter: 6,
 	}
 	r.consume(t, 0, ph, 8)
-	if r.st.L3Requests[stats.L3FloatIndirect] != 0 {
+	if r.St.L3Requests[stats.L3FloatIndirect] != 0 {
 		t.Error("SF-Aff must not float indirect streams")
 	}
-	if r.st.L3Requests[stats.L3FloatAffine] == 0 {
+	if r.St.L3Requests[stats.L3FloatAffine] == 0 {
 		t.Error("the affine base should still float")
 	}
 }
@@ -217,7 +217,7 @@ func TestConfluenceMergesIdenticalStreams(t *testing.T) {
 	ready := 0
 	r.e.ConfigurePhase(0, ph0, func() { ready++ })
 	r.e.ConfigurePhase(1, ph1, func() { ready++ })
-	r.eng.Run(0)
+	r.Run()
 	if ready != 2 {
 		t.Fatal("configs incomplete")
 	}
@@ -239,14 +239,14 @@ func TestConfluenceMergesIdenticalStreams(t *testing.T) {
 	}
 	drive(0, ph0)
 	drive(1, ph1)
-	r.eng.Run(0)
-	if r.st.ConfluenceGroups == 0 {
+	r.Run()
+	if r.St.ConfluenceGroups == 0 {
 		t.Error("identical streams from one block did not merge")
 	}
-	if r.st.L3Requests[stats.L3FloatConfluence] == 0 {
+	if r.St.L3Requests[stats.L3FloatConfluence] == 0 {
 		t.Error("no multicast confluence requests issued")
 	}
-	if r.st.MulticastSave == 0 {
+	if r.St.MulticastSave == 0 {
 		t.Error("multicast saved no flit-hops")
 	}
 }
@@ -259,13 +259,13 @@ func TestConfluenceRespectsBlocks(t *testing.T) {
 	ph3 := bigStream(0x900000, lines)
 	r.e.ConfigurePhase(0, ph0, func() {})
 	r.e.ConfigurePhase(3, ph3, func() {})
-	r.eng.Run(0)
-	if r.st.ConfluenceGroups != 0 {
+	r.Run()
+	if r.St.ConfluenceGroups != 0 {
 		t.Error("streams from different blocks merged")
 	}
 	r.e.EndPhase(0)
 	r.e.EndPhase(3)
-	r.eng.Run(0)
+	r.Run()
 }
 
 func TestConfluenceDisabled(t *testing.T) {
@@ -273,13 +273,13 @@ func TestConfluenceDisabled(t *testing.T) {
 	lines := int64(r.cfg.L2.SizeBytes/64 + 512)
 	r.e.ConfigurePhase(0, bigStream(0xa00000, lines), func() {})
 	r.e.ConfigurePhase(1, bigStream(0xa00000, lines), func() {})
-	r.eng.Run(0)
-	if r.st.ConfluenceGroups != 0 {
+	r.Run()
+	if r.St.ConfluenceGroups != 0 {
 		t.Error("confluence formed while disabled")
 	}
 	r.e.EndPhase(0)
 	r.e.EndPhase(1)
-	r.eng.Run(0)
+	r.Run()
 }
 
 func TestOffsetGroupServesTrailing(t *testing.T) {
@@ -302,12 +302,12 @@ func TestOffsetGroupServesTrailing(t *testing.T) {
 	}
 	r.consume(t, 0, ph, 8)
 	// Only the leader floats; the two trailing streams ride its buffer.
-	if r.st.StreamsFloated != 1 {
-		t.Errorf("floated = %d, want 1 (leader only)", r.st.StreamsFloated)
+	if r.St.StreamsFloated != 1 {
+		t.Errorf("floated = %d, want 1 (leader only)", r.St.StreamsFloated)
 	}
 	// The leader's lines serve three consumers: floated requests should be
 	// roughly a third of all elements.
-	total := r.st.L3Requests[stats.L3FloatAffine] + r.st.L3Requests[stats.L3FloatConfluence]
+	total := r.St.L3Requests[stats.L3FloatAffine] + r.St.L3Requests[stats.L3FloatConfluence]
 	if total > uint64(rows*rowBytes/64)+64 {
 		t.Errorf("L3 saw %d float requests for %d lines: trailing streams not deduplicated",
 			total, rows*rowBytes/64)
@@ -328,7 +328,7 @@ func TestSinkOnPrivateHits(t *testing.T) {
 	ph := bigStream(base, lines)
 	r.e.cores[0].histFor(11).floated = true
 	r.consume(t, 0, ph, 8)
-	if r.st.StreamsSunk == 0 {
+	if r.St.StreamsSunk == 0 {
 		t.Error("stream hitting private caches never sank")
 	}
 }
@@ -339,7 +339,7 @@ func TestEndPhaseTerminatesRemoteStreams(t *testing.T) {
 	ph := bigStream(0xe00000, lines)
 	ready := false
 	r.e.ConfigurePhase(0, ph, func() { ready = true })
-	r.eng.Run(0)
+	r.Run()
 	if !ready {
 		t.Fatal("config incomplete")
 	}
@@ -349,10 +349,10 @@ func TestEndPhaseTerminatesRemoteStreams(t *testing.T) {
 		i := i
 		r.e.RequestElement(0, 0, i, func(event.Cycle) { r.e.ReleaseElement(0, 0, i) })
 	}
-	r.eng.Run(0)
+	r.Run()
 	r.e.EndPhase(0)
-	r.eng.Run(0)
-	if r.st.StreamEnds == 0 {
+	r.Run()
+	if r.St.StreamEnds == 0 {
 		t.Error("early termination sent no stream-end packet")
 	}
 	if len(r.e.registry) != 0 {
@@ -404,11 +404,11 @@ func TestConfigPacketSizes(t *testing.T) {
 	r.consume(t, 0, bigStream(0xf00000, lines), 8)
 	// Stream control messages must be small: configs are 57-byte payloads
 	// (3 flits at 256-bit), credits 8 bytes (1 flit).
-	if r.st.Flits[stats.ClassStream] == 0 {
+	if r.St.Flits[stats.ClassStream] == 0 {
 		t.Fatal("no stream-class flits")
 	}
-	msgs := r.st.Messages[stats.ClassStream]
-	flits := r.st.Flits[stats.ClassStream]
+	msgs := r.St.Messages[stats.ClassStream]
+	flits := r.St.Flits[stats.ClassStream]
 	if flits > msgs*3 {
 		t.Errorf("stream messages average %.1f flits; config overhead too large",
 			float64(flits)/float64(msgs))
@@ -424,24 +424,24 @@ func TestStreamGrainCoherenceInvalidates(t *testing.T) {
 	base := uint64(0x2000000)
 	ph := bigStream(base, lines)
 	r.e.ConfigurePhase(0, ph, func() {})
-	r.eng.Run(0)
+	r.Run()
 	// Consume a prefix so the stream establishes a range.
 	for i := int64(0); i < 64; i++ {
 		i := i
 		r.e.RequestElement(0, 0, i, func(event.Cycle) { r.e.ReleaseElement(0, 0, i) })
 	}
-	r.eng.Run(0)
+	r.Run()
 	// A remote core writes into the consumed range.
 	r.sys.Access(9, base+64, cache.Write, cache.NoMeta, nil)
-	r.eng.Run(0)
-	if r.st.StreamInvalidations == 0 {
+	r.Run()
+	if r.St.StreamInvalidations == 0 {
 		t.Error("remote write in range did not invalidate the stream")
 	}
-	if r.st.StreamsSunk == 0 {
+	if r.St.StreamsSunk == 0 {
 		t.Error("invalidated stream did not sink")
 	}
 	r.e.EndPhase(0)
-	r.eng.Run(0)
+	r.Run()
 }
 
 // TestStreamGrainCoherenceIgnoresOutside: writes outside every stream range
@@ -451,19 +451,19 @@ func TestStreamGrainCoherenceIgnoresOutside(t *testing.T) {
 	lines := int64(r.cfg.L2.SizeBytes/64 + 2048)
 	ph := bigStream(0x3000000, lines)
 	r.e.ConfigurePhase(0, ph, func() {})
-	r.eng.Run(0)
+	r.Run()
 	for i := int64(0); i < 32; i++ {
 		i := i
 		r.e.RequestElement(0, 0, i, func(event.Cycle) { r.e.ReleaseElement(0, 0, i) })
 	}
-	r.eng.Run(0)
+	r.Run()
 	r.sys.Access(9, 0x9000000, cache.Write, cache.NoMeta, nil)
-	r.eng.Run(0)
-	if r.st.StreamInvalidations != 0 {
+	r.Run()
+	if r.St.StreamInvalidations != 0 {
 		t.Error("out-of-range write invalidated a stream")
 	}
 	r.e.EndPhase(0)
-	r.eng.Run(0)
+	r.Run()
 }
 
 // TestStreamGrainDisabledByDefault: without the option, the same remote
@@ -474,19 +474,19 @@ func TestStreamGrainDisabledByDefault(t *testing.T) {
 	base := uint64(0x4000000)
 	ph := bigStream(base, lines)
 	r.e.ConfigurePhase(0, ph, func() {})
-	r.eng.Run(0)
+	r.Run()
 	for i := int64(0); i < 64; i++ {
 		i := i
 		r.e.RequestElement(0, 0, i, func(event.Cycle) { r.e.ReleaseElement(0, 0, i) })
 	}
-	r.eng.Run(0)
+	r.Run()
 	r.sys.Access(9, base+64, cache.Write, cache.NoMeta, nil)
-	r.eng.Run(0)
-	if r.st.StreamInvalidations != 0 {
+	r.Run()
+	if r.St.StreamInvalidations != 0 {
 		t.Error("invalidation fired with stream-grain coherence disabled")
 	}
 	r.e.EndPhase(0)
-	r.eng.Run(0)
+	r.Run()
 }
 
 func BenchmarkFloatedElementService(b *testing.B) {
@@ -495,7 +495,7 @@ func BenchmarkFloatedElementService(b *testing.B) {
 	ph := bigStream(0x8000000, lines)
 	ready := false
 	r.e.ConfigurePhase(0, ph, func() { ready = true })
-	r.eng.Run(0)
+	r.Run()
 	if !ready {
 		b.Fatal("config failed")
 	}
@@ -514,5 +514,5 @@ func BenchmarkFloatedElementService(b *testing.B) {
 		}
 	}
 	pump()
-	r.eng.Run(0)
+	r.Run()
 }

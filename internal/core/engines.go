@@ -12,7 +12,6 @@ import (
 	"streamfloat/internal/noc"
 	"streamfloat/internal/par"
 	"streamfloat/internal/sanitize"
-	"streamfloat/internal/stats"
 	"streamfloat/internal/trace"
 	"streamfloat/internal/workload"
 )
@@ -42,8 +41,6 @@ type streamKey struct {
 // end messages to wherever a floated stream currently resides. It implements
 // cpu.StreamSource.
 type Engines struct {
-	eng  *event.Engine
-	st   *stats.Stats
 	cfg  config.Config
 	mesh *noc.Mesh
 	sys  *cache.System
@@ -53,17 +50,17 @@ type Engines struct {
 	l2s   []*seL2
 	l3s   []*seL3
 
-	// registry locates the SE_L3 currently running each floated stream.
-	// Under a partitioned machine the registry is only touched at quantum
-	// barriers: configuration, credit and end deliveries defer their
-	// registry work, and streams defer their own unregistration, so the map
-	// never sees concurrent access from two bank shards.
+	// registry locates the SE_L3 currently running each floated stream. It
+	// is only touched at quantum barriers: configuration, credit and end
+	// deliveries defer their registry work, and streams defer their own
+	// unregistration, so the map never sees concurrent access from two bank
+	// shards.
 	registry map[streamKey]*l3Stream
 
-	// Partitioned execution (nil when unpartitioned): the shard driving
-	// each tile, for routing engine scheduling and stats to the tile's
-	// shard and deferring cross-shard effects to the quantum barrier.
-	tileShard []*par.Shard
+	// lay is the machine's shard layout: it routes engine scheduling and
+	// stats to each tile's shard and carries cross-tile effects (registry
+	// routing, stream sinking from remote writes) to the quantum barrier.
+	lay *par.Layout
 
 	// san, when non-nil, attaches the sanitizer probes (see sanitize.go).
 	san *sanitize.Checker
@@ -75,10 +72,10 @@ type Engines struct {
 
 // NewEngines builds the stream engines for the configured machine and wires
 // the cache observers the float policy needs.
-func NewEngines(eng *event.Engine, st *stats.Stats, cfg config.Config, mesh *noc.Mesh,
+func NewEngines(lay *par.Layout, cfg config.Config, mesh *noc.Mesh,
 	sys *cache.System, bk *mem.Backing) *Engines {
 	e := &Engines{
-		eng: eng, st: st, cfg: cfg, mesh: mesh, sys: sys, bk: bk,
+		lay: lay, cfg: cfg, mesh: mesh, sys: sys, bk: bk,
 		registry: make(map[streamKey]*l3Stream),
 	}
 	n := cfg.Tiles()
@@ -98,40 +95,6 @@ func NewEngines(eng *event.Engine, st *stats.Stats, cfg config.Config, mesh *noc
 	return e
 }
 
-// Partition switches the engines to sharded operation: tileShard[t] is the
-// shard driving tile t. Cross-shard interactions (registry routing, stream
-// sinking from remote writes) then run at quantum barriers.
-func (e *Engines) Partition(tileShard []*par.Shard) {
-	e.tileShard = tileShard
-}
-
-// engAt returns the engine driving a tile's events.
-func (e *Engines) engAt(tile int) *event.Engine {
-	if e.tileShard == nil {
-		return e.eng
-	}
-	return e.tileShard[tile].Eng
-}
-
-// stAt returns the stats shard a tile's counters accrue into.
-func (e *Engines) stAt(tile int) *stats.Stats {
-	if e.tileShard == nil {
-		return e.st
-	}
-	return e.tileShard[tile].St
-}
-
-// sharded reports whether the machine is partitioned.
-func (e *Engines) sharded() bool { return e.tileShard != nil }
-
-// deferAt queues a barrier op from tile's execution context (tile must
-// belong to the shard currently executing, or the call must come from
-// barrier context, where any shard's log is safe to append to).
-func (e *Engines) deferAt(tile int, call func(event.Cycle, any), arg any) {
-	sh := e.tileShard[tile]
-	sh.Defer(sh.Eng.Now(), tile, call, arg)
-}
-
 // grainOp carries one §V-B range check to the quantum barrier.
 type grainOp struct {
 	e      *Engines
@@ -147,13 +110,9 @@ func runGrainCheck(_ event.Cycle, arg any) {
 
 // checkStreamGrain is the bank-write observer: it sweeps the stream
 // registry for ranges covering the written line. The sweep reads remote
-// stream and core state, so a partitioned machine runs it at the barrier.
+// stream and core state, so it runs at the barrier.
 func (e *Engines) checkStreamGrain(bank int, lineAddr uint64, writerTile int) {
-	if e.sharded() {
-		e.deferAt(bank, runGrainCheck, &grainOp{e: e, bank: bank, la: lineAddr, writer: writerTile})
-		return
-	}
-	e.streamGrainCheck(bank, lineAddr, writerTile)
+	e.lay.Defer(bank, runGrainCheck, &grainOp{e: e, bank: bank, la: lineAddr, writer: writerTile})
 }
 
 // streamGrainCheck implements the §V-B range check: a write that lands
@@ -184,7 +143,7 @@ func (e *Engines) streamGrainCheck(bank int, lineAddr uint64, writerTile int) {
 		return cmp.Compare(a.key.gen, b.key.gen)
 	})
 	for _, s := range hit {
-		e.stAt(bank).StreamInvalidations++
+		e.lay.St(bank).StreamInvalidations++
 		e.cores[s.reqTile].sinkStream(s.group.owner, true)
 	}
 }
@@ -231,7 +190,7 @@ func (e *Engines) lookup(key streamKey) *l3Stream { return e.registry[key] }
 
 // The delivery callbacks below land at a bank inside its shard's window but
 // need the registry (or remote group state); each defers the real work to
-// the quantum barrier when the machine is partitioned.
+// the quantum barrier.
 
 // cfgOp carries a configuration-packet delivery to the barrier.
 type cfgOp struct {

@@ -91,12 +91,12 @@ func TestPropertyCreditConservation(t *testing.T) {
 			}
 		}
 		r.e.ConfigurePhase(0, ph, func() { pump() })
-		r.eng.Run(0)
+		r.Run()
 		if violated || done != lines {
 			return false
 		}
 		r.e.EndPhase(0)
-		r.eng.Run(0)
+		r.Run()
 		return len(r.e.registry) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 8}); err != nil {
@@ -128,7 +128,7 @@ func TestPropertyExactlyOnceService(t *testing.T) {
 			}
 		}
 		r.e.ConfigurePhase(0, ph, func() { pump() })
-		r.eng.Run(0)
+		r.Run()
 		if done != lines {
 			return false
 		}
@@ -138,7 +138,7 @@ func TestPropertyExactlyOnceService(t *testing.T) {
 			}
 		}
 		r.e.EndPhase(0)
-		r.eng.Run(0)
+		r.Run()
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
@@ -172,11 +172,11 @@ func TestSEL2BufferBounded(t *testing.T) {
 		}
 	}
 	r.e.ConfigurePhase(0, ph, func() { pump() })
-	r.eng.Run(0)
+	r.Run()
 	cap := r.e.cfg.SEL2BufferBytes / 64 / 4
 	if maxBuffered > cap+cap/2+1 {
 		t.Errorf("buffer held %d lines, share is %d", maxBuffered, cap)
 	}
 	r.e.EndPhase(0)
-	r.eng.Run(0)
+	r.Run()
 }

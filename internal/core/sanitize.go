@@ -27,7 +27,7 @@ func (e *Engines) sanTrace(tile int, comp, ev string, key uint64, a, b int64) {
 		return
 	}
 	e.san.Trace(sanitize.Record{
-		Cycle: uint64(e.engAt(tile).Now()), Tile: tile, Comp: comp, Event: ev, Key: key, A: a, B: b,
+		Cycle: uint64(e.lay.Eng(tile).Now()), Tile: tile, Comp: comp, Event: ev, Key: key, A: a, B: b,
 	})
 }
 

@@ -176,7 +176,7 @@ func (c *seCore) configurePhase(phase *workload.Phase, ready func()) {
 	}
 
 	// Decode/commit latency for the configure instructions.
-	c.e.engAt(c.tile).ScheduleCall(2, runThunk, event.Ref{Obj: ready})
+	c.e.lay.Eng(c.tile).ScheduleCall(2, runThunk, event.Ref{Obj: ready})
 }
 
 // detectOffsetGroups finds sets of affine streams that are constant-offset
@@ -288,7 +288,7 @@ func (c *seCore) floatStream(s *coreStream, startElem int64) {
 	s.floatFrom = startElem
 	c.e.sanTrace(c.tile, "secore", "float", sanStreamKey(c.tile, s.decl.ID), startElem, int64(len(s.indirects)))
 	if c.e.tr != nil {
-		c.e.tr.StreamFloat(uint64(c.e.engAt(c.tile).Now()), c.tile, s.decl.ID, startElem,
+		c.e.tr.StreamFloat(uint64(c.e.lay.Eng(c.tile).Now()), c.tile, s.decl.ID, startElem,
 			s.decl.Affine.Base, len(s.indirects))
 	}
 	var children []stream.Decl
@@ -298,7 +298,7 @@ func (c *seCore) floatStream(s *coreStream, startElem int64) {
 			children = append(children, ind.decl)
 		}
 	}
-	c.e.stAt(c.tile).StreamsFloated++
+	c.e.lay.St(c.tile).StreamsFloated++
 	s.group = c.e.l2s[c.tile].configureStream(s, startElem, children)
 
 	// Switch trailing offset-group members over to buffer service, routing
@@ -402,7 +402,7 @@ func (c *seCore) issueLines(s *coreStream) {
 			delete(s.demand, e)
 		}
 		s.hist.requests++
-		issuedAt := c.e.engAt(c.tile).Now()
+		issuedAt := c.e.lay.Eng(c.tile).Now()
 		c.e.sys.Access(c.tile, ref.addr, cache.StreamRead,
 			cache.Meta{PC: s.decl.PC, StreamID: s.decl.ID},
 			func(now event.Cycle) { c.lineArrived(s, seq, now-issuedAt) })
@@ -423,7 +423,7 @@ func (c *seCore) lineArrived(s *coreStream, seq int64, latency event.Cycle) {
 		s.hist.misses++
 	}
 	for _, w := range line.waiters {
-		w(c.e.engAt(c.tile).Now())
+		w(c.e.lay.Eng(c.tile).Now())
 	}
 	line.waiters = nil
 	for _, ind := range s.indirects {
@@ -457,7 +457,7 @@ func (c *seCore) issueIndirect(s *coreStream, e int64) {
 	idx := c.e.bk.ReadU32(s.base.decl.Affine.AddrAt(e))
 	addr := s.decl.Indirect.AddrFor(uint64(idx))
 	s.hist.requests++
-	issuedAt := c.e.engAt(c.tile).Now()
+	issuedAt := c.e.lay.Eng(c.tile).Now()
 	c.e.sys.Access(c.tile, addr, cache.StreamRead,
 		cache.Meta{PC: s.decl.PC, StreamID: s.decl.ID},
 		func(now event.Cycle) {
@@ -573,8 +573,8 @@ func (c *seCore) sunkAddr(s *coreStream, idx int64) uint64 {
 // callbacks travel unwrapped through the FIFO structures; this is the single
 // point where the FIFO access is accounted.
 func (c *seCore) fifoServe(cb func(event.Cycle)) {
-	c.e.stAt(c.tile).SEFIFOAccesses++
-	c.e.engAt(c.tile).Schedule(1, cb)
+	c.e.lay.St(c.tile).SEFIFOAccesses++
+	c.e.lay.Eng(c.tile).Schedule(1, cb)
 }
 
 // fifoWrap defers fifoServe until the wrapped callback's data is ready: used
@@ -628,7 +628,7 @@ func (c *seCore) serveCached(s *coreStream, seq int64, cb func(event.Cycle)) {
 // fallback serves a stream element with a plain demand load (missing SE_L2
 // buffer data, sunk streams, group prefixes).
 func (c *seCore) fallback(addr uint64, d stream.Decl, cb func(event.Cycle)) {
-	c.e.stAt(c.tile).StreamFallbacks++
+	c.e.lay.St(c.tile).StreamFallbacks++
 	c.e.sys.Access(c.tile, addr, cache.Read, cache.Meta{PC: d.PC, StreamID: d.ID}, cb)
 }
 
@@ -686,9 +686,9 @@ func (c *seCore) sinkStream(s *coreStream, aliased bool) {
 	}
 	c.e.sanTrace(c.tile, "secore", "sink", sanStreamKey(c.tile, s.decl.ID), s.lastReq, al)
 	if c.e.tr != nil {
-		c.e.tr.StreamSink(uint64(c.e.engAt(c.tile).Now()), c.tile, s.decl.ID, aliased, s.lastReq)
+		c.e.tr.StreamSink(uint64(c.e.lay.Eng(c.tile).Now()), c.tile, s.decl.ID, aliased, s.lastReq)
 	}
-	c.e.stAt(c.tile).StreamsSunk++
+	c.e.lay.St(c.tile).StreamsSunk++
 	s.hist.floated = false
 	s.hist.sunk = true
 	if aliased {
@@ -736,7 +736,7 @@ func (c *seCore) endPhase() {
 		}
 		c.e.sanTrace(c.tile, "secore", "end", sanStreamKey(c.tile, s.decl.ID), s.sanReq, s.sanRel)
 		if c.e.tr != nil {
-			c.e.tr.StreamEnd(uint64(c.e.engAt(c.tile).Now()), c.tile, s.decl.ID)
+			c.e.tr.StreamEnd(uint64(c.e.lay.Eng(c.tile).Now()), c.tile, s.decl.ID)
 		}
 		c.sanCheckElements(s)
 	}

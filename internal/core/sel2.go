@@ -54,9 +54,8 @@ type l2Group struct {
 	lastCredit int64
 	dead       bool
 
-	// deadR mirrors dead for readers at remote banks. On a partitioned
-	// machine it is set by a barrier op (bank-side windows only ever read
-	// it between barriers); unpartitioned it tracks dead exactly.
+	// deadR mirrors dead for readers at remote banks. It is set by a barrier
+	// op: bank-side windows only ever read it between barriers.
 	deadR bool
 
 	// onArrive, when set, fires with each arriving line's element range
@@ -77,8 +76,8 @@ type seL2 struct {
 	groups map[streamKey]*l2Group
 
 	// gen disambiguates reconfigurations of the same (tile, sid). Per-tile
-	// so configuration order across tiles (which is shard-schedule-
-	// dependent on a partitioned machine) never leaks into stream keys.
+	// so configuration order across tiles (which depends on the shard
+	// schedule) never leaks into stream keys.
 	gen uint64
 }
 
@@ -155,7 +154,7 @@ func (l *seL2) configureStream(owner *coreStream, startElem int64, children []st
 	}
 	l.e.sanTrace(l.tile, "sel2", "cfg", sanStreamKey(g.key.tile, g.key.sid), startElem, g.granted)
 	l.sanCheckCredits(g)
-	st := l.e.stAt(l.tile)
+	st := l.e.lay.St(l.tile)
 	st.StreamConfigs++
 	st.TLBTranslations++
 	bank := l.e.cfg.HomeBank(first.addr)
@@ -165,15 +164,10 @@ func (l *seL2) configureStream(owner *coreStream, startElem int64, children []st
 	startSeq := first.seq
 	credits := int(g.granted)
 	l.e.mesh.Send(l.tile, bank, stats.ClassStream, payload, func(event.Cycle) {
-		b3 := l.e.l3s[bank]
-		if l.e.sharded() {
-			// addStream reads this tile's group state and the registry:
-			// barrier work on a partitioned machine.
-			l.e.deferAt(bank, runAddStream,
-				&cfgOp{b: b3, g: g, startElem: startElem, startSeq: startSeq, credits: credits})
-			return
-		}
-		b3.addStream(g, startElem, startSeq, credits)
+		// addStream reads this tile's group state and the registry:
+		// barrier work.
+		l.e.lay.Defer(bank, runAddStream,
+			&cfgOp{b: l.e.l3s[bank], g: g, startElem: startElem, startSeq: startSeq, credits: credits})
 	})
 	return g
 }
@@ -215,14 +209,14 @@ func (l *seL2) arrive(g *l2Group, seq int64) {
 	if b == nil || b.gone {
 		return
 	}
-	l.e.stAt(l.tile).SEL2Accesses++
+	l.e.lay.St(l.tile).SEL2Accesses++
 	if l.e.tr != nil {
-		l.e.tr.Emit(uint64(l.e.engAt(l.tile).Now()), l.tile, trace.KindSEL2Arrive,
+		l.e.tr.Emit(uint64(l.e.lay.Eng(l.tile).Now()), l.tile, trace.KindSEL2Arrive,
 			trace.StreamKey(g.key.tile, g.key.sid), seq, int64(g.buffered))
 	}
 	b.arrived = true
 	for _, w := range b.waiters {
-		l.e.engAt(l.tile).Schedule(2, w)
+		l.e.lay.Eng(l.tile).Schedule(2, w)
 	}
 	b.waiters = nil
 	if g.onArrive != nil {
@@ -319,8 +313,8 @@ func (l *seL2) requestByAddr(g *l2Group, addr uint64, cb func(event.Cycle)) bool
 
 func (l *seL2) serveLine(b *bufLine, cb func(event.Cycle)) {
 	if b.arrived {
-		l.e.stAt(l.tile).SEL2Accesses++
-		l.e.engAt(l.tile).Schedule(l.hitLatency(), cb)
+		l.e.lay.St(l.tile).SEL2Accesses++
+		l.e.lay.Eng(l.tile).Schedule(l.hitLatency(), cb)
 		return
 	}
 	b.waiters = append(b.waiters, cb)
@@ -341,8 +335,8 @@ func (l *seL2) requestIndirect(g *l2Group, childSid int, idx int64, cb func(even
 		states[idx] = st
 	}
 	if st.arrived {
-		l.e.stAt(l.tile).SEL2Accesses++
-		l.e.engAt(l.tile).Schedule(l.hitLatency(), cb)
+		l.e.lay.St(l.tile).SEL2Accesses++
+		l.e.lay.Eng(l.tile).Schedule(l.hitLatency(), cb)
 		return true
 	}
 	st.waiters = append(st.waiters, cb)
@@ -363,10 +357,10 @@ func (l *seL2) indirectArrive(g *l2Group, childSid int, idx int64) {
 		st = &indState{}
 		states[idx] = st
 	}
-	l.e.stAt(l.tile).SEL2Accesses++
+	l.e.lay.St(l.tile).SEL2Accesses++
 	st.arrived = true
 	for _, w := range st.waiters {
-		l.e.engAt(l.tile).Schedule(2, w)
+		l.e.lay.Eng(l.tile).Schedule(2, w)
 	}
 	st.waiters = nil
 }
@@ -411,21 +405,15 @@ func (l *seL2) releaseLeader(g *l2Group, idx int64) {
 	}
 	n := int(g.granted) // new absolute credit level
 	l.e.sanTrace(l.tile, "sel2", "credit", sanStreamKey(g.key.tile, g.key.sid), g.granted, g.consumed)
-	st := l.e.stAt(l.tile)
+	st := l.e.lay.St(l.tile)
 	st.StreamCredits++
 	st.TLBTranslations++
 	bank := l.e.cfg.HomeBank(first.addr)
 	key := g.key
 	grantTo := n
 	l.e.mesh.Send(l.tile, bank, stats.ClassStream, 8, func(event.Cycle) {
-		if l.e.sharded() {
-			// Registry lookup and credit state: barrier work.
-			l.e.deferAt(bank, runAddCredits, &creditOp{e: l.e, key: key, level: grantTo})
-			return
-		}
-		if s := l.e.lookup(key); s != nil {
-			s.addCredits(grantTo)
-		}
+		// Registry lookup and credit state: barrier work.
+		l.e.lay.Defer(bank, runAddCredits, &creditOp{e: l.e, key: key, level: grantTo})
 	})
 }
 
@@ -443,9 +431,6 @@ func (l *seL2) terminate(g *l2Group, sink bool) {
 	l.e.sanTrace(l.tile, "sel2", "term", sanStreamKey(g.key.tile, g.key.sid), g.consumed, sk)
 	g.dead = true
 	delete(l.groups, g.key)
-	if !l.e.sharded() {
-		g.deadR = true
-	}
 	// Serve anyone still waiting with plain loads so no request is lost.
 	// These are maps, and fallback schedules events: drain in key order so
 	// the simulation stays deterministic.
@@ -479,21 +464,10 @@ func (l *seL2) terminate(g *l2Group, sink bool) {
 			st.waiters = nil
 		}
 	}
-	// Tear down the remote stream if it is still running. Partitioned, the
-	// registry lookup (and the deadR publication remote banks read) waits
-	// for the barrier.
-	if l.e.sharded() {
-		l.e.deferAt(l.tile, runStreamEnd, &endOp{l: l, g: g})
-	} else if s := l.e.lookup(g.key); s != nil {
-		l.e.st.StreamEnds++
-		key := g.key
-		l.e.mesh.Send(l.tile, s.curBank, stats.ClassStream, 8, func(event.Cycle) {
-			if str := l.e.lookup(key); str != nil {
-				str.terminate()
-			}
-		})
-	}
-	_ = sink
+	// Tear down the remote stream if it is still running. The registry
+	// lookup (and the deadR publication remote banks read) waits for the
+	// barrier.
+	l.e.lay.Defer(l.tile, runStreamEnd, &endOp{l: l, g: g})
 }
 
 // endOp carries a group's remote teardown — the deadR publication plus the
@@ -511,11 +485,11 @@ func runStreamEnd(_ event.Cycle, arg any) {
 	if s == nil || s.dead {
 		return
 	}
-	l.e.stAt(l.tile).StreamEnds++
+	l.e.lay.St(l.tile).StreamEnds++
 	key := g.key
 	bank := s.curBank
 	l.e.mesh.Send(l.tile, bank, stats.ClassStream, 8, func(event.Cycle) {
-		l.e.deferAt(bank, runTerminate, &termOp{e: l.e, key: key})
+		l.e.lay.Defer(bank, runTerminate, &termOp{e: l.e, key: key})
 	})
 }
 

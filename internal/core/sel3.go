@@ -78,16 +78,12 @@ func (s *l3Stream) advance() {
 	}
 }
 
-// retire removes a finished stream from the registry. Partitioned, the
-// registry is barrier-owned, so a stream dying inside its bank's window
-// defers the removal (retire may also run from barrier context, where
-// appending to the op log is equally safe).
+// retire removes a finished stream from the registry. The registry is
+// barrier-owned, so a stream dying inside its bank's window defers the
+// removal (retire may also run from barrier context, where appending to the
+// op log is equally safe).
 func (s *l3Stream) retire() {
-	if s.eng.sharded() {
-		s.eng.deferAt(s.curBank, runUnregister, s)
-		return
-	}
-	s.eng.unregister(s.key)
+	s.eng.lay.Defer(s.curBank, runUnregister, s)
 }
 
 // confGroup is a set of merged streams with identical patterns from the
@@ -184,7 +180,7 @@ func (b *seL3) install(s *l3Stream) {
 			}
 			cg.members = append(cg.members, s)
 			s.conf = cg
-			b.e.stAt(b.bank).ConfluenceGroups++
+			b.e.lay.St(b.bank).ConfluenceGroups++
 			return
 		}
 	}
@@ -205,7 +201,7 @@ func (b *seL3) wake() {
 		return
 	}
 	b.ticking = true
-	b.e.engAt(b.bank).ScheduleCall(1, runL3Tick, event.Ref{Obj: b})
+	b.e.lay.Eng(b.bank).ScheduleCall(1, runL3Tick, event.Ref{Obj: b})
 }
 
 // tick is the issue unit: one request per cycle, round-robin across
@@ -215,7 +211,7 @@ func (b *seL3) tick(event.Cycle) {
 		issue := b.indQ[0]
 		b.indQ = b.indQ[1:]
 		issue()
-		b.e.engAt(b.bank).ScheduleCall(1, runL3Tick, event.Ref{Obj: b})
+		b.e.lay.Eng(b.bank).ScheduleCall(1, runL3Tick, event.Ref{Obj: b})
 		return
 	}
 	// Prune finished groups.
@@ -231,7 +227,7 @@ func (b *seL3) tick(event.Cycle) {
 		g := b.groups[(b.rr+k)%n]
 		if b.tryIssue(g) {
 			b.rr = (b.rr + k + 1) % max(1, len(b.groups))
-			b.e.engAt(b.bank).ScheduleCall(1, runL3Tick, event.Ref{Obj: b})
+			b.e.lay.Eng(b.bank).ScheduleCall(1, runL3Tick, event.Ref{Obj: b})
 			return
 		}
 	}
@@ -291,14 +287,14 @@ func (b *seL3) tryIssue(g *confGroup) bool {
 	for i, m := range cands {
 		dsts[i] = m.reqTile
 	}
-	b.e.stAt(b.bank).SEL3Accesses++
+	b.e.lay.St(b.bank).SEL3Accesses++
 	if b.e.tr != nil {
 		m0 := cands[0]
-		b.e.tr.Emit(uint64(b.e.engAt(b.bank).Now()), b.bank, trace.KindSEL3Issue,
+		b.e.tr.Emit(uint64(b.e.lay.Eng(b.bank).Now()), b.bank, trace.KindSEL3Issue,
 			trace.StreamKey(m0.key.tile, m0.key.sid), ref.seq, int64(len(cands)))
 	}
 	if ref.addr>>12 != cands[0].lastPage {
-		b.e.stAt(b.bank).TLBTranslations++
+		b.e.lay.St(b.bank).TLBTranslations++
 	}
 	// Indirect children chain off the index data once it is available at
 	// the bank (never under confluence: indirect streams do not merge).
@@ -356,7 +352,7 @@ func (b *seL3) queueIndirect(m *l3Stream, ref lineRef) {
 				v := b.e.bk.ReadU32(m.pat.AddrAt(e))
 				addr := child.Indirect.AddrFor(uint64(v))
 				payload := int(child.Indirect.WBytes)
-				st := b.e.stAt(b.bank)
+				st := b.e.lay.St(b.bank)
 				if payload < 64 {
 					st.SublineResponses++
 				}
@@ -390,9 +386,9 @@ func (b *seL3) migrate(g *confGroup, toBank int) {
 	// One packet carries the full stream configuration plus the current
 	// iteration and remaining credits; merged members add an id each.
 	payload := stream.ConfigBytes(len(members[0].children)) + 8*len(members)
-	b.e.stAt(b.bank).StreamMigrations++
+	b.e.lay.St(b.bank).StreamMigrations++
 	if b.e.tr != nil {
-		now := uint64(b.e.engAt(b.bank).Now())
+		now := uint64(b.e.lay.Eng(b.bank).Now())
 		for _, m := range members {
 			b.e.tr.StreamMigrate(now, m.key.tile, m.key.sid, b.bank, toBank)
 		}
@@ -442,7 +438,7 @@ func (b *seL3) acceptGroup(g *confGroup) {
 			cg.members = append(cg.members, members...)
 			for _, mm := range members {
 				mm.conf = cg
-				b.e.stAt(b.bank).ConfluenceGroups++
+				b.e.lay.St(b.bank).ConfluenceGroups++
 			}
 			return
 		}

@@ -48,5 +48,5 @@ func (l *seL2) traceConfig(g *l2Group, startElem int64, bank int) {
 	if err != nil {
 		data = nil // unencodable configs are the sanitizer's problem
 	}
-	l.e.tr.StreamConfig(uint64(l.e.engAt(l.tile).Now()), g.key.tile, g.key.sid, startElem, data, bank)
+	l.e.tr.StreamConfig(uint64(l.e.lay.Eng(l.tile).Now()), g.key.tile, g.key.sid, startElem, data, bank)
 }

@@ -10,15 +10,15 @@ import (
 	"streamfloat/internal/event"
 	"streamfloat/internal/mem"
 	"streamfloat/internal/noc"
+	"streamfloat/internal/par/partest"
 	"streamfloat/internal/sanitize"
-	"streamfloat/internal/stats"
 	"streamfloat/internal/stream"
 	"streamfloat/internal/workload"
 )
 
 type rig struct {
-	eng *event.Engine
-	st  *stats.Stats
+	*partest.Rig // the shared one-shard rig: Eng, St, Run
+
 	cfg config.Config
 	sys *cache.System
 	bk  *mem.Backing
@@ -28,11 +28,14 @@ func newRig(core config.CoreKind) *rig {
 	cfg := config.Default()
 	cfg.MeshWidth, cfg.MeshHeight = 4, 4
 	cfg.Core = core
-	eng := event.New()
-	st := &stats.Stats{}
-	mesh := noc.New(eng, st, 4, 4, cfg.LinkBits, cfg.RouterLatency, cfg.LinkLatency)
-	dram := mem.NewDRAM(eng, st, cfg.DRAMLatency, cfg.DRAMBandwidthBpc, cfg.MemControllerTiles())
-	return &rig{eng: eng, st: st, cfg: cfg, sys: cache.NewSystem(eng, st, cfg, mesh, dram), bk: mem.NewBacking()}
+	return newRigCfg(cfg)
+}
+
+func newRigCfg(cfg config.Config) *rig {
+	pr := partest.New(cfg.Tiles(), event.Cycle(cfg.RouterLatency+cfg.LinkLatency))
+	mesh := noc.New(pr.Layout, cfg.MeshWidth, cfg.MeshHeight, cfg.LinkBits, cfg.RouterLatency, cfg.LinkLatency)
+	dram := mem.NewDRAM(pr.Layout, cfg.DRAMLatency, cfg.DRAMBandwidthBpc, cfg.MemControllerTiles())
+	return &rig{Rig: pr, cfg: cfg, sys: cache.NewSystem(pr.Layout, cfg, mesh, dram), bk: mem.NewBacking()}
 }
 
 // streamPhase builds a single-phase program with one dense affine load.
@@ -50,24 +53,24 @@ func streamPhase(base uint64, lines int64, compute, instrs int) workload.Program
 
 func runCore(t *testing.T, r *rig, prog workload.Program) event.Cycle {
 	t.Helper()
-	c := NewCore(0, r.eng, r.st, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
+	c := NewCore(0, r.Eng, r.St, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
 	done := false
 	c.BeginPhase(0, func() { done = true })
-	r.eng.Run(0)
+	r.Run()
 	if !done {
 		t.Fatalf("phase did not complete: %s", c.Progress())
 	}
-	return r.eng.Now()
+	return r.Eng.Now()
 }
 
 func TestCoreCompletesAllIterations(t *testing.T) {
 	r := newRig(config.OOO8)
 	runCore(t, r, streamPhase(0x100000, 100, 2, 8))
-	if r.st.Iterations != 100 {
-		t.Errorf("iterations = %d", r.st.Iterations)
+	if r.St.Iterations != 100 {
+		t.Errorf("iterations = %d", r.St.Iterations)
 	}
-	if r.st.Instructions != 800 {
-		t.Errorf("instructions = %d", r.st.Instructions)
+	if r.St.Instructions != 800 {
+		t.Errorf("instructions = %d", r.St.Instructions)
 	}
 }
 
@@ -99,7 +102,7 @@ func TestIssueWidthBoundsThroughput(t *testing.T) {
 		ComputeCycles: 1,
 		InstrsPerIter: 16, // 2 cycles at issue width 8
 	}}}
-	start := r.eng.Now()
+	start := r.Eng.Now()
 	end := runCore(t, r, prog)
 	cycles := int64(end - start)
 	if cycles < n*16/8 {
@@ -157,12 +160,12 @@ func TestIndirectDependsOnBase(t *testing.T) {
 		InstrsPerIter: 6,
 	}}}
 	runCore(t, r, prog)
-	if r.st.Iterations != 64 {
-		t.Fatalf("iterations = %d", r.st.Iterations)
+	if r.St.Iterations != 64 {
+		t.Fatalf("iterations = %d", r.St.Iterations)
 	}
 	// The indirect loads must actually touch B's scattered lines.
-	if r.st.L2Misses < 64 {
-		t.Errorf("expected scattered indirect misses, got %d", r.st.L2Misses)
+	if r.St.L2Misses < 64 {
+		t.Errorf("expected scattered indirect misses, got %d", r.St.L2Misses)
 	}
 }
 
@@ -178,10 +181,10 @@ func TestStoresDrainBeforeBarrier(t *testing.T) {
 		ComputeCycles: 1,
 		InstrsPerIter: 2,
 	}}}
-	c := NewCore(0, r.eng, r.st, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
+	c := NewCore(0, r.Eng, r.St, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
 	doneAt := event.Cycle(0)
-	c.BeginPhase(0, func() { doneAt = r.eng.Now() })
-	r.eng.Run(0)
+	c.BeginPhase(0, func() { doneAt = r.Eng.Now() })
+	r.Run()
 	if doneAt == 0 {
 		t.Fatal("phase incomplete")
 	}
@@ -200,10 +203,10 @@ func TestStoresDrainBeforeBarrier(t *testing.T) {
 func TestEmptyPhase(t *testing.T) {
 	r := newRig(config.IO4)
 	prog := workload.Program{Phases: []workload.Phase{{Name: "idle"}}}
-	c := NewCore(0, r.eng, r.st, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
+	c := NewCore(0, r.Eng, r.St, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
 	done := false
 	c.BeginPhase(0, func() { done = true })
-	r.eng.Run(0)
+	r.Run()
 	if !done {
 		t.Fatal("empty phase must complete immediately")
 	}
@@ -215,18 +218,18 @@ func TestMultiPhaseSequencing(t *testing.T) {
 		streamPhase(0x100000, 10, 1, 4).Phases[0],
 		streamPhase(0x180000, 10, 1, 4).Phases[0],
 	}}
-	c := NewCore(0, r.eng, r.st, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
+	c := NewCore(0, r.Eng, r.St, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
 	order := []int{}
 	c.BeginPhase(0, func() {
 		order = append(order, 0)
 		c.BeginPhase(1, func() { order = append(order, 1) })
 	})
-	r.eng.Run(0)
+	r.Run()
 	if len(order) != 2 || order[0] != 0 || order[1] != 1 {
 		t.Fatalf("phase order = %v", order)
 	}
-	if r.st.Iterations != 20 {
-		t.Errorf("iterations = %d", r.st.Iterations)
+	if r.St.Iterations != 20 {
+		t.Errorf("iterations = %d", r.St.Iterations)
 	}
 }
 
@@ -244,7 +247,7 @@ func TestComputeWindowDerivation(t *testing.T) {
 	for _, cse := range cases {
 		r := newRig(cse.kind)
 		prog := streamPhase(0x100000, 4, 1, cse.instrs)
-		c := NewCore(0, r.eng, r.st, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
+		c := NewCore(0, r.Eng, r.St, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
 		c.phase = &prog.Phases[0]
 		if got := c.computeWindow(); got != cse.want {
 			t.Errorf("%v instrs=%d: window = %d, want %d", cse.kind, cse.instrs, got, cse.want)
@@ -266,15 +269,14 @@ func TestLQBoundsOutstandingLoads(t *testing.T) {
 		ComputeCycles: 1,
 		InstrsPerIter: 2, // window = 48 > LQ
 	}}}
-	c := NewCore(0, r.eng, r.st, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
+	c := NewCore(0, r.Eng, r.St, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
 	done := false
 	maxOut := 0
 	c.BeginPhase(0, func() { done = true })
-	for r.eng.Step() {
-		if c.outLoads > maxOut {
-			maxOut = c.outLoads
-		}
-	}
+	r.RunUntil(func() bool { // sampled at every quantum boundary
+		maxOut = max(maxOut, c.outLoads)
+		return false
+	})
 	if !done {
 		t.Fatal("phase incomplete")
 	}
@@ -299,10 +301,10 @@ func TestSQBoundsOutstandingStores(t *testing.T) {
 		ComputeCycles: 0,
 		InstrsPerIter: 1,
 	}}}
-	c := NewCore(0, r.eng, r.st, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
+	c := NewCore(0, r.Eng, r.St, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
 	done := false
 	c.BeginPhase(0, func() { done = true })
-	r.eng.Run(0)
+	r.Run()
 	if !done {
 		t.Fatalf("phase incomplete: %s", c.Progress())
 	}
@@ -337,14 +339,14 @@ func TestWindowSemantics(t *testing.T) {
 
 func runCoreProg(t *testing.T, r *rig, prog workload.Program) event.Cycle {
 	t.Helper()
-	c := NewCore(0, r.eng, r.st, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
+	c := NewCore(0, r.Eng, r.St, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
 	done := false
 	c.BeginPhase(0, func() { done = true })
-	r.eng.Run(0)
+	r.Run()
 	if !done {
 		t.Fatal("phase incomplete")
 	}
-	return r.eng.Now()
+	return r.Eng.Now()
 }
 
 // indirectStorePhase is a one-phase program with an affine index stream A, an
@@ -380,26 +382,29 @@ func indirectStorePhase(bk *mem.Backing, n int64) workload.Program {
 func TestIterationZeroAlloc(t *testing.T) {
 	r := newRig(config.OOO8)
 	prog := indirectStorePhase(r.bk, 8192)
-	c := NewCore(0, r.eng, r.st, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
+	c := NewCore(0, r.Eng, r.St, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
 	done := false
 	c.BeginPhase(0, func() { done = true })
+	var target int64
+	reached := func() bool { return c.retired >= target }
 	advance := func(iters int64) {
-		for target := c.retired + iters; c.retired < target; {
-			if !r.eng.Step() {
-				t.Fatalf("event queue drained mid-phase: %s", c.Progress())
-			}
+		target = c.retired + iters
+		if r.RunUntil(reached); !reached() {
+			t.Fatalf("event queue drained mid-phase: %s", c.Progress())
 		}
 	}
-	advance(2048)
-	missesBefore := r.st.L2Misses
+	advance(4096) // past the point where in-flight records stop reaching new highs
+	missesBefore := r.St.L2Misses
 	const perRun, runs = 128, 20
-	if avg := testing.AllocsPerRun(runs, func() { advance(perRun) }); avg != 0 {
-		t.Errorf("%d iterations allocate %v times, want 0", perRun, avg)
+	// Group.Run has a small fixed cost per call; the iterations must add nothing.
+	base := testing.AllocsPerRun(runs, func() { advance(0) })
+	if avg := testing.AllocsPerRun(runs, func() { advance(perRun) }); avg != base {
+		t.Errorf("%d iterations allocate %v times over an empty run's %v, want 0", perRun, avg-base, base)
 	}
-	if got := r.st.L2Misses - missesBefore; got < perRun*runs {
+	if got := r.St.L2Misses - missesBefore; got < perRun*runs {
 		t.Errorf("measured iterations caused only %d L2 misses: the miss path was not exercised", got)
 	}
-	r.eng.Run(0)
+	r.Run()
 	if !done {
 		t.Fatalf("phase did not complete: %s", c.Progress())
 	}
@@ -420,12 +425,8 @@ func TestAccessOrderUnderLQ1(t *testing.T) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	eng := event.New()
-	st := &stats.Stats{}
-	mesh := noc.New(eng, st, 2, 2, cfg.LinkBits, cfg.RouterLatency, cfg.LinkLatency)
-	dram := mem.NewDRAM(eng, st, cfg.DRAMLatency, cfg.DRAMBandwidthBpc, cfg.MemControllerTiles())
-	sys := cache.NewSystem(eng, st, cfg, mesh, dram)
-	bk := mem.NewBacking()
+	r := newRigCfg(cfg)
+	eng, sys, bk := r.Eng, r.sys, r.bk
 
 	const iters = 2
 	aBase := bk.Alloc(64, 64)
@@ -461,10 +462,11 @@ func TestAccessOrderUnderLQ1(t *testing.T) {
 	sys.SetL1Observer(func(_ int, addr uint64, _ uint32, _ bool) {
 		got = append(got, access{eng.Now() - event.Cycle(cfg.L1.LatCycles), addr})
 	})
-	c := NewCore(0, eng, st, params, sys, bk, nil, &prog)
+	c := NewCore(0, eng, r.St, params, sys, bk, nil, &prog)
 	done := false
-	c.BeginPhase(0, func() { done = true })
-	eng.Run(0)
+	var end event.Cycle
+	c.BeginPhase(0, func() { done, end = true, eng.Now() })
+	r.Run()
 	if !done {
 		t.Fatalf("phase did not complete: %s", c.Progress())
 	}
@@ -485,7 +487,7 @@ func TestAccessOrderUnderLQ1(t *testing.T) {
 	if !slices.Equal(got, want) {
 		t.Errorf("access order changed:\n got %v\nwant %v", got, want)
 	}
-	if end := eng.Now(); end != 1943 {
+	if end != 1943 {
 		t.Errorf("phase ended at cycle %d, want 1943", end)
 	}
 }
@@ -497,7 +499,7 @@ func TestOpLifecycleProbe(t *testing.T) {
 	sanitized := func() (*rig, *Core) {
 		r := newRig(config.OOO8)
 		prog := indirectStorePhase(r.bk, 64)
-		c := NewCore(0, r.eng, r.st, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
+		c := NewCore(0, r.Eng, r.St, r.cfg.CoreParams(), r.sys, r.bk, nil, &prog)
 		c.SetChecker(sanitize.New(64))
 		return r, c
 	}
@@ -518,7 +520,7 @@ func TestOpLifecycleProbe(t *testing.T) {
 	run := func(r *rig, c *Core) func() {
 		return func() {
 			c.BeginPhase(0, func() {})
-			r.eng.Run(0)
+			r.Run()
 		}
 	}
 
@@ -526,7 +528,7 @@ func TestOpLifecycleProbe(t *testing.T) {
 		r, c := sanitized()
 		done := false
 		c.BeginPhase(0, func() { done = true })
-		r.eng.Run(0)
+		r.Run()
 		if !done {
 			t.Fatalf("phase did not complete: %s", c.Progress())
 		}

@@ -126,7 +126,7 @@ type Engine struct {
 	// scanFrom is a lower bound on the earliest pending ring event's cycle:
 	// no ring event exists strictly before it. nextWhen starts its bucket
 	// scan here instead of at now, which makes repeated polling of a
-	// near-idle engine O(1) — the partitioned-shard runner polls every
+	// near-idle engine O(1) — the shard runner (par.Group) polls every
 	// engine once per quantum.
 	scanFrom Cycle
 
@@ -267,8 +267,8 @@ func (e *Engine) NextWhen() (Cycle, bool) { return e.nextWhen() }
 // RunWindow fires every pending event strictly before horizon, in (when, seq)
 // order, and returns how many fired. Time advances only as far as the last
 // fired event, so callbacks scheduled at or beyond horizon by other shards
-// are never past-clamped. It is the per-quantum work unit of the partitioned
-// parallel runner: with horizon set one conservative lookahead past the
+// are never past-clamped. It is the per-quantum work unit of the shard
+// runner (par.Group): with horizon set one conservative lookahead past the
 // window start, every cross-shard effect of this window lands at or beyond
 // horizon and the window's event schedule is independent of other shards.
 func (e *Engine) RunWindow(horizon Cycle) int {
@@ -359,43 +359,6 @@ func (e *Engine) RunUntil(pred func() bool) Cycle {
 	for !pred() && e.Step() {
 	}
 	return e.now
-}
-
-// DefaultStopCheckEvents is the RunStop polling interval used when every <= 0:
-// frequent enough that a cancelled simulation halts within microseconds of
-// wall-clock event processing, rare enough to stay invisible in profiles.
-const DefaultStopCheckEvents = 1024
-
-// RunStop executes events like Run, but additionally polls stop every `every`
-// fired events (every <= 0 picks DefaultStopCheckEvents) and abandons the run
-// as soon as it reports true. It returns the final cycle and whether the run
-// was stopped early. A nil stop is exactly Run.
-func (e *Engine) RunStop(maxCycles Cycle, every uint64, stop func() bool) (Cycle, bool) {
-	if stop == nil {
-		return e.Run(maxCycles), false
-	}
-	if every <= 0 {
-		every = DefaultStopCheckEvents
-	}
-	if stop() {
-		return e.now, true
-	}
-	next := e.fired + every
-	for e.size > 0 {
-		t, _ := e.nextWhen()
-		if maxCycles != 0 && t > maxCycles {
-			e.advanceTo(maxCycles)
-			break
-		}
-		e.fire(t)
-		if e.fired >= next {
-			if stop() {
-				return e.now, true
-			}
-			next = e.fired + every
-		}
-	}
-	return e.now, false
 }
 
 // overflowPush inserts an item into the far-future heap.

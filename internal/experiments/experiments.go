@@ -37,9 +37,9 @@ type Options struct {
 	// Parallelism bounds concurrent simulations (0 or negative = GOMAXPROCS).
 	Parallelism int
 	// Workers sets every simulation's parallel worker count (config.Workers):
-	// how many goroutines drive a partitioned machine's tile shards. 0 or 1
-	// runs each simulation sequentially. Results are bit-identical for every
-	// value; the sweep's effective parallelism is derated so that
+	// how many goroutines drive a machine's tile shards. 0 or 1 runs each
+	// simulation as one shard on one goroutine. Results are bit-identical
+	// for every value; the sweep's effective parallelism is derated so that
 	// Parallelism x Workers never oversubscribes GOMAXPROCS.
 	Workers int
 	// Sanitize sets every simulation's runtime invariant checking: the zero

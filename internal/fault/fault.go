@@ -17,7 +17,7 @@
 //
 // # Watchdog
 //
-// RunStop-style cancellation polls fire every N events, so a point that
+// The event loop polls for cancellation once per quantum, so a point that
 // hangs (fires no events) or livelocks (fires events without advancing
 // simulated time past maxCycles) never reaches the poll, or reaches it
 // forever. Guard runs the simulation on a child goroutine with a Heartbeat

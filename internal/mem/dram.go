@@ -2,7 +2,7 @@ package mem
 
 import (
 	"streamfloat/internal/event"
-	"streamfloat/internal/stats"
+	"streamfloat/internal/par"
 )
 
 // DRAM models the off-chip memory system: a set of controllers (one per
@@ -10,43 +10,36 @@ import (
 // service queue. Aggregate bandwidth is divided evenly among controllers,
 // matching the four-corner DDR3 setup of Table III.
 type DRAM struct {
-	eng      *event.Engine
-	st       *stats.Stats
 	latency  event.Cycle
 	perCtrl  float64 // bytes per cycle per controller
 	nextFree []float64
 	tiles    []int // tile hosting each controller
 
-	// Partitioned execution (nil when unpartitioned): per-controller engine
-	// and stats, belonging to the shard of the tile hosting the controller.
-	// Each controller's queue state (nextFree) is then owned by that shard:
-	// Access must only be called from the hosting tile's execution context.
-	ctrlEngs []*event.Engine
-	ctrlSts  []*stats.Stats
+	// shards[i] drives controller i: the shard of its hosting tile, which
+	// owns the controller's queue state (nextFree). Access must only be
+	// called from that tile's execution context.
+	shards []*par.Shard
 }
 
-// Partition switches the DRAM to sharded operation: engs[i]/sts[i] drive
-// controller i (the engine and stats shard of its hosting tile).
-func (d *DRAM) Partition(engs []*event.Engine, sts []*stats.Stats) {
-	d.ctrlEngs = engs
-	d.ctrlSts = sts
-}
-
-// NewDRAM builds the memory system. bandwidthBpc is the total bytes/cycle
-// across all controllers; tiles lists the mesh tiles hosting controllers.
-func NewDRAM(eng *event.Engine, st *stats.Stats, latency int, bandwidthBpc float64, tiles []int) *DRAM {
+// NewDRAM builds the memory system over the machine's shard layout.
+// bandwidthBpc is the total bytes/cycle across all controllers; tiles lists
+// the mesh tiles hosting controllers.
+func NewDRAM(lay *par.Layout, latency int, bandwidthBpc float64, tiles []int) *DRAM {
 	n := len(tiles)
 	if n == 0 {
 		panic("mem: DRAM needs at least one controller")
 	}
-	return &DRAM{
-		eng:      eng,
-		st:       st,
+	d := &DRAM{
 		latency:  event.Cycle(latency),
 		perCtrl:  bandwidthBpc / float64(n),
 		nextFree: make([]float64, n),
 		tiles:    append([]int(nil), tiles...),
+		shards:   make([]*par.Shard, n),
 	}
+	for i, t := range tiles {
+		d.shards[i] = lay.Shard(t)
+	}
+	return d
 }
 
 // CtrlFor picks the controller servicing addr. Lines are spread across
@@ -59,18 +52,12 @@ func (d *DRAM) CtrlFor(addr uint64) int {
 // CtrlTile returns the mesh tile hosting controller i.
 func (d *DRAM) CtrlTile(i int) int { return d.tiles[i] }
 
-// NumControllers reports the controller count.
-func (d *DRAM) NumControllers() int { return len(d.tiles) }
-
 // Access schedules a read or write of size bytes at addr and invokes done
 // when the device completes. The controller serializes requests at its
 // bandwidth; latency is added on top of queueing delay.
 func (d *DRAM) Access(addr uint64, size int, write bool, done func(event.Cycle)) {
 	ctrl := d.CtrlFor(addr)
-	eng, st := d.eng, d.st
-	if d.ctrlEngs != nil {
-		eng, st = d.ctrlEngs[ctrl], d.ctrlSts[ctrl]
-	}
+	eng, st := d.shards[ctrl].Eng, d.shards[ctrl].St
 	now := float64(eng.Now())
 	start := now
 	if d.nextFree[ctrl] > start {

@@ -6,7 +6,7 @@ import (
 	"testing/quick"
 
 	"streamfloat/internal/event"
-	"streamfloat/internal/stats"
+	"streamfloat/internal/par/partest"
 )
 
 func TestBackingZeroFill(t *testing.T) {
@@ -87,12 +87,12 @@ func TestPropertyBackingBytes(t *testing.T) {
 }
 
 func TestDRAMLatencyAndCounters(t *testing.T) {
-	eng := event.New()
-	st := &stats.Stats{}
-	d := NewDRAM(eng, st, 100, 25.6, []int{0, 7, 56, 63})
+	r := partest.New(64, 6)
+	st := r.St
+	d := NewDRAM(r.Layout, 100, 25.6, []int{0, 7, 56, 63})
 	var done event.Cycle
 	d.Access(0x1000, 64, false, func(now event.Cycle) { done = now })
-	eng.Run(0)
+	r.Run()
 	if done != 100 {
 		t.Errorf("uncontended access at %d, want latency 100", done)
 	}
@@ -100,22 +100,21 @@ func TestDRAMLatencyAndCounters(t *testing.T) {
 		t.Errorf("counters: r=%d w=%d", st.DRAMReads, st.DRAMWrites)
 	}
 	d.Access(0x2000, 64, true, func(event.Cycle) {})
-	eng.Run(0)
+	r.Run()
 	if st.DRAMWrites != 1 {
 		t.Errorf("write not counted")
 	}
 }
 
 func TestDRAMBandwidthQueueing(t *testing.T) {
-	eng := event.New()
-	st := &stats.Stats{}
+	r := partest.New(1, 6)
 	// One controller, 6.4 B/cycle: each 64B line occupies 10 cycles.
-	d := NewDRAM(eng, st, 50, 6.4, []int{0})
+	d := NewDRAM(r.Layout, 50, 6.4, []int{0})
 	var times []event.Cycle
 	for i := 0; i < 4; i++ {
 		d.Access(uint64(i*64), 64, false, func(now event.Cycle) { times = append(times, now) })
 	}
-	eng.Run(0)
+	r.Run()
 	if len(times) != 4 {
 		t.Fatalf("completions = %d", len(times))
 	}
@@ -128,9 +127,7 @@ func TestDRAMBandwidthQueueing(t *testing.T) {
 }
 
 func TestDRAMControllerSpread(t *testing.T) {
-	eng := event.New()
-	st := &stats.Stats{}
-	d := NewDRAM(eng, st, 50, 25.6, []int{0, 7, 56, 63})
+	d := NewDRAM(partest.New(64, 6).Layout, 50, 25.6, []int{0, 7, 56, 63})
 	seen := map[int]bool{}
 	for page := 0; page < 16; page++ {
 		seen[d.CtrlFor(uint64(page*4096))] = true

@@ -30,11 +30,10 @@ const (
 	numDirs
 )
 
-// Mesh is the on-chip network. All methods must be called from the event
-// loop goroutine.
+// Mesh is the on-chip network. A send is issued from its source tile's
+// execution context; link reservation happens at the quantum barrier.
 type Mesh struct {
-	eng       *event.Engine
-	st        *stats.Stats
+	lay       *par.Layout
 	w, h      int
 	linkBits  int
 	routerLat event.Cycle
@@ -45,25 +44,21 @@ type Mesh struct {
 	linkFree []event.Cycle
 	numLinks int
 
-	// Partitioned execution (nil when the machine is unpartitioned). Each
-	// tile's sends are issued from its own shard: local (src == dst)
+	// Each tile's sends are issued from its own shard: local (src == dst)
 	// deliveries stay entirely shard-local, while link-touching sends are
 	// logged as barrier ops — link reservation against the shared linkFree
 	// state happens single-threaded at the quantum barrier, in canonical
 	// (cycle, source tile, issue order), and deliveries are scheduled onto
 	// the destination tile's engine. The conservative lookahead guarantees
 	// every such delivery lands in a later quantum.
-	tileShard []*par.Shard
-	shardIdx  []int         // tile -> shard index, for the per-shard pools
 	sendFree  [][]*sendMsg  // per-shard sendMsg freelists
 	mcastFree [][]*mcastMsg // per-shard mcastMsg freelists
-	// The barrier-op handlers, bound once in Partition: passing the method
-	// value m.commitSendOp at each Defer would heap-allocate it per send.
+	// The barrier-op handlers, bound once in New: passing the method value
+	// m.commitSendOp at each Defer would heap-allocate it per send.
 	commitSend, commitMcast func(event.Cycle, any)
 
-	// pathBuf is the scratch route reused by path(): the mesh is driven from
-	// the single event-loop goroutine and every route is consumed before the
-	// next one is computed.
+	// pathBuf is the scratch route reused by path(): routes are only computed
+	// at the barrier, and each is consumed before the next one is computed.
 	pathBuf []int
 
 	// Multicast tree-link dedup, epoch-stamped so no per-call map is needed:
@@ -94,23 +89,25 @@ func (m *Mesh) SetChecker(chk *sanitize.Checker) { m.chk = chk }
 // SetTracer attaches the structured tracer to the mesh. nil detaches.
 func (m *Mesh) SetTracer(tr *trace.Tracer) { m.tr = tr }
 
-// New builds a w x h mesh with the given link width in bits and per-hop
-// router/link latencies.
-func New(eng *event.Engine, st *stats.Stats, w, h, linkBits, routerLat, linkLat int) *Mesh {
+// New builds a w x h mesh over the machine's shard layout, with the given
+// link width in bits and per-hop router/link latencies.
+func New(lay *par.Layout, w, h, linkBits, routerLat, linkLat int) *Mesh {
 	if w <= 0 || h <= 0 {
 		panic("noc: mesh dimensions must be positive")
 	}
 	m := &Mesh{
-		eng:       eng,
-		st:        st,
+		lay:       lay,
 		w:         w,
 		h:         h,
 		linkBits:  linkBits,
 		routerLat: event.Cycle(routerLat),
 		linkLat:   event.Cycle(linkLat),
 		linkFree:  make([]event.Cycle, w*h*int(numDirs)),
+		sendFree:  make([][]*sendMsg, len(lay.Shards)),
+		mcastFree: make([][]*mcastMsg, len(lay.Shards)),
 	}
 	m.numLinks = 2 * ((w-1)*h + w*(h-1))
+	m.commitSend, m.commitMcast = m.commitSendOp, m.commitMcastOp
 	return m
 }
 
@@ -134,21 +131,10 @@ type mcastMsg struct {
 	dsts    []int
 }
 
-// Partition switches the mesh to sharded operation: tileShard maps every
-// tile to the shard driving it. Call once at machine construction, before
-// any traffic; nil reverts to the single-engine path.
-func (m *Mesh) Partition(tileShard []*par.Shard, shardIdx []int, numShards int) {
-	m.tileShard = tileShard
-	m.shardIdx = shardIdx
-	m.sendFree = make([][]*sendMsg, numShards)
-	m.mcastFree = make([][]*mcastMsg, numShards)
-	m.commitSend, m.commitMcast = m.commitSendOp, m.commitMcastOp
-}
-
 // Lookahead is the minimum latency of any cross-tile interaction: one
 // router traversal plus one link traversal. It is the conservative quantum
-// width for partitioned execution — a message sent at cycle t is never
-// delivered before t+Lookahead, whatever the congestion.
+// width — a message sent at cycle t is never delivered before t+Lookahead,
+// whatever the congestion.
 func (m *Mesh) Lookahead() event.Cycle { return m.routerLat + m.linkLat }
 
 // NumLinks reports the number of unidirectional links, for utilization math.
@@ -229,33 +215,16 @@ func runDeliverTo(now event.Cycle, ref event.Ref) {
 	ref.Obj.(func(int, event.Cycle))(int(ref.A), now)
 }
 
-// engFor returns the engine driving a tile (the shared engine when the mesh
-// is unpartitioned).
-func (m *Mesh) engFor(tile int) *event.Engine {
-	if m.tileShard != nil {
-		return m.tileShard[tile].Eng
-	}
-	return m.eng
-}
-
-// stFor returns the stats shard a tile accumulates into.
-func (m *Mesh) stFor(tile int) *stats.Stats {
-	if m.tileShard != nil {
-		return m.tileShard[tile].St
-	}
-	return m.st
-}
-
 // SendCall is Send with a fixed-payload delivery callback: call(now, ref)
 // fires at arrival and the whole send allocates nothing.
 func (m *Mesh) SendCall(src, dst int, class stats.MsgClass, payloadBytes int, call event.CallFunc, ref event.Ref) {
 	flits := m.Flits(payloadBytes)
-	st := m.stFor(src)
-	eng := m.engFor(src)
+	st := m.lay.St(src)
+	eng := m.lay.Eng(src)
 	st.Messages[class]++
 	if src == dst {
 		// Local delivery through the tile's crossbar: one cycle, no link
-		// traffic — entirely shard-local under partitioned execution.
+		// traffic — entirely shard-local.
 		if m.tr != nil {
 			m.tr.Emit(uint64(eng.Now()), src, trace.KindNocSend, nocKey(src, dst), 0, int64(class))
 		}
@@ -272,33 +241,20 @@ func (m *Mesh) SendCall(src, dst int, class stats.MsgClass, payloadBytes int, ca
 		m.tr.Emit(uint64(eng.Now()), src, trace.KindNocSend, nocKey(src, dst), int64(flits), int64(class))
 	}
 	st.Flits[class] += uint64(flits)
-	if m.tileShard == nil {
-		m.commitUnicast(eng.Now(), src, dst, class, flits, call, ref, st)
-		return
-	}
-	// Partitioned: log the send for canonical link reservation at the
-	// quantum barrier. The message struct is pooled per shard.
-	sh := m.tileShard[src]
+	// Log the send for canonical link reservation at the quantum barrier.
+	// The message struct is pooled per shard.
 	msg := m.getSend(src)
 	*msg = sendMsg{src: src, dst: dst, class: class, flits: flits, call: call, ref: ref}
-	sh.Defer(eng.Now(), src, m.commitSend, msg)
+	m.lay.Defer(src, m.commitSend, msg)
 }
 
-// commitSendOp is the barrier-op form of commitUnicast.
-func (m *Mesh) commitSendOp(now event.Cycle, arg any) {
+// commitSendOp is the barrier op of one logged unicast: it reserves the X-Y
+// path against the link-occupancy state and schedules the delivery on the
+// destination tile's engine. sendAt is the cycle the message was injected.
+func (m *Mesh) commitSendOp(sendAt event.Cycle, arg any) {
 	msg := arg.(*sendMsg)
-	si := m.shardIdx[msg.src]
-	m.commitUnicast(now, msg.src, msg.dst, msg.class, msg.flits, msg.call, msg.ref, m.tileShard[msg.src].St)
-	*msg = sendMsg{}
-	m.sendFree[si] = append(m.sendFree[si], msg)
-}
-
-// commitUnicast reserves the X-Y path of one remote message against the
-// link-occupancy state and schedules its delivery on the destination tile's
-// engine. sendAt is the cycle the message was injected; in partitioned runs
-// this executes single-threaded at the quantum barrier.
-func (m *Mesh) commitUnicast(sendAt event.Cycle, src, dst int, class stats.MsgClass, flits int,
-	call event.CallFunc, ref event.Ref, st *stats.Stats) {
+	src, dst, class, flits := msg.src, msg.dst, msg.class, msg.flits
+	st := m.lay.St(src)
 	arrive := sendAt
 	for _, l := range m.path(src, dst) {
 		start := arrive
@@ -321,13 +277,16 @@ func (m *Mesh) commitUnicast(sendAt event.Cycle, src, dst int, class stats.MsgCl
 		// wrapper closure, so tracing never perturbs the delivery path.
 		m.tr.Emit(uint64(arrive), dst, trace.KindNocDeliver, nocKey(src, dst), int64(flits), int64(src))
 	}
-	m.engFor(dst).AtCall(arrive, call, ref)
+	m.lay.Eng(dst).AtCall(arrive, msg.call, msg.ref)
+	si := m.lay.Index(src)
+	*msg = sendMsg{}
+	m.sendFree[si] = append(m.sendFree[si], msg)
 }
 
 // getSend pops a pooled sendMsg for src's shard. The pool is popped in shard
 // context and refilled at the barrier; the two phases never overlap.
 func (m *Mesh) getSend(src int) *sendMsg {
-	si := m.shardIdx[src]
+	si := m.lay.Index(src)
 	free := m.sendFree[si]
 	if n := len(free); n > 0 {
 		msg := free[n-1]
@@ -339,7 +298,7 @@ func (m *Mesh) getSend(src int) *sendMsg {
 
 // getMcast pops a pooled mcastMsg for src's shard.
 func (m *Mesh) getMcast(src int) *mcastMsg {
-	si := m.shardIdx[src]
+	si := m.lay.Index(src)
 	free := m.mcastFree[si]
 	if n := len(free); n > 0 {
 		mc := free[n-1]
@@ -362,8 +321,8 @@ func (m *Mesh) Multicast(src int, dsts []int, class stats.MsgClass, payloadBytes
 		return
 	}
 	flits := m.Flits(payloadBytes)
-	st := m.stFor(src)
-	eng := m.engFor(src)
+	st := m.lay.St(src)
+	eng := m.lay.Eng(src)
 	st.Messages[class]++
 	st.Flits[class] += uint64(flits)
 	if m.tr != nil {
@@ -390,36 +349,22 @@ func (m *Mesh) Multicast(src int, dsts []int, class stats.MsgClass, payloadBytes
 			inner(dst, now)
 		}
 	}
-	if m.tileShard == nil {
-		m.commitMulticast(eng.Now(), src, dsts, class, flits, deliver)
-		return
-	}
-	// Partitioned: log the multicast for canonical tree reservation at the
-	// quantum barrier. The destination slice is copied into the pooled
-	// message (callers reuse their slices).
-	sh := m.tileShard[src]
+	// Log the multicast for canonical tree reservation at the quantum
+	// barrier. The destination slice is copied into the pooled message
+	// (callers reuse their slices).
 	mc := m.getMcast(src)
 	mc.src, mc.class, mc.flits, mc.deliver = src, class, flits, deliver
 	mc.dsts = append(mc.dsts[:0], dsts...)
-	sh.Defer(eng.Now(), src, m.commitMcast, mc)
+	m.lay.Defer(src, m.commitMcast, mc)
 }
 
-// commitMcastOp is the barrier-op form of commitMulticast.
-func (m *Mesh) commitMcastOp(now event.Cycle, arg any) {
+// commitMcastOp is the barrier op of one logged multicast: it reserves the
+// shared X-Y tree and schedules each destination's delivery. sendAt is the
+// injection cycle.
+func (m *Mesh) commitMcastOp(sendAt event.Cycle, arg any) {
 	mc := arg.(*mcastMsg)
-	si := m.shardIdx[mc.src]
-	m.commitMulticast(now, mc.src, mc.dsts, mc.class, mc.flits, mc.deliver)
-	mc.deliver = nil
-	mc.dsts = mc.dsts[:0]
-	m.mcastFree[si] = append(m.mcastFree[si], mc)
-}
-
-// commitMulticast reserves the shared X-Y tree of one multicast and schedules
-// each destination's delivery. sendAt is the injection cycle; in partitioned
-// runs this executes single-threaded at the quantum barrier.
-func (m *Mesh) commitMulticast(sendAt event.Cycle, src int, dsts []int, class stats.MsgClass, flits int,
-	deliver func(dst int, now event.Cycle)) {
-	st := m.stFor(src)
+	src, dsts, class, flits, deliver := mc.src, mc.dsts, mc.class, mc.flits, mc.deliver
+	st := m.lay.St(src)
 	// Union of links across destination paths; each tree link carries the
 	// flits exactly once. Links already reserved by an earlier branch are
 	// recognized by their epoch stamp.
@@ -431,7 +376,7 @@ func (m *Mesh) commitMulticast(sendAt event.Cycle, src int, dsts []int, class st
 	var unicastHops, treeHops int
 	for _, dst := range dsts {
 		if dst == src {
-			m.engFor(src).ScheduleCall(1, runDeliverTo, event.Ref{Obj: deliver, A: int64(dst)})
+			m.lay.Eng(src).ScheduleCall(1, runDeliverTo, event.Ref{Obj: deliver, A: int64(dst)})
 			continue
 		}
 		arrive := sendAt
@@ -464,11 +409,15 @@ func (m *Mesh) commitMulticast(sendAt event.Cycle, src int, dsts []int, class st
 		if m.tr != nil {
 			m.tr.Emit(uint64(at), dst, trace.KindNocDeliver, nocKey(src, dst), int64(flits), int64(src))
 		}
-		m.engFor(dst).AtCall(at, runDeliverTo, event.Ref{Obj: deliver, A: int64(dst)})
+		m.lay.Eng(dst).AtCall(at, runDeliverTo, event.Ref{Obj: deliver, A: int64(dst)})
 	}
 	if unicastHops > treeHops {
 		st.MulticastSave += uint64((unicastHops - treeHops) * flits)
 	}
+	mc.deliver = nil
+	mc.dsts = mc.dsts[:0]
+	si := m.lay.Index(src)
+	m.mcastFree[si] = append(m.mcastFree[si], mc)
 }
 
 // nocKey tags a src/dst pair for trace filtering without colliding with
@@ -499,10 +448,11 @@ func (m *Mesh) probeMessage(now event.Cycle, src, dst int, class stats.MsgClass,
 
 // Audit verifies the end-of-run conservation laws: no delivery is still in
 // flight, every injected flit was drained by a completed delivery, and the
-// sanitizer's independent books agree with the Stats the figures report.
-// It is a no-op without an attached checker; call it only once the event
-// queue has drained (in-flight messages are not violations mid-run).
-func (m *Mesh) Audit() {
+// sanitizer's independent books agree with total, the machine's merged Stats
+// the figures report. It is a no-op without an attached checker; call it only
+// once the event queue has drained (in-flight messages are not violations
+// mid-run).
+func (m *Mesh) Audit(total *stats.Stats) {
 	if m.chk == nil {
 		return
 	}
@@ -515,9 +465,9 @@ func (m *Mesh) Audit() {
 			m.chk.Failf(0, "noc: class %v flit books unbalanced: injected %d, drained %d",
 				c, m.sanInjected[c], m.sanDrained[c])
 		}
-		if m.sanInjected[c] != m.st.Flits[c] {
+		if m.sanInjected[c] != total.Flits[c] {
 			m.chk.Failf(0, "noc: class %v stats disagree with sanitizer books: Stats.Flits=%d, injected=%d",
-				c, m.st.Flits[c], m.sanInjected[c])
+				c, total.Flits[c], m.sanInjected[c])
 		}
 	}
 }

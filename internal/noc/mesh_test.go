@@ -7,20 +7,22 @@ import (
 	"testing/quick"
 
 	"streamfloat/internal/event"
-	"streamfloat/internal/par"
+	"streamfloat/internal/par/partest"
 	"streamfloat/internal/sanitize"
 	"streamfloat/internal/stats"
 	"streamfloat/internal/trace"
 )
 
-func newTestMesh(w, h, linkBits int) (*event.Engine, *stats.Stats, *Mesh) {
-	eng := event.New()
-	st := &stats.Stats{}
-	return eng, st, New(eng, st, w, h, linkBits, 5, 1)
+// newTestMesh builds a mesh (router latency 5, link latency 1) on the shared
+// one-shard rig: r.Run drains it through the quantum barrier, r.St holds the
+// counters.
+func newTestMesh(w, h, linkBits int) (*partest.Rig, *Mesh) {
+	r := partest.New(w*h, 5+1)
+	return r, New(r.Layout, w, h, linkBits, 5, 1)
 }
 
 func TestCoordRoundTrip(t *testing.T) {
-	_, _, m := newTestMesh(8, 8, 256)
+	_, m := newTestMesh(8, 8, 256)
 	for tile := 0; tile < m.Tiles(); tile++ {
 		x, y := m.Coord(tile)
 		if m.TileAt(x, y) != tile {
@@ -30,7 +32,7 @@ func TestCoordRoundTrip(t *testing.T) {
 }
 
 func TestHopsManhattan(t *testing.T) {
-	_, _, m := newTestMesh(8, 8, 256)
+	_, m := newTestMesh(8, 8, 256)
 	if got := m.Hops(0, 63); got != 14 {
 		t.Errorf("corner-to-corner hops = %d, want 14", got)
 	}
@@ -52,7 +54,7 @@ func TestFlitsByLinkWidth(t *testing.T) {
 		{256, 57, 3},
 	}
 	for _, c := range cases {
-		_, _, m := newTestMesh(4, 4, c.linkBits)
+		_, m := newTestMesh(4, 4, c.linkBits)
 		if got := m.Flits(c.payload); got != c.want {
 			t.Errorf("Flits(%d) at %d-bit = %d, want %d", c.payload, c.linkBits, got, c.want)
 		}
@@ -60,7 +62,7 @@ func TestFlitsByLinkWidth(t *testing.T) {
 }
 
 func TestSendDelivers(t *testing.T) {
-	eng, st, m := newTestMesh(4, 4, 256)
+	r, m := newTestMesh(4, 4, 256)
 	delivered := false
 	m.Send(0, 15, stats.ClassData, 64, func(now event.Cycle) {
 		delivered = true
@@ -69,41 +71,41 @@ func TestSendDelivers(t *testing.T) {
 			t.Errorf("delivered too early: %d", now)
 		}
 	})
-	eng.Run(0)
+	r.Run()
 	if !delivered {
 		t.Fatal("message not delivered")
 	}
-	if st.Flits[stats.ClassData] != 3 {
-		t.Errorf("flits = %d, want 3", st.Flits[stats.ClassData])
+	if r.St.Flits[stats.ClassData] != 3 {
+		t.Errorf("flits = %d, want 3", r.St.Flits[stats.ClassData])
 	}
-	if st.FlitHops[stats.ClassData] != 3*6 {
-		t.Errorf("flit-hops = %d, want 18", st.FlitHops[stats.ClassData])
+	if r.St.FlitHops[stats.ClassData] != 3*6 {
+		t.Errorf("flit-hops = %d, want 18", r.St.FlitHops[stats.ClassData])
 	}
 }
 
 func TestLocalDeliveryNoTraffic(t *testing.T) {
-	eng, st, m := newTestMesh(4, 4, 256)
+	r, m := newTestMesh(4, 4, 256)
 	done := false
 	m.Send(5, 5, stats.ClassCtrlReq, 8, func(event.Cycle) { done = true })
-	eng.Run(0)
+	r.Run()
 	if !done {
 		t.Fatal("local message not delivered")
 	}
-	if st.TotalFlits() != 0 {
-		t.Errorf("local delivery injected %d flits", st.TotalFlits())
+	if r.St.TotalFlits() != 0 {
+		t.Errorf("local delivery injected %d flits", r.St.TotalFlits())
 	}
-	if st.Messages[stats.ClassCtrlReq] != 1 {
-		t.Errorf("message count = %d", st.Messages[stats.ClassCtrlReq])
+	if r.St.Messages[stats.ClassCtrlReq] != 1 {
+		t.Errorf("message count = %d", r.St.Messages[stats.ClassCtrlReq])
 	}
 }
 
 func TestContentionSerializes(t *testing.T) {
 	// Two large messages over the same link: the second must arrive later.
-	eng, _, m := newTestMesh(2, 1, 128)
+	r, m := newTestMesh(2, 1, 128)
 	var first, second event.Cycle
 	m.Send(0, 1, stats.ClassData, 64, func(now event.Cycle) { first = now })
 	m.Send(0, 1, stats.ClassData, 64, func(now event.Cycle) { second = now })
-	eng.Run(0)
+	r.Run()
 	if second <= first {
 		t.Errorf("no serialization: first=%d second=%d", first, second)
 	}
@@ -115,30 +117,30 @@ func TestContentionSerializes(t *testing.T) {
 func TestMulticastSharesLinks(t *testing.T) {
 	// Multicast from tile 0 to two destinations down the same column must
 	// inject fewer flit-hops than two unicasts.
-	eng, st, m := newTestMesh(1, 8, 256)
+	r, m := newTestMesh(1, 8, 256)
 	got := map[int]bool{}
 	m.Multicast(0, []int{4, 7}, stats.ClassData, 64, func(dst int, now event.Cycle) {
 		got[dst] = true
 	})
-	eng.Run(0)
+	r.Run()
 	if !got[4] || !got[7] {
 		t.Fatalf("missing deliveries: %v", got)
 	}
 	// Shared tree: 7 links x 3 flits = 21 (unicast would be (4+7)*3 = 33).
-	if st.FlitHops[stats.ClassData] != 21 {
-		t.Errorf("multicast flit-hops = %d, want 21", st.FlitHops[stats.ClassData])
+	if r.St.FlitHops[stats.ClassData] != 21 {
+		t.Errorf("multicast flit-hops = %d, want 21", r.St.FlitHops[stats.ClassData])
 	}
-	if st.MulticastSave != 12 {
-		t.Errorf("multicast savings = %d, want 12", st.MulticastSave)
+	if r.St.MulticastSave != 12 {
+		t.Errorf("multicast savings = %d, want 12", r.St.MulticastSave)
 	}
 }
 
 func TestMulticastSingleDestEqualsSend(t *testing.T) {
-	eng, st, m := newTestMesh(4, 4, 256)
+	r, m := newTestMesh(4, 4, 256)
 	m.Multicast(0, []int{15}, stats.ClassData, 64, func(int, event.Cycle) {})
-	eng.Run(0)
-	if st.FlitHops[stats.ClassData] != 18 {
-		t.Errorf("flit-hops = %d, want 18", st.FlitHops[stats.ClassData])
+	r.Run()
+	if r.St.FlitHops[stats.ClassData] != 18 {
+		t.Errorf("flit-hops = %d, want 18", r.St.FlitHops[stats.ClassData])
 	}
 }
 
@@ -147,7 +149,7 @@ func TestMulticastSingleDestEqualsSend(t *testing.T) {
 func TestPropertyRouting(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		eng, st, m := newTestMesh(1+rng.Intn(8), 1+rng.Intn(8), 256)
+		r, m := newTestMesh(1+rng.Intn(8), 1+rng.Intn(8), 256)
 		n := 20
 		delivered := 0
 		expectedHops := uint64(0)
@@ -159,8 +161,8 @@ func TestPropertyRouting(t *testing.T) {
 			}
 			m.Send(src, dst, stats.ClassCtrlReq, 0, func(event.Cycle) { delivered++ })
 		}
-		eng.Run(0)
-		return delivered == n && st.FlitHops[stats.ClassCtrlReq] == expectedHops
+		r.Run()
+		return delivered == n && r.St.FlitHops[stats.ClassCtrlReq] == expectedHops
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -172,7 +174,7 @@ func TestPropertyRouting(t *testing.T) {
 func TestPropertyMulticastBounds(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		eng, st, m := newTestMesh(8, 8, 256)
+		r, m := newTestMesh(8, 8, 256)
 		src := rng.Intn(64)
 		nd := 1 + rng.Intn(4)
 		dsts := make([]int, 0, nd)
@@ -185,7 +187,7 @@ func TestPropertyMulticastBounds(t *testing.T) {
 			}
 		}
 		m.Multicast(src, dsts, stats.ClassData, 64, func(int, event.Cycle) {})
-		eng.Run(0)
+		r.Run()
 		flits := uint64(3)
 		var sum, maxPath uint64
 		for _, d := range dsts {
@@ -195,7 +197,7 @@ func TestPropertyMulticastBounds(t *testing.T) {
 				maxPath = h * flits
 			}
 		}
-		got := st.FlitHops[stats.ClassData]
+		got := r.St.FlitHops[stats.ClassData]
 		return got <= sum && got >= maxPath
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -204,32 +206,25 @@ func TestPropertyMulticastBounds(t *testing.T) {
 }
 
 func BenchmarkMeshSend(b *testing.B) {
-	eng, _, m := newTestMesh(8, 8, 256)
+	r, m := newTestMesh(8, 8, 256)
 	fn := func(event.Cycle) {}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Send(i%64, (i*7)%64, stats.ClassData, 64, fn)
 		if i%64 == 0 {
-			eng.Run(0)
+			r.Run()
 		}
 	}
-	eng.Run(0)
+	r.Run()
 }
 
-// TestPartitionedSendZeroAlloc proves a link-touching send on a partitioned
-// mesh — logged as a barrier op, committed at the drain, delivered on the
+// TestPartitionedSendZeroAlloc proves a link-touching send — logged as a
+// barrier op, committed at the drain, delivered on the
 // destination's engine — allocates nothing once the per-shard pools are warm.
 // Multicast copies its destinations into a pooled message too, so it is held
 // to the same budget.
 func TestPartitionedSendZeroAlloc(t *testing.T) {
-	_, _, m := newTestMesh(4, 4, 256)
-	sh := par.NewShard(event.New(), &stats.Stats{})
-	tileShard := make([]*par.Shard, m.Tiles())
-	for i := range tileShard {
-		tileShard[i] = sh
-	}
-	m.Partition(tileShard, make([]int, m.Tiles()), 1)
-	g := &par.Group{Shards: []*par.Shard{sh}, Quantum: m.Lookahead()}
+	r, m := newTestMesh(4, 4, 256)
 
 	delivered := 0
 	arrive := func(event.Cycle, event.Ref) { delivered++ }
@@ -245,10 +240,8 @@ func TestPartitionedSendZeroAlloc(t *testing.T) {
 	idle := func(event.Cycle, event.Ref) {}
 	round := func(fn event.CallFunc) func() {
 		return func() {
-			sh.Eng.ScheduleCall(1, fn, event.Ref{})
-			if _, err := g.Run(0, nil); err != nil {
-				t.Fatal(err)
-			}
+			r.Eng.ScheduleCall(1, fn, event.Ref{})
+			r.Run()
 		}
 	}
 	for i := 0; i < 10; i++ { // warm the message pools, op log and engine slab
@@ -268,20 +261,18 @@ func TestPartitionedSendZeroAlloc(t *testing.T) {
 // TestAuditBalancedBooks drives unicast, local and multicast traffic with
 // the sanitizer attached and requires the flit books to balance.
 func TestAuditBalancedBooks(t *testing.T) {
-	eng := event.New()
-	st := &stats.Stats{}
-	m := New(eng, st, 4, 4, 256, 5, 1)
+	r, m := newTestMesh(4, 4, 256)
 	m.SetChecker(sanitize.New(64))
 
 	delivered := 0
 	m.Send(0, 15, stats.ClassData, 64, func(event.Cycle) { delivered++ })
 	m.Send(3, 3, stats.ClassCtrlReq, 8, func(event.Cycle) { delivered++ })
 	m.Multicast(5, []int{1, 5, 9, 13}, stats.ClassStream, 32, func(int, event.Cycle) { delivered++ })
-	eng.Run(0)
+	r.Run()
 	if delivered != 6 {
 		t.Fatalf("delivered = %d, want 6", delivered)
 	}
-	m.Audit() // must not panic
+	m.Audit(r.St) // must not panic
 	if m.sanDelivered != 6 {
 		t.Errorf("sanitizer counted %d deliveries", m.sanDelivered)
 	}
@@ -290,11 +281,10 @@ func TestAuditBalancedBooks(t *testing.T) {
 // TestAuditCatchesLostDelivery corrupts the in-flight count (as a dropped
 // callback would) and requires Audit to raise a violation naming it.
 func TestAuditCatchesLostDelivery(t *testing.T) {
-	eng := event.New()
-	m := New(eng, &stats.Stats{}, 2, 2, 256, 5, 1)
+	r, m := newTestMesh(2, 2, 256)
 	m.SetChecker(sanitize.New(64))
 	m.Send(0, 3, stats.ClassData, 64, func(event.Cycle) {})
-	eng.Run(0)
+	r.Run()
 	m.sanInFlight++ // simulate a lost delivery
 	defer func() {
 		v, ok := recover().(*sanitize.Violation)
@@ -302,17 +292,16 @@ func TestAuditCatchesLostDelivery(t *testing.T) {
 			t.Fatalf("audit did not flag the lost delivery: %v", v)
 		}
 	}()
-	m.Audit()
+	m.Audit(r.St)
 }
 
 // TestAuditCatchesFlitImbalance breaks the injected/drained books and
 // requires Audit to flag the message class.
 func TestAuditCatchesFlitImbalance(t *testing.T) {
-	eng := event.New()
-	m := New(eng, &stats.Stats{}, 2, 2, 256, 5, 1)
+	r, m := newTestMesh(2, 2, 256)
 	m.SetChecker(sanitize.New(64))
 	m.Send(0, 3, stats.ClassStream, 64, func(event.Cycle) {})
-	eng.Run(0)
+	r.Run()
 	m.sanDrained[stats.ClassStream] -= 1
 	defer func() {
 		v, ok := recover().(*sanitize.Violation)
@@ -320,7 +309,7 @@ func TestAuditCatchesFlitImbalance(t *testing.T) {
 			t.Fatalf("audit did not flag the imbalance: %v", v)
 		}
 	}()
-	m.Audit()
+	m.Audit(r.St)
 }
 
 // TestDirectionConstantsMatchTrace pins the private direction enum to the

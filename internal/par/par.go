@@ -7,14 +7,25 @@
 // interaction is funneled through per-shard op logs that the quantum barrier
 // drains in one canonical order.
 //
-// # Layout
+// # One schedule
 //
-// A machine is built with exactly as many shards as it will have workers:
-// EffectiveWorkers(requested, ShardsFor(tiles)). At the default of one worker
-// that is one shard on one engine — the canonical schedule (same windows,
-// same barrier-drained op log) without a second calendar to allocate or poll.
-// How tiles are placed onto host execution units is a host decision and must
-// not reach the result.
+// Every machine runs this schedule, whatever its size and whether or not the
+// sanitizer or the tracer is attached: there is no synchronous twin in which a
+// deferred effect applies at once. A machine is built with exactly as many
+// shards as it will have workers, EffectiveWorkers(requested,
+// ShardsFor(tiles)). At the default of one worker (and always below 16 tiles)
+// that is one shard on one engine: the same windows and the same
+// barrier-drained op log, without a second calendar to allocate or poll. How
+// tiles are placed onto host execution units is a host decision and must not
+// reach the result. Component unit tests build the same thing at one shard
+// (partest.Rig).
+//
+// The sanitizer follows the schedule instead of demanding its own: a
+// directory bit whose eviction update still sits in an op log counts as a
+// copy in flight (cache.privateOrPending), exactly like an MSHR-pending fill.
+// A sanitized machine, like a traced one, keeps the layout it was built with
+// and is driven by one goroutine, because the checker's books and the
+// tracer's ring are shared across tiles.
 //
 // # Determinism
 //
@@ -50,9 +61,9 @@ import (
 	"streamfloat/internal/stats"
 )
 
-// shardThreshold is the minimum tile count at which a machine is partitioned.
-// Smaller machines (unit-test meshes) run the exact legacy single-engine
-// path: one shard whose Defer executes immediately.
+// shardThreshold is the minimum tile count at which a machine may be split
+// across workers. A smaller machine (a unit-test mesh) is one shard, still
+// barrier-drained.
 const shardThreshold = 16
 
 // maxShards bounds the partition: more shards than this only add per-quantum
@@ -60,8 +71,7 @@ const shardThreshold = 16
 const maxShards = 16
 
 // ShardsFor returns the most shards a machine with the given number of tiles
-// may be split into: 1 (unpartitioned) below shardThreshold tiles, else
-// min(tiles, maxShards).
+// may be split into: 1 below shardThreshold tiles, else min(tiles, maxShards).
 func ShardsFor(tiles int) int {
 	if tiles < shardThreshold {
 		return 1
@@ -102,44 +112,78 @@ type Op struct {
 
 // Shard is one partition of the machine: a set of tiles driven by a private
 // engine, accumulating into private stats, with an op log for cross-tile
-// effects. A direct shard (NewDirect) executes deferred ops immediately,
-// which reproduces the legacy sequential semantics exactly; a machine built
-// as one NewShard shard still logs and drains at the barrier like any other.
+// effects. A machine built as one shard logs and drains at the barrier like
+// any other.
 type Shard struct {
 	Eng *event.Engine
 	St  *stats.Stats
 
-	direct bool
-	ops    []Op
+	ops []Op
 
 	// pad keeps concurrently hot shards off each other's cache lines.
 	_ [8]uint64
 }
 
-// NewShard returns a shard for a partitioned machine.
+// NewShard returns a shard driven by eng, accumulating into st.
 func NewShard(eng *event.Engine, st *stats.Stats) *Shard {
 	return &Shard{Eng: eng, St: st}
 }
 
-// NewDirect returns the single shard of an unpartitioned machine: Defer
-// executes immediately, preserving the exact legacy event order.
-func NewDirect(eng *event.Engine, st *stats.Stats) *Shard {
-	return &Shard{Eng: eng, St: st, direct: true}
+// Defer queues a cross-tile effect issued by tile at cycle when, to run at
+// the next quantum barrier. Ops deferred from barrier context (an op
+// deferring another op) are drained in the same barrier, in a later wave.
+func (s *Shard) Defer(when event.Cycle, tile int, call func(event.Cycle, any), arg any) {
+	s.ops = append(s.ops, Op{When: when, Tile: tile, Call: call, Arg: arg})
 }
 
-// Direct reports whether this shard executes deferred ops immediately.
-func (s *Shard) Direct() bool { return s.direct }
+// Layout is a machine's tile partition: its shards, and which of them drives
+// each tile. Every component is constructed over the machine's layout and
+// reaches a tile's engine, counters and op log only through it.
+type Layout struct {
+	Shards []*Shard
 
-// Defer queues a cross-tile effect issued by tile at cycle when, to run at
-// the next quantum barrier. On a direct shard it runs synchronously instead.
-// Ops deferred from barrier context (an op deferring another op) are drained
-// in the same barrier, in a later wave.
-func (s *Shard) Defer(when event.Cycle, tile int, call func(event.Cycle, any), arg any) {
-	if s.direct {
-		call(when, arg)
-		return
+	tile []*Shard // tile -> the shard driving it
+	idx  []int    // tile -> that shard's index in Shards
+}
+
+// NewLayout partitions tiles round-robin (ShardOf) over the given number of
+// fresh shards, each with its own engine and counters.
+func NewLayout(tiles, shards int) *Layout {
+	l := &Layout{
+		Shards: make([]*Shard, shards),
+		tile:   make([]*Shard, tiles),
+		idx:    make([]int, tiles),
 	}
-	s.ops = append(s.ops, Op{When: when, Tile: tile, Call: call, Arg: arg})
+	for i := range l.Shards {
+		l.Shards[i] = NewShard(event.New(), &stats.Stats{})
+	}
+	for t := range l.tile {
+		l.idx[t] = ShardOf(t, shards)
+		l.tile[t] = l.Shards[l.idx[t]]
+	}
+	return l
+}
+
+// Shard returns the shard driving tile.
+func (l *Layout) Shard(tile int) *Shard { return l.tile[tile] }
+
+// Index returns the index in Shards of the shard driving tile: the name of
+// the execution context tile's events run in, for per-context pools.
+func (l *Layout) Index(tile int) int { return l.idx[tile] }
+
+// Eng returns the engine driving tile's events.
+func (l *Layout) Eng(tile int) *event.Engine { return l.tile[tile].Eng }
+
+// St returns the counters tile accumulates into.
+func (l *Layout) St(tile int) *stats.Stats { return l.tile[tile].St }
+
+// Defer queues a cross-tile effect issued by tile at its engine's current
+// cycle (see Shard.Defer). tile must belong to the shard now executing, or
+// the call must come from barrier context, where any log is safe to append
+// to.
+func (l *Layout) Defer(tile int, call func(event.Cycle, any), arg any) {
+	sh := l.tile[tile]
+	sh.Defer(sh.Eng.Now(), tile, call, arg)
 }
 
 // Group drives a set of shards through barrier-synchronized quanta.
@@ -295,8 +339,8 @@ func (g *Group) runShardsGuarded(id, workers int, horizon event.Cycle) {
 // a *fault.PointError (reachable via errors.As), the remaining helpers shut
 // down cleanly at the barrier, and the machine's state is abandoned
 // mid-quantum (the engines are not advanced or drained further). On a
-// horizon break every engine is advanced to maxCycles, mirroring the
-// sequential engine's behavior.
+// horizon break every engine is advanced to maxCycles, as event.Engine.Run
+// does.
 func (g *Group) Run(maxCycles event.Cycle, stop func() bool) (stopped bool, err error) {
 	if g.Quantum == 0 {
 		g.Quantum = 1
@@ -332,6 +376,9 @@ func (g *Group) Run(maxCycles event.Cycle, stop func() bool) (stopped bool, err 
 		}()
 	}
 
+	// Ops logged before the run (from outside any window, every engine
+	// quiescent) apply first, so Run always returns with every log empty.
+	g.drain()
 	helperDone := g.done.Load()
 	for {
 		if stop != nil && stop() {

@@ -17,7 +17,7 @@ import (
 
 func TestShardsFor(t *testing.T) {
 	cases := []struct{ tiles, want int }{
-		{1, 1}, {4, 1}, {15, 1}, // small meshes stay unpartitioned
+		{1, 1}, {4, 1}, {15, 1}, // small meshes are one shard
 		{16, 16}, {32, 16}, {64, 16}, {256, 16},
 	}
 	for _, c := range cases {
@@ -44,28 +44,32 @@ func TestShardOfCoversAllShards(t *testing.T) {
 	}
 }
 
-// TestDirectShardExecutesImmediately: the single-shard (legacy) machine must
-// run deferred ops synchronously, preserving the sequential event order.
-func TestDirectShardExecutesImmediately(t *testing.T) {
-	sh := NewDirect(event.New(), &stats.Stats{})
-	if !sh.Direct() {
-		t.Fatal("NewDirect not direct")
+// TestNewLayout: every tile lands on the ShardOf shard, each shard gets an
+// engine and counters of its own, and Defer logs at the issuing tile's
+// current cycle.
+func TestNewLayout(t *testing.T) {
+	const tiles, shards = 8, 3
+	l := NewLayout(tiles, shards)
+	if len(l.Shards) != shards {
+		t.Fatalf("built %d shards, want %d", len(l.Shards), shards)
 	}
-	ran := false
-	sh.Defer(7, 3, func(now event.Cycle, arg any) {
-		ran = true
-		if now != 7 {
-			t.Errorf("direct op saw now=%d, want the issue cycle 7", now)
+	for i, a := range l.Shards {
+		for _, b := range l.Shards[:i] {
+			if a.Eng == b.Eng || a.St == b.St {
+				t.Fatalf("shard %d shares an engine or counters with another shard", i)
+			}
 		}
-		if arg.(string) != "payload" {
-			t.Errorf("direct op arg = %v", arg)
-		}
-	}, "payload")
-	if !ran {
-		t.Fatal("direct Defer did not execute synchronously")
 	}
-	if len(sh.ops) != 0 {
-		t.Fatal("direct Defer logged an op")
+	for tile := 0; tile < tiles; tile++ {
+		sh := l.Shards[ShardOf(tile, shards)]
+		if l.Index(tile) != ShardOf(tile, shards) || l.Shard(tile) != sh || l.Eng(tile) != sh.Eng || l.St(tile) != sh.St {
+			t.Errorf("tile %d is not served by shard %d", tile, ShardOf(tile, shards))
+		}
+	}
+	l.Eng(4).AdvanceTo(9)
+	l.Defer(4, func(event.Cycle, any) {}, nil)
+	if ops := l.Shard(4).ops; len(ops) != 1 || ops[0].When != 9 || ops[0].Tile != 4 {
+		t.Errorf("Defer logged %+v, want one op at cycle 9 from tile 4", ops)
 	}
 }
 

@@ -8,10 +8,13 @@ import (
 	"streamfloat/internal/event"
 	"streamfloat/internal/mem"
 	"streamfloat/internal/noc"
+	"streamfloat/internal/par/partest"
 	"streamfloat/internal/stats"
 )
 
-func newRig(kind config.PrefetchKind, bulk bool) (*event.Engine, *stats.Stats, *cache.System, *Prefetchers) {
+// newRig attaches the prefetchers to a 4x4 hierarchy on the shared one-shard
+// rig; st is the rig's counters.
+func newRig(kind config.PrefetchKind, bulk bool) (r *partest.Rig, st *stats.Stats, sys *cache.System, p *Prefetchers) {
 	cfg := config.Default()
 	cfg.MeshWidth, cfg.MeshHeight = 4, 4
 	cfg.Prefetch = kind
@@ -19,19 +22,17 @@ func newRig(kind config.PrefetchKind, bulk bool) (*event.Engine, *stats.Stats, *
 	if bulk {
 		cfg.L3InterleaveBytes = 1024
 	}
-	eng := event.New()
-	st := &stats.Stats{}
-	mesh := noc.New(eng, st, 4, 4, cfg.LinkBits, cfg.RouterLatency, cfg.LinkLatency)
-	dram := mem.NewDRAM(eng, st, cfg.DRAMLatency, cfg.DRAMBandwidthBpc, cfg.MemControllerTiles())
-	sys := cache.NewSystem(eng, st, cfg, mesh, dram)
-	p := Attach(cfg, sys)
-	return eng, st, sys, p
+	r = partest.New(cfg.Tiles(), event.Cycle(cfg.RouterLatency+cfg.LinkLatency))
+	mesh := noc.New(r.Layout, 4, 4, cfg.LinkBits, cfg.RouterLatency, cfg.LinkLatency)
+	dram := mem.NewDRAM(r.Layout, cfg.DRAMLatency, cfg.DRAMBandwidthBpc, cfg.MemControllerTiles())
+	sys = cache.NewSystem(r.Layout, cfg, mesh, dram)
+	return r, r.St, sys, Attach(cfg, sys)
 }
 
 // demand drives a demand read and waits for completion.
-func demand(eng *event.Engine, sys *cache.System, tile int, addr uint64, pc uint32) {
+func demand(r *partest.Rig, sys *cache.System, tile int, addr uint64, pc uint32) {
 	sys.Access(tile, addr, cache.Read, cache.Meta{PC: pc, StreamID: -1}, nil)
-	eng.Run(0)
+	r.Run()
 }
 
 func TestStrideTableLearns(t *testing.T) {
@@ -63,9 +64,9 @@ func TestStrideTableCapacityLRU(t *testing.T) {
 }
 
 func TestStridePrefetcherIssues(t *testing.T) {
-	eng, st, sys, _ := newRig(config.PrefetchStride, false)
+	r, st, sys, _ := newRig(config.PrefetchStride, false)
 	for i := 0; i < 20; i++ {
-		demand(eng, sys, 0, uint64(0x100000+i*64), 7)
+		demand(r, sys, 0, uint64(0x100000+i*64), 7)
 	}
 	if st.PrefetchIssued == 0 {
 		t.Fatal("stride prefetcher issued nothing")
@@ -77,9 +78,9 @@ func TestStridePrefetcherIssues(t *testing.T) {
 
 func TestStridePrefetchTimelinessHelps(t *testing.T) {
 	run := func(kind config.PrefetchKind) uint64 {
-		eng, st, sys, _ := newRig(kind, false)
+		r, st, sys, _ := newRig(kind, false)
 		for i := 0; i < 400; i++ {
-			demand(eng, sys, 0, uint64(0x200000+i*64), 9)
+			demand(r, sys, 0, uint64(0x200000+i*64), 9)
 		}
 		return st.L1Misses + st.L2Misses
 	}
@@ -115,9 +116,9 @@ func TestBingoReplaysFootprint(t *testing.T) {
 }
 
 func TestBingoEndToEnd(t *testing.T) {
-	eng, st, sys, _ := newRig(config.PrefetchBingo, false)
+	r, st, sys, _ := newRig(config.PrefetchBingo, false)
 	for i := 0; i < 800; i++ {
-		demand(eng, sys, 1, uint64(0x400000+i*64), 3)
+		demand(r, sys, 1, uint64(0x400000+i*64), 3)
 	}
 	if st.PrefetchIssued == 0 {
 		t.Fatal("bingo issued nothing")
@@ -128,10 +129,10 @@ func TestBingoEndToEnd(t *testing.T) {
 }
 
 func TestL2StrideTrainsOnMisses(t *testing.T) {
-	eng, st, sys, _ := newRig(config.PrefetchStride, false)
+	r, st, sys, _ := newRig(config.PrefetchStride, false)
 	// Large-stride accesses miss L1+L2 and train the L2 table.
 	for i := 0; i < 30; i++ {
-		demand(eng, sys, 2, uint64(0x800000+i*256), 11)
+		demand(r, sys, 2, uint64(0x800000+i*256), 11)
 	}
 	if st.PrefetchIssued == 0 {
 		t.Error("no prefetches for strided misses")
@@ -141,11 +142,11 @@ func TestL2StrideTrainsOnMisses(t *testing.T) {
 func TestBulkPrefetchGroupsMessages(t *testing.T) {
 	// Four same-bank lines: the bulk path sends one request message where
 	// individual L2 prefetches send four.
-	eng, st, sys, _ := newRig(config.PrefetchStride, true)
+	r, st, sys, _ := newRig(config.PrefetchStride, true)
 	bank := sys.HomeBank(0x900000)
 	lines := []uint64{0x900000, 0x900040, 0x900080, 0x9000c0}
 	sys.PrefetchBulkL2(0, bank, lines, cache.Meta{PC: 13, StreamID: -1})
-	eng.Run(0)
+	r.Run()
 	if st.PrefetchIssued != 4 {
 		t.Fatalf("issued = %d", st.PrefetchIssued)
 	}
@@ -157,11 +158,11 @@ func TestBulkPrefetchGroupsMessages(t *testing.T) {
 	}
 
 	// Individual path for comparison.
-	eng2, st2, sys2, _ := newRig(config.PrefetchStride, false)
+	r2, st2, sys2, _ := newRig(config.PrefetchStride, false)
 	for _, la := range []uint64{0x900000, 0x900040, 0x900080, 0x9000c0} {
 		sys2.Access(0, la, cache.PrefL2, cache.Meta{PC: 13, StreamID: -1}, nil)
 	}
-	eng2.Run(0)
+	r2.Run()
 	if st2.Messages[stats.ClassCtrlReq] <= st.Messages[stats.ClassCtrlReq] {
 		t.Errorf("individual prefetches (%d msgs) should exceed bulk (%d)",
 			st2.Messages[stats.ClassCtrlReq], st.Messages[stats.ClassCtrlReq])
@@ -184,9 +185,9 @@ func TestBulkGroupingByBank(t *testing.T) {
 }
 
 func TestNoPrefetcherNoNoise(t *testing.T) {
-	eng, st, sys, _ := newRig(config.PrefetchNone, false)
+	r, st, sys, _ := newRig(config.PrefetchNone, false)
 	for i := 0; i < 50; i++ {
-		demand(eng, sys, 0, uint64(0xa00000+i*64), 1)
+		demand(r, sys, 0, uint64(0xa00000+i*64), 1)
 	}
 	if st.PrefetchIssued != 0 {
 		t.Error("PrefetchNone issued prefetches")
@@ -194,13 +195,13 @@ func TestNoPrefetcherNoNoise(t *testing.T) {
 }
 
 func TestIrregularPatternLowAccuracy(t *testing.T) {
-	eng, st, sys, _ := newRig(config.PrefetchStride, false)
+	r, st, sys, _ := newRig(config.PrefetchStride, false)
 	// Pseudo-random pointer-chase addresses: stride confidence must not
 	// build, so few prefetches issue.
 	addr := uint64(0x500000)
 	for i := 0; i < 200; i++ {
 		addr = (addr*2654435761 + 97) % (1 << 22)
-		demand(eng, sys, 3, 0x1000000+addr&^63, 17)
+		demand(r, sys, 3, 0x1000000+addr&^63, 17)
 	}
 	if st.PrefetchIssued > 100 {
 		t.Errorf("stride issued %d prefetches on random addresses", st.PrefetchIssued)

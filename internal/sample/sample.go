@@ -45,7 +45,6 @@ func (e Estimate) RelHalfWidth() float64 {
 	return e.HalfWidth / math.Abs(e.Mean)
 }
 
-
 // Result is the outcome of one sampled run: whole-run scaled Results (the
 // drop-in replacement for a full run's system.Results) plus the estimator's
 // error bounds and work accounting.
@@ -76,8 +75,9 @@ func (r *Result) Speedup() float64 {
 // RunEstimate runs bench at the given scale under cfg's sampling parameters
 // and returns the sampled estimate. With sampling disabled it runs the full
 // detailed simulation and wraps it in a zero-width Result. The detailed run
-// is single-threaded and fully ordered, so estimates are deterministic in
-// (cfg, bench, scale) regardless of any caller-side sweep parallelism.
+// is the one barrier-drained schedule, polled in barrier context, so
+// estimates are deterministic in (cfg, bench, scale) regardless of shard
+// layout, worker count or any caller-side sweep parallelism.
 //
 // The estimator is "the detailed run plus steady-rate extrapolation": one
 // detailed window per phase — warmup prefix, measured block, drain epilogue
@@ -127,8 +127,9 @@ func RunEstimate(ctx context.Context, cfg config.Config, bench string, scale flo
 	warmMachine(m, pl)
 
 	// Each phase runs warmup, measured block and epilogue back to back (no
-	// barrier in between, see Plan.Programs). A polling event snapshots the
-	// machine as the live global iteration counter crosses each interval
+	// barrier in between, see Plan.Programs). A barrier-context poll
+	// (Machine.PollEvery) snapshots the machine as the merged global
+	// iteration counter crosses each interval
 	// boundary of the block — every snapshot is taken together with the
 	// cycle it happened at, so the segments between them are accounted
 	// exactly no matter where the polls land.
@@ -167,17 +168,13 @@ func RunEstimate(ctx context.Context, cfg config.Config, bench string, scale flo
 		ends[p] = snapshot{now, snap}
 	})
 	const pollPeriod = 256
-	var poll func(event.Cycle)
-	poll = func(now event.Cycle) {
-		for next < len(refs) && m.St.Iterations >= thrs[refs[next].p][refs[next].s] {
-			record(now, *m.St)
-		}
-		if next < len(refs) {
-			m.Eng.Schedule(pollPeriod, poll)
-		}
-	}
 	if len(refs) > 0 {
-		m.Eng.Schedule(pollPeriod, poll)
+		m.PollEvery(pollPeriod, func(now event.Cycle, snap stats.Stats) bool {
+			for next < len(refs) && snap.Iterations >= thrs[refs[next].p][refs[next].s] {
+				record(now, snap)
+			}
+			return next < len(refs)
+		})
 	}
 
 	res, err := m.RunContext(ctx, 0)

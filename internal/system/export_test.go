@@ -1,6 +1,6 @@
 package system
 
-// SetLayoutShards forces partitioned machines to be built with n shards until
+// SetLayoutShards forces every machine to be built with n shards until
 // the returned restore function runs. Not safe for parallel tests.
 func SetLayoutShards(n int) (restore func()) {
 	prev := layoutShards

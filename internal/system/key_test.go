@@ -74,14 +74,14 @@ func TestRunContextPreCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if m.Eng.Fired() != 0 {
-		t.Errorf("fired %d events under a pre-cancelled context, want 0", m.Eng.Fired())
+	if n := m.fired(); n != 0 {
+		t.Errorf("fired %d events under a pre-cancelled context, want 0", n)
 	}
 }
 
 // TestRunContextCancelMidRun cancels from inside the event stream and checks
-// promptness: the run must stop within one poll interval of the cancel, not
-// drain the remaining millions of events.
+// promptness: the stop poll runs once per quantum, so the run must end with
+// the window the cancel fired in, not drain the remaining millions of events.
 func TestRunContextCancelMidRun(t *testing.T) {
 	m, err := Build(testConfig("Base"), "nn", testScale)
 	if err != nil {
@@ -89,18 +89,17 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// Cancel deterministically once the machine is mid-simulation.
-	m.Eng.At(100, func(event.Cycle) { cancel() })
-	firedAtCancel := uint64(0)
-	m.Eng.At(100, func(event.Cycle) { firedAtCancel = m.Eng.Fired() })
+	// Cancel deterministically once the machine is mid-simulation, from an
+	// event on the engine that drives tile 0.
+	const cancelAt = 100
+	m.Shards[0].Eng.At(cancelAt, func(event.Cycle) { cancel() })
 
 	_, err = m.RunContext(ctx, 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	over := m.Eng.Fired() - firedAtCancel
-	if over > event.DefaultStopCheckEvents+1 {
-		t.Errorf("ran %d events past the cancel, want <= %d", over, event.DefaultStopCheckEvents+1)
+	if end := cancelAt + m.group.Quantum; m.now() > end {
+		t.Errorf("ran to cycle %d after a cancel at %d, want <= %d (the end of that quantum)", m.now(), cancelAt, end)
 	}
 	// A full run of this point takes far more events than the abort did.
 	ref, err := Build(testConfig("Base"), "nn", testScale)
@@ -110,14 +109,14 @@ func TestRunContextCancelMidRun(t *testing.T) {
 	if _, err := ref.Run(0); err != nil {
 		t.Fatal(err)
 	}
-	if ref.Eng.Fired() <= m.Eng.Fired() {
-		t.Skipf("reference run too short (%d events) to demonstrate early abort", ref.Eng.Fired())
+	if ref.fired() <= m.fired() {
+		t.Skipf("reference run too short (%d events) to demonstrate early abort", ref.fired())
 	}
 }
 
-// TestRunContextBackgroundMatchesRun: the cancellable path with a background
-// context must reproduce the plain path exactly (same code path, bit-equal
-// results) — the determinism suite depends on it.
+// TestRunContextBackgroundMatchesRun: RunContext with a background context
+// must reproduce Run exactly (bit-equal results) — the determinism suite
+// depends on it.
 func TestRunContextBackgroundMatchesRun(t *testing.T) {
 	m1, err := Build(testConfig("SF"), "nn", testScale)
 	if err != nil {

@@ -3,6 +3,7 @@ package system
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"runtime/pprof"
@@ -17,8 +18,8 @@ import (
 )
 
 // parConfig returns a full-size (8x8) machine with the sanitizer forced off,
-// so Build takes the partitioned-kernel path (the sanitizer requires the
-// legacy total event order; see BuildPrepared).
+// so the layout Build picks is also driven by that many goroutines (a
+// sanitized machine keeps its layout but runs on one; see RunContext).
 func parConfig(t *testing.T, sys string) config.Config {
 	t.Helper()
 	cfg, err := config.ForSystem(sys, config.OOO8)
@@ -29,10 +30,10 @@ func parConfig(t *testing.T, sys string) config.Config {
 	return cfg
 }
 
-// TestPartitionedBuild checks the shard layout the builder produces: one
-// non-direct shard per effective worker (Workers floored at 1 and capped at
-// min(par.ShardsFor(tiles), GOMAXPROCS)), tiles round-robin, engines private;
-// a sanitized or small machine stays unpartitioned.
+// TestPartitionedBuild checks the one layout rule: every machine is built as
+// one shard per effective worker (Workers floored at 1 and capped at
+// min(par.ShardsFor(tiles), GOMAXPROCS)), tiles round-robin, no shard on the
+// root engine, whether or not it is sanitized and however small it is.
 func TestPartitionedBuild(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
@@ -40,55 +41,45 @@ func TestPartitionedBuild(t *testing.T) {
 	if par.ShardsFor(cfg.Tiles()) != 16 {
 		t.Fatalf("ShardsFor(%d) = %d, expected 16", cfg.Tiles(), par.ShardsFor(cfg.Tiles()))
 	}
-	cases := []struct{ workers, procs, want int }{
-		{0, 4, 1}, {1, 4, 1}, {2, 4, 2}, {4, 4, 4},
-		{8, 4, 4},    // Workers > GOMAXPROCS
-		{99, 32, 16}, // Workers > the shard bound
+	small := cfg
+	small.MeshWidth, small.MeshHeight = 2, 2
+	cases := []struct {
+		cfg            config.Config
+		workers, procs int
+		mode           sanitize.Mode
+		want           int
+	}{
+		{cfg, 0, 4, sanitize.ModeOff, 1}, {cfg, 1, 4, sanitize.ModeOff, 1},
+		{cfg, 2, 4, sanitize.ModeOff, 2}, {cfg, 4, 4, sanitize.ModeOff, 4},
+		{cfg, 8, 4, sanitize.ModeOff, 4},    // Workers > GOMAXPROCS
+		{cfg, 99, 32, sanitize.ModeOff, 16}, // Workers > the shard bound
+		{cfg, 1, 4, sanitize.ModeOn, 1}, {cfg, 4, 4, sanitize.ModeOn, 4},
+		{small, 1, 4, sanitize.ModeOn, 1}, {small, 4, 4, sanitize.ModeOff, 1}, // below 16 tiles: one shard
 	}
 	for _, c := range cases {
 		runtime.GOMAXPROCS(c.procs)
-		cfg.Workers = c.workers
-		m, err := Build(cfg, "mv", 0.02)
+		c.cfg.Workers, c.cfg.Sanitize = c.workers, c.mode
+		m, err := Build(c.cfg, "mv", 0.02)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(m.Shards) != c.want || m.group == nil {
-			t.Fatalf("workers=%d GOMAXPROCS=%d: built %d shards, want %d", c.workers, c.procs, len(m.Shards), c.want)
+		name := fmt.Sprintf("%d tiles workers=%d GOMAXPROCS=%d sanitize=%v", c.cfg.Tiles(), c.workers, c.procs, c.mode)
+		if len(m.Shards) != c.want {
+			t.Fatalf("%s: built %d shards, want %d", name, len(m.Shards), c.want)
 		}
-		for tile, sh := range m.tileShard {
-			if sh != m.Shards[par.ShardOf(tile, c.want)] {
-				t.Fatalf("workers=%d: tile %d assigned off the round-robin layout", c.workers, tile)
+		for tile := 0; tile < c.cfg.Tiles(); tile++ {
+			if m.lay.Shard(tile) != m.Shards[par.ShardOf(tile, c.want)] {
+				t.Fatalf("%s: tile %d assigned off the round-robin layout", name, tile)
 			}
 		}
 		for i, sh := range m.Shards {
 			if sh.Eng == m.Eng {
-				t.Fatalf("workers=%d: shard %d shares the root engine", c.workers, i)
-			}
-			if sh.Direct() {
-				t.Fatalf("workers=%d: shard %d is direct on a partitioned machine", c.workers, i)
+				t.Fatalf("%s: shard %d shares the root engine", name, i)
 			}
 		}
-	}
-	cfg.Workers = 1
-
-	san := cfg
-	san.Sanitize = sanitize.ModeOn
-	ms, err := Build(san, "mv", 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ms.Shards != nil {
-		t.Fatal("sanitized machine must stay on the legacy unpartitioned path")
-	}
-
-	small := cfg
-	small.MeshWidth, small.MeshHeight = 2, 2
-	msm, err := Build(small, "mv", 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msm.Shards != nil {
-		t.Fatal("4-tile machine must stay on the legacy unpartitioned path")
+		if (m.Chk != nil) != (c.mode == sanitize.ModeOn) {
+			t.Fatalf("%s: checker attached = %v", name, m.Chk != nil)
+		}
 	}
 }
 
@@ -156,8 +147,8 @@ func runWorkers(t *testing.T, sys, bench string, scale float64, workers int) Res
 // four different shard layouts, starting from the single-shard workers=1 one.
 func TestWorkerDeterminism(t *testing.T) {
 	points := []struct{ sys, bench string }{
-		{"SF", "mv"},      // Fig 13: speedup spot point
-		{"SF", "bfs"},     // Fig 14: L3 request provenance (indirect floats)
+		{"SF", "mv"},       // Fig 13: speedup spot point
+		{"SF", "bfs"},      // Fig 14: L3 request provenance (indirect floats)
 		{"Base", "conv3d"}, // Fig 15: NoC traffic spot point
 	}
 	counts := []int{1, 2, 4}
@@ -181,19 +172,25 @@ func TestWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// TestWorkersKnobOutsideCacheKey: Workers is an execution knob — it must not
-// change the canonical encoding or the result-cache key.
-func TestWorkersKnobOutsideCacheKey(t *testing.T) {
+// TestHostKnobsOutsideCacheKey: Workers and Sanitize are host knobs — how
+// many goroutines drive the shards and whether probes watch them — with
+// bit-identical results for every value (TestWorkerDeterminism,
+// TestSanitizeInvariance), so neither may change the canonical encoding or
+// the result-cache key.
+func TestHostKnobsOutsideCacheKey(t *testing.T) {
 	a := parConfig(t, "SF")
-	b := a
-	b.Workers = 8
-	if !reflect.DeepEqual(a.CanonicalBytes(), b.CanonicalBytes()) {
-		t.Error("Workers changed CanonicalBytes")
-	}
-	ka := CacheKey(a, "mv", 0.5)
-	kb := CacheKey(b, "mv", 0.5)
-	if ka != kb {
-		t.Errorf("Workers changed the cache key: %s vs %s", ka, kb)
+	for name, mut := range map[string]func(*config.Config){
+		"Workers":  func(c *config.Config) { c.Workers = 8 },
+		"Sanitize": func(c *config.Config) { c.Sanitize = sanitize.ModeOn },
+	} {
+		b := a
+		mut(&b)
+		if !bytes.Equal(a.CanonicalBytes(), b.CanonicalBytes()) {
+			t.Errorf("%s changed CanonicalBytes", name)
+		}
+		if ka, kb := CacheKey(a, "mv", 0.5), CacheKey(b, "mv", 0.5); ka != kb {
+			t.Errorf("%s changed the cache key: %s vs %s", name, ka, kb)
+		}
 	}
 }
 
@@ -232,6 +229,49 @@ func TestShardWorkerProfileLabels(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("goroutine profile missing label %q", want)
 		}
+	}
+}
+
+// TestPollEvery: the barrier-context poll fires while the shard group drives
+// the machine (two workers here, so -race checks the merged snapshot is taken
+// with every engine quiescent), one period plus at most the rest of a quantum
+// apart, sees the merged counters grow, and stops for good once fn returns
+// false.
+func TestPollEvery(t *testing.T) {
+	withProcs(t, 2)
+	cfg := parConfig(t, "Base")
+	cfg.Workers = 2
+	m, err := Build(cfg, "mv", 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const period, polls = 256, 8
+	var at []event.Cycle
+	var iters []uint64
+	m.PollEvery(period, func(now event.Cycle, snap stats.Stats) bool {
+		at = append(at, now)
+		iters = append(iters, snap.Iterations)
+		return len(at) < polls
+	})
+	res, err := m.Run(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(at) != polls {
+		t.Fatalf("polled %d times, want %d (fn returned false on the last)", len(at), polls)
+	}
+	prev := event.Cycle(0)
+	for i, now := range at {
+		if gap := now - prev; gap < period || gap > period+m.group.Quantum {
+			t.Errorf("poll %d at cycle %d, %d after the previous: want a gap in [%d, %d]", i, now, gap, period, period+m.group.Quantum)
+		}
+		if i > 0 && iters[i] < iters[i-1] {
+			t.Errorf("poll %d saw %d iterations after %d", i, iters[i], iters[i-1])
+		}
+		prev = now
+	}
+	if last := iters[polls-1]; last == 0 || last > res.Stats.Iterations {
+		t.Errorf("last poll saw %d iterations, run total %d: want the merged mid-run count", last, res.Stats.Iterations)
 	}
 }
 

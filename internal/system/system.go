@@ -36,8 +36,13 @@ type Results struct {
 
 // Machine is a fully wired simulated system ready to run one benchmark.
 type Machine struct {
-	Cfg     config.Config
-	Eng     *event.Engine
+	Cfg config.Config
+	// Eng is an idle root engine: nothing is ever scheduled on it (every
+	// event runs on a shard's engine). It is kept because callers sum
+	// Fired() over it and Shards.
+	Eng *event.Engine
+	// St holds the run's totals: RunContext folds every shard's counters
+	// into it once the run completes.
 	St      *stats.Stats
 	Mesh    *noc.Mesh
 	DRAM    *mem.DRAM
@@ -61,19 +66,18 @@ type Machine struct {
 	// attribute cycles and counters to warmup vs. measured phases.
 	phaseHook func(phase int, now event.Cycle, snap stats.Stats)
 
-	// Shards is the tile partition of the parallel event kernel, nil on
-	// small or sanitized (unpartitioned) machines. Each shard owns a subset
-	// of tiles, a private engine and private stats; group drives them in
-	// barrier-synchronized quanta of one NoC lookahead. There is one shard
+	// Shards is the tile partition of the event kernel. Each shard owns a
+	// subset of tiles, a private engine and private stats; group drives them
+	// in barrier-synchronized quanta of one NoC lookahead. There is one shard
 	// per effective worker (see BuildPrepared), and the barrier order names
 	// no shard, so results are bit-identical for every layout and every
 	// worker count.
-	Shards    []*par.Shard
-	group     *par.Group
-	tileShard []*par.Shard
+	Shards []*par.Shard
+	group  *par.Group
+	lay    *par.Layout
 
-	// remaining counts cores yet to reach the current phase barrier; on a
-	// partitioned machine it is only touched by barrier ops.
+	// remaining counts cores yet to reach the current phase barrier; it is
+	// only touched by barrier ops.
 	remaining int
 
 	bench     string
@@ -84,6 +88,25 @@ type Machine struct {
 // nil detaches. Purely observational.
 func (m *Machine) SetPhaseHook(fn func(phase int, now event.Cycle, snap stats.Stats)) {
 	m.phaseHook = fn
+}
+
+// PollEvery calls fn about every period cycles in barrier context — every
+// engine quiescent and agreeing on the cycle — with that cycle and the merged
+// counters, until fn returns false. Call before Run. The ticks ride tile 0's
+// engine and op log like the phase wakeups, so a polled run is deterministic
+// and layout-invariant, but its ticks open quanta of their own: it is not
+// the schedule of the unpolled run. Sampled simulation uses it to snapshot
+// the machine as iteration thresholds are crossed.
+func (m *Machine) PollEvery(period event.Cycle, fn func(now event.Cycle, snap stats.Stats) bool) {
+	eng := m.lay.Eng(0)
+	var tick func(event.Cycle)
+	atBarrier := func(event.Cycle, any) {
+		if fn(m.now(), m.statsSnapshot()) {
+			eng.Schedule(period, tick)
+		}
+	}
+	tick = func(event.Cycle) { m.lay.Defer(0, atBarrier, nil) }
+	eng.Schedule(period, tick)
 }
 
 // NewTracer sizes a tracer for a machine configuration. label names the
@@ -126,8 +149,8 @@ func Build(cfg config.Config, bench string, scale float64) (*Machine, error) {
 	return BuildPrepared(cfg, bench, bk, progs)
 }
 
-// layoutShards, when non-zero, overrides the shard count of partitioned
-// machines. Only tests set it (export_test.go), to hold results invariant
+// layoutShards, when non-zero, overrides the shard count of every machine
+// built. Only tests set it (export_test.go), to hold results invariant
 // across layouts; production always builds one shard per effective worker.
 var layoutShards int
 
@@ -142,73 +165,23 @@ func BuildPrepared(cfg config.Config, bench string, bk *mem.Backing, progs []wor
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	eng := event.New()
-	st := &stats.Stats{}
-
-	// Partition the tiles into one shard per effective worker: the layout is
-	// a host decision, like the worker count it follows, and cannot reach the
-	// result because the barrier drains every cross-tile effect in (cycle,
-	// tile, issue) order whatever shard logged it (TestShardLayoutInvariance).
-	// At Workers=1 the whole machine is one barrier-drained shard on one
-	// engine. Small machines stay on the exact legacy single-engine path
-	// (tileShard nil, Partition never called).
-	//
-	// Sanitized machines also stay on the legacy path: the checker's global
-	// books require one time-sorted total event order, and even a single
-	// shard defers directory updates past the events that read them — a
-	// time-skew the protocol checks would misread as violations. This cannot
-	// alias cached results, because the canonical encoding keys on the
-	// resolved sanitize bit (see config.CanonicalBytes).
-	maxShards := par.ShardsFor(cfg.Tiles())
-	partitioned := maxShards > 1 && !cfg.SanitizeEnabled()
-	numShards := par.EffectiveWorkers(cfg.Workers, maxShards)
+	// One layout rule for every machine, sanitized, traced, 2x2 or 8x8: one
+	// barrier-drained shard per effective worker. The layout is a host
+	// decision, like the worker count it follows, and cannot reach the result
+	// because the barrier drains every cross-tile effect in (cycle, tile,
+	// issue) order whatever shard logged it (TestShardLayoutInvariance). At
+	// Workers=1, and always below 16 tiles, the whole machine is one shard on
+	// one engine. The sanitizer only adds probes (TestSanitizeInvariance), so
+	// neither it nor Workers is part of the cache key.
+	numShards := par.EffectiveWorkers(cfg.Workers, par.ShardsFor(cfg.Tiles()))
 	if layoutShards != 0 {
 		numShards = layoutShards
 	}
-	var (
-		shards    []*par.Shard
-		tileShard []*par.Shard
-		shardIdx  []int
-	)
-	if partitioned {
-		shards = make([]*par.Shard, numShards)
-		for i := range shards {
-			shards[i] = par.NewShard(event.New(), &stats.Stats{})
-		}
-		tileShard = make([]*par.Shard, cfg.Tiles())
-		shardIdx = make([]int, cfg.Tiles())
-		for t := range tileShard {
-			shardIdx[t] = par.ShardOf(t, numShards)
-			tileShard[t] = shards[shardIdx[t]]
-		}
-	}
-	engAt := func(tile int) *event.Engine {
-		if tileShard == nil {
-			return eng
-		}
-		return tileShard[tile].Eng
-	}
-	stAt := func(tile int) *stats.Stats {
-		if tileShard == nil {
-			return st
-		}
-		return tileShard[tile].St
-	}
+	lay := par.NewLayout(cfg.Tiles(), numShards)
 
-	mesh := noc.New(eng, st, cfg.MeshWidth, cfg.MeshHeight, cfg.LinkBits, cfg.RouterLatency, cfg.LinkLatency)
-	dram := mem.NewDRAM(eng, st, cfg.DRAMLatency, cfg.DRAMBandwidthBpc, cfg.MemControllerTiles())
-	caches := cache.NewSystem(eng, st, cfg, mesh, dram)
-	if partitioned {
-		mesh.Partition(tileShard, shardIdx, numShards)
-		caches.Partition(tileShard, shardIdx, numShards)
-		ctrlEngs := make([]*event.Engine, dram.NumControllers())
-		ctrlSts := make([]*stats.Stats, dram.NumControllers())
-		for i := range ctrlEngs {
-			ctrlEngs[i] = engAt(dram.CtrlTile(i))
-			ctrlSts[i] = stAt(dram.CtrlTile(i))
-		}
-		dram.Partition(ctrlEngs, ctrlSts)
-	}
+	mesh := noc.New(lay, cfg.MeshWidth, cfg.MeshHeight, cfg.LinkBits, cfg.RouterLatency, cfg.LinkLatency)
+	dram := mem.NewDRAM(lay, cfg.DRAMLatency, cfg.DRAMBandwidthBpc, cfg.MemControllerTiles())
+	caches := cache.NewSystem(lay, cfg, mesh, dram)
 
 	if len(progs) != cfg.Tiles() {
 		return nil, fmt.Errorf("system: %s produced %d programs for %d cores", bench, len(progs), cfg.Tiles())
@@ -225,42 +198,35 @@ func BuildPrepared(cfg config.Config, bench string, bk *mem.Backing, progs []wor
 	}
 
 	m := &Machine{
-		Cfg: cfg, Eng: eng, St: st, Mesh: mesh, DRAM: dram,
+		Cfg: cfg, Eng: event.New(), St: &stats.Stats{}, Mesh: mesh, DRAM: dram,
 		Caches: caches, Backing: bk, bench: bench, numPhases: numPhases,
-	}
-	if partitioned {
-		m.Shards = shards
-		m.tileShard = tileShard
-		m.group = &par.Group{
-			Shards:  shards,
+		Shards: lay.Shards, lay: lay,
+		group: &par.Group{
+			Shards:  lay.Shards,
 			Quantum: mesh.Lookahead(),
 			Labels:  []string{"benchmark", bench},
-		}
+		},
 	}
 
 	prefetch.Attach(cfg, caches)
 
 	var se cpu.StreamSource
 	if cfg.Stream != config.StreamOff {
-		m.Engines = score.NewEngines(eng, st, cfg, mesh, caches, bk)
+		m.Engines = score.NewEngines(lay, cfg, mesh, caches, bk)
 		se = m.Engines
-		if partitioned {
-			m.Engines.Partition(tileShard)
-		}
 	}
 
 	params := cfg.CoreParams()
 	m.Cores = make([]*cpu.Core, cfg.Tiles())
 	for i := 0; i < cfg.Tiles(); i++ {
 		p := progs[i]
-		m.Cores[i] = cpu.NewCore(i, engAt(i), stAt(i), params, caches, bk, se, &p)
+		m.Cores[i] = cpu.NewCore(i, lay.Eng(i), lay.St(i), params, caches, bk, se, &p)
 	}
 
 	if cfg.SanitizeEnabled() {
 		chk := sanitize.New(sanitize.DefaultDepth)
 		m.Chk = chk
-		eng.SetChecker(chk)
-		for _, sh := range shards {
+		for _, sh := range lay.Shards {
 			sh.Eng.SetChecker(chk)
 		}
 		mesh.SetChecker(chk)
@@ -284,7 +250,7 @@ func (m *Machine) Audit() {
 		return
 	}
 	m.Caches.Audit()
-	m.Mesh.Audit()
+	m.Mesh.Audit(m.St)
 	if m.Engines != nil {
 		m.Engines.Audit()
 	}
@@ -292,17 +258,15 @@ func (m *Machine) Audit() {
 
 // SetRunLabels appends pprof labels (key-value pairs) to the parallel worker
 // goroutines, e.g. the figure, benchmark and configuration being simulated.
-// No-op on an unpartitioned machine. Call before Run.
+// Call before Run.
 func (m *Machine) SetRunLabels(kv ...string) {
-	if m.group != nil {
-		m.group.Labels = append(m.group.Labels, kv...)
-	}
+	m.group.Labels = append(m.group.Labels, kv...)
 }
 
-// now returns the current simulated cycle: the furthest engine on a
-// partitioned machine (all engines agree at quantum barriers).
+// now returns the current simulated cycle: the furthest shard engine (all
+// engines agree at quantum barriers).
 func (m *Machine) now() event.Cycle {
-	n := m.Eng.Now()
+	var n event.Cycle
 	for _, sh := range m.Shards {
 		if t := sh.Eng.Now(); t > n {
 			n = t
@@ -311,34 +275,31 @@ func (m *Machine) now() event.Cycle {
 	return n
 }
 
-// fired sums fired-event counts across every engine of the machine. Called
-// from the event loop's stop poll, when all engines are quiescent.
+// fired sums fired-event counts across every shard engine. Called from the
+// event loop's stop poll, when all engines are quiescent.
 func (m *Machine) fired() uint64 {
-	n := m.Eng.Fired()
+	var n uint64
 	for _, sh := range m.Shards {
 		n += sh.Eng.Fired()
 	}
 	return n
 }
 
-// pending sums outstanding events across every engine of the machine.
+// pending sums outstanding events across every shard engine.
 func (m *Machine) pending() int {
-	n := m.Eng.Pending()
+	n := 0
 	for _, sh := range m.Shards {
 		n += sh.Eng.Pending()
 	}
 	return n
 }
 
-// statsSnapshot returns the machine's current counter totals: the root stats
-// plus every shard's. Only called with all engines quiescent.
+// statsSnapshot returns the running machine's counter totals: every shard's
+// (the root St holds nothing until RunContext's final fold). Only called with
+// all engines quiescent.
 func (m *Machine) statsSnapshot() stats.Stats {
-	if m.Shards == nil {
-		return *m.St
-	}
-	var s stats.Stats
-	s.Merge(m.St)
-	for _, sh := range m.Shards {
+	s := *m.Shards[0].St
+	for _, sh := range m.Shards[1:] {
 		s.Merge(sh.St)
 	}
 	return s
@@ -359,11 +320,10 @@ func (m *Machine) Run(maxCycles event.Cycle) (Results, error) {
 	return m.RunContext(context.Background(), maxCycles)
 }
 
-// RunContext is Run with cancellation: the event loop polls ctx every
-// event.DefaultStopCheckEvents fired events and abandons the simulation —
-// returning ctx's error — as soon as it is cancelled or times out. A
-// background (never-cancelled) context takes the exact Run code path, so
-// cancellable and plain runs schedule identically.
+// RunContext is Run with cancellation: the event loop polls ctx once per
+// quantum and abandons the simulation — returning ctx's error — as soon as it
+// is cancelled or times out. The poll schedules nothing, so cancellable and
+// plain runs are the same simulation.
 func (m *Machine) RunContext(ctx context.Context, maxCycles event.Cycle) (Results, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -374,10 +334,8 @@ func (m *Machine) RunContext(ctx context.Context, maxCycles event.Cycle) (Result
 	finished := false
 	var runPhase func(k int)
 	// advance fires when the last core reaches the phase-k barrier. It runs
-	// with every engine quiescent — inside the single event loop on an
-	// unpartitioned machine, at the quantum-barrier drain on a partitioned
-	// one — so it may observe merged stats and fan the next phase out to all
-	// cores' engines.
+	// at the quantum-barrier drain, with every engine quiescent, so it may
+	// observe merged stats and fan the next phase out to all cores' engines.
 	advance := func(k int) {
 		if m.phaseHook != nil {
 			m.phaseHook(k, m.now(), m.statsSnapshot())
@@ -386,17 +344,12 @@ func (m *Machine) RunContext(ctx context.Context, maxCycles event.Cycle) (Result
 			m.Tr.Emit(uint64(m.now()), 0, trace.KindBarrier, 0,
 				int64(k), int64(m.barrierLatency()))
 		}
-		if m.group == nil {
-			m.Eng.Schedule(m.barrierLatency(), func(event.Cycle) { runPhase(k + 1) })
-			return
-		}
-		// Partitioned: the delayed phase start must itself cross a quantum
-		// barrier, because starting a phase touches every shard's engine.
-		// Schedule the wakeup on shard 0 and re-home the fan-out via its
-		// op log.
-		sh := m.Shards[0]
-		sh.Eng.Schedule(m.barrierLatency(), func(event.Cycle) {
-			sh.Defer(sh.Eng.Now(), 0, func(event.Cycle, any) { runPhase(k + 1) }, nil)
+		// The delayed phase start must itself cross a quantum barrier,
+		// because starting a phase touches every shard's engine. Schedule
+		// the wakeup on tile 0's engine and re-home the fan-out via its op
+		// log.
+		m.lay.Eng(0).Schedule(m.barrierLatency(), func(event.Cycle) {
+			m.lay.Defer(0, func(event.Cycle, any) { runPhase(k + 1) }, nil)
 		})
 	}
 	runPhase = func(k int) {
@@ -406,21 +359,12 @@ func (m *Machine) RunContext(ctx context.Context, maxCycles event.Cycle) (Result
 		}
 		m.remaining = len(m.Cores)
 		for i, c := range m.Cores {
-			if m.group == nil {
-				c.BeginPhase(k, func() {
-					m.remaining--
-					if m.remaining == 0 {
-						advance(k)
-					}
-				})
-				continue
-			}
 			// The completion callback fires inside the core's own window;
 			// the shared countdown is routed through the barrier so it stays
 			// single-threaded and canonically ordered.
-			sh, tile := m.tileShard[i], i
+			tile := i
 			c.BeginPhase(k, func() {
-				sh.Defer(sh.Eng.Now(), tile, func(event.Cycle, any) {
+				m.lay.Defer(tile, func(event.Cycle, any) {
 					m.remaining--
 					if m.remaining == 0 {
 						advance(k)
@@ -435,9 +379,8 @@ func (m *Machine) RunContext(ctx context.Context, maxCycles event.Cycle) (Result
 		runPhase(0)
 	}
 	// The watchdog's heartbeat (if a fault.Guard installed one on ctx) is
-	// published from the same stop closure the loop already polls every
-	// DefaultStopCheckEvents fired events (once per quantum on a partitioned
-	// machine), so progress reporting costs nothing extra on the hot path.
+	// published from the same stop closure the loop already polls once per
+	// quantum, so progress reporting costs nothing extra on the hot path.
 	hb := fault.HeartbeatFrom(ctx)
 	var stop func() bool
 	if done := ctx.Done(); done != nil || hb != nil {
@@ -454,29 +397,18 @@ func (m *Machine) RunContext(ctx context.Context, maxCycles event.Cycle) (Result
 			}
 		}
 	}
-	switch {
-	case m.group != nil:
-		workers := m.Cfg.Workers
-		if m.Tr != nil {
-			// The tracer's ring is shared across tiles; drive whatever
-			// layout was built with one goroutine. (Sanitized machines are
-			// never partitioned — see BuildPrepared.)
-			workers = 1
-		}
-		m.group.Workers = workers
-		stopped, gerr := m.group.Run(maxCycles, stop)
-		if gerr != nil {
-			return Results{}, fmt.Errorf("system: %s: shard worker failure: %w", m.bench, gerr)
-		}
-		if stopped {
-			return Results{}, fmt.Errorf("system: %s cancelled at cycle %d: %w", m.bench, m.now(), ctx.Err())
-		}
-	case stop == nil:
-		m.Eng.Run(maxCycles)
-	default:
-		if _, stopped := m.Eng.RunStop(maxCycles, event.DefaultStopCheckEvents, stop); stopped {
-			return Results{}, fmt.Errorf("system: %s cancelled at cycle %d: %w", m.bench, m.Eng.Now(), ctx.Err())
-		}
+	m.group.Workers = m.Cfg.Workers
+	if m.Tr != nil || m.Chk != nil {
+		// The tracer's ring and the checker's books are shared across tiles:
+		// drive whatever layout was built with one goroutine.
+		m.group.Workers = 1
+	}
+	stopped, gerr := m.group.Run(maxCycles, stop)
+	if gerr != nil {
+		return Results{}, fmt.Errorf("system: %s: shard worker failure: %w", m.bench, gerr)
+	}
+	if stopped {
+		return Results{}, fmt.Errorf("system: %s cancelled at cycle %d: %w", m.bench, m.now(), ctx.Err())
 	}
 	if !finished {
 		if m.pending() == 0 {
