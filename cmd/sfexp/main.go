@@ -246,8 +246,8 @@ func run() (err error) {
 		defer func() {
 			client.Close()
 			st := client.Stats()
-			log.Printf("cluster: %d remote, %d retries, %d hedges (%d wins), %d local fallbacks, %d ejections (%d backends)",
-				st.Remote, st.Retries, st.Hedges, st.HedgeWins, st.Fallbacks, st.Ejections, len(cc.Backends))
+			log.Printf("cluster: %d remote, %d retries, %d local fallbacks, %d poisoned, %d ejections (%d backends)",
+				st.Remote, st.Retries, st.Fallbacks, st.Poisoned, st.Ejections, len(cc.Backends))
 		}()
 	}
 

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -35,13 +36,12 @@ func newBackend(t *testing.T, runner func(ctx context.Context, cfg config.Config
 	return ts
 }
 
-// sweepClient builds a Client for deterministic sweep tests: hedging off,
-// fast backoff, a distinctive origin label for the /metrics assertion.
+// sweepClient builds a Client for deterministic sweep tests: fast backoff
+// and a distinctive origin label for the /metrics assertion.
 func sweepClient(t *testing.T, backends ...string) *Client {
 	t.Helper()
 	c, err := New(Config{
 		Backends:    backends,
-		HedgeDelay:  -1,
 		BaseBackoff: 5 * time.Millisecond,
 		MaxBackoff:  20 * time.Millisecond,
 		Origin:      "cluster-test",
@@ -256,7 +256,6 @@ func TestClusterAllBackendsDownFallsBackLocal(t *testing.T) {
 		// Port 1 refuses connections immediately, so the test fails fast
 		// rather than waiting on timeouts.
 		Backends:    []string{"127.0.0.1:1", "127.0.0.2:1"},
-		HedgeDelay:  -1,
 		MaxAttempts: 2,
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  2 * time.Millisecond,
@@ -310,20 +309,22 @@ func stubRunner(marker string, delay time.Duration) func(ctx context.Context, cf
 	}
 }
 
-// TestClusterHedgingNoDoubleCount: a slow primary triggers a hedge to the
-// next backend; the hedge's answer wins, the point is counted exactly once,
-// and the slow request is cancelled rather than double-recorded.
-func TestClusterHedgingNoDoubleCount(t *testing.T) {
-	slow := newBackend(t, stubRunner("slow", 2*time.Second))
-	fast := newBackend(t, stubRunner("fast", 0))
-	c, err := New(Config{
-		Backends:   []string{slow.URL, fast.URL},
-		HedgeDelay: 20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestClusterSlowPointRunsOnce: a point whose primary backend is slow is
+// waited for, not duplicated — it is simulated exactly once cluster-wide,
+// the next backend in the ring never sees it, and it counts as one remote
+// point with no retry.
+func TestClusterSlowPointRunsOnce(t *testing.T) {
+	var slowRuns, fastRuns atomic.Int64
+	counted := func(n *atomic.Int64, marker string, delay time.Duration) func(context.Context, config.Config, string, float64) (system.Results, error) {
+		run := stubRunner(marker, delay)
+		return func(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error) {
+			n.Add(1)
+			return run(ctx, cfg, bench, scale)
+		}
 	}
-	t.Cleanup(c.Close)
+	slow := newBackend(t, counted(&slowRuns, "slow", 150*time.Millisecond))
+	fast := newBackend(t, counted(&fastRuns, "fast", 0))
+	c := sweepClient(t, slow.URL, fast.URL)
 
 	cfg := config.Default()
 	scale := shardScales(t, c, cfg, "nn", 0, 1)[0] // primary = slow backend
@@ -335,18 +336,100 @@ func TestClusterHedgingNoDoubleCount(t *testing.T) {
 	if err != nil {
 		t.Fatalf("DoPoint: %v", err)
 	}
-	if res.Benchmark != "fast" {
-		t.Errorf("got result %q, want the hedge's %q", res.Benchmark, "fast")
+	if res.Benchmark != "slow" {
+		t.Errorf("got result %q, want the primary's %q", res.Benchmark, "slow")
 	}
-	st := c.Stats()
-	if st.Remote != 1 {
-		t.Errorf("remote = %d, want exactly 1 (no double count)", st.Remote)
+	if slowRuns.Load() != 1 || fastRuns.Load() != 0 {
+		t.Errorf("simulations: primary %d, next backend %d; want 1 and 0", slowRuns.Load(), fastRuns.Load())
 	}
-	if st.Hedges != 1 || st.HedgeWins != 1 {
-		t.Errorf("hedges=%d wins=%d, want 1/1", st.Hedges, st.HedgeWins)
+	if st := c.Stats(); st != (Stats{Remote: 1}) {
+		t.Errorf("stats %+v, want exactly one remote point", st)
 	}
-	if st.Retries != 0 || st.Fallbacks != 0 {
-		t.Errorf("hedging should not register as retry or fallback: %+v", st)
+}
+
+// echoBackend is a raw /run handler that computes the canonical key from the
+// shipped config (so the client's key validation passes) and tracks how many
+// requests are in flight.
+func echoBackend(t *testing.T, marker string, inFlight *atomic.Int64, behave func(r *http.Request) int) *httptest.Server {
+	t.Helper()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		inFlight.Add(1)
+		defer inFlight.Add(-1)
+		var job serve.JobRequest
+		if err := json.NewDecoder(r.Body).Decode(&job); err != nil || job.Config == nil {
+			http.Error(w, "bad body", http.StatusBadRequest)
+			return
+		}
+		if code := behave(r); code != http.StatusOK {
+			http.Error(w, "injected", code)
+			return
+		}
+		json.NewEncoder(w).Encode(serve.JobResponse{
+			Key:     system.CacheKey(*job.Config, job.Benchmark, job.Scale),
+			Results: system.Results{Benchmark: marker},
+		})
+	}))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// waitDrained polls until no handler request is in flight and the goroutine
+// count has settled back to (at most) its pre-attempt level plus slack.
+// Idle keep-alive connections are closed while polling: their read/write
+// loops are pooled transport state, not leaked attempt goroutines, and would
+// otherwise mask (or mimic) a real leak.
+func waitDrained(t *testing.T, c *Client, inFlight *atomic.Int64, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		c.Close()
+		if inFlight.Load() == 0 && runtime.NumGoroutine() <= baseline+2 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("attempt not reaped: %d requests in flight, %d goroutines (baseline %d)",
+				inFlight.Load(), runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestClusterFailedAttemptsReaped: when every attempt fails, DoPoint
+// consumes each response before moving on — no request or goroutine
+// outlives the call — and the point still completes via local fallback.
+func TestClusterFailedAttemptsReaped(t *testing.T) {
+	var inFlight atomic.Int64
+	fail := func(*http.Request) int { return http.StatusInternalServerError }
+	b0 := echoBackend(t, "b0", &inFlight, fail)
+	b1 := echoBackend(t, "b1", &inFlight, fail)
+	c, err := New(Config{
+		Backends:    []string{b0.URL, b1.URL},
+		MaxAttempts: 2,
+		BaseBackoff: time.Millisecond,
+		MaxBackoff:  2 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+
+	cfg := config.Default()
+	scale := shardScales(t, c, cfg, "nn", 0, 1)[0]
+	key := system.CacheKey(cfg, "nn", scale)
+	want := system.Results{Benchmark: "local-fallback"}
+	baseline := runtime.NumGoroutine()
+	res, err := c.DoPoint(context.Background(), key, cfg, "nn", scale, func() (system.Results, error) {
+		return want, nil
+	})
+	if err != nil {
+		t.Fatalf("DoPoint: %v", err)
+	}
+	if res.Benchmark != want.Benchmark {
+		t.Errorf("result %q, want the local fallback", res.Benchmark)
+	}
+	waitDrained(t, c, &inFlight, baseline)
+	if st := c.Stats(); st.Retries != 1 || st.Fallbacks != 1 || st.Remote != 0 {
+		t.Errorf("stats %+v, want two failed attempts degrading to local compute", st)
 	}
 }
 
@@ -364,7 +447,6 @@ func TestClusterRetries5xx(t *testing.T) {
 	t.Cleanup(pts.Close)
 	c, err := New(Config{
 		Backends:    []string{pts.URL},
-		HedgeDelay:  -1,
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  2 * time.Millisecond,
 	})
@@ -401,7 +483,6 @@ func TestClusterTruncatedResponseFailsOver(t *testing.T) {
 	good := newBackend(t, stubRunner("good", 0))
 	c, err := New(Config{
 		Backends:    []string{pts.URL, good.URL},
-		HedgeDelay:  -1,
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  2 * time.Millisecond,
 	})
@@ -447,7 +528,6 @@ func TestClusterEjectionAndReadmission(t *testing.T) {
 
 	c, err := New(Config{
 		Backends:      []string{badTS.URL, good.URL},
-		HedgeDelay:    -1,
 		MaxAttempts:   2,
 		BaseBackoff:   time.Millisecond,
 		MaxBackoff:    2 * time.Millisecond,
@@ -515,7 +595,6 @@ func TestClusterKeyMismatchRejected(t *testing.T) {
 	t.Cleanup(skewed.Close)
 	c, err := New(Config{
 		Backends:    []string{skewed.URL},
-		HedgeDelay:  -1,
 		MaxAttempts: 1,
 	})
 	if err != nil {

@@ -118,26 +118,18 @@ func TestClusterPoisonedPointKeepGoing(t *testing.T) {
 		t.Errorf("re-run re-simulated the poisoned point (%d panics)", n)
 	}
 
-	// With hedging armed, the 422 is authoritative: no hedge launches and the
-	// local compute path never runs for a poisoned point.
-	ch, err := New(Config{
-		Backends:   []string{b0.URL, b1.URL, b2.URL},
-		HedgeDelay: 150 * time.Millisecond,
-		Origin:     "cluster-test",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(ch.Close)
-	_, err = ch.DoPoint(context.Background(), poisonKey, ssCfg, "nn", 0.05, func() (system.Results, error) {
+	// For a fresh client the 422 is just as authoritative: the point ends
+	// on the first answer, and the local compute path never runs for it.
+	fresh := sweepClient(t, b0.URL, b1.URL, b2.URL)
+	_, err = fresh.DoPoint(context.Background(), poisonKey, ssCfg, "nn", 0.05, func() (system.Results, error) {
 		t.Error("local fallback ran for a poisoned point")
 		return system.Results{}, nil
 	})
 	if !fault.IsPoisoned(err) {
 		t.Fatalf("DoPoint err = %v, want a poisoned-point error", err)
 	}
-	if s := ch.Stats(); s.Hedges != 0 || s.Retries != 0 || s.Fallbacks != 0 || s.Poisoned != 1 {
-		t.Errorf("hedged client stats %+v, want the poisoned point to end the attempt outright", s)
+	if s := fresh.Stats(); s != (Stats{Poisoned: 1}) {
+		t.Errorf("fresh client stats %+v, want the poisoned point to end the attempt outright", s)
 	}
 }
 
@@ -156,7 +148,6 @@ func TestClusterHangTimesOutAndRetries(t *testing.T) {
 	t.Cleanup(pts.Close)
 	c, err := New(Config{
 		Backends:       []string{pts.URL},
-		HedgeDelay:     -1,
 		RequestTimeout: 100 * time.Millisecond,
 		BaseBackoff:    time.Millisecond,
 		MaxBackoff:     2 * time.Millisecond,
@@ -197,7 +188,6 @@ func TestClusterMidBodyPanicFailsOver(t *testing.T) {
 	good := newBackend(t, stubRunner("good", 0))
 	c, err := New(Config{
 		Backends:    []string{pts.URL, good.URL},
-		HedgeDelay:  -1,
 		BaseBackoff: time.Millisecond,
 		MaxBackoff:  2 * time.Millisecond,
 	})

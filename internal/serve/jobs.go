@@ -14,8 +14,6 @@ import (
 	"streamfloat/internal/config"
 	"streamfloat/internal/experiments"
 	"streamfloat/internal/fault"
-	"streamfloat/internal/sanitize"
-	"streamfloat/internal/system"
 	"streamfloat/internal/workload"
 )
 
@@ -278,10 +276,21 @@ func (s *Server) journalTry(err error) {
 	}
 }
 
-// journalPoint records one completed point against the job's journal.
-func (s *Server) journalPoint(id, key string, cached bool) {
-	if s.cfg.Journal != nil && key != "" {
-		s.journalTry(s.cfg.Journal.PointDone(id, key, cached))
+// journalPoint records how a point of job j (nil: no job) ended: a
+// completion, or — for a fresh deterministic failure — a poison record, so
+// a resumed job (and any later job over the same journal) skips the key
+// instead of recomputing a simulation that can only crash again. Other
+// failures leave no record and simply re-run on resume.
+func (s *Server) journalPoint(j *job, key string, cached bool, err error) {
+	if s.cfg.Journal == nil || j == nil {
+		return
+	}
+	if err == nil {
+		s.journalTry(s.cfg.Journal.PointDone(j.id, key, cached))
+		return
+	}
+	if pe, ok := fault.As(err); ok && pe.Deterministic() && !pe.Quarantined {
+		s.journalTry(s.cfg.Journal.PointPoisoned(j.id, key, pe.Served()))
 	}
 }
 
@@ -331,7 +340,7 @@ func (s *Server) runJob(j *job) {
 	var res JobResult
 	var err error
 	if j.spec.Figure != nil {
-		res.Figure, err = s.runFigureJob(ctx, j)
+		res.Figure, err = s.runFigure(ctx, j, *j.spec.Figure, j.spec.KeepGoing)
 	} else {
 		res.Points, err = s.runPointsJob(ctx, j)
 	}
@@ -377,92 +386,17 @@ func (s *Server) finishJob(j *job, res JobResult, err error) {
 	}
 }
 
-// notePointFault updates the fault counters for one failed point: stall-
-// watchdog kills, and fresh deterministic failures (panics/violations
-// contained into typed errors; quarantine replays are not re-counted).
-func (s *Server) notePointFault(err error) {
-	pe, ok := fault.As(err)
-	if !ok {
-		return
-	}
-	if pe.Stuck {
-		s.watchdogKills.Add(1)
-	}
-	if pe.Deterministic() && !pe.Quarantined {
-		s.panics.Add(1)
-	}
-}
-
-// journalPoison records a deterministic point failure as a journal negative
-// entry, so a resumed job (and any later job over the same journal) skips
-// the key instead of recomputing a simulation that can only crash again.
-func (s *Server) journalPoison(id, key string, err error) {
-	if s.cfg.Journal == nil || key == "" {
-		return
-	}
-	pe, ok := fault.As(err)
-	if !ok || !pe.Deterministic() || pe.Quarantined {
-		return
-	}
-	s.journalTry(s.cfg.Journal.PointPoisoned(id, key, pe.Served()))
-}
-
-// runFigureJob regenerates the spec's figure through the shared cache,
-// streaming sweep progress into the job state and the journal.
-func (s *Server) runFigureJob(ctx context.Context, j *job) (*experiments.Table, error) {
-	fs := j.spec.Figure
-	fn, ok := experiments.ByName(fs.ID)
-	if !ok {
-		return nil, fmt.Errorf("unknown figure %q", fs.ID)
-	}
-	opts := experiments.Options{
-		Scale:        0.25,
-		Benchmarks:   fs.Benchmarks,
-		Cache:        s.cfg.Store,
-		Sanitize:     sanitize.ModeOff,
-		Context:      ctx,
-		KeepGoing:    j.spec.KeepGoing,
-		StallTimeout: s.cfg.StallTimeout,
-	}
-	if fs.Scale > 0 {
-		opts.Scale = fs.Scale
-	}
-	if fs.Sample != nil {
-		opts.Sample = *fs.Sample
-	}
-	opts.Progress = func(ev experiments.ProgressEvent) {
-		j.mu.Lock()
-		j.progress = JobProgress{
-			Total:          ev.Total,
-			Started:        ev.Started,
-			Completed:      ev.Completed,
-			Cached:         ev.Cached,
-			Failed:         ev.Failed,
-			EstRemainingMS: float64(ev.EstRemaining.Microseconds()) / 1e3,
-		}
-		j.mu.Unlock()
-		if ev.Done && ev.Err == nil {
-			s.journalPoint(j.id, ev.Key, ev.PointCached)
-		}
-		if ev.Done && ev.Err != nil {
-			s.notePointFault(ev.Err)
-			s.journalPoison(j.id, ev.Key, ev.Err)
-		}
-	}
-	return fn(opts)
-}
-
-// runPointsJob runs the spec's explicit points in order through the shared
-// cache, journaling each completion. Under spec.KeepGoing a failed point is
-// marked in its JobResponse (Error/Fault, zero Results) and the sweep
-// continues; otherwise the first failure fails the job.
+// runPointsJob runs the spec's explicit points in order through runPoint,
+// which journals each one. Under spec.KeepGoing a failed point is marked in
+// its JobResponse (Error/Fault, zero Results) and the sweep continues;
+// otherwise the first failure fails the job.
 func (s *Server) runPointsJob(ctx context.Context, j *job) ([]JobResponse, error) {
 	points := j.spec.Points
 	j.mu.Lock()
 	j.progress.Total = len(points)
 	j.mu.Unlock()
 	out := make([]JobResponse, 0, len(points))
-	var wallSum time.Duration
+	var wallSumMS float64
 	wallN := 0
 	failures := 0
 	for i, pr := range points {
@@ -470,20 +404,11 @@ func (s *Server) runPointsJob(ctx context.Context, j *job) ([]JobResponse, error
 		if err != nil {
 			return nil, fmt.Errorf("point %d: %w", i, err)
 		}
-		key := system.CacheKey(cfg, bench, scale)
 		j.mu.Lock()
 		j.progress.Started++
 		j.mu.Unlock()
-		start := time.Now()
-		computed := false
-		res, err := s.cfg.Store.Do(ctx, key, func() (system.Results, error) {
-			computed = true
-			return s.runGuarded(ctx, key, cfg, bench, scale)
-		})
-		wall := time.Since(start)
+		resp, err := s.runPoint(ctx, j, cfg, bench, scale)
 		if err != nil {
-			s.notePointFault(err)
-			s.journalPoison(j.id, key, err)
 			j.mu.Lock()
 			j.progress.Failed++
 			j.mu.Unlock()
@@ -491,36 +416,26 @@ func (s *Server) runPointsJob(ctx context.Context, j *job) ([]JobResponse, error
 				return nil, fmt.Errorf("point %d (%s): %w", i, bench, err)
 			}
 			failures++
-			pe := fault.Classify(key, err)
-			out = append(out, JobResponse{
-				Key:       key,
-				ElapsedMS: float64(wall.Microseconds()) / 1e3,
-				Error:     pe.Error(),
-				Fault:     pe.Served(),
-			})
+			pe := fault.Classify(resp.Key, err)
+			resp.Error, resp.Fault = pe.Error(), pe.Served()
+			out = append(out, resp)
 			continue
 		}
-		if computed {
-			wallSum += wall
+		if !resp.Cached {
+			wallSumMS += resp.ElapsedMS
 			wallN++
 		}
 		j.mu.Lock()
 		j.progress.Completed++
-		if !computed {
+		if resp.Cached {
 			j.progress.Cached++
 		}
 		if wallN > 0 {
 			remaining := len(points) - j.progress.Completed
-			j.progress.EstRemainingMS = float64((wallSum / time.Duration(wallN) * time.Duration(remaining)).Microseconds()) / 1e3
+			j.progress.EstRemainingMS = wallSumMS / float64(wallN) * float64(remaining)
 		}
 		j.mu.Unlock()
-		s.journalPoint(j.id, key, !computed)
-		out = append(out, JobResponse{
-			Key:       key,
-			Cached:    !computed,
-			ElapsedMS: float64(wall.Microseconds()) / 1e3,
-			Results:   res,
-		})
+		out = append(out, resp)
 	}
 	if failures > 0 && failures == len(points) {
 		return nil, fmt.Errorf("all %d points failed: %w", failures, out[0].Fault)

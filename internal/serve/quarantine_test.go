@@ -310,3 +310,68 @@ func TestJobsKillRestartQuarantine(t *testing.T) {
 		}
 	}
 }
+
+// TestServerPanicCountedOnce: two jobs sharing one poisoned point's
+// simulation (a singleflight leader and its follower) contain one panic,
+// and /metrics counts one — only the caller that ran the simulation counts
+// it.
+func TestServerPanicCountedOnce(t *testing.T) {
+	st, err := NewStore(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	runner := func(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error) {
+		calls.Add(1)
+		// Hold the simulation until the second job has joined it.
+		for deadline := time.Now().Add(5 * time.Second); st.Stats().Dedups == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		panic("injected simulator fault")
+	}
+	_, ts := newTestServer(t, Config{Store: st, Runner: runner, Workers: 2})
+	spec := JobSpec{Points: []JobRequest{{Benchmark: "mv", Scale: 0.05}}}
+	a := submitJobSpec(t, ts.URL, spec)
+	b := submitJobSpec(t, ts.URL, spec)
+	waitJobState(t, ts.URL, a, JobFailed)
+	waitJobState(t, ts.URL, b, JobFailed)
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("the shared point simulated %d times, want 1", n)
+	}
+	if st.Stats().Dedups != 1 {
+		t.Fatalf("store stats %+v: the second job never joined the first's simulation", st.Stats())
+	}
+	if m := getBody(t, ts.URL+"/metrics"); !strings.Contains(m, "sfserve_panics_total 1\n") {
+		t.Errorf("one contained panic, metrics say otherwise:\n%s", m)
+	}
+}
+
+// TestFigureCacheCountsFaults: a figure sweep's points go through the same
+// Server.point as /run, so a panic contained in one is counted, quarantined
+// and replayed without recomputing.
+func TestFigureCacheCountsFaults(t *testing.T) {
+	h, ts := newTestServer(t, Config{})
+	var calls atomic.Int64
+	compute := func() (system.Results, error) {
+		calls.Add(1)
+		return system.Results{}, fault.Guard(context.Background(), "", 0, 0, func(context.Context) error {
+			panic("injected simulator fault")
+		})
+	}
+	fc := figureCache{s: h}
+	for i := 0; i < 2; i++ {
+		_, err := fc.Do(context.Background(), "figure-point", compute)
+		if pe, ok := fault.As(err); !ok || pe.Kind != fault.KindPanic {
+			t.Fatalf("Do #%d err = %v, want a contained panic", i, err)
+		}
+	}
+	if n := calls.Load(); n != 1 {
+		t.Errorf("the poisoned figure point simulated %d times, want 1", n)
+	}
+	metrics := getBody(t, ts.URL+"/metrics")
+	for _, want := range []string{"sfserve_panics_total 1\n", "sfserve_points_quarantined 1\n", "sfserve_cache_poison_hits 1\n"} {
+		if !strings.Contains(metrics, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}

@@ -40,9 +40,11 @@ type Config struct {
 	// and fails as a stuck timeout (see fault.Guard). 0 disables the
 	// watchdog; panic containment is always on.
 	StallTimeout time.Duration
-	// Runner executes one simulation. nil picks sample.Run, which dispatches
-	// on cfg.Sample — full detailed simulation when sampling is disabled,
-	// sampled estimation when a job carries sampling parameters. Tests
+	// Runner executes one /run or points-job simulation. nil picks
+	// sample.Run, which dispatches on cfg.Sample — full detailed simulation
+	// when sampling is disabled, sampled estimation when a job carries
+	// sampling parameters. Figure sweeps simulate their points themselves
+	// (so a sampled figure can report its confidence intervals). Tests
 	// substitute stubs to exercise queueing and cancellation deterministically.
 	Runner func(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error)
 	// Journal, when non-nil, makes async jobs crash-safe: specs, state
@@ -107,7 +109,7 @@ type Server struct {
 }
 
 // OriginHeader names the request header carrying the client's origin label
-// for the per-origin /metrics counters (cluster.OriginHeader sets it).
+// for the per-origin /metrics counters (cluster.Client stamps it).
 const OriginHeader = "X-SF-Origin"
 
 // recordOrigin attributes one job submission to its origin.
@@ -362,28 +364,15 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	key := system.CacheKey(cfg, bench, scale)
-	start := time.Now()
-	computed := false
-	res, err := s.cfg.Store.Do(ctx, key, func() (system.Results, error) {
-		computed = true
-		return s.runGuarded(ctx, key, cfg, bench, scale)
-	})
-	elapsed := time.Since(start)
+	resp, err := s.runPoint(ctx, nil, cfg, bench, scale)
 	if err != nil {
 		s.failed.Add(1)
 		if pe, ok := fault.As(err); ok {
-			if pe.Stuck {
-				s.watchdogKills.Add(1)
-			}
 			if pe.Deterministic() {
 				// Poisoned point: the failure is a property of the key, not of
 				// this execution. 422 tells clients not to retry or fail over;
 				// the Store has quarantined the key, so re-requests replay this
 				// same typed error without simulating.
-				if computed && !pe.Quarantined {
-					s.panics.Add(1)
-				}
 				w.Header().Set("Content-Type", "application/json")
 				w.WriteHeader(http.StatusUnprocessableEntity)
 				enc := json.NewEncoder(w)
@@ -405,31 +394,117 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.done.Add(1)
-	s.lat.record(elapsed.Seconds())
-	writeJSON(w, JobResponse{
-		Key:       key,
-		Cached:    !computed,
-		ElapsedMS: float64(elapsed.Microseconds()) / 1e3,
-		Results:   res,
-	})
+	s.lat.record(resp.ElapsedMS / 1e3)
+	writeJSON(w, resp)
 }
 
-// runGuarded executes one simulation through the fault-isolation layer:
-// panics become structured PointErrors (keeping the serving process up), and
-// with Config.StallTimeout set, the stall watchdog kills points whose event
-// loop stops advancing simulated time. The typed error flows back through
-// Store.Do, which quarantines deterministic failures under the key.
-func (s *Server) runGuarded(ctx context.Context, key string, cfg config.Config, bench string, scale float64) (system.Results, error) {
-	var res system.Results
-	err := fault.Guard(ctx, key, s.cfg.StallTimeout, 0, func(ctx context.Context) error {
-		var rerr error
-		res, rerr = s.cfg.Runner(ctx, cfg, bench, scale)
-		return rerr
+// point is the one way sfserve gets a simulation point's Results. POST /run
+// and points jobs reach it through runPoint, GET /figure and figure jobs
+// through figureCache. It wraps the Store (memory and disk cache,
+// singleflight, quarantine) around compute, which must be guarded
+// (fault.Guard) so a panic or a stall arrives typed; counts the fault when
+// this caller ran the simulation; and, when the point belongs to job j
+// (nil for the synchronous endpoints), journals its outcome. cached reports
+// a point served without running compute.
+func (s *Server) point(ctx context.Context, j *job, key string, compute func() (system.Results, error)) (res system.Results, cached bool, err error) {
+	computed := false
+	res, err = s.cfg.Store.Do(ctx, key, func() (system.Results, error) {
+		computed = true
+		return compute()
 	})
-	if err != nil {
-		return system.Results{}, err
+	if pe, ok := fault.As(err); ok && computed {
+		// A singleflight follower shares the leader's error; only the
+		// leader counts it.
+		if pe.Stuck {
+			s.watchdogKills.Add(1)
+		}
+		if pe.Deterministic() && !pe.Quarantined {
+			s.panics.Add(1)
+		}
 	}
-	return res, nil
+	s.journalPoint(j, key, !computed, err)
+	if err != nil {
+		return system.Results{}, false, err
+	}
+	return res, !computed, nil
+}
+
+// runPoint computes one resolved /run or points-job point through point,
+// simulating with Config.Runner under the fault guard: panics become
+// structured PointErrors (keeping the serving process up), and with
+// Config.StallTimeout set the stall watchdog kills points whose event loop
+// stops advancing simulated time. On error the response still carries the
+// key and elapsed time.
+func (s *Server) runPoint(ctx context.Context, j *job, cfg config.Config, bench string, scale float64) (JobResponse, error) {
+	key := system.CacheKey(cfg, bench, scale)
+	start := time.Now()
+	res, cached, err := s.point(ctx, j, key, func() (system.Results, error) {
+		var res system.Results
+		err := fault.Guard(ctx, key, s.cfg.StallTimeout, 0, func(ctx context.Context) (err error) {
+			res, err = s.cfg.Runner(ctx, cfg, bench, scale)
+			return err
+		})
+		return res, err
+	})
+	return JobResponse{
+		Key:       key,
+		Cached:    cached,
+		ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3,
+		Results:   res,
+	}, err
+}
+
+// figureCache is the experiments.ResultCache a figure sweep runs against:
+// every point goes through Server.point, with the sweep's own guarded
+// compute. j is the figure job, nil for GET /figure.
+type figureCache struct {
+	s *Server
+	j *job
+}
+
+func (c figureCache) Do(ctx context.Context, key string, compute func() (system.Results, error)) (system.Results, error) {
+	res, _, err := c.s.point(ctx, c.j, key, compute)
+	return res, err
+}
+
+// runFigure regenerates one figure through figureCache, under the server's
+// stall watchdog. For a figure job the sweep's progress is mirrored into
+// the job's status.
+func (s *Server) runFigure(ctx context.Context, j *job, fs FigureSpec, keepGoing bool) (*experiments.Table, error) {
+	fn, ok := experiments.ByName(fs.ID)
+	if !ok {
+		return nil, fmt.Errorf("unknown figure %q", fs.ID)
+	}
+	opts := experiments.Options{
+		Scale:        0.25,
+		Benchmarks:   fs.Benchmarks,
+		Cache:        figureCache{s, j},
+		Sanitize:     sanitize.ModeOff,
+		Context:      ctx,
+		KeepGoing:    keepGoing,
+		StallTimeout: s.cfg.StallTimeout,
+	}
+	if fs.Scale > 0 {
+		opts.Scale = fs.Scale
+	}
+	if fs.Sample != nil {
+		opts.Sample = *fs.Sample
+	}
+	if j != nil {
+		opts.Progress = func(ev experiments.ProgressEvent) {
+			j.mu.Lock()
+			j.progress = JobProgress{
+				Total:          ev.Total,
+				Started:        ev.Started,
+				Completed:      ev.Completed,
+				Cached:         ev.Cached,
+				Failed:         ev.Failed,
+				EstRemainingMS: float64(ev.EstRemaining.Microseconds()) / 1e3,
+			}
+			j.mu.Unlock()
+		}
+	}
+	return fn(opts)
 }
 
 // handleFigure regenerates one figure table through the shared result cache:
@@ -454,8 +529,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "not found (figures are served at /figure/{id})", http.StatusNotFound)
 		return
 	}
-	fn, ok := experiments.ByName(id)
-	if !ok {
+	if _, ok := experiments.ByName(id); !ok {
 		if _, err := strconv.Atoi(id); err != nil {
 			http.Error(w, fmt.Sprintf("bad figure id %q (want a figure number or area, ablations, latency)", id), http.StatusBadRequest)
 			return
@@ -463,14 +537,14 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown figure %q (want 2, 13-19, area, ablations, latency)", id), http.StatusNotFound)
 		return
 	}
-	opts := experiments.Options{Scale: 0.25, Cache: s.cfg.Store, Sanitize: sanitize.ModeOff}
+	fs := FigureSpec{ID: id}
 	if v := r.URL.Query().Get("scale"); v != "" {
 		f, err := strconv.ParseFloat(v, 64)
 		if err != nil || f <= 0 {
 			http.Error(w, "bad scale", http.StatusBadRequest)
 			return
 		}
-		opts.Scale = f
+		fs.Scale = f
 	}
 	if v := r.URL.Query().Get("bench"); v != "" {
 		names, err := workload.ParseNames(v)
@@ -478,13 +552,13 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		opts.Benchmarks = names
+		fs.Benchmarks = names
 	}
 	if sp, err := sampleQuery(r.URL.Query()); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
-	} else {
-		opts.Sample = sp
+	} else if sp.Enabled() {
+		fs.Sample = &sp
 	}
 	if !s.acquire(w, r) {
 		return
@@ -493,10 +567,9 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.JobTimeout)
 	defer cancel()
-	opts.Context = ctx
 
 	start := time.Now()
-	tbl, err := fn(opts)
+	tbl, err := s.runFigure(ctx, nil, fs, false)
 	if err != nil {
 		s.failed.Add(1)
 		status := http.StatusInternalServerError
