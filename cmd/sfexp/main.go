@@ -33,7 +33,6 @@ import (
 	"streamfloat"
 	"streamfloat/internal/cluster"
 	"streamfloat/internal/experiments"
-	"streamfloat/internal/fault"
 	"streamfloat/internal/serve"
 )
 
@@ -197,17 +196,7 @@ func run() (err error) {
 			if !ev.Done || ev.Key == "" {
 				return
 			}
-			if ev.Err != nil {
-				// Deterministic failures journal as poison records: a resumed
-				// run skips the point; anything else simply re-runs.
-				if pe, ok := fault.As(ev.Err); ok && pe.Deterministic() && !pe.Quarantined {
-					if perr := journal.PointPoisoned(id, ev.Key, pe.Served()); perr != nil {
-						log.Printf("resume: journal write failed: %v", perr)
-					}
-				}
-				return
-			}
-			if perr := journal.PointDone(id, ev.Key, ev.PointCached); perr != nil {
+			if perr := journal.PointEnded(id, ev.Key, ev.PointCached, ev.Err); perr != nil {
 				log.Printf("resume: journal write failed: %v", perr)
 			}
 		}

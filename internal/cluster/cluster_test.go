@@ -84,10 +84,16 @@ func fig13Opts() experiments.Options {
 	return experiments.Options{Scale: 0.05, Benchmarks: []string{"nn"}}
 }
 
+// fig13 regenerates Fig 13 through the package's one figure entry point.
+func fig13(opts experiments.Options) (*experiments.Table, error) {
+	fn, _ := experiments.ByName("13")
+	return fn(opts)
+}
+
 func localFig13(t *testing.T) *experiments.Table {
 	t.Helper()
 	fig13Ref.once.Do(func() {
-		fig13Ref.tbl, fig13Ref.err = experiments.Fig13(fig13Opts())
+		fig13Ref.tbl, fig13Ref.err = fig13(fig13Opts())
 	})
 	if fig13Ref.err != nil {
 		t.Fatalf("local Fig13: %v", fig13Ref.err)
@@ -131,7 +137,7 @@ func TestClusterSweepMatchesLocal(t *testing.T) {
 
 	opts := fig13Opts()
 	opts.Cache = c
-	got, err := experiments.Fig13(opts)
+	got, err := fig13(opts)
 	if err != nil {
 		t.Fatalf("cluster Fig13: %v", err)
 	}
@@ -228,7 +234,7 @@ func TestClusterFailoverMidSweep(t *testing.T) {
 
 	opts := fig13Opts()
 	opts.Cache = c
-	got, err := experiments.Fig13(opts)
+	got, err := fig13(opts)
 	if err != nil {
 		t.Fatalf("sweep with a dying backend: %v", err)
 	}

@@ -13,7 +13,6 @@ import (
 
 	"streamfloat/internal/cluster/chaos"
 	"streamfloat/internal/config"
-	"streamfloat/internal/experiments"
 	"streamfloat/internal/fault"
 	"streamfloat/internal/serve"
 	"streamfloat/internal/system"
@@ -49,13 +48,12 @@ func TestClusterPoisonedPointKeepGoing(t *testing.T) {
 	opts := fig13Opts()
 	opts.Cache = c
 	opts.KeepGoing = true
-	opts.Failures = &experiments.FailureLog{}
-	got, err := experiments.Fig13(opts)
+	got, err := fig13(opts)
 	if err != nil {
 		t.Fatalf("keep-going cluster sweep must complete: %v", err)
 	}
 
-	pts := opts.Failures.Points()
+	pts := got.Failures
 	if len(pts) != 1 {
 		t.Fatalf("failures = %+v, want exactly the poisoned point", pts)
 	}
@@ -107,11 +105,11 @@ func TestClusterPoisonedPointKeepGoing(t *testing.T) {
 
 	// Re-running the sweep replays the quarantine: still one failure, still
 	// exactly one panic ever — the 422 comes from the store's negative entry.
-	opts.Failures = &experiments.FailureLog{}
-	if _, err := experiments.Fig13(opts); err != nil {
+	rerun, err := fig13(opts)
+	if err != nil {
 		t.Fatalf("re-run: %v", err)
 	}
-	if pts := opts.Failures.Points(); len(pts) != 1 || !pts[0].Quarantined {
+	if pts := rerun.Failures; len(pts) != 1 || !pts[0].Quarantined {
 		t.Errorf("re-run failures = %+v, want the quarantined point again", pts)
 	}
 	if n := panics.Load(); n != 1 {

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 
 	"streamfloat/internal/cache"
@@ -236,94 +235,4 @@ func runTerminate(_ event.Cycle, arg any) {
 func runUnregister(_ event.Cycle, arg any) {
 	s := arg.(*l3Stream)
 	s.eng.unregister(s.key)
-}
-
-// Debug dumps the live stream-engine state (deadlock diagnostics).
-func (e *Engines) Debug() string {
-	var b []byte
-	add := func(s string, args ...any) { b = append(b, []byte(fmt.Sprintf(s, args...))...) }
-	for key, s := range e.registry {
-		pend := int64(-1)
-		if s.pending != nil {
-			pend = s.pending.seq
-		}
-		add("l3stream tile=%d sid=%d gen=%d bank=%d issued=%d credits=%d pending=%d dead=%v confSize=%d\n",
-			key.tile, key.sid, key.gen, s.curBank, s.issued, s.creditLevel, pend, s.dead, len(s.conf.members))
-	}
-	for i, b3 := range e.l3s {
-		if len(b3.groups) > 0 || b3.ticking {
-			add("bank %d: groups=%d ticking=%v indQ=%d\n", i, len(b3.groups), b3.ticking, len(b3.indQ))
-		}
-	}
-	for i, l2 := range e.l2s {
-		for _, g := range l2.groups {
-			add("sel2 tile=%d sid=%d granted=%d consumed=%d lastCredit=%d buffered=%d cap=%d dead=%v\n",
-				i, g.decl.ID, g.granted, g.consumed, g.lastCredit, g.buffered, g.cap, g.dead)
-		}
-	}
-	return string(b)
-}
-
-// DebugWaiters lists buffer lines with pending waiters (diagnostics).
-func (e *Engines) DebugWaiters() string {
-	var b []byte
-	add := func(s string, args ...any) { b = append(b, []byte(fmt.Sprintf(s, args...))...) }
-	for i, l2 := range e.l2s {
-		for _, g := range l2.groups {
-			for _, bl := range g.bySeq {
-				if len(bl.waiters) > 0 {
-					add("tile=%d sid=%d seq=%d addr=%x arrived=%v gone=%v waiters=%d\n",
-						i, g.decl.ID, bl.seq, bl.addr, bl.arrived, bl.gone, len(bl.waiters))
-				}
-			}
-		}
-	}
-	return string(b)
-}
-
-// EnableRequestTracking turns on per-stream pending-request counting for
-// deadlock diagnostics.
-func (e *Engines) EnableRequestTracking() {
-	for _, c := range e.cores {
-		c.pendingDbg = make(map[int]int64)
-	}
-}
-
-// DebugPending lists streams with outstanding element requests.
-func (e *Engines) DebugPending() string {
-	var b []byte
-	for i, c := range e.cores {
-		for sid, n := range c.pendingDbg {
-			if n != 0 {
-				kind := -1
-				if s := c.streams[sid]; s != nil {
-					kind = int(s.kind)
-				}
-				b = append(b, []byte(fmt.Sprintf("tile=%d sid=%d pending=%d kind=%d\n", i, sid, n, kind))...)
-			}
-		}
-	}
-	return string(b)
-}
-
-// DebugCached dumps cached-stream FIFO state for streams with pending
-// requests (diagnostics).
-func (e *Engines) DebugCached() string {
-	var b []byte
-	for i, c := range e.cores {
-		for sid, n := range c.pendingDbg {
-			if n == 0 {
-				continue
-			}
-			s := c.streams[sid]
-			if s == nil || s.walker == nil {
-				continue
-			}
-			b = append(b, []byte(fmt.Sprintf(
-				"tile=%d sid=%d kind=%d held=%d cap=%d walkNext=%d walkTotal=%d cachedStart=%d floatFrom=%d lines=%d demand=%d\n",
-				i, sid, s.kind, s.held, s.fifoCap, s.walker.nextElem, s.walker.total,
-				s.cachedStart, s.floatFrom, len(s.lines), len(s.demand)))...)
-		}
-	}
-	return string(b)
 }

@@ -95,10 +95,6 @@ type seCore struct {
 	phase   *workload.Phase
 	streams map[int]*coreStream
 	hist    map[uint32]*histEntry
-
-	// pendingDbg, when non-nil, counts un-answered element requests per
-	// stream (diagnostics only).
-	pendingDbg map[int]int64
 }
 
 func newSECore(e *Engines, tile int) *seCore {
@@ -483,14 +479,6 @@ func (c *seCore) requestElement(sid int, idx int64, cb func(event.Cycle)) {
 		inner := cb
 		cb = func(now event.Cycle) {
 			s.sanServed++
-			inner(now)
-		}
-	}
-	if c.pendingDbg != nil {
-		c.pendingDbg[sid]++
-		inner := cb
-		cb = func(now event.Cycle) {
-			c.pendingDbg[sid]--
 			inner(now)
 		}
 	}

@@ -6,12 +6,12 @@ import (
 	"streamfloat/internal/config"
 )
 
-// Ablations sweeps the design choices DESIGN.md calls out, beyond what the
+// ablations sweeps the design choices DESIGN.md calls out, beyond what the
 // paper itself evaluates: the SE_L2 stream-buffer capacity (run-ahead depth
 // and stencil retention), the confluence block size (how far apart cores may
 // be and still merge), and the history-policy float threshold. All results
 // are SF-OOO8 cycles normalized to the default configuration.
-func Ablations(opts Options) (*Table, error) {
+func ablations(opts Options) (*Table, error) {
 	type variant struct {
 		label  string
 		mutate func(*config.Config)

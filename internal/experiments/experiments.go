@@ -3,6 +3,11 @@
 // configurations over the benchmark suite and reports the same rows/series
 // the paper presents (normalized the same way). Runs execute in parallel
 // across OS threads; each individual simulation is deterministic.
+//
+// ByName, All, AllTables and WriteFigureCSVs are the only entry points. All
+// four reach a runner through runFigure, which folds the sampled-sweep
+// confidence intervals, keep-going failures and the sweep-parallelism derate
+// note into every table.
 package experiments
 
 import (
@@ -53,13 +58,6 @@ type Options struct {
 	// full points never share cache keys (the canonical encoding includes
 	// the resolved parameters).
 	Sample config.SampleParams
-	// Estimates, when non-nil, collects the per-point sampled estimates
-	// (mean, 95% confidence half-width, work reduction) of the sweep.
-	// Figure runners provision one automatically for sampled sweeps and
-	// fold its summary into the produced table; set it explicitly only to
-	// inspect raw per-point estimates. Points served from a result cache
-	// contribute no fresh estimate.
-	Estimates *EstimateLog
 	// Context cancels an in-flight sweep: the first simulation error or a
 	// caller cancel stops scheduling new simulations and aborts running ones
 	// at their next event-loop cancellation check. nil means Background.
@@ -76,10 +74,10 @@ type Options struct {
 	// it for async job status, and sfexp -resume for its sweep journal.
 	Progress ProgressFunc
 	// KeepGoing completes the sweep with failed points marked instead of
-	// cancelling the fan-out on the first failure: failures are recorded in
-	// Failures (and as table footnotes by the figure runners), failed points
-	// contribute zero Results to derived metrics, and the sweep only errors
-	// when the caller's context is cancelled or every point failed.
+	// cancelling the fan-out on the first failure: failures are listed in
+	// Table.Failures and as table footnotes, failed points contribute zero
+	// Results to derived metrics, and the sweep only errors when the
+	// caller's context is cancelled or every point failed.
 	KeepGoing bool
 	// PointTimeout bounds each point's wall-clock time; past it the point is
 	// cancelled and fails with a timeout PointError. 0 disables the deadline.
@@ -89,16 +87,17 @@ type Options struct {
 	// loop, or livelocked inside it — is cancelled and fails with a stuck
 	// timeout PointError. 0 disables the watchdog. See fault.Guard.
 	StallTimeout time.Duration
-	// Failures, when non-nil, collects the failed points of a keep-going
-	// sweep. Figure runners provision one automatically under KeepGoing and
-	// fold its entries into the produced table; set it explicitly only to
-	// inspect raw per-point failures.
-	Failures *FailureLog
 
 	// figure names the figure being regenerated, for pprof labels on the
 	// sweep's goroutines. Set by runFigure; ad-hoc runAll callers show up
 	// as "adhoc".
 	figure string
+	// estimates and failures collect the per-point sampled estimates and
+	// keep-going failures of one figure's sweep. runFigure provisions them
+	// (for sampled and keep-going sweeps respectively) and folds them into
+	// the table; nil logs discard records.
+	estimates *pointLog[PointEstimate]
+	failures  *pointLog[PointFailure]
 }
 
 // figureLabel resolves the pprof figure label.
@@ -272,6 +271,16 @@ type runKey struct {
 	mutate func(*config.Config)
 }
 
+// variant tells mutated points (Fig15's prefetcher variants, Fig16's link
+// sweeps, ...) apart from plain ones that share bench/system/core in
+// per-point records.
+func (k runKey) variant() string {
+	if k.mutate != nil {
+		return "mutated"
+	}
+	return ""
+}
+
 // testFaultHook, when non-nil, runs at the top of every computed point's
 // guarded simulation closure. Tests use it to inject deterministic faults
 // (panics, hangs) into chosen points without touching the simulator; it is
@@ -317,7 +326,7 @@ func fanOut(ctx context.Context, par, n int, cancelOnErr bool, labels func(i int
 // and in-flight ones abort at their next event-loop cancellation check — so
 // a failing sweep returns promptly instead of burning the rest of the
 // fan-out to completion. Under opts.KeepGoing the fan-out instead runs to
-// completion with failures recorded in opts.Failures (see keepGoingError).
+// completion with failures recorded in opts.failures (see keepGoingError).
 // With opts.Cache set, each point is served from the result cache by
 // canonical key (concurrent identical points share one simulation).
 func runAll(ctx context.Context, opts Options, keys []runKey) ([]system.Results, error) {
@@ -376,7 +385,7 @@ func runPoint(ctx context.Context, opts Options, prog *progressTracker, k runKey
 				if err != nil {
 					return err
 				}
-				opts.Estimates.record(k, est)
+				opts.estimates.record(k, newPointEstimate(k, est))
 				res = est.Results
 				return nil
 			}
@@ -426,7 +435,7 @@ func sweepError(keys []runKey, errs []error) error {
 }
 
 // keepGoingError reduces per-run errors for a keep-going sweep: every
-// failure is recorded into opts.Failures (classified through the fault
+// failure is recorded into opts.failures (classified through the fault
 // taxonomy) and the sweep still succeeds — failed points simply carry zero
 // Results — unless the caller's own context was cancelled or every point
 // failed, in which case there is nothing partial worth returning and the
@@ -438,7 +447,7 @@ func keepGoingError(ctx context.Context, opts Options, keys []runKey, errs []err
 			continue
 		}
 		failed++
-		opts.Failures.record(keys[i], err)
+		opts.failures.record(keys[i], newPointFailure(keys[i], err))
 	}
 	if ctx.Err() != nil || (failed > 0 && failed == len(keys)) {
 		return sweepError(keys, errs)
@@ -466,10 +475,10 @@ func flt3(x float64) string { return fmt.Sprintf("%.3f", x) }
 
 // --- Fig 2: motivation -----------------------------------------------------
 
-// Fig02 reproduces the cache-thrashing motivation: the fraction of L2
+// fig02 reproduces the cache-thrashing motivation: the fraction of L2
 // evictions that are clean and never reused (and the stream-covered share),
 // and the fraction of NoC traffic attributable to caching unreused data.
-func Fig02(opts Options) (*Table, error) {
+func fig02(opts Options) (*Table, error) {
 	// The motivation numbers depend on per-core working sets exceeding the
 	// private L2, so this figure enforces a minimum dataset scale (use
 	// -scale 1 for the calibrated Table IV sizes).
@@ -531,9 +540,9 @@ func mean(vs []float64) float64 {
 
 // --- Fig 13: overall speedup and energy efficiency --------------------------
 
-// Fig13 reproduces the headline comparison: speedup and energy efficiency
+// fig13 reproduces the headline comparison: speedup and energy efficiency
 // of Stride/Bingo/SS/SF over Base, for IO4, OOO4 and OOO8 cores.
-func Fig13(opts Options) (*Table, error) {
+func fig13(opts Options) (*Table, error) {
 	systems := []string{"Base", "Stride", "Bingo", "SS", "SF"}
 	cores := []config.CoreKind{config.IO4, config.OOO4, config.OOO8}
 	benches := opts.benchmarks()
@@ -588,8 +597,8 @@ func Fig13(opts Options) (*Table, error) {
 
 // --- Fig 14: floating requests ----------------------------------------------
 
-// Fig14 breaks L3 requests down by origin for SF on OOO8.
-func Fig14(opts Options) (*Table, error) {
+// fig14 breaks L3 requests down by origin for SF on OOO8.
+func fig14(opts Options) (*Table, error) {
 	benches := opts.benchmarks()
 	keys := make([]runKey, len(benches))
 	for i, b := range benches {
@@ -628,10 +637,10 @@ func Fig14(opts Options) (*Table, error) {
 
 // --- Fig 15: NoC traffic ----------------------------------------------------
 
-// Fig15 reports NoC flit-hops by message class, normalized to Base, plus
+// fig15 reports NoC flit-hops by message class, normalized to Base, plus
 // average network utilization, across the prefetchers (with and without
 // bulk), SS, and the SF ablations.
-func Fig15(opts Options) (*Table, error) {
+func fig15(opts Options) (*Table, error) {
 	type variant struct {
 		label  string
 		system string
@@ -691,9 +700,9 @@ func Fig15(opts Options) (*Table, error) {
 
 // --- Fig 16: link-width sensitivity ------------------------------------------
 
-// Fig16 compares SF and Bingo at 128/256/512-bit links, normalized to
+// fig16 compares SF and Bingo at 128/256/512-bit links, normalized to
 // Bingo with 128-bit links.
-func Fig16(opts Options) (*Table, error) {
+func fig16(opts Options) (*Table, error) {
 	widths := []int{128, 256, 512}
 	systems := []string{"Bingo", "SF"}
 	benches := opts.benchmarks()
@@ -735,9 +744,9 @@ func Fig16(opts Options) (*Table, error) {
 
 // --- Fig 17: NUCA interleaving ------------------------------------------------
 
-// Fig17 sweeps the static-NUCA interleaving granularity for Bingo and SF,
+// fig17 sweeps the static-NUCA interleaving granularity for Bingo and SF,
 // normalized to Bingo-64B.
-func Fig17(opts Options) (*Table, error) {
+func fig17(opts Options) (*Table, error) {
 	grains := []int{64, 256, 1024, 4096}
 	systems := []string{"Bingo", "SF"}
 	benches := opts.benchmarks()
@@ -788,9 +797,9 @@ func Fig17(opts Options) (*Table, error) {
 
 // --- Fig 18: core scaling -----------------------------------------------------
 
-// Fig18 scales the mesh (4x4, 4x8, 8x8) and reports SF's speedup over SS
+// fig18 scales the mesh (4x4, 4x8, 8x8) and reports SF's speedup over SS
 // plus SS's private/shared hit rates.
-func Fig18(opts Options) (*Table, error) {
+func fig18(opts Options) (*Table, error) {
 	meshes := []struct{ w, h int }{{4, 4}, {4, 8}, {8, 8}}
 	systems := []string{"SS", "SF"}
 	benches := opts.benchmarks()
@@ -839,9 +848,9 @@ func Fig18(opts Options) (*Table, error) {
 
 // --- Fig 19: energy vs speedup -------------------------------------------------
 
-// Fig19 produces the energy-vs-speedup scatter: one point per (core,
+// fig19 produces the energy-vs-speedup scatter: one point per (core,
 // system), both axes normalized to Base-IO4.
-func Fig19(opts Options) (*Table, error) {
+func fig19(opts Options) (*Table, error) {
 	systems := []string{"Base", "Stride", "Bingo", "SS", "SF"}
 	cores := []config.CoreKind{config.IO4, config.OOO4, config.OOO8}
 	benches := opts.benchmarks()
@@ -893,8 +902,9 @@ func Fig19(opts Options) (*Table, error) {
 
 // --- Area table ------------------------------------------------------------------
 
-// AreaTable reproduces the §VII-A area-overhead numbers.
-func AreaTable() *Table {
+// areaTable reproduces the §VII-A area-overhead numbers. It simulates
+// nothing, so it ignores its options.
+func areaTable(Options) (*Table, error) {
 	t := &Table{
 		Title:  "Area overheads (22nm, per tile) - section VII-A",
 		Header: []string{"core", "SE_L3 cfg", "SE_L3 TLB", "L3 ovh", "SE_L2 buf", "L2 ovh", "chip ovh"},
@@ -914,7 +924,7 @@ func AreaTable() *Table {
 		})
 	}
 	t.Notes = append(t.Notes, "paper: SE_L3 48kB=0.11mm2 + 1k TLB=0.04mm2 (4.5% of L3); 9% of L2; chip 1.6% (IO4) / 1.4% (OOO8)")
-	return t
+	return t, nil
 }
 
 // All runs every experiment in paper order (plus the trace-derived latency
@@ -944,27 +954,27 @@ func ByName(id string) (func(Options) (*Table, error), bool) {
 func rawByName(id string) (func(Options) (*Table, error), bool) {
 	switch id {
 	case "2", "fig2":
-		return Fig02, true
+		return fig02, true
 	case "13", "fig13":
-		return Fig13, true
+		return fig13, true
 	case "14", "fig14":
-		return Fig14, true
+		return fig14, true
 	case "15", "fig15":
-		return Fig15, true
+		return fig15, true
 	case "16", "fig16":
-		return Fig16, true
+		return fig16, true
 	case "17", "fig17":
-		return Fig17, true
+		return fig17, true
 	case "18", "fig18":
-		return Fig18, true
+		return fig18, true
 	case "19", "fig19":
-		return Fig19, true
+		return fig19, true
 	case "area":
-		return func(Options) (*Table, error) { return AreaTable(), nil }, true
+		return areaTable, true
 	case "ablations":
-		return Ablations, true
+		return ablations, true
 	case "latency":
-		return LatencyBreakdown, true
+		return latencyBreakdown, true
 	}
 	return nil, false
 }

@@ -61,14 +61,14 @@ func TestByName(t *testing.T) {
 }
 
 func TestAreaTable(t *testing.T) {
-	tb := AreaTable()
-	if len(tb.Rows) != 2 {
+	tb, err := areaTable(Options{})
+	if err != nil || len(tb.Rows) != 2 {
 		t.Fatalf("area rows = %d", len(tb.Rows))
 	}
 }
 
 func TestFig13Tiny(t *testing.T) {
-	tb, err := Fig13(tinyOpts())
+	tb, err := fig13(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestFig13Tiny(t *testing.T) {
 }
 
 func TestFig14Tiny(t *testing.T) {
-	tb, err := Fig14(tinyOpts())
+	tb, err := fig14(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestFig14Tiny(t *testing.T) {
 }
 
 func TestFig15Tiny(t *testing.T) {
-	tb, err := Fig15(tinyOpts())
+	tb, err := fig15(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestFig15Tiny(t *testing.T) {
 }
 
 func TestFig16Tiny(t *testing.T) {
-	tb, err := Fig16(tinyOpts())
+	tb, err := fig16(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestFig16Tiny(t *testing.T) {
 }
 
 func TestFig17Tiny(t *testing.T) {
-	tb, err := Fig17(tinyOpts())
+	tb, err := fig17(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFig17Tiny(t *testing.T) {
 }
 
 func TestFig18Tiny(t *testing.T) {
-	tb, err := Fig18(tinyOpts())
+	tb, err := fig18(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestFig18Tiny(t *testing.T) {
 }
 
 func TestFig19Tiny(t *testing.T) {
-	tb, err := Fig19(tinyOpts())
+	tb, err := fig19(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,8 +1,9 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"streamfloat/internal/fault"
@@ -44,74 +45,64 @@ func (f PointFailure) note() string {
 	return fmt.Sprintf("FAILED %s: %s%s: %s", label, f.Kind, suffix, f.Msg)
 }
 
-// FailureLog collects the failed points of a keep-going sweep. Safe for
-// concurrent use; the zero value is ready. A nil log discards records, so
-// the sweep path never branches on it.
-type FailureLog struct {
-	mu  sync.Mutex
-	pts []PointFailure
-}
-
-// record classifies and appends one point failure.
-func (l *FailureLog) record(k runKey, err error) {
-	if l == nil || err == nil {
-		return
-	}
+// newPointFailure classifies one failed point through the fault taxonomy.
+func newPointFailure(k runKey, err error) PointFailure {
 	pe := fault.Classify("", err)
-	var variant string
-	if k.mutate != nil {
-		variant = "mutated"
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.pts = append(l.pts, PointFailure{
+	return PointFailure{
 		Bench:       k.bench,
 		System:      k.system,
 		Core:        k.core.String(),
-		Variant:     variant,
+		Variant:     k.variant(),
 		Key:         pe.Key,
 		Kind:        pe.Kind,
 		Msg:         pe.Msg,
 		Stuck:       pe.Stuck,
 		Quarantined: pe.Quarantined,
-	})
+	}
 }
 
-// Points returns the recorded failures sorted by (bench, system, core,
-// variant) so the order is independent of sweep parallelism.
-func (l *FailureLog) Points() []PointFailure {
+// pointLog collects one record per sweep point — a sampled estimate or a
+// keep-going failure — from the sweep's concurrent workers. The zero value
+// is ready; a nil log discards records, so the sweep path never branches on
+// it.
+type pointLog[T any] struct {
+	mu   sync.Mutex
+	recs []pointRecord[T]
+}
+
+type pointRecord[T any] struct {
+	k runKey
+	v T
+}
+
+func (l *pointLog[T]) record(k runKey, v T) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.recs = append(l.recs, pointRecord[T]{k, v})
+}
+
+// sorted returns the records ordered by (bench, system, core, variant), so
+// the order is independent of sweep parallelism.
+func (l *pointLog[T]) sorted() []T {
 	if l == nil {
 		return nil
 	}
 	l.mu.Lock()
-	pts := append([]PointFailure(nil), l.pts...)
+	recs := slices.Clone(l.recs)
 	l.mu.Unlock()
-	sort.Slice(pts, func(i, j int) bool {
-		a, b := pts[i], pts[j]
-		if a.Bench != b.Bench {
-			return a.Bench < b.Bench
-		}
-		if a.System != b.System {
-			return a.System < b.System
-		}
-		if a.Core != b.Core {
-			return a.Core < b.Core
-		}
-		return a.Variant < b.Variant
+	slices.SortFunc(recs, func(a, b pointRecord[T]) int {
+		return cmp.Or(
+			cmp.Compare(a.k.bench, b.k.bench),
+			cmp.Compare(a.k.system, b.k.system),
+			cmp.Compare(a.k.core.String(), b.k.core.String()),
+			cmp.Compare(a.k.variant(), b.k.variant()))
 	})
-	return pts
-}
-
-// take snapshots the sorted failures and resets the log, so one Options
-// value reused across figures attributes each sweep's failures to its own
-// table (mirroring EstimateLog.take).
-func (l *FailureLog) take() []PointFailure {
-	if l == nil {
-		return nil
+	out := make([]T, len(recs))
+	for i, r := range recs {
+		out[i] = r.v
 	}
-	pts := l.Points()
-	l.mu.Lock()
-	l.pts = nil
-	l.mu.Unlock()
-	return pts
+	return out
 }

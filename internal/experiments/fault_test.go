@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"streamfloat/internal/config"
 	"streamfloat/internal/fault"
+	"streamfloat/internal/sanitize"
 	"streamfloat/internal/system"
 )
 
@@ -40,13 +42,13 @@ func TestKeepGoingInjectedPanic(t *testing.T) {
 		}
 	})
 	opts.KeepGoing = true
-	opts.Failures = &FailureLog{}
+	opts.failures = &pointLog[PointFailure]{}
 	got, err := runAll(context.Background(), opts, keys)
 	if err != nil {
 		t.Fatalf("keep-going sweep must complete: %v", err)
 	}
 
-	pts := opts.Failures.Points()
+	pts := opts.failures.sorted()
 	if len(pts) != 1 {
 		t.Fatalf("failures = %+v, want exactly the injected one", pts)
 	}
@@ -76,7 +78,7 @@ func TestKeepGoingAllFailed(t *testing.T) {
 	setFaultHook(t, func(string, string, config.CoreKind) {
 		panic("injected point fault")
 	})
-	opts := Options{Scale: 0.05, KeepGoing: true, Failures: &FailureLog{}}
+	opts := Options{Scale: 0.05, KeepGoing: true}
 	_, err := runAll(context.Background(), opts, []runKey{
 		{bench: "nn", system: "SF", core: config.OOO8},
 	})
@@ -95,7 +97,7 @@ func TestKeepGoingPointTimeout(t *testing.T) {
 	setFaultHook(t, func(string, string, config.CoreKind) {
 		time.Sleep(300 * time.Millisecond)
 	})
-	opts := Options{Scale: 0.05, KeepGoing: true, PointTimeout: 30 * time.Millisecond, Failures: &FailureLog{}}
+	opts := Options{Scale: 0.05, KeepGoing: true, PointTimeout: 30 * time.Millisecond}
 	_, err := runAll(context.Background(), opts, []runKey{
 		{bench: "nn", system: "SF", core: config.OOO8},
 	})
@@ -144,5 +146,61 @@ func TestRunFigureFailureFootnotes(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no FAILED footnote in notes: %q", tb.Notes)
+	}
+}
+
+// TestLatencyCancelMidPoint: the latency figure's traced simulations observe
+// the sweep context, so a cancel lands within about a second instead of
+// after every traced point has run to completion.
+func TestLatencyCancelMidPoint(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	fn, _ := ByName("latency")
+	done := make(chan error, 1)
+	go func() {
+		_, err := fn(Options{Scale: 0.5, Benchmarks: []string{"nn"}, Context: ctx})
+		done <- err
+	}()
+	time.Sleep(300 * time.Millisecond)
+	cancel()
+	cancelled := time.Now()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want context.Canceled", err)
+		}
+		if d := time.Since(cancelled); d > time.Second {
+			t.Errorf("latency sweep returned %v after cancel, want <= 1s", d)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("latency sweep ignored cancellation")
+	}
+}
+
+// TestLatencyPointTimeoutKeepGoing: a latency point overrunning
+// Options.PointTimeout is killed by the same watchdog as any other point and
+// recorded as a timeout failure, while the rest of the table still renders.
+// The deadline leaves the healthy traced point room to finish under -race.
+func TestLatencyPointTimeoutKeepGoing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("waits out a multi-second point deadline")
+	}
+	const deadline = 4 * time.Second
+	setFaultHook(t, func(bench, sys string, core config.CoreKind) {
+		if sys == "SF" {
+			time.Sleep(deadline + 500*time.Millisecond)
+		}
+	})
+	fn, _ := ByName("latency")
+	tb, err := fn(Options{Scale: 0.05, Benchmarks: []string{"nn"}, Sanitize: sanitize.ModeOff,
+		KeepGoing: true, PointTimeout: deadline})
+	if err != nil {
+		t.Fatalf("keep-going latency sweep must complete: %v", err)
+	}
+	if len(tb.Failures) != 1 {
+		t.Fatalf("failures = %+v, want the SF point's timeout", tb.Failures)
+	}
+	if f := tb.Failures[0]; f.System != "SF" || f.Kind != fault.KindTimeout {
+		t.Errorf("failure = %+v, want an SF timeout", f)
 	}
 }

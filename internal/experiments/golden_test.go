@@ -79,7 +79,7 @@ func TestGoldenFig13(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Fig 13 sweep (30 runs) skipped in -short")
 	}
-	tbl, err := Fig13(goldenOpts())
+	tbl, err := fig13(goldenOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestGoldenFig13(t *testing.T) {
 
 // TestGoldenFig14 pins the floated-request share of SF-OOO8.
 func TestGoldenFig14(t *testing.T) {
-	tbl, err := Fig14(goldenOpts())
+	tbl, err := fig14(goldenOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestGoldenFig15(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Fig 15 sweep (18 runs) skipped in -short")
 	}
-	tbl, err := Fig15(goldenOpts())
+	tbl, err := fig15(goldenOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

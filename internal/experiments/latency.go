@@ -7,28 +7,30 @@ import (
 	"path/filepath"
 
 	"streamfloat/internal/config"
+	"streamfloat/internal/fault"
 	"streamfloat/internal/system"
 	"streamfloat/internal/trace"
 )
 
 // TracedRun executes one simulation with the structured tracer attached and
-// returns the results together with the finished tracer. It is the building
-// block behind LatencyBreakdown and the sfexp -trace flag.
-func TracedRun(opts Options, systemName string, core config.CoreKind, bench string) (system.Results, *trace.Tracer, error) {
+// returns the results together with the finished tracer; ctx cancels it
+// mid-flight. It is the building block behind the latency figure and the
+// sfexp -trace flag.
+func TracedRun(ctx context.Context, opts Options, systemName string, core config.CoreKind, bench string) (system.Results, *trace.Tracer, error) {
 	cfg, err := config.ForSystem(systemName, core)
 	if err != nil {
 		return system.Results{}, nil, err
 	}
 	cfg.Sanitize = opts.Sanitize
-	return system.RunBenchmarkTraced(cfg, bench, systemName+"/"+core.String(), opts.scale())
+	return system.RunBenchmarkTraced(ctx, cfg, bench, systemName+"/"+core.String(), opts.scale())
 }
 
-// LatencyBreakdown regenerates the per-load latency attribution table: where
+// latencyBreakdown regenerates the per-load latency attribution table: where
 // demand-load cycles go (core wait, L1, L2, NoC, L3, DRAM) for Base and SF
 // on OOO8, from the tracer's per-load probes. This is the tabular face of
 // the trace subsystem; `sftrace summarize` renders the same breakdown for a
 // single exported run.
-func LatencyBreakdown(opts Options) (*Table, error) {
+func latencyBreakdown(opts Options) (*Table, error) {
 	systems := []string{"Base", "SF"}
 	benches := opts.benchmarks()
 	keys := make([]runKey, len(systems)*len(benches))
@@ -38,9 +40,10 @@ func LatencyBreakdown(opts Options) (*Table, error) {
 		}
 	}
 	attrs := make([]trace.TileAttribution, len(keys))
-	// Route the fan-out through the same guarded worker path as runAll, so
-	// traced runs inherit panic containment, pprof labels, and keep-going
-	// semantics instead of duplicating the goroutine loop.
+	// Route the fan-out through the same guarded worker path as runAll, and
+	// each point through the same fault.Guard as runPoint, so traced runs
+	// inherit panic containment, pprof labels, cancellation, the point
+	// deadline and stall watchdog, and keep-going semantics.
 	errs := fanOut(opts.context(), opts.parallelism(), len(keys), !opts.KeepGoing, func(i int) []string {
 		return []string{
 			"figure", opts.figureLabel(),
@@ -52,11 +55,22 @@ func LatencyBreakdown(opts Options) (*Table, error) {
 			return err
 		}
 		k := keys[i]
-		_, tr, err := TracedRun(opts, k.system, k.core, k.bench)
+		var attr trace.TileAttribution
+		err := fault.Guard(ctx, "", opts.StallTimeout, opts.PointTimeout, func(ctx context.Context) error {
+			if hook := testFaultHook; hook != nil {
+				hook(k.bench, k.system, k.core)
+			}
+			_, tr, err := TracedRun(ctx, opts, k.system, k.core, k.bench)
+			if err != nil {
+				return fmt.Errorf("%s/%s: %w", k.bench, k.system, err)
+			}
+			attr = tr.Attribution()
+			return nil
+		})
 		if err != nil {
-			return fmt.Errorf("%s/%s: %w", k.bench, k.system, err)
+			return err // a killed point's goroutine may still own attr
 		}
-		attrs[i] = tr.Attribution()
+		attrs[i] = attr
 		return nil
 	})
 	if opts.KeepGoing {
@@ -106,15 +120,15 @@ type figRunner struct {
 }
 
 // figureRunners lists every named figure in presentation order, including
-// the ones All renders specially (area is parameterless, ablations closes
+// the ones All renders specially (area simulates nothing, ablations closes
 // the report) and the trace-derived latency appendix.
 func figureRunners() []figRunner {
 	return []figRunner{
-		{"fig2", Fig02}, {"fig13", Fig13}, {"fig14", Fig14}, {"fig15", Fig15},
-		{"fig16", Fig16}, {"fig17", Fig17}, {"fig18", Fig18}, {"fig19", Fig19},
-		{"area", func(Options) (*Table, error) { return AreaTable(), nil }},
-		{"ablations", Ablations},
-		{"latency", LatencyBreakdown},
+		{"fig2", fig02}, {"fig13", fig13}, {"fig14", fig14}, {"fig15", fig15},
+		{"fig16", fig16}, {"fig17", fig17}, {"fig18", fig18}, {"fig19", fig19},
+		{"area", areaTable},
+		{"ablations", ablations},
+		{"latency", latencyBreakdown},
 	}
 }
 

@@ -57,7 +57,7 @@ func TestProgressEvents(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	if _, err := Fig13(opts); err != nil {
+	if _, err := fig13(opts); err != nil {
 		t.Fatal(err)
 	}
 
@@ -106,7 +106,7 @@ func TestProgressEvents(t *testing.T) {
 	mu.Lock()
 	events = nil
 	mu.Unlock()
-	if _, err := Fig13(opts); err != nil {
+	if _, err := fig13(opts); err != nil {
 		t.Fatal(err)
 	}
 	for i, ev := range events {

@@ -139,7 +139,7 @@ func TestLatencyBreakdownTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("traced sweep")
 	}
-	tb, err := LatencyBreakdown(tinyOpts())
+	tb, err := latencyBreakdown(tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

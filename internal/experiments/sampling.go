@@ -2,8 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"streamfloat/internal/config"
 	"streamfloat/internal/sample"
@@ -25,71 +23,17 @@ type PointEstimate struct {
 	Speedup float64 `json:"speedup"`
 }
 
-// EstimateLog collects the per-point estimates of a sampled sweep. Safe for
-// concurrent use; the zero value is ready. A nil log discards records, so
-// runAll never needs to branch on it.
-type EstimateLog struct {
-	mu  sync.Mutex
-	pts []PointEstimate
-}
-
-func (l *EstimateLog) record(k runKey, r *sample.Result) {
-	if l == nil || r == nil {
-		return
-	}
-	var variant string
-	if k.mutate != nil {
-		variant = "mutated"
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.pts = append(l.pts, PointEstimate{
+// newPointEstimate attributes one sampled run's estimate to its point.
+func newPointEstimate(k runKey, r *sample.Result) PointEstimate {
+	return PointEstimate{
 		Bench:   k.bench,
 		System:  k.system,
 		Core:    k.core.String(),
-		Variant: variant,
+		Variant: k.variant(),
 		Cycles:  r.Cycles,
 		Energy:  r.Energy,
 		Speedup: r.Speedup(),
-	})
-}
-
-// Points returns the recorded estimates sorted by (bench, system, core,
-// variant) so the order is independent of sweep parallelism.
-func (l *EstimateLog) Points() []PointEstimate {
-	if l == nil {
-		return nil
 	}
-	l.mu.Lock()
-	pts := append([]PointEstimate(nil), l.pts...)
-	l.mu.Unlock()
-	sort.Slice(pts, func(i, j int) bool {
-		a, b := pts[i], pts[j]
-		if a.Bench != b.Bench {
-			return a.Bench < b.Bench
-		}
-		if a.System != b.System {
-			return a.System < b.System
-		}
-		if a.Core != b.Core {
-			return a.Core < b.Core
-		}
-		return a.Variant < b.Variant
-	})
-	return pts
-}
-
-// take snapshots the sorted points and resets the log, so one Options value
-// reused across figures attributes each sweep's estimates to its own table.
-func (l *EstimateLog) take() []PointEstimate {
-	if l == nil {
-		return nil
-	}
-	pts := l.Points()
-	l.mu.Lock()
-	l.pts = nil
-	l.mu.Unlock()
-	return pts
 }
 
 // SamplingSummary describes the sampled-simulation run behind one table.
@@ -128,36 +72,32 @@ func (s *SamplingSummary) note() string {
 }
 
 // runFigure invokes one figure runner, provisioning an estimate log when
-// the sweep samples and stitching the resulting summary into the table. All,
-// ByName and the CSV writers all route through here so every rendered
-// sampled table carries its confidence intervals (and, when the per-
+// the sweep samples (a failure log under KeepGoing) and stitching what they
+// collected into the table. All, AllTables, ByName and WriteFigureCSVs all
+// route through here — it is the only way to a figure — so every table
+// carries its confidence intervals, failure footnotes and, when the per-
 // simulation worker count forces a sweep-parallelism derate, a note saying
-// so). name tags the sweep's goroutines for pprof attribution.
+// so. name tags the sweep's goroutines for pprof attribution.
 func runFigure(name string, fn func(Options) (*Table, error), opts Options) (*Table, error) {
 	opts.figure = name
-	sampled := opts.Sample.Enabled()
-	if sampled && opts.Estimates == nil {
-		opts.Estimates = &EstimateLog{}
+	if opts.Sample.Enabled() {
+		opts.estimates = &pointLog[PointEstimate]{}
 	}
-	if opts.KeepGoing && opts.Failures == nil {
-		opts.Failures = &FailureLog{}
+	if opts.KeepGoing {
+		opts.failures = &pointLog[PointFailure]{}
 	}
 	t, err := fn(opts)
 	if err != nil || t == nil {
 		return t, err
 	}
-	if sampled {
-		if pts := opts.Estimates.take(); len(pts) > 0 {
-			t.Sampling = newSamplingSummary(opts.Sample, pts)
-			t.Notes = append(t.Notes, t.Sampling.note())
-		}
+	if pts := opts.estimates.sorted(); len(pts) > 0 {
+		t.Sampling = newSamplingSummary(opts.Sample, pts)
+		t.Notes = append(t.Notes, t.Sampling.note())
 	}
-	if opts.KeepGoing {
-		if pts := opts.Failures.take(); len(pts) > 0 {
-			t.Failures = pts
-			for _, f := range pts {
-				t.Notes = append(t.Notes, f.note())
-			}
+	if pts := opts.failures.sorted(); len(pts) > 0 {
+		t.Failures = pts
+		for _, f := range pts {
+			t.Notes = append(t.Notes, f.note())
 		}
 	}
 	if n := opts.derateNote(); n != "" {

@@ -43,12 +43,12 @@ func TestSampledSweepParallelismInvariance(t *testing.T) {
 	for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		opts := sampledOpts()
 		opts.Parallelism = par
-		opts.Estimates = &EstimateLog{}
+		opts.estimates = &pointLog[PointEstimate]{}
 		res, err := runAll(opts.context(), opts, keys)
 		if err != nil {
 			t.Fatalf("par %d: %v", par, err)
 		}
-		outcomes = append(outcomes, outcome{res, opts.Estimates.Points()})
+		outcomes = append(outcomes, outcome{res, opts.estimates.sorted()})
 	}
 	for i := 1; i < len(outcomes); i++ {
 		if !reflect.DeepEqual(outcomes[0].res, outcomes[i].res) {
@@ -235,11 +235,11 @@ func TestSampledGoldenAccuracy(t *testing.T) {
 	for i, k := range keys {
 		ref[k.system+"/"+k.core.String()] = full[i]
 	}
-	sampled.Estimates = &EstimateLog{}
+	sampled.estimates = &pointLog[PointEstimate]{}
 	if _, err := runAll(sampled.context(), sampled, keys); err != nil {
 		t.Fatal(err)
 	}
-	pts := sampled.Estimates.Points()
+	pts := sampled.estimates.sorted()
 	if len(pts) != len(keys) {
 		t.Fatalf("sampled sweep logged %d estimates, want %d", len(pts), len(keys))
 	}
@@ -265,11 +265,11 @@ func TestSampledGoldenAccuracy(t *testing.T) {
 	}
 
 	// Fig 14: L3 request-origin share within 5 points absolute.
-	full14, err := runFigure("fig14", Fig14, base)
+	full14, err := runFigure("fig14", fig14, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	samp14, err := runFigure("fig14", Fig14, sampled)
+	samp14, err := runFigure("fig14", fig14, sampled)
 	if err != nil {
 		t.Fatal(err)
 	}

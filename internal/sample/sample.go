@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"reflect"
 
 	"streamfloat/internal/config"
 	"streamfloat/internal/energy"
@@ -214,9 +213,10 @@ func RunEstimate(ctx context.Context, cfg config.Config, bench string, scale flo
 				}
 				if db := float64(b.snap.Iterations - a.snap.Iterations); db > 0 {
 					cycEst += float64(b.t-a.t) / db * remain
-					dS := diffStats(b.snap, a.snap)
-					scaleStats(&dS, remain/db)
-					addStats(&est, dS)
+					dS := b.snap
+					dS.Sub(&a.snap)
+					dS.Scale(remain / db)
+					est.Merge(&dS)
 					informative = true
 				}
 			}
@@ -370,92 +370,15 @@ func Run(ctx context.Context, cfg config.Config, bench string, scale float64) (s
 	return r.Results, nil
 }
 
-// scaleStats multiplies every counter in st by f, rounding integer counters
-// to the nearest whole event. It walks the struct by reflection so new
-// counters scale automatically.
-func scaleStats(st *stats.Stats, f float64) {
-	scaleValue(reflect.ValueOf(st).Elem(), f)
-}
-
-func scaleValue(v reflect.Value, f float64) {
-	switch v.Kind() {
-	case reflect.Uint64:
-		v.SetUint(uint64(math.Round(float64(v.Uint()) * f)))
-	case reflect.Float64:
-		v.SetFloat(v.Float() * f)
-	case reflect.Array:
-		for i := 0; i < v.Len(); i++ {
-			scaleValue(v.Index(i), f)
-		}
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			scaleValue(v.Field(i), f)
-		}
-	default:
-		panic(fmt.Sprintf("sample: unscalable stats field kind %s", v.Kind()))
-	}
-}
-
 // meanStats returns the elementwise mean of the scaled replicates.
 func meanStats(xs []stats.Stats) stats.Stats {
 	if len(xs) == 1 {
 		return xs[0]
 	}
 	sum := xs[0]
-	sv := reflect.ValueOf(&sum).Elem()
-	for _, x := range xs[1:] {
-		addValue(sv, reflect.ValueOf(x))
+	for i := 1; i < len(xs); i++ {
+		sum.Merge(&xs[i])
 	}
-	scaleValue(sv, 1/float64(len(xs)))
+	sum.Scale(1 / float64(len(xs)))
 	return sum
-}
-
-func addValue(dst, src reflect.Value) {
-	switch dst.Kind() {
-	case reflect.Uint64:
-		dst.SetUint(dst.Uint() + src.Uint())
-	case reflect.Float64:
-		dst.SetFloat(dst.Float() + src.Float())
-	case reflect.Array:
-		for i := 0; i < dst.Len(); i++ {
-			addValue(dst.Index(i), src.Index(i))
-		}
-	case reflect.Struct:
-		for i := 0; i < dst.NumField(); i++ {
-			addValue(dst.Field(i), src.Field(i))
-		}
-	default:
-		panic(fmt.Sprintf("sample: unsummable stats field kind %s", dst.Kind()))
-	}
-}
-
-// addStats accumulates src into dst elementwise.
-func addStats(dst *stats.Stats, src stats.Stats) {
-	addValue(reflect.ValueOf(dst).Elem(), reflect.ValueOf(src))
-}
-
-// diffStats returns a - b elementwise — valid for cumulative snapshots,
-// where every counter of b is at most its counterpart in a.
-func diffStats(a, b stats.Stats) stats.Stats {
-	subValue(reflect.ValueOf(&a).Elem(), reflect.ValueOf(b))
-	return a
-}
-
-func subValue(dst, src reflect.Value) {
-	switch dst.Kind() {
-	case reflect.Uint64:
-		dst.SetUint(dst.Uint() - src.Uint())
-	case reflect.Float64:
-		dst.SetFloat(dst.Float() - src.Float())
-	case reflect.Array:
-		for i := 0; i < dst.Len(); i++ {
-			subValue(dst.Index(i), src.Index(i))
-		}
-	case reflect.Struct:
-		for i := 0; i < dst.NumField(); i++ {
-			subValue(dst.Field(i), src.Field(i))
-		}
-	default:
-		panic(fmt.Sprintf("sample: unsubtractable stats field kind %s", dst.Kind()))
-	}
 }

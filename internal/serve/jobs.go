@@ -276,24 +276,6 @@ func (s *Server) journalTry(err error) {
 	}
 }
 
-// journalPoint records how a point of job j (nil: no job) ended: a
-// completion, or — for a fresh deterministic failure — a poison record, so
-// a resumed job (and any later job over the same journal) skips the key
-// instead of recomputing a simulation that can only crash again. Other
-// failures leave no record and simply re-run on resume.
-func (s *Server) journalPoint(j *job, key string, cached bool, err error) {
-	if s.cfg.Journal == nil || j == nil {
-		return
-	}
-	if err == nil {
-		s.journalTry(s.cfg.Journal.PointDone(j.id, key, cached))
-		return
-	}
-	if pe, ok := fault.As(err); ok && pe.Deterministic() && !pe.Quarantined {
-		s.journalTry(s.cfg.Journal.PointPoisoned(j.id, key, pe.Served()))
-	}
-}
-
 // setJobState transitions the job and journals the transition.
 func (s *Server) setJobState(j *job, state JobState, errMsg string) {
 	j.mu.Lock()

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"streamfloat/internal/config"
+	"streamfloat/internal/fault"
 	"streamfloat/internal/system"
 )
 
@@ -192,6 +193,42 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	if err := j.Remove("job1"); err != nil {
 		t.Errorf("removing a missing journal errored: %v", err)
+	}
+}
+
+// TestJournalPointEnded pins the one journal-point rule sfserve jobs and
+// sfexp -resume share: a success is a completed point, a fresh
+// deterministic failure is a poison record, and a timeout or a failure
+// replayed from quarantine leaves nothing behind.
+func TestJournalPointEnded(t *testing.T) {
+	j, err := OpenJournal(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.JobCreated("job", JobSpec{}); err != nil {
+		t.Fatal(err)
+	}
+	panicked := fault.FromPanic("kp", "boom")
+	replayed := panicked.Served()
+	for key, perr := range map[string]error{
+		"ok":       nil,
+		"panic":    panicked,
+		"timeout":  &fault.PointError{Key: "kt", Kind: fault.KindTimeout},
+		"replayed": replayed,
+	} {
+		if err := j.PointEnded("job", key, false, perr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec, _, err := j.Lookup("job")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]bool{"ok": false}; !reflect.DeepEqual(rec.Points, want) {
+		t.Errorf("points %v, want %v", rec.Points, want)
+	}
+	if len(rec.Poisoned) != 1 || rec.Poisoned["panic"] == nil || !rec.Poisoned["panic"].Quarantined {
+		t.Errorf("poisoned %+v, want only the fresh panic, recorded in its served form", rec.Poisoned)
 	}
 }
 

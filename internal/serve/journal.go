@@ -143,12 +143,22 @@ func (j *Journal) PointDone(id, key string, cached bool) error {
 	return j.append(id, journalRecord{T: "point", Key: key, Cached: cached})
 }
 
-// PointPoisoned journals a deterministic point failure as a negative entry
-// under the point's canonical cache key: a resumed job (or any later sweep
-// over the same journal) skips the key instead of recomputing a simulation
-// guaranteed to fail the same way.
-func (j *Journal) PointPoisoned(id, key string, pe *fault.PointError) error {
-	return j.append(id, journalRecord{T: "poison", Key: key, Fault: pe})
+// PointEnded journals how one point of job id ended, by the one rule every
+// journaled sweep (sfserve jobs, sfexp -resume) shares. A success (err nil)
+// journals PointDone. A fresh deterministic failure journals a negative
+// entry under the point's canonical cache key, so a resumed job (or any
+// later sweep over the same journal) skips the key instead of recomputing a
+// simulation guaranteed to fail the same way. Anything else — cancellation,
+// a timeout, a failure replayed from quarantine — writes nothing and simply
+// re-runs on resume.
+func (j *Journal) PointEnded(id, key string, cached bool, err error) error {
+	if err == nil {
+		return j.PointDone(id, key, cached)
+	}
+	if pe, ok := fault.As(err); ok && pe.Deterministic() && !pe.Quarantined {
+		return j.append(id, journalRecord{T: "poison", Key: key, Fault: pe.Served()})
+	}
+	return nil
 }
 
 // JobResult journals the finished job's result payload, so status queries

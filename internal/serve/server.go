@@ -422,7 +422,9 @@ func (s *Server) point(ctx context.Context, j *job, key string, compute func() (
 			s.panics.Add(1)
 		}
 	}
-	s.journalPoint(j, key, !computed, err)
+	if s.cfg.Journal != nil && j != nil {
+		s.journalTry(s.cfg.Journal.PointEnded(j.id, key, !computed, err))
+	}
 	if err != nil {
 		return system.Results{}, false, err
 	}

@@ -84,3 +84,38 @@ func TestMergeOrderIndependent(t *testing.T) {
 		t.Error("merge is order-dependent")
 	}
 }
+
+// TestSubUndoesMerge: Sub is Merge's exact inverse on every field.
+func TestSubUndoesMerge(t *testing.T) {
+	var a, b Stats
+	fillSequential(&a, 100)
+	fillSequential(&b, 10_000)
+	before := a
+	a.Merge(&b)
+	a.Sub(&b)
+	if a != before {
+		t.Errorf("Sub after Merge:\n got %+v\nwant %+v", a, before)
+	}
+}
+
+// TestScaleRoundsIntegerCounters: Scale multiplies floats exactly and rounds
+// integer counters (array elements included) to the nearest whole event.
+func TestScaleRoundsIntegerCounters(t *testing.T) {
+	s := Stats{Cycles: 3, EnergyJ: 3}
+	s.LoadLatency[0] = 5
+	s.Scale(0.5)
+	if s.Cycles != 2 || s.EnergyJ != 1.5 || s.LoadLatency[0] != 3 {
+		t.Errorf("Scale(0.5) = cycles %d, energy %v, latency[0] %d; want 2, 1.5, 3",
+			s.Cycles, s.EnergyJ, s.LoadLatency[0])
+	}
+}
+
+// BenchmarkMerge prices one shard fold; the sampler's barrier poll pays it
+// once per shard every poll period.
+func BenchmarkMerge(b *testing.B) {
+	var a, o Stats
+	fillSequential(&o, 7)
+	for i := 0; i < b.N; i++ {
+		a.Merge(&o)
+	}
+}

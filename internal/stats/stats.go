@@ -7,7 +7,9 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"unsafe"
 )
 
 // MsgClass categorizes NoC packets for traffic accounting (Fig 15 stacks
@@ -159,27 +161,87 @@ type Stats struct {
 // (internal/par) accumulates into one Stats per shard; merging the
 // shards at the end of the run reproduces the single-threaded totals exactly,
 // because every field is a pure sum — Cycles and EnergyJ are only written
-// after the merge, so adding their (zero) shard values is harmless. The
-// reflective walk panics on any field kind it cannot sum, so a future
-// non-additive field fails loudly instead of being dropped.
-func (s *Stats) Merge(o *Stats) {
-	sv := reflect.ValueOf(s).Elem()
-	ov := reflect.ValueOf(o).Elem()
-	for i := 0; i < sv.NumField(); i++ {
-		f, g := sv.Field(i), ov.Field(i)
-		switch f.Kind() {
-		case reflect.Uint64:
-			f.SetUint(f.Uint() + g.Uint())
-		case reflect.Float64:
-			f.SetFloat(f.Float() + g.Float())
-		case reflect.Array:
-			for j := 0; j < f.Len(); j++ {
-				e := f.Index(j)
-				e.SetUint(e.Uint() + g.Index(j).Uint())
+// after the merge, so adding their (zero) shard values is harmless.
+func (s *Stats) Merge(o *Stats) { s.walk(o, opAdd, 0) }
+
+// Sub subtracts o's counters from s, field by field — valid for cumulative
+// snapshots, where every counter of o is at most its counterpart in s.
+func (s *Stats) Sub(o *Stats) { s.walk(o, opSub, 0) }
+
+// Scale multiplies every counter by f, rounding integer counters to the
+// nearest whole event.
+func (s *Stats) Scale(f float64) { s.walk(s, opScale, f) }
+
+// walkOp selects the per-counter arithmetic of walk.
+type walkOp uint8
+
+const (
+	opAdd walkOp = iota
+	opSub
+	opScale
+)
+
+func (op walkOp) u64(a, b uint64, f float64) uint64 {
+	switch op {
+	case opAdd:
+		return a + b
+	case opSub:
+		return a - b
+	}
+	return uint64(math.Round(float64(a) * f))
+}
+
+func (op walkOp) f64(a, b, f float64) float64 {
+	switch op {
+	case opAdd:
+		return a + b
+	case opSub:
+		return a - b
+	}
+	return a * f
+}
+
+// counterOffsets locates every counter of Stats once, by reflection: the
+// byte offsets of each uint64 (array elements included) and each float64.
+// It panics on any field kind walk cannot combine, so a future non-additive
+// field fails loudly when the package loads instead of being dropped.
+func counterOffsets() (uints, floats []uintptr) {
+	t := reflect.TypeOf(Stats{})
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		switch k := f.Type.Kind(); {
+		case k == reflect.Uint64:
+			uints = append(uints, f.Offset)
+		case k == reflect.Float64:
+			floats = append(floats, f.Offset)
+		case k == reflect.Array && f.Type.Elem().Kind() == reflect.Uint64:
+			for j := 0; j < f.Type.Len(); j++ {
+				uints = append(uints, f.Offset+uintptr(j)*f.Type.Elem().Size())
 			}
 		default:
-			panic("stats: Merge cannot combine field " + sv.Type().Field(i).Name)
+			panic("stats: cannot combine field " + f.Name)
 		}
+	}
+	return uints, floats
+}
+
+var uintOffsets, floatOffsets = counterOffsets()
+
+// walk is the one field walk behind Merge, Sub and Scale: it sets every
+// counter of s to op applied to it and o's counterpart (Scale passes s itself
+// as o and the factor as f), so a new counter is combined everywhere
+// automatically. The offsets come from counterOffsets, which keeps the walk
+// free of per-field reflection: Merge runs at every barrier poll of a
+// sampled simulation.
+func (s *Stats) walk(o *Stats, op walkOp, f float64) {
+	sp, opp := unsafe.Pointer(s), unsafe.Pointer(o)
+	for _, off := range uintOffsets {
+		d := (*uint64)(unsafe.Add(sp, off))
+		*d = op.u64(*d, *(*uint64)(unsafe.Add(opp, off)), f)
+	}
+	for _, off := range floatOffsets {
+		d := (*float64)(unsafe.Add(sp, off))
+		*d = op.f64(*d, *(*float64)(unsafe.Add(opp, off)), f)
 	}
 }
 

@@ -470,15 +470,16 @@ func RunBenchmark(ctx context.Context, cfg config.Config, bench string, scale fl
 }
 
 // RunBenchmarkTraced builds and runs one benchmark with tracing on,
-// returning the results alongside the finished tracer.
-func RunBenchmarkTraced(cfg config.Config, bench, label string, scale float64) (Results, *trace.Tracer, error) {
+// returning the results alongside the finished tracer. ctx cancels the
+// simulation mid-flight, as for RunBenchmark.
+func RunBenchmarkTraced(ctx context.Context, cfg config.Config, bench, label string, scale float64) (Results, *trace.Tracer, error) {
 	m, err := Build(cfg, bench, scale)
 	if err != nil {
 		return Results{}, nil, err
 	}
 	tr := NewTracer(cfg, bench, label, 0)
 	m.AttachTracer(tr)
-	res, err := m.Run(0)
+	res, err := m.RunContext(ctx, 0)
 	if err != nil {
 		return Results{}, nil, err
 	}

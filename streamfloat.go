@@ -172,7 +172,7 @@ func NewTracer(cfg Config, benchmark, label string, ringDepth int) *Tracer {
 // RunTraced builds and runs one benchmark with tracing attached, returning
 // the results alongside the finished tracer.
 func RunTraced(cfg Config, benchmark, label string, scale float64) (Results, *Tracer, error) {
-	return system.RunBenchmarkTraced(cfg, benchmark, label, scale)
+	return system.RunBenchmarkTraced(context.Background(), cfg, benchmark, label, scale)
 }
 
 // ReadTrace parses a Chrome-trace JSON file written by WriteChromeFile /
@@ -232,7 +232,7 @@ func WriteExperimentCSVs(opts ExperimentOptions, dir string) error {
 // TracedExperimentRun runs one traced simulation of the named system (§VI)
 // on the given core and benchmark — the engine behind sfexp -trace.
 func TracedExperimentRun(opts ExperimentOptions, systemName string, core CoreKind, benchmark string) (Results, *Tracer, error) {
-	return experiments.TracedRun(opts, systemName, core, benchmark)
+	return experiments.TracedRun(context.Background(), opts, systemName, core, benchmark)
 }
 
 type errUnknownExperiment string
