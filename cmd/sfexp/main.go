@@ -7,32 +7,27 @@
 //	sfexp -fig 15 -bench mv,conv3d                 # restricted benchmark set
 //	sfexp -fig all -csv -out results/              # one CSV per figure
 //	sfexp -fig 13 -bench pathfinder -trace out.json # plus a Chrome-trace export
-//	sfexp -fig 13 -cache ~/.cache/sf               # memoize runs on disk
-//	sfexp -fig all -resume ~/.sf/sweep             # crash-safe sweep: re-run the same
-//	                                               # command after an interruption and it
-//	                                               # continues from the last completed point
+//	sfexp -fig all -cache ~/.cache/sf              # memoize runs on disk; this is also the
+//	                                               # crash-safe sweep: re-run the same command
+//	                                               # after an interruption and its completed
+//	                                               # and quarantined points replay from the cache
 //	sfexp -fig 13 -backends host1:8080,host2:8080  # shard the sweep over sfserve backends
 //	sfexp -fig 13 -sample                          # sampled simulation (~3x less work, ±CI)
 //	sfexp -fig all -json -out results.json         # machine-readable report
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 
 	"streamfloat"
 	"streamfloat/internal/cluster"
-	"streamfloat/internal/experiments"
 	"streamfloat/internal/serve"
 )
 
@@ -64,8 +59,7 @@ func run() (err error) {
 		sampleSd  = flag.Int64("sample-seed", 0, "with -sample: deterministic measured-block placement (0 centers the block)")
 		chart     = flag.String("chart", "", "also render an ASCII bar chart of metrics with this suffix (e.g. speedup)")
 		san       = flag.String("sanitize", "auto", "runtime invariant probes: on, off, or auto (on inside go test, off here)")
-		cacheDir  = flag.String("cache", "", "serve simulations from a result-cache directory (shared with sfserve)")
-		resumeDir = flag.String("resume", "", "crash-safe sweep journal directory: progress is journaled there and results cached under <dir>/cache (unless -cache overrides), so re-running the same command after an interruption continues from the last completed point")
+		cacheDir  = flag.String("cache", "", "serve simulations from a result-cache directory (shared with sfserve); re-running an interrupted sweep over the same directory replays its completed and quarantined points")
 		backends  = flag.String("backends", "", "comma-separated sfserve backends to shard the sweep over (host:port,...); -cache becomes the local fallback store")
 		tracePath = flag.String("trace", "", "also run one traced simulation and write Chrome-trace JSON here (inspect with sftrace or ui.perfetto.dev)")
 		traceSys  = flag.String("tracesys", "SF", "system for the -trace run (Base, Stride, Bingo, SS, SF, ...)")
@@ -130,26 +124,10 @@ func run() (err error) {
 		return err
 	}
 
-	// -resume makes the sweep crash-safe: a journal in the given directory
-	// records every completed point, and the point results themselves persist
-	// in a content-addressed cache under <dir>/cache (unless -cache points
-	// elsewhere). Re-running the identical command after a crash or ^C maps
-	// to the same deterministic job id, so already-completed points replay
-	// from the cache instead of re-simulating.
-	var journal *serve.Journal
-	if *resumeDir != "" {
-		if *backends != "" {
-			return fmt.Errorf("-resume journals a local sweep and cannot be combined with -backends (submit an async job via POST /jobs instead)")
-		}
-		journal, err = serve.OpenJournal(*resumeDir)
-		if err != nil {
-			return err
-		}
-		if *cacheDir == "" {
-			*cacheDir = filepath.Join(*resumeDir, "cache")
-		}
-	}
-
+	// -cache persists every point under its canonical key: <key>.json per
+	// result, <key>.poison.json per deterministic failure. That makes the
+	// sweep crash-safe: re-running the same command after a crash or ^C
+	// replays both kinds and simulates only the points that never finished.
 	var store *serve.Store
 	if *cacheDir != "" {
 		store, err = serve.NewStore(0, *cacheDir)
@@ -161,55 +139,6 @@ func run() (err error) {
 			st := store.Stats()
 			log.Printf("cache: %d mem hits, %d disk hits, %d misses, %d dedups (dir %s)",
 				st.Hits, st.DiskHits, st.Misses, st.Dedups, *cacheDir)
-		}()
-	}
-
-	if journal != nil {
-		id, spec := resumeJobID(*fig, opts)
-		prev, ok, jerr := journal.Lookup(id)
-		if jerr != nil {
-			return jerr
-		}
-		switch {
-		case ok && !prev.Resumable():
-			log.Printf("resume: job %s already %s; re-running (completed points replay from the cache)", id, prev.State)
-		case ok:
-			log.Printf("resume: continuing job %s (%d points journaled complete, %d quarantined)", id, len(prev.Points), len(prev.Poisoned))
-			// Seed the store's quarantine from journaled poison records so the
-			// resumed sweep skips deterministically-failing points instead of
-			// recomputing a simulation guaranteed to crash the same way.
-			if store != nil {
-				for key, pe := range prev.Poisoned {
-					store.Quarantine(key, pe)
-				}
-			}
-		default:
-			if err := journal.JobCreated(id, spec); err != nil {
-				return err
-			}
-			log.Printf("resume: journaling sweep as job %s in %s", id, *resumeDir)
-		}
-		if err := journal.JobState(id, serve.JobRunning, ""); err != nil {
-			return err
-		}
-		opts.Progress = func(ev experiments.ProgressEvent) {
-			if !ev.Done || ev.Key == "" {
-				return
-			}
-			if perr := journal.PointEnded(id, ev.Key, ev.PointCached, ev.Err); perr != nil {
-				log.Printf("resume: journal write failed: %v", perr)
-			}
-		}
-		// A crash or ^C skips this defer, leaving the journal in the running
-		// state — exactly the signal that the next run should resume.
-		defer func() {
-			state, msg := serve.JobDone, ""
-			if err != nil {
-				state, msg = serve.JobFailed, err.Error()
-			}
-			if jerr := journal.JobState(id, state, msg); jerr != nil {
-				log.Printf("resume: journal write failed: %v", jerr)
-			}
 		}()
 	}
 
@@ -337,21 +266,6 @@ func validateSweepFlags(explicit map[string]bool, workers, sampleK, sampleM int)
 		return fmt.Errorf("-sample-measure (%d) cannot exceed -sample-intervals (%d)", sampleM, sampleK)
 	}
 	return nil
-}
-
-// resumeJobID derives the deterministic journal job id for a local sweep:
-// the same figure, scale, benchmark set and sampling parameters always map
-// to the same id, so a re-run with identical flags finds its predecessor's
-// journal and continues it.
-func resumeJobID(fig string, opts streamfloat.ExperimentOptions) (string, serve.JobSpec) {
-	spec := serve.JobSpec{Figure: &serve.FigureSpec{ID: fig, Scale: opts.Scale, Benchmarks: opts.Benchmarks}}
-	if opts.Sample.Enabled() {
-		s := opts.Sample
-		spec.Figure.Sample = &s
-	}
-	data, _ := json.Marshal(spec)
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:8]), spec
 }
 
 // writeHeapProfile snapshots the live heap into path.

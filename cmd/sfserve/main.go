@@ -16,8 +16,9 @@
 //	POST /jobs         async sweep submission: returns a job id immediately;
 //	                   poll GET /jobs/{id}, fetch GET /jobs/{id}/result,
 //	                   cancel with DELETE /jobs/{id}. With -journal, jobs
-//	                   survive a crash and resume from the last completed
-//	                   point on restart.
+//	                   survive a crash and resume on restart; with -cache
+//	                   too, their completed and quarantined points replay
+//	                   from the cache.
 //	GET  /healthz
 //	GET  /metrics      (includes per-origin request counters keyed by the
 //	                   X-SF-Origin header, so backend load is attributable
@@ -57,7 +58,7 @@ func run() error {
 		addr         = flag.String("addr", ":8080", "listen address")
 		cacheDir     = flag.String("cache", "", "result-cache directory (empty = in-memory only)")
 		cacheEntries = flag.Int("cache-entries", 0, "max in-memory cached results (0 = default)")
-		journalDir   = flag.String("journal", "", "async-job journal directory: jobs submitted via POST /jobs survive restarts and resume from their last completed point (pair with -cache so results persist too)")
+		journalDir   = flag.String("journal", "", "async-job journal directory: jobs submitted via POST /jobs survive restarts and resume; pair with -cache, which holds the resume state (completed and quarantined points)")
 		workers      = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 64, "queued jobs before 429 backpressure")
 		jobTimeout   = flag.Duration("job-timeout", 10*time.Minute, "per-job wall-clock cap")
@@ -73,7 +74,7 @@ func run() error {
 	var journal *serve.Journal
 	if *journalDir != "" {
 		if *cacheDir == "" {
-			log.Printf("warning: -journal without -cache: resumed jobs will recompute every point (results are not persisted)")
+			log.Printf("warning: -journal without -cache: a resumed job recomputes every point, quarantined ones included (results and quarantine entries are not persisted)")
 		}
 		journal, err = serve.OpenJournal(*journalDir)
 		if err != nil {

@@ -3,10 +3,10 @@
 // point's canonical cache key (system.CacheKey), so one backend owns each
 // shard of the key space and its LRU/disk result cache stays hot for exactly
 // that shard. The layer is built to be robust, not just parallel — bounded
-// retries with exponential backoff and jitter, per-request timeouts, hedged
-// requests after a p99-based delay, passive health checking with backend
-// ejection and readmission, and graceful degradation to local in-process
-// simulation when a shard (or the whole cluster) is down.
+// retries with exponential backoff and jitter, per-request timeouts, passive
+// health checking with backend ejection and readmission, and graceful
+// degradation to local in-process simulation when a shard (or the whole
+// cluster) is down.
 //
 // Client implements experiments.ResultCache (and its PointCache extension),
 // so `sfexp -backends host1,host2` is a drop-in for `-cache dir`: the sweep

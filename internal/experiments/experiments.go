@@ -71,7 +71,7 @@ type Options struct {
 	// and completion: cumulative started/completed/cached/failed counts, the
 	// point's canonical cache key, and an estimated remaining wall time
 	// derived from observed per-point wall times. The serve job layer uses
-	// it for async job status, and sfexp -resume for its sweep journal.
+	// it for async job status.
 	Progress ProgressFunc
 	// KeepGoing completes the sweep with failed points marked instead of
 	// cancelling the fan-out on the first failure: failures are listed in

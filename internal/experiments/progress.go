@@ -32,9 +32,6 @@ type ProgressEvent struct {
 	Key string
 	// Done is true for completion events, false for start events.
 	Done bool
-	// PointCached is true when this completion event's point was served
-	// from the result cache without computing.
-	PointCached bool
 	// Err is the point's failure, nil on success (completion events only).
 	Err error
 	// PointWall is the observed wall-clock time of the finished point
@@ -110,7 +107,6 @@ func (p *progressTracker) finish(key string, err error, cached bool, wall time.D
 	p.mu.Unlock()
 	ev.Key = key
 	ev.Done = true
-	ev.PointCached = err == nil && cached
 	ev.Err = err
 	ev.PointWall = wall
 	p.fn(ev)

@@ -86,7 +86,7 @@ type PointError struct {
 	Stuck bool `json:"stuck,omitempty"`
 	// Quarantined marks an error served from a quarantine negative entry:
 	// the point was NOT re-executed, its original deterministic failure was
-	// replayed from the store/journal.
+	// replayed from the store.
 	Quarantined bool `json:"quarantined,omitempty"`
 
 	cause error
@@ -111,7 +111,7 @@ func (e *PointError) Unwrap() error { return e.cause }
 func (e *PointError) Deterministic() bool { return e.Kind.Deterministic() }
 
 // Served returns a copy marked as replayed from a quarantine entry, with
-// the stack dropped (the stack of the original process is journal noise to
+// the stack dropped (the stack of the original process is noise to
 // a client; the kind, key, and message carry the diagnosis).
 func (e *PointError) Served() *PointError {
 	cp := *e
@@ -179,8 +179,7 @@ func As(err error) (*PointError, bool) {
 }
 
 // IsPoisoned reports whether err carries a deterministic point failure —
-// the class that is quarantined and must never be retried, hedged, or
-// failed over.
+// the class that is quarantined and must never be retried or failed over.
 func IsPoisoned(err error) bool {
 	pe, ok := As(err)
 	return ok && pe.Deterministic()

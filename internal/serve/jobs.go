@@ -174,7 +174,7 @@ func newJobID() string {
 
 // submitJob registers a new job and starts its runner goroutine. When
 // resumedFrom is non-nil the job is a journal recovery: it keeps its old id
-// and its journal file (already holding the completed-point records).
+// and its journal file, and its completed points replay from the Store.
 func (s *Server) submitJob(spec JobSpec, resumedFrom *RecoveredJob) *job {
 	id := newJobID()
 	resumed := false
@@ -199,7 +199,7 @@ func (s *Server) submitJob(spec JobSpec, resumedFrom *RecoveredJob) *job {
 		if resumedFrom == nil {
 			s.journalTry(s.cfg.Journal.JobCreated(id, spec))
 		} else {
-			s.journalTry(s.cfg.Journal.JobState(id, JobQueued, ""))
+			s.journalTry(s.cfg.Journal.JobState(id, JobStatus{State: JobQueued}))
 		}
 	}
 	if resumed {
@@ -214,38 +214,33 @@ func (s *Server) submitJob(spec JobSpec, resumedFrom *RecoveredJob) *job {
 }
 
 // registerFinishedJob re-registers a journaled terminal job after a restart
-// so its status and result stay queryable.
+// so its status — progress and fault as journaled — and result stay
+// queryable.
 func (s *Server) registerFinishedJob(rec RecoveredJob) {
 	ctx, cancel := context.WithCancel(s.base)
 	cancel()
 	j := &job{
-		id:      rec.ID,
-		spec:    rec.Spec,
-		resumed: true,
-		ctx:     ctx,
-		cancel:  cancel,
-		done:    make(chan struct{}),
-		state:   rec.State,
-		errMsg:  rec.Error,
-		result:  rec.Result,
+		id:       rec.ID,
+		spec:     rec.Spec,
+		resumed:  true,
+		ctx:      ctx,
+		cancel:   cancel,
+		done:     make(chan struct{}),
+		state:    rec.State,
+		errMsg:   rec.Error,
+		fault:    rec.Fault,
+		progress: rec.Progress,
+		result:   rec.Result,
 	}
 	close(j.done)
-	completed := len(rec.Points)
-	cached := 0
-	for _, c := range rec.Points {
-		if c {
-			cached++
-		}
-	}
-	j.progress = JobProgress{Total: completed, Started: completed, Completed: completed, Cached: cached}
 	s.jobsMu.Lock()
 	s.jobs[rec.ID] = j
 	s.jobsMu.Unlock()
 }
 
 // resumeJournal recovers journaled jobs at startup: unfinished jobs are
-// re-submitted (their completed points replay from the content-addressed
-// cache), finished ones are re-registered for status/result queries.
+// re-submitted (their completed and quarantined points replay from the
+// Store), finished ones are re-registered for status/result queries.
 func (s *Server) resumeJournal() {
 	recs, err := s.cfg.Journal.Recover()
 	if err != nil {
@@ -253,12 +248,6 @@ func (s *Server) resumeJournal() {
 		return
 	}
 	for _, rec := range recs {
-		// Seed the Store's quarantine from journaled poison records before
-		// the job reruns, so resumed sweeps replay the recorded failures
-		// instead of recomputing points guaranteed to fail again.
-		for key, pe := range rec.Poisoned {
-			s.cfg.Store.Quarantine(key, pe)
-		}
 		if rec.Resumable() {
 			s.submitJob(rec.Spec, &rec)
 		} else {
@@ -276,21 +265,22 @@ func (s *Server) journalTry(err error) {
 	}
 }
 
-// setJobState transitions the job and journals the transition.
+// setJobState transitions the job and journals the transition (with the
+// job's final status, when the state is terminal).
 func (s *Server) setJobState(j *job, state JobState, errMsg string) {
 	j.mu.Lock()
 	j.state = state
 	j.errMsg = errMsg
 	j.mu.Unlock()
 	if s.cfg.Journal != nil {
-		s.journalTry(s.cfg.Journal.JobState(j.id, state, errMsg))
+		s.journalTry(s.cfg.Journal.JobState(j.id, j.status()))
 	}
 }
 
 // runJob drives one async job: wait for a worker slot, run the sweep, and
 // record the terminal state. If the server is killed (crash emulation /
 // process death) nothing terminal is journaled, so a restarted server
-// resumes the job from its last completed point.
+// resumes the job, replaying its completed points from the Store.
 func (s *Server) runJob(j *job) {
 	defer s.jobsWG.Done()
 	defer close(j.done)
@@ -368,10 +358,10 @@ func (s *Server) finishJob(j *job, res JobResult, err error) {
 	}
 }
 
-// runPointsJob runs the spec's explicit points in order through runPoint,
-// which journals each one. Under spec.KeepGoing a failed point is marked in
-// its JobResponse (Error/Fault, zero Results) and the sweep continues;
-// otherwise the first failure fails the job.
+// runPointsJob runs the spec's explicit points in order through runPoint.
+// Under spec.KeepGoing a failed point is marked in its JobResponse
+// (Error/Fault, zero Results) and the sweep continues; otherwise the first
+// failure fails the job.
 func (s *Server) runPointsJob(ctx context.Context, j *job) ([]JobResponse, error) {
 	points := j.spec.Points
 	j.mu.Lock()
@@ -389,34 +379,33 @@ func (s *Server) runPointsJob(ctx context.Context, j *job) ([]JobResponse, error
 		j.mu.Lock()
 		j.progress.Started++
 		j.mu.Unlock()
-		resp, err := s.runPoint(ctx, j, cfg, bench, scale)
+		resp, err := s.runPoint(ctx, cfg, bench, scale)
+		if err == nil && !resp.Cached {
+			wallSumMS += resp.ElapsedMS
+			wallN++
+		}
+		j.mu.Lock()
 		if err != nil {
-			j.mu.Lock()
 			j.progress.Failed++
-			j.mu.Unlock()
+		} else {
+			j.progress.Completed++
+			if resp.Cached {
+				j.progress.Cached++
+			}
+		}
+		if wallN > 0 {
+			remaining := len(points) - j.progress.Completed - j.progress.Failed
+			j.progress.EstRemainingMS = wallSumMS / float64(wallN) * float64(remaining)
+		}
+		j.mu.Unlock()
+		if err != nil {
 			if !j.spec.KeepGoing || ctx.Err() != nil {
 				return nil, fmt.Errorf("point %d (%s): %w", i, bench, err)
 			}
 			failures++
 			pe := fault.Classify(resp.Key, err)
 			resp.Error, resp.Fault = pe.Error(), pe.Served()
-			out = append(out, resp)
-			continue
 		}
-		if !resp.Cached {
-			wallSumMS += resp.ElapsedMS
-			wallN++
-		}
-		j.mu.Lock()
-		j.progress.Completed++
-		if resp.Cached {
-			j.progress.Cached++
-		}
-		if wallN > 0 {
-			remaining := len(points) - j.progress.Completed
-			j.progress.EstRemainingMS = wallSumMS / float64(wallN) * float64(remaining)
-		}
-		j.mu.Unlock()
 		out = append(out, resp)
 	}
 	if failures > 0 && failures == len(points) {

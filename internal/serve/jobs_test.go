@@ -122,6 +122,36 @@ func markRunner(calls *atomic.Int64) func(context.Context, config.Config, string
 	}
 }
 
+// recoverJob recovers one job from a journal directory by id.
+func recoverJob(t *testing.T, jn *Journal, id string) (RecoveredJob, bool) {
+	t.Helper()
+	recs, err := jn.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if rec.ID == id {
+			return rec, true
+		}
+	}
+	return RecoveredJob{}, false
+}
+
+// diskEntries counts the Store's persisted results (<key>.json files, not
+// quarantine entries) in dir.
+func diskEntries(t *testing.T, dir string) int {
+	t.Helper()
+	all, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	poison, err := filepath.Glob(filepath.Join(dir, "*.poison.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(all) - len(poison)
+}
+
 func TestJournalRoundTrip(t *testing.T) {
 	j, err := OpenJournal(t.TempDir())
 	if err != nil {
@@ -131,13 +161,11 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j.JobCreated("job1", spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.JobState("job1", JobRunning, ""); err != nil {
+	if err := j.JobState("job1", JobStatus{State: JobRunning}); err != nil {
 		t.Fatal(err)
 	}
+	// A point record (the benchmark ladder's append unit) is skipped.
 	if err := j.PointDone("job1", "k1", false); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.PointDone("job1", "k2", true); err != nil {
 		t.Fatal(err)
 	}
 
@@ -155,23 +183,29 @@ func TestJournalRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(rec.Spec, spec) {
 		t.Errorf("spec did not round-trip: %+v vs %+v", rec.Spec, spec)
 	}
-	if want := map[string]bool{"k1": false, "k2": true}; !reflect.DeepEqual(rec.Points, want) {
-		t.Errorf("points %+v, want %+v", rec.Points, want)
+	if rec.Progress != (JobProgress{}) || rec.Fault != nil {
+		t.Errorf("unfinished job recovered with status %+v / %+v, want none", rec.Progress, rec.Fault)
 	}
 
-	// Finish the job; it must recover terminal with its result payload.
-	if err := j.JobState("job1", JobDone, ""); err != nil {
+	// Finish the job; it must recover terminal with its final status and
+	// result payload.
+	progress := JobProgress{Total: 2, Started: 2, Completed: 1, Cached: 1, Failed: 1}
+	pe := fault.FromPanic("k2", "boom").Served()
+	if err := j.JobState("job1", JobStatus{State: JobDone, Fault: pe, Progress: progress}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.JobResult("job1", JobResult{Points: []JobResponse{{Key: "k1"}}}); err != nil {
 		t.Fatal(err)
 	}
-	rec, ok, err := j.Lookup("job1")
-	if err != nil || !ok {
-		t.Fatalf("Lookup: ok=%v err=%v", ok, err)
+	rec, ok := recoverJob(t, j, "job1")
+	if !ok {
+		t.Fatal("finished job not recovered")
 	}
 	if rec.Resumable() || rec.State != JobDone {
 		t.Errorf("finished job recovered as %s (resumable=%v)", rec.State, rec.Resumable())
+	}
+	if rec.Progress != progress || !reflect.DeepEqual(rec.Fault, pe) {
+		t.Errorf("final status recovered as %+v / %+v, want %+v / %+v", rec.Progress, rec.Fault, progress, pe)
 	}
 	if rec.Result == nil || len(rec.Result.Points) != 1 || rec.Result.Points[0].Key != "k1" {
 		t.Errorf("result did not round-trip: %+v", rec.Result)
@@ -181,14 +215,11 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j.JobCreated("../evil", spec); err == nil {
 		t.Error("unsafe job id was accepted")
 	}
-	if _, ok, _ := j.Lookup("../evil"); ok {
-		t.Error("unsafe job id resolved on lookup")
-	}
 
 	if err := j.Remove("job1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, _ := j.Lookup("job1"); ok {
+	if _, ok := recoverJob(t, j, "job1"); ok {
 		t.Error("job still recoverable after Remove")
 	}
 	if err := j.Remove("job1"); err != nil {
@@ -196,45 +227,10 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJournalPointEnded pins the one journal-point rule sfserve jobs and
-// sfexp -resume share: a success is a completed point, a fresh
-// deterministic failure is a poison record, and a timeout or a failure
-// replayed from quarantine leaves nothing behind.
-func TestJournalPointEnded(t *testing.T) {
-	j, err := OpenJournal(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.JobCreated("job", JobSpec{}); err != nil {
-		t.Fatal(err)
-	}
-	panicked := fault.FromPanic("kp", "boom")
-	replayed := panicked.Served()
-	for key, perr := range map[string]error{
-		"ok":       nil,
-		"panic":    panicked,
-		"timeout":  &fault.PointError{Key: "kt", Kind: fault.KindTimeout},
-		"replayed": replayed,
-	} {
-		if err := j.PointEnded("job", key, false, perr); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rec, _, err := j.Lookup("job")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := map[string]bool{"ok": false}; !reflect.DeepEqual(rec.Points, want) {
-		t.Errorf("points %v, want %v", rec.Points, want)
-	}
-	if len(rec.Poisoned) != 1 || rec.Poisoned["panic"] == nil || !rec.Poisoned["panic"].Quarantined {
-		t.Errorf("poisoned %+v, want only the fresh panic, recorded in its served form", rec.Poisoned)
-	}
-}
-
 // TestJournalCorruptionTolerance: a crash can truncate the trailing record
-// mid-append, and version bumps orphan old records; recovery must skip both
-// and keep everything before them.
+// mid-append, version bumps orphan old records, and older journals carry
+// point and poison records; recovery must skip all of them and keep
+// everything else.
 func TestJournalCorruptionTolerance(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournal(dir)
@@ -245,31 +241,30 @@ func TestJournalCorruptionTolerance(t *testing.T) {
 	if err := j.JobCreated("j2", spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.JobState("j2", JobRunning, ""); err != nil {
+	if err := j.JobState("j2", JobStatus{State: JobRunning}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.PointDone("j2", "k1", false); err != nil {
-		t.Fatal(err)
-	}
-	// A mis-versioned (future) record, then a crash-truncated trailing line.
+	// Legacy point and poison records, a mis-versioned (future) record, then
+	// a crash-truncated trailing line.
 	f, err := os.OpenFile(filepath.Join(dir, "j2.journal"), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"v":99,"t":"point","key":"future"}` + "\n" + `{"v":1,"t":"point","key":"trunc`); err != nil {
+	if _, err := f.WriteString(`{"v":1,"t":"point","key":"k1"}` + "\n" +
+		`{"v":1,"t":"poison","key":"kp","fault":{"key":"kp","kind":"panic","msg":"boom","quarantined":true}}` + "\n" +
+		`{"v":99,"t":"state","state":"done"}` + "\n" +
+		`{"v":1,"t":"state","state":"do`); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
 
-	rec, ok, err := j.Lookup("j2")
-	if err != nil || !ok {
-		t.Fatalf("Lookup after corruption: ok=%v err=%v", ok, err)
+	rec, ok := recoverJob(t, j, "j2")
+	if !ok {
+		t.Fatal("job not recovered after corruption")
 	}
-	if rec.State != JobRunning || !rec.Resumable() {
-		t.Errorf("recovered state %s, want running", rec.State)
-	}
-	if want := map[string]bool{"k1": false}; !reflect.DeepEqual(rec.Points, want) {
-		t.Errorf("points %+v, want only k1 (future + truncated records skipped)", rec.Points)
+	want := RecoveredJob{ID: "j2", Spec: spec, State: JobRunning}
+	if !reflect.DeepEqual(rec, want) {
+		t.Errorf("recovered %+v, want %+v (legacy, future and truncated records skipped)", rec, want)
 	}
 
 	// A journal file with no valid job record is ignored, not an error.
@@ -499,7 +494,8 @@ func TestJobsFigureAsync(t *testing.T) {
 // TestJobsKillRestartPoints is the deterministic crash-resume test: a points
 // job is killed after exactly 3 of its 6 points complete, and a new server
 // over the same journal and cache finishes it while recomputing only the
-// other 3 — with per-point results identical to an uninterrupted run.
+// other 3 — with per-point results identical to an uninterrupted run. The
+// Store, not the journal, holds the 3 completed points.
 func TestJobsKillRestartPoints(t *testing.T) {
 	cacheDir, journalDir := t.TempDir(), t.TempDir()
 	spec := JobSpec{Points: []JobRequest{
@@ -549,12 +545,11 @@ func TestJobsKillRestartPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, ok, err := jn.Lookup(id)
-	if err != nil || !ok {
-		t.Fatalf("journal after kill: ok=%v err=%v", ok, err)
+	if rec, ok := recoverJob(t, jn, id); !ok || !rec.Resumable() {
+		t.Fatalf("journal after kill: ok=%v state=%s, want a resumable job", ok, rec.State)
 	}
-	if !rec.Resumable() || len(rec.Points) != 3 {
-		t.Fatalf("journal shows state=%s with %d points; want resumable with 3", rec.State, len(rec.Points))
+	if n := diskEntries(t, cacheDir); n != 3 {
+		t.Fatalf("store holds %d results after the kill, want the 3 completed points", n)
 	}
 
 	// Server B over the same dirs auto-resumes the job; only the 3 missing
@@ -609,11 +604,11 @@ func TestJobsKillRestartPoints(t *testing.T) {
 	}
 }
 
-// TestJobsKillRestartFigure is the acceptance test from the issue: a real
-// figure sweep is killed mid-flight, a restarted server resumes it from the
-// journal, and the resumed figure is byte-identical to an uninterrupted
-// render with at least one point served from the cache and strictly fewer
-// than all points recomputed.
+// TestJobsKillRestartFigure: a real figure sweep is killed mid-flight, a
+// restarted server resumes the journaled job, and the resumed figure is
+// byte-identical to an uninterrupted render with at least one point served
+// from the Store's disk layer and strictly fewer than all points
+// recomputed. The journal records the job only, never its points.
 func TestJobsKillRestartFigure(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs ~2x15 real simulations across a kill/restart")
@@ -661,12 +656,11 @@ func TestJobsKillRestartFigure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, ok, err := jn.Lookup(id)
-	if err != nil || !ok {
-		t.Fatalf("journal after kill: ok=%v err=%v", ok, err)
+	if rec, ok := recoverJob(t, jn, id); !ok || !rec.Resumable() {
+		t.Fatalf("journal after kill: ok=%v state=%s, want a resumable job", ok, rec.State)
 	}
-	if !rec.Resumable() || len(rec.Points) == 0 || len(rec.Points) >= 15 {
-		t.Fatalf("journal shows state=%s with %d points; want resumable mid-sweep", rec.State, len(rec.Points))
+	if n := diskEntries(t, cacheDir); n < 1 || n >= 15 {
+		t.Fatalf("store holds %d results after the kill, want a mid-sweep 1..14", n)
 	}
 
 	hB, stB, tsB := newDiskServer()
@@ -689,16 +683,93 @@ func TestJobsKillRestartFigure(t *testing.T) {
 
 	// Uninterrupted reference on fresh dirs.
 	cacheDir, journalDir = t.TempDir(), t.TempDir()
-	_, _, tsC := newDiskServer()
+	hC, _, tsC := newDiskServer()
 	defer tsC.Close()
 	idC := submitJobSpec(t, tsC.URL, spec)
 	waitJobState(t, tsC.URL, idC, JobDone)
 	_, resC, _ := getJobResult(t, tsC.URL, idC)
+	if err := hC.WaitJobs(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(journalDir, idC+journalSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var rec journalRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil || (rec.T != "job" && rec.T != "state" && rec.T != "result") {
+			t.Errorf("journal line %q: want only job, state and result records (err %v)", line, err)
+		}
+	}
 
 	gotJSON, _ := json.Marshal(resB.Figure)
 	wantJSON, _ := json.Marshal(resC.Figure)
 	if !bytes.Equal(gotJSON, wantJSON) {
 		t.Errorf("resumed figure is not byte-identical to the uninterrupted render:\nresumed       %s\nuninterrupted %s", gotJSON, wantJSON)
+	}
+}
+
+// TestJobsRestartStatus: a finished job's status survives a restart
+// verbatim — progress counts and fault included — for a keep-going job with
+// a panicking point and for a failed job; and a done keep-going job
+// estimates no time remaining.
+func TestJobsRestartStatus(t *testing.T) {
+	journalDir := t.TempDir()
+	runner := func(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error) {
+		if bench == "mv" {
+			panic("injected simulator fault")
+		}
+		time.Sleep(time.Millisecond) // a computed point's wall time feeds the estimate
+		return system.Results{Benchmark: fmt.Sprintf("%s@%.2f", bench, scale)}, nil
+	}
+	newJournalServer := func() (*Server, *httptest.Server) {
+		st, err := NewStore(0, t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		jn, err := OpenJournal(journalDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := NewServer(Config{Store: st, Runner: runner, Journal: jn})
+		return h, httptest.NewServer(h)
+	}
+
+	hA, tsA := newJournalServer()
+	// The computed point comes after the failed one, so an estimate that
+	// ignores failures would still count one point outstanding.
+	keep := submitJobSpec(t, tsA.URL, JobSpec{KeepGoing: true, Points: []JobRequest{
+		{Benchmark: "mv", Scale: 0.01},
+		{Benchmark: "nn", Scale: 0.02},
+	}})
+	failed := submitJobSpec(t, tsA.URL, JobSpec{Points: []JobRequest{{Benchmark: "mv", Scale: 0.03}}})
+	before := map[string]JobStatus{
+		keep:   waitJobState(t, tsA.URL, keep, JobDone),
+		failed: waitJobState(t, tsA.URL, failed, JobFailed),
+	}
+	if p := before[keep].Progress; p.Total != 2 || p.Completed != 1 || p.Failed != 1 || p.EstRemainingMS != 0 {
+		t.Errorf("done keep-going progress %+v, want 1 completed, 1 failed, nothing remaining", p)
+	}
+	if st := before[failed]; st.Fault == nil || st.Fault.Kind != fault.KindPanic || st.Progress.Failed != 1 {
+		t.Errorf("failed job status %+v, want a panic fault and 1 failed point", st)
+	}
+	if err := hA.WaitJobs(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	hA.Kill()
+	tsA.Close()
+
+	_, tsB := newJournalServer()
+	defer tsB.Close()
+	for id, want := range before {
+		code, got := getJobStatus(t, tsB.URL, id)
+		if code != http.StatusOK || !got.Resumed {
+			t.Fatalf("GET /jobs/%s after restart = %d (resumed %v), want 200 and resumed", id, code, got.Resumed)
+		}
+		got.Resumed = false
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("job %s status changed across the restart:\nbefore %+v\nafter  %+v", id, want, got)
+		}
 	}
 }
 

@@ -13,26 +13,25 @@ import (
 	"streamfloat/internal/fault"
 )
 
-// Journal is the crash-safe sweep journal: one append-only JSON-lines file
-// per job, recording the job's spec, its state transitions, and every
-// completed point's canonical cache key. Together with the content-addressed
-// result cache (Store, which persists each point's Results under the same
-// key) it makes long sweeps resumable: after a crash or SIGKILL, Recover
-// returns every journaled job, unfinished ones are re-run, and their already-
-// completed points replay straight from the cache instead of re-simulating.
+// Journal is the crash-safe job journal: one append-only JSON-lines file
+// per async job, recording the job's spec, its state transitions, and — for
+// a finished job — its terminal status and result. It records only what the
+// content-addressed result cache cannot: which jobs exist and how each one
+// ended. Resuming a sweep needs nothing else, because the Store is the
+// resume state: it persists each completed point's Results as <key>.json and
+// each deterministic failure as <key>.poison.json, so after a crash or
+// SIGKILL Recover returns every journaled job, unfinished ones are re-run,
+// and their completed and quarantined points replay from the Store instead
+// of re-simulating.
 //
-// The journal deliberately stores no Results itself — results live in the
-// Store, keyed by the same canonical keys the point records carry — except
-// for the final JobResult of a finished job, so GET /jobs/{id}/result keeps
-// working across restarts. Records follow the Store's conventions: a
-// versioned envelope (mis-versioned records are skipped, not misread) and
-// safeKey-validated ids (a job id that could navigate the filesystem never
-// reaches filepath.Join).
+// Records follow the Store's conventions: a versioned envelope
+// (mis-versioned records are skipped, not misread) and safeKey-validated ids
+// (a job id that could navigate the filesystem never reaches filepath.Join).
 //
 // All methods are safe for concurrent use. Appends are O_APPEND single
 // writes followed by fsync, so a crash can lose at most the record being
 // written — which parses as a truncated trailing line and is ignored by
-// Recover (the point or transition simply re-runs).
+// Recover (the transition simply re-runs).
 type Journal struct {
 	dir string
 	mu  sync.Mutex
@@ -48,24 +47,22 @@ const journalSuffix = ".journal"
 // journalRecord is one JSON line of a job's journal file.
 type journalRecord struct {
 	V int    `json:"v"`
-	T string `json:"t"` // "job", "state", "point", "poison", "result"
+	T string `json:"t"` // "job", "state", "result" ("point" is skipped)
 
 	// T == "job": the job's identity and full spec (always the first line).
 	ID   string   `json:"id,omitempty"`
 	Spec *JobSpec `json:"spec,omitempty"`
 
-	// T == "state": a state transition.
-	State JobState `json:"state,omitempty"`
-	Error string   `json:"error,omitempty"`
+	// T == "state": a state transition. A terminal one also carries the
+	// job's final fault and progress.
+	State    JobState          `json:"state,omitempty"`
+	Error    string            `json:"error,omitempty"`
+	Fault    *fault.PointError `json:"fault,omitempty"`
+	Progress *JobProgress      `json:"progress,omitempty"`
 
-	// T == "point": one completed point. T == "poison": one deterministically
-	// failed point (Key plus Fault).
+	// T == "point": one completed point's key (see PointDone).
 	Key    string `json:"key,omitempty"`
 	Cached bool   `json:"cached,omitempty"`
-
-	// T == "poison": the structured deterministic failure quarantined under
-	// Key.
-	Fault *fault.PointError `json:"fault,omitempty"`
 
 	// T == "result": the finished job's result payload.
 	Result *JobResult `json:"result,omitempty"`
@@ -132,33 +129,23 @@ func (j *Journal) JobCreated(id string, spec JobSpec) error {
 	return j.append(id, journalRecord{T: "state", State: JobQueued})
 }
 
-// JobState journals a state transition. errMsg annotates JobFailed.
-func (j *Journal) JobState(id string, state JobState, errMsg string) error {
-	return j.append(id, journalRecord{T: "state", State: state, Error: errMsg})
+// JobState journals a state transition. A terminal transition also
+// journals the job's error, fault and final progress, so a restarted server
+// reports the finished job's status verbatim.
+func (j *Journal) JobState(id string, st JobStatus) error {
+	rec := journalRecord{T: "state", State: st.State, Error: st.Error}
+	if st.State.terminal() {
+		rec.Fault, rec.Progress = st.Fault, &st.Progress
+	}
+	return j.append(id, rec)
 }
 
-// PointDone journals one completed point by its canonical cache key. cached
-// marks points served from the result cache rather than computed.
+// PointDone appends one point record: a completed point's canonical cache
+// key, and whether it was served from the cache. No job writes it — the
+// Store already holds every completed point — and Recover skips it; it
+// remains as the unit benchmark/ladder.go times one fsync'd append with.
 func (j *Journal) PointDone(id, key string, cached bool) error {
 	return j.append(id, journalRecord{T: "point", Key: key, Cached: cached})
-}
-
-// PointEnded journals how one point of job id ended, by the one rule every
-// journaled sweep (sfserve jobs, sfexp -resume) shares. A success (err nil)
-// journals PointDone. A fresh deterministic failure journals a negative
-// entry under the point's canonical cache key, so a resumed job (or any
-// later sweep over the same journal) skips the key instead of recomputing a
-// simulation guaranteed to fail the same way. Anything else — cancellation,
-// a timeout, a failure replayed from quarantine — writes nothing and simply
-// re-runs on resume.
-func (j *Journal) PointEnded(id, key string, cached bool, err error) error {
-	if err == nil {
-		return j.PointDone(id, key, cached)
-	}
-	if pe, ok := fault.As(err); ok && pe.Deterministic() && !pe.Quarantined {
-		return j.append(id, journalRecord{T: "poison", Key: key, Fault: pe.Served()})
-	}
-	return nil
 }
 
 // JobResult journals the finished job's result payload, so status queries
@@ -186,13 +173,10 @@ type RecoveredJob struct {
 	Spec  JobSpec
 	State JobState // last journaled state; non-terminal jobs should resume
 	Error string
-	// Points maps each journaled completed point's canonical cache key to
-	// whether it was served from the cache when first completed.
-	Points map[string]bool
-	// Poisoned maps each journaled deterministically-failed point's key to
-	// its recorded failure; resumption seeds the Store's quarantine from it
-	// so the points are skipped, not recomputed.
-	Poisoned map[string]*fault.PointError
+	// Fault and Progress are a finished job's final status, as journaled
+	// with its terminal state.
+	Fault    *fault.PointError
+	Progress JobProgress
 	// Result is the journaled final result, when the job finished.
 	Result *JobResult
 }
@@ -206,7 +190,9 @@ func (r RecoveredJob) Resumable() bool {
 // Recover replays every journal file in the directory and reconstructs the
 // jobs it describes, sorted by id. Truncated trailing lines (a crash mid-
 // append) and mis-versioned records are skipped; a file whose first valid
-// record is not a job record is ignored entirely.
+// record is not a job record is ignored entirely, and record types Recover
+// does not read (point records, and the poison records older journals
+// carry) are skipped.
 func (j *Journal) Recover() ([]RecoveredJob, error) {
 	ents, err := os.ReadDir(j.dir)
 	if err != nil {
@@ -231,19 +217,6 @@ func (j *Journal) Recover() ([]RecoveredJob, error) {
 	return jobs, nil
 }
 
-// Lookup recovers a single job by id. ok is false when no journal for the
-// id exists (or it holds no valid job record).
-func (j *Journal) Lookup(id string) (RecoveredJob, bool, error) {
-	if !safeKey(id) {
-		return RecoveredJob{}, false, nil
-	}
-	rec, ok, err := j.recoverOne(id)
-	if err != nil && os.IsNotExist(err) {
-		return RecoveredJob{}, false, nil
-	}
-	return rec, ok, err
-}
-
 // recoverOne replays one job's journal file.
 func (j *Journal) recoverOne(id string) (RecoveredJob, bool, error) {
 	path, err := j.path(id)
@@ -254,7 +227,7 @@ func (j *Journal) recoverOne(id string) (RecoveredJob, bool, error) {
 	if err != nil {
 		return RecoveredJob{}, false, err
 	}
-	job := RecoveredJob{ID: id, Points: map[string]bool{}, Poisoned: map[string]*fault.PointError{}}
+	job := RecoveredJob{ID: id}
 	seenJob := false
 	for _, line := range bytes.Split(data, []byte{'\n'}) {
 		line = bytes.TrimSpace(line)
@@ -277,15 +250,9 @@ func (j *Journal) recoverOne(id string) (RecoveredJob, bool, error) {
 				seenJob = true
 			}
 		case "state":
-			job.State = rec.State
-			job.Error = rec.Error
-		case "point":
-			if rec.Key != "" {
-				job.Points[rec.Key] = rec.Cached
-			}
-		case "poison":
-			if rec.Key != "" && rec.Fault != nil && rec.Fault.Kind.Deterministic() {
-				job.Poisoned[rec.Key] = rec.Fault
+			job.State, job.Error, job.Fault, job.Progress = rec.State, rec.Error, rec.Fault, JobProgress{}
+			if rec.Progress != nil {
+				job.Progress = *rec.Progress
 			}
 		case "result":
 			job.Result = rec.Result

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -101,8 +103,8 @@ func TestStoreQuarantine(t *testing.T) {
 	if pe, ok = fault.As(err); !ok || pe.Kind != fault.KindTimeout {
 		t.Fatalf("timeout Do err = %v", err)
 	}
-	if _, poisoned := st.Poisoned("cafef00d"); poisoned {
-		t.Error("a timeout was quarantined")
+	if _, err := os.Stat(filepath.Join(dir, "cafef00d.poison.json")); st.Stats().Poisoned != 1 || !os.IsNotExist(err) {
+		t.Errorf("a timeout was quarantined (stats %+v, poison file stat %v)", st.Stats(), err)
 	}
 }
 
@@ -205,16 +207,16 @@ func TestServerStallWatchdog(t *testing.T) {
 
 // TestJobsKillRestartQuarantine: a keep-going job is killed mid-flight after
 // one point was poisoned; the restarted server resumes it and the poisoned
-// point is skipped via the journal's negative entry, never recomputed.
+// point is skipped via the Store's poison file, never recomputed.
 func TestJobsKillRestartQuarantine(t *testing.T) {
-	journalDir := t.TempDir()
+	cacheDir, journalDir := t.TempDir(), t.TempDir()
 	spec := JobSpec{KeepGoing: true, Points: []JobRequest{
 		{Benchmark: "nn", Scale: 0.01},
 		{Benchmark: "mv", Scale: 0.02},
 		{Benchmark: "nn", Scale: 0.03},
 	}}
 	newJournalServer := func(runner func(context.Context, config.Config, string, float64) (system.Results, error)) (*Server, *httptest.Server) {
-		st, err := NewStore(0, "") // memory-only: the journal must carry the poison
+		st, err := NewStore(0, cacheDir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +228,7 @@ func TestJobsKillRestartQuarantine(t *testing.T) {
 		return h, httptest.NewServer(h)
 	}
 
-	// Server A: point 1 completes, point 2 panics (journaled as poison),
+	// Server A: point 1 completes, point 2 panics (quarantined on disk),
 	// point 3 blocks until the kill.
 	var callsA atomic.Int64
 	blocked := make(chan struct{})
@@ -255,21 +257,16 @@ func TestJobsKillRestartQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, ok, err := jn.Lookup(id)
-	if err != nil || !ok {
-		t.Fatalf("journal after kill: ok=%v err=%v", ok, err)
+	if rec, ok := recoverJob(t, jn, id); !ok || !rec.Resumable() {
+		t.Fatalf("journal after kill: ok=%v state=%s, want a resumable job", ok, rec.State)
 	}
-	if !rec.Resumable() || len(rec.Poisoned) != 1 {
-		t.Fatalf("journal shows state=%s with %d poisoned; want resumable with 1", rec.State, len(rec.Poisoned))
-	}
-	for _, pe := range rec.Poisoned {
-		if pe.Kind != fault.KindPanic || !pe.Quarantined {
-			t.Errorf("journaled poison = %+v, want a quarantined panic", pe)
-		}
+	poison, err := filepath.Glob(filepath.Join(cacheDir, "*.poison.json"))
+	if err != nil || len(poison) != 1 {
+		t.Fatalf("store holds poison files %v (err %v), want the one panicked point", poison, err)
 	}
 
-	// Server B resumes. The memory-only store lost point 1's result, so it
-	// recomputes points 1 and 3 — but never the quarantined point 2.
+	// Server B resumes: point 1 replays from disk and point 3 is
+	// recomputed — but never the quarantined point 2.
 	var callsB atomic.Int64
 	benchesB := make(chan string, 8)
 	runnerB := func(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error) {
@@ -283,8 +280,8 @@ func TestJobsKillRestartQuarantine(t *testing.T) {
 	if st.Progress.Failed != 1 {
 		t.Errorf("resumed progress %+v, want 1 failed point", st.Progress)
 	}
-	if got := callsB.Load(); got != 2 {
-		t.Errorf("restart ran %d simulations, want 2 (the quarantined point must be skipped)", got)
+	if got := callsB.Load(); got != 1 {
+		t.Errorf("restart ran %d simulations, want 1 (the completed and quarantined points must replay)", got)
 	}
 	close(benchesB)
 	for b := range benchesB {

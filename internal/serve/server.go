@@ -47,12 +47,14 @@ type Config struct {
 	// (so a sampled figure can report its confidence intervals). Tests
 	// substitute stubs to exercise queueing and cancellation deterministically.
 	Runner func(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error)
-	// Journal, when non-nil, makes async jobs crash-safe: specs, state
-	// transitions, and per-point completions are appended to its on-disk
-	// journal, and NewServer resumes any unfinished journaled jobs —
-	// completed points replay from the Store (point the Journal and the
-	// Store's disk layer at durable directories for this to survive a
-	// process death). nil keeps async jobs in-memory only.
+	// Journal, when non-nil, makes async jobs crash-safe: each job's spec,
+	// state transitions and final status are appended to its on-disk
+	// journal, and NewServer resumes any unfinished journaled jobs. The
+	// Store is the resume state: a resumed job's completed and quarantined
+	// points replay from its disk layer, so point the Journal and the Store
+	// at durable directories. With a memory-only Store a resumed job
+	// recomputes every point, quarantined ones included. nil keeps async
+	// jobs in-memory only.
 	Journal *Journal
 }
 
@@ -233,7 +235,8 @@ type JobResponse struct {
 	Fault *fault.PointError `json:"fault,omitempty"`
 }
 
-// job resolves a JobRequest into a runnable configuration.
+// resolve turns a JobRequest into a runnable configuration, benchmark and
+// dataset scale.
 func (r JobRequest) resolve() (config.Config, string, float64, error) {
 	var cfg config.Config
 	if r.Config != nil {
@@ -364,7 +367,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	resp, err := s.runPoint(ctx, nil, cfg, bench, scale)
+	resp, err := s.runPoint(ctx, cfg, bench, scale)
 	if err != nil {
 		s.failed.Add(1)
 		if pe, ok := fault.As(err); ok {
@@ -402,11 +405,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // and points jobs reach it through runPoint, GET /figure and figure jobs
 // through figureCache. It wraps the Store (memory and disk cache,
 // singleflight, quarantine) around compute, which must be guarded
-// (fault.Guard) so a panic or a stall arrives typed; counts the fault when
-// this caller ran the simulation; and, when the point belongs to job j
-// (nil for the synchronous endpoints), journals its outcome. cached reports
-// a point served without running compute.
-func (s *Server) point(ctx context.Context, j *job, key string, compute func() (system.Results, error)) (res system.Results, cached bool, err error) {
+// (fault.Guard) so a panic or a stall arrives typed, and counts the fault
+// when this caller ran the simulation. cached reports a point served
+// without running compute.
+func (s *Server) point(ctx context.Context, key string, compute func() (system.Results, error)) (res system.Results, cached bool, err error) {
 	computed := false
 	res, err = s.cfg.Store.Do(ctx, key, func() (system.Results, error) {
 		computed = true
@@ -422,9 +424,6 @@ func (s *Server) point(ctx context.Context, j *job, key string, compute func() (
 			s.panics.Add(1)
 		}
 	}
-	if s.cfg.Journal != nil && j != nil {
-		s.journalTry(s.cfg.Journal.PointEnded(j.id, key, !computed, err))
-	}
 	if err != nil {
 		return system.Results{}, false, err
 	}
@@ -437,10 +436,10 @@ func (s *Server) point(ctx context.Context, j *job, key string, compute func() (
 // Config.StallTimeout set the stall watchdog kills points whose event loop
 // stops advancing simulated time. On error the response still carries the
 // key and elapsed time.
-func (s *Server) runPoint(ctx context.Context, j *job, cfg config.Config, bench string, scale float64) (JobResponse, error) {
+func (s *Server) runPoint(ctx context.Context, cfg config.Config, bench string, scale float64) (JobResponse, error) {
 	key := system.CacheKey(cfg, bench, scale)
 	start := time.Now()
-	res, cached, err := s.point(ctx, j, key, func() (system.Results, error) {
+	res, cached, err := s.point(ctx, key, func() (system.Results, error) {
 		var res system.Results
 		err := fault.Guard(ctx, key, s.cfg.StallTimeout, 0, func(ctx context.Context) (err error) {
 			res, err = s.cfg.Runner(ctx, cfg, bench, scale)
@@ -458,14 +457,11 @@ func (s *Server) runPoint(ctx context.Context, j *job, cfg config.Config, bench 
 
 // figureCache is the experiments.ResultCache a figure sweep runs against:
 // every point goes through Server.point, with the sweep's own guarded
-// compute. j is the figure job, nil for GET /figure.
-type figureCache struct {
-	s *Server
-	j *job
-}
+// compute.
+type figureCache struct{ s *Server }
 
 func (c figureCache) Do(ctx context.Context, key string, compute func() (system.Results, error)) (system.Results, error) {
-	res, _, err := c.s.point(ctx, c.j, key, compute)
+	res, _, err := c.s.point(ctx, key, compute)
 	return res, err
 }
 
@@ -480,7 +476,7 @@ func (s *Server) runFigure(ctx context.Context, j *job, fs FigureSpec, keepGoing
 	opts := experiments.Options{
 		Scale:        0.25,
 		Benchmarks:   fs.Benchmarks,
-		Cache:        figureCache{s, j},
+		Cache:        figureCache{s},
 		Sanitize:     sanitize.ModeOff,
 		Context:      ctx,
 		KeepGoing:    keepGoing,

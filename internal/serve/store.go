@@ -176,7 +176,7 @@ func (s *Store) Do(ctx context.Context, key string, compute func() (system.Resul
 				// negative entry so this key is never recomputed. The computing
 				// caller keeps the original error with its stack; later hits
 				// get the Served copy.
-				s.Quarantine(key, pe)
+				s.quarantine(key, pe)
 			}
 		}
 		s.mu.Lock()
@@ -197,47 +197,24 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// Quarantine records a deterministic point failure as a negative cache
+// quarantine records a deterministic point failure as a negative cache
 // entry under key: subsequent Do calls for the key replay the failure (as a
 // Served copy, marked Quarantined) instead of recomputing a simulation that
 // can only crash the same way. With a disk layer, the entry persists as
-// <key>.poison.json and survives restarts.
-func (s *Store) Quarantine(key string, pe *fault.PointError) {
-	if pe == nil {
-		return
-	}
+// <key>.poison.json and survives restarts — it is the record a resumed
+// sweep skips the point by.
+//
+// Only Do's computing leader calls it, so the key is never already
+// quarantined: every later caller finds the entry before computing.
+func (s *Store) quarantine(key string, pe *fault.PointError) {
 	cp := *pe
 	if cp.Key == "" {
 		cp.Key = key
 	}
 	s.mu.Lock()
-	_, dup := s.poisoned[key]
-	if !dup {
-		s.poisoned[key] = &cp
-	}
+	s.poisoned[key] = &cp
 	s.mu.Unlock()
-	if !dup {
-		s.diskPoisonPut(key, &cp)
-	}
-}
-
-// Poisoned returns the quarantine entry for key, if any, checking memory
-// then disk (a disk hit is promoted to memory).
-func (s *Store) Poisoned(key string) (*fault.PointError, bool) {
-	s.mu.Lock()
-	pe, ok := s.poisoned[key]
-	s.mu.Unlock()
-	if ok {
-		return pe, true
-	}
-	pe, ok = s.diskPoisonGet(key)
-	if !ok {
-		return nil, false
-	}
-	s.mu.Lock()
-	s.poisoned[key] = pe
-	s.mu.Unlock()
-	return pe, true
+	s.diskPoisonPut(key, &cp)
 }
 
 // Stats reports the cache counters accumulated so far.

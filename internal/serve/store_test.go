@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -11,6 +13,8 @@ import (
 	"time"
 
 	"streamfloat/internal/config"
+	"streamfloat/internal/experiments"
+	"streamfloat/internal/sanitize"
 	"streamfloat/internal/system"
 )
 
@@ -272,5 +276,63 @@ func TestStoreLRUEviction(t *testing.T) {
 	}
 	if _, ok := st.Get("k2"); !ok {
 		t.Error("k2 (most recent) was evicted")
+	}
+}
+
+// TestStoreResumesSweep is the local resume path (sfexp -cache): a figure
+// sweep over a disk Store is interrupted after two points complete, and
+// re-running it over a fresh Store on the same directory replays what
+// finished and renders a table byte-identical to an uninterrupted run.
+func TestStoreResumesSweep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs ~2x15 real simulations across an interruption")
+	}
+	fig, ok := experiments.ByName("13")
+	if !ok {
+		t.Fatal("figure 13 is not registered")
+	}
+	sweep := func(ctx context.Context, dir string, progress experiments.ProgressFunc) (*Store, []byte, error) {
+		st, err := NewStore(0, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := fig(experiments.Options{
+			Scale: 0.02, Benchmarks: []string{"nn"}, Cache: st,
+			Sanitize: sanitize.ModeOff, Context: ctx, Progress: progress,
+		})
+		if err != nil {
+			return st, nil, err
+		}
+		data, err := json.Marshal(tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, data, nil
+	}
+
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if _, _, err := sweep(ctx, dir, func(ev experiments.ProgressEvent) {
+		if ev.Completed >= 2 {
+			cancel()
+		}
+	}); err == nil {
+		t.Fatal("the interrupted sweep finished; cannot exercise resume")
+	}
+
+	st, got, err := sweep(context.Background(), dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := st.Stats(); s.Misses >= 15 || s.DiskHits < 1 {
+		t.Errorf("resumed store stats %+v, want fewer than 15 recomputes and >= 1 disk hit", s)
+	}
+	_, want, err := sweep(context.Background(), t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("resumed table is not byte-identical to the uninterrupted run:\nresumed       %s\nuninterrupted %s", got, want)
 	}
 }
