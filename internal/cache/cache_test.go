@@ -297,6 +297,35 @@ func TestMSHRMergesConcurrentMisses(t *testing.T) {
 	}
 }
 
+// TestMSHRPeak: the MSHR tables remember their high-water marks after they
+// drain — what the unbounded-MSHR fidelity measurement reads. Tile 0 misses
+// on three lines of one home bank at once, one of them twice (merged into
+// the first's entry), and tile 1 on one of them: three L2 entries at tile
+// 0, three fill entries at the bank.
+func TestMSHRPeak(t *testing.T) {
+	r := newRig(t, nil)
+	base := uint64(0xc00000)
+	stride := uint64(r.cfg.L3InterleaveBytes * r.cfg.Tiles())
+	lines := []uint64{base, base + stride, base + 2*stride}
+	for _, la := range lines {
+		if r.sys.HomeBank(la) != r.sys.HomeBank(base) {
+			t.Fatalf("line %#x is not homed with %#x", la, base)
+		}
+		r.sys.Access(0, la, Read, NoMeta, nil)
+	}
+	r.sys.Access(0, lines[0], Read, NoMeta, nil)
+	r.sys.Access(1, lines[1], Read, NoMeta, nil)
+	r.Run()
+	if l2, fill := r.sys.MSHRPeak(); l2 != 3 || fill != 3 {
+		t.Errorf("MSHRPeak = %d L2, %d fill; want 3 and 3", l2, fill)
+	}
+	for tile, tc := range r.sys.tiles {
+		if tc.mshr.Len() != 0 {
+			t.Errorf("tile %d kept %d MSHR entries after draining", tile, tc.mshr.Len())
+		}
+	}
+}
+
 func TestBankFillMSHRMergesAcrossTiles(t *testing.T) {
 	r := newRig(t, nil)
 	addr := uint64(0xb00000)
@@ -445,6 +474,26 @@ func TestBankLocalIndexingUsesAllSets(t *testing.T) {
 	}
 	if len(seen) < bank.sets {
 		t.Errorf("bank uses %d/%d sets", len(seen), bank.sets)
+	}
+}
+
+// TestHomeBankMatchesConfig: the bank mapping a hierarchy computes at build
+// (shift and mask for Table III's power-of-two geometries, division
+// otherwise) is the one config.Config.HomeBank defines.
+func TestHomeBankMatchesConfig(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, c := range []struct{ w, h, interleave int }{
+		{8, 8, 64}, {8, 8, 1024}, {4, 4, 4096}, {3, 3, 1024}, {8, 8, 192}, {2, 3, 64},
+	} {
+		r := newRig(t, func(cfg *config.Config) {
+			cfg.MeshWidth, cfg.MeshHeight, cfg.L3InterleaveBytes = c.w, c.h, c.interleave
+		})
+		for i := 0; i < 20000; i++ {
+			addr := rng.Uint64() >> uint(rng.Intn(40))
+			if got, want := r.sys.HomeBank(addr), r.cfg.HomeBank(addr); got != want {
+				t.Fatalf("%dx%d, interleave %d: HomeBank(%#x) = %d, config says %d", c.w, c.h, c.interleave, addr, got, want)
+			}
+		}
 	}
 }
 
@@ -750,14 +799,30 @@ func missRounds(r *rig, hits int) (dram, l3hit func(i int), completed *int) {
 	return dram, l3hit, completed
 }
 
-// TestDemandMissZeroAlloc: once the freelists are warm, a demand read that
-// misses L2 — whether the bank has the line or has to fill it from DRAM —
-// travels core to fill and back on recycled op records and allocates
-// nothing.
+// TestDemandMissZeroAlloc: once the freelists and MSHR tables are warm, a
+// demand read that misses L2 — whether the bank has the line or has to fill
+// it from DRAM — travels core to fill and back on recycled op records and
+// allocates nothing. So do a miss that merges into another's MSHR entries
+// (a second read parked behind the first at the tile, and a third tile's
+// read merged into the bank's DRAM fill) and an L2 prefetch, whose MSHR
+// entry has no waiter at all.
 func TestDemandMissZeroAlloc(t *testing.T) {
 	const perRound, rounds, warm = 16, 20, 4
 	r := newRig(t, nil)
 	dram, l3hit, completed := missRounds(r, perRound*(warm+rounds+1))
+	done := func(event.Cycle) { *completed++ }
+	const mergeBase, prefBase = 0xc000000, 0x10000000
+	merged := func(i int) {
+		la := uint64(mergeBase + i*lineSize)
+		r.sys.Access(i%8, la, Read, NoMeta, done)
+		r.sys.Access(i%8, la, Read, NoMeta, done)   // parks in the tile's MSHR
+		r.sys.Access(8+i%8, la, Read, NoMeta, done) // merges into the bank's fill
+		r.Run()
+	}
+	prefetch := func(i int) {
+		r.sys.Access(i%16, uint64(prefBase+i*lineSize), PrefL2, NoMeta, nil)
+		r.Run()
+	}
 	next := 0
 	round := func(miss func(int)) func() {
 		return func() {
@@ -772,9 +837,15 @@ func TestDemandMissZeroAlloc(t *testing.T) {
 	r.read(0, 0, nil)
 	base := testing.AllocsPerRun(rounds, round(idle))
 	for _, c := range []struct {
-		name string
-		miss func(int)
-	}{{"DRAM fill", dram}, {"L3 hit", l3hit}} {
+		name              string
+		miss              func(int)
+		done, fills, hits uint64 // per call
+	}{
+		{"DRAM fill", dram, 1, 1, 0},
+		{"L3 hit", l3hit, 1, 0, 1},
+		{"merged miss", merged, 3, 1, 0},
+		{"L2 prefetch", prefetch, 0, 1, 0},
+	} {
 		next = 0
 		for i := 0; i < warm; i++ {
 			round(c.miss)()
@@ -782,20 +853,22 @@ func TestDemandMissZeroAlloc(t *testing.T) {
 		l3Before, fillsBefore := r.St.L3Hits, r.St.DRAMReads
 		*completed = 0
 		if avg := testing.AllocsPerRun(rounds, round(c.miss)); avg != base {
-			t.Errorf("%s: %d read misses allocate %v times per round over %v for as many L1 hits, want 0",
+			t.Errorf("%s: %d misses allocate %v times per round over %v for as many L1 hits, want 0",
 				c.name, perRound, avg-base, base)
 		}
 		// The rounds must have taken the path they are named for.
 		n := uint64(perRound * (rounds + 1))
-		if *completed != int(n) {
-			t.Errorf("%s: %d of %d reads completed", c.name, *completed, n)
+		if *completed != int(c.done*n) {
+			t.Errorf("%s: %d of %d reads completed", c.name, *completed, c.done*n)
 		}
 		hits, fills := r.St.L3Hits-l3Before, r.St.DRAMReads-fillsBefore
-		if c.name == "DRAM fill" && (fills != n || hits != 0) {
-			t.Errorf("DRAM fill rounds saw %d fills and %d L3 hits, want %d and 0", fills, hits, n)
+		if fills != c.fills*n || hits != c.hits*n {
+			t.Errorf("%s rounds saw %d fills and %d L3 hits, want %d and %d", c.name, fills, hits, c.fills*n, c.hits*n)
 		}
-		if c.name == "L3 hit" && (hits != n || fills != 0) {
-			t.Errorf("L3 hit rounds saw %d L3 hits and %d fills, want %d and 0", hits, fills, n)
+	}
+	for tile, tc := range r.sys.tiles {
+		if tc.mshr.Len() != 0 {
+			t.Errorf("tile %d ended with %d open MSHR entries", tile, tc.mshr.Len())
 		}
 	}
 }

@@ -71,12 +71,6 @@ func (m *missOp) filled() {
 	s.mesh.SendCall(m.bank, m.tile, stats.ClassData, lineSize, runMissReply, event.Ref{Obj: m})
 }
 
-// forward sends the line from the forwarding owner to the requester once the
-// owner's L2 has been probed (bound as m.forwardData).
-func (m *missOp) forward(event.Cycle) {
-	m.s.mesh.SendCall(m.owner, m.tile, stats.ClassData, lineSize, runMissReply, event.Ref{Obj: m})
-}
-
 // runInvAck sends the invalidation acknowledgement for a remote-sharer
 // drop: fired at the inv's arrival, so the ack is injected from the acking
 // tile's own execution context. Ref carries A=ackingTile, B=bank.
@@ -113,7 +107,7 @@ func (s *System) bankHit(m *missOp, l *line) {
 		upgrade := l.sharers&reqBit != 0
 		// Invalidate all other sharers (inv + ack pairs). Remote copies on
 		// other shards are dropped at the quantum barrier.
-		for t := 0; t < s.cfg.Tiles(); t++ {
+		for t := 0; t < s.ntiles; t++ {
 			if t == reqTile || l.sharers&(1<<uint(t)) == 0 {
 				continue
 			}
@@ -128,7 +122,7 @@ func (s *System) bankHit(m *missOp, l *line) {
 		if owner >= 0 && owner != reqTile {
 			// Owner forwards the (possibly dirty) data to the requester.
 			m.owner = owner
-			s.ownerForward(bank, owner, la, true, m.forwardData)
+			s.ownerForward(m)
 		} else if upgrade {
 			// Requester already has the data: ownership ack only.
 			s.mesh.SendCall(bank, reqTile, stats.ClassCtrlCoh, 0, runMissReply, event.Ref{Obj: m})
@@ -145,7 +139,7 @@ func (s *System) bankHit(m *missOp, l *line) {
 		// Forward from the exclusive/modified owner; owner downgrades to S
 		// and writes back if dirty.
 		m.granted, m.owner = stShared, owner
-		s.ownerForward(bank, owner, la, false, m.forwardData)
+		s.ownerForward(m)
 		l.owner = -1
 		l.sharers |= (1 << uint(owner)) | reqBit
 		return
@@ -160,39 +154,56 @@ func (s *System) bankHit(m *missOp, l *line) {
 	s.mesh.SendCall(bank, reqTile, stats.ClassData, lineSize, runMissReply, event.Ref{Obj: m})
 }
 
-// ownerForward sends the forward request to the current owner, downgrading
-// (invalidate=false) or invalidating (invalidate=true) its private copy, and
-// invokes then once the forward request has reached the owner and its L2 has
-// been accessed. A dirty copy also writes back to the bank.
-func (s *System) ownerForward(bank, owner int, la uint64, invalidate bool, then func(event.Cycle)) {
-	s.mesh.Send(bank, owner, stats.ClassCtrlCoh, 0, func(event.Cycle) {
-		s.lay.Eng(owner).Schedule(event.Cycle(s.cfg.L2.LatCycles), func(now event.Cycle) {
-			tc := s.tiles[owner]
-			dirty := false
-			if l2 := tc.l2.lookup(la); l2 != nil {
-				dirty = l2.dirty || l2.state == stModified
-				if l1 := tc.l1.lookup(la); l1 != nil && l1.dirty {
-					dirty = true
-				}
-				if invalidate {
-					s.invalidatePrivate(owner, la)
-				} else {
-					l2.state = stShared
-					l2.dirty = false
-				}
-			}
-			if dirty {
-				// Writeback to the bank so L3 holds the latest data (the
-				// directory bit flips at the barrier: the bank is another
-				// tile's state).
-				op := s.getCoh(owner)
-				op.s, op.bank, op.la = s, bank, la
-				s.lay.Defer(owner, runBankDirty, op)
-				s.mesh.Send(owner, bank, stats.ClassData, lineSize, func(event.Cycle) {})
-			}
-			then(now)
-		})
-	})
+// ownerForward sends m's forward request to the current owner (m.owner),
+// downgrading (GetS) or invalidating (GetX) its private copy; once the
+// request has reached the owner and its L2 has been accessed, the owner
+// sends the data to the requester. A dirty copy also writes back to the
+// bank.
+func (s *System) ownerForward(m *missOp) {
+	s.mesh.SendCall(m.bank, m.owner, stats.ClassCtrlCoh, 0, runForwardAtOwner, event.Ref{Obj: m})
+}
+
+func runForwardAtOwner(_ event.Cycle, ref event.Ref) {
+	m := ref.Obj.(*missOp)
+	m.s.lay.Eng(m.owner).ScheduleCall(event.Cycle(m.s.cfg.L2.LatCycles), runForwardData, ref)
+}
+
+// runForwardData probes the owner's private copy and forwards the line.
+func runForwardData(_ event.Cycle, ref event.Ref) {
+	m := ref.Obj.(*missOp)
+	s, owner, la := m.s, m.owner, m.la
+	if s.probeOwner(m.bank, owner, la, m.excl) {
+		s.mesh.Send(owner, m.bank, stats.ClassData, lineSize, func(event.Cycle) {})
+	}
+	s.mesh.SendCall(owner, m.tile, stats.ClassData, lineSize, runMissReply, ref)
+}
+
+// probeOwner applies an owner forward to the owner's private copy of la
+// (invalidate: drop it; otherwise downgrade it to S) and reports whether the
+// copy was dirty, in which case the bank's directory entry is marked dirty
+// at the barrier (the bank is another tile's state) and the caller sends the
+// writeback.
+func (s *System) probeOwner(bank, owner int, la uint64, invalidate bool) bool {
+	tc := s.tiles[owner]
+	dirty := false
+	if l2 := tc.l2.lookup(la); l2 != nil {
+		dirty = l2.dirty || l2.state == stModified
+		if l1 := tc.l1.lookup(la); l1 != nil && l1.dirty {
+			dirty = true
+		}
+		if invalidate {
+			s.invalidatePrivate(owner, la)
+		} else {
+			l2.state = stShared
+			l2.dirty = false
+		}
+	}
+	if dirty {
+		op := s.getCoh(owner)
+		op.s, op.bank, op.la = s, bank, la
+		s.lay.Defer(owner, runBankDirty, op)
+	}
+	return dirty
 }
 
 // invalidatePrivate drops a line from a tile's L1 and L2 (back-invalidation
@@ -220,14 +231,14 @@ func (s *System) dropPrivate(bank, tile int, la uint64) {
 // Concurrent fills of the same line at the same bank merge into one memory
 // access (the bank's fill MSHR).
 func (s *System) dramFill(bank int, la uint64, cont func()) {
-	if f, busy := s.fillMSHR[bank][la]; busy {
+	if f, busy := s.fillMSHR[bank].Get(la); busy {
 		f.waiters = append(f.waiters, cont)
 		return
 	}
 	f := s.getFill(bank)
 	f.bank, f.ctrlTile, f.la = bank, s.dram.CtrlTile(s.dram.CtrlFor(la)), la
 	f.waiters = append(f.waiters, cont)
-	s.fillMSHR[bank][la] = f
+	s.fillMSHR[bank].Put(la, f)
 	s.mesh.SendCall(bank, f.ctrlTile, stats.ClassCtrlReq, 8, runFillAtCtrl, event.Ref{Obj: f})
 }
 
@@ -249,7 +260,7 @@ func runFillAtBank(_ event.Cycle, ref event.Ref) {
 	f := ref.Obj.(*fillOp)
 	s := f.s
 	s.installL3(f.bank, f.la)
-	delete(s.fillMSHR[f.bank], f.la)
+	s.fillMSHR[f.bank].Delete(f.la)
 	for _, w := range f.waiters {
 		w()
 	}
@@ -308,7 +319,7 @@ func runEvictL3Flush(_ event.Cycle, arg any) {
 		s.mesh.Send(bank, owner, stats.ClassCtrlCoh, 0, func(event.Cycle) {})
 		s.mesh.Send(owner, bank, stats.ClassCtrlCoh, 0, func(event.Cycle) {})
 	}
-	for t := 0; t < s.cfg.Tiles(); t++ {
+	for t := 0; t < s.ntiles; t++ {
 		if sharers&(1<<uint(t)) == 0 {
 			continue
 		}
@@ -320,10 +331,53 @@ func runEvictL3Flush(_ event.Cycle, arg any) {
 		ctrlTile := s.dram.CtrlTile(s.dram.CtrlFor(va))
 		// The controller's queue belongs to its hosting tile's shard; reserve
 		// bandwidth when the writeback message arrives there.
-		s.mesh.Send(bank, ctrlTile, stats.ClassData, lineSize, func(event.Cycle) {
-			s.dram.Access(va, lineSize, true, func(event.Cycle) {})
-		})
+		s.mesh.SendCall(bank, ctrlTile, stats.ClassData, lineSize, runDRAMWriteback, event.Ref{Obj: s, A: int64(va)})
 	}
+}
+
+// runDRAMWriteback writes an evicted dirty line (Ref.A) back to memory once
+// the writeback has reached its controller's tile.
+func runDRAMWriteback(_ event.Cycle, ref event.Ref) {
+	ref.Obj.(*System).dram.Access(uint64(ref.A), lineSize, true, func(event.Cycle) {})
+}
+
+// floatOp is one GetU stream read from the bank that issues it to its
+// deliveries: route to the home bank (issuing bank) -> L3 lookup after the
+// bank latency, merging into a DRAM fill on a miss (home bank) -> multicast
+// from the bank, or from a forwarding owner (owner). It is taken where the
+// read is issued and returned by the context that sends the data. dsts is a
+// copy, its capacity kept across puts.
+type floatOp struct {
+	s       *System
+	bank    int // home bank serving the read
+	owner   int // forwarding owner, on the owner arm
+	la      uint64
+	dsts    []int
+	l3kind  stats.L3ReqKind
+	payload int
+	ready   func(event.Cycle)
+	deliver func(dst int, now event.Cycle)
+
+	sendFn func() // dramFill continuation, bound once
+}
+
+func (s *System) getFloat(tile int) *floatOp {
+	f := s.lists[s.lay.Index(tile)].float.Get()
+	if f == nil {
+		f = new(floatOp)
+		f.sendFn = f.send
+	}
+	f.s = s
+	return f
+}
+
+// putFloat returns f from code executing in tile's context.
+func (s *System) putFloat(tile int, f *floatOp) {
+	if f.s == nil {
+		s.doublePut("floatOp")
+	}
+	*f = floatOp{dsts: f.dsts[:0], sendFn: f.sendFn}
+	s.lists[s.lay.Index(tile)].float.Put(f)
 }
 
 // FloatRead services an SE_L3-issued stream read at a bank: a GetU access
@@ -332,96 +386,143 @@ func runEvictL3Flush(_ event.Cycle, arg any) {
 // payloadBytes is the response payload (a full line, or a subline for
 // indirect elements). onBankReady (may be nil) fires when the data is
 // available at the bank (used by the operands table to chain indirect
-// accesses); deliver fires once per destination at arrival.
+// accesses); deliver fires once per destination at arrival. dsts is copied.
+// Callers on the per-line path pass func values bound once, so a read
+// allocates nothing.
 func (s *System) FloatRead(bank int, la uint64, dsts []int, l3kind stats.L3ReqKind, payloadBytes int, onBankReady func(event.Cycle), deliver func(dst int, now event.Cycle)) {
-	st := s.lay.St(bank)
-	s.lay.Eng(bank).Schedule(event.Cycle(s.cfg.L3.LatCycles), func(now event.Cycle) {
-		st.L3Requests[l3kind]++
-		l := s.banks[bank].lookup(la)
-		if s.chk != nil && l != nil {
-			// GetU must never touch the sharer vector or ownership (§IV-A):
-			// snapshot the entry and re-check once this handler has applied
-			// whatever path it takes. Later demand accesses may legally
-			// mutate the entry, so the window is exactly this event.
-			s.chk.Trace(sanitize.Record{
-				Cycle: uint64(now), Tile: dsts[0], Comp: "l3dir", Event: "getu",
-				Key: la, A: int64(l.sharers), B: int64(l.owner),
-			})
-			ow, sh := l.owner, l.sharers
-			defer func() {
-				if l.owner != ow || l.sharers != sh {
-					s.chk.Failf(la, "l3dir[%d]: GetU for line %#x mutated directory state: sharers %#x->%#x, owner %d->%d",
-						bank, la, sh, l.sharers, ow, l.owner)
-				}
-			}()
-		}
-		send := func() {
-			if onBankReady != nil {
-				onBankReady(s.lay.Eng(bank).Now())
-			}
-			s.mesh.Multicast(bank, dsts, stats.ClassData, payloadBytes, deliver)
-		}
-		if s.tr != nil {
-			s.tr.CacheAccess(bank, 3, l != nil)
-		}
-		if l == nil {
-			st.L3Misses++
-			if s.tr != nil {
-				s.tr.Emit(uint64(now), bank, trace.KindL3Miss, la, int64(dsts[0]), int64(l3kind))
-			}
-			s.dramFill(bank, la, send)
-			return
-		}
-		st.L3Hits++
-		s.banks[bank].touch(l)
-		if o := int(l.owner); o >= 0 && !containsTile(dsts, o) {
-			// Another L2 owns the line: it forwards the data without
-			// changing its own state (Fig 12c).
-			s.mesh.Send(bank, o, stats.ClassCtrlCoh, 0, func(event.Cycle) {
-				s.lay.Eng(o).Schedule(event.Cycle(s.cfg.L2.LatCycles), func(now event.Cycle) {
-					if onBankReady != nil {
-						// The ready hook mutates bank-side state (the operands
-						// table): the owner copies the index data back so the
-						// hook fires in the bank's own execution context.
-						s.mesh.Send(o, bank, stats.ClassCtrlCoh, 0, onBankReady)
-					}
-					s.mesh.Multicast(o, dsts, stats.ClassData, payloadBytes, deliver)
-				})
-			})
-			return
-		}
-		send()
-	})
+	f := s.newFloat(bank, la, l3kind, payloadBytes, onBankReady, deliver)
+	f.bank = bank
+	f.dsts = append(f.dsts, dsts...)
+	s.startFloat(f)
 }
 
 // FloatReadAuto issues a stream read from the bank currently running the
 // stream: if the line is homed elsewhere (a confluence member catching up
 // after a merge), a request message forwards it to the home bank first.
 func (s *System) FloatReadAuto(curBank int, la uint64, dsts []int, l3kind stats.L3ReqKind, payloadBytes int, onBankReady func(event.Cycle), deliver func(dst int, now event.Cycle)) {
-	home := s.cfg.HomeBank(la)
-	if home == curBank {
-		s.FloatRead(home, la, dsts, l3kind, payloadBytes, onBankReady, deliver)
-		return
-	}
-	s.mesh.Send(curBank, home, stats.ClassCtrlReq, 8, func(event.Cycle) {
-		s.FloatRead(home, la, dsts, l3kind, payloadBytes, onBankReady, deliver)
-	})
+	f := s.newFloat(curBank, la, l3kind, payloadBytes, onBankReady, deliver)
+	f.dsts = append(f.dsts, dsts...)
+	s.routeFloat(curBank, f)
 }
 
 // FloatIndirectRead routes an indirect element request from the bank running
 // the stream (fromBank) to the element's home bank, which responds with a
 // subline directly to the requesting tile (§IV-B).
-func (s *System) FloatIndirectRead(fromBank int, la uint64, dst int, payloadBytes int, deliver func(now event.Cycle)) {
-	toBank := s.cfg.HomeBank(la)
-	run := func() {
-		s.FloatRead(toBank, la, []int{dst}, stats.L3FloatIndirect, payloadBytes, nil,
-			func(_ int, now event.Cycle) { deliver(now) })
-	}
-	if toBank == fromBank {
-		run()
+func (s *System) FloatIndirectRead(fromBank int, la uint64, dst int, payloadBytes int, deliver func(dst int, now event.Cycle)) {
+	f := s.newFloat(fromBank, la, stats.L3FloatIndirect, payloadBytes, nil, deliver)
+	f.dsts = append(f.dsts, dst)
+	s.routeFloat(fromBank, f)
+}
+
+// newFloat takes a floatOp in the issuing tile's context for a read of la
+// served by la's home bank.
+func (s *System) newFloat(tile int, la uint64, l3kind stats.L3ReqKind, payloadBytes int, onBankReady func(event.Cycle), deliver func(dst int, now event.Cycle)) *floatOp {
+	f := s.getFloat(tile)
+	f.bank, f.la, f.l3kind, f.payload, f.ready, f.deliver = s.HomeBank(la), la, l3kind, payloadBytes, onBankReady, deliver
+	return f
+}
+
+// routeFloat starts f at its home bank, sending the request there first when
+// the issuing bank is another.
+func (s *System) routeFloat(curBank int, f *floatOp) {
+	if f.bank == curBank {
+		s.startFloat(f)
 		return
 	}
-	s.mesh.Send(fromBank, toBank, stats.ClassCtrlReq, 8, func(event.Cycle) { run() })
+	s.mesh.SendCall(curBank, f.bank, stats.ClassCtrlReq, 8, runFloatAtHome, event.Ref{Obj: f})
+}
+
+func runFloatAtHome(_ event.Cycle, ref event.Ref) {
+	f := ref.Obj.(*floatOp)
+	f.s.startFloat(f)
+}
+
+// startFloat schedules f's L3 lookup after the bank's access latency.
+func (s *System) startFloat(f *floatOp) {
+	s.lay.Eng(f.bank).ScheduleCall(event.Cycle(s.cfg.L3.LatCycles), runFloatLookup, event.Ref{Obj: f})
+}
+
+func runFloatLookup(now event.Cycle, ref event.Ref) {
+	f := ref.Obj.(*floatOp)
+	f.s.floatLookup(f, now)
+}
+
+// floatLookup is the GetU tag lookup at the home bank.
+func (s *System) floatLookup(f *floatOp, now event.Cycle) {
+	bank, la := f.bank, f.la
+	st := s.lay.St(bank)
+	st.L3Requests[f.l3kind]++
+	l := s.banks[bank].lookup(la)
+	if s.chk != nil && l != nil {
+		// GetU must never touch the sharer vector or ownership (§IV-A):
+		// snapshot the entry and re-check once this handler has applied
+		// whatever path it takes. Later demand accesses may legally mutate
+		// the entry, so the window is exactly this event.
+		s.chk.Trace(sanitize.Record{
+			Cycle: uint64(now), Tile: f.dsts[0], Comp: "l3dir", Event: "getu",
+			Key: la, A: int64(l.sharers), B: int64(l.owner),
+		})
+		defer s.checkGetU(bank, la, l, l.owner, l.sharers)
+	}
+	if s.tr != nil {
+		s.tr.CacheAccess(bank, 3, l != nil)
+	}
+	if l == nil {
+		st.L3Misses++
+		if s.tr != nil {
+			s.tr.Emit(uint64(now), bank, trace.KindL3Miss, la, int64(f.dsts[0]), int64(f.l3kind))
+		}
+		s.dramFill(bank, la, f.sendFn)
+		return
+	}
+	st.L3Hits++
+	s.banks[bank].touch(l)
+	if o := int(l.owner); o >= 0 && !containsTile(f.dsts, o) {
+		// Another L2 owns the line: it forwards the data without changing
+		// its own state (Fig 12c).
+		f.owner = o
+		s.mesh.SendCall(bank, o, stats.ClassCtrlCoh, 0, runFloatAtOwner, event.Ref{Obj: f})
+		return
+	}
+	f.send()
+}
+
+// checkGetU fails the run if a GetU changed the directory entry it read.
+func (s *System) checkGetU(bank int, la uint64, l *line, ow int16, sh uint64) {
+	if l.owner != ow || l.sharers != sh {
+		s.chk.Failf(la, "l3dir[%d]: GetU for line %#x mutated directory state: sharers %#x->%#x, owner %d->%d",
+			bank, la, sh, l.sharers, ow, l.owner)
+	}
+}
+
+// send fires the ready hook and multicasts the data from the bank (bound as
+// f.sendFn for the DRAM-fill path).
+func (f *floatOp) send() {
+	s := f.s
+	if f.ready != nil {
+		f.ready(s.lay.Eng(f.bank).Now())
+	}
+	s.mesh.Multicast(f.bank, f.dsts, stats.ClassData, f.payload, f.deliver)
+	s.putFloat(f.bank, f)
+}
+
+func runFloatAtOwner(_ event.Cycle, ref event.Ref) {
+	f := ref.Obj.(*floatOp)
+	f.s.lay.Eng(f.owner).ScheduleCall(event.Cycle(f.s.cfg.L2.LatCycles), runFloatOwnerSend, ref)
+}
+
+// runFloatOwnerSend sends the data from the forwarding owner's L2.
+func runFloatOwnerSend(_ event.Cycle, ref event.Ref) {
+	f := ref.Obj.(*floatOp)
+	s, o := f.s, f.owner
+	if f.ready != nil {
+		// The ready hook mutates bank-side state (the operands table): the
+		// owner copies the index data back so the hook fires in the bank's
+		// own execution context.
+		s.mesh.Send(o, f.bank, stats.ClassCtrlCoh, 0, f.ready)
+	}
+	s.mesh.Multicast(o, f.dsts, stats.ClassData, f.payload, f.deliver)
+	s.putFloat(o, f)
 }
 
 func containsTile(ts []int, t int) bool {
@@ -432,9 +533,6 @@ func containsTile(ts []int, t int) bool {
 	}
 	return false
 }
-
-// HomeBank exposes the NUCA mapping for stream engines.
-func (s *System) HomeBank(addr uint64) int { return s.cfg.HomeBank(addr) }
 
 // PrivateHas reports whether the tile's private caches currently hold the
 // line (used by the float/sink policy to detect private-cache hits).

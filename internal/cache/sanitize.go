@@ -35,7 +35,7 @@ func (s *System) privateOrPending(tile int, la uint64) bool {
 	if tc.l2.lookup(la) != nil {
 		return true
 	}
-	if _, pending := tc.mshr[la]; pending {
+	if tc.mshr.Has(la) {
 		return true
 	}
 	return s.evicting[tile][la] > 0
@@ -48,7 +48,7 @@ func (s *System) privateOrPending(tile int, la uint64) bool {
 // victim is evicted while its private copies' fills are in flight (see
 // dramFill's racing-fill path), so it is not checked.
 func (s *System) checkDirectoryLine(bank int, la uint64, l *line, when string) {
-	tiles := s.cfg.Tiles()
+	tiles := s.ntiles
 	if int(l.owner) >= tiles {
 		s.chk.Failf(la, "l3dir[%d] %s: line %#x owner %d beyond %d tiles", bank, when, la, l.owner, tiles)
 	}
@@ -131,18 +131,19 @@ func (s *System) Audit() {
 	if s.chk == nil {
 		return
 	}
-	var access, miss, fill int
+	var access, miss, fill, float int
 	for i := range s.lists {
 		access += s.lists[i].access.Out()
 		miss += s.lists[i].miss.Out()
 		fill += s.lists[i].fill.Out()
+		float += s.lists[i].float.Out()
 	}
-	if access != 0 || miss != 0 || fill != 0 {
-		s.chk.Failf(0, "cache: run drained with op records outstanding: %d accessOp, %d missOp, %d fillOp", access, miss, fill)
+	if access != 0 || miss != 0 || fill != 0 || float != 0 {
+		s.chk.Failf(0, "cache: run drained with op records outstanding: %d accessOp, %d missOp, %d fillOp, %d floatOp", access, miss, fill, float)
 	}
 	for t, tc := range s.tiles {
-		if n := len(tc.mshr); n != 0 {
-			for la := range tc.mshr {
+		if n := tc.mshr.Len(); n != 0 {
+			for _, la := range tc.mshr.Keys(nil) {
 				s.chk.Failf(la, "cache: tile %d finished the run with %d open MSHR entries (line %#x among them)", t, n, la)
 			}
 		}
@@ -156,8 +157,8 @@ func (s *System) Audit() {
 		})
 	}
 	for b := range s.banks {
-		if n := len(s.fillMSHR[b]); n != 0 {
-			for la := range s.fillMSHR[b] {
+		if n := s.fillMSHR[b].Len(); n != 0 {
+			for _, la := range s.fillMSHR[b].Keys(nil) {
 				s.chk.Failf(la, "cache: bank %d finished the run with %d open fill-MSHR entries (line %#x among them)", b, n, la)
 			}
 		}
@@ -173,7 +174,7 @@ func (s *System) Audit() {
 // silent coherence corruption the MESI probe exists to catch. It reports
 // whether the entry was present to corrupt.
 func (s *System) FlipSharerBit(la uint64, tile int) bool {
-	l := s.banks[s.cfg.HomeBank(la)].lookup(la)
+	l := s.banks[s.HomeBank(la)].lookup(la)
 	if l == nil {
 		return false
 	}

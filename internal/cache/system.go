@@ -1,8 +1,11 @@
 package cache
 
 import (
+	"math/bits"
+
 	"streamfloat/internal/config"
 	"streamfloat/internal/event"
+	"streamfloat/internal/linetab"
 	"streamfloat/internal/mem"
 	"streamfloat/internal/noc"
 	"streamfloat/internal/par"
@@ -51,8 +54,9 @@ type tileCaches struct {
 	// mshr merges L2 misses by line address. An entry is the last waiter of a
 	// circular list threaded through accessOp.next (last.next is the first),
 	// so parking a waiter allocates nothing; nil marks a prefetch in flight
-	// with nobody waiting.
-	mshr map[uint64]*accessOp
+	// with nobody waiting. Like the model's other MSHRs it is unbounded: the
+	// table grows past Table III's MSHREntries rather than stalling a miss.
+	mshr linetab.Table[*accessOp]
 }
 
 // park adds op behind last (nil: an entry with no waiter yet) and makes it
@@ -63,7 +67,7 @@ func (tc *tileCaches) park(la uint64, last, op *accessOp) {
 	} else {
 		op.next, last.next = last.next, op
 	}
-	tc.mshr[la] = op
+	tc.mshr.Put(la, op)
 }
 
 // The op records below carry one access through the hierarchy without
@@ -108,8 +112,7 @@ type missOp struct {
 	owner   int      // forwarding owner, on the owner-forward arms
 	lines   []uint64 // bulk request payload; capacity kept across puts
 
-	afterFill   func()            // dramFill continuation, bound once
-	forwardData func(event.Cycle) // ownerForward continuation, bound once
+	afterFill func() // dramFill continuation, bound once
 }
 
 // fillOp is one DRAM fill of a line into a bank: request to the controller
@@ -148,6 +151,7 @@ type opLists struct {
 	miss   event.Freelist[missOp]
 	fill   event.Freelist[fillOp]
 	coh    event.Freelist[cohOp]
+	float  event.Freelist[floatOp]
 }
 
 // doublePut reports a record returned twice (a put leaves the owner nil).
@@ -183,7 +187,7 @@ func (s *System) getMiss(tile int) *missOp {
 	m := s.lists[s.lay.Index(tile)].miss.Get()
 	if m == nil {
 		m = new(missOp)
-		m.afterFill, m.forwardData = m.filled, m.forward
+		m.afterFill = m.filled
 	}
 	m.s = s
 	return m
@@ -194,7 +198,7 @@ func (s *System) putMiss(tile int, m *missOp) {
 	if m.s == nil {
 		s.doublePut("missOp")
 	}
-	*m = missOp{lines: m.lines[:0], afterFill: m.afterFill, forwardData: m.forwardData}
+	*m = missOp{lines: m.lines[:0], afterFill: m.afterFill}
 	s.lists[s.lay.Index(tile)].miss.Put(m)
 }
 
@@ -279,7 +283,16 @@ type System struct {
 	banks []*array
 
 	// fillMSHR merges concurrent DRAM fills per bank and line.
-	fillMSHR []map[uint64]*fillOp
+	fillMSHR []linetab.Table[*fillOp]
+
+	// Home-bank mapping, fixed at build: bank = (addr / interleave) % tiles,
+	// computed as a shift and a mask when both are powers of two (Table III
+	// always is). HomeBank is the only bank mapping the model uses.
+	ntiles     int
+	interleave uint64
+	bankShift  uint
+	bankMask   uint64
+	bankPow2   bool
 
 	// lay is the machine's shard layout. Each tile's private caches, MSHRs
 	// and its L3 bank are owned by the tile's shard and touched only from its
@@ -317,21 +330,51 @@ type System struct {
 func NewSystem(lay *par.Layout, cfg config.Config, mesh *noc.Mesh, dram *mem.DRAM) *System {
 	n := cfg.Tiles()
 	s := &System{lay: lay, cfg: cfg, mesh: mesh, dram: dram, lists: make([]opLists, len(lay.Shards))}
+	s.ntiles, s.interleave = n, uint64(cfg.L3InterleaveBytes)
+	if isPow2(s.interleave) && isPow2(uint64(n)) {
+		s.bankPow2, s.bankShift, s.bankMask = true, uint(bits.TrailingZeros64(s.interleave)), uint64(n-1)
+	}
 	s.tiles = make([]*tileCaches, n)
 	s.banks = make([]*array, n)
-	s.fillMSHR = make([]map[uint64]*fillOp, n)
+	s.fillMSHR = make([]linetab.Table[*fillOp], n)
 	for i := 0; i < n; i++ {
-		s.fillMSHR[i] = make(map[uint64]*fillOp)
 		s.tiles[i] = &tileCaches{
-			l1:   newArray(cfg.L1.SizeBytes, cfg.L1.Ways, cfg.L1.LineBytes, cfg.L1.BRRIPProb),
-			l2:   newArray(cfg.L2.SizeBytes, cfg.L2.Ways, cfg.L2.LineBytes, cfg.L2.BRRIPProb),
-			mshr: make(map[uint64]*accessOp),
+			l1: newArray(cfg.L1.SizeBytes, cfg.L1.Ways, cfg.L1.LineBytes, cfg.L1.BRRIPProb),
+			l2: newArray(cfg.L2.SizeBytes, cfg.L2.Ways, cfg.L2.LineBytes, cfg.L2.BRRIPProb),
 		}
+		// Sized for Table III's MSHRs; the tables grow past them (see mshr).
+		s.tiles[i].mshr.Reserve(cfg.L2.MSHREntries)
+		s.fillMSHR[i].Reserve(cfg.L3.MSHREntries)
 		bank := newArray(cfg.L3.SizeBytes, cfg.L3.Ways, cfg.L3.LineBytes, cfg.L3.BRRIPProb)
 		bank.setBankLocal(cfg.L3InterleaveBytes, n)
 		s.banks[i] = bank
 	}
 	return s
+}
+
+func isPow2(v uint64) bool { return v != 0 && v&(v-1) == 0 }
+
+// HomeBank maps a physical address to its L3 bank under static NUCA: the
+// mapping config.Config.HomeBank defines, precomputed for this machine.
+func (s *System) HomeBank(addr uint64) int {
+	if s.bankPow2 {
+		return int(addr >> s.bankShift & s.bankMask)
+	}
+	return int(addr / s.interleave % uint64(s.ntiles))
+}
+
+// MSHRPeak reports the high-water marks of the model's miss handling
+// registers over the run so far: the most L2 MSHR entries any one tile held
+// at once, and the most DRAM-fill MSHR entries any one bank held at once.
+// Table III sizes these at MSHREntries, which the model does not enforce.
+func (s *System) MSHRPeak() (l2, fill int) {
+	for _, tc := range s.tiles {
+		l2 = max(l2, tc.mshr.Peak())
+	}
+	for i := range s.fillMSHR {
+		fill = max(fill, s.fillMSHR[i].Peak())
+	}
+	return l2, fill
 }
 
 // Release hands every array's line slab back for the next machine to build
@@ -515,7 +558,7 @@ func (s *System) loadAfterL2(op *accessOp, now event.Cycle) {
 	// Merge into an outstanding miss if one exists: the op parks in the MSHR
 	// and op.complete runs when the fill (its own or the one it merged into)
 	// arrives.
-	last, busy := tc.mshr[la]
+	last, busy := tc.mshr.Get(la)
 	tc.park(la, last, op)
 	if busy {
 		return
@@ -579,7 +622,7 @@ func (s *System) storeAfterL1(op *accessOp, now event.Cycle) {
 			s.tr.Emit(uint64(now), tile, trace.KindL2Miss, la, int64(meta.StreamID), 1)
 		}
 	}
-	last, busy := tc.mshr[la]
+	last, busy := tc.mshr.Get(la)
 	tc.park(la, last, op)
 	if busy {
 		return
@@ -593,10 +636,10 @@ func (s *System) l2Prefetch(tile int, la uint64, meta Meta) {
 	if tc.l2.lookup(la) != nil {
 		return
 	}
-	if _, ok := tc.mshr[la]; ok {
+	if tc.mshr.Has(la) {
 		return // demand or another prefetch already fetching
 	}
-	tc.mshr[la] = nil
+	tc.mshr.Put(la, nil)
 	s.lay.St(tile).PrefetchIssued++
 	s.fetch(tile, la, false, stats.L3CoreNormal, meta, PrefL2)
 }
@@ -611,10 +654,10 @@ func (s *System) PrefetchBulkL2(tile int, bank int, lineAddrs []uint64, meta Met
 		if tc.l2.lookup(la) != nil {
 			continue
 		}
-		if _, ok := tc.mshr[la]; ok {
+		if tc.mshr.Has(la) {
 			continue
 		}
-		tc.mshr[la] = nil
+		tc.mshr.Put(la, nil)
 		s.lay.St(tile).PrefetchIssued++
 		if bulk == nil {
 			bulk = s.getMiss(tile)
@@ -647,7 +690,7 @@ func (s *System) fetch(tile int, la uint64, excl bool, l3kind stats.L3ReqKind, m
 		s.lay.St(tile).PrefetchIssued++
 	}
 	m := s.getMiss(tile)
-	m.tile, m.bank, m.la, m.excl, m.l3kind, m.meta, m.kind = tile, s.cfg.HomeBank(la), la, excl, l3kind, meta, kind
+	m.tile, m.bank, m.la, m.excl, m.l3kind, m.meta, m.kind = tile, s.HomeBank(la), la, excl, l3kind, meta, kind
 	s.mesh.SendCall(tile, m.bank, stats.ClassCtrlReq, 8, runMissAtBank, event.Ref{Obj: m})
 }
 
@@ -680,8 +723,7 @@ func (s *System) finishFetch(tile int, la uint64, granted state, meta Meta, kind
 	if kind != PrefL2 {
 		s.fillL1(tile, la, kind == PrefL1 || kind == StreamRead, meta)
 	}
-	last := tc.mshr[la]
-	delete(tc.mshr, la)
+	last, _ := tc.mshr.Delete(la)
 	if last == nil {
 		return
 	}
@@ -757,7 +799,7 @@ func (s *System) evictL1(tile int, victim *line, va uint64) {
 // bookkeeping traffic that Fig 2b measures. The victim's L1 copy is
 // back-invalidated to preserve inclusion.
 func (s *System) evictL2(tile int, victim *line, va uint64) {
-	home := s.cfg.HomeBank(va)
+	home := s.HomeBank(va)
 	st := s.lay.St(tile)
 	dirty := victim.dirty || victim.state == stModified
 	s.traceEvict("l2", tile, va, victim, s.lay.Eng(tile).Now())

@@ -41,7 +41,7 @@ func (s *System) WarmPrivate(tile int, addr uint64, write bool) {
 			}
 			s.invalidatePrivate(o, la)
 		}
-		for t := 0; t < s.cfg.Tiles(); t++ {
+		for t := 0; t < s.ntiles; t++ {
 			if t == tile || dl.sharers&(1<<uint(t)) == 0 {
 				continue
 			}
@@ -100,7 +100,7 @@ func (s *System) WarmPrivate(tile int, addr uint64, write bool) {
 // warmBankLine returns la's home-bank entry, installing it (with functional
 // victim eviction) if absent and refreshing its replacement state if present.
 func (s *System) warmBankLine(la uint64) *line {
-	bank := s.cfg.HomeBank(la)
+	bank := s.HomeBank(la)
 	arr := s.banks[bank]
 	if l := arr.lookup(la); l != nil {
 		arr.touch(l)
@@ -120,7 +120,7 @@ func (s *System) warmEvictL3(bank int, victim *line, va uint64) {
 	if o := int(victim.owner); o >= 0 {
 		s.invalidatePrivate(o, va)
 	}
-	for t := 0; t < s.cfg.Tiles(); t++ {
+	for t := 0; t < s.ntiles; t++ {
 		if victim.sharers&(1<<uint(t)) != 0 {
 			s.invalidatePrivate(t, va)
 		}
@@ -161,7 +161,7 @@ func (s *System) warmEvictL2(tile int, victim *line, va uint64) {
 		}
 		tc.l1.invalidate(l1)
 	}
-	if dl := s.banks[s.cfg.HomeBank(va)].lookup(va); dl != nil {
+	if dl := s.banks[s.HomeBank(va)].lookup(va); dl != nil {
 		dl.sharers &^= 1 << uint(tile)
 		if dl.owner == int16(tile) {
 			dl.owner = -1

@@ -15,18 +15,6 @@ import (
 	"streamfloat/internal/workload"
 )
 
-// sortedKeys returns a map's keys in ascending order. Map iteration order
-// is randomized, and several engine paths fire event-scheduling callbacks
-// while draining maps — a fixed order keeps simulations deterministic.
-func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	return keys
-}
-
 // streamKey uniquely identifies one configured (floated) stream instance.
 // gen disambiguates reconfigurations of the same (tile, sid) across phases.
 type streamKey struct {
@@ -67,6 +55,11 @@ type Engines struct {
 	// tr, when non-nil, records stream lifecycle spans and SE activity
 	// events (see trace.go). Purely observational.
 	tr *trace.Tracer
+
+	// ops holds the record freelists, one set per execution context.
+	ops []opLists
+
+	fifoBytes int // the core's SEcore FIFO capacity (CoreParams().SEFIFOBytes)
 }
 
 // NewEngines builds the stream engines for the configured machine and wires
@@ -75,7 +68,9 @@ func NewEngines(lay *par.Layout, cfg config.Config, mesh *noc.Mesh,
 	sys *cache.System, bk *mem.Backing) *Engines {
 	e := &Engines{
 		lay: lay, cfg: cfg, mesh: mesh, sys: sys, bk: bk,
-		registry: make(map[streamKey]*l3Stream),
+		registry:  make(map[streamKey]*l3Stream),
+		ops:       make([]opLists, len(lay.Shards)),
+		fifoBytes: cfg.CoreParams().SEFIFOBytes,
 	}
 	n := cfg.Tiles()
 	e.cores = make([]*seCore, n)
@@ -205,18 +200,31 @@ func runAddStream(_ event.Cycle, arg any) {
 	op.b.addStream(op.g, op.startElem, op.startSeq, op.credits)
 }
 
-// creditOp carries a credit-message delivery to the barrier.
+// creditOp carries one credit message from an SE_L2 to the bank it is
+// addressed to and, since the registry lookup and credit state are barrier
+// work, on to the barrier. Taken from the sending tile's freelist and
+// returned to it by the barrier op.
 type creditOp struct {
-	e     *Engines
+	l     *seL2
 	key   streamKey
 	level int
+	bank  int
+}
+
+func runCreditAtBank(_ event.Cycle, ref event.Ref) {
+	op := ref.Obj.(*creditOp)
+	op.l.e.lay.Defer(op.bank, runAddCredits, op)
 }
 
 func runAddCredits(_ event.Cycle, arg any) {
 	op := arg.(*creditOp)
-	if s := op.e.lookup(op.key); s != nil {
+	e := op.l.e
+	if s := e.lookup(op.key); s != nil {
 		s.addCredits(op.level)
 	}
+	lists := e.lists(op.l.tile)
+	*op = creditOp{}
+	lists.credit.Put(op)
 }
 
 // termOp carries an end-message delivery to the barrier.

@@ -94,7 +94,7 @@ func (l *seL2) sanCheckBuffer(g *l2Group) {
 	}
 	key := sanStreamKey(g.key.tile, g.key.sid)
 	live, pinned := 0, 0
-	for _, b := range g.order {
+	for _, b := range g.order[g.orderHead:] {
 		if b == nil {
 			continue
 		}
@@ -164,12 +164,23 @@ func (b *seL3) sanCheckIssue(m *l3Stream) {
 }
 
 // Audit verifies the engines' drained end-of-run state: no floated stream
-// is still registered, no SE_L2 group survived its stream_end, and no
-// SE_L3 bank holds live streams or queued indirect work. No-op without a
-// checker; call only after the event queue has drained.
+// is still registered, no SE_L2 group survived its stream_end, no SE_L3
+// bank holds live streams or queued indirect work, and every per-request
+// record (line requests, indirect requests, credit messages) is back on a
+// freelist. No-op without a checker; call only after the event queue has
+// drained.
 func (e *Engines) Audit() {
 	if e.san == nil {
 		return
+	}
+	var req, ind, credit int
+	for i := range e.ops {
+		req += e.ops[i].req.Out()
+		ind += e.ops[i].indReq.Out()
+		credit += e.ops[i].credit.Out()
+	}
+	if req != 0 || ind != 0 || credit != 0 {
+		e.san.Failf(0, "core: run drained with records outstanding: %d l3Req, %d indReq, %d creditOp", req, ind, credit)
 	}
 	for key, s := range e.registry {
 		e.san.Failf(sanStreamKey(key.tile, key.sid),
@@ -177,14 +188,14 @@ func (e *Engines) Audit() {
 			key.tile, key.sid, key.gen, s.curBank, s.issued, s.creditLevel)
 	}
 	for tile, l2 := range e.l2s {
-		for key, g := range l2.groups {
-			e.san.Failf(sanStreamKey(key.tile, key.sid),
+		for _, g := range l2.groups {
+			e.san.Failf(sanStreamKey(g.key.tile, g.key.sid),
 				"sel2: tile %d stream %d group leaked past stream_end (granted %d, consumed %d, buffered %d)",
-				tile, key.sid, g.granted, g.consumed, g.buffered)
+				tile, g.key.sid, g.granted, g.consumed, g.buffered)
 		}
 	}
 	for bank, l3 := range e.l3s {
-		if n := len(l3.indQ); n != 0 {
+		if n := l3.indQ.len(); n != 0 {
 			e.san.Failf(0, "sel3: bank %d finished the run with %d queued indirect issues", bank, n)
 		}
 		for _, cg := range l3.groups {

@@ -5,6 +5,7 @@ import (
 
 	"streamfloat/internal/cache"
 	"streamfloat/internal/event"
+	"streamfloat/internal/linetab"
 	"streamfloat/internal/stream"
 	"streamfloat/internal/workload"
 )
@@ -35,19 +36,81 @@ const (
 // fifoLine is one line slot of the SEcore stream FIFO. A slot is freed once
 // every element has been handed to the pipeline (first use dispatches to the
 // LQ and the PEB entry is released, §III-B) — not at retirement, so the
-// FIFO's run-ahead depth adds to the core's own window.
+// FIFO's run-ahead depth adds to the core's own window. A freed slot's
+// record goes back to its freelist; one freed while its own arrival is
+// still waking waiters goes back when that finishes.
 type fifoLine struct {
-	ref     lineRef
-	arrived bool
-	served  int
-	waiters []func(event.Cycle)
+	c        *seCore
+	s        *coreStream
+	ref      lineRef
+	issuedAt event.Cycle
+	arrived  bool
+	served   int
+	waiters  []func(event.Cycle) // element callbacks, served through serveCached on arrival
+	draining bool                // lineArrived is waking the waiters
+	freed    bool                // the slot was freed while draining
+
+	arriveFn func(event.Cycle) // cache.System.Access completion, bound once
+}
+
+func (c *seCore) getLine(s *coreStream, ref lineRef) *fifoLine {
+	l := c.e.lists(c.tile).fifo.Get()
+	if l == nil {
+		l = new(fifoLine)
+		l.arriveFn = l.arrive
+	}
+	l.c, l.s, l.ref = c, s, ref
+	return l
+}
+
+func (c *seCore) putLine(l *fifoLine) {
+	clear(l.waiters)
+	*l = fifoLine{waiters: l.waiters[:0], arriveFn: l.arriveFn}
+	c.e.lists(c.tile).fifo.Put(l)
 }
 
 // indElem tracks one in-flight or buffered indirect element at the core.
+// Its record is recycled once the element has both arrived and left the
+// stream's table.
 type indElem struct {
-	arrived bool
-	issued  bool
-	waiters []func(event.Cycle)
+	c        *seCore
+	s        *coreStream
+	issuedAt event.Cycle
+	arrived  bool
+	issued   bool
+	dropped  bool // removed from the table before its data arrived
+	waiters  []func(event.Cycle)
+
+	doneFn func(event.Cycle) // cache.System.Access completion, bound once
+}
+
+func (c *seCore) getElem(s *coreStream) *indElem {
+	el := c.e.lists(c.tile).ind.Get()
+	if el == nil {
+		el = new(indElem)
+		el.doneFn = el.done
+	}
+	el.c, el.s = c, s
+	return el
+}
+
+func (c *seCore) putElem(el *indElem) {
+	clear(el.waiters)
+	*el = indElem{waiters: el.waiters[:0], doneFn: el.doneFn}
+	c.e.lists(c.tile).ind.Put(el)
+}
+
+// dropElem removes element e of indirect stream s from its table.
+func (c *seCore) dropElem(s *coreStream, e int64) {
+	el, ok := s.elems.Delete(uint64(e))
+	if !ok {
+		return
+	}
+	if el.arrived {
+		c.putElem(el)
+	} else {
+		el.dropped = true
+	}
 }
 
 // coreStream is the SEcore state of one configured stream.
@@ -57,12 +120,12 @@ type coreStream struct {
 	hist *histEntry
 
 	// Cached (SS) affine state.
-	walker  *lineWalker
+	walker  lineWalker
 	fifoCap int
 	held    int
-	lines   map[int64]*fifoLine
-	elemSeq map[int64]int64
-	demand  map[int64][]func(event.Cycle) // waiters beyond the walk frontier
+	lines   linetab.Table[*fifoLine] // by line seq
+	elemSeq linetab.Table[int64]     // element -> line seq
+	demand  linetab.Table[*waitList] // by element: waiters beyond the walk frontier
 
 	// Mid-phase floating: elements >= floatFrom are served by SE_L2.
 	floatFrom int64
@@ -80,8 +143,8 @@ type coreStream struct {
 	// Indirect state.
 	base      *coreStream
 	inflight  int
-	elems     map[int64]*indElem
-	indirects []*coreStream // children of an affine stream
+	elems     linetab.Table[*indElem] // by element
+	indirects []*coreStream           // children of an affine stream
 
 	// Sanitizer element-conservation books (only maintained with a
 	// checker attached): requests issued, requests served, retirements.
@@ -90,11 +153,23 @@ type coreStream struct {
 
 // seCore is the per-tile core stream engine.
 type seCore struct {
-	e       *Engines
-	tile    int
-	phase   *workload.Phase
-	streams map[int]*coreStream
-	hist    map[uint32]*histEntry
+	e     *Engines
+	tile  int
+	phase *workload.Phase
+	// streams holds the phase's configured streams in ascending id order;
+	// a phase has at most a dozen, so lookup scans.
+	streams []*coreStream
+	hist    map[uint32]*histEntry // by stream PC; touched at configuration only
+}
+
+// streamOf returns the configured stream with id sid, or nil.
+func (c *seCore) streamOf(sid int) *coreStream {
+	for _, s := range c.streams {
+		if s.decl.ID == sid {
+			return s
+		}
+	}
+	return nil
 }
 
 func newSECore(e *Engines, tile int) *seCore {
@@ -121,29 +196,26 @@ func (c *seCore) missLatency() event.Cycle {
 // groups (§IV-B), and registers floated streams with SE_L2.
 func (c *seCore) configurePhase(phase *workload.Phase, ready func()) {
 	c.phase = phase
-	c.streams = make(map[int]*coreStream, len(phase.Loads))
+	c.streams = make([]*coreStream, 0, len(phase.Loads))
 
 	var affines, indirects []*coreStream
 	for i := range phase.Loads {
 		d := phase.Loads[i]
 		s := &coreStream{decl: d, hist: c.histFor(d.PC), floatFrom: -1, lastReq: -1}
-		c.streams[d.ID] = s
+		c.streams = append(c.streams, s)
 		if d.IsIndirect() {
 			s.kind = csIndirectCached
 			indirects = append(indirects, s)
 		} else {
 			s.kind = csCached
 			s.walker = newLineWalker(*d.Affine)
-			s.lines = make(map[int64]*fifoLine)
-			s.elemSeq = make(map[int64]int64)
-			s.demand = make(map[int64][]func(event.Cycle))
 			affines = append(affines, s)
 		}
 	}
+	sort.SliceStable(c.streams, func(i, j int) bool { return c.streams[i].decl.ID < c.streams[j].decl.ID })
 	for _, s := range indirects {
-		base := c.streams[s.decl.BaseOn]
+		base := c.streamOf(s.decl.BaseOn)
 		s.base = base
-		s.elems = make(map[int64]*indElem)
 		base.indirects = append(base.indirects, s)
 	}
 
@@ -160,12 +232,14 @@ func (c *seCore) configurePhase(phase *workload.Phase, ready func()) {
 
 	// Size the stream FIFO. Every affine stream gets a share — floated
 	// streams too, since a sink returns them to FIFO service.
-	per := c.e.cfg.CoreParams().SEFIFOBytes / (lineBytes * max(1, len(phase.Loads)))
+	per := c.e.fifoBytes / (lineBytes * max(1, len(phase.Loads)))
 	if per < 1 {
 		per = 1
 	}
 	for _, s := range affines {
 		s.fifoCap = per
+		s.lines.Reserve(per)
+		s.elemSeq.Reserve(per * elemsPerLine(*s.decl.Affine))
 		if s.kind == csCached {
 			c.issueLines(s)
 		}
@@ -300,23 +374,22 @@ func (c *seCore) floatStream(s *coreStream, startElem int64) {
 	// Switch trailing offset-group members over to buffer service, routing
 	// any requests parked behind their (now stopped) FIFOs by address.
 	if s.leader == s {
-		for _, sid := range sortedKeys(c.streams) {
-			m := c.streams[sid]
+		for _, m := range c.streams {
 			if m.leader != s || m == s || m.kind != csCached {
 				continue
 			}
 			m.kind = csFloatServed
-			for _, e := range sortedKeys(m.demand) {
-				cbs := m.demand[e]
-				delete(m.demand, e)
-				addr := m.decl.Affine.AddrAt(e)
-				for _, cb := range cbs {
+			for _, k := range c.e.lists(c.tile).sorted(m.demand.Keys) {
+				wl, _ := m.demand.Delete(k)
+				addr := m.decl.Affine.AddrAt(int64(k))
+				for _, cb := range wl.fns {
 					// Parked demand still owes its FIFO read on service.
 					wcb := c.fifoWrap(cb)
 					if !c.e.l2s[c.tile].requestByAddr(s.group, addr, wcb) {
 						c.fallback(addr, m.decl, wcb)
 					}
 				}
+				c.e.lists(c.tile).putWaitList(wl)
 			}
 		}
 	}
@@ -339,30 +412,32 @@ func (c *seCore) floatStream(s *coreStream, startElem int64) {
 	// Mid-phase float: requests parked beyond the cached prefetch frontier
 	// will never be walked by the (now stopped) SEcore FIFO — reroute them
 	// through the floated path.
-	for _, e := range sortedKeys(s.demand) {
+	for _, k := range c.e.lists(c.tile).sorted(s.demand.Keys) {
+		e := int64(k)
 		if e < startElem {
 			continue
 		}
-		cbs := s.demand[e]
-		delete(s.demand, e)
-		for _, cb := range cbs {
+		wl, _ := s.demand.Delete(k)
+		for _, cb := range wl.fns {
 			// Parked demand still owes its FIFO read on service.
 			wcb := c.fifoWrap(cb)
 			if !c.e.l2s[c.tile].requestLeader(s.group, e, wcb) {
 				c.fallback(s.decl.Affine.AddrAt(e), s.decl, wcb)
 			}
 		}
+		c.e.lists(c.tile).putWaitList(wl)
 	}
 	for _, ind := range s.indirects {
 		if ind.kind != csIndirectFloat {
 			continue
 		}
-		for _, e := range sortedKeys(ind.elems) {
-			el := ind.elems[e]
+		for _, k := range c.e.lists(c.tile).sorted(ind.elems.Keys) {
+			e := int64(k)
+			el, _ := ind.elems.Get(k)
 			if e < startElem || el.issued {
 				continue
 			}
-			delete(ind.elems, e)
+			ind.elems.Delete(k)
 			for _, cb := range el.waiters {
 				if !c.e.l2s[c.tile].requestIndirect(s.group, ind.decl.ID, e, cb) {
 					v := c.e.bk.ReadU32(s.decl.Affine.AddrAt(e))
@@ -384,47 +459,53 @@ func (c *seCore) issueLines(s *coreStream) {
 			return
 		}
 		s.held++
-		line := &fifoLine{ref: ref}
-		s.lines[ref.seq] = line
-		seq := ref.seq
+		line := c.getLine(s, ref)
+		s.lines.Put(uint64(ref.seq), line)
 		for e := ref.elemLo; e <= ref.elemHi; e++ {
-			s.elemSeq[e] = ref.seq
-			for _, w := range s.demand[e] {
-				w := w
-				line.waiters = append(line.waiters, func(now event.Cycle) {
-					c.serveCached(s, seq, w)
-				})
+			s.elemSeq.Put(uint64(e), ref.seq)
+			if wl, ok := s.demand.Delete(uint64(e)); ok {
+				line.waiters = append(line.waiters, wl.fns...)
+				c.e.lists(c.tile).putWaitList(wl)
 			}
-			delete(s.demand, e)
 		}
 		s.hist.requests++
-		issuedAt := c.e.lay.Eng(c.tile).Now()
+		line.issuedAt = c.e.lay.Eng(c.tile).Now()
 		c.e.sys.Access(c.tile, ref.addr, cache.StreamRead,
-			cache.Meta{PC: s.decl.PC, StreamID: s.decl.ID},
-			func(now event.Cycle) { c.lineArrived(s, seq, now-issuedAt) })
+			cache.Meta{PC: s.decl.PC, StreamID: s.decl.ID}, line.arriveFn)
 	}
 	c.sanCheckFIFO(s)
 }
 
+// arrive is the line's cache completion (bound as arriveFn).
+func (l *fifoLine) arrive(now event.Cycle) { l.c.lineArrived(l, now-l.issuedAt) }
+
 // lineArrived completes a cached stream line: wakes element waiters, feeds
 // indirect children, updates the history table, and re-evaluates the float
-// policy mid-phase.
-func (c *seCore) lineArrived(s *coreStream, seq int64, latency event.Cycle) {
-	line := s.lines[seq]
-	if line == nil {
-		return // phase ended or stream sunk
-	}
+// policy mid-phase. A line only leaves its stream's table once every element
+// has been served, which needs its data, so the line is always still there.
+func (c *seCore) lineArrived(line *fifoLine, latency event.Cycle) {
+	s := line.s
 	line.arrived = true
 	if latency >= c.missLatency() {
 		s.hist.misses++
 	}
+	// Serving the last element frees the slot (serveCached); the record
+	// stays live until the waiters have all been woken.
+	line.draining = true
 	for _, w := range line.waiters {
-		w(c.e.lay.Eng(c.tile).Now())
+		c.serveCached(s, line.ref.seq, w)
 	}
-	line.waiters = nil
+	lo, hi := line.ref.elemLo, line.ref.elemHi
+	if line.freed {
+		c.putLine(line)
+	} else {
+		clear(line.waiters)
+		line.waiters = line.waiters[:0]
+		line.draining = false
+	}
 	for _, ind := range s.indirects {
 		if ind.kind == csIndirectCached {
-			for e := line.ref.elemLo; e <= line.ref.elemHi; e++ {
+			for e := lo; e <= hi; e++ {
 				c.issueIndirect(ind, e)
 			}
 		}
@@ -441,11 +522,11 @@ func (c *seCore) lineArrived(s *coreStream, seq int64, latency event.Cycle) {
 // issueIndirect launches the dependent access for one indirect element once
 // its index value is available (SS and SF-Aff modes).
 func (c *seCore) issueIndirect(s *coreStream, e int64) {
-	el := s.elems[e]
-	if el == nil {
-		el = &indElem{}
-		s.elems[e] = el
+	p := s.elems.Ref(uint64(e))
+	if *p == nil {
+		*p = c.getElem(s)
 	}
+	el := *p
 	if el.issued {
 		return
 	}
@@ -453,24 +534,31 @@ func (c *seCore) issueIndirect(s *coreStream, e int64) {
 	idx := c.e.bk.ReadU32(s.base.decl.Affine.AddrAt(e))
 	addr := s.decl.Indirect.AddrFor(uint64(idx))
 	s.hist.requests++
-	issuedAt := c.e.lay.Eng(c.tile).Now()
+	el.issuedAt = c.e.lay.Eng(c.tile).Now()
 	c.e.sys.Access(c.tile, addr, cache.StreamRead,
-		cache.Meta{PC: s.decl.PC, StreamID: s.decl.ID},
-		func(now event.Cycle) {
-			if now-issuedAt >= c.missLatency() {
-				s.hist.misses++
-			}
-			el.arrived = true
-			for _, w := range el.waiters {
-				w(now)
-			}
-			el.waiters = nil
-		})
+		cache.Meta{PC: s.decl.PC, StreamID: s.decl.ID}, el.doneFn)
+}
+
+// done is the element's cache completion (bound as doneFn).
+func (el *indElem) done(now event.Cycle) {
+	c := el.c
+	if now-el.issuedAt >= c.missLatency() {
+		el.s.hist.misses++
+	}
+	el.arrived = true
+	for _, w := range el.waiters {
+		w(now)
+	}
+	clear(el.waiters)
+	el.waiters = el.waiters[:0]
+	if el.dropped {
+		c.putElem(el)
+	}
 }
 
 // requestElement implements the first use of a stream element (§III).
 func (c *seCore) requestElement(sid int, idx int64, cb func(event.Cycle)) {
-	s := c.streams[sid]
+	s := c.streamOf(sid)
 	if idx > s.lastReq {
 		s.lastReq = idx
 	}
@@ -513,13 +601,13 @@ func (c *seCore) requestElement(sid int, idx int64, cb func(event.Cycle)) {
 			c.fallback(addr, s.decl, cb)
 		}
 	case csIndirectCached:
-		el := s.elems[idx]
+		el, _ := s.elems.Get(uint64(idx))
 		if el == nil {
 			// The base line's arrival hook has not fired (sink gap, SF-Aff
 			// prefix, or base served elsewhere): issue on demand — the
 			// index value is architecturally available at first use.
 			c.issueIndirect(s, idx)
-			el = s.elems[idx]
+			el, _ = s.elems.Get(uint64(idx))
 		}
 		if el.arrived {
 			c.fifoServe(cb)
@@ -530,7 +618,7 @@ func (c *seCore) requestElement(sid int, idx int64, cb func(event.Cycle)) {
 		if idx < s.base.floatFrom {
 			// Prefix handled by the cached path of the base stream.
 			c.issueIndirect(s, idx)
-			el := s.elems[idx]
+			el, _ := s.elems.Get(uint64(idx))
 			if el.arrived {
 				c.fifoServe(cb)
 			} else {
@@ -568,21 +656,40 @@ func (c *seCore) fifoServe(cb func(event.Cycle)) {
 // fifoWrap defers fifoServe until the wrapped callback's data is ready: used
 // where a request leaves the FIFO structures (sink-gap fallbacks, demand
 // rerouted to the floated path) but must still pay the FIFO read on return.
+// The returned func must be called exactly once, in this tile's context.
 func (c *seCore) fifoWrap(cb func(event.Cycle)) func(event.Cycle) {
-	return func(event.Cycle) { c.fifoServe(cb) }
+	w := c.e.lists(c.tile).wrap.Get()
+	if w == nil {
+		w = new(fifoWrapOp)
+		w.fn = w.serve
+	}
+	w.c, w.cb = c, cb
+	return w.fn
+}
+
+// fifoWrapOp is one fifoWrap: its bound fn serves cb through the FIFO.
+type fifoWrapOp struct {
+	c  *seCore
+	cb func(event.Cycle)
+	fn func(event.Cycle) // bound once
+}
+
+func (w *fifoWrapOp) serve(event.Cycle) {
+	c, cb := w.c, w.cb
+	*w = fifoWrapOp{fn: w.fn}
+	c.e.lists(c.tile).wrap.Put(w)
+	c.fifoServe(cb)
 }
 
 // requestCached serves an element from the SEcore FIFO.
 func (c *seCore) requestCached(s *coreStream, idx int64, cb func(event.Cycle)) {
-	if seq, ok := s.elemSeq[idx]; ok {
-		line := s.lines[seq]
+	if seq, ok := s.elemSeq.Get(uint64(idx)); ok {
+		line, _ := s.lines.Get(uint64(seq))
 		if line.arrived {
 			c.serveCached(s, seq, cb)
 			return
 		}
-		line.waiters = append(line.waiters, func(now event.Cycle) {
-			c.serveCached(s, seq, cb)
-		})
+		line.waiters = append(line.waiters, cb) // served on arrival
 		return
 	}
 	if idx < s.cachedStart {
@@ -591,24 +698,29 @@ func (c *seCore) requestCached(s *coreStream, idx int64, cb func(event.Cycle)) {
 		return
 	}
 	// Beyond the prefetch frontier: park until the walker reaches it.
-	s.demand[idx] = append(s.demand[idx], cb)
+	c.e.lists(c.tile).park(&s.demand, uint64(idx), cb)
 }
 
 // serveCached hands one element to the pipeline and frees the FIFO slot
 // once the whole line has been consumed.
 func (c *seCore) serveCached(s *coreStream, seq int64, cb func(event.Cycle)) {
 	c.fifoServe(cb)
-	line := s.lines[seq]
-	if line == nil {
+	line, ok := s.lines.Get(uint64(seq))
+	if !ok {
 		return
 	}
 	line.served++
 	if int64(line.served) == line.ref.elemHi-line.ref.elemLo+1 {
 		for e := line.ref.elemLo; e <= line.ref.elemHi; e++ {
-			delete(s.elemSeq, e)
+			s.elemSeq.Delete(uint64(e))
 		}
-		delete(s.lines, seq)
+		s.lines.Delete(uint64(seq))
 		s.held--
+		if line.draining {
+			line.freed = true
+		} else {
+			c.putLine(line)
+		}
 		c.issueLines(s)
 	}
 }
@@ -622,7 +734,7 @@ func (c *seCore) fallback(addr uint64, d stream.Decl, cb func(event.Cycle)) {
 
 // releaseElement implements stream_step retirement.
 func (c *seCore) releaseElement(sid int, idx int64) {
-	s := c.streams[sid]
+	s := c.streamOf(sid)
 	if c.e.san != nil {
 		s.sanRel++
 	}
@@ -636,10 +748,10 @@ func (c *seCore) releaseElement(sid int, idx int64) {
 		}
 		c.e.l2s[c.tile].releaseLeader(s.group, idx)
 	case csIndirectCached:
-		delete(s.elems, idx)
+		c.dropElem(s, idx)
 	case csIndirectFloat:
 		if idx < s.base.floatFrom {
-			delete(s.elems, idx)
+			c.dropElem(s, idx)
 			return
 		}
 		c.e.l2s[c.tile].releaseIndirect(s.base.group, s.decl.ID, idx)
@@ -656,7 +768,7 @@ func (c *seCore) releaseCached(s *coreStream, idx int64) {
 // noteReuse records a private-cache reuse of a stream-brought line (the tag
 // extension of §IV-D notifying the history table).
 func (c *seCore) noteReuse(sid int) {
-	if s, ok := c.streams[sid]; ok {
+	if s := c.streamOf(sid); s != nil {
 		s.hist.reuses++
 	}
 }
@@ -706,8 +818,7 @@ func (c *seCore) sinkStream(s *coreStream, aliased bool) {
 			ind.kind = csIndirectCached
 		}
 	}
-	for m := range c.streams {
-		ms := c.streams[m]
+	for _, ms := range c.streams {
 		if ms.kind == csFloatServed && ms.leader == s {
 			ms.kind = csSunk
 		}
@@ -717,8 +828,7 @@ func (c *seCore) sinkStream(s *coreStream, aliased bool) {
 
 // endPhase implements stream_end for every configured stream.
 func (c *seCore) endPhase() {
-	for _, sid := range sortedKeys(c.streams) {
-		s := c.streams[sid]
+	for _, s := range c.streams {
 		if s.kind == csFloatLeader && s.group != nil {
 			c.e.l2s[c.tile].terminate(s.group, false)
 		}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"slices"
+
 	"streamfloat/internal/event"
+	"streamfloat/internal/linetab"
 	"streamfloat/internal/stats"
 	"streamfloat/internal/stream"
 	"streamfloat/internal/trace"
@@ -11,7 +14,9 @@ import (
 // (credit issued, entry created), then arrive (data present), are released
 // by the leader (consumption accounted for flow control), and finally
 // evicted once the buffer needs the space — retention after leader release
-// is what serves constant-offset trailing streams (§IV-B).
+// is what serves constant-offset trailing streams (§IV-B). A line's record
+// is recycled once it has left the buffer and its release accounting is
+// done, or when its group is torn down.
 type bufLine struct {
 	seq       int64
 	addr      uint64
@@ -30,6 +35,47 @@ type indState struct {
 	waiters []func(event.Cycle)
 }
 
+// childStates is the per-element state of one floated indirect child.
+type childStates struct {
+	sid    int
+	states linetab.Table[*indState] // by element
+}
+
+func (l *seL2) getBuf(ref lineRef) *bufLine {
+	b := l.e.lists(l.tile).buf.Get()
+	if b == nil {
+		b = new(bufLine)
+	}
+	b.seq, b.addr, b.elemLo, b.elemHi = ref.seq, ref.addr, ref.elemLo, ref.elemHi
+	b.elems = int(ref.elemHi - ref.elemLo + 1)
+	return b
+}
+
+func (l *seL2) putBuf(b *bufLine) {
+	clear(b.waiters)
+	*b = bufLine{waiters: b.waiters[:0]}
+	l.e.lists(l.tile).buf.Put(b)
+}
+
+// indStateRef returns element idx's state, creating it if absent.
+func (l *seL2) indStateRef(c *childStates, idx int64) *indState {
+	p := c.states.Ref(uint64(idx))
+	if *p == nil {
+		st := l.e.lists(l.tile).indSt.Get()
+		if st == nil {
+			st = new(indState)
+		}
+		*p = st
+	}
+	return *p
+}
+
+func (l *seL2) putIndState(st *indState) {
+	clear(st.waiters)
+	*st = indState{waiters: st.waiters[:0]}
+	l.e.lists(l.tile).indSt.Put(st)
+}
+
 // l2Group is the SE_L2 state of one floated stream (its leader pattern plus
 // any indirect children), including the credit-based flow control window.
 type l2Group struct {
@@ -40,14 +86,15 @@ type l2Group struct {
 	baseAff  stream.Affine
 	children []stream.Decl
 
-	walker   *lineWalker // grant frontier
-	cap      int         // buffer share in lines
-	chunk    int         // credit grant size
-	bySeq    map[int64]*bufLine
-	byAddr   map[uint64]*bufLine
-	elemSeq  map[int64]int64
-	order    []*bufLine // arrival order, for eviction
-	buffered int
+	walker    lineWalker              // grant frontier
+	cap       int                     // buffer share in lines
+	chunk     int                     // credit grant size
+	bySeq     linetab.Table[*bufLine] // by line seq
+	byAddr    linetab.Table[*bufLine] // by line address
+	elemSeq   linetab.Table[int64]    // leader element -> line seq
+	order     []*bufLine              // arrival order from orderHead, for eviction; nil = evicted
+	orderHead int
+	buffered  int
 
 	granted    int64 // lines granted to SE_L3 so far
 	consumed   int64 // leader lines fully released
@@ -63,17 +110,27 @@ type l2Group struct {
 	onArrive func(elemLo, elemHi int64)
 
 	// pendingGrant parks leader requests that ran ahead of the credit
-	// window; they attach to their line when it is granted.
-	pendingGrant map[int64][]func(event.Cycle)
+	// window, by element; they attach to their line when it is granted.
+	pendingGrant linetab.Table[*waitList]
 
-	ind map[int]map[int64]*indState // child sid -> element state
+	ind []childStates // one per floated indirect child, ascending sid
+}
+
+// child returns the element states of floated child sid, or nil.
+func (g *l2Group) child(sid int) *childStates {
+	for i := range g.ind {
+		if g.ind[i].sid == sid {
+			return &g.ind[i]
+		}
+	}
+	return nil
 }
 
 // seL2 is the per-tile L2 stream engine (Fig 9).
 type seL2 struct {
 	e      *Engines
 	tile   int
-	groups map[streamKey]*l2Group
+	groups []*l2Group // live groups, in configuration order
 
 	// gen disambiguates reconfigurations of the same (tile, sid). Per-tile
 	// so configuration order across tiles (which depends on the shard
@@ -87,7 +144,7 @@ func (l *seL2) nextGen() uint64 {
 }
 
 func newSEL2(e *Engines, tile int) *seL2 {
-	return &seL2{e: e, tile: tile, groups: make(map[streamKey]*l2Group)}
+	return &seL2{e: e, tile: tile}
 }
 
 // hitLatency is the latency of a core stream request matched in the SE_L2
@@ -108,27 +165,30 @@ func (l *seL2) configureStream(owner *coreStream, startElem int64, children []st
 		share = 8
 	}
 	g := &l2Group{
-		l2:           l,
-		key:          streamKey{tile: l.tile, sid: owner.decl.ID, gen: l.nextGen()},
-		owner:        owner,
-		decl:         owner.decl,
-		baseAff:      *owner.decl.Affine,
-		children:     children,
-		walker:       newLineWalker(*owner.decl.Affine),
-		cap:          share,
-		chunk:        share / 2,
-		bySeq:        make(map[int64]*bufLine),
-		byAddr:       make(map[uint64]*bufLine),
-		elemSeq:      make(map[int64]int64),
-		ind:          make(map[int]map[int64]*indState),
-		pendingGrant: make(map[int64][]func(event.Cycle)),
+		l2:       l,
+		key:      streamKey{tile: l.tile, sid: owner.decl.ID, gen: l.nextGen()},
+		owner:    owner,
+		decl:     owner.decl,
+		baseAff:  *owner.decl.Affine,
+		children: children,
+		walker:   newLineWalker(*owner.decl.Affine),
+		cap:      share,
+		chunk:    share / 2,
+		ind:      make([]childStates, 0, len(children)),
 	}
 	if g.chunk < 1 {
 		g.chunk = 1
 	}
+	g.bySeq.Reserve(share)
+	g.byAddr.Reserve(share)
+	g.order = make([]*bufLine, 0, 2*share)
+	g.elemSeq.Reserve(share * elemsPerLine(g.baseAff))
 	for _, ch := range children {
-		g.ind[ch.ID] = make(map[int64]*indState)
+		if g.child(ch.ID) == nil {
+			g.ind = append(g.ind, childStates{sid: ch.ID})
+		}
 	}
+	slices.SortFunc(g.ind, func(a, b childStates) int { return a.sid - b.sid })
 	// Fast-forward to the float point (mid-phase floats carry the current
 	// iteration in the config packet, Table I). All line/credit counters
 	// are absolute line sequence numbers so skipped prefixes stay
@@ -143,21 +203,20 @@ func (l *seL2) configureStream(owner *coreStream, startElem int64, children []st
 	g.consumed = skipped
 	g.lastCredit = skipped
 	first := g.grantLines(g.cap)
-	l.groups[g.key] = g
 
 	if first == nil {
 		// Nothing left to float.
 		g.dead = true
 		g.deadR = true
-		delete(l.groups, g.key)
 		return g
 	}
+	l.groups = append(l.groups, g)
 	l.e.sanTrace(l.tile, "sel2", "cfg", sanStreamKey(g.key.tile, g.key.sid), startElem, g.granted)
 	l.sanCheckCredits(g)
 	st := l.e.lay.St(l.tile)
 	st.StreamConfigs++
 	st.TLBTranslations++
-	bank := l.e.cfg.HomeBank(first.addr)
+	bank := l.e.sys.HomeBank(first.addr)
 	payload := stream.ConfigBytes(len(children))
 	l.sanCheckWire(g, startElem, payload)
 	l.traceConfig(g, startElem, bank)
@@ -181,15 +240,14 @@ func (g *l2Group) grantLines(n int) *bufLine {
 		if !ok {
 			break
 		}
-		b := &bufLine{seq: ref.seq, addr: ref.addr, elemLo: ref.elemLo, elemHi: ref.elemHi,
-			elems: int(ref.elemHi - ref.elemLo + 1)}
-		g.bySeq[ref.seq] = b
-		g.byAddr[ref.addr] = b
+		b := g.l2.getBuf(ref)
+		g.bySeq.Put(uint64(ref.seq), b)
+		g.byAddr.Put(ref.addr, b)
 		for e := ref.elemLo; e <= ref.elemHi; e++ {
-			g.elemSeq[e] = ref.seq
-			if ws := g.pendingGrant[e]; ws != nil {
-				b.waiters = append(b.waiters, ws...)
-				delete(g.pendingGrant, e)
+			g.elemSeq.Put(uint64(e), ref.seq)
+			if wl, ok := g.pendingGrant.Delete(uint64(e)); ok {
+				b.waiters = append(b.waiters, wl.fns...)
+				g.l2.e.lists(g.l2.tile).putWaitList(wl)
 			}
 		}
 		g.granted++
@@ -205,7 +263,7 @@ func (l *seL2) arrive(g *l2Group, seq int64) {
 	if g.dead {
 		return
 	}
-	b := g.bySeq[seq]
+	b, _ := g.bySeq.Get(uint64(seq))
 	if b == nil || b.gone {
 		return
 	}
@@ -218,9 +276,15 @@ func (l *seL2) arrive(g *l2Group, seq int64) {
 	for _, w := range b.waiters {
 		l.e.lay.Eng(l.tile).Schedule(2, w)
 	}
-	b.waiters = nil
+	clear(b.waiters)
+	b.waiters = b.waiters[:0]
 	if g.onArrive != nil {
 		g.onArrive(b.elemLo, b.elemHi)
+	}
+	if len(g.order) == cap(g.order) && g.orderHead > 0 {
+		n := copy(g.order, g.order[g.orderHead:])
+		clear(g.order[n:])
+		g.order, g.orderHead = g.order[:n], 0
 	}
 	g.order = append(g.order, b)
 	g.buffered++
@@ -242,7 +306,8 @@ func (g *l2Group) evictOverflow() {
 	for g.buffered > g.cap {
 		idx := -1
 		for pass := 0; pass < 2 && idx < 0; pass++ {
-			for i, b := range g.order {
+			for i := g.orderHead; i < len(g.order); i++ {
+				b := g.order[i]
 				if b == nil || len(b.waiters) > 0 {
 					continue
 				}
@@ -258,17 +323,18 @@ func (g *l2Group) evictOverflow() {
 		}
 		b := g.order[idx]
 		g.order[idx] = nil
-		if idx == 0 {
-			g.order = g.order[1:]
+		for g.orderHead < len(g.order) && g.order[g.orderHead] == nil {
+			g.orderHead++
 		}
 		g.buffered--
+		if cur, _ := g.byAddr.Get(b.addr); cur == b {
+			g.byAddr.Delete(b.addr)
+		}
 		if b.leaderRel >= b.elems {
-			delete(g.bySeq, b.seq)
+			g.bySeq.Delete(uint64(b.seq))
+			g.l2.putBuf(b)
 		} else {
 			b.gone = true // keep for release accounting
-		}
-		if g.byAddr[b.addr] == b {
-			delete(g.byAddr, b.addr)
 		}
 	}
 }
@@ -279,17 +345,17 @@ func (l *seL2) requestLeader(g *l2Group, idx int64, cb func(event.Cycle)) bool {
 	if g == nil || g.dead {
 		return false
 	}
-	seq, ok := g.elemSeq[idx]
+	seq, ok := g.elemSeq.Get(uint64(idx))
 	if !ok {
 		if idx >= g.walker.nextElem {
 			// Ahead of the credit window: the grant is guaranteed to come
 			// as consumption advances, so park rather than fall back.
-			g.pendingGrant[idx] = append(g.pendingGrant[idx], cb)
+			l.e.lists(l.tile).park(&g.pendingGrant, uint64(idx), cb)
 			return true
 		}
 		return false
 	}
-	b := g.bySeq[seq]
+	b, _ := g.bySeq.Get(uint64(seq))
 	if b == nil || b.gone {
 		return false
 	}
@@ -303,7 +369,7 @@ func (l *seL2) requestByAddr(g *l2Group, addr uint64, cb func(event.Cycle)) bool
 	if g == nil || g.dead {
 		return false
 	}
-	b := g.byAddr[addr&^(lineBytes-1)]
+	b, _ := g.byAddr.Get(addr &^ (lineBytes - 1))
 	if b == nil || b.gone {
 		return false
 	}
@@ -325,15 +391,11 @@ func (l *seL2) requestIndirect(g *l2Group, childSid int, idx int64, cb func(even
 	if g == nil || g.dead {
 		return false
 	}
-	states := g.ind[childSid]
-	if states == nil {
+	ch := g.child(childSid)
+	if ch == nil {
 		return false
 	}
-	st := states[idx]
-	if st == nil {
-		st = &indState{}
-		states[idx] = st
-	}
+	st := l.indStateRef(ch, idx)
 	if st.arrived {
 		l.e.lay.St(l.tile).SEL2Accesses++
 		l.e.lay.Eng(l.tile).Schedule(l.hitLatency(), cb)
@@ -348,27 +410,26 @@ func (l *seL2) indirectArrive(g *l2Group, childSid int, idx int64) {
 	if g.dead {
 		return
 	}
-	states := g.ind[childSid]
-	if states == nil {
+	ch := g.child(childSid)
+	if ch == nil {
 		return
 	}
-	st := states[idx]
-	if st == nil {
-		st = &indState{}
-		states[idx] = st
-	}
+	st := l.indStateRef(ch, idx)
 	l.e.lay.St(l.tile).SEL2Accesses++
 	st.arrived = true
 	for _, w := range st.waiters {
 		l.e.lay.Eng(l.tile).Schedule(2, w)
 	}
-	st.waiters = nil
+	clear(st.waiters)
+	st.waiters = st.waiters[:0]
 }
 
 // releaseIndirect retires a floated indirect element.
 func (l *seL2) releaseIndirect(g *l2Group, childSid int, idx int64) {
-	if states := g.ind[childSid]; states != nil {
-		delete(states, idx)
+	if ch := g.child(childSid); ch != nil {
+		if st, ok := ch.states.Delete(uint64(idx)); ok {
+			l.putIndState(st)
+		}
 	}
 }
 
@@ -376,12 +437,11 @@ func (l *seL2) releaseIndirect(g *l2Group, childSid int, idx int64) {
 // credit flow control (§IV-A): when half the window has been consumed, a
 // credit message tops the SE_L3 back up.
 func (l *seL2) releaseLeader(g *l2Group, idx int64) {
-	seq, ok := g.elemSeq[idx]
+	seq, ok := g.elemSeq.Delete(uint64(idx))
 	if !ok {
 		return
 	}
-	delete(g.elemSeq, idx)
-	b := g.bySeq[seq]
+	b, _ := g.bySeq.Get(uint64(seq))
 	if b == nil {
 		return
 	}
@@ -390,7 +450,8 @@ func (l *seL2) releaseLeader(g *l2Group, idx int64) {
 		return
 	}
 	if b.gone {
-		delete(g.bySeq, b.seq)
+		g.bySeq.Delete(uint64(b.seq))
+		l.putBuf(b)
 	}
 	g.consumed++
 	l.sanCheckCredits(g)
@@ -408,13 +469,12 @@ func (l *seL2) releaseLeader(g *l2Group, idx int64) {
 	st := l.e.lay.St(l.tile)
 	st.StreamCredits++
 	st.TLBTranslations++
-	bank := l.e.cfg.HomeBank(first.addr)
-	key := g.key
-	grantTo := n
-	l.e.mesh.Send(l.tile, bank, stats.ClassStream, 8, func(event.Cycle) {
-		// Registry lookup and credit state: barrier work.
-		l.e.lay.Defer(bank, runAddCredits, &creditOp{e: l.e, key: key, level: grantTo})
-	})
+	op := l.e.lists(l.tile).credit.Get()
+	if op == nil {
+		op = new(creditOp)
+	}
+	op.l, op.key, op.level, op.bank = l, g.key, n, l.e.sys.HomeBank(first.addr)
+	l.e.mesh.SendCall(l.tile, op.bank, stats.ClassStream, 8, runCreditAtBank, event.Ref{Obj: op})
 }
 
 // terminate implements stream_end (and mid-phase sinking): pending waiters
@@ -430,39 +490,51 @@ func (l *seL2) terminate(g *l2Group, sink bool) {
 	}
 	l.e.sanTrace(l.tile, "sel2", "term", sanStreamKey(g.key.tile, g.key.sid), g.consumed, sk)
 	g.dead = true
-	delete(l.groups, g.key)
+	if i := slices.Index(l.groups, g); i >= 0 {
+		l.groups = slices.Delete(l.groups, i, i+1)
+	}
 	// Serve anyone still waiting with plain loads so no request is lost.
-	// These are maps, and fallback schedules events: drain in key order so
-	// the simulation stays deterministic.
-	for _, seq := range sortedKeys(g.bySeq) {
-		b := g.bySeq[seq]
+	// fallback schedules events: drain in key order so the simulation stays
+	// deterministic. The buffer's records go back to the freelists: nothing
+	// reads a dead group's buffer again.
+	core := l.e.cores[l.tile]
+	lists := l.e.lists(l.tile)
+	for _, seq := range lists.sorted(g.bySeq.Keys) {
+		b, _ := g.bySeq.Get(seq)
 		for _, w := range b.waiters {
-			l.e.cores[l.tile].fallback(b.addr, g.decl, w)
+			core.fallback(b.addr, g.decl, w)
 		}
-		b.waiters = nil
+		l.putBuf(b)
 	}
-	for _, e := range sortedKeys(g.pendingGrant) {
-		for _, w := range g.pendingGrant[e] {
-			l.e.cores[l.tile].fallback(g.baseAff.AddrAt(e), g.decl, w)
+	g.bySeq.Clear()
+	g.byAddr.Clear()
+	g.elemSeq.Clear()
+	clear(g.order)
+	g.order, g.orderHead = g.order[:0], 0
+	for _, e := range lists.sorted(g.pendingGrant.Keys) {
+		wl, _ := g.pendingGrant.Delete(e)
+		for _, w := range wl.fns {
+			core.fallback(g.baseAff.AddrAt(int64(e)), g.decl, w)
 		}
-		delete(g.pendingGrant, e)
+		l.e.lists(l.tile).putWaitList(wl)
 	}
-	for _, sid := range sortedKeys(g.ind) {
-		states := g.ind[sid]
+	for i := range g.ind {
+		ch := &g.ind[i]
 		var child *stream.Decl
 		for i := range g.children {
-			if g.children[i].ID == sid {
+			if g.children[i].ID == ch.sid {
 				child = &g.children[i]
 			}
 		}
-		for _, idx := range sortedKeys(states) {
-			st := states[idx]
+		for _, idx := range lists.sorted(ch.states.Keys) {
+			st, _ := ch.states.Get(idx)
 			for _, w := range st.waiters {
-				v := l.e.bk.ReadU32(g.baseAff.AddrAt(idx))
-				l.e.cores[l.tile].fallback(child.Indirect.AddrFor(uint64(v)), *child, w)
+				v := l.e.bk.ReadU32(g.baseAff.AddrAt(int64(idx)))
+				core.fallback(child.Indirect.AddrFor(uint64(v)), *child, w)
 			}
-			st.waiters = nil
+			l.putIndState(st)
 		}
+		ch.states.Clear()
 	}
 	// Tear down the remote stream if it is still running. The registry
 	// lookup (and the deadR publication remote banks read) waits for the
@@ -501,7 +573,7 @@ func (l *seL2) noteDirtyEvict(lineAddr uint64) {
 	// match so the (rare) multi-group alias stays deterministic.
 	var hit *l2Group
 	for _, g := range l.groups {
-		if b := g.byAddr[lineAddr]; b != nil && !b.gone {
+		if b, _ := g.byAddr.Get(lineAddr); b != nil && !b.gone {
 			if hit == nil || g.key.sid < hit.key.sid ||
 				(g.key.sid == hit.key.sid && g.key.gen < hit.key.gen) {
 				hit = g

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"streamfloat/internal/cache"
 	"streamfloat/internal/event"
 	"streamfloat/internal/stats"
@@ -18,8 +20,9 @@ type l3Stream struct {
 	pat      stream.Affine
 	children []stream.Decl
 
-	walker  *lineWalker
-	pending *lineRef // next line to issue (nil when exhausted)
+	walker  lineWalker
+	pending *lineRef // next line to issue (nil when exhausted); points at next
+	next    lineRef
 
 	creditLevel int   // absolute credits granted (lines)
 	issued      int64 // lines issued
@@ -69,8 +72,8 @@ func (s *l3Stream) terminate() {
 // advance pops the next line of the stream's program.
 func (s *l3Stream) advance() {
 	if ref, ok := s.walker.next(); ok {
-		r := ref
-		s.pending = &r
+		s.next = ref
+		s.pending = &s.next
 	} else {
 		s.pending = nil
 		s.dead = true
@@ -90,6 +93,7 @@ func (s *l3Stream) retire() {
 // same tile block (§IV-C); it issues one request per line and multicasts
 // the response to every member at that position.
 type confGroup struct {
+	e       *Engines
 	members []*l3Stream
 }
 
@@ -118,11 +122,13 @@ type seL3 struct {
 	groups  []*confGroup
 	rr      int
 	ticking bool
-	indQ    []func()
+	indQ    queue[indReq]
+
+	cands []*l3Stream // scratch: the members tryIssue serves
 }
 
 func newSEL3(e *Engines, bank int) *seL3 {
-	return &seL3{e: e, bank: bank}
+	return &seL3{e: e, bank: bank, cands: make([]*l3Stream, 0, 4)}
 }
 
 // addStream installs a newly configured stream at this bank: the merge unit
@@ -184,7 +190,7 @@ func (b *seL3) install(s *l3Stream) {
 			return
 		}
 	}
-	cg := &confGroup{members: []*l3Stream{s}}
+	cg := &confGroup{e: b.e, members: []*l3Stream{s}}
 	s.conf = cg
 	b.groups = append(b.groups, cg)
 }
@@ -207,10 +213,8 @@ func (b *seL3) wake() {
 // tick is the issue unit: one request per cycle, round-robin across
 // confluence groups, with pending indirect requests sharing the port.
 func (b *seL3) tick(event.Cycle) {
-	if len(b.indQ) > 0 {
-		issue := b.indQ[0]
-		b.indQ = b.indQ[1:]
-		issue()
+	if b.indQ.len() > 0 {
+		b.indQ.pop().issue()
 		b.e.lay.Eng(b.bank).ScheduleCall(1, runL3Tick, event.Ref{Obj: b})
 		return
 	}
@@ -253,7 +257,7 @@ func (b *seL3) tryIssue(g *confGroup) bool {
 			minSeq = m.pending.seq
 		}
 	}
-	var cands []*l3Stream
+	cands := b.cands[:0]
 	for _, m := range members {
 		if m.pending == nil {
 			continue
@@ -268,11 +272,12 @@ func (b *seL3) tryIssue(g *confGroup) bool {
 			aligned = false
 		}
 	}
+	b.cands = cands
 	if len(cands) == 0 {
 		return false
 	}
 	ref := *cands[0].pending
-	home := b.e.cfg.HomeBank(ref.addr)
+	home := b.e.sys.HomeBank(ref.addr)
 	if home != b.bank && aligned && len(cands) == len(members) {
 		// The whole group has crossed the interleaving boundary: migrate.
 		b.migrate(g, home)
@@ -283,9 +288,11 @@ func (b *seL3) tryIssue(g *confGroup) bool {
 	if len(cands) > 1 {
 		kind = stats.L3FloatConfluence
 	}
-	dsts := make([]int, len(cands))
-	for i, m := range cands {
-		dsts[i] = m.reqTile
+	req := b.getReq()
+	req.seq, req.home = ref.seq, home
+	for _, m := range cands {
+		req.members = append(req.members, m)
+		req.dsts = append(req.dsts, m.reqTile)
 	}
 	b.e.lay.St(b.bank).SEL3Accesses++
 	if b.e.tr != nil {
@@ -300,9 +307,12 @@ func (b *seL3) tryIssue(g *confGroup) bool {
 	// the bank (never under confluence: indirect streams do not merge).
 	var onBank func(event.Cycle)
 	if len(cands) == 1 && len(cands[0].children) > 0 {
-		m := cands[0]
-		r := ref
-		onBank = func(event.Cycle) { b.queueIndirect(m, r) }
+		req.ref = ref
+		onBank = req.readyFn
+	}
+	req.pending.Store(int32(len(req.dsts)))
+	if onBank != nil {
+		req.pending.Add(1)
 	}
 	for _, m := range cands {
 		m.lastPage = ref.addr >> 12
@@ -316,21 +326,93 @@ func (b *seL3) tryIssue(g *confGroup) bool {
 		}
 		m.advance()
 	}
-	// Map each destination back to its member for delivery.
-	byTile := make(map[int]*l3Stream, len(cands))
-	for _, m := range cands {
-		byTile[m.reqTile] = m
-	}
-	seq := ref.seq
-	// The delivery callback runs at each destination tile (the group's own
-	// tile), so it reads the live dead flag, not the deadR mirror.
-	b.e.sys.FloatReadAuto(b.bank, ref.addr, dsts, kind, lineBytes, onBank,
-		func(dst int, _ event.Cycle) {
-			if m := byTile[dst]; m != nil && !m.group.dead {
-				b.e.l2s[dst].arrive(m.group, seq)
-			}
-		})
+	clear(b.cands)
+	b.e.sys.FloatReadAuto(b.bank, ref.addr, req.dsts, kind, lineBytes, onBank, req.deliverFn)
 	return true
+}
+
+// l3Req is one line request an SE_L3 issues for a (possibly merged) stream
+// group, from issue to its last delivery: it maps each destination tile back
+// to the member stream the line is for and, for a stream with indirect
+// children, queues their accesses once the data is at the bank. Its
+// deliveries land at several tiles, on several shards at once, so an atomic
+// count of the callbacks still due decides which context returns it.
+type l3Req struct {
+	b       *seL3
+	seq     int64
+	home    int     // the line's home bank, where the ready hook fires
+	ref     lineRef // with indirect children: the line whose elements they chain on
+	members []*l3Stream
+	dsts    []int
+	pending atomic.Int32
+
+	readyFn   func(event.Cycle)      // FloatRead onBankReady, bound once
+	deliverFn func(int, event.Cycle) // FloatRead deliver, bound once
+}
+
+func (b *seL3) getReq() *l3Req {
+	r := b.e.lists(b.bank).req.Get()
+	if r == nil {
+		// A confluence group has at most four members.
+		r = &l3Req{members: make([]*l3Stream, 0, 4), dsts: make([]int, 0, 4)}
+		r.readyFn, r.deliverFn = r.ready, r.deliver
+	}
+	r.b = b
+	return r
+}
+
+// done counts one callback; the last returns r to the list of the tile
+// whose context is running.
+func (r *l3Req) done(tile int) {
+	if r.pending.Add(-1) != 0 {
+		return
+	}
+	e := r.b.e
+	clear(r.members)
+	*r = l3Req{members: r.members[:0], dsts: r.dsts[:0], readyFn: r.readyFn, deliverFn: r.deliverFn}
+	e.lists(tile).req.Put(r)
+}
+
+// ready queues the indirect children of the request's only member once the
+// line is at the bank (bound as readyFn).
+func (r *l3Req) ready(event.Cycle) {
+	r.b.queueIndirect(r.members[0], r.ref)
+	r.done(r.home)
+}
+
+// deliver lands the line at one destination tile's SE_L2 (bound as
+// deliverFn). It runs at that tile, the group's own, so it reads the live
+// dead flag, not the deadR mirror. Should two members share a tile, the
+// later one is served, as the seed's tile-keyed lookup did.
+func (r *l3Req) deliver(dst int, _ event.Cycle) {
+	var m *l3Stream
+	for _, c := range r.members {
+		if c.reqTile == dst {
+			m = c
+		}
+	}
+	if m != nil && !m.group.dead {
+		r.b.e.l2s[dst].arrive(m.group, r.seq)
+	}
+	r.done(dst)
+}
+
+// indReq is one dependent access of an indirect child, queued at the bank
+// running its base stream until the issue port takes it, then carried by
+// the subline read to the requesting tile.
+type indReq struct {
+	b     *seL3
+	m     *l3Stream
+	child *stream.Decl
+	e     int64
+
+	deliverFn func(int, event.Cycle) // FloatIndirectRead deliver, bound once
+}
+
+func (r *indReq) put(tile int) {
+	e := r.b.e
+	*r = indReq{deliverFn: r.deliverFn}
+	e.lists(tile).indReq.Put(r)
 }
 
 // queueIndirect schedules the dependent accesses of an affine line's
@@ -338,34 +420,47 @@ func (b *seL3) tryIssue(g *confGroup) bool {
 // indirect address is computed in the operands table and a subline request
 // is sent to its home bank (§IV-B).
 func (b *seL3) queueIndirect(m *l3Stream, ref lineRef) {
+	lists := b.e.lists(b.bank)
 	for e := ref.elemLo; e <= ref.elemHi; e++ {
-		e := e
 		for ci := range m.children {
-			child := m.children[ci]
-			b.indQ = append(b.indQ, func() {
-				// m.dead alone is fine (normal completion of the affine
-				// walk); only a torn-down requesting buffer cancels the
-				// dependent accesses. This thunk runs bank-side: deadR.
-				if m.group.deadR {
-					return
-				}
-				v := b.e.bk.ReadU32(m.pat.AddrAt(e))
-				addr := child.Indirect.AddrFor(uint64(v))
-				payload := int(child.Indirect.WBytes)
-				st := b.e.lay.St(b.bank)
-				if payload < 64 {
-					st.SublineResponses++
-				}
-				st.TLBTranslations++
-				st.SEL3Accesses++
-				grp, sid := m.group, child.ID
-				dst := m.reqTile
-				b.e.sys.FloatIndirectRead(b.bank, cache.LineAddr(addr), dst, payload,
-					func(event.Cycle) { b.e.l2s[dst].indirectArrive(grp, sid, e) })
-			})
+			r := lists.indReq.Get()
+			if r == nil {
+				r = new(indReq)
+				r.deliverFn = r.deliver
+			}
+			r.b, r.m, r.child, r.e = b, m, &m.children[ci], e
+			b.indQ.push(r)
 		}
 	}
 	b.wake()
+}
+
+// issue sends the element's subline request from the issue port. m.dead
+// alone is fine (normal completion of the affine walk); only a torn-down
+// requesting buffer cancels the dependent accesses. This runs bank-side:
+// deadR.
+func (r *indReq) issue() {
+	b, m := r.b, r.m
+	if m.group.deadR {
+		r.put(b.bank)
+		return
+	}
+	v := b.e.bk.ReadU32(m.pat.AddrAt(r.e))
+	addr := r.child.Indirect.AddrFor(uint64(v))
+	payload := int(r.child.Indirect.WBytes)
+	st := b.e.lay.St(b.bank)
+	if payload < 64 {
+		st.SublineResponses++
+	}
+	st.TLBTranslations++
+	st.SEL3Accesses++
+	b.e.sys.FloatIndirectRead(b.bank, cache.LineAddr(addr), m.reqTile, payload, r.deliverFn)
+}
+
+// deliver lands the subline at the requesting tile (bound as deliverFn).
+func (r *indReq) deliver(dst int, _ event.Cycle) {
+	r.b.e.l2s[dst].indirectArrive(r.m.group, r.child.ID, r.e)
+	r.put(dst)
 }
 
 // migrate moves a whole group to the bank owning its next line (§IV-A):
@@ -393,19 +488,23 @@ func (b *seL3) migrate(g *confGroup, toBank int) {
 			b.e.tr.StreamMigrate(now, m.key.tile, m.key.sid, b.bank, toBank)
 		}
 	}
-	b.e.mesh.Send(b.bank, toBank, stats.ClassStream, payload, func(event.Cycle) {
-		tb := b.e.l3s[toBank]
-		// Re-home every member before alive() can reap any (a reaped
-		// member's deferred retire must queue at the bank now running it).
-		for _, m := range g.members {
-			if !m.dead {
-				m.curBank = toBank
-			}
+	b.e.mesh.SendCall(b.bank, toBank, stats.ClassStream, payload, runMigrated, event.Ref{Obj: g, A: int64(toBank)})
+}
+
+// runMigrated lands a migration packet at the group's new bank (Ref.A).
+func runMigrated(_ event.Cycle, ref event.Ref) {
+	g, toBank := ref.Obj.(*confGroup), int(ref.A)
+	tb := g.e.l3s[toBank]
+	// Re-home every member before alive() can reap any (a reaped member's
+	// deferred retire must queue at the bank now running it).
+	for _, m := range g.members {
+		if !m.dead {
+			m.curBank = toBank
 		}
-		g.alive()
-		tb.acceptGroup(g)
-		tb.wake()
-	})
+	}
+	g.alive()
+	tb.acceptGroup(g)
+	tb.wake()
 }
 
 // acceptGroup installs a migrating group at this bank, first letting the

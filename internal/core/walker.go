@@ -31,8 +31,8 @@ type lineWalker struct {
 	nextSeq  int64
 }
 
-func newLineWalker(pat stream.Affine) *lineWalker {
-	return &lineWalker{pat: pat, total: pat.NumElems()}
+func newLineWalker(pat stream.Affine) lineWalker {
+	return lineWalker{pat: pat, total: pat.NumElems()}
 }
 
 // next returns the next line of the stream, grouping the run of consecutive
@@ -54,6 +54,15 @@ func (w *lineWalker) next() (lineRef, bool) {
 	ref := lineRef{seq: w.nextSeq, addr: la, elemLo: first, elemHi: last}
 	w.nextSeq++
 	return ref, true
+}
+
+// elemsPerLine is how many of pat's elements can share a line at most, as
+// a size hint for tables keyed by element.
+func elemsPerLine(pat stream.Affine) int {
+	if s := pat.Strides[0]; pat.Lens[0] > 1 && s > 0 && s < lineBytes {
+		return int(lineBytes / s)
+	}
+	return 1
 }
 
 // done reports whether the walker has emitted every line.

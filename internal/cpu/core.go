@@ -528,12 +528,13 @@ func (c *Core) drainStoreQ() {
 // retire completes iteration i: stores issue, stream elements release, and
 // the window advances.
 func (c *Core) retire(i int64) {
-	for _, d := range c.phase.Stores {
+	for k := range c.phase.Stores {
+		d := &c.phase.Stores[k]
 		c.store(d.Affine.AddrAt(i), d.PC, d.ID)
 	}
 	if c.se != nil {
-		for _, d := range c.phase.Loads {
-			c.se.ReleaseElement(c.ID, d.ID, i)
+		for k := range c.phase.Loads {
+			c.se.ReleaseElement(c.ID, c.phase.Loads[k].ID, i)
 		}
 	}
 	if c.tr != nil {

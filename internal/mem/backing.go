@@ -14,15 +14,21 @@ const pageShift = 12 // 4 KiB pages
 // Backing is a sparse byte-addressable memory. The zero value is empty and
 // ready to use. Reads of unwritten memory return zeros, like freshly mapped
 // anonymous pages.
+//
+// Pages are indexed by page number in a flat table that grows to the
+// highest page written: the bump allocator hands out one dense range from a
+// low base, so the table stays small and a read — which the stream engines
+// and cores issue per indirect element — is two indexed loads, no hashing.
 type Backing struct {
-	pages map[uint64]*[1 << pageShift]byte
-	brk   uint64 // bump allocator cursor
+	pages  []*[1 << pageShift]byte
+	npages int    // non-nil entries of pages
+	brk    uint64 // bump allocator cursor
 }
 
 // NewBacking returns an empty backing store whose allocator starts at a
 // nonzero base (so address 0 is never a valid array base).
 func NewBacking() *Backing {
-	return &Backing{pages: make(map[uint64]*[1 << pageShift]byte), brk: 1 << 20}
+	return &Backing{brk: 1 << 20}
 }
 
 // Alloc reserves size bytes aligned to align (which must be a power of two;
@@ -37,20 +43,32 @@ func (b *Backing) Alloc(size uint64, align uint64) uint64 {
 	return base
 }
 
+// page returns addr's page, allocating it (and growing the table) if needed.
 func (b *Backing) page(addr uint64) *[1 << pageShift]byte {
 	pn := addr >> pageShift
+	if pn >= uint64(len(b.pages)) {
+		b.pages = append(b.pages, make([]*[1 << pageShift]byte, pn+1-uint64(len(b.pages)))...)
+	}
 	p := b.pages[pn]
 	if p == nil {
 		p = new([1 << pageShift]byte)
 		b.pages[pn] = p
+		b.npages++
 	}
 	return p
 }
 
+// lookup returns addr's page, or nil if it was never written.
+func (b *Backing) lookup(addr uint64) *[1 << pageShift]byte {
+	if pn := addr >> pageShift; pn < uint64(len(b.pages)) {
+		return b.pages[pn]
+	}
+	return nil
+}
+
 // Load8 returns the byte at addr.
 func (b *Backing) Load8(addr uint64) byte {
-	pn := addr >> pageShift
-	p := b.pages[pn]
+	p := b.lookup(addr)
 	if p == nil {
 		return 0
 	}
@@ -78,6 +96,13 @@ func (b *Backing) Write(addr uint64, src []byte) {
 
 // ReadU32 loads a little-endian uint32.
 func (b *Backing) ReadU32(addr uint64) uint32 {
+	if off := addr & (1<<pageShift - 1); off <= 1<<pageShift-4 {
+		p := b.lookup(addr)
+		if p == nil {
+			return 0
+		}
+		return binary.LittleEndian.Uint32(p[off : off+4])
+	}
 	var buf [4]byte
 	b.Read(addr, buf[:])
 	return binary.LittleEndian.Uint32(buf[:])
@@ -115,4 +140,4 @@ func (b *Backing) WriteF32(addr uint64, v float32) {
 }
 
 // Pages reports how many distinct pages have been touched.
-func (b *Backing) Pages() int { return len(b.pages) }
+func (b *Backing) Pages() int { return b.npages }

@@ -8,6 +8,7 @@ package prefetch
 import (
 	"streamfloat/internal/cache"
 	"streamfloat/internal/config"
+	"streamfloat/internal/linetab"
 )
 
 const (
@@ -35,6 +36,14 @@ type strideEntry struct {
 type strideTable struct {
 	entries []strideEntry
 	tick    uint64
+
+	// Scratch reused by every prefetch burst the table triggers: the lines
+	// strideLines computes and the same-bank group issueStrideBulk is
+	// filling. Per table, hence per tile: tiles on different shards train
+	// concurrently. Both are consumed before the next burst
+	// (PrefetchBulkL2 copies its lines).
+	lineBuf  []uint64
+	groupBuf []uint64
 }
 
 func newStrideTable() *strideTable {
@@ -102,13 +111,18 @@ type bingoRegion struct {
 // same event.
 type bingo struct {
 	regions []bingoRegion
-	pht     map[uint32]uint32
-	phtLRU  []uint32 // FIFO of keys for capacity eviction
+	pht     linetab.Table[uint32]
+	// phtFIFO holds the PHT's keys in insertion order for capacity
+	// eviction. It fills by appending; once the PHT is full (it never
+	// shrinks) it is a ring whose oldest key is at phtHead, and each new key
+	// takes the evicted one's slot.
+	phtFIFO []uint32
+	phtHead int
 	tick    uint64
 }
 
 func newBingo() *bingo {
-	return &bingo{pht: make(map[uint32]uint32, phtSize)}
+	return &bingo{}
 }
 
 func bingoKey(pc uint32, lineOff uint32) uint32 { return pc<<5 ^ lineOff }
@@ -146,10 +160,10 @@ func (bg *bingo) observe(pc uint32, addr uint64) (base uint64, footprint uint32,
 	bg.regions = append(bg.regions, bingoRegion{
 		base: rbase, footprint: 1 << lineOff, trigger: key, lru: bg.tick,
 	})
-	pred, hit := bg.pht[key]
+	pred, hit := bg.pht.Get(uint64(key))
 	if !hit {
 		// Fall back to the PC-only key (Bingo's shorter event).
-		pred, hit = bg.pht[bingoKey(pc, 0)]
+		pred, hit = bg.pht.Get(uint64(bingoKey(pc, 0)))
 	}
 	if !hit || pred == 0 {
 		return 0, 0, false
@@ -157,43 +171,39 @@ func (bg *bingo) observe(pc uint32, addr uint64) (base uint64, footprint uint32,
 	return rbase, pred &^ (1 << lineOff), true
 }
 
-// phtMerge ORs bits into a trigger's recorded footprint, allocating the
-// entry (with capacity eviction) if needed.
-func (bg *bingo) phtMerge(key uint32, bits uint32) {
-	if _, exists := bg.pht[key]; !exists {
-		if len(bg.pht) >= phtSize {
-			// Capacity eviction: drop the oldest inserted key.
-			old := bg.phtLRU[0]
-			bg.phtLRU = bg.phtLRU[1:]
-			delete(bg.pht, old)
+// phtEntry returns key's PHT footprint, allocating the entry if needed:
+// when the table is full the oldest inserted key is dropped first.
+func (bg *bingo) phtEntry(key uint32) *uint32 {
+	if !bg.pht.Has(uint64(key)) {
+		if bg.pht.Len() >= phtSize {
+			bg.pht.Delete(uint64(bg.phtFIFO[bg.phtHead]))
+			bg.phtFIFO[bg.phtHead] = key
+			bg.phtHead = (bg.phtHead + 1) % phtSize
+		} else {
+			bg.phtFIFO = append(bg.phtFIFO, key)
 		}
-		bg.phtLRU = append(bg.phtLRU, key)
 	}
-	bg.pht[key] |= bits
+	return bg.pht.Ref(uint64(key))
+}
+
+// phtMerge ORs bits into a trigger's recorded footprint.
+func (bg *bingo) phtMerge(key uint32, bits uint32) {
+	*bg.phtEntry(key) |= bits
 }
 
 // retire replaces the trigger's prediction with the region's final
 // footprint: the most recent full generation wins (recency beats the
 // write-through accumulation, shedding stale dense predictions).
 func (bg *bingo) retire(r bingoRegion) {
-	for _, key := range []uint32{r.trigger, r.trigger &^ 31} {
-		if _, exists := bg.pht[key]; !exists {
-			if len(bg.pht) >= phtSize {
-				old := bg.phtLRU[0]
-				bg.phtLRU = bg.phtLRU[1:]
-				delete(bg.pht, old)
-			}
-			bg.phtLRU = append(bg.phtLRU, key)
-		}
-		bg.pht[key] = r.footprint
-	}
+	*bg.phtEntry(r.trigger) = r.footprint
+	*bg.phtEntry(r.trigger &^ 31) = r.footprint
 }
 
 // Prefetchers drives all configured prefetch engines for every tile,
 // attached to the cache system's access observers.
 type Prefetchers struct {
-	cfg config.Config
-	sys *cache.System
+	sys  *cache.System
+	bulk bool // group L2 prefetches by bank (cfg.BulkPrefetch with interleave > one line)
 
 	l1Stride []*strideTable
 	l2Stride []*strideTable
@@ -203,7 +213,7 @@ type Prefetchers struct {
 // Attach builds the configured prefetchers and hooks them to the cache
 // system. With PrefetchNone it installs nothing.
 func Attach(cfg config.Config, sys *cache.System) *Prefetchers {
-	p := &Prefetchers{cfg: cfg, sys: sys}
+	p := &Prefetchers{sys: sys, bulk: cfg.BulkPrefetch && cfg.L3InterleaveBytes > 64}
 	if cfg.Prefetch == config.PrefetchNone {
 		return p
 	}
@@ -232,8 +242,9 @@ func Attach(cfg config.Config, sys *cache.System) *Prefetchers {
 // onL1Access trains the L1-level prefetcher on demand accesses.
 func (p *Prefetchers) onL1Access(tile int, addr uint64, pc uint32, hit bool) {
 	if p.l1Stride != nil {
-		if e, ready := p.l1Stride[tile].train(pc, addr); ready {
-			p.issueStride(tile, e, l1Degree, cache.PrefL1, pc)
+		t := p.l1Stride[tile]
+		if e, ready := t.train(pc, addr); ready {
+			p.issueStride(tile, t, e, l1Degree, cache.PrefL1, pc)
 		}
 	}
 	if p.bingos != nil {
@@ -253,27 +264,28 @@ func (p *Prefetchers) onL2Miss(tile int, lineAddr uint64, pc uint32) {
 	if p.l2Stride == nil {
 		return
 	}
-	if e, ready := p.l2Stride[tile].train(pc, lineAddr); ready {
-		if p.cfg.BulkPrefetch && p.cfg.L3InterleaveBytes > 64 {
-			p.issueStrideBulk(tile, e, pc)
+	t := p.l2Stride[tile]
+	if e, ready := t.train(pc, lineAddr); ready {
+		if p.bulk {
+			p.issueStrideBulk(tile, t, e, pc)
 			return
 		}
-		p.issueStride(tile, e, l2Degree, cache.PrefL2, pc)
+		p.issueStride(tile, t, e, l2Degree, cache.PrefL2, pc)
 	}
 }
 
 // issueStride pushes the prefetch frontier of a confident stride stream out
 // to degree elements ahead, issuing each not-yet-requested line.
-func (p *Prefetchers) issueStride(tile int, e *strideEntry, degree int, kind cache.Kind, pc uint32) {
-	for _, la := range p.strideLines(e, degree) {
+func (p *Prefetchers) issueStride(tile int, t *strideTable, e *strideEntry, degree int, kind cache.Kind, pc uint32) {
+	for _, la := range t.strideLines(e, degree) {
 		p.sys.Access(tile, la, kind, cache.Meta{PC: pc, StreamID: -1}, nil)
 	}
 }
 
 // strideLines computes the new line addresses to prefetch and advances the
-// stream's frontier.
-func (p *Prefetchers) strideLines(e *strideEntry, degree int) []uint64 {
-	var lines []uint64
+// stream's frontier. The result lives in t's scratch until the next call.
+func (t *strideTable) strideLines(e *strideEntry, degree int) []uint64 {
+	lines := t.lineBuf[:0]
 	prev := uint64(0)
 	for k := 1; k <= degree; k++ {
 		a := uint64(int64(e.lastAddr) + int64(k)*e.stride)
@@ -288,30 +300,27 @@ func (p *Prefetchers) strideLines(e *strideEntry, degree int) []uint64 {
 	if len(lines) > 0 {
 		e.frontier = lines[len(lines)-1]
 	}
+	t.lineBuf = lines
 	return lines
 }
 
 // issueStrideBulk groups the stream's new prefetch lines by home L3 bank
 // and sends each group of up to 4 as a single request message (§VI).
-func (p *Prefetchers) issueStrideBulk(tile int, e *strideEntry, pc uint32) {
-	lines := p.strideLines(e, l2Degree)
+func (p *Prefetchers) issueStrideBulk(tile int, t *strideTable, e *strideEntry, pc uint32) {
 	meta := cache.Meta{PC: pc, StreamID: -1}
-	var group []uint64
+	group := t.groupBuf[:0]
 	groupBank := -1
-	flush := func() {
-		if len(group) == 0 {
-			return
-		}
-		p.sys.PrefetchBulkL2(tile, groupBank, group, meta)
-		group, groupBank = nil, -1
-	}
-	for _, la := range lines {
+	for _, la := range t.strideLines(e, l2Degree) {
 		bank := p.sys.HomeBank(la)
-		if bank != groupBank || len(group) >= bulkGroup {
-			flush()
-			groupBank = bank
+		if len(group) > 0 && (bank != groupBank || len(group) >= bulkGroup) {
+			p.sys.PrefetchBulkL2(tile, groupBank, group, meta)
+			group = group[:0]
 		}
+		groupBank = bank
 		group = append(group, la)
 	}
-	flush()
+	if len(group) > 0 {
+		p.sys.PrefetchBulkL2(tile, groupBank, group, meta)
+	}
+	t.groupBuf = group
 }

@@ -174,7 +174,7 @@ func TestBulkGroupingByBank(t *testing.T) {
 	// the 4-line group cap.
 	_, st, sys, p := newRig(config.PrefetchStride, true)
 	e := &strideEntry{pc: 13, lastAddr: 0x900000 - 64, stride: 64, conf: 3}
-	p.issueStrideBulk(0, e, 13)
+	p.issueStrideBulk(0, p.l2Stride[0], e, 13)
 	_ = sys
 	if st.PrefetchIssued == 0 {
 		t.Fatal("bulk issued nothing")
@@ -205,5 +205,50 @@ func TestIrregularPatternLowAccuracy(t *testing.T) {
 	}
 	if st.PrefetchIssued > 100 {
 		t.Errorf("stride issued %d prefetches on random addresses", st.PrefetchIssued)
+	}
+}
+
+// TestPrefetchBurstZeroAlloc: once warm, training a prefetcher and issuing
+// its bursts allocates nothing — stride lines and bulk groups are built in
+// per-table scratch and the Bingo PHT is a table, not a map. Each round is
+// 16 demand reads walking a fresh stride (every one a miss that trains and
+// fires a burst), held against as many reads of one line.
+func TestPrefetchBurstZeroAlloc(t *testing.T) {
+	const perRound, rounds, warm = 16, 20, 8
+	for _, c := range []struct {
+		name string
+		kind config.PrefetchKind
+		bulk bool
+	}{
+		{"stride", config.PrefetchStride, false},
+		{"stride bulk", config.PrefetchStride, true},
+		{"bingo", config.PrefetchBingo, false},
+	} {
+		r, st, sys, _ := newRig(c.kind, c.bulk)
+		next := 0
+		walk := func() {
+			for i := 0; i < perRound; i++ {
+				demand(r, sys, 1, uint64(0x4000000+next*64), 9)
+				next++
+			}
+		}
+		idle := func() {
+			for i := 0; i < perRound; i++ {
+				demand(r, sys, 1, 0x100, 3)
+			}
+		}
+		for i := 0; i < warm; i++ {
+			walk()
+		}
+		idle()
+		base := testing.AllocsPerRun(rounds, idle)
+		issued := st.PrefetchIssued
+		if avg := testing.AllocsPerRun(rounds, walk); avg != base {
+			t.Errorf("%s: %d training reads allocate %v times per round over %v for as many hits, want 0",
+				c.name, perRound, avg-base, base)
+		}
+		if st.PrefetchIssued == issued {
+			t.Errorf("%s: the measured rounds issued no prefetches", c.name)
+		}
 	}
 }

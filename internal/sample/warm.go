@@ -34,33 +34,41 @@ func warmPhaseWindow(m *system.Machine, pl *Plan, core, phase int) {
 	if flo >= wlo {
 		return
 	}
-	cfg := m.Cfg
-	byID := make(map[int]*stream.Decl, len(ph.Loads))
+	// A load's placement is fixed for the phase, so decide it once, not
+	// per replayed access.
+	type warmLoad struct {
+		d      *stream.Decl
+		base   *stream.Decl // indirect loads: the affine stream holding the index
+		shared bool         // warm the home bank only (a floated stream)
+	}
+	cfg := &m.Cfg
+	loads := make([]warmLoad, 0, len(ph.Loads))
 	for i := range ph.Loads {
-		byID[ph.Loads[i].ID] = &ph.Loads[i]
+		d := &ph.Loads[i]
+		switch {
+		case d.Affine != nil:
+			loads = append(loads, warmLoad{d: d, shared: wouldFloat(cfg, d)})
+		case d.Indirect != nil:
+			base := declByID(ph.Loads, d.BaseOn)
+			if base == nil || base.Affine == nil {
+				continue
+			}
+			loads = append(loads, warmLoad{d: d, base: base, shared: cfg.FloatIndirect && wouldFloat(cfg, base)})
+		}
 	}
 	for i := flo; i < wlo; i++ {
-		for _, d := range ph.Loads {
-			switch {
-			case d.Affine != nil:
-				addr := d.Affine.AddrAt(i)
-				if wouldFloat(cfg, d) {
-					m.Caches.WarmShared(addr)
-				} else {
-					m.Caches.WarmPrivate(core, addr, false)
-				}
-			case d.Indirect != nil:
-				base := byID[d.BaseOn]
-				if base == nil || base.Affine == nil {
-					continue
-				}
-				idx := m.Backing.ReadU32(base.Affine.AddrAt(i))
-				addr := d.Indirect.AddrFor(uint64(idx))
-				if cfg.FloatIndirect && wouldFloat(cfg, *base) {
-					m.Caches.WarmShared(addr)
-				} else {
-					m.Caches.WarmPrivate(core, addr, false)
-				}
+		for _, l := range loads {
+			var addr uint64
+			if l.base == nil {
+				addr = l.d.Affine.AddrAt(i)
+			} else {
+				idx := m.Backing.ReadU32(l.base.Affine.AddrAt(i))
+				addr = l.d.Indirect.AddrFor(uint64(idx))
+			}
+			if l.shared {
+				m.Caches.WarmShared(addr)
+			} else {
+				m.Caches.WarmPrivate(core, addr, false)
 			}
 		}
 		if ph.SeqLoads != nil {
@@ -68,10 +76,20 @@ func warmPhaseWindow(m *system.Machine, pl *Plan, core, phase int) {
 				m.Caches.WarmPrivate(core, addr, false)
 			}
 		}
-		for _, d := range ph.Stores {
-			m.Caches.WarmPrivate(core, d.Affine.AddrAt(i), true)
+		for k := range ph.Stores {
+			m.Caches.WarmPrivate(core, ph.Stores[k].Affine.AddrAt(i), true)
 		}
 	}
+}
+
+// declByID returns the load declaration with the given stream id, or nil.
+func declByID(loads []stream.Decl, id int) *stream.Decl {
+	for i := range loads {
+		if loads[i].ID == id {
+			return &loads[i]
+		}
+	}
+	return nil
 }
 
 // wouldFloat mirrors the configure-time float test of the SEcore policy
@@ -79,7 +97,7 @@ func warmPhaseWindow(m *system.Machine, pl *Plan, core, phase int) {
 // footprint exceeds the private L2 floats to the L3. The history-driven
 // late-float path is intentionally not modeled — warmup only needs the
 // steady-state placement of each stream's data.
-func wouldFloat(cfg config.Config, d stream.Decl) bool {
+func wouldFloat(cfg *config.Config, d *stream.Decl) bool {
 	return cfg.Stream == config.StreamSF && !d.UnknownLength &&
 		d.Affine != nil && d.FloatFootprintBytes() > int64(cfg.L2.SizeBytes)
 }
