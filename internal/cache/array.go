@@ -61,54 +61,72 @@ type line struct {
 	rrpv     uint8
 }
 
-// emptyLine is the state of a way that holds nothing.
+// emptyLine is what invalidate leaves in a way. Whether a way holds a line
+// is its tag's business, not the line's: a way of a freshly handed-out
+// block keeps whatever its storage held last, and insert overwrites it.
 var emptyLine = line{owner: -1, streamID: noStream}
 
-// slab is the storage of one array: a line and a tag per way. tags[i] is
-// lineAddr|1 for the address way i holds (line addresses are 64-byte aligned,
-// so bit 0 is free to tell address 0 from nothing) and 0 for an empty way.
+// poisonLine is what a slab's lines read as after growth under a sanitizer
+// has moved them: no field is a value the model writes (owner and streamID
+// name no tile or stream, every sharer bit is set), so a *line kept across
+// the victim that moved it derails the run instead of reading a plausible
+// copy.
+var poisonLine = line{sharers: ^uint64(0), owner: 0x5a5a, streamID: 0x5a5a, state: 0xff, rrpv: 0xff,
+	dirty: true, reused: true, pf: true, stream: true}
+
+// slab is the storage of one array. The blocks of lines and tags hold the
+// sets in the order the run first filled them, ways consecutive, and dir maps
+// a set to its block: dir[set] is 1 + the set's block, or 0 if the set was
+// never filled. tags[i] is lineAddr|1 for the address way i holds (line
+// addresses are 64-byte aligned, so bit 0 is free to tell address 0 from
+// nothing) and 0 for an empty way.
+//
+// A slab's capacity (len(lines)) is a whole number of blocks, up to the
+// array's sets×ways, and follows what runs filled, not the geometry: host
+// memory goes to the sets a workload uses. It survives recycling, so a
+// sweep's machines stop growing after its first points.
 type slab struct {
 	lines []line
 	tags  []uint64
+	dir   []int32
 }
 
-// slabPools recycles slabs between machines, one sync.Pool per slab length
-// (a machine has three: L1, L2, L3 bank). Every pooled slab holds only
-// emptyLine and zero tags, so a recycled slab is indistinguishable from a
-// fresh one.
-var slabPools sync.Map // int (ways) -> *sync.Pool of *slab
+// geometry keys the slab pools: a slab fits any array with its sets and ways.
+type geometry struct{ sets, ways int }
 
-func slabPool(n int) *sync.Pool {
-	if p, ok := slabPools.Load(n); ok {
+// slabPools recycles slabs between machines, one sync.Pool per geometry (a
+// machine has three: L1, L2, L3 bank). A pooled slab's dir is all zero; its
+// blocks hold whatever the last run left, and victim zeroes a block's tags
+// before it hands the block out, so a recycled slab is indistinguishable
+// from a fresh one.
+var slabPools sync.Map // geometry -> *sync.Pool of *slab
+
+func slabPool(g geometry) *sync.Pool {
+	if p, ok := slabPools.Load(g); ok {
 		return p.(*sync.Pool)
 	}
-	p, _ := slabPools.LoadOrStore(n, new(sync.Pool))
+	p, _ := slabPools.LoadOrStore(g, new(sync.Pool))
 	return p.(*sync.Pool)
 }
 
-// newSlab returns n empty ways, recycled if the pool has a slab that size. A
-// fresh slab's tags are whatever zeroed memory make returns and are never
-// written here, so the tag pages of sets a run never fills stay untouched.
-func newSlab(n int) *slab {
+// newSlab returns a slab for g with an empty directory: a pooled one of any
+// capacity if there is one, else a fresh one with no blocks.
+func newSlab(g geometry) *slab {
 	if !poolBypass.Load() {
-		if sl, ok := slabPool(n).Get().(*slab); ok {
+		if sl, ok := slabPool(g).Get().(*slab); ok {
 			return sl
 		}
 	}
-	sl := &slab{lines: make([]line, n), tags: make([]uint64, n)}
-	for i := range sl.lines {
-		sl.lines[i] = emptyLine
-	}
-	return sl
+	return &slab{dir: make([]int32, g.sets)}
 }
 
 // poolBypass, while set, makes newSlab build every slab fresh.
 var poolBypass atomic.Bool
 
-// SetPoolBypass is a test hook, not an option: it makes every newArray build
-// a fresh slab until the returned restore function runs, so a test can hold
-// a recycled run against a pristine one. It is exported only because that
-// oracle (TestRecycledStateInvisible) lives in internal/system.
+// SetPoolBypass is a test hook, not an option: it makes every newArray start
+// from a fresh, empty slab until the returned restore function runs, so a
+// test can hold a recycled run against a pristine one. It is exported only
+// because that oracle (TestRecycledStateInvisible) lives in internal/system.
 func SetPoolBypass(on bool) (restore func()) {
 	prev := poolBypass.Swap(on)
 	return func() { poolBypass.Store(prev) }
@@ -121,11 +139,11 @@ type array struct {
 	lineBytes uint64
 	slab      *slab
 	lines     []line   // slab.lines
-	tags      []uint64 // slab.tags; insert, invalidate and release are the only writers
-	// touched has bit s set once set s has been filled; release resets only
-	// those sets. insert is the only code that makes a way non-empty, so a set
-	// whose bit is clear still holds what newSlab handed out.
-	touched []uint64
+	tags      []uint64 // slab.tags; victim, insert and invalidate are the only writers
+	dir       []int32  // slab.dir
+	blocks    int      // blocks handed out; the rest of the slab is stale
+	// checked is set under an attached sanitizer (see check).
+	checked bool
 	// brripLongEvery inserts at "long" re-reference once every N fills
 	// (N = round(1/p)); 1 means always long (SRRIP).
 	brripLongEvery int
@@ -155,32 +173,24 @@ func newArray(sizeBytes, ways, lineBytes int, brripProb float64) *array {
 		sets:           sets,
 		ways:           ways,
 		lineBytes:      uint64(lineBytes),
-		slab:           newSlab(sets * ways),
-		touched:        make([]uint64, (sets+63)/64),
+		slab:           newSlab(geometry{sets, ways}),
 		brripLongEvery: longEvery,
 	}
-	a.lines, a.tags = a.slab.lines, a.slab.tags
+	a.lines, a.tags, a.dir = a.slab.lines, a.slab.tags, a.slab.dir
 	a.setBankLocal(0, 1)
 	return a
 }
 
-// release empties every set that was ever filled and hands the slab back
-// for the next machine's newArray. The array is unusable afterwards: lines
-// and tags are nil, so any later access panics instead of reading recycled
-// state.
+// release clears the directory and hands the slab, grown storage included,
+// back for the next machine's newArray. The array is unusable afterwards:
+// its storage is nil, so any later access panics instead of reading
+// recycled state.
 func (a *array) release() {
-	for w, word := range a.touched {
-		for ; word != 0; word &= word - 1 {
-			set := w*64 + bits.TrailingZeros64(word)
-			for i := set * a.ways; i < (set+1)*a.ways; i++ {
-				a.lines[i] = emptyLine
-				a.tags[i] = 0
-			}
-		}
-	}
+	clear(a.dir)
 	sl := a.slab
-	a.slab, a.lines, a.tags, a.touched = nil, nil, nil, nil
-	slabPool(len(sl.lines)).Put(sl)
+	sl.lines, sl.tags = a.lines, a.tags
+	a.slab, a.lines, a.tags, a.dir = nil, nil, nil, nil
+	slabPool(geometry{a.sets, a.ways}).Put(sl)
 }
 
 // setBankLocal switches set selection to bank-local indexing (interleave 0
@@ -220,10 +230,15 @@ func (a *array) setOfDiv(lineAddr uint64) int {
 	return int(idx % uint64(a.sets))
 }
 
-// lookup returns the line holding lineAddr, or nil. Only the set's tags are
+// lookup returns the line holding lineAddr, or nil. A set never filled
+// answers from the directory alone; otherwise only the set's tags are
 // scanned: a 16-way miss reads two host cache lines, not eight.
 func (a *array) lookup(lineAddr uint64) *line {
-	base := a.setOf(lineAddr) * a.ways
+	b := int(a.dir[a.setOf(lineAddr)])
+	if b == 0 {
+		return nil
+	}
+	base := (b - 1) * a.ways
 	want := lineAddr | 1
 	for i, tag := range a.tags[base : base+a.ways] {
 		if tag == want {
@@ -250,9 +265,26 @@ func (a *array) addrOf(l *line) (lineAddr uint64, ok bool) {
 func (a *array) touch(l *line) { l.rrpv = 0 }
 
 // victim selects the replacement victim in lineAddr's set: an empty way if
-// one exists, otherwise the RRIP victim (aging RRPVs as needed).
+// one exists, otherwise the RRIP victim (aging RRPVs as needed). The first
+// victim in a set gives it the slab's next block, growing the slab if the
+// run has filled as many sets as it holds.
+//
+// Growth moves the slab, so a *line from this array (lookup's or victim's)
+// is valid only until the next victim on the same array: re-lookup after
+// one instead of keeping the pointer. Victims on other arrays, and every
+// other operation, leave it valid. Under a sanitizer the slab regrows from
+// empty in every run and each growth poisons the lines it moved (see check),
+// so a pointer kept too long derails the run, as a golden diff or a probe
+// failure, instead of going unnoticed.
 func (a *array) victim(lineAddr uint64) *line {
-	base := a.setOf(lineAddr) * a.ways
+	set := a.setOf(lineAddr)
+	b := int(a.dir[set])
+	if b == 0 {
+		b = a.newBlock()
+		a.dir[set] = int32(b)
+		return &a.lines[(b-1)*a.ways]
+	}
+	base := (b - 1) * a.ways
 	for i, tag := range a.tags[base : base+a.ways] {
 		if tag == 0 {
 			return &a.lines[base+i]
@@ -271,12 +303,50 @@ func (a *array) victim(lineAddr uint64) *line {
 	}
 }
 
+// newBlock hands out the slab's next block, emptied, and returns 1 + its
+// index. Zero tags are all an empty way needs: its line is never read
+// before insert overwrites it.
+func (a *array) newBlock() int {
+	base := a.blocks * a.ways
+	if base == len(a.lines) {
+		a.grow()
+	}
+	a.blocks++
+	clear(a.tags[base : base+a.ways])
+	return a.blocks
+}
+
+// grow doubles the slab, up to the dense size, copying the blocks in use.
+// Under a sanitizer it also poisons the lines it leaves behind.
+func (a *array) grow() {
+	n := min(max(2*a.blocks, 1), a.sets) * a.ways
+	used := a.blocks * a.ways
+	lines, tags := make([]line, n), make([]uint64, n)
+	copy(lines, a.lines[:used])
+	copy(tags, a.tags[:used])
+	if a.checked {
+		for i := range a.lines {
+			a.lines[i] = poisonLine
+		}
+	}
+	a.lines, a.tags = lines, tags
+}
+
+// check attaches (on) or detaches the sanitizer's growth rule. A checked
+// array drops the capacity its slab kept, so it regrows from empty in every
+// run (at 1, 2, 4, ... filled sets) whatever the pool held, and every growth
+// poisons what it moved. Call before the first victim.
+func (a *array) check(on bool) {
+	a.checked = on
+	if on {
+		a.lines, a.tags = nil, nil
+	}
+}
+
 // insert installs lineAddr into the slot previously returned by victim,
 // resetting metadata and applying the bimodal insertion policy. The caller
 // must have handled the victim's eviction first.
 func (a *array) insert(slot *line, lineAddr uint64) {
-	set := a.setOf(lineAddr)
-	a.touched[set>>6] |= 1 << (set & 63)
 	a.fillCount++
 	rrpv := uint8(rrpvMax) // distant
 	if a.brripLongEvery <= 1 || a.fillCount%a.brripLongEvery == 0 {
@@ -297,12 +367,18 @@ func (a *array) invalidate(l *line) {
 	*l = emptyLine
 }
 
-// forEachValid visits every held line with its address (used by tests and
-// drain logic).
+// forEachValid visits every held line with its address, in set order (used
+// by tests and drain logic).
 func (a *array) forEachValid(fn func(lineAddr uint64, l *line)) {
-	for i, tag := range a.tags {
-		if tag != 0 {
-			fn(tag&^1, &a.lines[i])
+	for _, b := range a.dir {
+		if b == 0 {
+			continue
+		}
+		base := (int(b) - 1) * a.ways
+		for i, tag := range a.tags[base : base+a.ways] {
+			if tag != 0 {
+				fn(tag&^1, &a.lines[base+i])
+			}
 		}
 	}
 }

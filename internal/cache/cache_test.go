@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -425,39 +426,191 @@ func TestLineSizeof(t *testing.T) {
 	}
 }
 
-// TestReleaseEmptiesTouchedSets checks the recycling invariant at its source:
-// whatever an array went through, the slab it hands back holds only empty
-// lines, and the array itself fails loudly if used again.
-func TestReleaseEmptiesTouchedSets(t *testing.T) {
-	a := newArray(64*64*4, 4, 64, 0.03) // 64 sets x 4 ways
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 500; i++ {
-		la := uint64(rng.Intn(1<<14)) * 64
-		if l := a.lookup(la); l != nil {
-			a.touch(l)
-			l.dirty, l.sharers, l.owner = true, rng.Uint64(), int16(rng.Intn(64))
-			continue
-		}
-		slot := a.victim(la)
-		a.insert(slot, la)
-		slot.state, slot.stream, slot.streamID = stModified, true, 7
-		if i%5 == 0 {
-			a.invalidate(slot)
+// denseArray is the reference the directory array is held to: every set
+// owns its ways in one full-size slab from the start, as every array did
+// before slabs followed filled sets. Ways are addressed by index.
+type denseArray struct {
+	a     *array // for geometry, setOf and the insertion policy's counter
+	lines []line
+	tags  []uint64
+}
+
+func newDenseArray(a *array) *denseArray {
+	d := &denseArray{a: &array{}, lines: make([]line, a.sets*a.ways), tags: make([]uint64, a.sets*a.ways)}
+	*d.a = *a
+	d.a.fillCount = 0
+	for i := range d.lines {
+		d.lines[i] = emptyLine
+	}
+	return d
+}
+
+func (d *denseArray) lookup(la uint64) int {
+	base := d.a.setOf(la) * d.a.ways
+	for i := base; i < base+d.a.ways; i++ {
+		if d.tags[i] == la|1 {
+			return i
 		}
 	}
-	slab := a.slab
+	return -1
+}
+
+func (d *denseArray) victim(la uint64) int {
+	base := d.a.setOf(la) * d.a.ways
+	for i := base; i < base+d.a.ways; i++ {
+		if d.tags[i] == 0 {
+			return i
+		}
+	}
+	for {
+		for i := base; i < base+d.a.ways; i++ {
+			if d.lines[i].rrpv >= rrpvMax {
+				return i
+			}
+		}
+		for i := base; i < base+d.a.ways; i++ {
+			d.lines[i].rrpv++
+		}
+	}
+}
+
+func (d *denseArray) insert(i int, la uint64) {
+	d.a.fillCount++
+	rrpv := uint8(rrpvMax)
+	if d.a.brripLongEvery <= 1 || d.a.fillCount%d.a.brripLongEvery == 0 {
+		rrpv = rrpvMax - 1
+	}
+	d.tags[i] = la | 1
+	d.lines[i] = line{state: stInvalid, rrpv: rrpv, streamID: noStream, owner: -1}
+}
+
+// TestDirectoryArrayMatchesDense drives the directory array and the dense
+// reference through the same seeded lookup/victim/insert/invalidate/touch
+// sequences, field writes included, and requires the same answer from every
+// call and the same contents afterwards. The geometries cover Table III's,
+// non-power-of-two set counts and bank-local indexing; each array is
+// released before the next is built, so later arrays run on recycled slabs
+// of every size, grown and not, and one in three runs under the sanitizer's
+// regrow-and-poison rule.
+func TestDirectoryArrayMatchesDense(t *testing.T) {
+	type geom struct{ sizeBytes, ways, interleave, tiles int }
+	geoms := []geom{
+		{4 * 64 * 2, 2, 0, 1},    // 4 sets x 2 ways
+		{32 << 10, 8, 0, 1},      // Table III L1
+		{48 << 10, 8, 0, 1},      // 96 sets
+		{64 << 10, 16, 1024, 64}, // bank-local, power of two
+		{96 << 10, 8, 1024, 9},   // 192 sets, bank-local on a 3x3 mesh
+		{256 << 10, 16, 0, 1},    // Table III L2
+		{1 << 20, 16, 1024, 64},  // Table III L3 bank
+		{1 << 20, 16, 64, 64},    // 64 B interleave
+		{48 << 10, 8, 0, 1},      // again, on a recycled slab
+		{64 << 10, 16, 1024, 64},
+	}
+	rng := rand.New(rand.NewSource(27))
+	for run := 0; run < 3*len(geoms); run++ {
+		g := geoms[run%len(geoms)]
+		a := newArray(g.sizeBytes, g.ways, 64, 0.03)
+		if g.interleave != 0 {
+			a.setBankLocal(g.interleave, g.tiles)
+		}
+		a.check(run%3 == 2)
+		d := newDenseArray(a)
+		// Footprints from a few sets to past the array's capacity, so runs
+		// fill anything from a handful of sets to all of them.
+		span := 1 + rng.Intn(4*a.sets*a.ways)
+		for op := 0; op < 4000; op++ {
+			la := uint64(rng.Intn(span)) * 64
+			if il := uint64(g.interleave); il != 0 {
+				// A line of a chunk this bank owns (bank 0 of tiles).
+				la = la/il*uint64(g.tiles)*il + la%il
+			}
+			hit, want := a.lookup(la), d.lookup(la)
+			if (hit != nil) != (want >= 0) {
+				t.Fatalf("run %d %+v op %d: lookup(%#x) hit %v, dense %v", run, g, op, la, hit != nil, want >= 0)
+			}
+			if hit != nil {
+				if *hit != d.lines[want] {
+					t.Fatalf("run %d %+v op %d: line %#x = %+v, dense %+v", run, g, op, la, *hit, d.lines[want])
+				}
+				switch rng.Intn(3) {
+				case 0:
+					a.touch(hit)
+					d.lines[want].rrpv = 0
+				case 1:
+					a.invalidate(hit)
+					d.tags[want], d.lines[want] = 0, emptyLine
+				default:
+					hit.dirty, hit.sharers, hit.owner = true, rng.Uint64(), int16(rng.Intn(64))
+					d.lines[want].dirty, d.lines[want].sharers, d.lines[want].owner = hit.dirty, hit.sharers, hit.owner
+				}
+				continue
+			}
+			slot, dv := a.victim(la), d.victim(la)
+			va, held := a.addrOf(slot)
+			if held != (d.tags[dv] != 0) || va != d.tags[dv]&^1 || a.indexOf(slot)%a.ways != dv%a.ways {
+				t.Fatalf("run %d %+v op %d: victim(%#x) = way %d %#x/%v, dense way %d %#x",
+					run, g, op, la, a.indexOf(slot)%a.ways, va, held, dv%a.ways, d.tags[dv])
+			}
+			a.insert(slot, la)
+			d.insert(dv, la)
+			slot.state, slot.stream, slot.streamID = stModified, true, int16(op%100)
+			d.lines[dv].state, d.lines[dv].stream, d.lines[dv].streamID = slot.state, slot.stream, slot.streamID
+		}
+		var got, want []uint64
+		a.forEachValid(func(la uint64, l *line) {
+			if *l != d.lines[d.lookup(la)] {
+				t.Fatalf("run %d %+v: final line %#x = %+v, dense %+v", run, g, la, *l, d.lines[d.lookup(la)])
+			}
+			got = append(got, la)
+		})
+		for i, tag := range d.tags {
+			if tag != 0 {
+				want = append(want, tag&^1)
+			}
+			if held := a.dir[i/a.ways] != 0; !held && tag != 0 {
+				t.Fatalf("run %d %+v: set %d holds %#x in the dense array but was never filled", run, g, i/a.ways, tag&^1)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("run %d %+v: forEachValid visits %d lines, dense holds %d, or in another order", run, g, len(got), len(want))
+		}
+		if a.blocks > a.sets || len(a.lines) > a.sets*a.ways {
+			t.Fatalf("run %d %+v: %d blocks in a slab of %d ways for %d sets", run, g, a.blocks, len(a.lines), a.sets)
+		}
+		a.release()
+	}
+}
+
+// TestReleasedArrayPanics: a released array has no storage, so touching it
+// fails loudly instead of reading the next machine's state.
+func TestReleasedArrayPanics(t *testing.T) {
+	a := newArray(64*64*4, 4, 64, 0.03)
+	a.insert(a.victim(64), 64)
 	a.release()
-	for i := range slab.lines {
-		if slab.lines[i] != emptyLine || slab.tags[i] != 0 {
-			t.Fatalf("released slab way %d = %+v tag %#x, want the empty line and no tag", i, slab.lines[i], slab.tags[i])
-		}
-	}
 	defer func() {
 		if recover() == nil {
 			t.Error("lookup on a released array must panic")
 		}
 	}()
-	a.lookup(0)
+	a.lookup(64)
+}
+
+// TestSanitizedGrowthPoisonsMovedLines: under a sanitizer a pointer kept
+// across the victim that grew the slab reads poison, not a plausible copy.
+func TestSanitizedGrowthPoisonsMovedLines(t *testing.T) {
+	a := newArray(64*64*4, 4, 64, 0.03)
+	a.check(true)
+	slot := a.victim(0)
+	a.insert(slot, 0)
+	slot.owner = 3
+	stale := slot
+	a.insert(a.victim(64), 64) // a second set: the slab grows from 1 block to 2
+	if *stale != poisonLine {
+		t.Errorf("kept pointer reads %+v after growth, want the poison line", *stale)
+	}
+	if l := a.lookup(0); l == nil || l.owner != 3 {
+		t.Errorf("line 0 after growth = %+v, want the moved line with owner 3", l)
+	}
 }
 
 func TestBankLocalIndexingUsesAllSets(t *testing.T) {
@@ -799,16 +952,35 @@ func missRounds(r *rig, hits int) (dram, l3hit func(i int), completed *int) {
 	return dram, l3hit, completed
 }
 
-// TestDemandMissZeroAlloc: once the freelists and MSHR tables are warm, a
-// demand read that misses L2 — whether the bank has the line or has to fill
-// it from DRAM — travels core to fill and back on recycled op records and
-// allocates nothing. So do a miss that merges into another's MSHR entries
+// fillEverySet leaves one line in every set of every cache array, through
+// the functional warm-up and at addresses no test here uses, so no array's
+// slab grows inside a measured window: a slab grows as a run fills sets for
+// the first time, and only a machine built on recycled slabs starts at the
+// size its predecessor reached.
+func fillEverySet(sys *System, cfg config.Config) {
+	const far = 1 << 40
+	for la := uint64(0); la < uint64(cfg.Tiles()*cfg.L3.SizeBytes/cfg.L3.Ways); la += 64 {
+		sys.WarmShared(far + la)
+	}
+	for tile := 0; tile < cfg.Tiles(); tile++ {
+		base := uint64(far + (1+tile)<<30)
+		for la := uint64(0); la < uint64(cfg.L2.SizeBytes/cfg.L2.Ways); la += 64 {
+			sys.WarmPrivate(tile, base+la, false)
+		}
+	}
+}
+
+// TestDemandMissZeroAlloc: once the freelists, MSHR tables and slabs are
+// warm, a demand read that misses L2 — whether the bank has the line or has
+// to fill it from DRAM — travels core to fill and back on recycled op
+// records and allocates nothing. So do a miss that merges into another's MSHR entries
 // (a second read parked behind the first at the tile, and a third tile's
 // read merged into the bank's DRAM fill) and an L2 prefetch, whose MSHR
 // entry has no waiter at all.
 func TestDemandMissZeroAlloc(t *testing.T) {
 	const perRound, rounds, warm = 16, 20, 4
 	r := newRig(t, nil)
+	fillEverySet(r.sys, r.cfg)
 	dram, l3hit, completed := missRounds(r, perRound*(warm+rounds+1))
 	done := func(event.Cycle) { *completed++ }
 	const mergeBase, prefBase = 0xc000000, 0x10000000

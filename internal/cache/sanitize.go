@@ -12,10 +12,16 @@ import (
 // owner, owner never in the sharer vector, sharer bits only for tiles that
 // hold or are filling the line), GetU float reads are checked to never
 // mutate directory state, and Audit can verify the drained end-of-run
-// state. nil detaches. Call before any access.
+// state. Checked arrays regrow their storage from empty and poison what
+// each growth moves (see array.check). nil detaches. Call before any access.
 func (s *System) SetChecker(chk *sanitize.Checker) {
 	s.chk = chk
 	s.evicting = nil
+	for i, tc := range s.tiles {
+		tc.l1.check(chk != nil)
+		tc.l2.check(chk != nil)
+		s.banks[i].check(chk != nil)
+	}
 	if chk != nil {
 		s.evicting = make([]map[uint64]int, len(s.tiles))
 		for i := range s.evicting {

@@ -1,0 +1,44 @@
+package cache_test
+
+import (
+	"testing"
+
+	"streamfloat/internal/config"
+	"streamfloat/internal/sanitize"
+	"streamfloat/internal/system"
+)
+
+// TestSlabBytesFollowFilledSets: host memory follows the sets a run fills,
+// not the geometry. On the second scale-0.03 SF/OOO8 mv point, built on the
+// slabs the first released, the arrays hold at most twice the bytes of the
+// blocks the run filled (slabs grow by doubling) and under a quarter of
+// Table III's dense 41 MB. Unsanitized: a checked array regrows from empty.
+func TestSlabBytesFollowFilledSets(t *testing.T) {
+	cfg, err := config.ForSystem("SF", config.OOO8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Sanitize = sanitize.ModeOff
+	point := func() *system.Machine {
+		m, err := system.Build(cfg, "mv", 0.03)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := m.Run(0); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	point().Release()
+	m := point()
+	held, filled, dense := m.Caches.SlabBytes()
+	m.Release()
+	t.Logf("slabs hold %.1f MB for %.1f MB of filled sets; dense arrays would hold %.1f MB",
+		float64(held)/(1<<20), float64(filled)/(1<<20), float64(dense)/(1<<20))
+	if held > 2*filled {
+		t.Errorf("slabs hold %d bytes, more than twice the %d bytes of filled sets", held, filled)
+	}
+	if 4*held >= dense {
+		t.Errorf("slabs hold %d bytes, not under a quarter of the dense %d", held, dense)
+	}
+}

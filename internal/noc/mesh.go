@@ -7,6 +7,7 @@ package noc
 
 import (
 	"fmt"
+	"sync"
 
 	"streamfloat/internal/event"
 	"streamfloat/internal/par"
@@ -44,6 +45,9 @@ type Mesh struct {
 	linkFree []event.Cycle
 	numLinks int
 
+	routes *routeTable // X-Y routes of this geometry, shared by every mesh
+	flits  []int32     // flits[p] = Flits(p) for payloads below len(flits)
+
 	// Each tile's sends are issued from its own shard: local (src == dst)
 	// deliveries stay entirely shard-local, while link-touching sends are
 	// logged as barrier ops — link reservation against the shared linkFree
@@ -56,10 +60,6 @@ type Mesh struct {
 	// The barrier-op handlers, bound once in New: passing the method value
 	// m.commitSendOp at each Defer would heap-allocate it per send.
 	commitSend, commitMcast func(event.Cycle, any)
-
-	// pathBuf is the scratch route reused by path(): routes are only computed
-	// at the barrier, and each is consumed before the next one is computed.
-	pathBuf []int
 
 	// Multicast tree-link dedup, epoch-stamped so no per-call map is needed:
 	// seenEpoch[l] == epoch marks link l as already reserved by this call.
@@ -108,7 +108,75 @@ func New(lay *par.Layout, w, h, linkBits, routerLat, linkLat int) *Mesh {
 	}
 	m.numLinks = 2 * ((w-1)*h + w*(h-1))
 	m.commitSend, m.commitMcast = m.commitSendOp, m.commitMcastOp
+	m.routes = routesFor(w, h)
+	m.flits = make([]int32, flitTablePayloads)
+	for p := range m.flits {
+		m.flits[p] = int32(m.flitsFor(p))
+	}
 	return m
+}
+
+// flitTablePayloads bounds the payloads Flits answers from its table. It
+// covers control messages, stream configurations and whole lines, nearly all
+// traffic; larger payloads, such as bulk prefetch requests, are computed.
+const flitTablePayloads = 129
+
+// routeTable holds every X-Y route of one w x h mesh: the links from src to
+// dst are links[off[src*n+dst]:off[src*n+dst+1]], each a directed link index
+// (source router * numDirs + exit direction), and the route's length is its
+// hop count. It is immutable once built.
+type routeTable struct {
+	off   []int32
+	links []int32
+}
+
+// routeTables shares one routeTable per mesh geometry across machines.
+var routeTables sync.Map // [2]int{w, h} -> *routeTable
+
+func routesFor(w, h int) *routeTable {
+	key := [2]int{w, h}
+	if rt, ok := routeTables.Load(key); ok {
+		return rt.(*routeTable)
+	}
+	n := w * h
+	rt := &routeTable{off: make([]int32, 0, n*n+1)}
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			rt.off = append(rt.off, int32(len(rt.links)))
+			rt.links = appendPath(rt.links, w, src, dst)
+		}
+	}
+	rt.off = append(rt.off, int32(len(rt.links)))
+	actual, _ := routeTables.LoadOrStore(key, rt)
+	return actual.(*routeTable)
+}
+
+// appendPath appends the X-Y route from src to dst on a mesh w tiles wide:
+// first along x, then along y.
+func appendPath(links []int32, w, src, dst int) []int32 {
+	x, y := src%w, src/w
+	dx, dy := dst%w, dst/w
+	for x != dx {
+		from := y*w + x
+		if dx > x {
+			links = append(links, int32(from*int(numDirs)+int(dirEast)))
+			x++
+		} else {
+			links = append(links, int32(from*int(numDirs)+int(dirWest)))
+			x--
+		}
+	}
+	for y != dy {
+		from := y*w + x
+		if dy > y {
+			links = append(links, int32(from*int(numDirs)+int(dirSouth)))
+			y++
+		} else {
+			links = append(links, int32(from*int(numDirs)+int(dirNorth)))
+			y--
+		}
+	}
+	return links
 }
 
 // sendMsg is one logged unicast awaiting barrier commit. Instances are
@@ -151,51 +219,31 @@ func (m *Mesh) TileAt(x, y int) int { return y*m.w + x }
 
 // Hops returns the Manhattan distance between two tiles.
 func (m *Mesh) Hops(src, dst int) int {
-	sx, sy := m.Coord(src)
-	dx, dy := m.Coord(dst)
-	return abs(sx-dx) + abs(sy-dy)
+	k := src*m.w*m.h + dst
+	return int(m.routes.off[k+1] - m.routes.off[k])
 }
 
 // Flits returns the number of flits a message with the given payload
 // occupies on this mesh's links (header included).
 func (m *Mesh) Flits(payloadBytes int) int {
-	bits := (HeaderBytes + payloadBytes) * 8
-	f := (bits + m.linkBits - 1) / m.linkBits
-	if f < 1 {
-		f = 1
+	if uint(payloadBytes) < uint(len(m.flits)) {
+		return int(m.flits[payloadBytes])
 	}
-	return f
+	return m.flitsFor(payloadBytes)
+}
+
+// flitsFor computes Flits.
+func (m *Mesh) flitsFor(payloadBytes int) int {
+	bits := (HeaderBytes + payloadBytes) * 8
+	return max((bits+m.linkBits-1)/m.linkBits, 1)
 }
 
 // path returns the X-Y route from src to dst as a sequence of directed link
 // indices (each link identified by its source router and exit direction).
 // An empty path means src == dst.
-func (m *Mesh) path(src, dst int) []int {
-	links := m.pathBuf[:0]
-	x, y := m.Coord(src)
-	dx, dy := m.Coord(dst)
-	for x != dx {
-		from := m.TileAt(x, y)
-		if dx > x {
-			links = append(links, from*int(numDirs)+int(dirEast))
-			x++
-		} else {
-			links = append(links, from*int(numDirs)+int(dirWest))
-			x--
-		}
-	}
-	for y != dy {
-		from := m.TileAt(x, y)
-		if dy > y {
-			links = append(links, from*int(numDirs)+int(dirSouth))
-			y++
-		} else {
-			links = append(links, from*int(numDirs)+int(dirNorth))
-			y--
-		}
-	}
-	m.pathBuf = links
-	return links
+func (m *Mesh) path(src, dst int) []int32 {
+	k := src*m.w*m.h + dst
+	return m.routes.links[m.routes.off[k]:m.routes.off[k+1]]
 }
 
 // Send routes one message and invokes deliver at arrival. Bandwidth is
@@ -265,8 +313,8 @@ func (m *Mesh) commitSendOp(sendAt event.Cycle, arg any) {
 		st.FlitHops[class] += uint64(flits)
 		st.LinkBusy += uint64(flits)
 		if m.tr != nil {
-			m.tr.AddLinkFlits(l, flits)
-			m.tr.Emit(uint64(start), l/int(numDirs), trace.KindNocHop, uint64(l),
+			m.tr.AddLinkFlits(int(l), flits)
+			m.tr.Emit(uint64(start), int(l)/int(numDirs), trace.KindNocHop, uint64(l),
 				int64(flits), int64(start+event.Cycle(flits)))
 		}
 		arrive = start + m.routerLat + m.linkLat
@@ -397,8 +445,8 @@ func (m *Mesh) commitMcastOp(sendAt event.Cycle, arg any) {
 			st.FlitHops[class] += uint64(flits)
 			st.LinkBusy += uint64(flits)
 			if m.tr != nil {
-				m.tr.AddLinkFlits(l, flits)
-				m.tr.Emit(uint64(start), l/int(numDirs), trace.KindNocHop, uint64(l),
+				m.tr.AddLinkFlits(int(l), flits)
+				m.tr.Emit(uint64(start), int(l)/int(numDirs), trace.KindNocHop, uint64(l),
 					int64(flits), int64(start+event.Cycle(flits)))
 			}
 			arrive = start + m.routerLat + m.linkLat
@@ -470,13 +518,6 @@ func (m *Mesh) Audit(total *stats.Stats) {
 				c, total.Flits[c], m.sanInjected[c])
 		}
 	}
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // String describes the mesh.

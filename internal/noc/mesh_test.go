@@ -2,6 +2,7 @@ package noc
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -52,11 +53,22 @@ func TestFlitsByLinkWidth(t *testing.T) {
 		{256, 8, 1},  // subline: 16B total -> 1 flit
 		{128, 57, 5}, // stream config: 65B = 520 bits -> 5 at 128
 		{256, 57, 3},
+		{256, 256, 9}, // bulk prefetch of 32 lines: 264B -> 9, past the table
+		{128, 200, 13},
 	}
 	for _, c := range cases {
 		_, m := newTestMesh(4, 4, c.linkBits)
 		if got := m.Flits(c.payload); got != c.want {
 			t.Errorf("Flits(%d) at %d-bit = %d, want %d", c.payload, c.linkBits, got, c.want)
+		}
+	}
+	// The table agrees with the formula on both sides of its bound.
+	for _, linkBits := range []int{64, 128, 256, 512} {
+		_, m := newTestMesh(2, 2, linkBits)
+		for p := 0; p < 2*flitTablePayloads; p++ {
+			if got, want := m.Flits(p), max(((HeaderBytes+p)*8+linkBits-1)/linkBits, 1); got != want {
+				t.Fatalf("Flits(%d) at %d-bit = %d, want %d", p, linkBits, got, want)
+			}
 		}
 	}
 }
@@ -166,6 +178,54 @@ func TestPropertyRouting(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRouteTableMatchesPathWalk holds the shared route table to the X-Y walk
+// it replaced, which stepped along x and then y through Coord and TileAt for
+// every message, and Hops to the Manhattan distance, on square and
+// rectangular meshes. Two meshes of one geometry share one table.
+func TestRouteTableMatchesPathWalk(t *testing.T) {
+	walk := func(m *Mesh, src, dst int) []int32 {
+		links := []int32{}
+		x, y := m.Coord(src)
+		dx, dy := m.Coord(dst)
+		for x != dx {
+			d, step := dirEast, 1
+			if dx < x {
+				d, step = dirWest, -1
+			}
+			links = append(links, int32(m.TileAt(x, y)*int(numDirs)+int(d)))
+			x += step
+		}
+		for y != dy {
+			d, step := dirSouth, 1
+			if dy < y {
+				d, step = dirNorth, -1
+			}
+			links = append(links, int32(m.TileAt(x, y)*int(numDirs)+int(d)))
+			y += step
+		}
+		return links
+	}
+	for _, g := range [][2]int{{8, 8}, {4, 4}, {3, 5}} {
+		_, m := newTestMesh(g[0], g[1], 256)
+		for src := 0; src < m.Tiles(); src++ {
+			for dst := 0; dst < m.Tiles(); dst++ {
+				want := walk(m, src, dst)
+				if got := m.path(src, dst); !slices.Equal(got, want) {
+					t.Fatalf("%dx%d route %d->%d = %v, want %v", g[0], g[1], src, dst, got, want)
+				}
+				sx, sy := m.Coord(src)
+				dx, dy := m.Coord(dst)
+				if got, want := m.Hops(src, dst), max(sx-dx, dx-sx)+max(sy-dy, dy-sy); got != want {
+					t.Fatalf("%dx%d Hops(%d, %d) = %d, want %d", g[0], g[1], src, dst, got, want)
+				}
+			}
+		}
+		if _, other := newTestMesh(g[0], g[1], 128); other.routes != m.routes {
+			t.Errorf("%dx%d: two meshes of one geometry built two route tables", g[0], g[1])
+		}
 	}
 }
 

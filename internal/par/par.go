@@ -254,11 +254,36 @@ func cmpOps(a, b Op) int {
 	return cmp.Compare(a.Tile, b.Tile)
 }
 
+// cmpTiles orders ops of one cycle.
+func cmpTiles(a, b Op) int { return cmp.Compare(a.Tile, b.Tile) }
+
 // sortOps puts one wave into canonical order, keeping each tile's issue
-// order. An engine fires in time order, so most waves arrive sorted already.
+// order. An engine fires in time order, so a one-shard wave is always sorted
+// by When and only the tiles within each cycle need ordering; a merged wave
+// that is not gets the full stable sort.
 func sortOps(ops []Op) {
-	if !slices.IsSortedFunc(ops, cmpOps) {
-		slices.SortStableFunc(ops, cmpOps)
+	tilesSorted := true
+	for i := 1; i < len(ops); i++ {
+		if ops[i].When < ops[i-1].When {
+			slices.SortStableFunc(ops, cmpOps)
+			return
+		}
+		if ops[i].When == ops[i-1].When && ops[i].Tile < ops[i-1].Tile {
+			tilesSorted = false
+		}
+	}
+	if tilesSorted {
+		return
+	}
+	for i := 0; i < len(ops); {
+		j := i + 1
+		for j < len(ops) && ops[j].When == ops[i].When {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortStableFunc(ops[i:j], cmpTiles)
+		}
+		i = j
 	}
 }
 

@@ -370,34 +370,47 @@ func TestEffectiveWorkers(t *testing.T) {
 	}
 }
 
-// TestSortOpsMatchesSliceStable: the sorted-already pass plus
-// slices.SortStableFunc orders every log exactly as the sort.SliceStable
-// comparator it replaced, on shuffled logs, engine-ordered logs (When
-// ascending, the common case) and logs dense in equal keys.
+// TestSortOpsMatchesSliceStable: sortOps orders every wave exactly as
+// slices.SortStableFunc(cmpOps) and as the sort.SliceStable comparator it
+// replaced, on shuffled waves, one-shard waves (When ascending, tiles
+// interleaved within a cycle: the case that sorts only equal-When runs),
+// waves dense in equal keys and multi-shard concatenations of ascending logs.
 func TestSortOpsMatchesSliceStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 500; trial++ {
+	for trial := 0; trial < 800; trial++ {
 		n := rng.Intn(64)
 		ops := make([]Op, n)
+		shards := 1 + rng.Intn(4)
 		var when event.Cycle
 		for i := range ops {
-			switch trial % 3 {
+			switch trial % 4 {
 			case 0:
 				when = event.Cycle(rng.Intn(8))
 			case 1:
 				when += event.Cycle(rng.Intn(2))
+			case 3:
+				// A new shard's log restarts the clock.
+				if i%(n/shards+1) == 0 {
+					when = event.Cycle(rng.Intn(4))
+				}
+				when += event.Cycle(rng.Intn(3))
 			}
 			// Arg carries the issue index, so a stability slip shows.
 			ops[i] = Op{When: when, Tile: rng.Intn(4), Arg: i}
 		}
 		want := slices.Clone(ops)
-		sort.SliceStable(want, func(i, j int) bool {
-			a, b := &want[i], &want[j]
+		slices.SortStableFunc(want, cmpOps)
+		legacy := slices.Clone(ops)
+		sort.SliceStable(legacy, func(i, j int) bool {
+			a, b := &legacy[i], &legacy[j]
 			if a.When != b.When {
 				return a.When < b.When
 			}
 			return a.Tile < b.Tile
 		})
+		if !reflect.DeepEqual(legacy, want) {
+			t.Fatalf("trial %d: slices.SortStableFunc = %v, sort.SliceStable = %v", trial, want, legacy)
+		}
 		sortOps(ops)
 		if !reflect.DeepEqual(ops, want) {
 			t.Fatalf("trial %d: sortOps = %v, want %v", trial, ops, want)

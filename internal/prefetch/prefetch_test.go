@@ -15,6 +15,16 @@ import (
 // newRig attaches the prefetchers to a 4x4 hierarchy on the shared one-shard
 // rig; st is the rig's counters.
 func newRig(kind config.PrefetchKind, bulk bool) (r *partest.Rig, st *stats.Stats, sys *cache.System, p *Prefetchers) {
+	cfg := rigConfig(kind, bulk)
+	r = partest.New(cfg.Tiles(), event.Cycle(cfg.RouterLatency+cfg.LinkLatency))
+	mesh := noc.New(r.Layout, 4, 4, cfg.LinkBits, cfg.RouterLatency, cfg.LinkLatency)
+	dram := mem.NewDRAM(r.Layout, cfg.DRAMLatency, cfg.DRAMBandwidthBpc, cfg.MemControllerTiles())
+	sys = cache.NewSystem(r.Layout, cfg, mesh, dram)
+	return r, r.St, sys, Attach(cfg, sys)
+}
+
+// rigConfig is newRig's configuration.
+func rigConfig(kind config.PrefetchKind, bulk bool) config.Config {
 	cfg := config.Default()
 	cfg.MeshWidth, cfg.MeshHeight = 4, 4
 	cfg.Prefetch = kind
@@ -22,11 +32,7 @@ func newRig(kind config.PrefetchKind, bulk bool) (r *partest.Rig, st *stats.Stat
 	if bulk {
 		cfg.L3InterleaveBytes = 1024
 	}
-	r = partest.New(cfg.Tiles(), event.Cycle(cfg.RouterLatency+cfg.LinkLatency))
-	mesh := noc.New(r.Layout, 4, 4, cfg.LinkBits, cfg.RouterLatency, cfg.LinkLatency)
-	dram := mem.NewDRAM(r.Layout, cfg.DRAMLatency, cfg.DRAMBandwidthBpc, cfg.MemControllerTiles())
-	sys = cache.NewSystem(r.Layout, cfg, mesh, dram)
-	return r, r.St, sys, Attach(cfg, sys)
+	return cfg
 }
 
 // demand drives a demand read and waits for completion.
@@ -208,11 +214,29 @@ func TestIrregularPatternLowAccuracy(t *testing.T) {
 	}
 }
 
-// TestPrefetchBurstZeroAlloc: once warm, training a prefetcher and issuing
-// its bursts allocates nothing — stride lines and bulk groups are built in
-// per-table scratch and the Bingo PHT is a table, not a map. Each round is
-// 16 demand reads walking a fresh stride (every one a miss that trains and
-// fires a burst), held against as many reads of one line.
+// fillEverySet leaves one line in every set of every cache array, through
+// the functional warm-up and at addresses no test here uses, so no array's
+// slab grows inside a measured window: a slab grows as a run fills sets for
+// the first time, and only a machine built on recycled slabs starts at the
+// size its predecessor reached.
+func fillEverySet(sys *cache.System, cfg config.Config) {
+	const far = 1 << 40
+	for la := uint64(0); la < uint64(cfg.Tiles()*cfg.L3.SizeBytes/cfg.L3.Ways); la += 64 {
+		sys.WarmShared(far + la)
+	}
+	for tile := 0; tile < cfg.Tiles(); tile++ {
+		base := uint64(far + (1+tile)<<30)
+		for la := uint64(0); la < uint64(cfg.L2.SizeBytes/cfg.L2.Ways); la += 64 {
+			sys.WarmPrivate(tile, base+la, false)
+		}
+	}
+}
+
+// TestPrefetchBurstZeroAlloc: once warm (slabs included), training a
+// prefetcher and issuing its bursts allocates nothing — stride lines and bulk
+// groups are built in per-table scratch and the Bingo PHT is a table, not a
+// map. Each round is 16 demand reads walking a fresh stride (every one a miss
+// that trains and fires a burst), held against as many reads of one line.
 func TestPrefetchBurstZeroAlloc(t *testing.T) {
 	const perRound, rounds, warm = 16, 20, 8
 	for _, c := range []struct {
@@ -225,6 +249,7 @@ func TestPrefetchBurstZeroAlloc(t *testing.T) {
 		{"bingo", config.PrefetchBingo, false},
 	} {
 		r, st, sys, _ := newRig(c.kind, c.bulk)
+		fillEverySet(sys, rigConfig(c.kind, c.bulk))
 		next := 0
 		walk := func() {
 			for i := 0; i < perRound; i++ {

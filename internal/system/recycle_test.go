@@ -126,9 +126,12 @@ func TestRecycledStateInvisible(t *testing.T) {
 }
 
 // TestPointAllocBudget holds the second point of a sweep to what it should
-// cost once the first has left its slabs behind, in bytes and in objects. The
-// 8x8 machine's arrays alone are 41 MB, so the byte budget only holds if they
-// are recycled; the object budgets only hold if the per-access path
+// cost once the first has left its slabs behind, in bytes and in objects.
+// The byte budget is about 1.25x the 6.9 MB measured on linux/amd64 for
+// SF/OOO8 mv. Growing its slabs from empty instead (they hold only the sets
+// the run fills, 9 MB of the 41 MB dense arrays, but doubling copies on the
+// way) costs 25 MB, so the budget only holds if slabs are recycled with
+// their capacity; the object budgets only hold if the per-access path
 // allocates nothing: loads travel on pooled op records instead of closures
 // (Base/IO4 bfs took 140k mallocs and Base/OOO8 mv 177k when every iteration
 // and every L2 miss allocated its own), and MSHRs and stream-engine windows
@@ -138,9 +141,10 @@ func TestRecycledStateInvisible(t *testing.T) {
 // engines' path and the sampled Base/IO4 bfs row prices
 // sample.RunEstimate's interval machines and functional warm-up. The object
 // budgets are about 1.25x the counts measured on linux/amd64 (SF/OOO8 mv
-// 66.9k, Base/IO4 bfs 6.0k, Base/OOO8 mv 50.4k, sampled Base/IO4 bfs 6.5k)
-// and are checked without the race detector only (CI's "Allocation budgets
-// (no race)" step): -race inflates counts and empties pools at random. Back
+// 66.9k, Base/IO4 bfs 6.0k, Base/OOO8 mv 50.4k, sampled Base/IO4 bfs 6.5k).
+// Both budgets are checked without the race detector only (CI's "Allocation
+// budgets (no race)" step): -race inflates counts and empties pools at
+// random, and every slab it drops regrows from empty. Back
 // to back on one goroutine, and best of three: two GC cycles between a Put
 // and the next Get legitimately empty a sync.Pool.
 func TestPointAllocBudget(t *testing.T) {
@@ -152,7 +156,7 @@ func TestPointAllocBudget(t *testing.T) {
 		maxBytes   uint64
 		maxObjects uint64
 	}{
-		{sys: "SF", core: config.OOO8, bench: "mv", maxBytes: 30 << 20, maxObjects: 84_000},
+		{sys: "SF", core: config.OOO8, bench: "mv", maxBytes: 9 << 20, maxObjects: 84_000},
 		{sys: "Base", core: config.IO4, bench: "bfs", maxObjects: 7_600},
 		{sys: "Base", core: config.OOO8, bench: "mv", maxObjects: 63_000},
 		{sys: "Base", core: config.IO4, bench: "bfs", intervals: 16, maxObjects: 8_100},
@@ -182,7 +186,7 @@ func TestPointAllocBudget(t *testing.T) {
 			}
 		}
 		t.Logf("second %s point allocates %.1f MB in %d objects", p.name, float64(bytes)/(1<<20), objects)
-		if c.maxBytes != 0 && bytes >= c.maxBytes {
+		if c.maxBytes != 0 && bytes >= c.maxBytes && !raceEnabled {
 			t.Errorf("a recycled scale-0.03 %s point allocates %.1f MB, want < %d MB", p.name, float64(bytes)/(1<<20), c.maxBytes>>20)
 		}
 		if c.maxObjects != 0 && objects >= c.maxObjects && !raceEnabled {
