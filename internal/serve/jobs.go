@@ -4,7 +4,6 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -379,7 +378,10 @@ func (s *Server) runPointsJob(ctx context.Context, j *job) ([]JobResponse, error
 		j.mu.Lock()
 		j.progress.Started++
 		j.mu.Unlock()
-		resp, err := s.runPoint(ctx, cfg, bench, scale)
+		resp, e, err := s.runPoint(ctx, cfg, bench, scale)
+		if err == nil {
+			resp.Results, err = s.cfg.Store.results(e)
+		}
 		if err == nil && !resp.Cached {
 			wallSumMS += resp.ElapsedMS
 			wallN++
@@ -427,8 +429,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	s.recordOrigin(r)
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &spec) {
 		return
 	}
 	if err := spec.validate(); err != nil {

@@ -797,3 +797,26 @@ func TestLatencyPercentilesNearestRank(t *testing.T) {
 		t.Errorf("1..100 = (%v, %v), want (50, 99)", p50, p99)
 	}
 }
+
+// TestJobsBodyTooLarge: a POST /jobs body over maxBodyBytes is refused with
+// 413 and no job is created.
+func TestJobsBodyTooLarge(t *testing.T) {
+	h, ts := newTestServer(t, Config{})
+	point := `{"benchmark":"nn","scale":0.05},`
+	body := `{"points":[` + strings.Repeat(point, maxBodyBytes/len(point)+1) + `{"benchmark":"nn"}]}`
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized /jobs body = %d, want 413", resp.StatusCode)
+	}
+	h.jobsMu.Lock()
+	n := len(h.jobs)
+	h.jobsMu.Unlock()
+	if n != 0 {
+		t.Errorf("%d jobs created from a refused body", n)
+	}
+}

@@ -3,7 +3,9 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/url"
@@ -61,7 +63,7 @@ type Config struct {
 // Server is the sfserve HTTP handler: a bounded worker pool over the result
 // cache.
 //
-//	POST /run               JSON JobRequest -> JSON JobResponse (system.Results)
+//	POST /run               JSON JobRequest -> JSON JobResponse (stored Results bytes)
 //	GET  /figure/{id}       regenerate one figure (query: scale, bench, format)
 //	POST /jobs              submit an async sweep -> 202 {id} (see JobSpec)
 //	GET  /jobs/{id}         async job status + per-point progress
@@ -72,7 +74,7 @@ type Config struct {
 //
 // Every job runs under the request context plus the per-job timeout, so a
 // client disconnect or deadline cancels the simulation mid-flight (the event
-// loop polls cancellation every few thousand events).
+// loop polls cancellation once per 6-cycle quantum).
 type Server struct {
 	cfg   Config
 	mux   *http.ServeMux
@@ -344,8 +346,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	s.recordOrigin(r)
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	cfg, bench, scale, err := req.resolve()
@@ -367,7 +368,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	resp, err := s.runPoint(ctx, cfg, bench, scale)
+	resp, e, err := s.runPoint(ctx, cfg, bench, scale)
+	if err == nil && e.enc == nil {
+		err = fmt.Errorf("results of %s do not encode as JSON", resp.Key)
+	}
 	if err != nil {
 		s.failed.Add(1)
 		if pe, ok := fault.As(err); ok {
@@ -398,19 +402,64 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	s.done.Add(1)
 	s.lat.record(resp.ElapsedMS / 1e3)
-	writeJSON(w, resp)
+	writeRun(w, resp, e.enc)
 }
 
-// point is the one way sfserve gets a simulation point's Results. POST /run
-// and points jobs reach it through runPoint, GET /figure and figure jobs
-// through figureCache. It wraps the Store (memory and disk cache,
-// singleflight, quarantine) around compute, which must be guarded
+// maxBodyBytes bounds a POST /run or POST /jobs request body.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into v.
+// It answers 413 for a larger body and 400 for a malformed one, and
+// reports whether v was decoded.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes), http.StatusRequestEntityTooLarge)
+	case err != nil:
+		http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+	}
+	return err == nil
+}
+
+// writeRun writes a /run reply: resp's leading fields, then the point's
+// stored Results bytes verbatim. The body is byte-identical to
+// writeJSON(resp) with resp.Results filled in (TestRunBodyOracle), but the
+// Results are neither decoded nor re-encoded, nor even copied. The head is
+// spelled out by hand, which matches encoding/json because the key is a
+// system.CacheKey hex digest (nothing to escape) and ElapsedMS, whole
+// microseconds in milliseconds, is 0 or at least 1e-3, where encoding/json
+// writes a float64 in strconv's shortest 'f' form.
+func writeRun(w http.ResponseWriter, resp JobResponse, results []byte) {
+	head := make([]byte, 0, 128)
+	head = append(head, `{"key":"`...)
+	head = append(head, resp.Key...)
+	head = append(head, `","cached":`...)
+	head = strconv.AppendBool(head, resp.Cached)
+	head = append(head, `,"elapsed_ms":`...)
+	head = strconv.AppendFloat(head, resp.ElapsedMS, 'f', -1, 64)
+	head = append(head, `,"results":`...)
+	const tail = "}\n"
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(results)+len(tail)))
+	w.Write(head)
+	w.Write(results)
+	io.WriteString(w, tail)
+}
+
+// point is the one way sfserve gets a simulation point. POST /run and
+// points jobs reach it through runPoint, GET /figure and figure jobs
+// through figureCache. It wraps the Store's one lookup (memory and disk
+// cache, quarantine, singleflight) around compute, which must be guarded
 // (fault.Guard) so a panic or a stall arrives typed, and counts the fault
-// when this caller ran the simulation. cached reports a point served
-// without running compute.
-func (s *Server) point(ctx context.Context, key string, compute func() (system.Results, error)) (res system.Results, cached bool, err error) {
+// when this caller ran the simulation. The entry it returns carries both
+// forms of the point: the encoded bytes /run splices and the Results
+// (Store.results) that sweeps and points jobs read. cached reports a point
+// served without running compute.
+func (s *Server) point(ctx context.Context, key string, compute func() (system.Results, error)) (e *entry, cached bool, err error) {
 	computed := false
-	res, err = s.cfg.Store.Do(ctx, key, func() (system.Results, error) {
+	e, err = s.cfg.Store.lookup(ctx, key, func() (system.Results, error) {
 		computed = true
 		return compute()
 	})
@@ -425,21 +474,22 @@ func (s *Server) point(ctx context.Context, key string, compute func() (system.R
 		}
 	}
 	if err != nil {
-		return system.Results{}, false, err
+		return nil, false, err
 	}
-	return res, !computed, nil
+	return e, !computed, nil
 }
 
 // runPoint computes one resolved /run or points-job point through point,
 // simulating with Config.Runner under the fault guard: panics become
 // structured PointErrors (keeping the serving process up), and with
 // Config.StallTimeout set the stall watchdog kills points whose event loop
-// stops advancing simulated time. On error the response still carries the
-// key and elapsed time.
-func (s *Server) runPoint(ctx context.Context, cfg config.Config, bench string, scale float64) (JobResponse, error) {
+// stops advancing simulated time. The response carries the key, cached
+// flag and elapsed time, even on error, but not the Results: those are in
+// the entry.
+func (s *Server) runPoint(ctx context.Context, cfg config.Config, bench string, scale float64) (JobResponse, *entry, error) {
 	key := system.CacheKey(cfg, bench, scale)
 	start := time.Now()
-	res, cached, err := s.point(ctx, key, func() (system.Results, error) {
+	e, cached, err := s.point(ctx, key, func() (system.Results, error) {
 		var res system.Results
 		err := fault.Guard(ctx, key, s.cfg.StallTimeout, 0, func(ctx context.Context) (err error) {
 			res, err = s.cfg.Runner(ctx, cfg, bench, scale)
@@ -451,8 +501,7 @@ func (s *Server) runPoint(ctx context.Context, cfg config.Config, bench string, 
 		Key:       key,
 		Cached:    cached,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3,
-		Results:   res,
-	}, err
+	}, e, err
 }
 
 // figureCache is the experiments.ResultCache a figure sweep runs against:
@@ -461,8 +510,11 @@ func (s *Server) runPoint(ctx context.Context, cfg config.Config, bench string, 
 type figureCache struct{ s *Server }
 
 func (c figureCache) Do(ctx context.Context, key string, compute func() (system.Results, error)) (system.Results, error) {
-	res, _, err := c.s.point(ctx, key, compute)
-	return res, err
+	e, _, err := c.s.point(ctx, key, compute)
+	if err != nil {
+		return system.Results{}, err
+	}
+	return c.s.cfg.Store.results(e)
 }
 
 // runFigure regenerates one figure through figureCache, under the server's

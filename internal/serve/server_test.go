@@ -8,7 +8,9 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -411,5 +413,133 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition never became true")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRunBodyOracle: a /run body, spliced from the stored entry bytes, is
+// byte-identical to writeJSON of the JobResponse carrying the same point's
+// Results, for all four ways a point is served: computed, memory hit, disk
+// hit (a fresh Store over the same directory), and singleflight follower.
+// Every decoded Results equals a fresh run.
+func TestRunBodyOracle(t *testing.T) {
+	job := JobRequest{System: "SF", Core: "OOO8", Benchmark: "nn", Scale: 0.05}
+	cfg, bench, scale, err := job.resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := system.RunBenchmark(context.Background(), cfg, bench, scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, data []byte, wantCached bool) {
+		t.Helper()
+		var got JobResponse
+		if err := json.Unmarshal(data, &got); err != nil {
+			t.Fatalf("%s: %v in %s", name, err, data)
+		}
+		if got.Cached != wantCached || got.Key != system.CacheKey(cfg, bench, scale) {
+			t.Errorf("%s: key %s cached %v, want cached %v", name, got.Key, got.Cached, wantCached)
+		}
+		if !reflect.DeepEqual(got.Results, fresh) {
+			t.Errorf("%s: decoded Results differ from a fresh run", name)
+		}
+		want := httptest.NewRecorder()
+		writeJSON(want, JobResponse{Key: got.Key, Cached: got.Cached, ElapsedMS: got.ElapsedMS, Results: fresh})
+		if !bytes.Equal(data, want.Body.Bytes()) {
+			t.Errorf("%s: spliced body differs from writeJSON:\ngot  %s\nwant %s", name, data, want.Body.Bytes())
+		}
+	}
+	run := func(url string) []byte {
+		t.Helper()
+		resp, data := postRun(t, url, job)
+		if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+			t.Fatalf("/run = %d %q: %s", resp.StatusCode, resp.Header.Get("Content-Type"), data)
+		}
+		return data
+	}
+
+	dir := t.TempDir()
+	st, err := NewStore(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{Store: st})
+	check("computed", run(ts.URL), false)
+	check("memory hit", run(ts.URL), true)
+	st2, err := NewStore(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts2 := newTestServer(t, Config{Store: st2})
+	check("disk hit", run(ts2.URL), true)
+	if s := st2.Stats(); s.DiskHits != 1 || s.Misses != 0 {
+		t.Errorf("fresh store stats %+v, want one disk hit", s)
+	}
+
+	// The leader's runner blocks until the follower is parked on its call.
+	entered, release := make(chan struct{}), make(chan struct{})
+	st3, err := NewStore(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts3 := newTestServer(t, Config{Store: st3, Runner: func(context.Context, config.Config, string, float64) (system.Results, error) {
+		close(entered)
+		<-release
+		return fresh, nil
+	}})
+	bodies := make(chan []byte, 2)
+	go func() { bodies <- run(ts3.URL) }()
+	<-entered
+	go func() { bodies <- run(ts3.URL) }()
+	waitFor(t, func() bool { return st3.Stats().Dedups == 1 })
+	close(release)
+	for i := 0; i < 2; i++ {
+		data := <-bodies
+		var jr JobResponse
+		if err := json.Unmarshal(data, &jr); err != nil {
+			t.Fatal(err)
+		}
+		name := "singleflight leader"
+		if jr.Cached {
+			name = "singleflight follower"
+		}
+		check(name, data, jr.Cached)
+	}
+	if s := st3.Stats(); s.Misses != 1 || s.Dedups != 1 {
+		t.Errorf("singleflight stats %+v, want one computation shared", s)
+	}
+
+	// The hand-spelled head matches encoding/json over the whole range of
+	// elapsed times a reply can carry: 0 or whole microseconds.
+	enc := newEntry("k", fresh).enc
+	for _, us := range []int64{0, 1, 7, 10, 999, 1000, 1234567, 3_600_000_000, 1 << 53} {
+		resp := JobResponse{Key: system.CacheKey(cfg, bench, scale), Cached: us%2 == 0, ElapsedMS: float64(us) / 1e3}
+		got, want := httptest.NewRecorder(), httptest.NewRecorder()
+		writeRun(got, resp, enc)
+		resp.Results = fresh
+		writeJSON(want, resp)
+		if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+			t.Errorf("%d us: writeRun %s\nwriteJSON %s", us, got.Body.Bytes()[:80], want.Body.Bytes()[:80])
+		}
+	}
+}
+
+// TestServerRunBodyTooLarge: a POST /run body over maxBodyBytes is refused
+// with 413 before anything is decoded or run.
+func TestServerRunBodyTooLarge(t *testing.T) {
+	var calls atomic.Int64
+	_, ts := newTestServer(t, Config{Runner: markRunner(&calls)})
+	body := `{"benchmark":"nn","system":"` + strings.Repeat("x", maxBodyBytes) + `"}`
+	resp, err := http.Post(ts.URL+"/run", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized /run body = %d, want 413", resp.StatusCode)
+	}
+	if calls.Load() != 0 {
+		t.Errorf("runner ran %d times for a refused body", calls.Load())
 	}
 }

@@ -8,13 +8,16 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,11 +31,16 @@ import (
 const DefaultMaxEntries = 4096
 
 // Store is a content-addressed simulation-result cache: an in-memory LRU in
-// front of an optional on-disk JSON store, with singleflight deduplication so
+// front of an optional on-disk store, with singleflight deduplication so
 // concurrent requests for the same key share one computation. Keys are
 // opaque hex strings (system.CacheKey); invalidation is by key change only —
 // any config/benchmark/scale/encoding-version difference produces a
 // different key, and stale entries are simply never looked up again.
+//
+// Its unit is the encoded entry: a point's Results are encoded once, when
+// they are stored, and those bytes are what the disk layer holds and what
+// POST /run splices into its reply. Callers that want the Results get
+// them decoded, once per entry, from bytes this process did not compute.
 //
 // Store implements experiments.ResultCache. All methods are safe for
 // concurrent use.
@@ -59,15 +67,48 @@ type Store struct {
 	poisonHits atomic.Uint64 // failures replayed from quarantine entries
 }
 
+// entry is one cached point: its result file (the envelope below) and,
+// inside it, the Results encoded as /run writes them (writeJSON's
+// settings, no trailing newline), next to the decoded Results. An entry
+// read from disk holds only the bytes until a caller asks for the
+// Results; results decodes them once.
 type entry struct {
-	key string
-	res system.Results
+	key  string
+	file []byte // the envelope; nil when the Results do not encode (see newEntry)
+	enc  []byte // the results part of file
+	once sync.Once
+	res  system.Results
+	err  error // decode failure of enc
+}
+
+// newEntry encodes Results this process computed. Results that do not
+// encode (a NaN statistic) leave the entry without bytes: callers that
+// want Results still get them, but the entry is never written to disk and
+// /run reports it as a server error.
+func newEntry(key string, res system.Results) *entry {
+	e := &entry{key: key, res: res}
+	e.once.Do(func() {}) // res is already decoded
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetEscapeHTML(false)
+	if enc.Encode(res) == nil {
+		e.file, e.enc = envelope(key, bytes.TrimSuffix(buf.Bytes(), []byte("\n")))
+	}
+	return e
+}
+
+// results returns the entry's Results, decoding enc on first use.
+func (e *entry) results() (system.Results, error) {
+	e.once.Do(func() {
+		e.err = json.Unmarshal(e.enc, &e.res)
+	})
+	return e.res, e.err
 }
 
 // call is one in-flight computation; followers wait on done.
 type call struct {
 	done chan struct{}
-	res  system.Results
+	e    *entry
 	err  error
 }
 
@@ -98,18 +139,20 @@ func NewStore(maxEntries int, dir string) (*Store, error) {
 // computing anything.
 func (s *Store) Get(key string) (system.Results, bool) {
 	s.mu.Lock()
-	res, ok := s.memGetLocked(key)
+	e, ok := s.memGetLocked(key)
 	s.mu.Unlock()
 	if ok {
 		s.hits.Add(1)
-		return res, true
-	}
-	if res, ok := s.diskGet(key); ok {
+	} else if e, ok = s.diskGet(key); ok {
 		s.diskHits.Add(1)
-		s.put(key, res)
-		return res, true
+		s.mu.Lock()
+		s.memPutLocked(e)
+		s.mu.Unlock()
+	} else {
+		return system.Results{}, false
 	}
-	return system.Results{}, false
+	res, err := s.results(e)
+	return res, err == nil
 }
 
 // Do returns the cached Results for key, or runs compute — once across all
@@ -120,20 +163,33 @@ func (s *Store) Get(key string) (system.Results, bool) {
 // live, the caller retries (takes over as leader) instead of inheriting the
 // leader's cancellation.
 func (s *Store) Do(ctx context.Context, key string, compute func() (system.Results, error)) (system.Results, error) {
+	e, err := s.lookup(ctx, key, compute)
+	if err != nil {
+		return system.Results{}, err
+	}
+	return s.results(e)
+}
+
+// lookup is the Store's one lookup — memory, quarantine, singleflight,
+// disk, then compute — behind Do and Server.point. It returns the point's
+// entry: the encoded bytes a /run reply splices, and the Results (through
+// results) for everyone else. A memory hit allocates nothing
+// (TestStoreBytesHitZeroAlloc).
+func (s *Store) lookup(ctx context.Context, key string, compute func() (system.Results, error)) (*entry, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	for {
 		s.mu.Lock()
-		if res, ok := s.memGetLocked(key); ok {
+		if e, ok := s.memGetLocked(key); ok {
 			s.mu.Unlock()
 			s.hits.Add(1)
-			return res, nil
+			return e, nil
 		}
 		if pe, ok := s.poisoned[key]; ok {
 			s.mu.Unlock()
 			s.poisonHits.Add(1)
-			return system.Results{}, pe.Served()
+			return nil, pe.Served()
 		}
 		if c, ok := s.inflight[key]; ok {
 			s.mu.Unlock()
@@ -141,23 +197,23 @@ func (s *Store) Do(ctx context.Context, key string, compute func() (system.Resul
 			select {
 			case <-c.done:
 			case <-ctx.Done():
-				return system.Results{}, ctx.Err()
+				return nil, ctx.Err()
 			}
 			if c.err == nil {
-				return c.res, nil
+				return c.e, nil
 			}
 			if isCtxErr(c.err) && ctx.Err() == nil {
 				continue // leader died of its own cancellation; take over
 			}
-			return system.Results{}, c.err
+			return nil, c.err
 		}
 		c := &call{done: make(chan struct{})}
 		s.inflight[key] = c
 		s.mu.Unlock()
 
-		if res, ok := s.diskGet(key); ok {
+		if e, ok := s.diskGet(key); ok {
 			s.diskHits.Add(1)
-			c.res = res
+			c.e = e
 		} else if pe, ok := s.diskPoisonGet(key); ok {
 			// A previous process quarantined this key: replay its failure and
 			// promote the entry to memory so followers skip the disk read.
@@ -167,10 +223,12 @@ func (s *Store) Do(ctx context.Context, key string, compute func() (system.Resul
 			s.poisoned[key] = pe
 			s.mu.Unlock()
 		} else {
-			c.res, c.err = compute()
+			var res system.Results
+			res, c.err = compute()
 			if c.err == nil {
 				s.misses.Add(1)
-				s.diskPut(key, c.res)
+				c.e = newEntry(key, res)
+				s.diskPut(c.e)
 			} else if pe, ok := fault.As(c.err); ok && pe.Deterministic() && !pe.Quarantined {
 				// A fresh deterministic failure (panic, violation): record the
 				// negative entry so this key is never recomputed. The computing
@@ -182,12 +240,36 @@ func (s *Store) Do(ctx context.Context, key string, compute func() (system.Resul
 		s.mu.Lock()
 		delete(s.inflight, key)
 		if c.err == nil {
-			s.memPutLocked(key, c.res)
+			s.memPutLocked(c.e)
 		}
 		s.mu.Unlock()
 		close(c.done)
-		return c.res, c.err
+		return c.e, c.err
 	}
+}
+
+// results returns e's Results, decoding them on first use. Bytes that
+// passed the checksum yet do not decode can only come from a writer other
+// than this Store: the entry is dropped from memory and disk, so the next
+// lookup recomputes the point, and this caller gets the error.
+func (s *Store) results(e *entry) (system.Results, error) {
+	res, err := e.results()
+	if err == nil {
+		return res, nil
+	}
+	s.diskErrs.Add(1)
+	s.mu.Lock()
+	if el, ok := s.entries[e.key]; ok && el.Value.(*entry) == e {
+		s.lru.Remove(el)
+		delete(s.entries, e.key)
+	}
+	s.mu.Unlock()
+	if s.dir != "" {
+		if path := s.diskPath(e.key); path != "" {
+			os.Remove(path)
+		}
+	}
+	return system.Results{}, fmt.Errorf("serve: cached entry %s does not decode: %w", e.key, err)
 }
 
 // isCtxErr reports whether err is (or wraps) a context cancellation or
@@ -204,7 +286,7 @@ func isCtxErr(err error) bool {
 // <key>.poison.json and survives restarts — it is the record a resumed
 // sweep skips the point by.
 //
-// Only Do's computing leader calls it, so the key is never already
+// Only lookup's computing leader calls it, so the key is never already
 // quarantined: every later caller finds the entry before computing.
 func (s *Store) quarantine(key string, pe *fault.PointError) {
 	cp := *pe
@@ -247,29 +329,22 @@ func (s *Store) Stats() StoreStats {
 	}
 }
 
-// put inserts without going through Do (used by Get's disk-promotion path).
-func (s *Store) put(key string, res system.Results) {
-	s.mu.Lock()
-	s.memPutLocked(key, res)
-	s.mu.Unlock()
-}
-
-func (s *Store) memGetLocked(key string) (system.Results, bool) {
+func (s *Store) memGetLocked(key string) (*entry, bool) {
 	el, ok := s.entries[key]
 	if !ok {
-		return system.Results{}, false
+		return nil, false
 	}
 	s.lru.MoveToFront(el)
-	return el.Value.(*entry).res, true
+	return el.Value.(*entry), true
 }
 
-func (s *Store) memPutLocked(key string, res system.Results) {
-	if el, ok := s.entries[key]; ok {
-		el.Value.(*entry).res = res
+func (s *Store) memPutLocked(e *entry) {
+	if el, ok := s.entries[e.key]; ok {
+		el.Value = e
 		s.lru.MoveToFront(el)
 		return
 	}
-	s.entries[key] = s.lru.PushFront(&entry{key: key, res: res})
+	s.entries[e.key] = s.lru.PushFront(e)
 	for s.lru.Len() > s.maxEntries {
 		back := s.lru.Back()
 		s.lru.Remove(back)
@@ -277,26 +352,110 @@ func (s *Store) memPutLocked(key string, res system.Results) {
 	}
 }
 
-// diskEntryVersion tags the on-disk envelope layout. Bumping it orphans old
-// files (they re-miss and are rewritten) instead of misreading them.
-const diskEntryVersion = 1
+// resultVersion tags the result file's envelope layout. A file of another
+// version is a plain miss, not a disk error: it is recomputed and
+// rewritten.
+const resultVersion = 2
 
-// diskEntry is the on-disk JSON envelope. Carrying the key inside the file
-// lets diskGet reject entries that do not actually belong to the key being
-// looked up: a truncated, overwritten, or mis-renamed file (or degenerate
-// JSON like "null" or "{}", which unmarshals cleanly into a bare Results)
-// degrades to a cache miss instead of silently serving zero-valued results.
-type diskEntry struct {
-	V       int            `json:"v"`
-	Key     string         `json:"key"`
-	Results system.Results `json:"results"`
+// poisonVersion tags the quarantine envelope. It moves independently of
+// resultVersion, so quarantines survive a result-format change.
+const poisonVersion = 1
+
+// A result file (<key>.json) is one JSON object whose every byte a hit
+// checks, in this exact order and spelling:
+//
+//	{"v":2,"key":"<key>","crc32c":<n>,"results":<bytes>}
+//
+// <bytes> is the entry's encoded Results and <n> their CRC-32C
+// (Castagnoli) in canonical decimal. Carrying the key inside the file
+// binds it to the key being looked up, and the checksum covers what a hit
+// serves, so a truncated, overwritten, mis-renamed or bit-flipped file
+// degrades to a cache miss without decoding anything.
+var (
+	resultHead = []byte(`{"v":` + strconv.Itoa(resultVersion) + `,"key":"`)
+	crcTag     = []byte(`","crc32c":`)
+	resultsTag = []byte(`,"results":`)
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+	errOtherVersion = errors.New("serve: result file has another envelope version")
+	errBadEntry     = errors.New("serve: result file is not an entry for its key")
+)
+
+// envelope builds key's result file around the encoded Results enc, in
+// one allocation, and returns it with its results part.
+func envelope(key string, enc []byte) (file, results []byte) {
+	file = make([]byte, 0, len(resultHead)+len(key)+len(crcTag)+10+len(resultsTag)+len(enc)+1)
+	file = append(file, resultHead...)
+	file = append(file, key...)
+	file = append(file, crcTag...)
+	file = strconv.AppendUint(file, uint64(crc32.Checksum(enc, castagnoli)), 10)
+	file = append(file, resultsTag...)
+	file = append(file, enc...)
+	results = file[len(file)-len(enc):]
+	return append(file, '}'), results
+}
+
+// envelopeResults returns the results part of a result file for key, after
+// checking the head, the key, the checksum and the closing brace. It
+// decodes nothing. A file that starts like another version's envelope is
+// errOtherVersion; anything else that is not exactly key's envelope is
+// errBadEntry.
+func envelopeResults(key string, data []byte) ([]byte, error) {
+	rest, ok := bytes.CutPrefix(data, resultHead)
+	if !ok {
+		if otherVersion(data) {
+			return nil, errOtherVersion
+		}
+		return nil, errBadEntry
+	}
+	if len(rest) < len(key) || string(rest[:len(key)]) != key {
+		return nil, errBadEntry
+	}
+	if rest, ok = bytes.CutPrefix(rest[len(key):], crcTag); !ok {
+		return nil, errBadEntry
+	}
+	n := digits(rest)
+	if n == 0 || n > 10 || (n > 1 && rest[0] == '0') {
+		return nil, errBadEntry
+	}
+	var sum uint64
+	for _, c := range rest[:n] {
+		sum = sum*10 + uint64(c-'0')
+	}
+	if rest, ok = bytes.CutPrefix(rest[n:], resultsTag); !ok || len(rest) < 2 || rest[len(rest)-1] != '}' {
+		return nil, errBadEntry
+	}
+	enc := rest[:len(rest)-1]
+	if sum > 0xffffffff || crc32.Checksum(enc, castagnoli) != uint32(sum) {
+		return nil, errBadEntry
+	}
+	return enc, nil
+}
+
+// otherVersion reports whether data starts like a result envelope of a
+// version other than resultVersion: {"v":<digits>, with other digits.
+func otherVersion(data []byte) bool {
+	rest, ok := bytes.CutPrefix(data, []byte(`{"v":`))
+	n := digits(rest)
+	return ok && n > 0 && n < len(rest) && rest[n] == ',' &&
+		string(rest[:n]) != strconv.Itoa(resultVersion)
+}
+
+// digits counts the leading ASCII digits of b.
+func digits(b []byte) int {
+	n := 0
+	for n < len(b) && b[n] >= '0' && b[n] <= '9' {
+		n++
+	}
+	return n
 }
 
 // safeKey reports whether a key may be used as a cache file name. Real keys
 // are system.CacheKey hex digests; the Store API accepts arbitrary strings,
 // and anything that could navigate the filesystem (path separators, "..",
 // drive letters) must never reach filepath.Join — an unsafe key simply
-// bypasses the disk layer and lives in memory only.
+// bypasses the disk layer and lives in memory only. The safe alphabet also
+// needs no escaping inside the envelope's JSON string.
 func safeKey(key string) bool {
 	if key == "" || len(key) > 255 {
 		return false
@@ -322,34 +481,55 @@ func (s *Store) diskPath(key string) string {
 	return filepath.Join(s.dir, key+".json")
 }
 
-// diskGet loads a result from the on-disk layer. Unreadable, corrupt, or
-// wrong-key files count as misses (and bump the disk-error counter) — the
-// entry is recomputed and rewritten.
-func (s *Store) diskGet(key string) (system.Results, bool) {
+// diskGet loads an entry from the on-disk layer. Unreadable, corrupt, or
+// wrong-key files count as misses and bump the disk-error counter; a file
+// of another envelope version is a plain miss. Either way the entry is
+// recomputed and rewritten.
+func (s *Store) diskGet(key string) (*entry, bool) {
 	if s.dir == "" {
-		return system.Results{}, false
+		return nil, false
 	}
 	path := s.diskPath(key)
 	if path == "" {
-		return system.Results{}, false
+		return nil, false
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if !os.IsNotExist(err) {
 			s.diskErrs.Add(1)
 		}
-		return system.Results{}, false
+		return nil, false
 	}
-	var ent diskEntry
-	if err := json.Unmarshal(data, &ent); err != nil || ent.V != diskEntryVersion || ent.Key != key {
+	enc, err := envelopeResults(key, data)
+	if err != nil {
+		if !errors.Is(err, errOtherVersion) {
+			s.diskErrs.Add(1)
+		}
+		return nil, false
+	}
+	return &entry{key: key, file: data, enc: enc}, true
+}
+
+// diskPut persists an entry, best-effort: a full disk or unwritable
+// directory degrades the store to memory-only for that entry rather than
+// failing the simulation that produced it.
+func (s *Store) diskPut(e *entry) {
+	if s.dir == "" {
+		return
+	}
+	path := s.diskPath(e.key)
+	if path == "" {
+		return
+	}
+	if e.file == nil {
 		s.diskErrs.Add(1)
-		return system.Results{}, false
+		return
 	}
-	return ent.Results, true
+	s.writeFile(path, e.key+".tmp*", e.file)
 }
 
 // poisonEntry is the on-disk quarantine envelope (<key>.poison.json), with
-// the same key-echo corruption defense as diskEntry.
+// the same key-echo corruption defense as the result envelope.
 type poisonEntry struct {
 	V     int               `json:"v"`
 	Key   string            `json:"key"`
@@ -380,7 +560,7 @@ func (s *Store) diskPoisonGet(key string) (*fault.PointError, bool) {
 	}
 	var ent poisonEntry
 	if err := json.Unmarshal(data, &ent); err != nil ||
-		ent.V != diskEntryVersion || ent.Key != key ||
+		ent.V != poisonVersion || ent.Key != key ||
 		ent.Fault == nil || !ent.Fault.Kind.Deterministic() {
 		s.diskErrs.Add(1)
 		return nil, false
@@ -388,54 +568,25 @@ func (s *Store) diskPoisonGet(key string) (*fault.PointError, bool) {
 	return ent.Fault, true
 }
 
-// diskPoisonPut persists a quarantine entry, best-effort, via temp + rename
-// like diskPut.
+// diskPoisonPut persists a quarantine entry, best-effort.
 func (s *Store) diskPoisonPut(key string, pe *fault.PointError) {
 	path := s.poisonPath(key)
 	if path == "" {
 		return
 	}
-	data, err := json.Marshal(poisonEntry{V: diskEntryVersion, Key: key, Fault: pe})
+	data, err := json.Marshal(poisonEntry{V: poisonVersion, Key: key, Fault: pe})
 	if err != nil {
 		s.diskErrs.Add(1)
 		return
 	}
-	tmp, err := os.CreateTemp(s.dir, key+".poison.tmp*")
-	if err != nil {
-		s.diskErrs.Add(1)
-		return
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		s.diskErrs.Add(1)
-		return
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		s.diskErrs.Add(1)
-	}
+	s.writeFile(path, key+".poison.tmp*", data)
 }
 
-// diskPut persists a result, best-effort: a full disk or unwritable
-// directory degrades the store to memory-only for that entry rather than
-// failing the simulation that produced it. Writes go through a temp file +
-// rename so concurrent processes never observe a partial JSON.
-func (s *Store) diskPut(key string, res system.Results) {
-	if s.dir == "" {
-		return
-	}
-	path := s.diskPath(key)
-	if path == "" {
-		return
-	}
-	data, err := json.Marshal(diskEntry{V: diskEntryVersion, Key: key, Results: res})
-	if err != nil {
-		s.diskErrs.Add(1)
-		return
-	}
-	tmp, err := os.CreateTemp(s.dir, key+".tmp*")
+// writeFile writes data to path through a temp file (named by pattern) and
+// a rename, so concurrent processes never observe a partial file. Failures
+// are counted, not returned.
+func (s *Store) writeFile(path, pattern string, data []byte) {
+	tmp, err := os.CreateTemp(s.dir, pattern)
 	if err != nil {
 		s.diskErrs.Add(1)
 		return

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -334,5 +335,91 @@ func TestStoreResumesSweep(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Errorf("resumed table is not byte-identical to the uninterrupted run:\nresumed       %s\nuninterrupted %s", got, want)
+	}
+}
+
+// TestStoreOtherVersionIsPlainMiss: a result file of another envelope
+// version (a v1 file after the v2 upgrade) is recomputed and rewritten as
+// v2 without counting a disk error, while a corrupt v2 file still counts.
+func TestStoreOtherVersionIsPlainMiss(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewStore(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := system.Results{Benchmark: "nn"}
+	v1, err := json.Marshal(struct {
+		V       int            `json:"v"`
+		Key     string         `json:"key"`
+		Results system.Results `json:"results"`
+	}{1, "k1", want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := st.diskPath("k1")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	computes := 0
+	res, err := st.Do(context.Background(), "k1", func() (system.Results, error) {
+		computes++
+		return want, nil
+	})
+	if err != nil || computes != 1 || !reflect.DeepEqual(res, want) {
+		t.Fatalf("v1 file: res=%+v err=%v computes=%d, want one recompute", res, err, computes)
+	}
+	if s := st.Stats(); s.DiskErrs != 0 || s.DiskHits != 0 || s.Misses != 1 {
+		t.Errorf("v1 file: stats %+v, want a plain miss with no disk errors", s)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte(`{"v":2,"key":"k1","crc32c":`)) {
+		t.Errorf("v1 file was not rewritten as v2: %s", data)
+	}
+	st2, err := NewStore(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := st2.Get("k1"); !ok || !reflect.DeepEqual(res, want) {
+		t.Errorf("rewritten file: Get = %+v, %v; want a disk hit", res, ok)
+	}
+
+	// One flipped byte inside a v2 file's results fails the checksum.
+	data[bytes.Index(data, []byte(`"nn"`))+1] = 'N'
+	if err := os.WriteFile(st.diskPath("k2"), bytes.Replace(data, []byte(`"k1"`), []byte(`"k2"`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st2.Get("k2"); ok {
+		t.Error("corrupt v2 file served as a hit")
+	}
+	if s := st2.Stats(); s.DiskErrs != 1 {
+		t.Errorf("corrupt v2 file: stats %+v, want 1 disk error", s)
+	}
+}
+
+// TestStoreBytesHitZeroAlloc: a memory hit through the bytes accessor
+// (lookup, whose entry /run splices) allocates nothing.
+func TestStoreBytesHitZeroAlloc(t *testing.T) {
+	st, err := NewStore(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	compute := func() (system.Results, error) { return system.Results{Benchmark: "nn"}, nil }
+	if _, err := st.lookup(ctx, "k", compute); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if e, err := st.lookup(ctx, "k", compute); err != nil || len(e.enc) == 0 {
+			t.Fatalf("memory hit: entry %v, err %v", e, err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a memory hit allocates %v objects, want 0", allocs)
+	}
+	if s := st.Stats(); s.Hits < 1000 || s.Misses != 1 {
+		t.Errorf("stats %+v, want every measured lookup a memory hit", s)
 	}
 }
