@@ -43,13 +43,16 @@ const rrpvMax = 3
 const noStream = -1
 
 // line is one cache line's metadata. Which address a way holds, if any, is
-// not here but in the array's tag slice, so a lookup that misses never reads
-// a line. The directory fields (sharers, owner) are only meaningful in L3
-// bank arrays. Fields are ordered widest first so the struct packs into 24
-// bytes: with its 8-byte tag a way costs 32.
+// mostly not here but in the array's tag slice, so a lookup that misses never
+// reads a line: a 4-byte tag holds the low 31 bits of the line number and hi
+// the rest, read only once the tag matches. The directory fields (sharers,
+// owner) are only meaningful in L3 bank arrays. Fields are ordered widest
+// first so the struct packs into 24 bytes, hi in what would be padding: with
+// its tag a way costs 28.
 type line struct {
 	// Directory state (L3 only).
 	sharers uint64 // bitmask of tiles with the line in S
+	hi      uint32 // line number bits 31 and up (see tagOf)
 	owner   int16  // tile holding the line in E/M, or -1
 
 	streamID int16 // stream that brought the line in (noStream if none)
@@ -68,18 +71,17 @@ var emptyLine = line{owner: -1, streamID: noStream}
 
 // poisonLine is what a slab's lines read as after growth under a sanitizer
 // has moved them: no field is a value the model writes (owner and streamID
-// name no tile or stream, every sharer bit is set), so a *line kept across
-// the victim that moved it derails the run instead of reading a plausible
-// copy.
-var poisonLine = line{sharers: ^uint64(0), owner: 0x5a5a, streamID: 0x5a5a, state: 0xff, rrpv: 0xff,
+// name no tile or stream, hi no line number, every sharer bit is set), so a
+// *line kept across the probe that moved it derails the run instead of
+// reading a plausible copy.
+var poisonLine = line{sharers: ^uint64(0), hi: 0x5a5a5a5a, owner: 0x5a5a, streamID: 0x5a5a, state: 0xff, rrpv: 0xff,
 	dirty: true, reused: true, pf: true, stream: true}
 
 // slab is the storage of one array. The blocks of lines and tags hold the
 // sets in the order the run first filled them, ways consecutive, and dir maps
 // a set to its block: dir[set] is 1 + the set's block, or 0 if the set was
-// never filled. tags[i] is lineAddr|1 for the address way i holds (line
-// addresses are 64-byte aligned, so bit 0 is free to tell address 0 from
-// nothing) and 0 for an empty way.
+// never filled. tags[i] is tagOf the address way i holds and 0 for an empty
+// way, so a 16-way set's tags fill one 64-byte host cache line.
 //
 // A slab's capacity (len(lines)) is a whole number of blocks, up to the
 // array's sets×ways, and follows what runs filled, not the geometry: host
@@ -87,16 +89,31 @@ var poisonLine = line{sharers: ^uint64(0), owner: 0x5a5a, streamID: 0x5a5a, stat
 // sweep's machines stop growing after its first points.
 type slab struct {
 	lines []line
-	tags  []uint64
+	tags  []uint32
 	dir   []int32
 }
+
+// Line addresses are lineSize-aligned (LineAddr), so an address is its line
+// number la >> lineBits: 58 bits, split between a tag and line.hi.
+const (
+	lineBits = 6  // log2(lineSize)
+	loBits   = 31 // line number bits a tag holds
+	tagHeld  = 1 << loBits
+)
+
+// tagOf returns la's tag: tagHeld (bit 31, which tells line 0 from an empty
+// way) over the low 31 bits of its line number.
+func tagOf(la uint64) uint32 { return uint32(la>>lineBits)&(tagHeld-1) | tagHeld }
+
+// hiOf returns the line number bits of la a tag does not hold.
+func hiOf(la uint64) uint32 { return uint32(la >> lineBits >> loBits) }
 
 // geometry keys the slab pools: a slab fits any array with its sets and ways.
 type geometry struct{ sets, ways int }
 
 // slabPools recycles slabs between machines, one sync.Pool per geometry (a
 // machine has three: L1, L2, L3 bank). A pooled slab's dir is all zero; its
-// blocks hold whatever the last run left, and victim zeroes a block's tags
+// blocks hold whatever the last run left, and probe zeroes a block's tags
 // before it hands the block out, so a recycled slab is indistinguishable
 // from a fresh one.
 var slabPools sync.Map // geometry -> *sync.Pool of *slab
@@ -139,7 +156,7 @@ type array struct {
 	lineBytes uint64
 	slab      *slab
 	lines     []line   // slab.lines
-	tags      []uint64 // slab.tags; victim, insert and invalidate are the only writers
+	tags      []uint32 // slab.tags; probe, insert and invalidate are the only writers
 	dir       []int32  // slab.dir
 	blocks    int      // blocks handed out; the rest of the slab is stale
 	// checked is set under an attached sanitizer (see check).
@@ -231,17 +248,18 @@ func (a *array) setOfDiv(lineAddr uint64) int {
 }
 
 // lookup returns the line holding lineAddr, or nil. A set never filled
-// answers from the directory alone; otherwise only the set's tags are
-// scanned: a 16-way miss reads two host cache lines, not eight.
+// answers from the directory alone; otherwise the set's tags are scanned (a
+// 16-way set's are one host cache line) and a line is read only where its
+// tag matches.
 func (a *array) lookup(lineAddr uint64) *line {
 	b := int(a.dir[a.setOf(lineAddr)])
 	if b == 0 {
 		return nil
 	}
 	base := (b - 1) * a.ways
-	want := lineAddr | 1
+	want, hi := tagOf(lineAddr), hiOf(lineAddr)
 	for i, tag := range a.tags[base : base+a.ways] {
-		if tag == want {
+		if tag == want && a.lines[base+i].hi == hi {
 			return &a.lines[base+i]
 		}
 	}
@@ -255,46 +273,64 @@ func (a *array) indexOf(l *line) int {
 }
 
 // addrOf returns the line address the way holds; ok is false for an empty
-// way. Eviction code asks this of the slot victim returned.
+// way. Eviction code asks this of the slot a missing probe returned.
 func (a *array) addrOf(l *line) (lineAddr uint64, ok bool) {
 	tag := a.tags[a.indexOf(l)]
-	return tag &^ 1, tag != 0
+	if tag == 0 {
+		return 0, false // an empty way's line is stale: not read
+	}
+	return addrFrom(tag, l.hi), true
+}
+
+// addrFrom rebuilds a held way's line address from its tag and line.hi.
+func addrFrom(tag, hi uint32) uint64 {
+	return (uint64(hi)<<loBits | uint64(tag&(tagHeld-1))) << lineBits
 }
 
 // touch promotes a line on hit (RRIP near re-reference).
 func (a *array) touch(l *line) { l.rrpv = 0 }
 
-// victim selects the replacement victim in lineAddr's set: an empty way if
-// one exists, otherwise the RRIP victim (aging RRPVs as needed). The first
-// victim in a set gives it the slab's next block, growing the slab if the
+// probe looks lineAddr up and, on a miss, picks its replacement victim in
+// the same pass over the set's tags: it returns the line holding lineAddr
+// with hit true, or else the slot to fill, an empty way if one exists,
+// otherwise the RRIP victim (aging RRPVs as needed). The first probe that
+// misses in a set gives it the slab's next block, growing the slab if the
 // run has filled as many sets as it holds.
 //
-// Growth moves the slab, so a *line from this array (lookup's or victim's)
-// is valid only until the next victim on the same array: re-lookup after
-// one instead of keeping the pointer. Victims on other arrays, and every
-// other operation, leave it valid. Under a sanitizer the slab regrows from
-// empty in every run and each growth poisons the lines it moved (see check),
-// so a pointer kept too long derails the run, as a golden diff or a probe
+// Growth moves the slab, so a *line from this array (lookup's or probe's)
+// is valid only until the next probe on the same array: re-lookup after one
+// instead of keeping the pointer. Probes on other arrays, and every other
+// operation, leave it valid. Under a sanitizer the slab regrows from empty
+// in every run and each growth poisons the lines it moved (see check), so a
+// pointer kept too long derails the run, as a golden diff or a probe
 // failure, instead of going unnoticed.
-func (a *array) victim(lineAddr uint64) *line {
+func (a *array) probe(lineAddr uint64) (l *line, hit bool) {
 	set := a.setOf(lineAddr)
 	b := int(a.dir[set])
 	if b == 0 {
 		b = a.newBlock()
 		a.dir[set] = int32(b)
-		return &a.lines[(b-1)*a.ways]
+		return &a.lines[(b-1)*a.ways], false
 	}
 	base := (b - 1) * a.ways
+	want, hi := tagOf(lineAddr), hiOf(lineAddr)
+	empty := -1
 	for i, tag := range a.tags[base : base+a.ways] {
-		if tag == 0 {
-			return &a.lines[base+i]
+		if tag == want && a.lines[base+i].hi == hi {
+			return &a.lines[base+i], true
 		}
+		if tag == 0 && empty < 0 {
+			empty = i
+		}
+	}
+	if empty >= 0 {
+		return &a.lines[base+empty], false
 	}
 	ls := a.lines[base : base+a.ways]
 	for {
 		for i := range ls {
 			if ls[i].rrpv >= rrpvMax {
-				return &ls[i]
+				return &ls[i], false
 			}
 		}
 		for i := range ls {
@@ -321,7 +357,7 @@ func (a *array) newBlock() int {
 func (a *array) grow() {
 	n := min(max(2*a.blocks, 1), a.sets) * a.ways
 	used := a.blocks * a.ways
-	lines, tags := make([]line, n), make([]uint64, n)
+	lines, tags := make([]line, n), make([]uint32, n)
 	copy(lines, a.lines[:used])
 	copy(tags, a.tags[:used])
 	if a.checked {
@@ -335,7 +371,7 @@ func (a *array) grow() {
 // check attaches (on) or detaches the sanitizer's growth rule. A checked
 // array drops the capacity its slab kept, so it regrows from empty in every
 // run (at 1, 2, 4, ... filled sets) whatever the pool held, and every growth
-// poisons what it moved. Call before the first victim.
+// poisons what it moved. Call before the first probe.
 func (a *array) check(on bool) {
 	a.checked = on
 	if on {
@@ -343,7 +379,7 @@ func (a *array) check(on bool) {
 	}
 }
 
-// insert installs lineAddr into the slot previously returned by victim,
+// insert installs lineAddr into the slot a missing probe returned,
 // resetting metadata and applying the bimodal insertion policy. The caller
 // must have handled the victim's eviction first.
 func (a *array) insert(slot *line, lineAddr uint64) {
@@ -352,9 +388,9 @@ func (a *array) insert(slot *line, lineAddr uint64) {
 	if a.brripLongEvery <= 1 || a.fillCount%a.brripLongEvery == 0 {
 		rrpv = rrpvMax - 1 // long
 	}
-	a.tags[a.indexOf(slot)] = lineAddr | 1
-	*slot = line{
-		state:    stInvalid, // caller sets
+	a.tags[a.indexOf(slot)] = tagOf(lineAddr)
+	*slot = line{ // state stInvalid: the caller sets it
+		hi:       hiOf(lineAddr),
 		rrpv:     rrpv,
 		streamID: noStream,
 		owner:    -1,
@@ -377,7 +413,7 @@ func (a *array) forEachValid(fn func(lineAddr uint64, l *line)) {
 		base := (int(b) - 1) * a.ways
 		for i, tag := range a.tags[base : base+a.ways] {
 			if tag != 0 {
-				fn(tag&^1, &a.lines[base+i])
+				fn(addrFrom(tag, a.lines[base+i].hi), &a.lines[base+i])
 			}
 		}
 	}

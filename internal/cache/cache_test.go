@@ -406,23 +406,93 @@ func TestPrivateHas(t *testing.T) {
 func TestRRIPVictimSelection(t *testing.T) {
 	a := newArray(4*64*2, 2, 64, 1.0) // 4 sets x 2 ways
 	// Fill both ways of set 0.
-	s1 := a.victim(0)
+	s1, _ := a.probe(0)
 	a.insert(s1, 0)
-	s2 := a.victim(0)
-	a.insert(s2, 4*64) // same set (wraps)
-	// Touch the first: it becomes near; victim must be the second.
+	s2, _ := a.probe(4 * 64) // same set (wraps)
+	a.insert(s2, 4*64)
+	// Touch the first: it becomes near; the victim must be the second.
 	a.touch(a.lookup(0))
-	if va, _ := a.addrOf(a.victim(8 * 64)); va != 4*64 {
+	if slot, hit := a.probe(8 * 64); hit {
+		t.Error("probe of an absent line hit")
+	} else if va, _ := a.addrOf(slot); va != 4*64 {
 		t.Errorf("victim = %#x, want the untouched line", va)
 	}
 }
 
-// TestLineSizeof pins the packed layout: 24 bytes of metadata plus the
-// 8-byte tag held beside it is 32 bytes per way, what a line alone cost
-// while it still carried its own address.
+// TestLineSizeof pins the packed layout: 24 bytes of metadata, the line
+// number's high bits (hi) included, plus the 4-byte tag held beside it is 28
+// bytes per way, and a 16-way set's tags (Table III's L2 and L3) fill one
+// 64-byte host cache line.
 func TestLineSizeof(t *testing.T) {
 	if sz := unsafe.Sizeof(line{}); sz > 24 {
 		t.Fatalf("sizeof(line) = %d bytes, want <= 24", sz)
+	}
+	var sl slab
+	if sz := 16 * unsafe.Sizeof(sl.tags[0]); sz != 64 {
+		t.Fatalf("a 16-way set's tags take %d bytes, want 64", sz)
+	}
+}
+
+// TestTagHighBits: a tag holds only the low 31 bits of a line number, so
+// lines whose numbers agree there and differ above (la and la + 1<<37)
+// share a set and a tag value; line.hi must keep them apart in every
+// operation, and every line address, up to the top of the 64-bit space,
+// must round-trip.
+func TestTagHighBits(t *testing.T) {
+	top := ^uint64(0) &^ (lineSize - 1)
+	for _, la := range []uint64{0, 3 << 6, 1<<37 - 64, top - 1<<37, top} {
+		a := newArray(4*64*2, 2, 64, 1.0) // 4 sets x 2 ways
+		alias := la ^ 1<<37               // same low 31 bits, other hi
+		if a.setOf(alias) != a.setOf(la) || tagOf(alias) != tagOf(la) || hiOf(alias) == hiOf(la) {
+			t.Fatalf("%#x and %#x must share a set and a tag and differ in hi", la, alias)
+		}
+		if l := a.lookup(alias); l != nil {
+			t.Fatalf("lookup(%#x) hit an empty array", alias)
+		}
+		slot, hit := a.probe(la)
+		if hit {
+			t.Fatalf("probe(%#x) hit an empty array", la)
+		}
+		a.insert(slot, la)
+		slot.owner = 1
+		if l, hit := a.probe(alias); hit {
+			t.Fatalf("probe(%#x) hit %#x's line", alias, la)
+		} else if _, held := a.addrOf(l); held {
+			t.Fatalf("probe(%#x) picked a held way over an empty one", alias)
+		} else {
+			a.insert(l, alias)
+			l.owner = 2
+		}
+		for want, owner := range map[uint64]int16{la: 1, alias: 2} {
+			l := a.lookup(want)
+			if l == nil || l.owner != owner {
+				t.Fatalf("lookup(%#x) = %+v, want the line with owner %d", want, l, owner)
+			}
+			if p, hit := a.probe(want); !hit || p != l {
+				t.Fatalf("probe(%#x) = %p/%v, want lookup's line %p", want, p, hit, l)
+			}
+			if got, held := a.addrOf(l); !held || got != want {
+				t.Fatalf("addrOf(line of %#x) = %#x/%v", want, got, held)
+			}
+		}
+		var seen []uint64
+		a.forEachValid(func(got uint64, l *line) {
+			if want := map[int16]uint64{1: la, 2: alias}[l.owner]; got != want {
+				t.Fatalf("forEachValid gave %#x for the line of %#x", got, want)
+			}
+			seen = append(seen, got)
+		})
+		if len(seen) != 2 {
+			t.Fatalf("forEachValid visited %v, want %#x and %#x", seen, la, alias)
+		}
+		a.invalidate(a.lookup(la))
+		if a.lookup(la) != nil || a.lookup(alias) == nil {
+			t.Fatalf("invalidating %#x must leave %#x held", la, alias)
+		}
+	}
+	// Poison names no line: hi is past every reachable value.
+	if poisonLine.hi <= hiOf(top) {
+		t.Fatalf("poisonLine.hi = %#x, a reachable line number's (max %#x)", poisonLine.hi, hiOf(top))
 	}
 }
 
@@ -443,6 +513,14 @@ func newDenseArray(a *array) *denseArray {
 		d.lines[i] = emptyLine
 	}
 	return d
+}
+
+// sameMeta compares a line with the dense model's copy of it. The dense
+// model keeps whole addresses in its tags, so hi, the directory array's
+// share of the address, is held to it through lookups and addresses instead.
+func sameMeta(l, dense line) bool {
+	l.hi, dense.hi = 0, 0
+	return l == dense
 }
 
 func (d *denseArray) lookup(la uint64) int {
@@ -485,13 +563,16 @@ func (d *denseArray) insert(i int, la uint64) {
 }
 
 // TestDirectoryArrayMatchesDense drives the directory array and the dense
-// reference through the same seeded lookup/victim/insert/invalidate/touch
+// reference through the same seeded lookup/probe/insert/invalidate/touch
 // sequences, field writes included, and requires the same answer from every
-// call and the same contents afterwards. The geometries cover Table III's,
-// non-power-of-two set counts and bank-local indexing; each array is
-// released before the next is built, so later arrays run on recycled slabs
-// of every size, grown and not, and one in three runs under the sanitizer's
-// regrow-and-poison rule.
+// call and the same contents afterwards. A fill goes through probe, checked
+// against the dense model's lookup-then-victim: hit flag, way and evicted
+// address. The geometries cover Table III's, non-power-of-two set counts and
+// bank-local indexing; each array is released before the next is built, so
+// later arrays run on recycled slabs of every size, grown and not, and one
+// in three runs under the sanitizer's regrow-and-poison rule (a checked
+// array). Every other run draws line numbers that collide in a tag's 31 bits
+// and differ above it.
 func TestDirectoryArrayMatchesDense(t *testing.T) {
 	type geom struct{ sizeBytes, ways, interleave, tiles int }
 	geoms := []geom{
@@ -518,47 +599,65 @@ func TestDirectoryArrayMatchesDense(t *testing.T) {
 		// Footprints from a few sets to past the array's capacity, so runs
 		// fill anything from a handful of sets to all of them.
 		span := 1 + rng.Intn(4*a.sets*a.ways)
+		aliases := 1 + 2*(run%2) // line numbers 0, 1 or 2 << 31 apart
 		for op := 0; op < 4000; op++ {
-			la := uint64(rng.Intn(span)) * 64
+			la := (uint64(rng.Intn(span)) + uint64(rng.Intn(aliases))<<loBits) * 64
 			if il := uint64(g.interleave); il != 0 {
 				// A line of a chunk this bank owns (bank 0 of tiles).
 				la = la/il*uint64(g.tiles)*il + la%il
 			}
-			hit, want := a.lookup(la), d.lookup(la)
-			if (hit != nil) != (want >= 0) {
-				t.Fatalf("run %d %+v op %d: lookup(%#x) hit %v, dense %v", run, g, op, la, hit != nil, want >= 0)
-			}
-			if hit != nil {
-				if *hit != d.lines[want] {
-					t.Fatalf("run %d %+v op %d: line %#x = %+v, dense %+v", run, g, op, la, *hit, d.lines[want])
+			want := d.lookup(la)
+			var hit *line
+			if rng.Intn(3) == 0 {
+				if hit = a.lookup(la); (hit != nil) != (want >= 0) {
+					t.Fatalf("run %d %+v op %d: lookup(%#x) hit %v, dense %v", run, g, op, la, hit != nil, want >= 0)
 				}
-				switch rng.Intn(3) {
-				case 0:
-					a.touch(hit)
-					d.lines[want].rrpv = 0
-				case 1:
-					a.invalidate(hit)
-					d.tags[want], d.lines[want] = 0, emptyLine
-				default:
-					hit.dirty, hit.sharers, hit.owner = true, rng.Uint64(), int16(rng.Intn(64))
-					d.lines[want].dirty, d.lines[want].sharers, d.lines[want].owner = hit.dirty, hit.sharers, hit.owner
+				if hit == nil {
+					continue
 				}
-				continue
+			} else {
+				// A fill: one probe against the dense lookup-then-victim.
+				slot, found := a.probe(la)
+				if found != (want >= 0) {
+					t.Fatalf("run %d %+v op %d: probe(%#x) hit %v, dense %v", run, g, op, la, found, want >= 0)
+				}
+				if found {
+					if a.indexOf(slot)%a.ways != want%a.ways {
+						t.Fatalf("run %d %+v op %d: probe(%#x) hit way %d, dense way %d", run, g, op, la, a.indexOf(slot)%a.ways, want%a.ways)
+					}
+					hit = slot
+				} else {
+					dv := d.victim(la)
+					va, held := a.addrOf(slot)
+					if held != (d.tags[dv] != 0) || va != d.tags[dv]&^1 || a.indexOf(slot)%a.ways != dv%a.ways {
+						t.Fatalf("run %d %+v op %d: probe(%#x) victim = way %d %#x/%v, dense way %d %#x",
+							run, g, op, la, a.indexOf(slot)%a.ways, va, held, dv%a.ways, d.tags[dv])
+					}
+					a.insert(slot, la)
+					d.insert(dv, la)
+					slot.state, slot.stream, slot.streamID = stModified, true, int16(op%100)
+					d.lines[dv].state, d.lines[dv].stream, d.lines[dv].streamID = slot.state, slot.stream, slot.streamID
+					continue
+				}
 			}
-			slot, dv := a.victim(la), d.victim(la)
-			va, held := a.addrOf(slot)
-			if held != (d.tags[dv] != 0) || va != d.tags[dv]&^1 || a.indexOf(slot)%a.ways != dv%a.ways {
-				t.Fatalf("run %d %+v op %d: victim(%#x) = way %d %#x/%v, dense way %d %#x",
-					run, g, op, la, a.indexOf(slot)%a.ways, va, held, dv%a.ways, d.tags[dv])
+			if !sameMeta(*hit, d.lines[want]) {
+				t.Fatalf("run %d %+v op %d: line %#x = %+v, dense %+v", run, g, op, la, *hit, d.lines[want])
 			}
-			a.insert(slot, la)
-			d.insert(dv, la)
-			slot.state, slot.stream, slot.streamID = stModified, true, int16(op%100)
-			d.lines[dv].state, d.lines[dv].stream, d.lines[dv].streamID = slot.state, slot.stream, slot.streamID
+			switch rng.Intn(3) {
+			case 0:
+				a.touch(hit)
+				d.lines[want].rrpv = 0
+			case 1:
+				a.invalidate(hit)
+				d.tags[want], d.lines[want] = 0, emptyLine
+			default:
+				hit.dirty, hit.sharers, hit.owner = true, rng.Uint64(), int16(rng.Intn(64))
+				d.lines[want].dirty, d.lines[want].sharers, d.lines[want].owner = hit.dirty, hit.sharers, hit.owner
+			}
 		}
 		var got, want []uint64
 		a.forEachValid(func(la uint64, l *line) {
-			if *l != d.lines[d.lookup(la)] {
+			if !sameMeta(*l, d.lines[d.lookup(la)]) {
 				t.Fatalf("run %d %+v: final line %#x = %+v, dense %+v", run, g, la, *l, d.lines[d.lookup(la)])
 			}
 			got = append(got, la)
@@ -585,7 +684,8 @@ func TestDirectoryArrayMatchesDense(t *testing.T) {
 // fails loudly instead of reading the next machine's state.
 func TestReleasedArrayPanics(t *testing.T) {
 	a := newArray(64*64*4, 4, 64, 0.03)
-	a.insert(a.victim(64), 64)
+	slot, _ := a.probe(64)
+	a.insert(slot, 64)
 	a.release()
 	defer func() {
 		if recover() == nil {
@@ -596,15 +696,16 @@ func TestReleasedArrayPanics(t *testing.T) {
 }
 
 // TestSanitizedGrowthPoisonsMovedLines: under a sanitizer a pointer kept
-// across the victim that grew the slab reads poison, not a plausible copy.
+// across the probe that grew the slab reads poison, not a plausible copy.
 func TestSanitizedGrowthPoisonsMovedLines(t *testing.T) {
 	a := newArray(64*64*4, 4, 64, 0.03)
 	a.check(true)
-	slot := a.victim(0)
+	slot, _ := a.probe(0)
 	a.insert(slot, 0)
 	slot.owner = 3
 	stale := slot
-	a.insert(a.victim(64), 64) // a second set: the slab grows from 1 block to 2
+	slot, _ = a.probe(64) // a second set: the slab grows from 1 block to 2
+	a.insert(slot, 64)
 	if *stale != poisonLine {
 		t.Errorf("kept pointer reads %+v after growth, want the poison line", *stale)
 	}
@@ -789,7 +890,7 @@ func TestBRRIPBimodalInsertion(t *testing.T) {
 	long := 0
 	const n = 1000
 	for i := 0; i < n; i++ {
-		slot := a.victim(uint64(i * 64))
+		slot, _ := a.probe(uint64(i * 64))
 		if _, held := a.addrOf(slot); held {
 			a.invalidate(slot)
 		}

@@ -6,7 +6,7 @@ import "unsafe"
 // its slab holds, the bytes of the blocks the run filled, and what the
 // arrays would hold if every set had its ways: a line plus its tag per way.
 func (s *System) SlabBytes() (held, filled, dense int) {
-	const way = int(unsafe.Sizeof(line{})) + 8
+	const way = int(unsafe.Sizeof(line{}) + unsafe.Sizeof(slab{}.tags[0]))
 	add := func(a *array) {
 		held += len(a.lines) * way
 		filled += a.blocks * a.ways * way

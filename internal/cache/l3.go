@@ -231,14 +231,15 @@ func (s *System) dropPrivate(bank, tile int, la uint64) {
 // Concurrent fills of the same line at the same bank merge into one memory
 // access (the bank's fill MSHR).
 func (s *System) dramFill(bank int, la uint64, cont func()) {
-	if f, busy := s.fillMSHR[bank].Get(la); busy {
-		f.waiters = append(f.waiters, cont)
+	p, busy := s.fillMSHR[bank].Ref(la)
+	if busy {
+		(*p).waiters = append((*p).waiters, cont)
 		return
 	}
 	f := s.getFill(bank)
 	f.bank, f.ctrlTile, f.la = bank, s.dram.CtrlTile(s.dram.CtrlFor(la)), la
 	f.waiters = append(f.waiters, cont)
-	s.fillMSHR[bank].Put(la, f)
+	*p = f
 	s.mesh.SendCall(bank, f.ctrlTile, stats.ClassCtrlReq, 8, runFillAtCtrl, event.Ref{Obj: f})
 }
 
@@ -270,10 +271,10 @@ func runFillAtBank(_ event.Cycle, ref event.Ref) {
 // installL3 places la into the bank, handling victim eviction.
 func (s *System) installL3(bank int, la uint64) {
 	arr := s.banks[bank]
-	if arr.lookup(la) != nil {
+	slot, hit := arr.probe(la)
+	if hit {
 		return // racing fill already installed it
 	}
-	slot := arr.victim(la)
 	if va, ok := arr.addrOf(slot); ok {
 		s.evictL3(bank, slot, va)
 	}

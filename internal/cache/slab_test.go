@@ -12,7 +12,7 @@ import (
 // not the geometry. On the second scale-0.03 SF/OOO8 mv point, built on the
 // slabs the first released, the arrays hold at most twice the bytes of the
 // blocks the run filled (slabs grow by doubling) and under a quarter of
-// Table III's dense 41 MB. Unsanitized: a checked array regrows from empty.
+// Table III's dense 36 MB. Unsanitized: a checked array regrows from empty.
 func TestSlabBytesFollowFilledSets(t *testing.T) {
 	cfg, err := config.ForSystem("SF", config.OOO8)
 	if err != nil {

@@ -59,15 +59,18 @@ type tileCaches struct {
 	mshr linetab.Table[*accessOp]
 }
 
-// park adds op behind last (nil: an entry with no waiter yet) and makes it
-// la's MSHR entry. Waiters wake in the order they parked.
-func (tc *tileCaches) park(la uint64, last, op *accessOp) {
-	if last == nil {
+// park adds op behind la's MSHR waiters, creating the entry if there is
+// none, and reports whether a fetch for la was already in flight. Waiters
+// wake in the order they parked.
+func (tc *tileCaches) park(la uint64, op *accessOp) (busy bool) {
+	p, busy := tc.mshr.Ref(la)
+	if last := *p; last == nil {
 		op.next = op
 	} else {
 		op.next, last.next = last.next, op
 	}
-	tc.mshr.Put(la, op)
+	*p = op
+	return busy
 }
 
 // The op records below carry one access through the hierarchy without
@@ -558,9 +561,7 @@ func (s *System) loadAfterL2(op *accessOp, now event.Cycle) {
 	// Merge into an outstanding miss if one exists: the op parks in the MSHR
 	// and op.complete runs when the fill (its own or the one it merged into)
 	// arrives.
-	last, busy := tc.mshr.Get(la)
-	tc.park(la, last, op)
-	if busy {
+	if tc.park(la, op) {
 		return
 	}
 	l3kind := stats.L3CoreNormal
@@ -622,9 +623,7 @@ func (s *System) storeAfterL1(op *accessOp, now event.Cycle) {
 			s.tr.Emit(uint64(now), tile, trace.KindL2Miss, la, int64(meta.StreamID), 1)
 		}
 	}
-	last, busy := tc.mshr.Get(la)
-	tc.park(la, last, op)
-	if busy {
+	if tc.park(la, op) {
 		return
 	}
 	s.fetch(tile, la, true, stats.L3CoreNormal, meta, Write)
@@ -636,10 +635,9 @@ func (s *System) l2Prefetch(tile int, la uint64, meta Meta) {
 	if tc.l2.lookup(la) != nil {
 		return
 	}
-	if tc.mshr.Has(la) {
+	if _, busy := tc.mshr.Ref(la); busy {
 		return // demand or another prefetch already fetching
 	}
-	tc.mshr.Put(la, nil)
 	s.lay.St(tile).PrefetchIssued++
 	s.fetch(tile, la, false, stats.L3CoreNormal, meta, PrefL2)
 }
@@ -654,10 +652,9 @@ func (s *System) PrefetchBulkL2(tile int, bank int, lineAddrs []uint64, meta Met
 		if tc.l2.lookup(la) != nil {
 			continue
 		}
-		if tc.mshr.Has(la) {
+		if _, busy := tc.mshr.Ref(la); busy {
 			continue
 		}
-		tc.mshr.Put(la, nil)
 		s.lay.St(tile).PrefetchIssued++
 		if bulk == nil {
 			bulk = s.getMiss(tile)
@@ -740,15 +737,15 @@ func (s *System) finishFetch(tile int, la uint64, granted state, meta Meta, kind
 // fillL2 installs la into the tile's L2 with the granted MESI state.
 func (s *System) fillL2(tile int, la uint64, granted state, meta Meta, kind Kind) {
 	tc := s.tiles[tile]
-	if l := tc.l2.lookup(la); l != nil {
+	slot, hit := tc.l2.probe(la)
+	if hit {
 		// Upgrade of an existing line.
-		l.state = granted
+		slot.state = granted
 		if granted == stModified {
-			l.dirty = true
+			slot.dirty = true
 		}
 		return
 	}
-	slot := tc.l2.victim(la)
 	if va, ok := tc.l2.addrOf(slot); ok {
 		s.evictL2(tile, slot, va)
 	}
@@ -765,10 +762,10 @@ func (s *System) fillL2(tile int, la uint64, granted state, meta Meta, kind Kind
 // fillL1 installs la into the tile's L1.
 func (s *System) fillL1(tile int, la uint64, pf bool, meta Meta) {
 	tc := s.tiles[tile]
-	if tc.l1.lookup(la) != nil {
+	slot, hit := tc.l1.probe(la)
+	if hit {
 		return
 	}
-	slot := tc.l1.victim(la)
 	if va, ok := tc.l1.addrOf(slot); ok {
 		s.evictL1(tile, slot, va)
 	}

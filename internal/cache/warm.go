@@ -102,11 +102,11 @@ func (s *System) WarmPrivate(tile int, addr uint64, write bool) {
 func (s *System) warmBankLine(la uint64) *line {
 	bank := s.HomeBank(la)
 	arr := s.banks[bank]
-	if l := arr.lookup(la); l != nil {
-		arr.touch(l)
-		return l
+	slot, hit := arr.probe(la)
+	if hit {
+		arr.touch(slot)
+		return slot
 	}
-	slot := arr.victim(la)
 	if va, ok := arr.addrOf(slot); ok {
 		s.warmEvictL3(bank, slot, va)
 	}
@@ -132,15 +132,15 @@ func (s *System) warmEvictL3(bank int, victim *line, va uint64) {
 // state, evicting a victim functionally if needed.
 func (s *System) warmFillL2(tile int, la uint64, st state, dirty bool) {
 	tc := s.tiles[tile]
-	if l := tc.l2.lookup(la); l != nil {
-		l.state = st
+	slot, hit := tc.l2.probe(la)
+	if hit {
+		slot.state = st
 		if dirty {
-			l.dirty = true
+			slot.dirty = true
 		}
-		tc.l2.touch(l)
+		tc.l2.touch(slot)
 		return
 	}
-	slot := tc.l2.victim(la)
 	if va, ok := tc.l2.addrOf(slot); ok {
 		s.warmEvictL2(tile, slot, va)
 	}
@@ -177,14 +177,14 @@ func (s *System) warmEvictL2(tile int, victim *line, va uint64) {
 // functional evictL1), or refreshes its replacement state on a warm hit.
 func (s *System) warmFillL1(tile int, la uint64, dirty bool) {
 	tc := s.tiles[tile]
-	if l := tc.l1.lookup(la); l != nil {
-		tc.l1.touch(l)
+	slot, hit := tc.l1.probe(la)
+	if hit {
+		tc.l1.touch(slot)
 		if dirty {
-			l.dirty = true
+			slot.dirty = true
 		}
 		return
 	}
-	slot := tc.l1.victim(la)
 	if va, ok := tc.l1.addrOf(slot); ok {
 		s.evictL1(tile, slot, va)
 	}

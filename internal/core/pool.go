@@ -48,7 +48,7 @@ type waitList struct{ fns []func(event.Cycle) }
 
 // park appends cb to key's list in t, taking a list for a new key.
 func (l *opLists) park(t *linetab.Table[*waitList], key uint64, cb func(event.Cycle)) {
-	p := t.Ref(key)
+	p, _ := t.Ref(key)
 	if *p == nil {
 		if *p = l.wait.Get(); *p == nil {
 			*p = new(waitList)

@@ -522,7 +522,7 @@ func (c *seCore) lineArrived(line *fifoLine, latency event.Cycle) {
 // issueIndirect launches the dependent access for one indirect element once
 // its index value is available (SS and SF-Aff modes).
 func (c *seCore) issueIndirect(s *coreStream, e int64) {
-	p := s.elems.Ref(uint64(e))
+	p, _ := s.elems.Ref(uint64(e))
 	if *p == nil {
 		*p = c.getElem(s)
 	}

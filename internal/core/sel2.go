@@ -59,7 +59,7 @@ func (l *seL2) putBuf(b *bufLine) {
 
 // indStateRef returns element idx's state, creating it if absent.
 func (l *seL2) indStateRef(c *childStates, idx int64) *indState {
-	p := c.states.Ref(uint64(idx))
+	p, _ := c.states.Ref(uint64(idx))
 	if *p == nil {
 		st := l.e.lists(l.tile).indSt.Get()
 		if st == nil {

@@ -25,7 +25,8 @@
 // A ring slot is only a {head, tail} pair of node indices; the events
 // themselves live in one per-engine slab of nodes, each cycle's events
 // chained through node.next in schedule order. Scheduling links a node at
-// its cycle's tail, firing unlinks the head and pushes the node on a LIFO
+// its cycle's tail and writes the event's fields straight into it (no item is
+// built and copied in), firing unlinks the head and pushes the node on a LIFO
 // free list. LIFO on purpose: the node an event just vacated is the one the
 // next scheduled event is written into, so the queue's working set is the
 // handful of host cache lines that are already hot, and an engine's memory
@@ -180,16 +181,16 @@ func (e *Engine) AtCall(when Cycle, fn CallFunc, ref Ref) {
 		when = e.now
 	}
 	e.seq++
-	it := item{when: when, seq: e.seq, call: fn, ref: ref}
 	e.size++
-	if when-e.now < ringSize {
-		if when < e.scanFrom {
-			e.scanFrom = when
-		}
-		e.link(it)
+	if when-e.now >= ringSize {
+		e.overflowPush(item{when: when, seq: e.seq, call: fn, ref: ref})
 		return
 	}
-	e.overflowPush(it)
+	if when < e.scanFrom {
+		e.scanFrom = when
+	}
+	n := e.link(when)
+	n.seq, n.call, n.ref = e.seq, fn, ref
 }
 
 // node returns slab slot i.
@@ -215,18 +216,18 @@ func (e *Engine) grow() {
 	}
 }
 
-// link appends it to the list of its cycle, which must lie inside the ring
-// window. The node comes off the free list's top: the most recently fired
-// event's slot.
-func (e *Engine) link(it item) {
+// link appends a node to the list of cycle when, which must lie inside the
+// ring window, and returns it with when set for the caller to fill in. The
+// node comes off the free list's top: the most recently fired event's slot.
+func (e *Engine) link(when Cycle) *node {
 	if e.free == 0 {
 		e.grow()
 	}
 	i := e.free
 	n := e.node(i)
 	e.free = n.next
-	n.item, n.next = it, 0
-	b := &e.ring[it.when&ringMask]
+	n.when, n.next = when, 0
+	b := &e.ring[when&ringMask]
 	if b.tail == 0 {
 		b.head = i
 	} else {
@@ -234,6 +235,7 @@ func (e *Engine) link(it item) {
 	}
 	b.tail = i
 	e.ringCnt++
+	return n
 }
 
 // nextWhen reports the cycle of the earliest pending event without advancing
@@ -294,7 +296,8 @@ func (e *Engine) advanceTo(t Cycle) {
 		e.now = t
 	}
 	for len(e.overflow) > 0 && e.overflow[0].when-e.now < ringSize {
-		e.link(e.overflowPop())
+		it := e.overflowPop()
+		e.link(it.when).item = it
 	}
 }
 

@@ -76,38 +76,44 @@ func (t *Table[V]) Get(k uint64) (V, bool) {
 func (t *Table[V]) Has(k uint64) bool { return t.find(k) >= 0 }
 
 // Ref returns a pointer to k's value, inserting the zero value first if k is
-// absent. The pointer is valid until the next Put, Ref or Delete.
-func (t *Table[V]) Ref(k uint64) *V {
-	if i := t.find(k); i >= 0 {
-		return &t.slots[i].val
+// absent, and whether k was already present: a find-or-insert in one probe.
+// The pointer is valid until the next Put, Ref or Delete.
+func (t *Table[V]) Ref(k uint64) (v *V, existed bool) {
+	if len(t.slots) > 0 {
+		i := t.home(k)
+		for ; t.slots[i].used; i = (i + 1) & t.mask {
+			if t.slots[i].key == k {
+				return &t.slots[i].val, true
+			}
+		}
+		if 2*(t.n+1) <= len(t.slots) {
+			t.claim(i, k)
+			return &t.slots[i].val, false
+		}
 	}
-	return &t.slots[t.insert(k)].val
-}
-
-// Put stores v under k, replacing any previous value.
-func (t *Table[V]) Put(k uint64, v V) {
-	if i := t.find(k); i >= 0 {
-		t.slots[i].val = v
-		return
-	}
-	t.slots[t.insert(k)].val = v
-}
-
-// insert claims an empty slot for the absent key k and returns its index.
-func (t *Table[V]) insert(k uint64) uint64 {
-	if 2*(t.n+1) > len(t.slots) {
-		t.resize(max(2*len(t.slots), minSlots))
-	}
+	// Absent, and one more key would fill the table past half: grow first.
+	t.resize(max(2*len(t.slots), minSlots))
 	i := t.home(k)
 	for t.slots[i].used {
 		i = (i + 1) & t.mask
 	}
+	t.claim(i, k)
+	return &t.slots[i].val, false
+}
+
+// Put stores v under k, replacing any previous value.
+func (t *Table[V]) Put(k uint64, v V) {
+	p, _ := t.Ref(k)
+	*p = v
+}
+
+// claim stores the absent key k in the empty slot i.
+func (t *Table[V]) claim(i, k uint64) {
 	t.slots[i].key, t.slots[i].used = k, true
 	t.n++
 	if t.n > t.peak {
 		t.peak = t.n
 	}
-	return i
 }
 
 // Reserve sizes the table to hold n keys without growing. A table whose

@@ -61,7 +61,11 @@ func TestTableMatchesMap(t *testing.T) {
 					}
 					delete(ref, k)
 				case op < 9:
-					*tab.Ref(k) += 1
+					p, existed := tab.Ref(k)
+					if _, had := ref[k]; existed != had {
+						t.Fatalf("%s seed %d step %d: Ref(%#x) existed = %v, want %v", ks.name, seed, step, k, existed, had)
+					}
+					*p += 1
 					ref[k]++
 				default:
 					gv, gok := tab.Get(k)
@@ -122,7 +126,9 @@ func TestDeleteWrapsTableEnd(t *testing.T) {
 }
 
 // TestSteadyStateZeroAlloc pins the property the model relies on: once a
-// table has reached its working size, insert/delete churn allocates nothing.
+// table has reached its working size, insert/delete churn allocates nothing,
+// whether keys go in through Put or through Ref's find-or-insert (the MSHR
+// path), and Ref tells a new key from a present one throughout.
 func TestSteadyStateZeroAlloc(t *testing.T) {
 	var tab Table[*int]
 	v := new(int)
@@ -132,10 +138,20 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	for k := uint64(0); k < 64; k++ {
 		tab.Delete(k * 64)
 	}
-	next := uint64(0)
+	next, wrong := uint64(0), 0
 	allocs := testing.AllocsPerRun(1000, func() {
 		for i := uint64(0); i < 32; i++ {
-			tab.Put((next+i)*64, v)
+			k := (next + i) * 64
+			if i%2 == 0 {
+				tab.Put(k, v)
+			} else if p, existed := tab.Ref(k); existed {
+				wrong++
+			} else {
+				*p = v
+			}
+			if p, existed := tab.Ref(k); !existed || *p != v {
+				wrong++
+			}
 		}
 		for i := uint64(0); i < 32; i++ {
 			tab.Delete((next + i) * 64)
@@ -144,5 +160,8 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state churn allocates %.1f objects per run, want 0", allocs)
+	}
+	if wrong != 0 {
+		t.Fatalf("Ref's existed result was wrong %d times during churn", wrong)
 	}
 }

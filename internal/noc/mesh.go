@@ -302,16 +302,19 @@ func (m *Mesh) SendCall(src, dst int, class stats.MsgClass, payloadBytes int, ca
 func (m *Mesh) commitSendOp(sendAt event.Cycle, arg any) {
 	msg := arg.(*sendMsg)
 	src, dst, class, flits := msg.src, msg.dst, msg.class, msg.flits
+	// Traffic is counted once per message; the per-hop loop only reserves
+	// links and traces.
+	path := m.path(src, dst)
 	st := m.lay.St(src)
+	st.FlitHops[class] += uint64(flits * len(path))
+	st.LinkBusy += uint64(flits * len(path))
 	arrive := sendAt
-	for _, l := range m.path(src, dst) {
+	for _, l := range path {
 		start := arrive
 		if m.linkFree[l] > start {
 			start = m.linkFree[l]
 		}
 		m.linkFree[l] = start + event.Cycle(flits)
-		st.FlitHops[class] += uint64(flits)
-		st.LinkBusy += uint64(flits)
 		if m.tr != nil {
 			m.tr.AddLinkFlits(int(l), flits)
 			m.tr.Emit(uint64(start), int(l)/int(numDirs), trace.KindNocHop, uint64(l),
@@ -442,8 +445,6 @@ func (m *Mesh) commitMcastOp(sendAt event.Cycle, arg any) {
 				start = m.linkFree[l]
 			}
 			m.linkFree[l] = start + event.Cycle(flits)
-			st.FlitHops[class] += uint64(flits)
-			st.LinkBusy += uint64(flits)
 			if m.tr != nil {
 				m.tr.AddLinkFlits(int(l), flits)
 				m.tr.Emit(uint64(start), int(l)/int(numDirs), trace.KindNocHop, uint64(l),
@@ -459,6 +460,8 @@ func (m *Mesh) commitMcastOp(sendAt event.Cycle, arg any) {
 		}
 		m.lay.Eng(dst).AtCall(at, runDeliverTo, event.Ref{Obj: deliver, A: int64(dst)})
 	}
+	st.FlitHops[class] += uint64(treeHops * flits)
+	st.LinkBusy += uint64(treeHops * flits)
 	if unicastHops > treeHops {
 		st.MulticastSave += uint64((unicastHops - treeHops) * flits)
 	}

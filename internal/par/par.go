@@ -254,36 +254,31 @@ func cmpOps(a, b Op) int {
 	return cmp.Compare(a.Tile, b.Tile)
 }
 
-// cmpTiles orders ops of one cycle.
-func cmpTiles(a, b Op) int { return cmp.Compare(a.Tile, b.Tile) }
-
 // sortOps puts one wave into canonical order, keeping each tile's issue
 // order. An engine fires in time order, so a one-shard wave is always sorted
-// by When and only the tiles within each cycle need ordering; a merged wave
-// that is not gets the full stable sort.
+// by When and only the tiles within each cycle need ordering: a stable
+// insertion moves each op back past the higher tiles of its cycle, which on
+// a wave of a few dozen ops per cycle beats a general sort. A merged wave
+// that is not sorted by When gets the full stable sort; the insertions made
+// before that was found only passed ops of different tiles, so each tile's
+// issue order still holds.
 func sortOps(ops []Op) {
-	tilesSorted := true
 	for i := 1; i < len(ops); i++ {
-		if ops[i].When < ops[i-1].When {
+		prev := &ops[i-1]
+		if ops[i].When < prev.When {
 			slices.SortStableFunc(ops, cmpOps)
 			return
 		}
-		if ops[i].When == ops[i-1].When && ops[i].Tile < ops[i-1].Tile {
-			tilesSorted = false
+		if ops[i].When > prev.When || ops[i].Tile >= prev.Tile {
+			continue
 		}
-	}
-	if tilesSorted {
-		return
-	}
-	for i := 0; i < len(ops); {
-		j := i + 1
-		for j < len(ops) && ops[j].When == ops[i].When {
-			j++
+		op := ops[i]
+		j := i - 1
+		for j > 0 && ops[j-1].When == op.When && ops[j-1].Tile > op.Tile {
+			j--
 		}
-		if j-i > 1 {
-			slices.SortStableFunc(ops[i:j], cmpTiles)
-		}
-		i = j
+		copy(ops[j+1:i+1], ops[j:i])
+		ops[j] = op
 	}
 }
 

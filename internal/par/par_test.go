@@ -374,13 +374,15 @@ func TestEffectiveWorkers(t *testing.T) {
 // slices.SortStableFunc(cmpOps) and as the sort.SliceStable comparator it
 // replaced, on shuffled waves, one-shard waves (When ascending, tiles
 // interleaved within a cycle: the case that sorts only equal-When runs),
-// waves dense in equal keys and multi-shard concatenations of ascending logs.
+// waves dense in equal keys and multi-shard concatenations of ascending logs,
+// over 4 tiles (many equal keys) and over an 8x8 mesh's 64 (long insertions).
 func TestSortOpsMatchesSliceStable(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 800; trial++ {
 		n := rng.Intn(64)
 		ops := make([]Op, n)
 		shards := 1 + rng.Intn(4)
+		tiles := []int{4, 64}[trial/4%2]
 		var when event.Cycle
 		for i := range ops {
 			switch trial % 4 {
@@ -396,7 +398,7 @@ func TestSortOpsMatchesSliceStable(t *testing.T) {
 				when += event.Cycle(rng.Intn(3))
 			}
 			// Arg carries the issue index, so a stability slip shows.
-			ops[i] = Op{When: when, Tile: rng.Intn(4), Arg: i}
+			ops[i] = Op{When: when, Tile: rng.Intn(tiles), Arg: i}
 		}
 		want := slices.Clone(ops)
 		slices.SortStableFunc(want, cmpOps)
@@ -415,5 +417,48 @@ func TestSortOpsMatchesSliceStable(t *testing.T) {
 		if !reflect.DeepEqual(ops, want) {
 			t.Fatalf("trial %d: sortOps = %v, want %v", trial, ops, want)
 		}
+	}
+}
+
+// drainTiles is the issuing order of one cycle's ops in TestDrainZeroAlloc:
+// a one-shard wave fires its tiles in event order, not tile order.
+var drainTiles = []int{5, 2, 7, 0, 2, 3, 63, 1, 6, 0, 40, 9}
+
+// TestDrainZeroAlloc: once a shard's op logs have their working capacity, a
+// barrier drain allocates nothing, including the in-place sort of cycles
+// whose tiles were logged out of order.
+func TestDrainZeroAlloc(t *testing.T) {
+	sh := NewShard(event.New(), &stats.Stats{})
+	g := &Group{Shards: []*Shard{sh}, Quantum: 6}
+	var last Op
+	inOrder := true
+	call := func(now event.Cycle, arg any) {
+		op := Op{When: now, Tile: *arg.(*int)}
+		if cmpOps(last, op) > 0 {
+			inOrder = false
+		}
+		last = op
+	}
+	args := make([]int, 64)
+	for i := range args {
+		args[i] = i
+	}
+	var base event.Cycle
+	wave := func() {
+		for c := event.Cycle(0); c < 6; c++ {
+			for _, tile := range drainTiles {
+				sh.Defer(base+c, tile, call, &args[tile])
+			}
+		}
+		last = Op{When: base}
+		g.drain()
+		base += 6
+	}
+	wave()
+	if allocs := testing.AllocsPerRun(100, wave); allocs != 0 {
+		t.Errorf("a steady drain allocates %.1f objects per wave, want 0", allocs)
+	}
+	if !inOrder {
+		t.Error("drain ran a wave out of (When, Tile) order")
 	}
 }

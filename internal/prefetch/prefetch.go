@@ -183,7 +183,8 @@ func (bg *bingo) phtEntry(key uint32) *uint32 {
 			bg.phtFIFO = append(bg.phtFIFO, key)
 		}
 	}
-	return bg.pht.Ref(uint64(key))
+	p, _ := bg.pht.Ref(uint64(key))
+	return p
 }
 
 // phtMerge ORs bits into a trigger's recorded footprint.
