@@ -11,6 +11,16 @@ import (
 // simply stop matching instead of serving wrong results.
 const canonicalVersion = 2
 
+// samplerVersion tags the sampled-simulation method behind an estimate. A
+// sampled run's result depends on how the planner cuts and extrapolates,
+// not only on SampleParams, so bump it whenever a change to the sampler
+// moves estimates: sampled entries cached by the old sampler then stop
+// matching. Full runs never encode it, so their keys survive such a bump.
+// Version 1: interval boundaries at any iteration (streams entered mid-row
+// through Affine.Start), and phases under two iterations per interval and
+// core run whole.
+const samplerVersion = 1
+
 // CanonicalFieldCount is the number of top-level Config fields the canonical
 // encoding accounts for. A test asserts it against reflect.TypeOf(Config{}).
 // NumField() so that adding a Config field without extending CanonicalBytes
@@ -93,6 +103,9 @@ func (c Config) CanonicalBytes() []byte {
 	i(sp.Measure)
 	u(uint64(sp.Seed))
 	u(uint64(sp.Warmup))
+	if sp.Enabled() {
+		u(samplerVersion)
+	}
 	// Workers is intentionally not encoded: the event kernel produces
 	// bit-identical results for every worker count (see internal/par), so
 	// the knob must not fragment the result cache.

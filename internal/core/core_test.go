@@ -9,6 +9,7 @@ import (
 	"streamfloat/internal/mem"
 	"streamfloat/internal/noc"
 	"streamfloat/internal/par/partest"
+	"streamfloat/internal/sanitize"
 	"streamfloat/internal/stats"
 	"streamfloat/internal/stream"
 	"streamfloat/internal/workload"
@@ -109,6 +110,30 @@ func TestFloatAtConfigureByFootprint(t *testing.T) {
 	}
 	if r.St.StreamCredits == 0 {
 		t.Error("no flow-control credits sent")
+	}
+}
+
+// TestFloatMidRowStream: a stream entered mid-nest (a nonzero Start, as a
+// sampled window slices it) floats with the probes live. Its Table I packet
+// must carry Start plus the hand-off element in Iter: the wire probe decodes
+// the packet and panics unless it names the hand-off element's address.
+func TestFloatMidRowStream(t *testing.T) {
+	r := newRig(nil)
+	r.e.SetChecker(sanitize.New(256))
+	rows := int64(r.cfg.L2.SizeBytes/1024 + 8) // 1 kB rows: footprint > L2
+	const start = 5
+	ph := &workload.Phase{
+		Name: "s",
+		Loads: []stream.Decl{{ID: 0, Name: "a", PC: 11, Affine: &stream.Affine{
+			Base: 0x400000, ElemSize: 64, Strides: [3]int64{64, 2048}, Lens: [3]int64{16, rows}, Start: start,
+		}}},
+		NumIters:      16*rows - start,
+		ComputeCycles: 1,
+		InstrsPerIter: 4,
+	}
+	r.consume(t, 0, ph, 8)
+	if r.St.StreamsFloated != 1 || r.St.StreamConfigs == 0 {
+		t.Fatalf("floated = %d, configs = %d; want the mid-row stream floated", r.St.StreamsFloated, r.St.StreamConfigs)
 	}
 }
 

@@ -117,8 +117,9 @@ func (l *seL2) sanCheckBuffer(g *l2Group) {
 
 // sanCheckWire verifies the Table I wire layout for a configuration packet
 // being sent: the stream's fields must fit their bit slots, serialize to
-// exactly the payload the NoC is charged for, and survive an
-// encode -> decode -> re-encode round trip unchanged.
+// exactly the payload the NoC is charged for, survive an
+// encode -> decode -> re-encode round trip unchanged, and name, walked from
+// the decoded Iter, the first address the SE_L2 hands off.
 func (l *seL2) sanCheckWire(g *l2Group, startElem int64, payload int) {
 	if l.e.san == nil {
 		return
@@ -129,6 +130,10 @@ func (l *seL2) sanCheckWire(g *l2Group, startElem int64, payload int) {
 			l.e.san.Failf(key, "sel2: tile %d stream %d level-%d length %d exceeds the 32-bit Table I field",
 				l.tile, g.key.sid, i, n)
 		}
+	}
+	if s := g.baseAff.Start; s < 0 || g.baseAff.NumElems() <= 0 {
+		l.e.san.Failf(key, "sel2: tile %d stream %d start element %d lies outside its %d-element nest",
+			l.tile, g.key.sid, s, s+g.baseAff.NumElems())
 	}
 	pkt := l.wirePacket(g, startElem)
 	data, err := pkt.Encode()
@@ -147,6 +152,13 @@ func (l *seL2) sanCheckWire(g *l2Group, startElem int64, payload int) {
 	if !reflect.DeepEqual(pkt, back) {
 		l.e.san.Failf(key, "sel2: tile %d stream %d config packet round trip mismatch: sent %+v, decoded %+v",
 			l.tile, g.key.sid, pkt, back)
+	}
+	if err != nil {
+		return
+	}
+	if got, want := back.Affine.Pattern().AddrAt(0), g.baseAff.AddrAt(startElem); got != want {
+		l.e.san.Failf(key, "sel2: tile %d stream %d config packet starts at %#x, but element %d is at %#x",
+			l.tile, g.key.sid, got, startElem, want)
 	}
 }
 

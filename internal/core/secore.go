@@ -260,6 +260,7 @@ func (c *seCore) detectOffsetGroups(affines []*coreStream) map[*coreStream]*core
 		strides [stream.Levels]int64
 		lens    [stream.Levels]int64
 		elem    int64
+		start   int64
 	}
 	byShape := make(map[shape][]*coreStream)
 	for _, s := range affines {
@@ -283,8 +284,8 @@ func (c *seCore) detectOffsetGroups(affines []*coreStream) map[*coreStream]*core
 		if !mono {
 			continue
 		}
-		byShape[shape{a.Strides, a.Lens, a.ElemSize}] = append(
-			byShape[shape{a.Strides, a.Lens, a.ElemSize}], s)
+		k := shape{a.Strides, a.Lens, a.ElemSize, a.Start}
+		byShape[k] = append(byShape[k], s)
 	}
 	maxSpan := int64(c.e.cfg.SEL2BufferBytes / 2)
 	for _, members := range byShape {

@@ -11,8 +11,9 @@ import (
 func (e *Engines) SetTracer(tr *trace.Tracer) { e.tr = tr }
 
 // wirePacket builds the Table I configuration packet the SE_L2 sends for a
-// group's float: the base affine pattern fast-forwarded to startElem plus
-// one indirect entry per chained child. Shared by the sanitizer's wire
+// group's float: the base affine pattern fast-forwarded to startElem (Iter
+// counts nest elements, so it is the pattern's own Start plus startElem)
+// plus one indirect entry per chained child. Shared by the sanitizer's wire
 // checks and the tracer's span payloads so both see exactly what goes on
 // the NoC. Lens are truncated to their 32-bit Table I fields; the sanitizer
 // separately flags values that don't fit.
@@ -22,7 +23,7 @@ func (l *seL2) wirePacket(g *l2Group, startElem int64) stream.ConfigPacket {
 		CID:  uint8(g.key.tile),
 		SID:  uint8(g.key.sid),
 		Base: aff.Base,
-		Iter: uint64(startElem),
+		Iter: uint64(aff.Start + startElem),
 		Size: uint8(aff.ElemSize),
 	}}
 	for i := 0; i < stream.Levels; i++ {

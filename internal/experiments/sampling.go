@@ -46,6 +46,11 @@ type SamplingSummary struct {
 	Points []PointEstimate `json:"points"`
 	// MeanSpeedup is the arithmetic mean work reduction across Points.
 	MeanSpeedup float64 `json:"mean_speedup"`
+	// MinSpeedup is the smallest per-point work reduction and MinBench the
+	// benchmark of the first point reaching it: a kernel whose phases are
+	// too short to slice runs whole (1.00x) and drags the mean down.
+	MinSpeedup float64 `json:"min_speedup"`
+	MinBench   string  `json:"min_bench"`
 	// MaxRelCyclesCI / MaxRelEnergyCI are the worst relative 95% confidence
 	// half-widths (half-width over mean) across Points.
 	MaxRelCyclesCI float64 `json:"max_rel_cycles_ci"`
@@ -55,8 +60,11 @@ type SamplingSummary struct {
 func newSamplingSummary(p config.SampleParams, pts []PointEstimate) *SamplingSummary {
 	p = p.Resolved()
 	s := &SamplingSummary{Intervals: p.Intervals, Measure: p.Measure, Seed: p.Seed, Points: pts}
-	for _, pt := range pts {
+	for i, pt := range pts {
 		s.MeanSpeedup += pt.Speedup / float64(len(pts))
+		if i == 0 || pt.Speedup < s.MinSpeedup {
+			s.MinSpeedup, s.MinBench = pt.Speedup, pt.Bench
+		}
 		s.MaxRelCyclesCI = max(s.MaxRelCyclesCI, pt.Cycles.RelHalfWidth())
 		s.MaxRelEnergyCI = max(s.MaxRelEnergyCI, pt.Energy.RelHalfWidth())
 	}
@@ -66,9 +74,9 @@ func newSamplingSummary(p config.SampleParams, pts []PointEstimate) *SamplingSum
 // note renders the one-line table footnote for a sampled sweep.
 func (s *SamplingSummary) note() string {
 	return fmt.Sprintf("sampled simulation (K=%d intervals, %d measured, seed %d): "+
-		"%d fresh points, mean work reduction %.1fx, worst 95%% CI ±%.1f%% cycles / ±%.1f%% energy",
+		"%d fresh points, mean work reduction %.1fx (min %.2fx: %s), worst 95%% CI ±%.1f%% cycles / ±%.1f%% energy",
 		s.Intervals, s.Measure, s.Seed, len(s.Points),
-		s.MeanSpeedup, 100*s.MaxRelCyclesCI, 100*s.MaxRelEnergyCI)
+		s.MeanSpeedup, s.MinSpeedup, s.MinBench, 100*s.MaxRelCyclesCI, 100*s.MaxRelEnergyCI)
 }
 
 // runFigure invokes one figure runner, provisioning an estimate log when

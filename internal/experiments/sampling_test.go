@@ -112,6 +112,24 @@ func TestPointCacheSeesSample(t *testing.T) {
 	}
 }
 
+// TestSamplingSummaryMin: the footnote names the point that saved least, so
+// a sweep whose mean work reduction falls short says which kernel ran
+// whole.
+func TestSamplingSummaryMin(t *testing.T) {
+	s := newSamplingSummary(config.SampleParams{Intervals: 16}, []PointEstimate{
+		{Bench: "conv3d", System: "SF", Speedup: 3.37},
+		{Bench: "nw", System: "Base", Speedup: 1},
+		{Bench: "nw", System: "SF", Speedup: 1},
+		{Bench: "srad", System: "SF", Speedup: 3.37},
+	})
+	if s.MinSpeedup != 1 || s.MinBench != "nw" {
+		t.Errorf("min work reduction %.2f at %q, want 1.00 at nw", s.MinSpeedup, s.MinBench)
+	}
+	if n := s.note(); !strings.Contains(n, "min 1.00x: nw") {
+		t.Errorf("note %q does not name the least-reduced benchmark", n)
+	}
+}
+
 // TestSampledFigureSummary: a sampled figure run through ByName carries the
 // per-point estimates and the rendered footnote.
 func TestSampledFigureSummary(t *testing.T) {

@@ -15,8 +15,8 @@ import (
 )
 
 // Plan partitions one prepared workload (the per-core programs of a
-// benchmark at a given scale) into K aligned intervals and records which of
-// them a given sampling configuration measures in detail.
+// benchmark at a given scale) into K intervals and records which of them a
+// given sampling configuration measures in detail.
 type Plan struct {
 	// K is the interval count and Measured the measured interval indices: a
 	// contiguous block of Measure intervals starting at a seeded offset.
@@ -46,11 +46,10 @@ type Plan struct {
 }
 
 // phasePlan is the interval partition of one core's one phase. cut holds
-// K+1 quantum-aligned iteration boundaries; nil marks an unsliceable phase
-// (unknown-length streams, or a slicing quantum exceeding the trip count),
-// which runs in full and contributes no extrapolation.
+// K+1 iteration boundaries; nil marks an unsliceable phase (unknown-length
+// streams, or too few iterations, see minIntervalIters), which runs in full
+// and contributes no extrapolation.
 type phasePlan struct {
-	q   int64
 	cut []int64
 }
 
@@ -87,15 +86,7 @@ func NewPlan(progs []workload.Program, p config.SampleParams) *Plan {
 		phases := progs[c].Phases
 		pl.cores[c] = make([]phasePlan, len(phases))
 		for i := range phases {
-			pp := planPhase(&phases[i], pl.K)
-			// Quantum-aligned cuts can collapse the measured block of a
-			// short phase (wavefront diagonals a few quanta long) to
-			// nothing; such a phase runs whole instead of vanishing from
-			// the detailed window.
-			if pp.cut != nil && pp.cut[b+m] <= pp.cut[b] {
-				pp = phasePlan{}
-			}
-			pl.cores[c][i] = pp
+			pl.cores[c][i] = planPhase(&phases[i], pl.K)
 			pl.TotalIters += phases[i].NumIters
 			wlo, _, _, ehi := pl.window(c, i)
 			pl.DetailedIters += ehi - wlo
@@ -121,92 +112,64 @@ func sampleBlock(k, m int, seed int64) int {
 	return 1 + int((((seed+center)%int64(pool))+int64(pool))%int64(pool))
 }
 
-// blockOf returns the iteration-block size at which an affine pattern can be
-// rebased exactly (the product of all effective level lengths below the
-// outermost effective level) and that outermost level's index (-1 for a
-// single-element pattern). Slicing an iteration range whose bounds are
-// multiples of the block reduces to shifting Base along the outermost stride
-// and shortening the outermost length.
-func blockOf(a stream.Affine) (block int64, outer int) {
-	block = 1
-	outer = -1
+// minIntervalIters is the fewest iterations per core an interval may hold.
+// A phase whose K intervals would hold fewer runs whole: its measured block
+// would be a handful of iterations, too short to outlast the detailed
+// window's startup transient, and extrapolating it misestimates the phase
+// badly (nw's wavefront diagonals, 16 iterations per core at every scale,
+// erred by up to +650% sliced), while running it whole costs little.
+const minIntervalIters = 2
+
+// sliceAffine returns the pattern covering elements [lo, hi) of a, for any
+// 0 <= lo < hi <= a.NumElems(): Base moves along the outermost stride to the
+// outer row holding lo, Start becomes lo's offset in that row, and the outer
+// length ends at the row holding hi-1. The sliced pattern's AddrAt(i)
+// equals the original's AddrAt(lo+i) for every i in [0, hi-lo).
+func sliceAffine(a stream.Affine, lo, hi int64) stream.Affine {
+	// row is the element count of one outer row: the product of the
+	// effective level lengths below the outermost effective level.
+	row, outer := int64(1), -1
 	for lv := 0; lv < stream.Levels; lv++ {
 		if a.Lens[lv] <= 0 {
 			continue
 		}
 		if outer >= 0 {
-			block *= a.Lens[outer]
+			row *= a.Lens[outer]
 		}
 		outer = lv
 	}
-	return block, outer
-}
-
-// sliceAffine returns the pattern covering elements [lo, hi) of a, where lo
-// is a multiple of a's block. The sliced pattern's AddrAt(i) equals the
-// original's AddrAt(lo+i) for every i in [0, hi-lo).
-func sliceAffine(a stream.Affine, lo, hi int64) stream.Affine {
-	block, outer := blockOf(a)
 	if outer < 0 {
 		return a
 	}
+	first, last := a.Start+lo, a.Start+hi-1 // nest elements
 	out := a
-	out.Base = uint64(int64(a.Base) + (lo/block)*a.Strides[outer])
-	out.Lens[outer] = (hi - lo + block - 1) / block
+	out.Base = uint64(int64(a.Base) + (first/row)*a.Strides[outer])
+	out.Start = first % row
+	out.Lens[outer] = last/row - first/row + 1
 	return out
 }
 
-func gcd(a, b int64) int64 {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-// planPhase computes the interval partition of one phase: the quantum q is
-// the LCM of every affine stream's block, so boundaries aligned to q rebase
-// every stream exactly. Phases with unknown-length streams, or whose quantum
-// exceeds the trip count, are unsliceable (NewPlan additionally rejects
-// partitions whose quantized measured block is empty).
+// planPhase computes the interval partition of one phase: boundary j falls
+// at iteration n·j/K, wherever that lands in the streams' rows (sliceAffine
+// enters a stream mid-row). Phases with unknown-length streams, or fewer
+// than minIntervalIters iterations per interval, are unsliceable.
 func planPhase(ph *workload.Phase, k int) phasePlan {
 	n := ph.NumIters
-	if n <= 0 {
-		return phasePlan{} // barrier-only phase; nothing to slice
+	if n < minIntervalIters*int64(k) {
+		return phasePlan{} // too short to slice (or a barrier-only phase)
 	}
-	q := int64(1)
-	sliceable := true
-	consider := func(d stream.Decl) {
-		if !sliceable {
-			return
+	for _, ds := range [][]stream.Decl{ph.Loads, ph.Stores} {
+		for _, d := range ds {
+			if d.UnknownLength {
+				return phasePlan{}
+			}
 		}
-		if d.UnknownLength {
-			sliceable = false
-			return
-		}
-		if d.Affine == nil {
-			return // indirect streams follow their sliced base
-		}
-		b, _ := blockOf(*d.Affine)
-		q = q / gcd(q, b) * b
-		if q <= 0 || q > n {
-			sliceable = false
-		}
-	}
-	for _, d := range ph.Loads {
-		consider(d)
-	}
-	for _, d := range ph.Stores {
-		consider(d)
-	}
-	if !sliceable {
-		return phasePlan{}
 	}
 	cut := make([]int64, k+1)
-	for j := 1; j < k; j++ {
-		cut[j] = n * int64(j) / int64(k) / q * q
+	for j := 1; j <= k; j++ {
+		cut[j] = n * int64(j) / int64(k)
 	}
-	cut[k] = n
-	return phasePlan{q: q, cut: cut}
+	return phasePlan{cut: cut}
 }
 
 // window returns the detailed iteration window of one core's one phase:
@@ -214,8 +177,8 @@ func planPhase(ph *workload.Phase, k int) phasePlan {
 // [hi, ehi). The warmup defaults to one and a half intervals — long enough
 // to outlast the startup transient — and the epilogue to a quarter
 // interval, so the phase-end drain (staggered cores finishing while the
-// aggregate iteration rate decays) stays outside the measured block. Both
-// are quantum-aligned; an unsliceable phase's window is the whole phase.
+// aggregate iteration rate decays) stays outside the measured block. An
+// unsliceable phase's window is the whole phase.
 func (pl *Plan) window(core, phase int) (wlo, lo, hi, ehi int64) {
 	ph := &pl.progs[core].Phases[phase]
 	pp := pl.cores[core][phase]
@@ -231,10 +194,6 @@ func (pl *Plan) window(core, phase int) (wlo, lo, hi, ehi int64) {
 		w = ilen + ilen/2
 	}
 	e := ilen / 4
-	if pp.q > 0 {
-		w = (w + pp.q - 1) / pp.q * pp.q
-		e = (e + pp.q - 1) / pp.q * pp.q
-	}
 	wlo = lo - w
 	if wlo < 0 {
 		wlo = 0
@@ -328,7 +287,8 @@ func (pl *Plan) MeasureWindows() []PhaseWindow {
 // epilogue run as ONE phase, with no barrier in between, so the cross-core
 // desynchronization the warmup establishes carries into the measured block
 // (a barrier would re-synchronize the cores into lockstep and replay the
-// startup transient). Streams are rebased so the detailed machine (whose
+// startup transient). Streams are rebased, entering their nest at the
+// window's first iteration through Start, so the detailed machine (whose
 // stream walkers always start at element 0) observes the window's exact
 // address sequence, and sliced streams carry the original footprint as
 // their float hint so the float policy decides as it would in the full run.

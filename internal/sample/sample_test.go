@@ -14,8 +14,9 @@ import (
 )
 
 // TestSliceAffineExact: for randomized 1/2/3-level patterns (including
-// zero and negative strides) and every block-aligned slice, the sliced
-// pattern's AddrAt(i) must equal the original's AddrAt(lo+i).
+// zero and negative strides) and slices starting at any element, the sliced
+// pattern's AddrAt(i) must equal the original's AddrAt(lo+i), and so must a
+// slice of that slice (a pattern that already starts mid-row).
 func TestSliceAffineExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	patterns := []stream.Affine{
@@ -33,22 +34,30 @@ func TestSliceAffineExact(t *testing.T) {
 			Lens:     [3]int64{int64(rng.Intn(16)), int64(rng.Intn(8)), int64(rng.Intn(8))},
 		})
 	}
+	check := func(pi int, a, s stream.Affine, lo, hi int64) {
+		t.Helper()
+		if err := (stream.Decl{Name: "s", Affine: &s}).Validate(); err != nil {
+			t.Fatalf("pattern %d %+v slice [%d,%d): %v", pi, a, lo, hi, err)
+		}
+		if s.NumElems() < hi-lo {
+			t.Fatalf("pattern %d: slice [%d,%d) has %d elems", pi, lo, hi, s.NumElems())
+		}
+		for i := int64(0); i < hi-lo; i++ {
+			if got, want := s.AddrAt(i), a.AddrAt(lo+i); got != want {
+				t.Fatalf("pattern %d %+v slice [%d,%d): AddrAt(%d) = %#x, want %#x",
+					pi, a, lo, hi, i, got, want)
+			}
+		}
+	}
 	for pi, a := range patterns {
 		n := a.NumElems()
-		block, _ := blockOf(a)
-		for trial := 0; trial < 20; trial++ {
-			lo := (rng.Int63n(n) / block) * block
+		for lo := int64(0); lo < n; lo++ {
 			hi := lo + 1 + rng.Int63n(n-lo)
 			s := sliceAffine(a, lo, hi)
-			if s.NumElems() < hi-lo {
-				t.Fatalf("pattern %d: slice [%d,%d) has %d elems", pi, lo, hi, s.NumElems())
-			}
-			for i := int64(0); i < hi-lo; i++ {
-				if got, want := s.AddrAt(i), a.AddrAt(lo+i); got != want {
-					t.Fatalf("pattern %d %+v slice [%d,%d): AddrAt(%d) = %#x, want %#x",
-						pi, a, lo, hi, i, got, want)
-				}
-			}
+			check(pi, a, s, lo, hi)
+			lo2 := rng.Int63n(hi - lo)
+			hi2 := lo2 + 1 + rng.Int63n(hi-lo-lo2)
+			check(pi, s, sliceAffine(s, lo2, hi2), lo2, hi2)
 		}
 	}
 }
@@ -66,7 +75,8 @@ func preparedPlan(t *testing.T, cfg config.Config, bench string, scale float64) 
 }
 
 // TestPlanPartition: the intervals of every phase tile the iteration space
-// exactly, sliced programs validate, and total iteration counts agree.
+// exactly, each holding ⌊n/K⌋ or ⌈n/K⌉ iterations, sliced programs
+// validate, and total iteration counts agree.
 func TestPlanPartition(t *testing.T) {
 	cfg, err := config.ForSystem("SF", config.OOO8)
 	if err != nil {
@@ -92,8 +102,9 @@ func TestPlanPartition(t *testing.T) {
 					if lo > hi {
 						t.Fatalf("%s core %d phase %d interval %d: lo %d > hi %d", bench, c, i, j, lo, hi)
 					}
-					if pp.cut != nil && pp.q > 0 && lo%pp.q != 0 && lo != n {
-						t.Fatalf("%s core %d phase %d: boundary %d not aligned to quantum %d", bench, c, i, lo, pp.q)
+					if k := int64(pl.K); pp.cut != nil && hi-lo != n/k && hi-lo != (n+k-1)/k {
+						t.Fatalf("%s core %d phase %d interval %d: %d iters, want %d or %d",
+							bench, c, i, j, hi-lo, n/k, (n+k-1)/k)
 					}
 					sum += hi - lo
 				}
@@ -132,26 +143,49 @@ func TestSampleBlock(t *testing.T) {
 	}
 }
 
-// TestWorkRatio: across the Fig13 system set at scale 0.25, the default
-// sampling parameters must leave at most a third of the iterations in
-// detailed simulation — the plan-level guarantee behind the >= 3x speedup
-// acceptance criterion. Purely combinatorial: no simulation runs.
+// TestWorkRatio: at scale 0.25, the default sampling parameters must leave
+// at most a third of a kernel's iterations in detailed simulation whenever
+// every phase of it holds at least 2K iterations per core — the plan-level
+// guarantee behind the >= 3x speedup acceptance criterion. nw's wavefront
+// phases are all too short to slice, so it runs whole. Purely
+// combinatorial: no simulation runs, and the plan depends only on the
+// prepared programs, so one system stands for all.
 func TestWorkRatio(t *testing.T) {
-	var total, detailed int64
-	for _, sys := range []string{"Base", "Stride", "Bingo", "SS", "SF"} {
-		cfg, err := config.ForSystem(sys, config.OOO8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.Sample = config.SampleParams{Intervals: 16}
-		for _, bench := range []string{"nn", "conv3d"} {
-			pl := preparedPlan(t, cfg, bench, 0.25)
-			total += pl.TotalIters
-			detailed += pl.DetailedIters
-		}
+	cfg, err := config.ForSystem("SF", config.OOO8)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if detailed*3 > total {
-		t.Fatalf("detailed iterations %d exceed 1/3 of total %d: sampling cannot deliver 3x", detailed, total)
+	cfg.Sample = config.SampleParams{Intervals: 16}
+	// Kernels whose phases are all long at this scale; the test is vacuous
+	// for them if that stops holding.
+	wantLong := map[string]bool{"mv": true, "conv3d": true, "cfd": true, "hotspot": true,
+		"hotspot3D": true, "nn": true, "pathfinder": true, "srad": true}
+	for _, bench := range workload.Names() {
+		pl := preparedPlan(t, cfg, bench, 0.25)
+		ratio := float64(pl.TotalIters) / float64(pl.DetailedIters)
+		long := true
+		for c := range pl.progs {
+			for _, ph := range pl.progs[c].Phases {
+				if ph.NumIters > 0 && ph.NumIters < 2*int64(pl.K) {
+					long = false
+				}
+			}
+		}
+		if wantLong[bench] && !long {
+			t.Errorf("%s: a phase holds fewer than 2K iterations per core at scale 0.25", bench)
+		}
+		switch {
+		case bench == "nw":
+			if ratio != 1 {
+				t.Errorf("nw: work reduction %.2fx, want 1.00x (every phase runs whole)", ratio)
+			}
+		case long:
+			if ratio < 3 {
+				t.Errorf("%s: work reduction %.2fx < 3x", bench, ratio)
+			}
+		case ratio <= 1:
+			t.Errorf("%s: sampling saved no work", bench)
+		}
 	}
 }
 

@@ -34,6 +34,16 @@ type AffineConfig struct {
 	Lens    [Levels]uint32
 }
 
+// Pattern is the affine pattern the packet configures, entered at its Iter:
+// element 0 of the result is the first element the receiving engine issues.
+func (a AffineConfig) Pattern() Affine {
+	p := Affine{Base: a.Base, ElemSize: int64(a.Size), Strides: a.Strides, Start: int64(a.Iter)}
+	for i, l := range a.Lens {
+		p.Lens[i] = int64(l)
+	}
+	return p
+}
+
 // IndirectConfig is one decoded indirect extension of a configuration
 // packet: the dependent stream's id, base address and element size.
 type IndirectConfig struct {

@@ -77,6 +77,35 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestPatternFromIter: a packet built from a pattern with a nonzero Start
+// and fast-forwarded past it decodes to a pattern whose element 0 is the
+// hand-off element, and whose remaining elements follow the original's.
+func TestPatternFromIter(t *testing.T) {
+	a := Affine{Base: 0x10000, ElemSize: 8, Strides: [3]int64{8, -1024, 1 << 20}, Lens: [3]int64{16, 5, 3}, Start: 21}
+	const handoff = 9
+	p := ConfigPacket{Affine: AffineConfig{
+		Base: a.Base, Strides: a.Strides, Iter: uint64(a.Start + handoff), Size: uint8(a.ElemSize),
+		Lens: [3]uint32{16, 5, 3},
+	}}
+	data, err := p.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := DecodeConfig(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := back.Affine.Pattern()
+	if n, want := got.NumElems(), a.NumElems()-handoff; n != want {
+		t.Fatalf("decoded pattern has %d elements, want %d", n, want)
+	}
+	for i := int64(0); i < got.NumElems(); i++ {
+		if g, w := got.AddrAt(i), a.AddrAt(handoff+i); g != w {
+			t.Fatalf("decoded AddrAt(%d) = %#x, want %#x", i, g, w)
+		}
+	}
+}
+
 // TestEncodeRangeChecks: fields wider than their Table I slots are rejected.
 func TestEncodeRangeChecks(t *testing.T) {
 	for _, tc := range []struct {

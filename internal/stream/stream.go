@@ -40,15 +40,21 @@ func ConfigBytes(nIndirect int) int {
 // Level 0 is innermost. Unused levels have Lens == 0 and are treated as a
 // single iteration. Strides are in bytes and may be zero or negative
 // (zero outer stride re-streams the inner pattern, as mv does with x[]).
+//
+// Start is Table I's iter field: the stream begins at element Start of the
+// nest, so element i of the stream is nest element Start+i. Kernels build
+// patterns with Start 0; a nonzero Start is a stream entered mid-nest (a
+// sampled window that begins inside an outer row).
 type Affine struct {
 	Base     uint64
 	ElemSize int64 // bytes accessed per element (up to a full line for SIMD)
 	Strides  [Levels]int64
 	Lens     [Levels]int64
+	Start    int64
 }
 
-// NumElems returns the total trip count of the pattern.
-func (a Affine) NumElems() int64 {
+// nestElems is the trip count of the whole nest, ignoring Start.
+func (a Affine) nestElems() int64 {
 	n := int64(1)
 	for _, l := range a.Lens {
 		if l > 0 {
@@ -58,8 +64,14 @@ func (a Affine) NumElems() int64 {
 	return n
 }
 
-// AddrAt returns the address of element i (0 <= i < NumElems).
+// NumElems returns the trip count of the pattern: the nest's elements from
+// Start on.
+func (a Affine) NumElems() int64 { return a.nestElems() - a.Start }
+
+// AddrAt returns the address of element i (0 <= i < NumElems), which is
+// nest element Start+i.
 func (a Affine) AddrAt(i int64) uint64 {
+	i += a.Start
 	addr := int64(a.Base)
 	for lv := 0; lv < Levels; lv++ {
 		l := a.Lens[lv]
@@ -101,14 +113,14 @@ func (a Affine) Contiguous() bool {
 }
 
 // Equal reports whether two affine patterns are identical — the confluence
-// merge test (§IV-C): same base, element size, strides and lengths.
+// merge test (§IV-C): same base, element size, strides, lengths and start.
 func (a Affine) Equal(b Affine) bool { return a == b }
 
 // OffsetOf reports whether b is the same pattern as a shifted by a constant
 // byte offset (the stencil A[i], A[i+K] reuse case of §IV-B), returning the
 // offset (b.Base - a.Base) and true if so.
 func (a Affine) OffsetOf(b Affine) (int64, bool) {
-	if a.ElemSize != b.ElemSize || a.Strides != b.Strides || a.Lens != b.Lens {
+	if a.ElemSize != b.ElemSize || a.Strides != b.Strides || a.Lens != b.Lens || a.Start != b.Start {
 		return 0, false
 	}
 	return int64(b.Base) - int64(a.Base), true
@@ -200,8 +212,8 @@ func (d Decl) Validate() error {
 		if d.Affine.ElemSize <= 0 || d.Affine.ElemSize > LineBytes {
 			return fmt.Errorf("stream %q: element size %d out of (0,%d]", d.Name, d.Affine.ElemSize, LineBytes)
 		}
-		if d.Affine.NumElems() <= 0 {
-			return fmt.Errorf("stream %q: empty pattern", d.Name)
+		if n := d.Affine.nestElems(); d.Affine.Start < 0 || d.Affine.Start >= n {
+			return fmt.Errorf("stream %q: start element %d out of [0,%d)", d.Name, d.Affine.Start, n)
 		}
 	}
 	if d.Indirect != nil {

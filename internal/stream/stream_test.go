@@ -94,6 +94,63 @@ func TestOffsetOf(t *testing.T) {
 	}
 }
 
+// TestAffineStart: a nonzero Start enters the nest mid-row. Element i is
+// nest element Start+i, the trip count shrinks by Start, two patterns that
+// differ only in Start are neither equal nor offset copies, and Validate
+// accepts exactly the starts inside the nest.
+func TestAffineStart(t *testing.T) {
+	// 3 rows of 4 elements, rows 1 KiB apart; nest size 12.
+	nest := Affine{Base: 0x4000, ElemSize: 8, Strides: [3]int64{8, 1024}, Lens: [3]int64{4, 3}}
+	for _, tc := range []struct {
+		start    int64
+		valid    bool
+		first    uint64 // AddrAt(0)
+		numElems int64
+	}{
+		{start: 0, valid: true, first: 0x4000, numElems: 12},
+		{start: 1, valid: true, first: 0x4008, numElems: 11},
+		{start: 4, valid: true, first: 0x4400, numElems: 8},
+		{start: 7, valid: true, first: 0x4418, numElems: 5},
+		{start: 11, valid: true, first: 0x4818, numElems: 1},
+		{start: 12, valid: false},
+		{start: 40, valid: false},
+		{start: -1, valid: false},
+	} {
+		a := nest
+		a.Start = tc.start
+		d := Decl{Name: "a", Affine: &a}
+		if err := d.Validate(); (err == nil) != tc.valid {
+			t.Errorf("Start %d: Validate = %v, want valid %v", tc.start, err, tc.valid)
+		}
+		if !tc.valid {
+			continue
+		}
+		if got := a.NumElems(); got != tc.numElems {
+			t.Errorf("Start %d: NumElems = %d, want %d", tc.start, got, tc.numElems)
+		}
+		if got := a.AddrAt(0); got != tc.first {
+			t.Errorf("Start %d: AddrAt(0) = %#x, want %#x", tc.start, got, tc.first)
+		}
+		for i := int64(0); i < a.NumElems(); i++ {
+			if got, want := a.AddrAt(i), nest.AddrAt(tc.start+i); got != want {
+				t.Fatalf("Start %d: AddrAt(%d) = %#x, want nest element %d at %#x",
+					tc.start, i, got, tc.start+i, want)
+			}
+		}
+		if a.Equal(nest) != (tc.start == 0) {
+			t.Errorf("Start %d: Equal(nest) = %v", tc.start, a.Equal(nest))
+		}
+		shifted := a
+		shifted.Base += 4096
+		if off, ok := a.OffsetOf(shifted); !ok || off != 4096 {
+			t.Errorf("Start %d: OffsetOf(shifted copy) = %d, %v", tc.start, off, ok)
+		}
+		if _, ok := nest.OffsetOf(shifted); ok != (tc.start == 0) {
+			t.Errorf("Start %d: OffsetOf across starts = %v", tc.start, ok)
+		}
+	}
+}
+
 func TestIndirectAddr(t *testing.T) {
 	ind := Indirect{Base: 0x8000, ElemSize: 4, Scale: 4, WBytes: 4}
 	if got := ind.AddrFor(10); got != 0x8000+40 {

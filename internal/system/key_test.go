@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"streamfloat/internal/config"
 	"streamfloat/internal/event"
 )
 
@@ -27,6 +28,30 @@ func TestCacheKeyStability(t *testing.T) {
 		if other == k1 {
 			t.Errorf("changing %s did not change the cache key", name)
 		}
+	}
+}
+
+// TestCacheKeySamplerVersion: a sampler change that moves estimates retires
+// the sampled keys it invalidates and no other. The full-run key of one
+// point is pinned to its value before the sampler version word existed, so
+// full-detail entries in existing stores stay valid; the same point's
+// sampled key must differ from its pinned old value, so old-sampler
+// estimates stop matching.
+func TestCacheKeySamplerVersion(t *testing.T) {
+	cfg, err := config.ForSystem("SF", config.OOO8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		fullKey       = "f754333efe34810289dc93fa5fb5afefbbf1f9fef821b916a44104885ed2b1f3"
+		unversionedSK = "23b102e3390d264e1337e75dbd5fc5a59a3f05c8559744ffde9c3915c2de36b6"
+	)
+	if got := CacheKey(cfg, "nn", 0.25); got != fullKey {
+		t.Errorf("full-run key moved: %s, want %s (stores would recompute every full-detail point)", got, fullKey)
+	}
+	cfg.Sample = config.SampleParams{Intervals: 16}
+	if got := CacheKey(cfg, "nn", 0.25); got == unversionedSK {
+		t.Error("sampled key unchanged: stores would serve estimates of the unversioned sampler")
 	}
 }
 
