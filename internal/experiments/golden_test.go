@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"streamfloat/internal/config"
+	"streamfloat/internal/sanitize"
 	"streamfloat/internal/system"
 )
 
@@ -106,6 +108,46 @@ func TestGoldenFig15(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "golden_fig15", tbl.Metrics)
+}
+
+// TestGoldenTables pins every figure's whole table — title, header, rows,
+// notes and metrics — as `sfexp -fig all -json` renders it, at a spot scale
+// small enough for one benchmark (Fig 2 still clamps itself to 0.5).
+// Sanitize is off as in sfexp; TestSanitizeInvariance licenses that.
+func TestGoldenTables(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every figure's sweep (~70 runs) skipped in -short")
+	}
+	tables, err := AllTables(Options{Scale: 0.03, Benchmarks: []string{"nn"}, Sanitize: sanitize.ModeOff})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := WriteJSON(&got, tables); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "golden_tables.json")
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s with %d tables", path, len(tables))
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (regenerate with -update): %v", err)
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gl, wl := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if !bytes.Equal(gl[i], wl[i]) {
+			t.Fatalf("tables differ from %s at line %d:\n got %s\nwant %s", path, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("tables differ from %s in length: %d lines, golden %d", path, len(gl), len(wl))
 }
 
 // TestDeterministicStats: the same configuration run twice produces
