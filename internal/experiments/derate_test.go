@@ -22,13 +22,13 @@ func TestParallelismDerate(t *testing.T) {
 		par, workers, want int
 		noted              bool
 	}{
-		{0, 0, 8, false},  // defaults: fan out to GOMAXPROCS, 1 worker each
-		{3, 1, 3, false},  // explicit bound, sequential kernel: untouched
-		{0, 2, 4, true},   // 8 procs / 2 workers
-		{0, 4, 2, true},   // 8 procs / 4 workers
-		{0, 16, 1, true},  // workers alone exceed procs: floor at 1
-		{2, 4, 2, false},  // 2x4 = 8 fits exactly: no derate
-		{8, 4, 2, true},   // 8x4 = 32 does not
+		{0, 0, 8, false}, // defaults: fan out to GOMAXPROCS, 1 worker each
+		{3, 1, 3, false}, // explicit bound, sequential kernel: untouched
+		{0, 2, 4, true},  // 8 procs / 2 workers
+		{0, 4, 2, true},  // 8 procs / 4 workers
+		{0, 16, 1, true}, // workers alone exceed procs: floor at 1
+		{2, 4, 2, false}, // 2x4 = 8 fits exactly: no derate
+		{8, 4, 2, true},  // 8x4 = 32 does not
 	}
 	for _, c := range cases {
 		o := Options{Parallelism: c.par, Workers: c.workers}

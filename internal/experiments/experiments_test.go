@@ -7,12 +7,38 @@ import (
 	"testing"
 
 	"streamfloat/internal/config"
+	"streamfloat/internal/system"
 )
 
 // tinyOpts keeps experiment tests fast: a benchmark subset at small scale.
 // Mesh sizes stay as each figure dictates.
 func tinyOpts() Options {
 	return Options{Scale: 0.05, Benchmarks: []string{"nn", "conv3d"}}
+}
+
+// runAll sweeps hand-built keys the way a figure sweeps its grid and
+// returns each point's Results.
+func runAll(ctx context.Context, opts Options, keys []runKey) ([]system.Results, error) {
+	cells, err := sweep(ctx, opts, keys)
+	res := make([]system.Results, len(cells))
+	for i, c := range cells {
+		res[i] = c.Results
+	}
+	return res, err
+}
+
+// figureTable regenerates figure id through ByName, the production path.
+func figureTable(t *testing.T, id string, opts Options) *Table {
+	t.Helper()
+	fn, ok := ByName(id)
+	if !ok {
+		t.Fatalf("figure %q not registered", id)
+	}
+	tb, err := fn(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
 }
 
 func TestTablePrinting(t *testing.T) {
@@ -61,17 +87,14 @@ func TestByName(t *testing.T) {
 }
 
 func TestAreaTable(t *testing.T) {
-	tb, err := areaTable(Options{})
-	if err != nil || len(tb.Rows) != 2 {
+	tb := figureTable(t, "area", Options{})
+	if len(tb.Rows) != 2 {
 		t.Fatalf("area rows = %d", len(tb.Rows))
 	}
 }
 
 func TestFig13Tiny(t *testing.T) {
-	tb, err := fig13(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := figureTable(t, "13", tinyOpts())
 	// 3 cores x 4 non-base systems.
 	if len(tb.Rows) != 12 {
 		t.Fatalf("rows = %d", len(tb.Rows))
@@ -86,20 +109,14 @@ func TestFig13Tiny(t *testing.T) {
 }
 
 func TestFig14Tiny(t *testing.T) {
-	tb, err := fig14(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := figureTable(t, "14", tinyOpts())
 	if tb.Metrics["floated-share"] <= 0 {
 		t.Error("no floated requests measured")
 	}
 }
 
 func TestFig15Tiny(t *testing.T) {
-	tb, err := fig15(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := figureTable(t, "15", tinyOpts())
 	if len(tb.Rows) != 9 {
 		t.Fatalf("variants = %d", len(tb.Rows))
 	}
@@ -112,20 +129,14 @@ func TestFig15Tiny(t *testing.T) {
 }
 
 func TestFig16Tiny(t *testing.T) {
-	tb, err := fig16(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := figureTable(t, "16", tinyOpts())
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
 }
 
 func TestFig17Tiny(t *testing.T) {
-	tb, err := fig17(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := figureTable(t, "17", tinyOpts())
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -137,10 +148,7 @@ func TestFig17Tiny(t *testing.T) {
 }
 
 func TestFig18Tiny(t *testing.T) {
-	tb, err := fig18(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := figureTable(t, "18", tinyOpts())
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -150,10 +158,7 @@ func TestFig18Tiny(t *testing.T) {
 }
 
 func TestFig19Tiny(t *testing.T) {
-	tb, err := fig19(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := figureTable(t, "19", tinyOpts())
 	if len(tb.Rows) != 15 {
 		t.Fatalf("points = %d", len(tb.Rows))
 	}

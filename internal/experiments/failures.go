@@ -15,8 +15,8 @@ type PointFailure struct {
 	Bench  string `json:"bench"`
 	System string `json:"system"`
 	Core   string `json:"core"`
-	// Variant distinguishes mutated points (Fig15's prefetcher variants,
-	// Fig16's link sweeps, ...) that share bench/system/core.
+	// Variant is the label of a mutated point's axis entry ("Stride+bulk",
+	// "256-bit", ...), which tells apart points sharing bench/system/core.
 	Variant string `json:"variant,omitempty"`
 	// Key is the point's canonical cache key, when known.
 	Key string `json:"key,omitempty"`
@@ -52,7 +52,7 @@ func newPointFailure(k runKey, err error) PointFailure {
 		Bench:       k.bench,
 		System:      k.system,
 		Core:        k.core.String(),
-		Variant:     k.variant(),
+		Variant:     k.variant,
 		Key:         pe.Key,
 		Kind:        pe.Kind,
 		Msg:         pe.Msg,
@@ -84,8 +84,8 @@ func (l *pointLog[T]) record(k runKey, v T) {
 	l.recs = append(l.recs, pointRecord[T]{k, v})
 }
 
-// sorted returns the records ordered by (bench, system, core, variant), so
-// the order is independent of sweep parallelism.
+// sorted returns the records ordered by (bench, system, core, variant,
+// grid index), so the order is independent of sweep parallelism.
 func (l *pointLog[T]) sorted() []T {
 	if l == nil {
 		return nil
@@ -98,7 +98,8 @@ func (l *pointLog[T]) sorted() []T {
 			cmp.Compare(a.k.bench, b.k.bench),
 			cmp.Compare(a.k.system, b.k.system),
 			cmp.Compare(a.k.core.String(), b.k.core.String()),
-			cmp.Compare(a.k.variant(), b.k.variant()))
+			cmp.Compare(a.k.variant, b.k.variant),
+			cmp.Compare(a.k.idx, b.k.idx))
 	})
 	out := make([]T, len(recs))
 	for i, r := range recs {

@@ -113,39 +113,45 @@ func TestKeepGoingPointTimeout(t *testing.T) {
 	}
 }
 
-// TestRunFigureFailureFootnotes: under KeepGoing, runFigure provisions the
-// failure log and renders each failed point as a table footnote.
+// TestRunFigureFailureFootnotes: under KeepGoing, a figure provisions the
+// failure log and renders each failed point as a table footnote. Mutated
+// points that share bench/system/core fail under their own axis labels.
 func TestRunFigureFailureFootnotes(t *testing.T) {
 	setFaultHook(t, func(bench, sys string, core config.CoreKind) {
 		if bench == "conv3d" {
 			panic("injected point fault")
 		}
 	})
-	keys := []runKey{
-		{bench: "nn", system: "SF", core: config.OOO8},
-		{bench: "conv3d", system: "SF", core: config.OOO8},
+	fig := &figure{
+		name: "faulty",
+		outer: []setting{
+			{label: "wide", mutate: func(c *config.Config) { c.LinkBits = 512 }},
+			{label: "narrow", mutate: func(c *config.Config) { c.LinkBits = 128 }},
+		},
+		inner: systems("SF"),
+		rows:  func(*Table, *grid) {},
 	}
-	opts := Options{Scale: 0.05, KeepGoing: true}
-	tb, err := runFigure("faulty", func(o Options) (*Table, error) {
-		if _, err := runAll(o.context(), o, keys); err != nil {
-			return nil, err
-		}
-		return &Table{Title: "faulty"}, nil
-	}, opts)
+	tb, err := fig.run(Options{Scale: 0.05, Benchmarks: []string{"nn", "conv3d"}, KeepGoing: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tb.Failures) != 1 {
-		t.Fatalf("table failures = %+v", tb.Failures)
+	var variants []string
+	for _, f := range tb.Failures {
+		variants = append(variants, f.Variant)
 	}
-	found := false
-	for _, n := range tb.Notes {
-		if strings.Contains(n, "FAILED conv3d/SF") && strings.Contains(n, "panic") {
-			found = true
+	if !reflect.DeepEqual(variants, []string{"narrow", "wide"}) {
+		t.Fatalf("table failures = %+v, want conv3d/SF under narrow then wide", tb.Failures)
+	}
+	for _, variant := range variants {
+		found := false
+		for _, n := range tb.Notes {
+			if strings.Contains(n, "FAILED conv3d/SF/OOO8("+variant+")") && strings.Contains(n, "panic") {
+				found = true
+			}
 		}
-	}
-	if !found {
-		t.Errorf("no FAILED footnote in notes: %q", tb.Notes)
+		if !found {
+			t.Errorf("no FAILED footnote for %s in notes: %q", variant, tb.Notes)
+		}
 	}
 }
 

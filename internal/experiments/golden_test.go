@@ -81,20 +81,12 @@ func TestGoldenFig13(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Fig 13 sweep (30 runs) skipped in -short")
 	}
-	tbl, err := fig13(goldenOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "golden_fig13", tbl.Metrics)
+	checkGolden(t, "golden_fig13", figureTable(t, "13", goldenOpts()).Metrics)
 }
 
 // TestGoldenFig14 pins the floated-request share of SF-OOO8.
 func TestGoldenFig14(t *testing.T) {
-	tbl, err := fig14(goldenOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "golden_fig14", tbl.Metrics)
+	checkGolden(t, "golden_fig14", figureTable(t, "14", goldenOpts()).Metrics)
 }
 
 // TestGoldenFig15 pins the normalized NoC traffic and utilization of every
@@ -103,11 +95,7 @@ func TestGoldenFig15(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Fig 15 sweep (18 runs) skipped in -short")
 	}
-	tbl, err := fig15(goldenOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "golden_fig15", tbl.Metrics)
+	checkGolden(t, "golden_fig15", figureTable(t, "15", goldenOpts()).Metrics)
 }
 
 // TestGoldenTables pins every figure's whole table — title, header, rows,

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 )
 
@@ -18,14 +17,13 @@ type NamedTable struct {
 // carry their per-point estimates and confidence intervals in
 // Table.Sampling.
 func AllTables(opts Options) ([]NamedTable, error) {
-	rs := figureRunners()
-	out := make([]NamedTable, 0, len(rs))
-	for _, r := range rs {
-		t, err := runFigure(r.name, r.fn, opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", r.name, err)
-		}
-		out = append(out, NamedTable{Name: r.name, Table: t})
+	var out []NamedTable
+	err := each(figures, opts, func(name string, t *Table) error {
+		out = append(out, NamedTable{Name: name, Table: t})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// ProgressFunc receives sweep progress snapshots from runAll. It is called
+// ProgressFunc receives sweep progress snapshots from a figure's sweep. It is called
 // once when a point starts and once when it finishes, from the sweep's
 // worker goroutines; implementations must be safe for concurrent use and
 // should return quickly (a slow sink stalls the sweep).
@@ -46,7 +46,7 @@ type ProgressEvent struct {
 }
 
 // progressTracker aggregates per-point notifications into monotonic sweep
-// counts and wall-time estimates. A nil tracker discards events, so runAll
+// counts and wall-time estimates. A nil tracker discards events, so a sweep
 // never branches on whether a sink is configured.
 type progressTracker struct {
 	fn  ProgressFunc

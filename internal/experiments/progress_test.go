@@ -57,9 +57,7 @@ func TestProgressEvents(t *testing.T) {
 			mu.Unlock()
 		},
 	}
-	if _, err := fig13(opts); err != nil {
-		t.Fatal(err)
-	}
+	figureTable(t, "13", opts)
 
 	const points = 15 // 3 cores x 5 systems x 1 bench
 	if len(events) != 2*points {
@@ -103,14 +101,43 @@ func TestProgressEvents(t *testing.T) {
 	mu.Lock()
 	events = nil
 	mu.Unlock()
-	if _, err := fig13(opts); err != nil {
-		t.Fatal(err)
-	}
+	figureTable(t, "13", opts)
 	last = events[len(events)-1]
 	if last.Cached != points || last.Completed != points {
 		t.Errorf("warm final event %+v, want all %d cached", last, points)
 	}
 	if last.EstRemaining != 0 {
 		t.Errorf("warm sweep estimated %v remaining from zero computed points", last.EstRemaining)
+	}
+}
+
+// TestProgressEventsLatency: the traced latency figure reports progress like
+// every other sweep: a start and a finish per point, ending complete.
+func TestProgressEventsLatency(t *testing.T) {
+	var mu sync.Mutex
+	var events []ProgressEvent
+	opts := Options{
+		Scale:       0.02,
+		Benchmarks:  []string{"nn"},
+		Parallelism: 1,
+		Progress: func(ev ProgressEvent) {
+			mu.Lock()
+			events = append(events, ev)
+			mu.Unlock()
+		},
+	}
+	figureTable(t, "latency", opts)
+
+	points := 2 * len(opts.Benchmarks) // Base and SF per benchmark
+	if len(events) != 2*points {
+		t.Fatalf("got %d events, want %d (start+done per point)", len(events), 2*points)
+	}
+	for i, ev := range events {
+		if ev.Total != points || ev.Key == "" {
+			t.Fatalf("event %d = %+v, want Total %d and a canonical key", i, ev, points)
+		}
+	}
+	if last := events[len(events)-1]; !last.Done || last.Completed != last.Total || last.Failed != 0 {
+		t.Errorf("final event %+v, want all %d points completed", last, points)
 	}
 }

@@ -102,17 +102,13 @@ func TestNames(t *testing.T) {
 	}
 }
 
-// TestWriteCSVsPerFigure drives the per-figure CSV writer with stub runners
+// TestWriteCSVsPerFigure drives the per-figure CSV writer with stub figures
 // (the real sweep is exercised by the figure tests).
 func TestWriteCSVsPerFigure(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "nested", "out")
-	stub := []figRunner{
-		{"one", func(Options) (*Table, error) {
-			return &Table{Header: []string{"a"}, Rows: [][]string{{"1"}}}, nil
-		}},
-		{"two", func(Options) (*Table, error) {
-			return &Table{Header: []string{"b"}, Rows: [][]string{{"2"}}}, nil
-		}},
+	stub := []*figure{
+		{name: "one", header: []string{"a"}, rows: func(t *Table, _ *grid) { t.Rows = [][]string{{"1"}} }},
+		{name: "two", header: []string{"b"}, rows: func(t *Table, _ *grid) { t.Rows = [][]string{{"2"}} }},
 	}
 	if err := writeCSVs(stub, Options{}, dir); err != nil {
 		t.Fatal(err)
@@ -127,10 +123,8 @@ func TestWriteCSVsPerFigure(t *testing.T) {
 		}
 	}
 	// A failing figure aborts with its name in the error.
-	bad := []figRunner{{"boom", func(Options) (*Table, error) {
-		return nil, os.ErrNotExist
-	}}}
-	if err := writeCSVs(bad, Options{}, dir); err == nil || !strings.Contains(err.Error(), "boom") {
+	bad := []*figure{{name: "boom", outer: systems("no-such-system"), inner: noAxis, rows: func(*Table, *grid) {}}}
+	if err := writeCSVs(bad, Options{Benchmarks: []string{"nn"}}, dir); err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Errorf("figure error not propagated: %v", err)
 	}
 }
@@ -139,10 +133,7 @@ func TestLatencyBreakdownTiny(t *testing.T) {
 	if testing.Short() {
 		t.Skip("traced sweep")
 	}
-	tb, err := latencyBreakdown(tinyOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := figureTable(t, "latency", tinyOpts())
 	// 2 benchmarks x 2 systems.
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tb.Rows))

@@ -13,8 +13,8 @@ type PointEstimate struct {
 	Bench  string `json:"bench"`
 	System string `json:"system"`
 	Core   string `json:"core"`
-	// Variant distinguishes mutated points (Fig15's prefetcher variants,
-	// Fig16's link sweeps, ...) that share bench/system/core.
+	// Variant is the label of a mutated point's axis entry ("Stride+bulk",
+	// "256-bit", ...), which tells apart points sharing bench/system/core.
 	Variant string          `json:"variant,omitempty"`
 	Cycles  sample.Estimate `json:"cycles"`
 	Energy  sample.Estimate `json:"energy"`
@@ -29,7 +29,7 @@ func newPointEstimate(k runKey, r *sample.Result) PointEstimate {
 		Bench:   k.bench,
 		System:  k.system,
 		Core:    k.core.String(),
-		Variant: k.variant(),
+		Variant: k.variant,
 		Cycles:  r.Cycles,
 		Energy:  r.Energy,
 		Speedup: r.Speedup(),
@@ -42,7 +42,8 @@ type SamplingSummary struct {
 	Measure   int   `json:"measure"`
 	Seed      int64 `json:"seed"`
 	// Points holds the per-point estimates computed for this table, sorted
-	// by (bench, system, core, variant). Cache-served points are absent.
+	// by (bench, system, core, variant, grid index). Cache-served points are
+	// absent.
 	Points []PointEstimate `json:"points"`
 	// MeanSpeedup is the arithmetic mean work reduction across Points.
 	MeanSpeedup float64 `json:"mean_speedup"`
@@ -77,39 +78,4 @@ func (s *SamplingSummary) note() string {
 		"%d fresh points, mean work reduction %.1fx (min %.2fx: %s), worst 95%% CI ±%.1f%% cycles / ±%.1f%% energy",
 		s.Intervals, s.Measure, s.Seed, len(s.Points),
 		s.MeanSpeedup, s.MinSpeedup, s.MinBench, 100*s.MaxRelCyclesCI, 100*s.MaxRelEnergyCI)
-}
-
-// runFigure invokes one figure runner, provisioning an estimate log when
-// the sweep samples (a failure log under KeepGoing) and stitching what they
-// collected into the table. All, AllTables, ByName and WriteFigureCSVs all
-// route through here — it is the only way to a figure — so every table
-// carries its confidence intervals, failure footnotes and, when the per-
-// simulation worker count forces a sweep-parallelism derate, a note saying
-// so. name tags the sweep's goroutines for pprof attribution.
-func runFigure(name string, fn func(Options) (*Table, error), opts Options) (*Table, error) {
-	opts.figure = name
-	if opts.Sample.Enabled() {
-		opts.estimates = &pointLog[PointEstimate]{}
-	}
-	if opts.KeepGoing {
-		opts.failures = &pointLog[PointFailure]{}
-	}
-	t, err := fn(opts)
-	if err != nil || t == nil {
-		return t, err
-	}
-	if pts := opts.estimates.sorted(); len(pts) > 0 {
-		t.Sampling = newSamplingSummary(opts.Sample, pts)
-		t.Notes = append(t.Notes, t.Sampling.note())
-	}
-	if pts := opts.failures.sorted(); len(pts) > 0 {
-		t.Failures = pts
-		for _, f := range pts {
-			t.Notes = append(t.Notes, f.note())
-		}
-	}
-	if n := opts.derateNote(); n != "" {
-		t.Notes = append(t.Notes, n)
-	}
-	return t, nil
 }

@@ -66,6 +66,33 @@ func TestSampledSweepParallelismInvariance(t *testing.T) {
 			t.Errorf("%s/%s: sampled point saved no work (speedup %.2f)", p.Bench, p.System, p.Speedup)
 		}
 	}
+
+	// Fig 16's mutated points share bench/system/core: each must carry its
+	// link width as its variant, in one order at every parallelism.
+	fig16, _ := ByName("16")
+	var fig16Pts [][]PointEstimate
+	for _, par := range []int{1, 4} {
+		opts := sampledOpts()
+		opts.Scale = 0.02
+		opts.Benchmarks = []string{"nn"}
+		opts.Parallelism = par
+		tb, err := fig16(opts)
+		if err != nil {
+			t.Fatalf("fig16 par %d: %v", par, err)
+		}
+		fig16Pts = append(fig16Pts, tb.Sampling.Points)
+	}
+	var got []string
+	for _, p := range fig16Pts[0] {
+		got = append(got, p.System+"/"+p.Variant)
+	}
+	want := []string{"Bingo/128-bit", "Bingo/256-bit", "Bingo/512-bit", "SF/128-bit", "SF/256-bit", "SF/512-bit"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("fig16 sampled points %v, want %v", got, want)
+	}
+	if !reflect.DeepEqual(fig16Pts[0], fig16Pts[1]) {
+		t.Error("fig16 sampled estimates differ across parallelism levels")
+	}
 }
 
 // sampleSpyCache records every point a sampled sweep offers to a PointCache.
@@ -283,14 +310,8 @@ func TestSampledGoldenAccuracy(t *testing.T) {
 	}
 
 	// Fig 14: L3 request-origin share within 5 points absolute.
-	full14, err := runFigure("fig14", fig14, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samp14, err := runFigure("fig14", fig14, sampled)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full14 := figureTable(t, "14", base)
+	samp14 := figureTable(t, "14", sampled)
 	if math.Abs(samp14.Metrics["floated-share"]-full14.Metrics["floated-share"]) > 0.05 {
 		t.Errorf("Fig14 floated-share: sampled %.4f vs full %.4f",
 			samp14.Metrics["floated-share"], full14.Metrics["floated-share"])

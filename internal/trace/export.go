@@ -158,15 +158,15 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 		TraceEvents:     out,
 		DisplayTimeUnit: "ms",
 		OtherData: otherData{
-			Tool:      "sftrace",
-			Benchmark: t.cfg.Benchmark,
-			Label:     t.cfg.Label,
-			MeshW:     t.cfg.MeshW,
-			MeshH:     t.cfg.MeshH,
-			Cycles:    t.cycles,
-			RingDepth: t.cfg.RingDepth,
-			Dropped:   t.Dropped(),
-			LinkFlits: t.linkFlits,
+			Tool:        "sftrace",
+			Benchmark:   t.cfg.Benchmark,
+			Label:       t.cfg.Label,
+			MeshW:       t.cfg.MeshW,
+			MeshH:       t.cfg.MeshH,
+			Cycles:      t.cycles,
+			RingDepth:   t.cfg.RingDepth,
+			Dropped:     t.Dropped(),
+			LinkFlits:   t.linkFlits,
 			Attribution: t.Attribution().toJSON(),
 			Spans:       t.spans,
 		},

@@ -188,8 +188,8 @@ type ExperimentOptions = experiments.Options
 // ExperimentTable is one regenerated figure/table.
 type ExperimentTable = experiments.Table
 
-// Experiment runs one of the paper's figures by id ("2", "13"..."19",
-// "area") and returns its table.
+// Experiment runs one figure or table by id ("2", "13"..."19", "area",
+// "ablations" or "latency") and returns its table.
 func Experiment(id string, opts ExperimentOptions) (*ExperimentTable, error) {
 	fn, ok := experiments.ByName(id)
 	if !ok {
