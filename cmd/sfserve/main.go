@@ -12,23 +12,27 @@
 //	POST /run          {"system":"SF","core":"OOO8","benchmark":"mv","scale":0.25}
 //	                   (or {"config":{...},"benchmark":"mv","scale":0.25} for
 //	                   arbitrary sweep points shipped by a cluster client)
-//	GET  /figure/13?scale=0.05&bench=nn,conv3d&format=csv
 //	POST /jobs         async sweep submission: returns a job id immediately;
 //	                   poll GET /jobs/{id}, fetch GET /jobs/{id}/result,
-//	                   cancel with DELETE /jobs/{id}. With -journal, jobs
-//	                   survive a crash and resume on restart; with -cache
-//	                   too, their completed and quarantined points replay
-//	                   from the cache.
+//	                   cancel with DELETE /jobs/{id}. A figure is such a
+//	                   job, {"figure":{"id":"13","scale":0.05}}, and its
+//	                   result is the figure's JSON table (for text or CSV:
+//	                   sfexp -fig 13 -backends host:8080 [-csv]). With
+//	                   -journal, jobs survive a crash and resume on
+//	                   restart; with -cache too, their completed and
+//	                   quarantined points replay from the cache.
 //	GET  /healthz
 //	GET  /metrics      (includes per-origin request counters keyed by the
 //	                   X-SF-Origin header, so backend load is attributable
 //	                   to the sweeps driving it)
 //
-// Jobs are cancellable end to end: a client disconnect or per-job timeout
-// stops the simulation at its next event-loop cancellation check instead of
-// letting it run to completion. SIGTERM/SIGINT drain gracefully: health
-// flips to 503, new jobs are rejected, in-flight jobs finish (up to
-// -drain-timeout), then the listener closes.
+// /run and POST /jobs share one bound: with -workers + -queue jobs queued
+// or running, both answer 429. Jobs are cancellable end to end: a client
+// disconnect, a DELETE or the per-job timeout stops the simulation at its
+// next event-loop cancellation check instead of letting it run to
+// completion. SIGTERM/SIGINT drain gracefully: health flips to 503, new
+// jobs are rejected, in-flight jobs finish (up to -drain-timeout), then the
+// listener closes.
 package main
 
 import (
@@ -60,7 +64,7 @@ func run() error {
 		cacheEntries = flag.Int("cache-entries", 0, "max in-memory cached results (0 = default)")
 		journalDir   = flag.String("journal", "", "async-job journal directory: jobs submitted via POST /jobs survive restarts and resume; pair with -cache, which holds the resume state (completed and quarantined points)")
 		workers      = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
-		queue        = flag.Int("queue", 64, "queued jobs before 429 backpressure")
+		queue        = flag.Int("queue", 64, "queued /run and async jobs before 429 backpressure")
 		jobTimeout   = flag.Duration("job-timeout", 10*time.Minute, "per-job wall-clock cap")
 		stallTimeout = flag.Duration("stall-timeout", 0, "per-point watchdog: a simulation whose event loop stops advancing for this long is killed as stuck (0 = off)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown window on SIGTERM")

@@ -195,7 +195,7 @@ func (c *Client) DoPoint(ctx context.Context, key string, cfg config.Config, ben
 	// cfg.Workers and cfg.Sanitize ride along verbatim: both are outside the
 	// canonical key, so the backend runs the same simulation however many
 	// shard workers drive it and whatever an "auto" sanitizer resolves to
-	// over there (see serve.JobRequest.Workers for per-backend overrides).
+	// over there.
 	job := serve.JobRequest{Config: &cfg, Benchmark: bench, Scale: scale}
 
 	order := c.ring.successors(key)

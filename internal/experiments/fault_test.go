@@ -186,20 +186,27 @@ func TestLatencyCancelMidPoint(t *testing.T) {
 // TestLatencyPointTimeoutKeepGoing: a latency point overrunning
 // Options.PointTimeout is killed by the same watchdog as any other point and
 // recorded as a timeout failure, while the rest of the table still renders.
-// The deadline leaves the healthy traced point room to finish under -race.
+// The deadline is at least 4 s and three times a healthy traced point timed
+// on this host first, so the healthy point finishes under -race on a slow
+// host too.
 func TestLatencyPointTimeoutKeepGoing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("waits out a multi-second point deadline")
 	}
-	const deadline = 4 * time.Second
+	opts := Options{Scale: 0.05, Benchmarks: []string{"nn"}, Sanitize: sanitize.ModeOff}
+	start := time.Now()
+	if _, _, err := TracedRun(context.Background(), opts, "Base", config.OOO8, "nn"); err != nil {
+		t.Fatal(err)
+	}
+	deadline := max(4*time.Second, 3*time.Since(start))
 	setFaultHook(t, func(bench, sys string, core config.CoreKind) {
 		if sys == "SF" {
 			time.Sleep(deadline + 500*time.Millisecond)
 		}
 	})
+	opts.KeepGoing, opts.PointTimeout = true, deadline
 	fn, _ := ByName("latency")
-	tb, err := fn(Options{Scale: 0.05, Benchmarks: []string{"nn"}, Sanitize: sanitize.ModeOff,
-		KeepGoing: true, PointTimeout: deadline})
+	tb, err := fn(opts)
 	if err != nil {
 		t.Fatalf("keep-going latency sweep must complete: %v", err)
 	}

@@ -7,8 +7,9 @@ import (
 
 // ProgressFunc receives sweep progress snapshots from a figure's sweep. It is called
 // once when a point starts and once when it finishes, from the sweep's
-// worker goroutines; implementations must be safe for concurrent use and
-// should return quickly (a slow sink stalls the sweep).
+// worker goroutines but one call at a time, in the order the snapshots were
+// taken, so the last event a sink sees carries the final counts. It should
+// return quickly (a slow sink stalls the sweep).
 type ProgressFunc func(ProgressEvent)
 
 // ProgressEvent is one sweep progress snapshot. Counts are cumulative over
@@ -46,8 +47,10 @@ type ProgressEvent struct {
 }
 
 // progressTracker aggregates per-point notifications into monotonic sweep
-// counts and wall-time estimates. A nil tracker discards events, so a sweep
-// never branches on whether a sink is configured.
+// counts and wall-time estimates, and delivers each snapshot under the same
+// lock that took it: a worker preempted between the two must not hand the
+// sink an older snapshot after a newer one. A nil tracker discards events,
+// so a sweep never branches on whether a sink is configured.
 type progressTracker struct {
 	fn  ProgressFunc
 	par int
@@ -78,9 +81,9 @@ func (p *progressTracker) start(key string) {
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.started++
 	ev := p.snapshotLocked()
-	p.mu.Unlock()
 	ev.Key = key
 	p.fn(ev)
 }
@@ -92,6 +95,7 @@ func (p *progressTracker) finish(key string, err error, cached bool, wall time.D
 		return
 	}
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	if err != nil {
 		p.failed++
 	} else {
@@ -104,7 +108,6 @@ func (p *progressTracker) finish(key string, err error, cached bool, wall time.D
 		}
 	}
 	ev := p.snapshotLocked()
-	p.mu.Unlock()
 	ev.Key = key
 	ev.Done = true
 	ev.Err = err

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"time"
 
 	"streamfloat/internal/config"
 	"streamfloat/internal/experiments"
@@ -39,7 +38,7 @@ func (s JobState) terminal() bool {
 // Figure and Points must be set.
 type JobSpec struct {
 	// Figure regenerates one of the paper's figures through the shared
-	// result cache, like GET /figure/{id} but asynchronously.
+	// result cache; the job's result is the figure's table.
 	Figure *FigureSpec `json:"figure,omitempty"`
 	// Points runs an explicit list of simulation points (each one a /run
 	// body) in order, through the shared result cache.
@@ -171,9 +170,10 @@ func newJobID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// submitJob registers a new job and starts its runner goroutine. When
-// resumedFrom is non-nil the job is a journal recovery: it keeps its old id
-// and its journal file, and its completed points replay from the Store.
+// submitJob registers a new job and starts its runner goroutine. A new job
+// holds the queue ticket admit gave it. When resumedFrom is non-nil the job
+// is a journal recovery: it keeps its old id and its journal file, waits
+// for a ticket in execute, and its completed points replay from the Store.
 func (s *Server) submitJob(spec JobSpec, resumedFrom *RecoveredJob) *job {
 	id := newJobID()
 	resumed := false
@@ -206,7 +206,6 @@ func (s *Server) submitJob(spec JobSpec, resumedFrom *RecoveredJob) *job {
 	} else {
 		s.asyncSubmitted.Add(1)
 	}
-	s.queued.Add(1)
 	s.jobsWG.Add(1)
 	go s.runJob(j)
 	return j
@@ -264,60 +263,45 @@ func (s *Server) journalTry(err error) {
 	}
 }
 
-// setJobState transitions the job and journals the transition (with the
-// job's final status, when the state is terminal).
-func (s *Server) setJobState(j *job, state JobState, errMsg string) {
-	j.mu.Lock()
-	j.state = state
-	j.errMsg = errMsg
-	j.mu.Unlock()
+// setJobState journals the transition (with the job's final status, when
+// the state is terminal, and res, the done job's result, when non-nil) and
+// only then publishes it. A client that sees a terminal state therefore
+// finds the journal complete: nothing appends to it afterwards, so a DELETE
+// that removes the job's journal file cannot race a late result record.
+func (s *Server) setJobState(j *job, state JobState, errMsg string, res *JobResult) {
+	st := j.status()
+	st.State, st.Error = state, errMsg
 	if s.cfg.Journal != nil {
-		s.journalTry(s.cfg.Journal.JobState(j.id, j.status()))
+		s.journalTry(s.cfg.Journal.JobState(j.id, st))
+		if res != nil {
+			s.journalTry(s.cfg.Journal.JobResult(j.id, *res))
+		}
 	}
+	j.mu.Lock()
+	j.state, j.errMsg = state, errMsg
+	if res != nil {
+		j.result = res
+	}
+	j.mu.Unlock()
 }
 
-// runJob drives one async job: wait for a worker slot, run the sweep, and
-// record the terminal state. If the server is killed (crash emulation /
-// process death) nothing terminal is journaled, so a restarted server
-// resumes the job, replaying its completed points from the Store.
+// runJob drives one async job through execute and records its terminal
+// state. If the server is killed (crash emulation / process death) nothing
+// terminal is journaled, so a restarted server resumes the job, replaying
+// its completed points from the Store.
 func (s *Server) runJob(j *job) {
 	defer s.jobsWG.Done()
 	defer close(j.done)
-	select {
-	case s.work <- struct{}{}:
-	case <-j.ctx.Done():
-		s.queued.Add(-1)
-		s.finishJob(j, JobResult{}, j.ctx.Err())
-		return
-	}
-	s.queued.Add(-1)
-	s.running.Add(1)
-	defer func() {
-		s.running.Add(-1)
-		<-s.work
-	}()
-
-	timeout := s.cfg.JobTimeout
-	if j.spec.TimeoutMS > 0 {
-		if d := time.Duration(j.spec.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(j.ctx, timeout)
-	defer cancel()
-
-	s.setJobState(j, JobRunning, "")
-	start := time.Now()
 	var res JobResult
-	var err error
-	if j.spec.Figure != nil {
-		res.Figure, err = s.runFigure(ctx, j, *j.spec.Figure, j.spec.KeepGoing)
-	} else {
-		res.Points, err = s.runPointsJob(ctx, j)
-	}
-	if err == nil {
-		s.lat.record(time.Since(start).Seconds())
-	}
+	err := s.execute(j.ctx, j.resumed, j.spec.TimeoutMS, func(ctx context.Context) (err error) {
+		s.setJobState(j, JobRunning, "", nil)
+		if j.spec.Figure != nil {
+			res.Figure, err = s.runFigure(ctx, j)
+		} else {
+			res.Points, err = s.runPointsJob(ctx, j)
+		}
+		return err
+	})
 	s.finishJob(j, res, err)
 }
 
@@ -335,25 +319,16 @@ func (s *Server) finishJob(j *job, res JobResult, err error) {
 	j.mu.Unlock()
 	switch {
 	case err == nil:
-		j.mu.Lock()
-		j.result = &res
-		j.mu.Unlock()
-		s.done.Add(1)
-		s.setJobState(j, JobDone, "")
-		if s.cfg.Journal != nil {
-			s.journalTry(s.cfg.Journal.JobResult(j.id, res))
-		}
+		s.setJobState(j, JobDone, "", &res)
 	case cancelled && isCtxErr(err):
-		s.failed.Add(1)
-		s.setJobState(j, JobCancelled, "")
+		s.setJobState(j, JobCancelled, "", nil)
 	default:
-		s.failed.Add(1)
 		if pe, ok := fault.As(err); ok {
 			j.mu.Lock()
 			j.fault = pe.Served()
 			j.mu.Unlock()
 		}
-		s.setJobState(j, JobFailed, err.Error())
+		s.setJobState(j, JobFailed, err.Error(), nil)
 	}
 }
 
@@ -416,15 +391,11 @@ func (s *Server) runPointsJob(ctx context.Context, j *job) ([]JobResponse, error
 	return out, nil
 }
 
-// handleJobs accepts new async jobs: POST /jobs -> 202 {id, state}.
+// handleJobs accepts new async jobs: POST /jobs -> 202 {id, state}, or
+// 503/429 from admit.
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.draining.Load() {
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		s.rejected.Add(1)
 		return
 	}
 	s.recordOrigin(r)
@@ -434,6 +405,9 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := spec.validate(); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	if !s.admit(w) {
 		return
 	}
 	j := s.submitJob(spec, nil)

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"streamfloat/internal/config"
+	"streamfloat/internal/experiments"
 	"streamfloat/internal/fault"
 	"streamfloat/internal/system"
 )
@@ -446,48 +447,103 @@ func TestJobsCancel(t *testing.T) {
 	}
 }
 
-// TestJobsFigureAsync: a figure job runs the real sweep asynchronously and
-// its result is identical to the synchronous /figure render of the same
-// sweep (which replays from the now-warm cache).
+// TestJobsBackpressure: async jobs and /run share one queue bound. With the
+// one worker and the one queue slot held by two blocked points jobs, a
+// third POST /jobs and a POST /run both answer 429, both count as
+// rejected, and the held jobs then finish.
+func TestJobsBackpressure(t *testing.T) {
+	block := make(chan struct{})
+	started := make(chan struct{}, 2)
+	runner := func(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error) {
+		started <- struct{}{}
+		select {
+		case <-block:
+			return system.Results{Benchmark: bench}, nil
+		case <-ctx.Done():
+			return system.Results{}, ctx.Err()
+		}
+	}
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Runner: runner})
+	first := submitJobSpec(t, ts.URL, JobSpec{Points: []JobRequest{{Benchmark: "nn", Scale: 0.05}}})
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("first job never started")
+	}
+	// The second job holds the queue slot from the moment it is accepted.
+	second := submitJobSpec(t, ts.URL, JobSpec{Points: []JobRequest{{Benchmark: "mv", Scale: 0.05}}})
+
+	// A request that is not refused would wait behind the held jobs; the
+	// client's timeout turns that into a failure instead of a hang.
+	client := &http.Client{Timeout: 5 * time.Second}
+	for _, req := range []struct {
+		path string
+		body any
+	}{
+		{"/jobs", JobSpec{Points: []JobRequest{{Benchmark: "conv3d", Scale: 0.05}}}},
+		{"/run", JobRequest{Benchmark: "conv3d", Scale: 0.05}},
+	} {
+		path := req.path
+		body, _ := json.Marshal(req.body)
+		resp, err := client.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST %s on a full queue: %v, want 429", path, err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Errorf("POST %s on a full queue = %d (%s), want 429", path, resp.StatusCode, data)
+		}
+	}
+	mr, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mdata, _ := io.ReadAll(mr.Body)
+	mr.Body.Close()
+	if !strings.Contains(string(mdata), "sfserve_jobs_rejected 2\n") {
+		t.Errorf("metrics do not count both rejections:\n%s", mdata)
+	}
+
+	close(block)
+	for _, id := range []string{first, second} {
+		waitJobState(t, ts.URL, id, JobDone)
+	}
+}
+
+// TestJobsFigureAsync: a figure job runs the real sweep asynchronously, and
+// a second, identical figure job replays every point from the now-warm
+// cache and returns the identical table.
 func TestJobsFigureAsync(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 15 real simulations")
 	}
 	h, ts := newTestServer(t, Config{})
-	id := submitJobSpec(t, ts.URL, JobSpec{Figure: &FigureSpec{ID: "13", Scale: 0.02, Benchmarks: []string{"nn"}}})
+	spec := JobSpec{Figure: &FigureSpec{ID: "13", Scale: 0.02, Benchmarks: []string{"nn"}}}
+	run := func() (JobStatus, *experiments.Table) {
+		t.Helper()
+		id := submitJobSpec(t, ts.URL, spec)
+		st := waitJobState(t, ts.URL, id, JobDone)
+		code, res, body := getJobResult(t, ts.URL, id)
+		if code != http.StatusOK || res.Figure == nil {
+			t.Fatalf("figure result = %d (%s)", code, body)
+		}
+		return st, res.Figure
+	}
 
-	st := waitJobState(t, ts.URL, id, JobDone)
+	st, first := run()
 	if p := st.Progress; p.Total != 15 || p.Completed != 15 || p.Failed != 0 {
 		t.Errorf("figure progress %+v, want 15/15 completed", p)
 	}
-	code, res, body := getJobResult(t, ts.URL, id)
-	if code != http.StatusOK || res.Figure == nil {
-		t.Fatalf("figure result = %d (%s)", code, body)
+	st, second := run()
+	if p := st.Progress; p.Completed != 15 || p.Cached != 15 {
+		t.Errorf("second figure job progress %+v, want 15/15 cached", p)
 	}
-
-	resp, err := http.Get(ts.URL + "/figure/13?scale=0.02&bench=nn&format=json")
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("second figure job diverged from the first:\nfirst  %+v\nsecond %+v", first, second)
 	}
-	syncBody, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/figure/13 = %d (%s)", resp.StatusCode, syncBody)
-	}
-	asyncJSON, _ := json.Marshal(res.Figure)
-	var asyncTbl, syncTbl any
-	if err := json.Unmarshal(asyncJSON, &asyncTbl); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(syncBody, &syncTbl); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(asyncTbl, syncTbl) {
-		t.Errorf("async figure diverged from synchronous render:\nasync %s\nsync  %s", asyncJSON, syncBody)
-	}
-	// The synchronous render after the async job must have been pure cache.
 	if s := h.cfg.Store.Stats(); s.Misses != 15 {
-		t.Errorf("store misses = %d, want exactly 15 (sync render from cache)", s.Misses)
+		t.Errorf("store misses = %d, want exactly 15 (second job from cache)", s.Misses)
 	}
 }
 
@@ -601,6 +657,63 @@ func TestJobsKillRestartPoints(t *testing.T) {
 	}
 	if callsB.Load() >= callsC.Load() {
 		t.Errorf("resume recomputed %d points, want strictly fewer than the uninterrupted %d", callsB.Load(), callsC.Load())
+	}
+}
+
+// TestJobsKillRestartBeyondQueue: a journal can hold more resumable jobs
+// than the queue admits (Workers+QueueDepth). A restarted server accepted
+// them all before the crash, so it refuses none: each waits for a queue
+// ticket like any other job, counts against the bound while it waits, and
+// runs to done.
+func TestJobsKillRestartBeyondQueue(t *testing.T) {
+	const workers, depth = 1, 1
+	journalDir := t.TempDir()
+	jn, err := OpenJournal(journalDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	for i := 0; i < workers+depth+1; i++ {
+		id := fmt.Sprintf("job%d", i)
+		spec := JobSpec{Points: []JobRequest{{Benchmark: "nn", Scale: 0.01 * float64(i+1)}}}
+		if err := jn.JobCreated(id, spec); err != nil {
+			t.Fatal(err)
+		}
+		if err := jn.JobState(id, JobStatus{State: JobRunning}); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+
+	block := make(chan struct{})
+	var calls atomic.Int64
+	runner := func(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error) {
+		calls.Add(1)
+		select {
+		case <-block:
+			return system.Results{Benchmark: fmt.Sprintf("%s@%.2f", bench, scale)}, nil
+		case <-ctx.Done():
+			return system.Results{}, ctx.Err()
+		}
+	}
+	h, ts := newTestServer(t, Config{Workers: workers, QueueDepth: depth, Runner: runner, Journal: jn})
+	// Every ticket is held by a resumed job and the third waits for one, so
+	// a new job is refused.
+	waitFor(t, func() bool { return len(h.queue) == cap(h.queue) && h.queued.Load() == depth+1 })
+	if resp, data := postJobs(t, ts.URL, JobSpec{Points: []JobRequest{{Benchmark: "mv"}}}); resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("POST /jobs behind resumed jobs = %d (%s), want 429", resp.StatusCode, data)
+	}
+	close(block)
+	for _, id := range ids {
+		if st := waitJobState(t, ts.URL, id, JobDone); !st.Resumed {
+			t.Errorf("job %s not flagged Resumed", id)
+		}
+	}
+	if got := calls.Load(); got != int64(len(ids)) {
+		t.Errorf("runner ran %d times, want %d", got, len(ids))
+	}
+	if got := h.asyncResumed.Load(); got != uint64(len(ids)) {
+		t.Errorf("resumed %d jobs, want %d", got, len(ids))
 	}
 }
 

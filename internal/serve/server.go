@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"net/url"
 	"runtime"
 	"sort"
 	"strconv"
@@ -28,14 +27,16 @@ import (
 
 // Config parameterizes a Server.
 type Config struct {
-	// Store is the result cache backing /run and /figure (required).
+	// Store is the result cache backing /run and async jobs (required).
 	Store *Store
 	// Workers bounds concurrently executing jobs (<= 0 = GOMAXPROCS).
 	Workers int
-	// QueueDepth bounds jobs waiting for a worker; beyond it, new jobs are
-	// rejected with 429 (backpressure). <= 0 picks 64.
+	// QueueDepth bounds jobs waiting for a worker, /run and async jobs
+	// alike; beyond it, new jobs are rejected with 429 (backpressure). <= 0
+	// picks 64.
 	QueueDepth int
-	// JobTimeout caps one job's wall-clock time (<= 0 picks 10 minutes).
+	// JobTimeout caps one job's wall-clock time, /run or async (<= 0 picks
+	// 10 minutes).
 	JobTimeout time.Duration
 	// StallTimeout arms the per-point stall watchdog: a simulation whose
 	// event loop stops advancing simulated time for this long is cancelled
@@ -64,17 +65,19 @@ type Config struct {
 // cache.
 //
 //	POST /run               JSON JobRequest -> JSON JobResponse (stored Results bytes)
-//	GET  /figure/{id}       regenerate one figure (query: scale, bench, format)
-//	POST /jobs              submit an async sweep -> 202 {id} (see JobSpec)
+//	POST /jobs              submit an async sweep -> 202 {id} (see JobSpec);
+//	                        a figure is a job whose result is its JSON table
 //	GET  /jobs/{id}         async job status + per-point progress
 //	GET  /jobs/{id}/result  async job result once done
 //	DELETE /jobs/{id}       cancel an async job
 //	GET  /healthz           liveness (503 while draining)
 //	GET  /metrics           Prometheus text: queue/cache/latency counters
 //
-// Every job runs under the request context plus the per-job timeout, so a
-// client disconnect or deadline cancels the simulation mid-flight (the event
-// loop polls cancellation once per 6-cycle quantum).
+// /run and POST /jobs share one admission path (admit, then execute): a
+// queue ticket held from admission to completion, one worker slot, one
+// timeout rule. A /run runs under its request context plus that timeout,
+// so a client disconnect or deadline cancels the simulation mid-flight (the
+// event loop polls cancellation once per 6-cycle quantum).
 type Server struct {
 	cfg   Config
 	mux   *http.ServeMux
@@ -102,7 +105,7 @@ type Server struct {
 	watchdogKills  atomic.Uint64 // points killed by the stall watchdog
 	draining       atomic.Bool
 
-	// origins counts job submissions (/run and /figure) per requesting
+	// origins counts job submissions (/run and POST /jobs) per requesting
 	// origin — the X-SF-Origin header a cluster client stamps on its
 	// requests, "direct" when absent — so operators can attribute backend
 	// load to sweeps.
@@ -174,7 +177,6 @@ func NewServer(cfg Config) *Server {
 		jobs:  map[string]*job{},
 	}
 	s.mux.HandleFunc("/run", s.handleRun)
-	s.mux.HandleFunc("/figure/", s.handleFigure)
 	s.mux.HandleFunc("/jobs", s.handleJobs)
 	s.mux.HandleFunc("/jobs/", s.handleJob)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -214,12 +216,6 @@ type JobRequest struct {
 	// result is an interval-sampled estimate instead of an exact run, under
 	// its own cache key. It overrides Config.Sample when both are present.
 	Sample *config.SampleParams `json:"sample,omitempty"`
-
-	// Workers, when positive, sets the simulation's parallel shard workers
-	// (config.Workers). Purely an execution knob: results and the cache key
-	// are identical for every value, so callers may tune it per backend.
-	// It overrides Config.Workers when both are present.
-	Workers int `json:"workers,omitempty"`
 }
 
 // JobResponse is the POST /run reply (and one element of a points job's
@@ -285,9 +281,6 @@ func (r JobRequest) resolve() (config.Config, string, float64, error) {
 		}
 		cfg.Sample = *r.Sample
 	}
-	if r.Workers > 0 {
-		cfg.Workers = r.Workers
-	}
 	if r.Benchmark == "" {
 		return config.Config{}, "", 0, fmt.Errorf("benchmark is required (valid: %s)", strings.Join(workload.Names(), ", "))
 	}
@@ -301,9 +294,12 @@ func (r JobRequest) resolve() (config.Config, string, float64, error) {
 	return cfg, r.Benchmark, scale, nil
 }
 
-// acquire claims a queue ticket (backpressure) and then a worker slot.
-// It reports HTTP errors itself and returns false if the job must not run.
-func (s *Server) acquire(w http.ResponseWriter, r *http.Request) bool {
+// admit claims a queue ticket for a new /run or POST /jobs job, without
+// waiting: 503 while draining and 429 when Workers+QueueDepth jobs are
+// already queued or running, both counted in sfserve_jobs_rejected. It
+// writes the rejection itself and reports whether the job was admitted;
+// an admitted job must then go through execute, which gives the ticket back.
+func (s *Server) admit(w http.ResponseWriter) bool {
 	if s.draining.Load() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		s.rejected.Add(1)
@@ -311,32 +307,63 @@ func (s *Server) acquire(w http.ResponseWriter, r *http.Request) bool {
 	}
 	select {
 	case s.queue <- struct{}{}:
+		return true
 	default:
 		http.Error(w, "queue full", http.StatusTooManyRequests)
 		s.rejected.Add(1)
 		return false
 	}
-	s.queued.Add(1)
-	select {
-	case s.work <- struct{}{}:
-		s.queued.Add(-1)
-		s.running.Add(1)
-		return true
-	case <-r.Context().Done():
-		s.queued.Add(-1)
-		<-s.queue
-		s.failed.Add(1)
-		// The client is gone; nothing useful to write, but record a status.
-		http.Error(w, "client cancelled while queued", http.StatusServiceUnavailable)
-		return false
-	}
 }
 
-// release returns the tickets claimed by acquire.
-func (s *Server) release() {
-	s.running.Add(-1)
-	<-s.work
-	<-s.queue
+// execute runs one job through its queue ticket and a worker slot. A job
+// resumed from the journal was accepted before the crash, so it skipped
+// admit and waits here for its ticket. fn runs under ctx plus the job's
+// timeout: the smaller of JobTimeout and timeoutMS, when that is set. A
+// job whose ctx ends before it gets a worker fails with ctx's error
+// without running fn. execute alone moves the queued and running gauges,
+// the done and failed counters and the latency window.
+func (s *Server) execute(ctx context.Context, resumed bool, timeoutMS int64, fn func(context.Context) error) error {
+	s.queued.Add(1)
+	ok := !resumed || take(ctx, s.queue)
+	if ok {
+		defer func() { <-s.queue }()
+		ok = take(ctx, s.work)
+	}
+	s.queued.Add(-1)
+	if !ok {
+		s.failed.Add(1)
+		return ctx.Err()
+	}
+	s.running.Add(1)
+	defer func() {
+		s.running.Add(-1)
+		<-s.work
+	}()
+
+	timeout := s.cfg.JobTimeout
+	if d := time.Duration(timeoutMS) * time.Millisecond; d > 0 && d < timeout {
+		timeout = d
+	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	start := time.Now()
+	if err := fn(ctx); err != nil {
+		s.failed.Add(1)
+		return err
+	}
+	s.done.Add(1)
+	s.lat.record(time.Since(start).Seconds())
+	return nil
+}
+
+// take claims a ticket of sem, or reports false once ctx ends.
+func take(ctx context.Context, sem chan struct{}) bool {
+	select {
+	case sem <- struct{}{}:
+		return true
+	case <-ctx.Done():
+		return false
+	}
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -354,26 +381,19 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if !s.acquire(w, r) {
+	if !s.admit(w) {
 		return
 	}
-	defer s.release()
-
-	timeout := s.cfg.JobTimeout
-	if req.TimeoutMS > 0 {
-		if d := time.Duration(req.TimeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
+	var resp JobResponse
+	var e *entry
+	err = s.execute(r.Context(), false, req.TimeoutMS, func(ctx context.Context) (err error) {
+		resp, e, err = s.runPoint(ctx, cfg, bench, scale)
+		if err == nil && e.enc == nil {
+			err = fmt.Errorf("results of %s do not encode as JSON", resp.Key)
 		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	resp, e, err := s.runPoint(ctx, cfg, bench, scale)
-	if err == nil && e.enc == nil {
-		err = fmt.Errorf("results of %s do not encode as JSON", resp.Key)
-	}
+		return err
+	})
 	if err != nil {
-		s.failed.Add(1)
 		if pe, ok := fault.As(err); ok {
 			if pe.Deterministic() {
 				// Poisoned point: the failure is a property of the key, not of
@@ -400,8 +420,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	s.done.Add(1)
-	s.lat.record(resp.ElapsedMS / 1e3)
 	writeRun(w, resp, e.enc)
 }
 
@@ -449,11 +467,11 @@ func writeRun(w http.ResponseWriter, resp JobResponse, results []byte) {
 }
 
 // point is the one way sfserve gets a simulation point. POST /run and
-// points jobs reach it through runPoint, GET /figure and figure jobs
-// through figureCache. It wraps the Store's one lookup (memory and disk
-// cache, quarantine, singleflight) around compute, which must be guarded
-// (fault.Guard) so a panic or a stall arrives typed, and counts the fault
-// when this caller ran the simulation. The entry it returns carries both
+// points jobs reach it through runPoint, figure jobs through figureCache.
+// It wraps the Store's one lookup (memory and disk cache, quarantine,
+// singleflight) around compute, which must be guarded (fault.Guard) so a
+// panic or a stall arrives typed, and counts the fault when this caller
+// ran the simulation. The entry it returns carries both
 // forms of the point: the encoded bytes /run splices and the Results
 // (Store.results) that sweeps and points jobs read. cached reports a point
 // served without running compute.
@@ -517,10 +535,11 @@ func (c figureCache) Do(ctx context.Context, key string, compute func() (system.
 	return c.s.cfg.Store.results(e)
 }
 
-// runFigure regenerates one figure through figureCache, under the server's
-// stall watchdog. For a figure job the sweep's progress is mirrored into
-// the job's status.
-func (s *Server) runFigure(ctx context.Context, j *job, fs FigureSpec, keepGoing bool) (*experiments.Table, error) {
+// runFigure regenerates a figure job's figure through figureCache, under
+// the server's stall watchdog, mirroring the sweep's progress into the
+// job's status.
+func (s *Server) runFigure(ctx context.Context, j *job) (*experiments.Table, error) {
+	fs := j.spec.Figure
 	fn, ok := experiments.ByName(fs.ID)
 	if !ok {
 		return nil, fmt.Errorf("unknown figure %q", fs.ID)
@@ -531,17 +550,9 @@ func (s *Server) runFigure(ctx context.Context, j *job, fs FigureSpec, keepGoing
 		Cache:        figureCache{s},
 		Sanitize:     sanitize.ModeOff,
 		Context:      ctx,
-		KeepGoing:    keepGoing,
+		KeepGoing:    j.spec.KeepGoing,
 		StallTimeout: s.cfg.StallTimeout,
-	}
-	if fs.Scale > 0 {
-		opts.Scale = fs.Scale
-	}
-	if fs.Sample != nil {
-		opts.Sample = *fs.Sample
-	}
-	if j != nil {
-		opts.Progress = func(ev experiments.ProgressEvent) {
+		Progress: func(ev experiments.ProgressEvent) {
 			j.mu.Lock()
 			j.progress = JobProgress{
 				Total:          ev.Total,
@@ -552,151 +563,15 @@ func (s *Server) runFigure(ctx context.Context, j *job, fs FigureSpec, keepGoing
 				EstRemainingMS: float64(ev.EstRemaining.Microseconds()) / 1e3,
 			}
 			j.mu.Unlock()
-		}
+		},
+	}
+	if fs.Scale > 0 {
+		opts.Scale = fs.Scale
+	}
+	if fs.Sample != nil {
+		opts.Sample = *fs.Sample
 	}
 	return fn(opts)
-}
-
-// handleFigure regenerates one figure table through the shared result cache:
-// GET /figure/13?scale=0.05&bench=nn,conv3d&format=csv|text|json. Sampled
-// regeneration is selected with sample=1 (16 intervals unless overridden by
-// sample-intervals, sample-measure, sample-seed); the table then reports
-// estimates and carries the sampling summary (per-point CIs) in its notes
-// and JSON form.
-func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	s.recordOrigin(r)
-	id := strings.TrimPrefix(r.URL.Path, "/figure/")
-	// Path hygiene before any id lookup: "/figure/13/extra" is a different
-	// resource, not figure "13/extra" — 404, never an id parse. A malformed
-	// id (not numeric, not a named figure) is the caller's error: 400 with
-	// the accepted forms, instead of whatever an id-parse failure would
-	// surface.
-	if id == "" || strings.Contains(id, "/") {
-		http.Error(w, "not found (figures are served at /figure/{id})", http.StatusNotFound)
-		return
-	}
-	if _, ok := experiments.ByName(id); !ok {
-		if _, err := strconv.Atoi(id); err != nil {
-			http.Error(w, fmt.Sprintf("bad figure id %q (want a figure number or area, ablations, latency)", id), http.StatusBadRequest)
-			return
-		}
-		http.Error(w, fmt.Sprintf("unknown figure %q (want 2, 13-19, area, ablations, latency)", id), http.StatusNotFound)
-		return
-	}
-	fs := FigureSpec{ID: id}
-	if v := r.URL.Query().Get("scale"); v != "" {
-		f, err := strconv.ParseFloat(v, 64)
-		if err != nil || f <= 0 {
-			http.Error(w, "bad scale", http.StatusBadRequest)
-			return
-		}
-		fs.Scale = f
-	}
-	if v := r.URL.Query().Get("bench"); v != "" {
-		names, err := workload.ParseNames(v)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		fs.Benchmarks = names
-	}
-	if sp, err := sampleQuery(r.URL.Query()); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	} else if sp.Enabled() {
-		fs.Sample = &sp
-	}
-	if !s.acquire(w, r) {
-		return
-	}
-	defer s.release()
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.JobTimeout)
-	defer cancel()
-
-	start := time.Now()
-	tbl, err := s.runFigure(ctx, nil, fs, false)
-	if err != nil {
-		s.failed.Add(1)
-		status := http.StatusInternalServerError
-		if isCtxErr(err) {
-			status = http.StatusGatewayTimeout
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	s.done.Add(1)
-	s.lat.record(time.Since(start).Seconds())
-	switch r.URL.Query().Get("format") {
-	case "", "text":
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		tbl.Fprint(w)
-	case "csv":
-		w.Header().Set("Content-Type", "text/csv")
-		if err := tbl.WriteCSV(w); err != nil {
-			return // headers already sent; nothing recoverable
-		}
-	case "json":
-		writeJSON(w, tbl)
-	default:
-		http.Error(w, "unknown format (want text, csv, json)", http.StatusBadRequest)
-	}
-}
-
-// sampleQuery parses the /figure sampling query parameters. sample=1 (or
-// any strconv truth value) enables sampling with 16 intervals; the
-// sample-intervals, sample-measure and sample-seed parameters override the
-// plan and imply sample=1 when present.
-func sampleQuery(q url.Values) (config.SampleParams, error) {
-	var sp config.SampleParams
-	enabled := false
-	if v := q.Get("sample"); v != "" {
-		b, err := strconv.ParseBool(v)
-		if err != nil {
-			return sp, fmt.Errorf("bad sample %q", v)
-		}
-		enabled = b
-	}
-	intN := func(name string) (int64, bool, error) {
-		v := q.Get(name)
-		if v == "" {
-			return 0, false, nil
-		}
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil {
-			return 0, false, fmt.Errorf("bad %s %q", name, v)
-		}
-		return n, true, nil
-	}
-	k, kSet, err := intN("sample-intervals")
-	if err != nil {
-		return sp, err
-	}
-	m, mSet, err := intN("sample-measure")
-	if err != nil {
-		return sp, err
-	}
-	seed, seedSet, err := intN("sample-seed")
-	if err != nil {
-		return sp, err
-	}
-	if !enabled && !kSet && !mSet && !seedSet {
-		return sp, nil
-	}
-	sp.Intervals = 16
-	if kSet {
-		sp.Intervals = int(k)
-	}
-	sp.Measure = int(m)
-	sp.Seed = seed
-	if err := sp.Validate(); err != nil {
-		return config.SampleParams{}, err
-	}
-	return sp, nil
 }
 
 // Health is the GET /healthz payload. Status "degraded" means the process

@@ -140,6 +140,15 @@ func TestServerBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /run = %d, want 405", resp.StatusCode)
 	}
+	// A figure is a job: there is no synchronous figure endpoint.
+	resp, err = http.Get(ts.URL + "/figure/13")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /figure/13 = %d, want 404", resp.StatusCode)
+	}
 }
 
 // TestServerBackpressure fills the single worker and the one-deep queue with
@@ -286,64 +295,10 @@ func TestServerDrain(t *testing.T) {
 	}
 }
 
-// TestServerFigure: /figure/{id} renders a real (tiny) figure through the
-// shared cache in all three formats.
-func TestServerFigure(t *testing.T) {
-	h, ts := newTestServer(t, Config{})
-	get := func(path string) (int, string) {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, string(data)
-	}
-
-	code, body := get("/figure/13?scale=0.05&bench=nn")
-	if code != http.StatusOK || !strings.Contains(body, "nn") {
-		t.Fatalf("/figure/13 text: %d\n%s", code, body)
-	}
-	code, body = get("/figure/13?scale=0.05&bench=nn&format=csv")
-	if code != http.StatusOK || !strings.Contains(body, ",") {
-		t.Errorf("/figure/13 csv: %d\n%s", code, body)
-	}
-	code, body = get("/figure/13?scale=0.05&bench=nn&format=json")
-	if code != http.StatusOK || !strings.Contains(body, "\"title\"") {
-		t.Errorf("/figure/13 json: %d\n%s", code, body)
-	}
-	// The three renders hit the same simulation points: everything after the
-	// first sweep must be served from cache.
-	if s := h.cfg.Store.Stats(); s.Hits == 0 {
-		t.Errorf("figure re-renders did not hit the cache: %+v", s)
-	}
-
-	// A malformed (non-numeric, non-named) id is the caller's error: 400.
-	// Unknown-but-well-formed ids and trailing path segments stay 404.
-	if code, _ := get("/figure/nope"); code != http.StatusBadRequest {
-		t.Errorf("/figure/nope = %d, want 400", code)
-	}
-	if code, _ := get("/figure/99"); code != http.StatusNotFound {
-		t.Errorf("/figure/99 = %d, want 404 (numeric but unknown)", code)
-	}
-	if code, _ := get("/figure/13/extra"); code != http.StatusNotFound {
-		t.Errorf("/figure/13/extra = %d, want 404 (trailing segment, not an id parse)", code)
-	}
-	if code, _ := get("/figure/"); code != http.StatusNotFound {
-		t.Errorf("/figure/ = %d, want 404", code)
-	}
-	if code, _ := get("/figure/13?scale=-1"); code != http.StatusBadRequest {
-		t.Errorf("bad scale = %d, want 400", code)
-	}
-	if code, _ := get("/figure/13?bench=typo"); code != http.StatusBadRequest {
-		t.Errorf("bad bench = %d, want 400", code)
-	}
-}
-
 // TestServerSampledRun: a job carrying sampling parameters runs the sampled
 // estimator under its own cache key (so sampled estimates can never serve a
-// full-fidelity request), and a sampled figure render carries the sampling
-// footnote.
+// full-fidelity request), and a sampled figure job's table carries the
+// sampling footnote and summary.
 func TestServerSampledRun(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	full := JobRequest{System: "SF", Core: "OOO8", Benchmark: "nn", Scale: 0.05}
@@ -383,24 +338,18 @@ func TestServerSampledRun(t *testing.T) {
 		t.Errorf("bad sampling params = %d, want 400", resp.StatusCode)
 	}
 
-	get := func(path string) (int, string) {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, string(data)
-	}
 	// A scale no request above used: the footnote counts fresh points only,
 	// and the sampled /run point would otherwise serve the figure's from the
 	// cache (the sanitize mode the two paths differ in is outside the key).
-	code, body := get("/figure/14?scale=0.04&bench=nn&sample-intervals=8&sample-measure=2")
-	if code != http.StatusOK || !strings.Contains(body, "sampled simulation") {
-		t.Errorf("sampled /figure/14: %d\n%s", code, body)
+	id := submitJobSpec(t, ts.URL, JobSpec{Figure: &FigureSpec{ID: "14", Scale: 0.04, Benchmarks: []string{"nn"},
+		Sample: &config.SampleParams{Intervals: 8, Measure: 2}}})
+	waitJobState(t, ts.URL, id, JobDone)
+	code, res, body := getJobResult(t, ts.URL, id)
+	if code != http.StatusOK || res.Figure == nil {
+		t.Fatalf("sampled figure job result = %d (%s)", code, body)
 	}
-	if code, _ := get("/figure/14?sample=zzz"); code != http.StatusBadRequest {
-		t.Errorf("bad sample query = %d, want 400", code)
+	if !strings.Contains(strings.Join(res.Figure.Notes, "\n"), "sampled simulation") || res.Figure.Sampling == nil {
+		t.Errorf("sampled figure job: notes %q, sampling %v; want the sampling footnote and summary", res.Figure.Notes, res.Figure.Sampling)
 	}
 }
 

@@ -256,13 +256,6 @@ func (m *Machine) Audit() {
 	}
 }
 
-// SetRunLabels appends pprof labels (key-value pairs) to the parallel worker
-// goroutines, e.g. the figure, benchmark and configuration being simulated.
-// Call before Run.
-func (m *Machine) SetRunLabels(kv ...string) {
-	m.group.Labels = append(m.group.Labels, kv...)
-}
-
 // now returns the current simulated cycle: the furthest shard engine (all
 // engines agree at quantum barriers).
 func (m *Machine) now() event.Cycle {
