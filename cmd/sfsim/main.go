@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"streamfloat"
+	"streamfloat/internal/config"
 )
 
 func main() {
@@ -33,7 +34,7 @@ func main() {
 	)
 	flag.Parse()
 
-	core, err := parseCore(*coreName)
+	core, err := config.ParseCore(strings.ToUpper(*coreName))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,16 +95,4 @@ func rate(hits, misses uint64) float64 {
 		return 0
 	}
 	return float64(hits) / float64(hits+misses)
-}
-
-func parseCore(name string) (streamfloat.CoreKind, error) {
-	switch strings.ToUpper(name) {
-	case "IO4":
-		return streamfloat.IO4, nil
-	case "OOO4":
-		return streamfloat.OOO4, nil
-	case "OOO8":
-		return streamfloat.OOO8, nil
-	}
-	return 0, fmt.Errorf("unknown core %q (want IO4, OOO4, OOO8)", name)
 }

@@ -30,9 +30,6 @@ func (s *System) bankLookup(m *missOp, now event.Cycle) {
 	st := s.lay.St(bank)
 	st.L3Requests[m.l3kind]++
 	l := s.banks[bank].lookup(la)
-	if s.tr != nil {
-		s.tr.CacheAccess(bank, 3, l != nil)
-	}
 	if l == nil {
 		st.L3Misses++
 		if s.tr != nil {
@@ -464,9 +461,6 @@ func (s *System) floatLookup(f *floatOp, now event.Cycle) {
 			Key: la, A: int64(l.sharers), B: int64(l.owner),
 		})
 		defer s.checkGetU(bank, la, l, l.owner, l.sharers)
-	}
-	if s.tr != nil {
-		s.tr.CacheAccess(bank, 3, l != nil)
 	}
 	if l == nil {
 		st.L3Misses++

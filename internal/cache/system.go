@@ -476,9 +476,6 @@ func (s *System) loadAfterL1(op *accessOp, now event.Cycle) {
 			st.L1Hits++
 			s.demandHitLine(tile, l)
 			tc.l1.touch(l)
-			if s.tr != nil {
-				s.tr.CacheAccess(tile, 1, true)
-			}
 		}
 		if p := meta.Probe; p != nil {
 			p.L1Done = uint64(now)
@@ -492,7 +489,6 @@ func (s *System) loadAfterL1(op *accessOp, now event.Cycle) {
 	if demand {
 		st.L1Misses++
 		if s.tr != nil {
-			s.tr.CacheAccess(tile, 1, false)
 			s.tr.Emit(uint64(now), tile, trace.KindL1Miss, la, int64(meta.StreamID), 0)
 		}
 	}
@@ -533,9 +529,6 @@ func (s *System) loadAfterL2(op *accessOp, now event.Cycle) {
 			st.L2Hits++
 			s.demandHitLine(tile, l)
 			tc.l2.touch(l)
-			if s.tr != nil {
-				s.tr.CacheAccess(tile, 2, true)
-			}
 		}
 		if kind != PrefL2 {
 			s.fillL1(tile, la, kind != Read, meta)
@@ -554,7 +547,6 @@ func (s *System) loadAfterL2(op *accessOp, now event.Cycle) {
 			s.l2MissObserver(tile, la, meta.PC)
 		}
 		if s.tr != nil {
-			s.tr.CacheAccess(tile, 2, false)
 			s.tr.Emit(uint64(now), tile, trace.KindL2Miss, la, int64(meta.StreamID), 0)
 		}
 	}
@@ -584,9 +576,6 @@ func (s *System) storeAfterL1(op *accessOp, now event.Cycle) {
 	if l2 != nil && (l2.state == stModified || l2.state == stExclusive) {
 		// Writable locally: E upgrades to M silently.
 		st.L1Hits++ // store hit from the pipeline's perspective
-		if s.tr != nil {
-			s.tr.CacheAccess(tile, 1, true)
-		}
 		l2.state = stModified
 		l2.dirty = true
 		s.demandHitLine(tile, l2)
@@ -604,22 +593,15 @@ func (s *System) storeAfterL1(op *accessOp, now event.Cycle) {
 		return
 	}
 	st.L1Misses++
-	if s.tr != nil {
-		s.tr.CacheAccess(tile, 1, false)
-	}
 	// Needs ownership: S upgrade or full RFO miss.
 	if l2 != nil && l2.state == stShared {
 		st.L2Hits++
-		if s.tr != nil {
-			s.tr.CacheAccess(tile, 2, true)
-		}
 	} else {
 		st.L2Misses++
 		if s.l2MissObserver != nil {
 			s.l2MissObserver(tile, la, meta.PC)
 		}
 		if s.tr != nil {
-			s.tr.CacheAccess(tile, 2, false)
 			s.tr.Emit(uint64(now), tile, trace.KindL2Miss, la, int64(meta.StreamID), 1)
 		}
 	}

@@ -172,6 +172,34 @@ func TestClusterSweepMatchesLocal(t *testing.T) {
 	}
 }
 
+// TestClusterSampledSweepMatchesLocal: a sampled point's estimate rides its
+// Results over the wire, so a sampled sweep through the cluster is
+// reflect.DeepEqual to the local one, sampling summary included.
+func TestClusterSampledSweepMatchesLocal(t *testing.T) {
+	fig, _ := experiments.ByName("14")
+	opts := experiments.Options{Scale: 0.05, Benchmarks: []string{"nn"},
+		Sample: config.SampleParams{Intervals: 8, Measure: 2}}
+	want, err := fig(opts)
+	if err != nil {
+		t.Fatalf("local sampled Fig14: %v", err)
+	}
+	if want.Sampling == nil {
+		t.Fatal("local sampled Fig14 has no sampling summary")
+	}
+	c := sweepClient(t, newBackend(t, nil).URL)
+	opts.Cache = c
+	got, err := fig(opts)
+	if err != nil {
+		t.Fatalf("cluster sampled Fig14: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("cluster sampled sweep diverged from local sweep:\ngot  %+v\nwant %+v", got, want)
+	}
+	if st := c.Stats(); st.Remote != 1 || st.Fallbacks != 0 {
+		t.Errorf("client stats %+v, want the one point served remotely", st)
+	}
+}
+
 // fig13Keys enumerates the 15 cache keys of the Fig 13 "nn" spot sweep —
 // the same (system, core) grid runAll derives, so tests can predict shard
 // placement before running anything.

@@ -18,8 +18,10 @@ const canonicalVersion = 2
 // matching. Full runs never encode it, so their keys survive such a bump.
 // Version 1: interval boundaries at any iteration (streams entered mid-row
 // through Affine.Start), and phases under two iterations per interval and
-// core run whole.
-const samplerVersion = 1
+// core run whole. Version 2: the same estimates, stored with their
+// confidence intervals and work counts (Results.Sampled); version 1 entries
+// lack them.
+const samplerVersion = 2
 
 // CanonicalFieldCount is the number of top-level Config fields the canonical
 // encoding accounts for. A test asserts it against reflect.TypeOf(Config{}).

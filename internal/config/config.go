@@ -36,6 +36,16 @@ func (k CoreKind) String() string {
 	return fmt.Sprintf("CoreKind(%d)", int(k))
 }
 
+// ParseCore returns the core named exactly as String spells it.
+func ParseCore(name string) (CoreKind, error) {
+	for _, k := range []CoreKind{IO4, OOO4, OOO8} {
+		if name == k.String() {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown core %q (valid: IO4, OOO4, OOO8)", name)
+}
+
 // PrefetchKind selects the hardware prefetcher configuration.
 type PrefetchKind int
 

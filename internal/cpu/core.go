@@ -102,9 +102,6 @@ func NewCore(id int, eng *event.Engine, st *stats.Stats, params config.CoreParam
 	return &Core{ID: id, eng: eng, st: st, params: params, mem: memsys, bk: bk, se: se, prog: prog}
 }
 
-// NumPhases reports how many phases this core's program has.
-func (c *Core) NumPhases() int { return len(c.prog.Phases) }
-
 // BeginPhase starts executing phase idx; done fires when every iteration has
 // retired and all stores have drained (the core has reached the barrier).
 func (c *Core) BeginPhase(idx int, done func()) {

@@ -91,12 +91,6 @@ type Options struct {
 	// figure names the figure being regenerated, for pprof labels on the
 	// sweep's goroutines. Set by figure.run.
 	figure string
-	// estimates and failures collect the per-point sampled estimates and
-	// keep-going failures of one figure's sweep. figure.run provisions them
-	// (for sampled and keep-going sweeps respectively) and folds them into
-	// the table; nil logs discard records.
-	estimates *pointLog[PointEstimate]
-	failures  *pointLog[PointFailure]
 }
 
 // ResultCache memoizes deterministic simulation results by canonical key.
@@ -201,7 +195,7 @@ type Table struct {
 	// Sampling summarises the sampled-simulation run behind the table —
 	// parameters, per-point estimates with confidence intervals, and the
 	// worst relative CI — when the sweep ran with Options.Sample enabled
-	// and computed at least one fresh point.
+	// and at least one point carries a sampled estimate.
 	Sampling *SamplingSummary `json:"sampling,omitempty"`
 	// Failures lists the points that failed under a keep-going sweep
 	// (Options.KeepGoing); those points contributed zero Results to the
@@ -267,8 +261,6 @@ type runKey struct {
 	variant string
 	// traced runs the point under the tracer (the latency figure).
 	traced bool
-	// idx is the point's position in its figure's grid.
-	idx int
 }
 
 // testFaultHook, when non-nil, runs at the top of every computed point's
@@ -286,12 +278,11 @@ var testFaultHook func(bench, system string, core config.CoreKind)
 // other point — queued ones never start, and in-flight ones abort at their
 // next event-loop cancellation check — so a failing sweep returns promptly
 // instead of burning the rest of the fan-out to completion. Under
-// opts.KeepGoing the fan-out instead runs to completion with failures
-// recorded in opts.failures (see keepGoingError).
+// opts.KeepGoing the fan-out instead runs to completion with each failure
+// left in its cell (see keepGoingError).
 func sweep(ctx context.Context, opts Options, keys []runKey) ([]cell, error) {
 	par := opts.parallelism()
 	out := make([]cell, len(keys))
-	errs := make([]error, len(keys))
 	prog := newProgressTracker(opts.Progress, len(keys), par)
 	fanCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -305,24 +296,26 @@ func sweep(ctx context.Context, opts Options, keys []runKey) ([]cell, error) {
 			defer func() { <-sem }()
 			labels := pprof.Labels("figure", opts.figure, "benchmark", k.bench, "config", k.system+"/"+k.core.String())
 			pprof.Do(fanCtx, labels, func(ctx context.Context) {
-				errs[i] = fault.Capture("", func() error { return runPoint(ctx, opts, prog, k, &out[i]) })
+				out[i].err = fault.Capture("", func() error { return runPoint(ctx, opts, prog, k, &out[i]) })
 			})
-			if errs[i] != nil && !opts.KeepGoing {
+			if out[i].err != nil && !opts.KeepGoing {
 				cancel()
 			}
 		}()
 	}
 	wg.Wait()
 	if opts.KeepGoing {
-		return out, keepGoingError(ctx, opts, keys, errs)
+		return out, keepGoingError(ctx, keys, out)
 	}
-	return out, sweepError(keys, errs)
+	return out, sweepError(keys, out)
 }
 
-// cell is one computed point: its Results and, for a traced point, the
-// tracer's per-load latency attribution.
+// cell is one point's outcome: its Results (zero when it failed, with the
+// sampled estimate in Results.Sampled however the point was served), its
+// error and, for a traced point, the tracer's per-load latency attribution.
 type cell struct {
 	system.Results
+	err  error
 	attr trace.TileAttribution
 }
 
@@ -373,17 +366,8 @@ func runPoint(ctx context.Context, opts Options, prog *progressTracker, k runKey
 				res, attr = r, tr.Attribution()
 				return nil
 			}
-			if cfg.Sample.Enabled() {
-				est, err := sample.RunEstimate(ctx, cfg, k.bench, opts.scale())
-				if err != nil {
-					return err
-				}
-				opts.estimates.record(k, newPointEstimate(k, est))
-				res = est.Results
-				return nil
-			}
 			var rerr error
-			res, rerr = system.RunBenchmark(ctx, cfg, k.bench, opts.scale())
+			res, rerr = sample.Run(ctx, cfg, k.bench, opts.scale())
 			return rerr
 		})
 		if err != nil {
@@ -430,9 +414,10 @@ func TracedRun(ctx context.Context, opts Options, systemName string, core config
 // real failure. Pure cancellation errors (runs killed because another run
 // already failed, or because the caller cancelled) only surface when no
 // underlying failure exists.
-func sweepError(keys []runKey, errs []error) error {
+func sweepError(keys []runKey, cells []cell) error {
 	var ctxErr error
-	for i, err := range errs {
+	for i, c := range cells {
+		err := c.err
 		if err == nil {
 			continue
 		}
@@ -447,23 +432,20 @@ func sweepError(keys []runKey, errs []error) error {
 	return ctxErr
 }
 
-// keepGoingError reduces per-run errors for a keep-going sweep: every
-// failure is recorded into opts.failures (classified through the fault
-// taxonomy) and the sweep still succeeds — failed points simply carry zero
-// Results — unless the caller's own context was cancelled or every point
-// failed, in which case there is nothing partial worth returning and the
+// keepGoingError reduces per-run errors for a keep-going sweep: the sweep
+// succeeds — failed points simply carry zero Results and their error —
+// unless the caller's own context was cancelled or every point failed, in
+// which case there is nothing partial worth returning and the
 // representative error surfaces as usual.
-func keepGoingError(ctx context.Context, opts Options, keys []runKey, errs []error) error {
+func keepGoingError(ctx context.Context, keys []runKey, cells []cell) error {
 	failed := 0
-	for i, err := range errs {
-		if err == nil {
-			continue
+	for _, c := range cells {
+		if c.err != nil {
+			failed++
 		}
-		failed++
-		opts.failures.record(keys[i], newPointFailure(keys[i], err))
 	}
 	if ctx.Err() != nil || (failed > 0 && failed == len(keys)) {
-		return sweepError(keys, errs)
+		return sweepError(keys, cells)
 	}
 	return nil
 }

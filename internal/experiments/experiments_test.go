@@ -19,12 +19,20 @@ func tinyOpts() Options {
 // runAll sweeps hand-built keys the way a figure sweeps its grid and
 // returns each point's Results.
 func runAll(ctx context.Context, opts Options, keys []runKey) ([]system.Results, error) {
+	res, _, _, err := runRecords(ctx, opts, keys)
+	return res, err
+}
+
+// runRecords is runAll plus the sweep's per-point records: the sampled
+// estimates and failures figure.run folds into a table.
+func runRecords(ctx context.Context, opts Options, keys []runKey) ([]system.Results, []PointEstimate, []PointFailure, error) {
 	cells, err := sweep(ctx, opts, keys)
 	res := make([]system.Results, len(cells))
 	for i, c := range cells {
 		res[i] = c.Results
 	}
-	return res, err
+	ests, fails := records(keys, cells)
+	return res, ests, fails, err
 }
 
 // figureTable regenerates figure id through ByName, the production path.

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sync"
 
 	"streamfloat/internal/fault"
 )
@@ -61,49 +60,32 @@ func newPointFailure(k runKey, err error) PointFailure {
 	}
 }
 
-// pointLog collects one record per sweep point — a sampled estimate or a
-// keep-going failure — from the sweep's concurrent workers. The zero value
-// is ready; a nil log discards records, so the sweep path never branches on
-// it.
-type pointLog[T any] struct {
-	mu   sync.Mutex
-	recs []pointRecord[T]
-}
-
-type pointRecord[T any] struct {
-	k runKey
-	v T
-}
-
-func (l *pointLog[T]) record(k runKey, v T) {
-	if l == nil {
-		return
+// records folds a swept grid into its per-point records: the sampled
+// estimate of every point that carries one (Table.Sampling) and the failure
+// of every point that failed (Table.Failures), each ordered by (bench,
+// system, core, variant, sweep position) so the order is independent of
+// sweep parallelism.
+func records(keys []runKey, cells []cell) (ests []PointEstimate, fails []PointFailure) {
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.recs = append(l.recs, pointRecord[T]{k, v})
-}
-
-// sorted returns the records ordered by (bench, system, core, variant,
-// grid index), so the order is independent of sweep parallelism.
-func (l *pointLog[T]) sorted() []T {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	recs := slices.Clone(l.recs)
-	l.mu.Unlock()
-	slices.SortFunc(recs, func(a, b pointRecord[T]) int {
+	slices.SortFunc(order, func(a, b int) int {
+		ka, kb := keys[a], keys[b]
 		return cmp.Or(
-			cmp.Compare(a.k.bench, b.k.bench),
-			cmp.Compare(a.k.system, b.k.system),
-			cmp.Compare(a.k.core.String(), b.k.core.String()),
-			cmp.Compare(a.k.variant, b.k.variant),
-			cmp.Compare(a.k.idx, b.k.idx))
+			cmp.Compare(ka.bench, kb.bench),
+			cmp.Compare(ka.system, kb.system),
+			cmp.Compare(ka.core.String(), kb.core.String()),
+			cmp.Compare(ka.variant, kb.variant),
+			cmp.Compare(a, b))
 	})
-	out := make([]T, len(recs))
-	for i, r := range recs {
-		out[i] = r.v
+	for _, i := range order {
+		switch c := cells[i]; {
+		case c.err != nil:
+			fails = append(fails, newPointFailure(keys[i], c.err))
+		case c.Sampled != nil:
+			ests = append(ests, newPointEstimate(keys[i], c.Sampled))
+		}
 	}
-	return out
+	return ests, fails
 }

@@ -42,13 +42,11 @@ func TestKeepGoingInjectedPanic(t *testing.T) {
 		}
 	})
 	opts.KeepGoing = true
-	opts.failures = &pointLog[PointFailure]{}
-	got, err := runAll(context.Background(), opts, keys)
+	got, _, pts, err := runRecords(context.Background(), opts, keys)
 	if err != nil {
 		t.Fatalf("keep-going sweep must complete: %v", err)
 	}
 
-	pts := opts.failures.sorted()
 	if len(pts) != 1 {
 		t.Fatalf("failures = %+v, want exactly the injected one", pts)
 	}

@@ -67,7 +67,7 @@ func (g *grid) keys(traced bool) []runKey {
 	for o, out := range g.outer {
 		for i, in := range g.inner {
 			for b, bench := range g.benches {
-				k := runKey{bench: bench, core: config.OOO8, traced: traced, idx: g.index(o, i, b)}
+				k := runKey{bench: bench, core: config.OOO8, traced: traced}
 				for _, s := range [2]setting{out, in} {
 					if s.system != "" {
 						k.system = s.system
@@ -79,7 +79,7 @@ func (g *grid) keys(traced bool) []runKey {
 						k.mutate, k.variant = s.mutate, s.label
 					}
 				}
-				keys[k.idx] = k
+				keys[g.index(o, i, b)] = k
 			}
 		}
 	}
@@ -94,27 +94,23 @@ func (g *grid) keys(traced bool) []runKey {
 func (f *figure) run(opts Options) (*Table, error) {
 	opts.figure = f.name
 	opts.Scale = max(opts.Scale, f.minScale)
-	if opts.Sample.Enabled() {
-		opts.estimates = &pointLog[PointEstimate]{}
-	}
-	if opts.KeepGoing {
-		opts.failures = &pointLog[PointFailure]{}
-	}
 	g := &grid{outer: f.outer, inner: f.inner, benches: opts.benchmarks()}
+	keys := g.keys(f.traced)
 	var err error
-	if g.cells, err = sweep(opts.context(), opts, g.keys(f.traced)); err != nil {
+	if g.cells, err = sweep(opts.context(), opts, keys); err != nil {
 		return nil, err
 	}
 	t := &Table{Title: f.title, Header: f.header}
 	f.rows(t, g)
 	t.Notes = append(t.Notes, f.notes...)
-	if pts := opts.estimates.sorted(); len(pts) > 0 {
-		t.Sampling = newSamplingSummary(opts.Sample, pts)
+	ests, fails := records(keys, g.cells)
+	if len(ests) > 0 {
+		t.Sampling = newSamplingSummary(opts.Sample, ests)
 		t.Notes = append(t.Notes, t.Sampling.note())
 	}
-	if pts := opts.failures.sorted(); len(pts) > 0 {
-		t.Failures = pts
-		for _, pf := range pts {
+	if len(fails) > 0 {
+		t.Failures = fails
+		for _, pf := range fails {
 			t.Notes = append(t.Notes, pf.note())
 		}
 	}

@@ -4,7 +4,8 @@ import (
 	"fmt"
 
 	"streamfloat/internal/config"
-	"streamfloat/internal/sample"
+	"streamfloat/internal/stats"
+	"streamfloat/internal/system"
 )
 
 // PointEstimate is one sampled simulation's estimate, attributed to the
@@ -15,16 +16,16 @@ type PointEstimate struct {
 	Core   string `json:"core"`
 	// Variant is the label of a mutated point's axis entry ("Stride+bulk",
 	// "256-bit", ...), which tells apart points sharing bench/system/core.
-	Variant string          `json:"variant,omitempty"`
-	Cycles  sample.Estimate `json:"cycles"`
-	Energy  sample.Estimate `json:"energy"`
+	Variant string         `json:"variant,omitempty"`
+	Cycles  stats.Estimate `json:"cycles"`
+	Energy  stats.Estimate `json:"energy"`
 	// Speedup is the work-reduction bound of the point's sampling plan:
 	// full-run iterations over iterations simulated in detail.
 	Speedup float64 `json:"speedup"`
 }
 
 // newPointEstimate attributes one sampled run's estimate to its point.
-func newPointEstimate(k runKey, r *sample.Result) PointEstimate {
+func newPointEstimate(k runKey, r *system.Sampled) PointEstimate {
 	return PointEstimate{
 		Bench:   k.bench,
 		System:  k.system,
@@ -41,9 +42,8 @@ type SamplingSummary struct {
 	Intervals int   `json:"intervals"`
 	Measure   int   `json:"measure"`
 	Seed      int64 `json:"seed"`
-	// Points holds the per-point estimates computed for this table, sorted
-	// by (bench, system, core, variant, grid index). Cache-served points are
-	// absent.
+	// Points holds the table's per-point estimates, sorted by (bench,
+	// system, core, variant, grid index).
 	Points []PointEstimate `json:"points"`
 	// MeanSpeedup is the arithmetic mean work reduction across Points.
 	MeanSpeedup float64 `json:"mean_speedup"`
@@ -75,7 +75,7 @@ func newSamplingSummary(p config.SampleParams, pts []PointEstimate) *SamplingSum
 // note renders the one-line table footnote for a sampled sweep.
 func (s *SamplingSummary) note() string {
 	return fmt.Sprintf("sampled simulation (K=%d intervals, %d measured, seed %d): "+
-		"%d fresh points, mean work reduction %.1fx (min %.2fx: %s), worst 95%% CI ±%.1f%% cycles / ±%.1f%% energy",
+		"%d points, mean work reduction %.1fx (min %.2fx: %s), worst 95%% CI ±%.1f%% cycles / ±%.1f%% energy",
 		s.Intervals, s.Measure, s.Seed, len(s.Points),
 		s.MeanSpeedup, s.MinSpeedup, s.MinBench, 100*s.MaxRelCyclesCI, 100*s.MaxRelEnergyCI)
 }

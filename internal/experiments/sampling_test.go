@@ -43,12 +43,11 @@ func TestSampledSweepParallelismInvariance(t *testing.T) {
 	for _, par := range []int{1, 4, runtime.GOMAXPROCS(0)} {
 		opts := sampledOpts()
 		opts.Parallelism = par
-		opts.estimates = &pointLog[PointEstimate]{}
-		res, err := runAll(opts.context(), opts, keys)
+		res, pts, _, err := runRecords(opts.context(), opts, keys)
 		if err != nil {
 			t.Fatalf("par %d: %v", par, err)
 		}
-		outcomes = append(outcomes, outcome{res, opts.estimates.sorted()})
+		outcomes = append(outcomes, outcome{res, pts})
 	}
 	for i := 1; i < len(outcomes); i++ {
 		if !reflect.DeepEqual(outcomes[0].res, outcomes[i].res) {
@@ -280,11 +279,10 @@ func TestSampledGoldenAccuracy(t *testing.T) {
 	for i, k := range keys {
 		ref[k.system+"/"+k.core.String()] = full[i]
 	}
-	sampled.estimates = &pointLog[PointEstimate]{}
-	if _, err := runAll(sampled.context(), sampled, keys); err != nil {
+	_, pts, _, err := runRecords(sampled.context(), sampled, keys)
+	if err != nil {
 		t.Fatal(err)
 	}
-	pts := sampled.estimates.sorted()
 	if len(pts) != len(keys) {
 		t.Fatalf("sampled sweep logged %d estimates, want %d", len(pts), len(keys))
 	}

@@ -23,60 +23,16 @@ import (
 // well inside the widened intervals across the golden figure set.
 const biasAllowance = 0.05
 
-// Estimate is a sampled point estimate with its 95% confidence half-width.
-type Estimate struct {
-	Mean      float64 `json:"mean"`
-	HalfWidth float64 `json:"half_width"`
-	N         int64   `json:"n"` // measured intervals contributing
-}
-
-// Contains reports whether v falls inside the interval.
-func (e Estimate) Contains(v float64) bool {
-	return v >= e.Mean-e.HalfWidth && v <= e.Mean+e.HalfWidth
-}
-
-// RelHalfWidth is the half-width as a fraction of the mean (0 for a zero
-// mean).
-func (e Estimate) RelHalfWidth() float64 {
-	if e.Mean == 0 {
-		return 0
-	}
-	return e.HalfWidth / math.Abs(e.Mean)
-}
-
-// Result is the outcome of one sampled run: whole-run scaled Results (the
-// drop-in replacement for a full run's system.Results) plus the estimator's
-// error bounds and work accounting.
-type Result struct {
-	Results system.Results
-
-	// Cycles and Energy carry the headline estimates with confidence
-	// intervals; every counter in Results.Stats is the mean of the scaled
-	// replicates.
-	Cycles Estimate
-	Energy Estimate
-
-	Intervals     int   // K
-	Measured      int   // replicates that ran (and had work)
-	DetailedIters int64 // iterations simulated in detail
-	TotalIters    int64 // iterations of the full run
-}
-
-// Speedup is the work-ratio bound of the plan: full-run iterations over
-// detailed iterations (1 when nothing was saved).
-func (r *Result) Speedup() float64 {
-	if r.DetailedIters <= 0 {
-		return 1
-	}
-	return float64(r.TotalIters) / float64(r.DetailedIters)
-}
-
-// RunEstimate runs bench at the given scale under cfg's sampling parameters
-// and returns the sampled estimate. With sampling disabled it runs the full
-// detailed simulation and wraps it in a zero-width Result. The detailed run
-// is the one barrier-drained schedule, polled in barrier context, so
-// estimates are deterministic in (cfg, bench, scale) regardless of shard
-// layout, worker count or any caller-side sweep parallelism.
+// Run runs bench at the given scale: the full detailed simulation when cfg
+// does not enable sampling, otherwise the sampled estimator under cfg's
+// sampling parameters, whose Results carry the estimate in Sampled and
+// whose Stats are the mean of the scaled replicates. It is the one way to
+// simulate an untraced point: figure sweeps, sfserve and the facade all run
+// it, and the cache key already distinguishes sampled from full
+// configurations. The detailed run is the one barrier-drained schedule,
+// polled in barrier context, so estimates are deterministic in (cfg, bench,
+// scale) regardless of shard layout, worker count or any caller-side sweep
+// parallelism.
 //
 // The estimator is "the detailed run plus steady-rate extrapolation": one
 // detailed window per phase — warmup prefix, measured block, drain epilogue
@@ -86,32 +42,18 @@ func (r *Result) Speedup() float64 {
 // between interior snapshots of the block. Each of the block's m intervals
 // yields its own extrapolated whole-run estimate; their spread across
 // intervals feeds the t-based confidence interval.
-func RunEstimate(ctx context.Context, cfg config.Config, bench string, scale float64) (*Result, error) {
+func Run(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error) {
+	if !cfg.Sample.Enabled() {
+		return system.RunBenchmark(ctx, cfg, bench, scale)
+	}
 	sp := cfg.Sample.Resolved()
 	cfg.Sample = sp
-	if !sp.Enabled() {
-		res, err := system.RunBenchmark(ctx, cfg, bench, scale)
-		if err != nil {
-			return nil, err
-		}
-		iters := int64(res.Stats.Iterations)
-		return &Result{
-			Results:       res,
-			Cycles:        Estimate{Mean: float64(res.Stats.Cycles), N: 1},
-			Energy:        Estimate{Mean: res.Stats.EnergyJ, N: 1},
-			Intervals:     1,
-			Measured:      1,
-			DetailedIters: iters,
-			TotalIters:    iters,
-		}, nil
-	}
-
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return system.Results{}, err
 	}
 	kernel, err := workload.New(bench)
 	if err != nil {
-		return nil, err
+		return system.Results{}, err
 	}
 	// One backing store serves warmup and the detailed run: detailed stores
 	// are timing-only, so Prepare's functional memory stays pristine.
@@ -121,7 +63,7 @@ func RunEstimate(ctx context.Context, cfg config.Config, bench string, scale flo
 
 	m, err := system.BuildPrepared(cfg, bench, bk, pl.Programs())
 	if err != nil {
-		return nil, err
+		return system.Results{}, err
 	}
 	warmMachine(m, pl)
 
@@ -178,11 +120,11 @@ func RunEstimate(ctx context.Context, cfg config.Config, bench string, scale flo
 
 	res, err := m.RunContext(ctx, 0)
 	if err != nil {
-		return nil, fmt.Errorf("sample: %w", err)
+		return system.Results{}, fmt.Errorf("sample: %w", err)
 	}
 	m.Release() // everything below works from res and the snapshots
 	if res.Stats.Iterations == 0 {
-		return nil, fmt.Errorf("sample: %s: detailed window carried no work (K=%d, m=%d)",
+		return system.Results{}, fmt.Errorf("sample: %s: detailed window carried no work (K=%d, m=%d)",
 			bench, sp.Intervals, sp.Measure)
 	}
 
@@ -296,27 +238,25 @@ func RunEstimate(ctx context.Context, cfg config.Config, bench string, scale flo
 	mean := meanStats(scaled)
 	mean.Cycles = uint64(math.Round(rampEst))
 	energy.Apply(&mean, cfg)
-	return &Result{
-		Results: system.Results{
-			Benchmark: bench,
-			Config:    cfg,
-			Stats:     mean,
-			NumLinks:  numLinks,
+	return system.Results{
+		Benchmark: bench,
+		Config:    cfg,
+		Stats:     mean,
+		NumLinks:  numLinks,
+		Sampled: &system.Sampled{
+			Cycles: stats.Estimate{
+				Mean:      rampEst,
+				HalfWidth: cycles.CI95() + modelGap + biasAllowance*math.Abs(rampEst),
+				N:         cycles.N(),
+			},
+			Energy: stats.Estimate{
+				Mean:      mean.EnergyJ,
+				HalfWidth: energyW.CI95() + (relGap+biasAllowance)*math.Abs(mean.EnergyJ),
+				N:         energyW.N(),
+			},
+			DetailedIters: pl.DetailedIters,
+			TotalIters:    pl.TotalIters,
 		},
-		Cycles: Estimate{
-			Mean:      rampEst,
-			HalfWidth: cycles.CI95() + modelGap + biasAllowance*math.Abs(rampEst),
-			N:         cycles.N(),
-		},
-		Energy: Estimate{
-			Mean:      mean.EnergyJ,
-			HalfWidth: energyW.CI95() + (relGap+biasAllowance)*math.Abs(mean.EnergyJ),
-			N:         energyW.N(),
-		},
-		Intervals:     pl.K,
-		Measured:      len(scaled),
-		DetailedIters: pl.DetailedIters,
-		TotalIters:    pl.TotalIters,
 	}, nil
 }
 
@@ -352,22 +292,6 @@ func fitRamp(xs, ys, wts []float64) (a, b, r2 float64, ok bool) {
 		return my, 0, 0, true
 	}
 	return a, b, sxy * sxy / (sxx * syy), true
-}
-
-// Run is the system.RunBenchmark-shaped entry point: it dispatches to the
-// sampled estimator when cfg enables sampling and to the full detailed
-// simulation otherwise, returning plain Results either way. It is the
-// drop-in runner for servers and caches — the cache key already
-// distinguishes sampled from full configurations.
-func Run(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error) {
-	if !cfg.Sample.Enabled() {
-		return system.RunBenchmark(ctx, cfg, bench, scale)
-	}
-	r, err := RunEstimate(ctx, cfg, bench, scale)
-	if err != nil {
-		return system.Results{}, err
-	}
-	return r.Results, nil
 }
 
 // meanStats returns the elementwise mean of the scaled replicates.

@@ -238,19 +238,19 @@ func TestEstimateDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Sample = config.SampleParams{Intervals: 8, Measure: 2, Seed: 1}
-	a, err := RunEstimate(context.Background(), cfg, "nn", 0.05)
+	a, err := Run(context.Background(), cfg, "nn", 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunEstimate(context.Background(), cfg, "nn", 0.05)
+	b, err := Run(context.Background(), cfg, "nn", 0.05)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("two sampled runs of one point differ")
 	}
-	if a.Measured == 0 || a.DetailedIters >= a.TotalIters {
-		t.Fatalf("sampling did not reduce work: %+v", a)
+	if s := a.Sampled; s.Cycles.N == 0 || s.DetailedIters >= s.TotalIters {
+		t.Fatalf("sampling did not reduce work: %+v", s)
 	}
 }
 
@@ -272,10 +272,11 @@ func TestAccuracySpot(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.Sample = config.SampleParams{Intervals: 16}
-		est, err := RunEstimate(context.Background(), cfg, "nn", 0.25)
+		res, err := Run(context.Background(), cfg, "nn", 0.25)
 		if err != nil {
 			t.Fatal(err)
 		}
+		est := res.Sampled
 		if got := est.Speedup(); got < 3 {
 			t.Errorf("%s: sampled work reduction %.1fx < 3x", sys, got)
 		}

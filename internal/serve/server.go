@@ -45,10 +45,13 @@ type Config struct {
 	StallTimeout time.Duration
 	// Runner executes one /run or points-job simulation. nil picks
 	// sample.Run, which dispatches on cfg.Sample — full detailed simulation
-	// when sampling is disabled, sampled estimation when a job carries
-	// sampling parameters. Figure sweeps simulate their points themselves
-	// (so a sampled figure can report its confidence intervals). Tests
-	// substitute stubs to exercise queueing and cancellation deterministically.
+	// when sampling is disabled, sampled estimation (Results.Sampled set)
+	// when a job carries sampling parameters. Figure sweeps compute their
+	// points with their own closure, which also runs sample.Run: the sweep
+	// can only tell that a point was computed rather than cached when that
+	// closure runs, and its progress (cached counts, est_remaining_ms)
+	// depends on it. Tests substitute stubs to exercise queueing and
+	// cancellation deterministically.
 	Runner func(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error)
 	// Journal, when non-nil, makes async jobs crash-safe: each job's spec,
 	// state transitions and final status are appended to its on-disk
@@ -251,18 +254,10 @@ func (r JobRequest) resolve() (config.Config, string, float64, error) {
 		if coreName == "" {
 			coreName = "OOO8"
 		}
-		var core config.CoreKind
-		switch coreName {
-		case "IO4":
-			core = config.IO4
-		case "OOO4":
-			core = config.OOO4
-		case "OOO8":
-			core = config.OOO8
-		default:
-			return config.Config{}, "", 0, fmt.Errorf("unknown core %q (valid: IO4, OOO4, OOO8)", coreName)
+		core, err := config.ParseCore(coreName)
+		if err != nil {
+			return config.Config{}, "", 0, err
 		}
-		var err error
 		cfg, err = config.ForSystem(sys, core)
 		if err != nil {
 			return config.Config{}, "", 0, err
@@ -524,7 +519,8 @@ func (s *Server) runPoint(ctx context.Context, cfg config.Config, bench string, 
 
 // figureCache is the experiments.ResultCache a figure sweep runs against:
 // every point goes through Server.point, with the sweep's own guarded
-// compute.
+// compute rather than Config.Runner, so the sweep sees which points it
+// computed (see Config.Runner).
 type figureCache struct{ s *Server }
 
 func (c figureCache) Do(ctx context.Context, key string, compute func() (system.Results, error)) (system.Results, error) {

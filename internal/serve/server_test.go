@@ -297,10 +297,11 @@ func TestServerDrain(t *testing.T) {
 
 // TestServerSampledRun: a job carrying sampling parameters runs the sampled
 // estimator under its own cache key (so sampled estimates can never serve a
-// full-fidelity request), and a sampled figure job's table carries the
-// sampling footnote and summary.
+// full-fidelity request) and its reply carries the estimate; a sampled figure
+// job whose point the /run above already cached still carries the sampling
+// footnote and summary.
 func TestServerSampledRun(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	h, ts := newTestServer(t, Config{})
 	full := JobRequest{System: "SF", Core: "OOO8", Benchmark: "nn", Scale: 0.05}
 	sampled := full
 	sampled.Sample = &config.SampleParams{Intervals: 8, Measure: 2}
@@ -327,6 +328,9 @@ func TestServerSampledRun(t *testing.T) {
 	if sr.Cached {
 		t.Error("fresh sampled job reported cached")
 	}
+	if sr.Results.Sampled == nil || fr.Results.Sampled != nil {
+		t.Errorf("Results.Sampled: sampled reply %v, full reply %v; want only the sampled one set", sr.Results.Sampled, fr.Results.Sampled)
+	}
 	fc, sc := float64(fr.Results.Stats.Cycles), float64(sr.Results.Stats.Cycles)
 	if sc == 0 || sc < fc/2 || sc > fc*2 {
 		t.Errorf("sampled estimate %v implausible vs full %v", sc, fc)
@@ -338,10 +342,9 @@ func TestServerSampledRun(t *testing.T) {
 		t.Errorf("bad sampling params = %d, want 400", resp.StatusCode)
 	}
 
-	// A scale no request above used: the footnote counts fresh points only,
-	// and the sampled /run point would otherwise serve the figure's from the
-	// cache (the sanitize mode the two paths differ in is outside the key).
-	id := submitJobSpec(t, ts.URL, JobSpec{Figure: &FigureSpec{ID: "14", Scale: 0.04, Benchmarks: []string{"nn"},
+	// The sampled /run point serves the figure's from the cache (the sanitize
+	// mode the two paths differ in is outside the key).
+	id := submitJobSpec(t, ts.URL, JobSpec{Figure: &FigureSpec{ID: "14", Scale: 0.05, Benchmarks: []string{"nn"},
 		Sample: &config.SampleParams{Intervals: 8, Measure: 2}}})
 	waitJobState(t, ts.URL, id, JobDone)
 	code, res, body := getJobResult(t, ts.URL, id)
@@ -350,6 +353,9 @@ func TestServerSampledRun(t *testing.T) {
 	}
 	if !strings.Contains(strings.Join(res.Figure.Notes, "\n"), "sampled simulation") || res.Figure.Sampling == nil {
 		t.Errorf("sampled figure job: notes %q, sampling %v; want the sampling footnote and summary", res.Figure.Notes, res.Figure.Sampling)
+	}
+	if m := h.cfg.Store.Stats().Misses; m != 2 {
+		t.Errorf("store misses = %d, want 2 (the figure's point is the sampled /run's)", m)
 	}
 }
 
@@ -431,7 +437,9 @@ func TestRunBodyOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts3 := newTestServer(t, Config{Store: st3, Runner: func(context.Context, config.Config, string, float64) (system.Results, error) {
+	// Two workers: the follower must reach the Store's singleflight while
+	// the blocked leader holds a worker slot.
+	_, ts3 := newTestServer(t, Config{Store: st3, Workers: 2, Runner: func(context.Context, config.Config, string, float64) (system.Results, error) {
 		close(entered)
 		<-release
 		return fresh, nil

@@ -338,6 +338,47 @@ func TestStoreResumesSweep(t *testing.T) {
 	}
 }
 
+// TestStoreResumesSampledSweep: a sampled point's estimate is part of its
+// stored Results, so a sampled figure re-run over a fresh Store on the same
+// directory, every point a disk hit, renders a table byte-identical to the
+// cold run, sampling summary and footnote included.
+func TestStoreResumesSampledSweep(t *testing.T) {
+	fig, ok := experiments.ByName("14")
+	if !ok {
+		t.Fatal("figure 14 is not registered")
+	}
+	dir := t.TempDir()
+	sweep := func() (StoreStats, *experiments.Table, []byte) {
+		st, err := NewStore(0, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl, err := fig(experiments.Options{
+			Scale: 0.03, Benchmarks: []string{"nn", "mv"}, Cache: st,
+			Sanitize: sanitize.ModeOff, Sample: config.SampleParams{Intervals: 16},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(tbl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Stats(), tbl, data
+	}
+	_, cold, want := sweep()
+	if cold.Sampling == nil || len(cold.Sampling.Points) != 2 {
+		t.Fatalf("cold sampled table carries sampling %+v, want two points", cold.Sampling)
+	}
+	s, _, got := sweep()
+	if s.DiskHits != 2 || s.Misses != 0 {
+		t.Errorf("warm store stats %+v, want two disk hits", s)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("store-served sampled table is not byte-identical to the cold run:\nwarm %s\ncold %s", got, want)
+	}
+}
+
 // TestStoreOtherVersionIsPlainMiss: a result file of another envelope
 // version (a v1 file after the v2 upgrade) is recomputed and rewritten as
 // v2 without counting a disk error, while a corrupt v2 file still counts.

@@ -105,3 +105,24 @@ func TInv975(df int64) float64 {
 	}
 	return tInv975[df-1]
 }
+
+// Estimate is a sampled point estimate with its 95% confidence half-width.
+type Estimate struct {
+	Mean      float64 `json:"mean"`
+	HalfWidth float64 `json:"half_width"`
+	N         int64   `json:"n"` // measured intervals contributing
+}
+
+// Contains reports whether v falls inside the interval.
+func (e Estimate) Contains(v float64) bool {
+	return v >= e.Mean-e.HalfWidth && v <= e.Mean+e.HalfWidth
+}
+
+// RelHalfWidth is the half-width as a fraction of the mean (0 for a zero
+// mean).
+func (e Estimate) RelHalfWidth() float64 {
+	if e.Mean == 0 {
+		return 0
+	}
+	return e.HalfWidth / math.Abs(e.Mean)
+}

@@ -227,13 +227,6 @@ func (d Decl) Validate() error {
 	return nil
 }
 
-// LineOfElem returns the index of the cache line (relative to the stream's
-// own sequence of touched lines) containing element i, for a contiguous
-// affine stream: elements pack ElemSize each into 64-byte lines.
-func LineOfElem(elemIdx, elemSize int64) int64 {
-	return elemIdx * elemSize / LineBytes
-}
-
 // ElemsPerLine returns how many elements share one line for a contiguous
 // stream of the given element size.
 func ElemsPerLine(elemSize int64) int64 {

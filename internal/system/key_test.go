@@ -35,8 +35,8 @@ func TestCacheKeyStability(t *testing.T) {
 // the sampled keys it invalidates and no other. The full-run key of one
 // point is pinned to its value before the sampler version word existed, so
 // full-detail entries in existing stores stay valid; the same point's
-// sampled key must differ from its pinned old value, so old-sampler
-// estimates stop matching.
+// sampled key must differ from each of its pinned old values, so entries of
+// an older sampler stop matching.
 func TestCacheKeySamplerVersion(t *testing.T) {
 	cfg, err := config.ForSystem("SF", config.OOO8)
 	if err != nil {
@@ -45,13 +45,18 @@ func TestCacheKeySamplerVersion(t *testing.T) {
 	const (
 		fullKey       = "f754333efe34810289dc93fa5fb5afefbbf1f9fef821b916a44104885ed2b1f3"
 		unversionedSK = "23b102e3390d264e1337e75dbd5fc5a59a3f05c8559744ffde9c3915c2de36b6"
+		v1SK          = "4aa5a78356c1ca6ce34eb661299b390321853c6512b7e368be838e6d8c1c0bd3"
 	)
 	if got := CacheKey(cfg, "nn", 0.25); got != fullKey {
 		t.Errorf("full-run key moved: %s, want %s (stores would recompute every full-detail point)", got, fullKey)
 	}
 	cfg.Sample = config.SampleParams{Intervals: 16}
-	if got := CacheKey(cfg, "nn", 0.25); got == unversionedSK {
+	got := CacheKey(cfg, "nn", 0.25)
+	if got == unversionedSK {
 		t.Error("sampled key unchanged: stores would serve estimates of the unversioned sampler")
+	}
+	if got == v1SK {
+		t.Error("sampled key still the version 1 key: stores would serve entries without Results.Sampled")
 	}
 }
 

@@ -43,11 +43,11 @@ func (pt invariancePoint) run(t *testing.T, mode sanitize.Mode, workers int) any
 	normalize := func(r *system.Results) { r.Config.Sanitize, r.Config.Workers = sanitize.ModeAuto, 0 }
 	if pt.sampled {
 		cfg.Sample = config.SampleParams{Intervals: 8}
-		got, err := sample.RunEstimate(context.Background(), cfg, pt.bench, 0.1)
+		got, err := sample.Run(context.Background(), cfg, pt.bench, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		normalize(&got.Results)
+		normalize(&got)
 		return got
 	}
 	got, err := system.RunBenchmark(context.Background(), cfg, pt.bench, 0.02)

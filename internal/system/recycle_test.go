@@ -13,7 +13,6 @@ import (
 	"streamfloat/internal/fault"
 	"streamfloat/internal/sample"
 	"streamfloat/internal/sanitize"
-	"streamfloat/internal/system"
 )
 
 // recyclePoint is one sweep point of the recycling oracle.
@@ -36,10 +35,7 @@ func newRecyclePoint(t *testing.T, sys string, core config.CoreKind, bench strin
 // run takes the point through the entry point production uses for it, so the
 // machine is released exactly when a sweep would release it.
 func (p recyclePoint) run(ctx context.Context) (any, error) {
-	if p.cfg.Sample.Enabled() {
-		return sample.RunEstimate(ctx, p.cfg, p.bench, p.scale)
-	}
-	return system.RunBenchmark(ctx, p.cfg, p.bench, p.scale)
+	return sample.Run(ctx, p.cfg, p.bench, p.scale)
 }
 
 // cancelMidFlight runs p under a context that is cancelled once the event
@@ -139,7 +135,7 @@ func TestRecycledStateInvisible(t *testing.T) {
 // (SF/OOO8 mv took 146k). What is left is a machine's records, allocated up
 // to its peak in flight and dropped with it. SF/OOO8 mv prices the stream
 // engines' path and the sampled Base/IO4 bfs row prices
-// sample.RunEstimate's interval machines and functional warm-up. The object
+// sample.Run's interval machines and functional warm-up. The object
 // budgets are about 1.25x the counts measured on linux/amd64 (SF/OOO8 mv
 // 66.9k, Base/IO4 bfs 6.0k, Base/OOO8 mv 50.4k, sampled Base/IO4 bfs 6.5k).
 // Both budgets are checked without the race detector only (CI's "Allocation

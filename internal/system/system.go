@@ -32,6 +32,33 @@ type Results struct {
 	Config    config.Config
 	Stats     stats.Stats
 	NumLinks  int
+	// Sampled is the estimator's record behind a sampled run's Stats
+	// (sample.Run fills it); nil for a full detailed run. Copies of the
+	// Results (a store's cached entry and every hit on it) share the
+	// record, so it is read-only.
+	Sampled *Sampled `json:",omitempty"`
+}
+
+// Sampled is what a sampled run reports beside its extrapolated Stats: the
+// headline estimates with their 95% confidence intervals and the work the
+// sampling plan saved. It travels with the Results, so a point served from
+// a store or a cluster backend carries the same record as a fresh one.
+type Sampled struct {
+	Cycles stats.Estimate `json:"cycles"`
+	Energy stats.Estimate `json:"energy"`
+	// DetailedIters is the iteration count simulated in detail and
+	// TotalIters the full run's.
+	DetailedIters int64 `json:"detailed_iters"`
+	TotalIters    int64 `json:"total_iters"`
+}
+
+// Speedup is the work-reduction bound of the plan: full-run iterations over
+// detailed iterations (1 when nothing was saved).
+func (s *Sampled) Speedup() float64 {
+	if s.DetailedIters <= 0 {
+		return 1
+	}
+	return float64(s.TotalIters) / float64(s.DetailedIters)
 }
 
 // Machine is a fully wired simulated system ready to run one benchmark.

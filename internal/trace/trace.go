@@ -64,8 +64,8 @@ const (
 	KindStallLQ    // load-queue full at issue; A=queued loads behind it
 	KindLoadDone   // a probed load finished; A=total latency, B=service level
 
-	// Cache events (hits are aggregated per tile, not ring events — see
-	// CacheAccess — so misses and evictions don't get rotated out).
+	// Cache events: demand misses and evictions only (hits are not
+	// traced, so misses and evictions don't get rotated out).
 	KindL1Miss  // Key=line address
 	KindL2Miss  // Key=line address
 	KindL2Evict // Key=line address, A=dirty, B=reused
@@ -333,13 +333,6 @@ func (a *TileAttribution) add(o TileAttribution) {
 	}
 }
 
-// CacheCounts aggregates per-tile hit/miss counts by level (level index
-// 0=L1, 1=L2, 2=L3; L3 counts land on the bank's tile).
-type CacheCounts struct {
-	Hits   [3]uint64
-	Misses [3]uint64
-}
-
 // StreamSpan is one floated-stream lifecycle: Float (span open) through
 // Sink/End/run-end (span close), annotated with the Table I config payload
 // the SE_L2 actually put on the wire.
@@ -377,7 +370,6 @@ type Tracer struct {
 
 	linkFlits []uint64 // tile*NumLinkDirs+dir -> flits carried
 	attr      []TileAttribution
-	cache     []CacheCounts
 
 	spans        []StreamSpan
 	spansDropped uint64
@@ -403,7 +395,6 @@ func New(cfg Config) *Tracer {
 		rings:     make([]ring, cfg.Tiles),
 		linkFlits: make([]uint64, cfg.Tiles*NumLinkDirs),
 		attr:      make([]TileAttribution, cfg.Tiles),
-		cache:     make([]CacheCounts, cfg.Tiles),
 		open:      make(map[uint64]int),
 	}
 	backing := make([]Event, cfg.Tiles*cfg.RingDepth)
@@ -432,19 +423,6 @@ func (t *Tracer) Emit(cycle uint64, tile int, kind Kind, key uint64, a, b int64)
 func (t *Tracer) AddLinkFlits(link, flits int) {
 	if link >= 0 && link < len(t.linkFlits) {
 		t.linkFlits[link] += uint64(flits)
-	}
-}
-
-// CacheAccess aggregates one demand access outcome at a cache level
-// (1=L1, 2=L2, 3=L3; for L3, tile is the bank). Allocation-free.
-func (t *Tracer) CacheAccess(tile, level int, hit bool) {
-	if tile < 0 || tile >= len(t.cache) || level < 1 || level > 3 {
-		return
-	}
-	if hit {
-		t.cache[tile].Hits[level-1]++
-	} else {
-		t.cache[tile].Misses[level-1]++
 	}
 }
 
@@ -683,10 +661,6 @@ func (t *Tracer) Attribution() TileAttribution {
 	}
 	return sum
 }
-
-// CacheCountsPerTile returns the aggregated hit/miss counters (shared
-// slice).
-func (t *Tracer) CacheCountsPerTile() []CacheCounts { return t.cache }
 
 const hexDigits = "0123456789abcdef"
 

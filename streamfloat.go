@@ -25,6 +25,7 @@ import (
 	"streamfloat/internal/experiments"
 	"streamfloat/internal/sample"
 	"streamfloat/internal/sanitize"
+	"streamfloat/internal/stats"
 	"streamfloat/internal/system"
 	"streamfloat/internal/trace"
 	"streamfloat/internal/workload"
@@ -112,38 +113,29 @@ func Build(cfg Config, benchmark string, scale float64) (*Machine, error) {
 	return system.Build(cfg, benchmark, scale)
 }
 
-// Run builds and runs one benchmark to completion.
+// Run builds and runs one benchmark to completion; with cfg.Sample enabled
+// it runs the sampled estimator and Results.Sampled carries the estimate.
 func Run(cfg Config, benchmark string, scale float64) (Results, error) {
-	return system.RunBenchmark(context.Background(), cfg, benchmark, scale)
+	return sample.Run(context.Background(), cfg, benchmark, scale)
 }
 
 // RunContext is Run with cancellation: the simulation's event loop polls ctx
 // and aborts promptly (within a few thousand processed events) once it is
 // cancelled or times out.
 func RunContext(ctx context.Context, cfg Config, benchmark string, scale float64) (Results, error) {
-	return system.RunBenchmark(ctx, cfg, benchmark, scale)
+	return sample.Run(ctx, cfg, benchmark, scale)
 }
 
 // SampleParams selects sampled simulation (set Config.Sample): each kernel
 // phase is partitioned into K intervals, a seeded block of them is simulated
 // in detail after functional fast-forward, and the block's statistics are
-// extrapolated into whole-run estimates with 95% confidence intervals.
+// extrapolated into whole-run estimates with 95% confidence intervals,
+// reported in Results.Sampled.
 type SampleParams = config.SampleParams
-
-// SampleResult is a sampled simulation's outcome: extrapolated Results plus
-// per-metric estimates with confidence intervals and the work reduction.
-type SampleResult = sample.Result
 
 // SampleEstimate is one estimated metric: mean, 95% half-width, and the
 // number of measured intervals behind it.
-type SampleEstimate = sample.Estimate
-
-// RunSampled runs one benchmark under cfg.Sample's sampling plan and
-// returns the full estimate. With sampling disabled it falls back to the
-// exact simulation (zero-width intervals).
-func RunSampled(ctx context.Context, cfg Config, benchmark string, scale float64) (*SampleResult, error) {
-	return sample.RunEstimate(ctx, cfg, benchmark, scale)
-}
+type SampleEstimate = stats.Estimate
 
 // ParseBenchmarks parses a comma-separated benchmark list (as accepted by
 // the sfexp/sfserve -bench inputs): names are whitespace-trimmed and

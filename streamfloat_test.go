@@ -33,6 +33,30 @@ func TestFacadeRun(t *testing.T) {
 	if res.Stats.Cycles == 0 || res.Benchmark != "pathfinder" {
 		t.Error("empty results")
 	}
+	if res.Sampled != nil {
+		t.Error("full run reports a sampled estimate")
+	}
+}
+
+// TestFacadeSampledRun: Run honours Config.Sample and returns the estimate
+// with the Results.
+func TestFacadeSampledRun(t *testing.T) {
+	cfg, err := ConfigFor("SF", OOO8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Sample = SampleParams{Intervals: 8, Measure: 2}
+	res, err := Run(cfg, "nn", 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := res.Sampled
+	if s == nil {
+		t.Fatal("sampled run carries no estimate")
+	}
+	if !s.Cycles.Contains(float64(res.Stats.Cycles)) || s.Speedup() <= 1 {
+		t.Errorf("estimate %+v (speedup %.2f) does not describe cycles %d", s, s.Speedup(), res.Stats.Cycles)
+	}
 }
 
 func TestFacadeBuildAndInspect(t *testing.T) {
