@@ -59,8 +59,8 @@ func run() (err error) {
 		sampleSd  = flag.Int64("sample-seed", 0, "with -sample: deterministic measured-block placement (0 centers the block)")
 		chart     = flag.String("chart", "", "also render an ASCII bar chart of metrics with this suffix (e.g. speedup)")
 		san       = flag.String("sanitize", "auto", "runtime invariant probes: on, off, or auto (on inside go test, off here)")
-		cacheDir  = flag.String("cache", "", "serve simulations from a result-cache directory (shared with sfserve); re-running an interrupted sweep over the same directory replays its completed and quarantined points")
-		backends  = flag.String("backends", "", "comma-separated sfserve backends to shard the sweep over (host:port,...); -cache becomes the local fallback store")
+		cacheDir  = flag.String("cache", "", "keep the result cache in this directory (shared with sfserve) instead of memory only; re-running an interrupted sweep over the same directory replays its completed and quarantined points")
+		backends  = flag.String("backends", "", "comma-separated sfserve backends to shard the sweep over (host:port,...); the result cache computes the points they cannot serve")
 		tracePath = flag.String("trace", "", "also run one traced simulation and write Chrome-trace JSON here (inspect with sftrace or ui.perfetto.dev)")
 		traceSys  = flag.String("tracesys", "SF", "system for the -trace run (Base, Stride, Bingo, SS, SF, ...)")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -75,7 +75,7 @@ func run() (err error) {
 	// a bad value is a usage error now, not a surprise minutes into a sweep.
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if err := validateSweepFlags(explicit, *workers, *sampleK, *sampleM); err != nil {
+	if err := validateSweepFlags(explicit, *scale, *workers, *sampleK, *sampleM); err != nil {
 		return err
 	}
 
@@ -124,37 +124,35 @@ func run() (err error) {
 		return err
 	}
 
-	// -cache persists every point under its canonical key: <key>.json per
-	// result, <key>.poison.json per deterministic failure. That makes the
-	// sweep crash-safe: re-running the same command after a crash or ^C
-	// replays both kinds and simulates only the points that never finished.
-	var store *serve.Store
-	if *cacheDir != "" {
-		store, err = serve.NewStore(0, *cacheDir)
-		if err != nil {
-			return err
-		}
-		opts.Cache = store
-		defer func() {
-			st := store.Stats()
-			log.Printf("cache: %d mem hits, %d disk hits, %d misses, %d dedups (dir %s)",
-				st.Hits, st.DiskHits, st.Misses, st.Dedups, *cacheDir)
-		}()
+	// Every point goes through one Store, so a point two figures share is
+	// simulated once. -cache makes it durable: <key>.json per result,
+	// <key>.poison.json per deterministic failure. That makes the sweep
+	// crash-safe: re-running the same command after a crash or ^C replays
+	// both kinds and simulates only the points that never finished.
+	store, err := serve.NewStore(0, *cacheDir)
+	if err != nil {
+		return err
 	}
+	opts.Cache = store
+	defer func() {
+		st := store.Stats()
+		where := "memory only"
+		if *cacheDir != "" {
+			where = "dir " + *cacheDir
+		}
+		log.Printf("cache: %d mem hits, %d disk hits, %d misses, %d dedups, %d panics contained, %d stall kills (%s)",
+			st.Hits, st.DiskHits, st.Misses, st.Dedups, st.Panics, st.WatchdogKills, where)
+	}()
 
 	// -backends shards the sweep across sfserve processes by consistent-
-	// hashing each point's cache key; a -cache store, when also given,
-	// doubles as the local fallback cache for points the cluster cannot
-	// serve.
+	// hashing each point's cache key; the Store computes the points the
+	// cluster cannot serve.
 	if *backends != "" {
-		cc := cluster.Config{Origin: "sfexp"}
+		cc := cluster.Config{Origin: "sfexp", Local: store}
 		for _, b := range strings.Split(*backends, ",") {
 			if b = strings.TrimSpace(b); b != "" {
 				cc.Backends = append(cc.Backends, b)
 			}
-		}
-		if store != nil {
-			cc.Local = store
 		}
 		client, cerr := cluster.New(cc)
 		if cerr != nil {
@@ -250,9 +248,12 @@ func run() (err error) {
 // validateSweepFlags range-checks the sweep-shaping flags. explicit marks
 // flags the user actually passed: -workers and -sample-measure default to 0
 // meaning "auto-pick", so only explicit values are rejected for being
-// non-positive, while -sample-intervals must always be positive and the
-// measured block can never exceed the partition it samples from.
-func validateSweepFlags(explicit map[string]bool, workers, sampleK, sampleM int) error {
+// non-positive, while -scale and -sample-intervals must always be positive
+// and the measured block can never exceed the partition it samples from.
+func validateSweepFlags(explicit map[string]bool, scale float64, workers, sampleK, sampleM int) error {
+	if scale <= 0 {
+		return fmt.Errorf("-scale must be positive (got %v)", scale)
+	}
 	if explicit["workers"] && workers <= 0 {
 		return fmt.Errorf("-workers must be positive (got %d); omit it to derive from GOMAXPROCS", workers)
 	}

@@ -26,13 +26,16 @@
 //	                   X-SF-Origin header, so backend load is attributable
 //	                   to the sweeps driving it)
 //
-// /run and POST /jobs share one bound: with -workers + -queue jobs queued
-// or running, both answer 429. Jobs are cancellable end to end: a client
-// disconnect, a DELETE or the per-job timeout stops the simulation at its
-// next event-loop cancellation check instead of letting it run to
-// completion. SIGTERM/SIGINT drain gracefully: health flips to 503, new
-// jobs are rejected, in-flight jobs finish (up to -drain-timeout), then the
-// listener closes.
+// -workers bounds running jobs, not simulations: a /run or a points job
+// simulates one point at a time, while a figure job holds one slot and runs
+// its sweep at GOMAXPROCS parallelism inside it. /run and POST /jobs share
+// one bound: with -workers + -queue jobs queued or running, both answer
+// 429. Jobs are cancellable end to end: a client disconnect, a DELETE or
+// the per-job timeout stops the simulation at its next event-loop
+// cancellation check instead of letting it run to completion.
+// SIGTERM/SIGINT drain gracefully: health flips to 503, new jobs are
+// rejected, in-flight jobs finish (up to -drain-timeout), then the listener
+// closes.
 package main
 
 import (
@@ -63,7 +66,7 @@ func run() error {
 		cacheDir     = flag.String("cache", "", "result-cache directory (empty = in-memory only)")
 		cacheEntries = flag.Int("cache-entries", 0, "max in-memory cached results (0 = default)")
 		journalDir   = flag.String("journal", "", "async-job journal directory: jobs submitted via POST /jobs survive restarts and resume; pair with -cache, which holds the resume state (completed and quarantined points)")
-		workers      = flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "concurrently running jobs: a /run or points job simulates one point at a time, a figure job runs its whole sweep at GOMAXPROCS parallelism in one slot (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 64, "queued /run and async jobs before 429 backpressure")
 		jobTimeout   = flag.Duration("job-timeout", 10*time.Minute, "per-job wall-clock cap")
 		stallTimeout = flag.Duration("stall-timeout", 0, "per-point watchdog: a simulation whose event loop stops advancing for this long is killed as stuck (0 = off)")

@@ -55,9 +55,9 @@ type Config struct {
 	FailThreshold int
 	EjectFor      time.Duration
 
-	// Local, when non-nil, handles local fallback computes (and plain Do
-	// calls) — typically a *serve.Store so even degraded points are cached.
-	// nil falls back to computing without caching.
+	// Local handles local fallback computes (and plain Do calls), so even
+	// degraded points are cached: typically a durable *serve.Store. nil
+	// picks a memory-only Store.
 	Local experiments.ResultCache
 
 	// Origin is the serve.OriginHeader value stamped on every request, so
@@ -135,6 +135,9 @@ func New(cfg Config) (*Client, error) {
 	if cfg.Origin == "" {
 		cfg.Origin = "sfexp"
 	}
+	if cfg.Local == nil {
+		cfg.Local, _ = serve.NewStore(0, "") // memory-only: cannot fail
+	}
 	backends := make([]string, len(cfg.Backends))
 	for i, b := range cfg.Backends {
 		b = strings.TrimRight(strings.TrimSpace(b), "/")
@@ -180,12 +183,9 @@ func (c *Client) Close() { c.http.CloseIdleConnections() }
 
 // Do satisfies experiments.ResultCache for callers that only have an opaque
 // key. Without the full simulation point a backend cannot compute the
-// result, so Do runs locally (through the local cache when configured).
+// result, so Do runs through the local store.
 func (c *Client) Do(ctx context.Context, key string, compute func() (system.Results, error)) (system.Results, error) {
-	if c.cfg.Local != nil {
-		return c.cfg.Local.Do(ctx, key, compute)
-	}
-	return compute()
+	return c.cfg.Local.Do(ctx, key, compute)
 }
 
 // DoPoint routes one simulation point to its shard's backend, failing over
@@ -234,12 +234,10 @@ func (c *Client) DoPoint(ctx context.Context, key string, cfg config.Config, ben
 		c.health.failure(backend)
 	}
 	// The shard — or the whole cluster — is down: degrade to computing the
-	// point in-process so the sweep still completes.
+	// point in-process, through the local store, so the sweep still
+	// completes.
 	c.fallbacks.Add(1)
-	if c.cfg.Local != nil {
-		return c.cfg.Local.Do(ctx, key, compute)
-	}
-	return compute()
+	return c.cfg.Local.Do(ctx, key, compute)
 }
 
 // runRemote performs one POST /run against a backend and validates the

@@ -328,6 +328,37 @@ func TestClusterAllBackendsDownFallsBackLocal(t *testing.T) {
 	}
 }
 
+// TestClusterFallbackWithoutLocalComputesOnce: a Client given no Local
+// still degrades through a Store of its own, so two fallbacks of one point
+// simulate it once.
+func TestClusterFallbackWithoutLocalComputesOnce(t *testing.T) {
+	c, err := New(Config{
+		Backends:    []string{"127.0.0.1:1"},
+		MaxAttempts: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+
+	cfg := config.Default()
+	key := system.CacheKey(cfg, "nn", 0.05)
+	computes := 0
+	compute := func() (system.Results, error) {
+		computes++
+		return system.Results{Benchmark: "local-fallback"}, nil
+	}
+	for i := 0; i < 2; i++ {
+		res, err := c.DoPoint(context.Background(), key, cfg, "nn", 0.05, compute)
+		if err != nil || res.Benchmark != "local-fallback" {
+			t.Fatalf("fallback #%d = %+v, %v; want the local result", i, res, err)
+		}
+	}
+	if st := c.Stats(); st.Fallbacks != 2 || computes != 1 {
+		t.Errorf("%d computes over stats %+v, want two fallbacks sharing one compute", computes, st)
+	}
+}
+
 // stubRunner returns a backend runner producing a marker result after an
 // optional delay (respecting cancellation, as the real simulator does).
 func stubRunner(marker string, delay time.Duration) func(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error) {

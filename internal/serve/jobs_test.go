@@ -380,6 +380,7 @@ func TestJobsValidation(t *testing.T) {
 		"bad figure scale":  {Figure: &FigureSpec{ID: "13", Scale: -1}},
 		"bad figure sample": {Figure: &FigureSpec{ID: "13", Sample: &config.SampleParams{Intervals: -1}}},
 		"bad point":         {Points: []JobRequest{{Benchmark: "typo"}}},
+		"bad point scale":   {Points: []JobRequest{{Benchmark: "nn", Scale: -0.5}}},
 	} {
 		resp, data := postJobs(t, ts.URL, spec)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -108,6 +108,84 @@ func TestStoreQuarantine(t *testing.T) {
 	}
 }
 
+// TestStoreCountsFaults: the Store counts the faults its computes contain,
+// once, by the caller that ran the compute. A panic shared with a
+// singleflight follower is one panic, and its replays from memory or from a
+// restarted Store's poison file are no new ones. A stall kill is counted
+// and, being retryable, not quarantined.
+func TestStoreCountsFaults(t *testing.T) {
+	dir := t.TempDir()
+	st, err := NewStore(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var calls atomic.Int64
+	boom := func() (system.Results, error) {
+		calls.Add(1)
+		// Hold the compute until the follower has joined it.
+		for deadline := time.Now().Add(5 * time.Second); st.Stats().Dedups == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		return system.Results{}, fault.Guard(context.Background(), "", 0, 0, func(context.Context) error {
+			panic("injected simulator fault")
+		})
+	}
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			_, err := st.Do(context.Background(), "deadbeef", boom)
+			errs <- err
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		err := <-errs
+		if pe, ok := fault.As(err); !ok || pe.Kind != fault.KindPanic {
+			t.Fatalf("shared Do err = %v, want a contained panic", err)
+		}
+	}
+	if _, err := st.Do(context.Background(), "deadbeef", boom); !fault.IsPoisoned(err) {
+		t.Fatalf("memory replay err = %v, want the quarantined panic", err)
+	}
+	if s := st.Stats(); calls.Load() != 1 || s.Dedups != 1 || s.Panics != 1 || s.PoisonHits != 1 {
+		t.Errorf("after a shared panic and a memory replay: %d computes, stats %+v; want 1 compute, 1 dedup, 1 panic, 1 poison hit", calls.Load(), s)
+	}
+
+	restarted, err := NewStore(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restarted.Do(context.Background(), "deadbeef", boom); !fault.IsPoisoned(err) {
+		t.Fatalf("disk replay err = %v, want the quarantined panic", err)
+	}
+	if s := restarted.Stats(); calls.Load() != 1 || s.Panics != 0 || s.PoisonHits != 1 {
+		t.Errorf("after a disk replay: %d computes, stats %+v; want no compute and no new panic", calls.Load(), s)
+	}
+
+	stuck := func() (system.Results, error) {
+		calls.Add(1)
+		return system.Results{}, fault.Guard(context.Background(), "", 20*time.Millisecond, 0, func(ctx context.Context) error {
+			hb := fault.HeartbeatFrom(ctx)
+			for ctx.Err() == nil {
+				hb.Publish(1, 42) // events tick, cycle frozen: a livelock
+				time.Sleep(time.Millisecond)
+			}
+			return ctx.Err()
+		})
+	}
+	for i := 1; i <= 2; i++ {
+		_, err := st.Do(context.Background(), "feedface", stuck)
+		if pe, ok := fault.As(err); !ok || !pe.Stuck {
+			t.Fatalf("stalled Do #%d err = %v, want a stall kill", i, err)
+		}
+		if s := st.Stats(); s.WatchdogKills != uint64(i) || s.Panics != 1 || s.Poisoned != 1 {
+			t.Errorf("after stall kill #%d: stats %+v; want %d kills, the panic alone quarantined", i, s, i)
+		}
+	}
+	if n := calls.Load(); n != 3 {
+		t.Errorf("%d computes, want the stalled point recomputed (3 in all)", n)
+	}
+}
+
 // TestServerPoisonedPoint422: a panicking point must not take the server
 // down — it returns a typed 422, increments sfserve_panics_total, degrades
 // /healthz, and re-requests replay the quarantine without re-simulating.
@@ -343,10 +421,10 @@ func TestServerPanicCountedOnce(t *testing.T) {
 	}
 }
 
-// TestFigureCacheCountsFaults: a figure sweep's points go through the same
-// Server.point as /run, so a panic contained in one is counted, quarantined
+// TestFigureStoreCountsFaults: a figure sweep's points go through the same
+// Store lookup as /run, so a panic contained in one is counted, quarantined
 // and replayed without recomputing.
-func TestFigureCacheCountsFaults(t *testing.T) {
+func TestFigureStoreCountsFaults(t *testing.T) {
 	h, ts := newTestServer(t, Config{})
 	var calls atomic.Int64
 	compute := func() (system.Results, error) {
@@ -355,9 +433,8 @@ func TestFigureCacheCountsFaults(t *testing.T) {
 			panic("injected simulator fault")
 		})
 	}
-	fc := figureCache{s: h}
 	for i := 0; i < 2; i++ {
-		_, err := fc.Do(context.Background(), "figure-point", compute)
+		_, err := h.cfg.Store.Do(context.Background(), "figure-point", compute)
 		if pe, ok := fault.As(err); !ok || pe.Kind != fault.KindPanic {
 			t.Fatalf("Do #%d err = %v, want a contained panic", i, err)
 		}

@@ -104,8 +104,6 @@ type Server struct {
 	asyncSubmitted atomic.Uint64
 	asyncResumed   atomic.Uint64
 	journalErrs    atomic.Uint64
-	panics         atomic.Uint64 // fresh deterministic point failures (panic/violation)
-	watchdogKills  atomic.Uint64 // points killed by the stall watchdog
 	draining       atomic.Bool
 
 	// origins counts job submissions (/run and POST /jobs) per requesting
@@ -205,7 +203,7 @@ type JobRequest struct {
 	System    string  `json:"system"`               // Base, Stride, Bingo, SS, SF, SF-Aff, SF-Ind (default Base)
 	Core      string  `json:"core"`                 // IO4, OOO4, OOO8 (default OOO8)
 	Benchmark string  `json:"benchmark"`            // required; see workload.Names
-	Scale     float64 `json:"scale"`                // dataset scale (default 0.25)
+	Scale     float64 `json:"scale"`                // dataset scale (0 = 0.25; negative is rejected)
 	Sanitize  string  `json:"sanitize,omitempty"`   // auto, on, off (default auto)
 	TimeoutMS int64   `json:"timeout_ms,omitempty"` // per-job cap below the server default
 
@@ -283,7 +281,10 @@ func (r JobRequest) resolve() (config.Config, string, float64, error) {
 		return config.Config{}, "", 0, fmt.Errorf("unknown benchmark %q (valid: %s)", r.Benchmark, strings.Join(workload.Names(), ", "))
 	}
 	scale := r.Scale
-	if scale <= 0 {
+	switch {
+	case scale < 0:
+		return config.Config{}, "", 0, fmt.Errorf("bad scale %v", scale)
+	case scale == 0:
 		scale = 0.25
 	}
 	return cfg, r.Benchmark, scale, nil
@@ -461,48 +462,20 @@ func writeRun(w http.ResponseWriter, resp JobResponse, results []byte) {
 	io.WriteString(w, tail)
 }
 
-// point is the one way sfserve gets a simulation point. POST /run and
-// points jobs reach it through runPoint, figure jobs through figureCache.
-// It wraps the Store's one lookup (memory and disk cache, quarantine,
-// singleflight) around compute, which must be guarded (fault.Guard) so a
-// panic or a stall arrives typed, and counts the fault when this caller
-// ran the simulation. The entry it returns carries both
-// forms of the point: the encoded bytes /run splices and the Results
-// (Store.results) that sweeps and points jobs read. cached reports a point
-// served without running compute.
-func (s *Server) point(ctx context.Context, key string, compute func() (system.Results, error)) (e *entry, cached bool, err error) {
-	computed := false
-	e, err = s.cfg.Store.lookup(ctx, key, func() (system.Results, error) {
-		computed = true
-		return compute()
-	})
-	if pe, ok := fault.As(err); ok && computed {
-		// A singleflight follower shares the leader's error; only the
-		// leader counts it.
-		if pe.Stuck {
-			s.watchdogKills.Add(1)
-		}
-		if pe.Deterministic() && !pe.Quarantined {
-			s.panics.Add(1)
-		}
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	return e, !computed, nil
-}
-
-// runPoint computes one resolved /run or points-job point through point,
-// simulating with Config.Runner under the fault guard: panics become
-// structured PointErrors (keeping the serving process up), and with
-// Config.StallTimeout set the stall watchdog kills points whose event loop
-// stops advancing simulated time. The response carries the key, cached
-// flag and elapsed time, even on error, but not the Results: those are in
-// the entry.
+// runPoint computes one resolved /run or points-job point through the
+// Store's lookup, simulating with Config.Runner under the fault guard:
+// panics become structured PointErrors (keeping the serving process up),
+// and with Config.StallTimeout set the stall watchdog kills points whose
+// event loop stops advancing simulated time. The Store quarantines and
+// counts those faults. The response carries the key, cached flag and
+// elapsed time, even on error, but not the Results: those are in the
+// entry, next to the encoded bytes /run splices.
 func (s *Server) runPoint(ctx context.Context, cfg config.Config, bench string, scale float64) (JobResponse, *entry, error) {
 	key := system.CacheKey(cfg, bench, scale)
 	start := time.Now()
-	e, cached, err := s.point(ctx, key, func() (system.Results, error) {
+	computed := false
+	e, err := s.cfg.Store.lookup(ctx, key, func() (system.Results, error) {
+		computed = true
 		var res system.Results
 		err := fault.Guard(ctx, key, s.cfg.StallTimeout, 0, func(ctx context.Context) (err error) {
 			res, err = s.cfg.Runner(ctx, cfg, bench, scale)
@@ -512,28 +485,14 @@ func (s *Server) runPoint(ctx context.Context, cfg config.Config, bench string, 
 	})
 	return JobResponse{
 		Key:       key,
-		Cached:    cached,
+		Cached:    err == nil && !computed,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1e3,
 	}, e, err
 }
 
-// figureCache is the experiments.ResultCache a figure sweep runs against:
-// every point goes through Server.point, with the sweep's own guarded
-// compute rather than Config.Runner, so the sweep sees which points it
-// computed (see Config.Runner).
-type figureCache struct{ s *Server }
-
-func (c figureCache) Do(ctx context.Context, key string, compute func() (system.Results, error)) (system.Results, error) {
-	e, _, err := c.s.point(ctx, key, compute)
-	if err != nil {
-		return system.Results{}, err
-	}
-	return c.s.cfg.Store.results(e)
-}
-
-// runFigure regenerates a figure job's figure through figureCache, under
-// the server's stall watchdog, mirroring the sweep's progress into the
-// job's status.
+// runFigure regenerates a figure job's figure through the Store (with the
+// sweep's own compute, see Config.Runner), under the server's stall
+// watchdog, mirroring the sweep's progress into the job's status.
 func (s *Server) runFigure(ctx context.Context, j *job) (*experiments.Table, error) {
 	fs := j.spec.Figure
 	fn, ok := experiments.ByName(fs.ID)
@@ -543,7 +502,7 @@ func (s *Server) runFigure(ctx context.Context, j *job) (*experiments.Table, err
 	opts := experiments.Options{
 		Scale:        0.25,
 		Benchmarks:   fs.Benchmarks,
-		Cache:        figureCache{s},
+		Cache:        s.cfg.Store,
 		Sanitize:     sanitize.ModeOff,
 		Context:      ctx,
 		KeepGoing:    j.spec.KeepGoing,
@@ -586,11 +545,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
+	cs := s.cfg.Store.Stats()
 	h := Health{
 		Status:            "ok",
-		Panics:            s.panics.Load(),
-		WatchdogKills:     s.watchdogKills.Load(),
-		PointsQuarantined: s.cfg.Store.Stats().Poisoned,
+		Panics:            cs.Panics,
+		WatchdogKills:     cs.WatchdogKills,
+		PointsQuarantined: cs.Poisoned,
 	}
 	if h.Panics > 0 || h.WatchdogKills > 0 || h.PointsQuarantined > 0 {
 		h.Status = "degraded"
@@ -624,8 +584,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("sfserve_cache_dedups", cs.Dedups, "requests that shared another caller's simulation")
 	counter("sfserve_cache_disk_errors", cs.DiskErrs, "failed best-effort disk cache operations")
 	gauge("sfserve_cache_entries", int64(cs.Entries), "in-memory cache entries")
-	counter("sfserve_panics_total", s.panics.Load(), "simulator panics contained and converted to typed errors")
-	counter("sfserve_watchdog_kills_total", s.watchdogKills.Load(), "points killed by the stall watchdog")
+	counter("sfserve_panics_total", cs.Panics, "simulator panics contained and converted to typed errors")
+	counter("sfserve_watchdog_kills_total", cs.WatchdogKills, "points killed by the stall watchdog")
 	gauge("sfserve_points_quarantined", int64(cs.Poisoned), "quarantine negative entries (deterministic point failures)")
 	counter("sfserve_cache_poison_hits", cs.PoisonHits, "failures replayed from quarantine entries instead of recomputing")
 	origins, counts := s.originCounts()

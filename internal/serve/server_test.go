@@ -126,6 +126,7 @@ func TestServerBadRequests(t *testing.T) {
 		"unknown benchmark": {Benchmark: "typo"},
 		"unknown system":    {System: "Nope", Benchmark: "nn"},
 		"unknown core":      {Core: "OOO16", Benchmark: "nn"},
+		"negative scale":    {Benchmark: "nn", Scale: -0.5},
 	} {
 		resp, data := postRun(t, ts.URL, job)
 		if resp.StatusCode != http.StatusBadRequest {

@@ -59,12 +59,14 @@ type Store struct {
 	// are rare (each is a simulator bug) and never evicted.
 	poisoned map[string]*fault.PointError
 
-	hits       atomic.Uint64 // served from memory
-	diskHits   atomic.Uint64 // served from the on-disk store
-	misses     atomic.Uint64 // computed
-	dedups     atomic.Uint64 // waited on another caller's computation
-	diskErrs   atomic.Uint64 // best-effort disk writes/reads that failed
-	poisonHits atomic.Uint64 // failures replayed from quarantine entries
+	hits          atomic.Uint64 // served from memory
+	diskHits      atomic.Uint64 // served from the on-disk store
+	misses        atomic.Uint64 // computed
+	dedups        atomic.Uint64 // waited on another caller's computation
+	diskErrs      atomic.Uint64 // best-effort disk writes/reads that failed
+	poisonHits    atomic.Uint64 // failures replayed from quarantine entries
+	panics        atomic.Uint64 // fresh deterministic failures a leader's compute contained
+	watchdogKills atomic.Uint64 // leader computes killed by the stall watchdog
 }
 
 // entry is one cached point: its result file (the envelope below) and,
@@ -171,10 +173,15 @@ func (s *Store) Do(ctx context.Context, key string, compute func() (system.Resul
 }
 
 // lookup is the Store's one lookup — memory, quarantine, singleflight,
-// disk, then compute — behind Do and Server.point. It returns the point's
-// entry: the encoded bytes a /run reply splices, and the Results (through
-// results) for everyone else. A memory hit allocates nothing
+// disk, then compute — behind Do and the server's runPoint. It returns the
+// point's entry: the encoded bytes a /run reply splices, and the Results
+// (through results) for everyone else. A memory hit allocates nothing
 // (TestStoreBytesHitZeroAlloc).
+//
+// compute must be guarded (fault.Guard), so that a panic or a stall
+// arrives as a typed PointError. lookup counts the faults only the
+// computing leader contains: singleflight followers share its error, and
+// replays from quarantine are not new faults.
 func (s *Store) lookup(ctx context.Context, key string, compute func() (system.Results, error)) (*entry, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -229,12 +236,18 @@ func (s *Store) lookup(ctx context.Context, key string, compute func() (system.R
 				s.misses.Add(1)
 				c.e = newEntry(key, res)
 				s.diskPut(c.e)
-			} else if pe, ok := fault.As(c.err); ok && pe.Deterministic() && !pe.Quarantined {
-				// A fresh deterministic failure (panic, violation): record the
-				// negative entry so this key is never recomputed. The computing
-				// caller keeps the original error with its stack; later hits
-				// get the Served copy.
-				s.quarantine(key, pe)
+			} else if pe, ok := fault.As(c.err); ok {
+				if pe.Stuck {
+					s.watchdogKills.Add(1)
+				}
+				if pe.Deterministic() && !pe.Quarantined {
+					// A fresh deterministic failure (panic, violation): record
+					// the negative entry so this key is never recomputed. The
+					// computing caller keeps the original error with its stack;
+					// later hits get the Served copy.
+					s.panics.Add(1)
+					s.quarantine(key, pe)
+				}
 			}
 		}
 		s.mu.Lock()
@@ -309,6 +322,11 @@ type StoreStats struct {
 	Entries    int    `json:"entries"`     // current in-memory entry count
 	Poisoned   int    `json:"poisoned"`    // quarantine negative entries in memory
 	PoisonHits uint64 `json:"poison_hits"` // failures replayed from quarantine
+	// Panics and WatchdogKills count the faults computes contained: fresh
+	// deterministic failures (panics, sanitizer violations) and stall
+	// watchdog kills, each once, by the caller that ran the compute.
+	Panics        uint64 `json:"panics"`
+	WatchdogKills uint64 `json:"watchdog_kills"`
 }
 
 // Stats snapshots the counters.
@@ -318,14 +336,16 @@ func (s *Store) Stats() StoreStats {
 	p := len(s.poisoned)
 	s.mu.Unlock()
 	return StoreStats{
-		Hits:       s.hits.Load(),
-		DiskHits:   s.diskHits.Load(),
-		Misses:     s.misses.Load(),
-		Dedups:     s.dedups.Load(),
-		DiskErrs:   s.diskErrs.Load(),
-		Entries:    n,
-		Poisoned:   p,
-		PoisonHits: s.poisonHits.Load(),
+		Hits:          s.hits.Load(),
+		DiskHits:      s.diskHits.Load(),
+		Misses:        s.misses.Load(),
+		Dedups:        s.dedups.Load(),
+		DiskErrs:      s.diskErrs.Load(),
+		Entries:       n,
+		Poisoned:      p,
+		PoisonHits:    s.poisonHits.Load(),
+		Panics:        s.panics.Load(),
+		WatchdogKills: s.watchdogKills.Load(),
 	}
 }
 

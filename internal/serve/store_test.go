@@ -338,6 +338,62 @@ func TestStoreResumesSweep(t *testing.T) {
 	}
 }
 
+// countingCache counts the computes a ResultCache runs, per key.
+type countingCache struct {
+	st *Store
+	mu sync.Mutex
+	n  map[string]int
+}
+
+func (c *countingCache) Do(ctx context.Context, key string, compute func() (system.Results, error)) (system.Results, error) {
+	return c.st.Do(ctx, key, func() (system.Results, error) {
+		c.mu.Lock()
+		c.n[key]++
+		c.mu.Unlock()
+		return compute()
+	})
+}
+
+// TestStoreSharesPointsAcrossFigures: the whole evaluation over one
+// memory-only Store (what sfexp runs without -cache) simulates each
+// distinct point once, however many figures share it, and renders JSON
+// byte-identical to the same evaluation without a cache.
+func TestStoreSharesPointsAcrossFigures(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole evaluation twice")
+	}
+	all := func(cache experiments.ResultCache) []byte {
+		tables, err := experiments.AllTables(experiments.Options{
+			Scale: 0.03, Benchmarks: []string{"nn"}, Sanitize: sanitize.ModeOff, Cache: cache,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := experiments.WriteJSON(&buf, tables); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	want := all(nil)
+	st, err := NewStore(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &countingCache{st: st, n: map[string]int{}}
+	if got := all(cc); !bytes.Equal(got, want) {
+		t.Errorf("evaluation over a Store differs from the uncached one:\nstore    %s\nuncached %s", got, want)
+	}
+	for key, n := range cc.n {
+		if n != 1 {
+			t.Errorf("point %.16s… computed %d times, want once", key, n)
+		}
+	}
+	if s := st.Stats(); s.Misses != uint64(len(cc.n)) || s.Hits == 0 {
+		t.Errorf("store stats %+v over %d distinct points: want one miss each and hits for the shared ones", s, len(cc.n))
+	}
+}
+
 // TestStoreResumesSampledSweep: a sampled point's estimate is part of its
 // stored Results, so a sampled figure re-run over a fresh Store on the same
 // directory, every point a disk hit, renders a table byte-identical to the
