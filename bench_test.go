@@ -8,7 +8,9 @@ package streamfloat
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // canaryConfig is the mid-sized configuration both canaries simulate. The
@@ -37,10 +39,14 @@ func BenchmarkSingleRun(b *testing.B) {
 }
 
 // BenchmarkTraceOverhead is BenchmarkSingleRun with the structured tracer
-// attached: the delta between the two is the cost of tracing-on mode (the
-// disabled mode is guarded separately by TestTracerDisabledOverhead).
+// attached: the delta between the two is the cost of tracing-on mode. Off
+// the clock, it also times a plain run against a run of a machine whose
+// tracer was attached and detached and reports the ratio as disabled/plain:
+// the disabled probes are single pointer compares, so it stays within noise
+// of 1 (a regression would blow far past 1.5).
 func BenchmarkTraceOverhead(b *testing.B) {
 	cfg := canaryConfig(b)
+	var plain, disabled time.Duration
 	for i := 0; i < b.N; i++ {
 		res, tr, err := RunTraced(cfg, "mv", "SF/OOO8", 0.1)
 		if err != nil {
@@ -48,7 +54,33 @@ func BenchmarkTraceOverhead(b *testing.B) {
 		}
 		b.ReportMetric(float64(res.Stats.Cycles), "sim-cycles")
 		b.ReportMetric(float64(tr.Attribution().Loads), "probed-loads")
+		b.StopTimer()
+		plain += timedRun(b, cfg, nil)
+		disabled += timedRun(b, cfg, NewTracer(cfg, "mv", "SF/OOO8", 0))
+		b.StartTimer()
 	}
+	b.ReportMetric(float64(disabled)/float64(plain), "disabled/plain")
+}
+
+// timedRun times one run of the canary point; a non-nil tr is attached and
+// detached before it.
+func timedRun(b *testing.B, cfg Config, tr *Tracer) time.Duration {
+	m, err := Build(cfg, "mv", 0.1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if tr != nil {
+		m.AttachTracer(tr)
+		m.AttachTracer(nil)
+	}
+	runtime.GC() // start both runs without the other's garbage
+	start := time.Now()
+	if _, err := m.Run(0); err != nil {
+		b.Fatal(err)
+	}
+	d := time.Since(start)
+	m.Release() // hand the next run recycled cache slabs, as RunTraced does
+	return d
 }
 
 // Example of the one-call API (compiled and run by go test).

@@ -118,7 +118,7 @@ func (e *Engines) checkStreamGrain(bank int, lineAddr uint64, writerTile int) {
 func (e *Engines) streamGrainCheck(bank int, lineAddr uint64, writerTile int) {
 	var hit []*l3Stream
 	for _, s := range e.registry {
-		if s.dead || s.reqTile == writerTile || s.group.dead {
+		if s.state == ended || s.reqTile == writerTile || !s.group.live() {
 			continue
 		}
 		if lineAddr >= s.rangeLo && lineAddr < s.rangeHi && s.rangeHi != 0 {

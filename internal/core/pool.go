@@ -63,32 +63,3 @@ func (l *opLists) putWaitList(w *waitList) {
 	w.fns = w.fns[:0]
 	l.wait.Put(w)
 }
-
-// queue is a FIFO of records indexed by head, not re-sliced, so its backing
-// array is reused: from the start whenever it runs empty, and by sliding the
-// live entries down when it is full but half consumed.
-type queue[T any] struct {
-	ops  []*T
-	head int
-}
-
-func (q *queue[T]) len() int { return len(q.ops) - q.head }
-
-func (q *queue[T]) push(op *T) {
-	if len(q.ops) == cap(q.ops) && q.head > len(q.ops)/2 {
-		n := copy(q.ops, q.ops[q.head:])
-		clear(q.ops[n:])
-		q.ops, q.head = q.ops[:n], 0
-	}
-	q.ops = append(q.ops, op)
-}
-
-func (q *queue[T]) pop() *T {
-	op := q.ops[q.head]
-	q.ops[q.head] = nil
-	q.head++
-	if q.head == len(q.ops) {
-		q.ops, q.head = q.ops[:0], 0
-	}
-	return op
-}

@@ -14,23 +14,6 @@ import (
 // detaches.
 func (e *Engines) SetChecker(chk *sanitize.Checker) { e.san = chk }
 
-// sanStreamKey tags a (tile, sid) stream for trace filtering. The high bit
-// keeps stream keys disjoint from the line addresses and NoC keys other
-// components trace under.
-func sanStreamKey(tile, sid int) uint64 {
-	return 1<<63 | uint64(tile)<<16 | uint64(sid)
-}
-
-// sanTrace appends one stream-engine trace record when probes are on.
-func (e *Engines) sanTrace(tile int, comp, ev string, key uint64, a, b int64) {
-	if e.san == nil {
-		return
-	}
-	e.san.Trace(sanitize.Record{
-		Cycle: uint64(e.lay.Eng(tile).Now()), Tile: tile, Comp: comp, Event: ev, Key: key, A: a, B: b,
-	})
-}
-
 // sanCheckFIFO verifies the SEcore stream-FIFO bound after a prefetch
 // frontier advance: held lines never exceed the allocated share.
 func (c *seCore) sanCheckFIFO(s *coreStream) {
@@ -38,7 +21,7 @@ func (c *seCore) sanCheckFIFO(s *coreStream) {
 		return
 	}
 	if s.held > s.fifoCap {
-		c.e.san.Failf(sanStreamKey(c.tile, s.decl.ID),
+		c.e.san.Failf(s.key.tag(),
 			"secore: tile %d stream %d FIFO holds %d lines, capacity %d",
 			c.tile, s.decl.ID, s.held, s.fifoCap)
 	}
@@ -51,11 +34,11 @@ func (c *seCore) sanCheckElements(s *coreStream) {
 	if c.e.san == nil {
 		return
 	}
-	key := sanStreamKey(c.tile, s.decl.ID)
+	key := s.key.tag()
 	if s.sanServed != s.sanReq {
 		c.e.san.Failf(key,
-			"secore: tile %d stream %d reached stream_end with %d of %d requested elements served (kind %d)",
-			c.tile, s.decl.ID, s.sanServed, s.sanReq, s.kind)
+			"secore: tile %d stream %d reached stream_end with %d of %d requested elements served (state %d)",
+			c.tile, s.decl.ID, s.sanServed, s.sanReq, s.state)
 	}
 	if s.sanRel > s.sanReq {
 		c.e.san.Failf(key,
@@ -68,10 +51,10 @@ func (c *seCore) sanCheckElements(s *coreStream) {
 // consumed never outrun credits granted, and the outstanding window
 // (granted - consumed) never exceeds the stream's buffer share.
 func (l *seL2) sanCheckCredits(g *l2Group) {
-	if l.e.san == nil || g.dead {
+	if l.e.san == nil || !g.live() {
 		return
 	}
-	key := sanStreamKey(g.key.tile, g.key.sid)
+	key := g.key.tag()
 	if g.consumed > g.granted {
 		l.e.san.Failf(key,
 			"sel2: tile %d stream %d consumed %d credits with only %d granted",
@@ -89,10 +72,10 @@ func (l *seL2) sanCheckCredits(g *l2Group) {
 // overrun beyond the share is only tolerated while every remaining line is
 // pinned by waiters.
 func (l *seL2) sanCheckBuffer(g *l2Group) {
-	if l.e.san == nil || g.dead {
+	if l.e.san == nil || !g.live() {
 		return
 	}
-	key := sanStreamKey(g.key.tile, g.key.sid)
+	key := g.key.tag()
 	live, pinned := 0, 0
 	for _, b := range g.order[g.orderHead:] {
 		if b == nil {
@@ -115,16 +98,32 @@ func (l *seL2) sanCheckBuffer(g *l2Group) {
 	}
 }
 
-// sanCheckWire verifies the Table I wire layout for a configuration packet
-// being sent: the stream's fields must fit their bit slots, serialize to
-// exactly the payload the NoC is charged for, survive an
-// encode -> decode -> re-encode round trip unchanged, and name, walked from
-// the decoded Iter, the first address the SE_L2 hands off.
-func (l *seL2) sanCheckWire(g *l2Group, startElem int64, payload int) {
-	if l.e.san == nil {
-		return
+// wire encodes the configuration packet being sent, for the config edge's
+// span, when a tracer or the sanitizer is attached (nil otherwise, or when
+// it does not encode), and checks it when the sanitizer is.
+func (l *seL2) wire(g *l2Group, startElem int64, payload int) []byte {
+	if l.e.san == nil && l.e.tr == nil {
+		return nil
 	}
-	key := sanStreamKey(g.key.tile, g.key.sid)
+	pkt := l.wirePacket(g, startElem)
+	data, err := pkt.Encode()
+	if l.e.san != nil {
+		l.sanCheckWire(g, startElem, payload, pkt, data, err)
+	}
+	if err != nil {
+		return nil // unencodable configs are the sanitizer's problem
+	}
+	return data
+}
+
+// sanCheckWire verifies the Table I wire layout of a configuration packet
+// being sent (pkt, encoded as data or failing with encErr): the stream's
+// fields must fit their bit slots, serialize to exactly the payload the NoC
+// is charged for, survive an encode -> decode -> re-encode round trip
+// unchanged, and name, walked from the decoded Iter, the first address the
+// SE_L2 hands off.
+func (l *seL2) sanCheckWire(g *l2Group, startElem int64, payload int, pkt stream.ConfigPacket, data []byte, encErr error) {
+	key := g.key.tag()
 	for i := 0; i < stream.Levels; i++ {
 		if n := g.baseAff.Lens[i]; n < 0 || n > math.MaxUint32 {
 			l.e.san.Failf(key, "sel2: tile %d stream %d level-%d length %d exceeds the 32-bit Table I field",
@@ -135,11 +134,9 @@ func (l *seL2) sanCheckWire(g *l2Group, startElem int64, payload int) {
 		l.e.san.Failf(key, "sel2: tile %d stream %d start element %d lies outside its %d-element nest",
 			l.tile, g.key.sid, s, s+g.baseAff.NumElems())
 	}
-	pkt := l.wirePacket(g, startElem)
-	data, err := pkt.Encode()
-	if err != nil {
+	if encErr != nil {
 		l.e.san.Failf(key, "sel2: tile %d stream %d configuration does not fit the Table I layout: %v",
-			l.tile, g.key.sid, err)
+			l.tile, g.key.sid, encErr)
 	}
 	if len(data) != payload {
 		l.e.san.Failf(key, "sel2: tile %d stream %d config packet is %d bytes but the NoC was charged %d",
@@ -169,7 +166,7 @@ func (b *seL3) sanCheckIssue(m *l3Stream) {
 		return
 	}
 	if m.issued > int64(m.creditLevel) {
-		b.e.san.Failf(sanStreamKey(m.key.tile, m.key.sid),
+		b.e.san.Failf(m.key.tag(),
 			"sel3: bank %d stream (tile %d, sid %d) issued line %d beyond credit level %d",
 			b.bank, m.key.tile, m.key.sid, m.issued, m.creditLevel)
 	}
@@ -195,25 +192,25 @@ func (e *Engines) Audit() {
 		e.san.Failf(0, "core: run drained with records outstanding: %d l3Req, %d indReq, %d creditOp", req, ind, credit)
 	}
 	for key, s := range e.registry {
-		e.san.Failf(sanStreamKey(key.tile, key.sid),
+		e.san.Failf(key.tag(),
 			"sel3: stream (tile %d, sid %d, gen %d) still registered at bank %d after run completed (issued %d, credits %d)",
 			key.tile, key.sid, key.gen, s.curBank, s.issued, s.creditLevel)
 	}
 	for tile, l2 := range e.l2s {
 		for _, g := range l2.groups {
-			e.san.Failf(sanStreamKey(g.key.tile, g.key.sid),
+			e.san.Failf(g.key.tag(),
 				"sel2: tile %d stream %d group leaked past stream_end (granted %d, consumed %d, buffered %d)",
 				tile, g.key.sid, g.granted, g.consumed, g.buffered)
 		}
 	}
 	for bank, l3 := range e.l3s {
-		if n := l3.indQ.len(); n != 0 {
+		if n := l3.indQ.Len(); n != 0 {
 			e.san.Failf(0, "sel3: bank %d finished the run with %d queued indirect issues", bank, n)
 		}
 		for _, cg := range l3.groups {
 			if live := len(cg.alive()); live != 0 {
 				m := cg.members[0]
-				e.san.Failf(sanStreamKey(m.key.tile, m.key.sid),
+				e.san.Failf(m.key.tag(),
 					"sel3: bank %d confluence group still has %d live streams after run completed", bank, live)
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"streamfloat/internal/cache"
+	"streamfloat/internal/config"
 	"streamfloat/internal/event"
 	"streamfloat/internal/linetab"
 	"streamfloat/internal/stream"
@@ -20,18 +21,6 @@ type histEntry struct {
 	floated  bool // sticky decision: this stream qualified for floating
 	sunk     bool // sticky: floating was undone (alias or private hits)
 }
-
-// csKind is the serving mode of one configured stream at the core.
-type csKind int
-
-const (
-	csCached         csKind = iota // SEcore prefetches through the caches (SS)
-	csFloatLeader                  // floated; data buffered at SE_L2
-	csFloatServed                  // served from an offset-group leader's buffer
-	csIndirectCached               // indirect, issued by SEcore when index ready
-	csIndirectFloat                // indirect, floated with its base stream
-	csSunk                         // sunk mid-phase: plain demand loads
-)
 
 // fifoLine is one line slot of the SEcore stream FIFO. A slot is freed once
 // every element has been handed to the pipeline (first use dispatches to the
@@ -113,10 +102,14 @@ func (c *seCore) dropElem(s *coreStream, e int64) {
 	}
 }
 
-// coreStream is the SEcore state of one configured stream.
+// coreStream is the SEcore state of one configured stream. Only an affine
+// stream that floats on its own moves through the lifecycle: an offset-group
+// member is served the way its leader is (its FIFO while the leader is at the
+// core, the leader's buffer while it floats, demand loads once it sank), and
+// an indirect stream floats with its base when FloatIndirect is on.
 type coreStream struct {
+	lifeRec
 	decl stream.Decl
-	kind csKind
 	hist *histEntry
 
 	// Cached (SS) affine state.
@@ -201,13 +194,12 @@ func (c *seCore) configurePhase(phase *workload.Phase, ready func()) {
 	var affines, indirects []*coreStream
 	for i := range phase.Loads {
 		d := phase.Loads[i]
-		s := &coreStream{decl: d, hist: c.histFor(d.PC), floatFrom: -1, lastReq: -1}
+		s := &coreStream{lifeRec: lifeRec{key: streamKey{tile: c.tile, sid: d.ID}},
+			decl: d, hist: c.histFor(d.PC), floatFrom: -1, lastReq: -1}
 		c.streams = append(c.streams, s)
 		if d.IsIndirect() {
-			s.kind = csIndirectCached
 			indirects = append(indirects, s)
 		} else {
-			s.kind = csCached
 			s.walker = newLineWalker(*d.Affine)
 			affines = append(affines, s)
 		}
@@ -240,7 +232,7 @@ func (c *seCore) configurePhase(phase *workload.Phase, ready func()) {
 		s.fifoCap = per
 		s.lines.Reserve(per)
 		s.elemSeq.Reserve(per * elemsPerLine(*s.decl.Affine))
-		if s.kind == csCached {
+		if s.state == atCore && (s.leader == nil || s.leader.state == atCore) {
 			c.issueLines(s)
 		}
 	}
@@ -314,6 +306,13 @@ func (c *seCore) detectOffsetGroups(affines []*coreStream) map[*coreStream]*core
 	return leaders
 }
 
+// FloatsByFootprint is the configure-time half of the §IV-D float test: a
+// stream of known length whose footprint exceeds the private L2 floats
+// whatever its history says.
+func FloatsByFootprint(cfg *config.Config, d *stream.Decl) bool {
+	return !d.UnknownLength && d.FloatFootprintBytes() > int64(cfg.L2.SizeBytes)
+}
+
 // qualifies applies the §IV-D float test to one affine stream.
 func (c *seCore) qualifies(s *coreStream) bool {
 	h := s.hist
@@ -323,8 +322,7 @@ func (c *seCore) qualifies(s *coreStream) bool {
 	if h.floated {
 		return true
 	}
-	if !s.decl.UnknownLength &&
-		s.decl.FloatFootprintBytes() > int64(c.e.cfg.L2.SizeBytes) {
+	if FloatsByFootprint(&c.e.cfg, &s.decl) {
 		h.floated = true
 		return true
 	}
@@ -355,31 +353,23 @@ func (c *seCore) applyFloatPolicy(affines []*coreStream, leaders map[*coreStream
 // starting at element startElem. It allocates the SE_L2 buffer share and
 // sends the configuration packet toward the first element's home bank.
 func (c *seCore) floatStream(s *coreStream, startElem int64) {
-	s.kind = csFloatLeader
 	s.floatFrom = startElem
-	c.e.sanTrace(c.tile, "secore", "float", sanStreamKey(c.tile, s.decl.ID), startElem, int64(len(s.indirects)))
-	if c.e.tr != nil {
-		c.e.tr.StreamFloat(uint64(c.e.lay.Eng(c.tile).Now()), c.tile, s.decl.ID, startElem,
-			s.decl.Affine.Base, len(s.indirects))
-	}
+	c.e.edge(edFloat, c.tile, startElem, int64(len(s.indirects)), s.decl.Affine.Base, nil, &s.lifeRec)
 	var children []stream.Decl
 	if c.e.cfg.FloatIndirect {
 		for _, ind := range s.indirects {
-			ind.kind = csIndirectFloat
 			children = append(children, ind.decl)
 		}
 	}
-	c.e.lay.St(c.tile).StreamsFloated++
 	s.group = c.e.l2s[c.tile].configureStream(s, startElem, children)
 
 	// Switch trailing offset-group members over to buffer service, routing
 	// any requests parked behind their (now stopped) FIFOs by address.
 	if s.leader == s {
 		for _, m := range c.streams {
-			if m.leader != s || m == s || m.kind != csCached {
+			if m.leader != s || m == s {
 				continue
 			}
-			m.kind = csFloatServed
 			for _, k := range c.e.lists(c.tile).sorted(m.demand.Keys) {
 				wl, _ := m.demand.Delete(k)
 				addr := m.decl.Affine.AddrAt(int64(k))
@@ -400,9 +390,6 @@ func (c *seCore) floatStream(s *coreStream, startElem int64) {
 	if len(children) == 0 && len(s.indirects) > 0 {
 		c.e.l2s[c.tile].setOnArrive(s.group, func(elemLo, elemHi int64) {
 			for _, ind := range s.indirects {
-				if ind.kind != csIndirectCached {
-					continue
-				}
 				for e := elemLo; e <= elemHi; e++ {
 					c.issueIndirect(ind, e)
 				}
@@ -429,7 +416,7 @@ func (c *seCore) floatStream(s *coreStream, startElem int64) {
 		c.e.lists(c.tile).putWaitList(wl)
 	}
 	for _, ind := range s.indirects {
-		if ind.kind != csIndirectFloat {
+		if !c.indFloated(ind) {
 			continue
 		}
 		for _, k := range c.e.lists(c.tile).sorted(ind.elems.Keys) {
@@ -505,7 +492,7 @@ func (c *seCore) lineArrived(line *fifoLine, latency event.Cycle) {
 		line.draining = false
 	}
 	for _, ind := range s.indirects {
-		if ind.kind == csIndirectCached {
+		if !c.indFloated(ind) {
 			for e := lo; e <= hi; e++ {
 				c.issueIndirect(ind, e)
 			}
@@ -514,8 +501,7 @@ func (c *seCore) lineArrived(line *fifoLine, latency event.Cycle) {
 	// Mid-phase float: a stream that keeps missing with no reuse floats
 	// from its current frontier (§IV-D). Trailing offset-group members
 	// never float on their own; they switch over when their leader does.
-	if c.e.floating() && s.kind == csCached && s.floatFrom < 0 &&
-		(s.leader == nil || s.leader == s) && c.qualifies(s) {
+	if c.e.floating() && s.state == atCore && (s.leader == nil || s.leader == s) && c.qualifies(s) {
 		c.floatStream(s, s.walker.nextElem)
 	}
 }
@@ -571,14 +557,33 @@ func (c *seCore) requestElement(sid int, idx int64, cb func(event.Cycle)) {
 			inner(now)
 		}
 	}
-	switch s.kind {
-	case csCached:
-		c.requestCached(s, idx, cb)
-	case csFloatLeader:
-		if idx < s.floatFrom {
-			c.requestCached(s, idx, cb)
+	l2 := c.e.l2s[c.tile]
+	switch {
+	case s.base != nil && c.indFloated(s) && idx >= s.base.floatFrom:
+		if !l2.requestIndirect(s.base.group, s.decl.ID, idx, cb) {
+			idxVal := c.e.bk.ReadU32(s.base.decl.Affine.AddrAt(idx))
+			c.fallback(s.decl.Indirect.AddrFor(uint64(idxVal)), s.decl, cb)
+		}
+	case s.base != nil:
+		// Issued at the core: once its base line lands, or on demand here
+		// when that hook has not fired (sink gap, SF-Aff prefix, base
+		// served elsewhere) — the index value is architecturally available
+		// at first use.
+		c.issueIndirect(s, idx)
+		el, _ := s.elems.Get(uint64(idx))
+		if el.arrived {
+			c.fifoServe(cb)
 			return
 		}
+		el.waiters = append(el.waiters, cb)
+	case s.leader != nil && s.leader != s && s.leader.state != atCore:
+		// An offset-group member of a floated leader reads the leader's
+		// buffer by address; once the leader sank, plain demand loads.
+		addr := s.decl.Affine.AddrAt(idx)
+		if !l2.requestByAddr(s.leader.group, addr, cb) {
+			c.fallback(addr, s.decl, cb)
+		}
+	case s.state == floated && idx >= s.floatFrom:
 		// A floated stream's requests still check the private tags (§IV-A);
 		// repeated hits mean the float was a mistake and the stream sinks
 		// (§IV-D).
@@ -593,56 +598,17 @@ func (c *seCore) requestElement(sid int, idx int64, cb func(event.Cycle)) {
 			return
 		}
 		s.hitStreak = 0
-		if !c.e.l2s[c.tile].requestLeader(s.group, idx, cb) {
+		if !l2.requestLeader(s.group, idx, cb) {
 			c.fallback(addr, s.decl, cb)
 		}
-	case csFloatServed:
-		addr := s.decl.Affine.AddrAt(idx)
-		if !c.e.l2s[c.tile].requestByAddr(s.leader.group, addr, cb) {
-			c.fallback(addr, s.decl, cb)
-		}
-	case csIndirectCached:
-		el, _ := s.elems.Get(uint64(idx))
-		if el == nil {
-			// The base line's arrival hook has not fired (sink gap, SF-Aff
-			// prefix, or base served elsewhere): issue on demand — the
-			// index value is architecturally available at first use.
-			c.issueIndirect(s, idx)
-			el, _ = s.elems.Get(uint64(idx))
-		}
-		if el.arrived {
-			c.fifoServe(cb)
-			return
-		}
-		el.waiters = append(el.waiters, cb)
-	case csIndirectFloat:
-		if idx < s.base.floatFrom {
-			// Prefix handled by the cached path of the base stream.
-			c.issueIndirect(s, idx)
-			el, _ := s.elems.Get(uint64(idx))
-			if el.arrived {
-				c.fifoServe(cb)
-			} else {
-				el.waiters = append(el.waiters, cb)
-			}
-			return
-		}
-		if !c.e.l2s[c.tile].requestIndirect(s.base.group, s.decl.ID, idx, cb) {
-			idxVal := c.e.bk.ReadU32(s.base.decl.Affine.AddrAt(idx))
-			c.fallback(s.decl.Indirect.AddrFor(uint64(idxVal)), s.decl, cb)
-		}
-	case csSunk:
-		c.fallback(c.sunkAddr(s, idx), s.decl, cb)
+	default:
+		c.requestCached(s, idx, cb)
 	}
 }
 
-// sunkAddr resolves an element address for a sunk stream.
-func (c *seCore) sunkAddr(s *coreStream, idx int64) uint64 {
-	if s.decl.IsIndirect() {
-		v := c.e.bk.ReadU32(s.base.decl.Affine.AddrAt(idx))
-		return s.decl.Indirect.AddrFor(uint64(v))
-	}
-	return s.decl.Affine.AddrAt(idx)
+// indFloated reports whether indirect stream s floats with its base.
+func (c *seCore) indFloated(s *coreStream) bool {
+	return c.e.cfg.FloatIndirect && s.base.state == floated
 }
 
 // fifoServe charges one SEcore FIFO read and hands the element to the
@@ -739,31 +705,16 @@ func (c *seCore) releaseElement(sid int, idx int64) {
 	if c.e.san != nil {
 		s.sanRel++
 	}
-	switch s.kind {
-	case csCached:
-		c.releaseCached(s, idx)
-	case csFloatLeader:
-		if idx < s.floatFrom {
-			c.releaseCached(s, idx)
-			return
-		}
-		c.e.l2s[c.tile].releaseLeader(s.group, idx)
-	case csIndirectCached:
-		c.dropElem(s, idx)
-	case csIndirectFloat:
-		if idx < s.base.floatFrom {
-			c.dropElem(s, idx)
-			return
-		}
+	switch {
+	case s.base != nil && c.indFloated(s) && idx >= s.base.floatFrom:
 		c.e.l2s[c.tile].releaseIndirect(s.base.group, s.decl.ID, idx)
+	case s.base != nil:
+		c.dropElem(s, idx)
+	case s.state == floated && idx >= s.floatFrom:
+		c.e.l2s[c.tile].releaseLeader(s.group, idx)
 	}
-}
-
-func (c *seCore) releaseCached(s *coreStream, idx int64) {
 	// FIFO slots are freed at first-use service (serveCached); stream_step
-	// retirement needs no further bookkeeping here.
-	_ = s
-	_ = idx
+	// retirement needs no further bookkeeping at the core.
 }
 
 // noteReuse records a private-cache reuse of a stream-brought line (the tag
@@ -778,18 +729,14 @@ func (c *seCore) noteReuse(sid int) {
 // SEcore service from the grant frontier and starts caching its data again.
 // aliased marks the cause (an aliasing store vs. private-cache hits).
 func (c *seCore) sinkStream(s *coreStream, aliased bool) {
-	if s.kind != csFloatLeader {
+	if s.state != floated {
 		return
 	}
 	var al int64
 	if aliased {
 		al = 1
 	}
-	c.e.sanTrace(c.tile, "secore", "sink", sanStreamKey(c.tile, s.decl.ID), s.lastReq, al)
-	if c.e.tr != nil {
-		c.e.tr.StreamSink(uint64(c.e.lay.Eng(c.tile).Now()), c.tile, s.decl.ID, aliased, s.lastReq)
-	}
-	c.e.lay.St(c.tile).StreamsSunk++
+	c.e.edge(edSink, c.tile, s.lastReq, al, 0, nil, &s.lifeRec)
 	s.hist.floated = false
 	s.hist.sunk = true
 	if aliased {
@@ -804,7 +751,6 @@ func (c *seCore) sinkStream(s *coreStream, aliased bool) {
 		resume = s.lastReq + 1
 	}
 	c.e.l2s[c.tile].terminate(s.group, true)
-	s.kind = csCached
 	s.cachedStart = resume
 	s.floatFrom = -1
 	s.group = nil
@@ -814,29 +760,16 @@ func (c *seCore) sinkStream(s *coreStream, aliased bool) {
 			break
 		}
 	}
-	for _, ind := range s.indirects {
-		if ind.kind == csIndirectFloat {
-			ind.kind = csIndirectCached
-		}
-	}
-	for _, ms := range c.streams {
-		if ms.kind == csFloatServed && ms.leader == s {
-			ms.kind = csSunk
-		}
-	}
 	c.issueLines(s)
 }
 
 // endPhase implements stream_end for every configured stream.
 func (c *seCore) endPhase() {
 	for _, s := range c.streams {
-		if s.kind == csFloatLeader && s.group != nil {
+		if s.state == floated {
 			c.e.l2s[c.tile].terminate(s.group, false)
 		}
-		c.e.sanTrace(c.tile, "secore", "end", sanStreamKey(c.tile, s.decl.ID), s.sanReq, s.sanRel)
-		if c.e.tr != nil {
-			c.e.tr.StreamEnd(uint64(c.e.lay.Eng(c.tile).Now()), c.tile, s.decl.ID)
-		}
+		c.e.edge(edEnd, c.tile, s.sanReq, s.sanRel, 0, nil, &s.lifeRec)
 		c.sanCheckElements(s)
 	}
 	c.streams = nil

@@ -5,6 +5,7 @@ import (
 
 	"streamfloat/internal/event"
 	"streamfloat/internal/linetab"
+	"streamfloat/internal/sanitize"
 	"streamfloat/internal/stats"
 	"streamfloat/internal/stream"
 	"streamfloat/internal/trace"
@@ -79,8 +80,8 @@ func (l *seL2) putIndState(st *indState) {
 // l2Group is the SE_L2 state of one floated stream (its leader pattern plus
 // any indirect children), including the credit-based flow control window.
 type l2Group struct {
+	lifeRec
 	l2       *seL2
-	key      streamKey
 	owner    *coreStream
 	decl     stream.Decl
 	baseAff  stream.Affine
@@ -99,10 +100,10 @@ type l2Group struct {
 	granted    int64 // lines granted to SE_L3 so far
 	consumed   int64 // leader lines fully released
 	lastCredit int64
-	dead       bool
 
-	// deadR mirrors dead for readers at remote banks. It is set by a barrier
-	// op: bank-side windows only ever read it between barriers.
+	// deadR tells readers at remote banks that the group has ended. It is
+	// set by a barrier op: bank-side windows only ever read it between
+	// barriers.
 	deadR bool
 
 	// onArrive, when set, fires with each arriving line's element range
@@ -115,6 +116,10 @@ type l2Group struct {
 
 	ind []childStates // one per floated indirect child, ascending sid
 }
+
+// live reports whether g is a floated group (not nil, not torn down, and
+// not a group that had nothing left to float).
+func (g *l2Group) live() bool { return g != nil && g.state == floated }
 
 // child returns the element states of floated child sid, or nil.
 func (g *l2Group) child(sid int) *childStates {
@@ -166,7 +171,7 @@ func (l *seL2) configureStream(owner *coreStream, startElem int64, children []st
 	}
 	g := &l2Group{
 		l2:       l,
-		key:      streamKey{tile: l.tile, sid: owner.decl.ID, gen: l.nextGen()},
+		lifeRec:  lifeRec{key: streamKey{tile: l.tile, sid: owner.decl.ID, gen: l.nextGen()}},
 		owner:    owner,
 		decl:     owner.decl,
 		baseAff:  *owner.decl.Affine,
@@ -205,21 +210,13 @@ func (l *seL2) configureStream(owner *coreStream, startElem int64, children []st
 	first := g.grantLines(g.cap)
 
 	if first == nil {
-		// Nothing left to float.
-		g.dead = true
-		g.deadR = true
-		return g
+		return g // nothing left to float: the group never leaves atCore
 	}
 	l.groups = append(l.groups, g)
-	l.e.sanTrace(l.tile, "sel2", "cfg", sanStreamKey(g.key.tile, g.key.sid), startElem, g.granted)
-	l.sanCheckCredits(g)
-	st := l.e.lay.St(l.tile)
-	st.StreamConfigs++
-	st.TLBTranslations++
 	bank := l.e.sys.HomeBank(first.addr)
 	payload := stream.ConfigBytes(len(children))
-	l.sanCheckWire(g, startElem, payload)
-	l.traceConfig(g, startElem, bank)
+	l.e.edge(edConfig, l.tile, startElem, g.granted, uint64(bank), l.wire(g, startElem, payload), &g.lifeRec)
+	l.sanCheckCredits(g)
 	startSeq := first.seq
 	credits := int(g.granted)
 	l.e.mesh.Send(l.tile, bank, stats.ClassStream, payload, func(event.Cycle) {
@@ -260,7 +257,7 @@ func (g *l2Group) grantLines(n int) *bufLine {
 
 // arrive records a floated line's data reaching this tile's stream buffer.
 func (l *seL2) arrive(g *l2Group, seq int64) {
-	if g.dead {
+	if !g.live() {
 		return
 	}
 	b, _ := g.bySeq.Get(uint64(seq))
@@ -269,8 +266,7 @@ func (l *seL2) arrive(g *l2Group, seq int64) {
 	}
 	l.e.lay.St(l.tile).SEL2Accesses++
 	if l.e.tr != nil {
-		l.e.tr.Emit(uint64(l.e.lay.Eng(l.tile).Now()), l.tile, trace.KindSEL2Arrive,
-			trace.StreamKey(g.key.tile, g.key.sid), seq, int64(g.buffered))
+		l.e.tr.Emit(uint64(l.e.lay.Eng(l.tile).Now()), l.tile, trace.KindSEL2Arrive, g.key.tag(), seq, int64(g.buffered))
 	}
 	b.arrived = true
 	for _, w := range b.waiters {
@@ -294,7 +290,7 @@ func (l *seL2) arrive(g *l2Group, seq int64) {
 
 // setOnArrive installs the per-line arrival hook (SF-Aff indirect chaining).
 func (l *seL2) setOnArrive(g *l2Group, fn func(elemLo, elemHi int64)) {
-	if g != nil && !g.dead {
+	if g.live() {
 		g.onArrive = fn
 	}
 }
@@ -342,7 +338,7 @@ func (g *l2Group) evictOverflow() {
 // requestLeader serves the leader stream's element idx from the buffer.
 // It returns false when the element cannot be served (core must fall back).
 func (l *seL2) requestLeader(g *l2Group, idx int64, cb func(event.Cycle)) bool {
-	if g == nil || g.dead {
+	if !g.live() {
 		return false
 	}
 	seq, ok := g.elemSeq.Get(uint64(idx))
@@ -366,7 +362,7 @@ func (l *seL2) requestLeader(g *l2Group, idx int64, cb func(event.Cycle)) bool {
 // requestByAddr serves a trailing offset-group member by address (the
 // buffer is address-tagged, §IV-A).
 func (l *seL2) requestByAddr(g *l2Group, addr uint64, cb func(event.Cycle)) bool {
-	if g == nil || g.dead {
+	if !g.live() {
 		return false
 	}
 	b, _ := g.byAddr.Get(addr &^ (lineBytes - 1))
@@ -388,7 +384,7 @@ func (l *seL2) serveLine(b *bufLine, cb func(event.Cycle)) {
 
 // requestIndirect serves a floated indirect element.
 func (l *seL2) requestIndirect(g *l2Group, childSid int, idx int64, cb func(event.Cycle)) bool {
-	if g == nil || g.dead {
+	if !g.live() {
 		return false
 	}
 	ch := g.child(childSid)
@@ -407,7 +403,7 @@ func (l *seL2) requestIndirect(g *l2Group, childSid int, idx int64, cb func(even
 
 // indirectArrive records a subline response for a floated indirect element.
 func (l *seL2) indirectArrive(g *l2Group, childSid int, idx int64) {
-	if g.dead {
+	if !g.live() {
 		return
 	}
 	ch := g.child(childSid)
@@ -455,7 +451,7 @@ func (l *seL2) releaseLeader(g *l2Group, idx int64) {
 	}
 	g.consumed++
 	l.sanCheckCredits(g)
-	if g.dead || g.consumed-g.lastCredit < int64(g.chunk) {
+	if !g.live() || g.consumed-g.lastCredit < int64(g.chunk) {
 		return
 	}
 	g.lastCredit = g.consumed
@@ -465,7 +461,10 @@ func (l *seL2) releaseLeader(g *l2Group, idx int64) {
 		return // pattern fully granted; SE_L3 finishes on current credits
 	}
 	n := int(g.granted) // new absolute credit level
-	l.e.sanTrace(l.tile, "sel2", "credit", sanStreamKey(g.key.tile, g.key.sid), g.granted, g.consumed)
+	if l.e.san != nil {
+		l.e.san.Trace(sanitize.Record{Cycle: uint64(l.e.lay.Eng(l.tile).Now()), Tile: l.tile,
+			Comp: "sel2", Event: "credit", Key: g.key.tag(), A: g.granted, B: g.consumed})
+	}
 	st := l.e.lay.St(l.tile)
 	st.StreamCredits++
 	st.TLBTranslations++
@@ -481,15 +480,14 @@ func (l *seL2) releaseLeader(g *l2Group, idx int64) {
 // are served by fallback loads, SE_L3 state is torn down, and the buffer is
 // reclaimed.
 func (l *seL2) terminate(g *l2Group, sink bool) {
-	if g == nil || g.dead {
+	if !g.live() {
 		return
 	}
 	var sk int64
 	if sink {
 		sk = 1
 	}
-	l.e.sanTrace(l.tile, "sel2", "term", sanStreamKey(g.key.tile, g.key.sid), g.consumed, sk)
-	g.dead = true
+	l.e.edge(edRelease, l.tile, g.consumed, sk, 0, nil, &g.lifeRec)
 	if i := slices.Index(l.groups, g); i >= 0 {
 		l.groups = slices.Delete(l.groups, i, i+1)
 	}
@@ -554,10 +552,10 @@ func runStreamEnd(_ event.Cycle, arg any) {
 	l, g := op.l, op.g
 	g.deadR = true
 	s := l.e.lookup(g.key)
-	if s == nil || s.dead {
+	if s == nil || s.state == ended {
 		return
 	}
-	l.e.lay.St(l.tile).StreamEnds++
+	l.e.edge(edEndMsg, l.tile, 0, 0, 0, nil, &g.lifeRec)
 	key := g.key
 	bank := s.curBank
 	l.e.mesh.Send(l.tile, bank, stats.ClassStream, 8, func(event.Cycle) {

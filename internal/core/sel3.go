@@ -14,7 +14,7 @@ import (
 // walks its line program in order, spending one credit per line; when the
 // next line maps to another bank the stream migrates there.
 type l3Stream struct {
-	key      streamKey
+	lifeRec
 	reqTile  int
 	group    *l2Group // destination buffer at the requesting tile
 	pat      stream.Affine
@@ -35,7 +35,6 @@ type l3Stream struct {
 
 	conf    *confGroup
 	curBank int
-	dead    bool
 
 	eng *Engines
 }
@@ -43,15 +42,15 @@ type l3Stream struct {
 // addCredits raises the absolute credit level (called on credit-message
 // delivery) and wakes the stream's bank.
 func (s *l3Stream) addCredits(level int) {
-	if s.eng.san != nil && s.group != nil && !s.group.dead && int64(level) > s.group.granted {
-		s.eng.san.Failf(sanStreamKey(s.key.tile, s.key.sid),
+	if s.eng.san != nil && s.group.live() && int64(level) > s.group.granted {
+		s.eng.san.Failf(s.key.tag(),
 			"sel3: stream (tile %d, sid %d) received credit level %d beyond the SE_L2 grant frontier %d",
 			s.key.tile, s.key.sid, level, s.group.granted)
 	}
 	if level > s.creditLevel {
 		s.creditLevel = level
 	}
-	if !s.dead {
+	if s.state != ended {
 		s.eng.l3s[s.curBank].wake()
 	}
 }
@@ -59,14 +58,18 @@ func (s *l3Stream) addCredits(level int) {
 // hasCredit reports whether the stream may issue its next line.
 func (s *l3Stream) hasCredit() bool { return s.issued < int64(s.creditLevel) }
 
-// terminate tears the stream down (stream_end or sink).
+// terminate tears the stream down (stream_end, sink, or its line program
+// ran out) and removes it from the registry. The registry is barrier-owned,
+// so a stream dying inside its bank's window defers the removal (terminate
+// may also run from barrier context, where appending to the op log is
+// equally safe).
 func (s *l3Stream) terminate() {
-	if s.dead {
+	if s.state == ended {
 		return
 	}
-	s.dead = true
+	s.eng.edge(edRetire, s.curBank, 0, 0, 0, nil, &s.lifeRec)
 	s.pending = nil
-	s.retire()
+	s.eng.lay.Defer(s.curBank, runUnregister, s)
 }
 
 // advance pops the next line of the stream's program.
@@ -75,18 +78,8 @@ func (s *l3Stream) advance() {
 		s.next = ref
 		s.pending = &s.next
 	} else {
-		s.pending = nil
-		s.dead = true
-		s.retire()
+		s.terminate()
 	}
-}
-
-// retire removes a finished stream from the registry. The registry is
-// barrier-owned, so a stream dying inside its bank's window defers the
-// removal (retire may also run from barrier context, where appending to the
-// op log is equally safe).
-func (s *l3Stream) retire() {
-	s.eng.lay.Defer(s.curBank, runUnregister, s)
 }
 
 // confGroup is a set of merged streams with identical patterns from the
@@ -99,14 +92,14 @@ type confGroup struct {
 
 // alive returns the members still running, reaping any whose requesting-side
 // buffer has been torn down. It runs bank-side, so it reads the group's
-// barrier-published deadR rather than the requesting tile's live dead flag.
+// barrier-published deadR rather than the requesting tile's live state.
 func (g *confGroup) alive() []*l3Stream {
 	out := g.members[:0]
 	for _, m := range g.members {
-		if !m.dead && m.group.deadR {
+		if m.group.deadR {
 			m.terminate()
 		}
-		if !m.dead {
+		if m.state != ended {
 			out = append(out, m)
 		}
 	}
@@ -122,9 +115,10 @@ type seL3 struct {
 	groups  []*confGroup
 	rr      int
 	ticking bool
-	indQ    queue[indReq]
+	indQ    event.Queue[indReq]
 
 	cands []*l3Stream // scratch: the members tryIssue serves
+	recs  [4]*lifeRec // scratch: the members migrate sends on (a group has at most 4)
 }
 
 func newSEL3(e *Engines, bank int) *seL3 {
@@ -134,13 +128,13 @@ func newSEL3(e *Engines, bank int) *seL3 {
 // addStream installs a newly configured stream at this bank: the merge unit
 // first tries to join an existing confluence group (§IV-C).
 func (b *seL3) addStream(g *l2Group, startElem int64, startSeq int64, credits int) {
-	if g.dead {
+	if !g.live() {
 		// The stream was ended (or sunk) while this configuration packet
 		// was in flight; drop it.
 		return
 	}
 	s := &l3Stream{
-		key: g.key, reqTile: g.key.tile, group: g,
+		lifeRec: lifeRec{key: g.key, state: floated}, reqTile: g.key.tile, group: g,
 		pat: g.baseAff, children: g.children,
 		walker:      newLineWalker(g.baseAff),
 		creditLevel: credits,
@@ -213,8 +207,8 @@ func (b *seL3) wake() {
 // tick is the issue unit: one request per cycle, round-robin across
 // confluence groups, with pending indirect requests sharing the port.
 func (b *seL3) tick(event.Cycle) {
-	if b.indQ.len() > 0 {
-		b.indQ.pop().issue()
+	if b.indQ.Len() > 0 {
+		b.indQ.Pop().issue()
 		b.e.lay.Eng(b.bank).ScheduleCall(1, runL3Tick, event.Ref{Obj: b})
 		return
 	}
@@ -297,8 +291,7 @@ func (b *seL3) tryIssue(g *confGroup) bool {
 	b.e.lay.St(b.bank).SEL3Accesses++
 	if b.e.tr != nil {
 		m0 := cands[0]
-		b.e.tr.Emit(uint64(b.e.lay.Eng(b.bank).Now()), b.bank, trace.KindSEL3Issue,
-			trace.StreamKey(m0.key.tile, m0.key.sid), ref.seq, int64(len(cands)))
+		b.e.tr.Emit(uint64(b.e.lay.Eng(b.bank).Now()), b.bank, trace.KindSEL3Issue, m0.key.tag(), ref.seq, int64(len(cands)))
 	}
 	if ref.addr>>12 != cands[0].lastPage {
 		b.e.lay.St(b.bank).TLBTranslations++
@@ -382,7 +375,7 @@ func (r *l3Req) ready(event.Cycle) {
 
 // deliver lands the line at one destination tile's SE_L2 (bound as
 // deliverFn). It runs at that tile, the group's own, so it reads the live
-// dead flag, not the deadR mirror. Should two members share a tile, the
+// state, not the deadR mirror. Should two members share a tile, the
 // later one is served, as the seed's tile-keyed lookup did.
 func (r *l3Req) deliver(dst int, _ event.Cycle) {
 	var m *l3Stream
@@ -391,7 +384,7 @@ func (r *l3Req) deliver(dst int, _ event.Cycle) {
 			m = c
 		}
 	}
-	if m != nil && !m.group.dead {
+	if m != nil && m.group.live() {
 		r.b.e.l2s[dst].arrive(m.group, r.seq)
 	}
 	r.done(dst)
@@ -429,14 +422,14 @@ func (b *seL3) queueIndirect(m *l3Stream, ref lineRef) {
 				r.deliverFn = r.deliver
 			}
 			r.b, r.m, r.child, r.e = b, m, &m.children[ci], e
-			b.indQ.push(r)
+			b.indQ.Push(r)
 		}
 	}
 	b.wake()
 }
 
-// issue sends the element's subline request from the issue port. m.dead
-// alone is fine (normal completion of the affine walk); only a torn-down
+// issue sends the element's subline request from the issue port. m having
+// ended alone is fine (normal completion of the affine walk); only a torn-down
 // requesting buffer cancels the dependent accesses. This runs bank-side:
 // deadR.
 func (r *indReq) issue() {
@@ -481,13 +474,12 @@ func (b *seL3) migrate(g *confGroup, toBank int) {
 	// One packet carries the full stream configuration plus the current
 	// iteration and remaining credits; merged members add an id each.
 	payload := stream.ConfigBytes(len(members[0].children)) + 8*len(members)
-	b.e.lay.St(b.bank).StreamMigrations++
-	if b.e.tr != nil {
-		now := uint64(b.e.lay.Eng(b.bank).Now())
-		for _, m := range members {
-			b.e.tr.StreamMigrate(now, m.key.tile, m.key.sid, b.bank, toBank)
-		}
+	recs := b.recs[:0]
+	for _, m := range members {
+		recs = append(recs, &m.lifeRec)
 	}
+	b.e.edge(edMigrate, b.bank, int64(b.bank), int64(toBank), 0, nil, recs...)
+	clear(recs)
 	b.e.mesh.SendCall(b.bank, toBank, stats.ClassStream, payload, runMigrated, event.Ref{Obj: g, A: int64(toBank)})
 }
 
@@ -498,8 +490,9 @@ func runMigrated(_ event.Cycle, ref event.Ref) {
 	// Re-home every member before alive() can reap any (a reaped member's
 	// deferred retire must queue at the bank now running it).
 	for _, m := range g.members {
-		if !m.dead {
+		if m.state == migrating {
 			m.curBank = toBank
+			g.e.edge(edLand, toBank, 0, 0, 0, nil, &m.lifeRec)
 		}
 	}
 	g.alive()

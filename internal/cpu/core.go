@@ -59,10 +59,10 @@ type Core struct {
 	retired    int64
 	issueReady float64
 
-	outLoads  int             // plain loads in flight (LQ bound)
-	loadQ     opQueue[loadOp] // loads waiting for a load-queue entry
-	outStores int             // stores in flight (SQ bound)
-	storeQ    opQueue[storeOp]
+	outLoads  int                 // plain loads in flight (LQ bound)
+	loadQ     event.Queue[loadOp] // loads waiting for a load-queue entry
+	outStores int                 // stores in flight (SQ bound)
+	storeQ    event.Queue[storeOp]
 
 	// hasDeps[k] says phase.Loads[k] is the base of at least one indirect
 	// load; numIndirect counts the indirect loads. Both per phase.
@@ -273,37 +273,6 @@ func (c *Core) doublePut(what string) {
 	panic("cpu: " + what + " returned to its freelist twice")
 }
 
-// opQueue is a FIFO of op records waiting for a queue entry. It is indexed
-// by head, not re-sliced: a popped slot is cleared at once, and the backing
-// array is reused, from the start whenever the queue runs empty, and by
-// sliding the live entries down when it is full but mostly consumed, so a
-// queue that never quite drains stays the size of its backlog.
-type opQueue[T any] struct {
-	ops  []*T
-	head int
-}
-
-func (q *opQueue[T]) len() int { return len(q.ops) - q.head }
-
-func (q *opQueue[T]) push(op *T) {
-	if len(q.ops) == cap(q.ops) && q.head > len(q.ops)/2 {
-		n := copy(q.ops, q.ops[q.head:])
-		clear(q.ops[n:])
-		q.ops, q.head = q.ops[:n], 0
-	}
-	q.ops = append(q.ops, op)
-}
-
-func (q *opQueue[T]) pop() *T {
-	op := q.ops[q.head]
-	q.ops[q.head] = nil
-	q.head++
-	if q.head == len(q.ops) {
-		q.ops, q.head = q.ops[:0], 0
-	}
-	return op
-}
-
 func (c *Core) startIters() {
 	for c.inflight < c.window && c.nextIter < c.phase.NumIters {
 		i := c.nextIter
@@ -431,9 +400,9 @@ func (c *Core) plainLoad(op *loadOp) {
 	}
 	if c.outLoads >= c.params.LQSize {
 		if c.tr != nil {
-			c.tr.Emit(uint64(c.eng.Now()), c.ID, trace.KindStallLQ, op.addr, int64(c.loadQ.len()), int64(op.sid))
+			c.tr.Emit(uint64(c.eng.Now()), c.ID, trace.KindStallLQ, op.addr, int64(c.loadQ.Len()), int64(op.sid))
 		}
-		c.loadQ.push(op)
+		c.loadQ.Push(op)
 		return
 	}
 	c.issueLoad(op)
@@ -484,8 +453,8 @@ func (op *loadOp) complete(now event.Cycle) {
 }
 
 func (c *Core) drainLoadQ() {
-	for c.loadQ.len() > 0 && c.outLoads < c.params.LQSize {
-		c.issueLoad(c.loadQ.pop())
+	for c.loadQ.Len() > 0 && c.outLoads < c.params.LQSize {
+		c.issueLoad(c.loadQ.Pop())
 	}
 }
 
@@ -497,7 +466,7 @@ func (c *Core) store(addr uint64, pc uint32, sid int) {
 	op.addr, op.pc, op.sid = addr, pc, sid
 	c.outStores++
 	if c.outStores > c.params.SQSize {
-		c.storeQ.push(op)
+		c.storeQ.Push(op)
 		return
 	}
 	c.issueStore(op)
@@ -517,8 +486,8 @@ func (op *storeOp) complete(event.Cycle) {
 }
 
 func (c *Core) drainStoreQ() {
-	if c.storeQ.len() > 0 {
-		c.issueStore(c.storeQ.pop())
+	if c.storeQ.Len() > 0 {
+		c.issueStore(c.storeQ.Pop())
 	}
 }
 
@@ -558,7 +527,7 @@ func (c *Core) Progress() string {
 		return fmt.Sprintf("core %d: idle", c.ID)
 	}
 	return fmt.Sprintf("core %d: phase %d %q retired %d/%d inflight %d outLoads %d outStores %d loadQ %d",
-		c.ID, c.phaseIdx, c.phase.Name, c.retired, c.phase.NumIters, c.inflight, c.outLoads, c.outStores, c.loadQ.len())
+		c.ID, c.phaseIdx, c.phase.Name, c.retired, c.phase.NumIters, c.inflight, c.outLoads, c.outStores, c.loadQ.Len())
 }
 
 // maybeFinishPhase signals the barrier once all work and stores complete.
@@ -571,9 +540,9 @@ func (c *Core) maybeFinishPhase() {
 			c.chk.Failf(c.sanKey(), "cpu: core %d finished phase %d with %d iterations still in flight",
 				c.ID, c.phaseIdx, c.inflight)
 		}
-		if c.loadQ.len() != 0 || c.storeQ.len() != 0 || c.outLoads != 0 {
+		if c.loadQ.Len() != 0 || c.storeQ.Len() != 0 || c.outLoads != 0 {
 			c.chk.Failf(c.sanKey(), "cpu: core %d finished phase %d with queued work (loadQ %d, storeQ %d, outLoads %d)",
-				c.ID, c.phaseIdx, c.loadQ.len(), c.storeQ.len(), c.outLoads)
+				c.ID, c.phaseIdx, c.loadQ.Len(), c.storeQ.Len(), c.outLoads)
 		}
 		if it, ld, st := c.iterFree.Out(), c.loadFree.Out(), c.storeFree.Out(); it != 0 || ld != 0 || st != 0 {
 			c.chk.Failf(c.sanKey(), "cpu: core %d finished phase %d with op records outstanding: %d iterOp, %d loadOp, %d storeOp",

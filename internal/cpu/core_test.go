@@ -308,7 +308,7 @@ func TestSQBoundsOutstandingStores(t *testing.T) {
 	if !done {
 		t.Fatalf("phase incomplete: %s", c.Progress())
 	}
-	if c.storeQ.len() != 0 || c.outStores != 0 {
+	if c.storeQ.Len() != 0 || c.outStores != 0 {
 		t.Error("store queue not drained")
 	}
 }
@@ -574,36 +574,5 @@ func TestOpLifecycleProbe(t *testing.T) {
 			_, c := sanitized()
 			expectViolation(t, what+" to its freelist twice", func() { put(c) })
 		})
-	}
-}
-
-// TestOpQueueStaysBounded: a queue that is pushed as fast as it is popped and
-// never runs empty keeps FIFO order and a backing array the size of its
-// backlog, not of everything that ever passed through it.
-func TestOpQueueStaysBounded(t *testing.T) {
-	var q opQueue[int]
-	vals := make([]int, 10_000)
-	next := 0
-	for i := range vals {
-		vals[i] = i
-		q.push(&vals[i])
-		if i >= 8 { // backlog of 8
-			if got := *q.pop(); got != next {
-				t.Fatalf("pop %d = %d, want FIFO order", next, got)
-			}
-			next++
-		}
-	}
-	if q.len() != 8 || cap(q.ops) > 64 {
-		t.Errorf("backlog %d in an array of %d, want 8 in a few dozen", q.len(), cap(q.ops))
-	}
-	for q.len() > 0 {
-		if got := *q.pop(); got != next {
-			t.Fatalf("pop %d = %d, want FIFO order", next, got)
-		}
-		next++
-	}
-	if q.head != 0 || len(q.ops) != 0 {
-		t.Errorf("an emptied queue restarts at the front: head %d len %d", q.head, len(q.ops))
 	}
 }

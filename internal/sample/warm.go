@@ -2,6 +2,7 @@ package sample
 
 import (
 	"streamfloat/internal/config"
+	score "streamfloat/internal/core"
 	"streamfloat/internal/stream"
 	"streamfloat/internal/system"
 )
@@ -41,19 +42,24 @@ func warmPhaseWindow(m *system.Machine, pl *Plan, core, phase int) {
 		base   *stream.Decl // indirect loads: the affine stream holding the index
 		shared bool         // warm the home bank only (a floated stream)
 	}
+	// Floated streams are the ones SEcore's configure-time float test
+	// (§IV-D) offloads. The history-driven late float is intentionally not
+	// modeled: warmup only needs the steady-state placement of each
+	// stream's data.
 	cfg := &m.Cfg
+	sf := cfg.Stream == config.StreamSF
 	loads := make([]warmLoad, 0, len(ph.Loads))
 	for i := range ph.Loads {
 		d := &ph.Loads[i]
 		switch {
 		case d.Affine != nil:
-			loads = append(loads, warmLoad{d: d, shared: wouldFloat(cfg, d)})
+			loads = append(loads, warmLoad{d: d, shared: sf && score.FloatsByFootprint(cfg, d)})
 		case d.Indirect != nil:
 			base := declByID(ph.Loads, d.BaseOn)
 			if base == nil || base.Affine == nil {
 				continue
 			}
-			loads = append(loads, warmLoad{d: d, base: base, shared: cfg.FloatIndirect && wouldFloat(cfg, base)})
+			loads = append(loads, warmLoad{d: d, base: base, shared: sf && cfg.FloatIndirect && score.FloatsByFootprint(cfg, base)})
 		}
 	}
 	for i := flo; i < wlo; i++ {
@@ -90,14 +96,4 @@ func declByID(loads []stream.Decl, id int) *stream.Decl {
 		}
 	}
 	return nil
-}
-
-// wouldFloat mirrors the configure-time float test of the SEcore policy
-// (§IV-D): under stream floating, a known-length affine stream whose
-// footprint exceeds the private L2 floats to the L3. The history-driven
-// late-float path is intentionally not modeled — warmup only needs the
-// steady-state placement of each stream's data.
-func wouldFloat(cfg *config.Config, d *stream.Decl) bool {
-	return cfg.Stream == config.StreamSF && !d.UnknownLength &&
-		d.Affine != nil && d.FloatFootprintBytes() > int64(cfg.L2.SizeBytes)
 }

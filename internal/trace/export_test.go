@@ -13,8 +13,8 @@ func populated() *Tracer {
 	tr.Emit(1, 0, KindL1Miss, 0x40, 3, 0)
 	tr.Emit(2, 1, KindNocHop, 5, 4, 6)
 	tr.AddLinkFlits(2, 11)
-	tr.StreamFloat(10, 0, 1, 8, 0x1000, 0)
-	tr.StreamConfig(11, 0, 1, 8, []byte{0x01, 0x02}, 3)
+	tr.Stream(KindStreamFloat, 10, 0, 1, 8, 0, 0x1000, nil)
+	tr.Stream(KindStreamConfig, 11, 0, 1, 8, 0, 3, []byte{0x01, 0x02})
 	p := tr.Probe()
 	p.Issue, p.L1Done, p.Level = 0, 2, LevelL1
 	tr.FinishLoad(0, p, 2)

@@ -496,63 +496,60 @@ func (t *Tracer) FinishLoad(tile int, p *LoadProbe, done uint64) {
 	t.pool = append(t.pool, p)
 }
 
-// StreamFloat opens a lifecycle span for a stream floating at cycle.
-func (t *Tracer) StreamFloat(cycle uint64, tile, sid int, startElem int64, base uint64, children int) {
+// Stream records one lifecycle edge of stream (tile, sid) at cycle: the
+// edge's event (kind is KindStreamConfig..KindStreamEnd) and what the edge
+// does to the stream's span.
+//   - Float opens the span: a is the start element, b the indirect children,
+//     where the stream's base address.
+//   - Config attaches the Table I packet cfg and the bank it goes to
+//     (where); the event carries a and len(cfg).
+//   - Migrate moves the span from bank a to bank b.
+//   - Sink closes it (b is 1 if an aliasing store caused it).
+//   - End closes it, and is a no-op for a stream that never floated; its
+//     event carries no payload.
+func (t *Tracer) Stream(kind Kind, cycle uint64, tile, sid int, a, b int64, where uint64, cfg []byte) {
 	key := StreamKey(tile, sid)
-	t.Emit(cycle, tile, KindStreamFloat, key, startElem, int64(children))
-	if len(t.spans) >= maxSpans {
-		t.spansDropped++
-		return
+	i, open := t.open[key]
+	switch kind {
+	case KindStreamConfig:
+		b = int64(len(cfg))
+	case KindStreamEnd:
+		if !open {
+			return
+		}
+		a, b = 0, 0
 	}
-	t.spans = append(t.spans, StreamSpan{
-		Tile: tile, SID: sid, Start: cycle, StartElem: startElem,
-		Base: base, Bank: -1, Children: children, EndKind: "open",
-	})
-	t.open[key] = len(t.spans) - 1
-}
-
-// StreamConfig attaches the encoded Table I configuration packet (and its
-// destination bank) to the stream's open span.
-func (t *Tracer) StreamConfig(cycle uint64, tile, sid int, startElem int64, payload []byte, bank int) {
-	key := StreamKey(tile, sid)
-	t.Emit(cycle, tile, KindStreamConfig, key, startElem, int64(len(payload)))
-	if i, ok := t.open[key]; ok {
-		t.spans[i].Bank = bank
-		t.spans[i].CfgHex = hexEncode(payload)
+	t.Emit(cycle, tile, kind, key, a, b)
+	switch kind {
+	case KindStreamFloat:
+		if len(t.spans) >= maxSpans {
+			t.spansDropped++
+			return
+		}
+		t.spans = append(t.spans, StreamSpan{
+			Tile: tile, SID: sid, Start: cycle, StartElem: a,
+			Base: where, Bank: -1, Children: int(b), EndKind: "open",
+		})
+		t.open[key] = len(t.spans) - 1
+	case KindStreamConfig:
+		if open {
+			t.spans[i].Bank = int(where)
+			t.spans[i].CfgHex = hexEncode(cfg)
+		}
+	case KindStreamMigrate:
+		if open {
+			t.spans[i].Migrations++
+			t.spans[i].Bank = int(b)
+		}
+	case KindStreamSink:
+		end := "sink"
+		if b != 0 {
+			end = "sink-alias"
+		}
+		t.closeSpan(key, cycle, end)
+	case KindStreamEnd:
+		t.closeSpan(key, cycle, "end")
 	}
-}
-
-// StreamMigrate records a floated stream moving between banks.
-func (t *Tracer) StreamMigrate(cycle uint64, tile, sid, fromBank, toBank int) {
-	key := StreamKey(tile, sid)
-	t.Emit(cycle, tile, KindStreamMigrate, key, int64(fromBank), int64(toBank))
-	if i, ok := t.open[key]; ok {
-		t.spans[i].Migrations++
-		t.spans[i].Bank = toBank
-	}
-}
-
-// StreamSink closes a span because the float was undone mid-phase.
-func (t *Tracer) StreamSink(cycle uint64, tile, sid int, aliased bool, lastReq int64) {
-	key := StreamKey(tile, sid)
-	var al int64
-	kind := "sink"
-	if aliased {
-		al = 1
-		kind = "sink-alias"
-	}
-	t.Emit(cycle, tile, KindStreamSink, key, lastReq, al)
-	t.closeSpan(key, cycle, kind)
-}
-
-// StreamEnd closes a span at stream_end (no-op for never-floated streams).
-func (t *Tracer) StreamEnd(cycle uint64, tile, sid int) {
-	key := StreamKey(tile, sid)
-	if _, ok := t.open[key]; !ok {
-		return
-	}
-	t.Emit(cycle, tile, KindStreamEnd, key, 0, 0)
-	t.closeSpan(key, cycle, "end")
 }
 
 func (t *Tracer) closeSpan(key uint64, cycle uint64, kind string) {

@@ -140,15 +140,15 @@ func TestProbePoolReuse(t *testing.T) {
 
 func TestStreamSpanLifecycle(t *testing.T) {
 	tr := newTestTracer()
-	tr.StreamFloat(100, 1, 3, 64, 0x1000, 2)
-	tr.StreamConfig(101, 1, 3, 64, []byte{0xAB, 0xCD}, 5)
-	tr.StreamMigrate(200, 1, 3, 5, 7)
-	tr.StreamEnd(300, 1, 3)
+	tr.Stream(KindStreamFloat, 100, 1, 3, 64, 2, 0x1000, nil)
+	tr.Stream(KindStreamConfig, 101, 1, 3, 64, 0, 5, []byte{0xAB, 0xCD})
+	tr.Stream(KindStreamMigrate, 200, 1, 3, 5, 7, 0, nil)
+	tr.Stream(KindStreamEnd, 300, 1, 3, 0, 0, 0, nil)
 
-	tr.StreamFloat(150, 0, 1, 0, 0x2000, 0)
-	tr.StreamSink(250, 0, 1, true, 42)
+	tr.Stream(KindStreamFloat, 150, 0, 1, 0, 0, 0x2000, nil)
+	tr.Stream(KindStreamSink, 250, 0, 1, 42, 1, 0, nil)
 
-	tr.StreamFloat(400, 0, 2, 0, 0x3000, 0)
+	tr.Stream(KindStreamFloat, 400, 0, 2, 0, 0, 0x3000, nil)
 	tr.FinishRun(500)
 
 	spans := tr.Spans()
@@ -170,10 +170,10 @@ func TestStreamSpanLifecycle(t *testing.T) {
 	if tr.Cycles() != 500 {
 		t.Errorf("cycles = %d", tr.Cycles())
 	}
-	// StreamEnd on a never-floated stream is a no-op.
-	tr.StreamEnd(501, 0, 9)
+	// An end on a never-floated stream is a no-op.
+	tr.Stream(KindStreamEnd, 501, 0, 9, 0, 0, 0, nil)
 	if len(tr.Spans()) != 3 {
-		t.Error("StreamEnd on unknown stream created a span")
+		t.Error("an end on an unknown stream created a span")
 	}
 }
 
