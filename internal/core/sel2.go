@@ -266,7 +266,8 @@ func (l *seL2) arrive(g *l2Group, seq int64) {
 	}
 	l.e.lay.St(l.tile).SEL2Accesses++
 	if l.e.tr != nil {
-		l.e.tr.Emit(uint64(l.e.lay.Eng(l.tile).Now()), l.tile, trace.KindSEL2Arrive, g.key.tag(), seq, int64(g.buffered))
+		l.e.tr.Emit(uint64(l.e.lay.Eng(l.tile).Now()), l.tile, trace.KindSEL2Arrive,
+			g.key.tag(), seq, int64(g.buffered))
 	}
 	b.arrived = true
 	for _, w := range b.waiters {

@@ -291,7 +291,8 @@ func (b *seL3) tryIssue(g *confGroup) bool {
 	b.e.lay.St(b.bank).SEL3Accesses++
 	if b.e.tr != nil {
 		m0 := cands[0]
-		b.e.tr.Emit(uint64(b.e.lay.Eng(b.bank).Now()), b.bank, trace.KindSEL3Issue, m0.key.tag(), ref.seq, int64(len(cands)))
+		b.e.tr.Emit(uint64(b.e.lay.Eng(b.bank).Now()), b.bank, trace.KindSEL3Issue,
+			m0.key.tag(), ref.seq, int64(len(cands)))
 	}
 	if ref.addr>>12 != cands[0].lastPage {
 		b.e.lay.St(b.bank).TLBTranslations++
@@ -428,10 +429,9 @@ func (b *seL3) queueIndirect(m *l3Stream, ref lineRef) {
 	b.wake()
 }
 
-// issue sends the element's subline request from the issue port. m having
-// ended alone is fine (normal completion of the affine walk); only a torn-down
-// requesting buffer cancels the dependent accesses. This runs bank-side:
-// deadR.
+// issue sends the element's subline request from the issue port. A stream
+// whose affine walk has ended still issues them; only a torn-down requesting
+// buffer cancels the dependent accesses. This runs bank-side: deadR.
 func (r *indReq) issue() {
 	b, m := r.b, r.m
 	if m.group.deadR {
