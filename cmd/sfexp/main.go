@@ -24,6 +24,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strconv"
 	"strings"
 
 	"streamfloat"
@@ -139,6 +140,11 @@ func run() (err error) {
 		where := "memory only"
 		if *cacheDir != "" {
 			where = "dir " + *cacheDir
+		}
+		if status, err := os.ReadFile("/proc/self/status"); err == nil {
+			if kb, ok := vmHWM(status); ok {
+				where += fmt.Sprintf("; peak RSS %.1f MiB", float64(kb)/1024)
+			}
 		}
 		log.Printf("cache: %d mem hits, %d disk hits, %d misses, %d dedups, %d panics contained, %d stall kills (%s)",
 			st.Hits, st.DiskHits, st.Misses, st.Dedups, st.Panics, st.WatchdogKills, where)
@@ -305,4 +311,20 @@ func runTrace(opts streamfloat.ExperimentOptions, path, systemName string) error
 	log.Printf("trace: %s/%s on %s: %d cycles, %d loads, %d spans -> %s (sftrace summarize %s)",
 		systemName, "OOO8", bench, res.Stats.Cycles, a.Loads, len(tr.Spans()), path, path)
 	return nil
+}
+
+// vmHWM returns the resident-set high-water mark, in kB, from the contents
+// of a Linux /proc/<pid>/status file; ok is false if it has no VmHWM line.
+func vmHWM(status []byte) (kb int64, ok bool) {
+	for _, line := range strings.Split(string(status), "\n") {
+		if v, found := strings.CutPrefix(line, "VmHWM:"); found {
+			f := strings.Fields(v) // "75940 kB"
+			if len(f) == 0 {
+				return 0, false
+			}
+			kb, err := strconv.ParseInt(f[0], 10, 64)
+			return kb, err == nil
+		}
+	}
+	return 0, false
 }

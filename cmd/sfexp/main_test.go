@@ -43,3 +43,17 @@ func TestValidateSweepFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestVMHWM parses the peak-RSS line of a /proc/self/status fixture, and
+// reports nothing for a status without one or with a garbled value.
+func TestVMHWM(t *testing.T) {
+	const status = "Name:\tsfexp\nVmPeak:\t 1418760 kB\nVmSize:\t 1418760 kB\nVmHWM:\t   75940 kB\nVmRSS:\t   70212 kB\nThreads:\t8\n"
+	if kb, ok := vmHWM([]byte(status)); !ok || kb != 75940 {
+		t.Errorf("vmHWM = %d, %v; want 75940, true", kb, ok)
+	}
+	for _, bad := range []string{"", "Name:\tsfexp\nVmRSS:\t 70212 kB\n", "VmHWM:\n", "VmHWM:\t lots kB\n"} {
+		if kb, ok := vmHWM([]byte(bad)); ok {
+			t.Errorf("vmHWM(%q) = %d, true; want false", bad, kb)
+		}
+	}
+}

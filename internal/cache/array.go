@@ -42,55 +42,85 @@ const rrpvMax = 3
 // noStream marks a line not brought in by a stream access.
 const noStream = -1
 
-// line is one cache line's metadata. Which address a way holds, if any, is
-// mostly not here but in the array's tag slice, so a lookup that misses never
-// reads a line: a 4-byte tag holds the low 31 bits of the line number and hi
-// the rest, read only once the tag matches. The directory fields (sharers,
-// owner) are only meaningful in L3 bank arrays. Fields are ordered widest
-// first so the struct packs into 24 bytes, hi in what would be padding: with
-// its tag a way costs 28.
+// line is one cache line's metadata, the 8 bytes every level needs. Which
+// address a way holds, if any, is mostly not here but in the array's tag
+// slice, so a lookup that misses never reads a line: a 4-byte tag holds the
+// low 31 bits of the line number and hi the rest, read only once the tag
+// matches. The MESI state and the flags share one byte (see line.state and
+// line.has). The L3 directory (sharers, owner) is not here either: only bank
+// arrays hold it, in slab side slices indexed like tags, so a private way
+// costs 12 bytes with its tag and a bank way 22.
 type line struct {
-	// Directory state (L3 only).
-	sharers uint64 // bitmask of tiles with the line in S
-	hi      uint32 // line number bits 31 and up (see tagOf)
-	owner   int16  // tile holding the line in E/M, or -1
-
-	streamID int16 // stream that brought the line in (noStream if none)
-	dirty    bool
-	reused   bool // hit at least once after fill
-	pf       bool // brought in by a prefetcher and not yet demanded
-	stream   bool // brought in by a compiler-identified stream access
-	state    state
+	hi       uint32 // line number bits 31 and up (see tagOf)
+	streamID int16  // stream that brought the line in (noStream if none)
 	rrpv     uint8
+	bits     uint8 // MESI state (stateMask) | flags
+}
+
+// stateMask is the bits of line.bits holding the MESI state.
+const stateMask uint8 = 3
+
+// flag is one of line.bits above the MESI state; the top two are never set.
+type flag uint8
+
+const (
+	fDirty  flag = 4 << iota // newer than the next level's copy
+	fReused                  // hit at least once after fill
+	fPF                      // brought in by a prefetcher and not yet demanded
+	fStream                  // brought in by a compiler-identified stream access
+)
+
+func (l *line) state() state     { return state(l.bits & stateMask) }
+func (l *line) setState(s state) { l.bits = l.bits&^stateMask | uint8(s) }
+func (l *line) has(f flag) bool  { return l.bits&uint8(f) != 0 }
+func (l *line) set(f flag, on bool) {
+	if on {
+		l.bits |= uint8(f)
+	} else {
+		l.bits &^= uint8(f)
+	}
 }
 
 // emptyLine is what invalidate leaves in a way. Whether a way holds a line
 // is its tag's business, not the line's: a way of a freshly handed-out
 // block keeps whatever its storage held last, and insert overwrites it.
-var emptyLine = line{owner: -1, streamID: noStream}
+var emptyLine = line{streamID: noStream}
 
-// poisonLine is what a slab's lines read as after growth under a sanitizer
-// has moved them: no field is a value the model writes (owner and streamID
-// name no tile or stream, hi no line number, every sharer bit is set), so a
-// *line kept across the probe that moved it derails the run instead of
-// reading a plausible copy.
-var poisonLine = line{sharers: ^uint64(0), hi: 0x5a5a5a5a, owner: 0x5a5a, streamID: 0x5a5a, state: 0xff, rrpv: 0xff,
-	dirty: true, reused: true, pf: true, stream: true}
+// noOwner is the directory owner of a line no tile holds in E/M.
+const noOwner = -1
+
+// poisonLine, poisonSharers and poisonOwner are what a slab's ways read as
+// after growth under a sanitizer has moved them: no field is a value the
+// model writes (streamID and owner name no stream or tile, hi no line
+// number, rrpv is past rrpvMax, the top bits of line.bits are never set, and
+// every sharer bit is set), so a *line or way index kept across the probe
+// that moved it derails the run instead of reading a plausible copy.
+var poisonLine = line{hi: 0x5a5a5a5a, streamID: 0x5a5a, rrpv: 0xff, bits: 0xff}
+
+const (
+	poisonSharers = ^uint64(0)
+	poisonOwner   = 0x5a5a
+)
 
 // slab is the storage of one array. The blocks of lines and tags hold the
 // sets in the order the run first filled them, ways consecutive, and dir maps
 // a set to its block: dir[set] is 1 + the set's block, or 0 if the set was
 // never filled. tags[i] is tagOf the address way i holds and 0 for an empty
-// way, so a 16-way set's tags fill one 64-byte host cache line.
+// way, so a 16-way set's tags fill one 64-byte host cache line. A bank's
+// slab also holds way i's directory entry in sharers[i] (the tiles holding
+// the line in S) and owner[i] (the tile holding it in E/M, or noOwner);
+// a private array's has neither.
 //
 // A slab's capacity (len(lines)) is a whole number of blocks, up to the
 // array's sets×ways, and follows what runs filled, not the geometry: host
 // memory goes to the sets a workload uses. It survives recycling, so a
 // sweep's machines stop growing after its first points.
 type slab struct {
-	lines []line
-	tags  []uint32
-	dir   []int32
+	lines   []line
+	tags    []uint32
+	sharers []uint64 // banks only
+	owner   []int16  // banks only
+	dir     []int32
 }
 
 // Line addresses are lineSize-aligned (LineAddr), so an address is its line
@@ -108,8 +138,12 @@ func tagOf(la uint64) uint32 { return uint32(la>>lineBits)&(tagHeld-1) | tagHeld
 // hiOf returns the line number bits of la a tag does not hold.
 func hiOf(la uint64) uint32 { return uint32(la >> lineBits >> loBits) }
 
-// geometry keys the slab pools: a slab fits any array with its sets and ways.
-type geometry struct{ sets, ways int }
+// geometry keys the slab pools: a slab fits any array with its sets and ways
+// and, for a bank (directory), its directory entries.
+type geometry struct {
+	sets, ways int
+	directory  bool
+}
 
 // slabPools recycles slabs between machines, one sync.Pool per geometry (a
 // machine has three: L1, L2, L3 bank). A pooled slab's dir is all zero; its
@@ -154,9 +188,12 @@ type array struct {
 	sets      int
 	ways      int
 	lineBytes uint64
+	directory bool // an L3 bank: sharers and owner hold each way's directory entry
 	slab      *slab
 	lines     []line   // slab.lines
 	tags      []uint32 // slab.tags; probe, insert and invalidate are the only writers
+	sharers   []uint64 // slab.sharers (banks only)
+	owner     []int16  // slab.owner (banks only)
 	dir       []int32  // slab.dir
 	blocks    int      // blocks handed out; the rest of the slab is stale
 	// checked is set under an attached sanitizer (see check).
@@ -177,7 +214,21 @@ type array struct {
 	tileShift         uint // log2(tiles)
 }
 
+// newArray returns a private (L1 or L2) array, indexed by line number.
 func newArray(sizeBytes, ways, lineBytes int, brripProb float64) *array {
+	return buildArray(sizeBytes, ways, lineBytes, brripProb, false)
+}
+
+// newBank returns an L3 bank's array: a directory entry beside every way,
+// and bank-local set indexing over tiles banks interleaved at
+// interleaveBytes (see setBankLocal; 0 indexes by line number).
+func newBank(sizeBytes, ways, lineBytes int, brripProb float64, interleaveBytes, tiles int) *array {
+	a := buildArray(sizeBytes, ways, lineBytes, brripProb, true)
+	a.setBankLocal(interleaveBytes, tiles)
+	return a
+}
+
+func buildArray(sizeBytes, ways, lineBytes int, brripProb float64, directory bool) *array {
 	sets := sizeBytes / (ways * lineBytes)
 	if sets <= 0 {
 		panic("cache: array must have at least one set")
@@ -190,10 +241,12 @@ func newArray(sizeBytes, ways, lineBytes int, brripProb float64) *array {
 		sets:           sets,
 		ways:           ways,
 		lineBytes:      uint64(lineBytes),
-		slab:           newSlab(geometry{sets, ways}),
+		directory:      directory,
+		slab:           newSlab(geometry{sets, ways, directory}),
 		brripLongEvery: longEvery,
 	}
-	a.lines, a.tags, a.dir = a.slab.lines, a.slab.tags, a.slab.dir
+	sl := a.slab
+	a.lines, a.tags, a.sharers, a.owner, a.dir = sl.lines, sl.tags, sl.sharers, sl.owner, sl.dir
 	a.setBankLocal(0, 1)
 	return a
 }
@@ -205,9 +258,9 @@ func newArray(sizeBytes, ways, lineBytes int, brripProb float64) *array {
 func (a *array) release() {
 	clear(a.dir)
 	sl := a.slab
-	sl.lines, sl.tags = a.lines, a.tags
-	a.slab, a.lines, a.tags, a.dir = nil, nil, nil, nil
-	slabPool(geometry{a.sets, a.ways}).Put(sl)
+	sl.lines, sl.tags, sl.sharers, sl.owner = a.lines, a.tags, a.sharers, a.owner
+	a.slab, a.lines, a.tags, a.sharers, a.owner, a.dir = nil, nil, nil, nil, nil, nil
+	slabPool(geometry{a.sets, a.ways, a.directory}).Put(sl)
 }
 
 // setBankLocal switches set selection to bank-local indexing (interleave 0
@@ -266,7 +319,8 @@ func (a *array) lookup(lineAddr uint64) *line {
 	return nil
 }
 
-// indexOf returns the way index of a line of this array.
+// indexOf returns the way index of a line of this array: its slot in tags
+// and, in a bank, in sharers and owner.
 func (a *array) indexOf(l *line) int {
 	off := uintptr(unsafe.Pointer(l)) - uintptr(unsafe.Pointer(unsafe.SliceData(a.lines)))
 	return int(off / unsafe.Sizeof(line{}))
@@ -353,19 +407,30 @@ func (a *array) newBlock() int {
 }
 
 // grow doubles the slab, up to the dense size, copying the blocks in use.
-// Under a sanitizer it also poisons the lines it leaves behind.
+// Under a sanitizer it also poisons the ways it leaves behind, directory
+// entries included.
 func (a *array) grow() {
 	n := min(max(2*a.blocks, 1), a.sets) * a.ways
 	used := a.blocks * a.ways
 	lines, tags := make([]line, n), make([]uint32, n)
 	copy(lines, a.lines[:used])
 	copy(tags, a.tags[:used])
+	var sharers []uint64
+	var owner []int16
+	if a.directory {
+		sharers, owner = make([]uint64, n), make([]int16, n)
+		copy(sharers, a.sharers[:used])
+		copy(owner, a.owner[:used])
+	}
 	if a.checked {
 		for i := range a.lines {
 			a.lines[i] = poisonLine
 		}
+		for i := range a.sharers {
+			a.sharers[i], a.owner[i] = poisonSharers, poisonOwner
+		}
 	}
-	a.lines, a.tags = lines, tags
+	a.lines, a.tags, a.sharers, a.owner = lines, tags, sharers, owner
 }
 
 // check attaches (on) or detaches the sanitizer's growth rule. A checked
@@ -375,7 +440,7 @@ func (a *array) grow() {
 func (a *array) check(on bool) {
 	a.checked = on
 	if on {
-		a.lines, a.tags = nil, nil
+		a.lines, a.tags, a.sharers, a.owner = nil, nil, nil, nil
 	}
 }
 
@@ -388,19 +453,26 @@ func (a *array) insert(slot *line, lineAddr uint64) {
 	if a.brripLongEvery <= 1 || a.fillCount%a.brripLongEvery == 0 {
 		rrpv = rrpvMax - 1 // long
 	}
-	a.tags[a.indexOf(slot)] = tagOf(lineAddr)
+	i := a.indexOf(slot)
+	a.tags[i] = tagOf(lineAddr)
 	*slot = line{ // state stInvalid: the caller sets it
 		hi:       hiOf(lineAddr),
 		rrpv:     rrpv,
 		streamID: noStream,
-		owner:    -1,
+	}
+	if a.directory {
+		a.sharers[i], a.owner[i] = 0, noOwner
 	}
 }
 
 // invalidate drops a line.
 func (a *array) invalidate(l *line) {
-	a.tags[a.indexOf(l)] = 0
+	i := a.indexOf(l)
+	a.tags[i] = 0
 	*l = emptyLine
+	if a.directory {
+		a.sharers[i], a.owner[i] = 0, noOwner
+	}
 }
 
 // forEachValid visits every held line with its address, in set order (used

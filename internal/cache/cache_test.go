@@ -94,16 +94,16 @@ func TestExclusiveGrantThenSilentUpgrade(t *testing.T) {
 	addr := uint64(0x300000)
 	r.access(3, addr, Read) // sole reader: E
 	l2 := r.sys.tiles[3].l2.lookup(LineAddr(addr))
-	if l2 == nil || l2.state != stExclusive {
-		t.Fatalf("state after solo read = %v, want E", l2.state)
+	if l2 == nil || l2.state() != stExclusive {
+		t.Fatalf("state after solo read = %v, want E", l2.state())
 	}
 	msgs := r.St.Messages[stats.ClassCtrlReq]
 	r.access(3, addr, Write) // silent E->M
 	if r.St.Messages[stats.ClassCtrlReq] != msgs {
 		t.Error("E->M upgrade must not generate requests")
 	}
-	if l2.state != stModified {
-		t.Errorf("state after write = %v, want M", l2.state)
+	if l2.state() != stModified {
+		t.Errorf("state after write = %v, want M", l2.state())
 	}
 }
 
@@ -114,15 +114,15 @@ func TestSharedThenUpgrade(t *testing.T) {
 	r.access(1, addr, Read) // now shared
 	a := r.sys.tiles[0].l2.lookup(LineAddr(addr))
 	b := r.sys.tiles[1].l2.lookup(LineAddr(addr))
-	if a == nil || b == nil || a.state != stShared || b.state != stShared {
+	if a == nil || b == nil || a.state() != stShared || b.state() != stShared {
 		t.Fatal("both sharers must be in S")
 	}
 	r.access(0, addr, Write) // upgrade invalidates tile 1
 	if got := r.sys.tiles[1].l2.lookup(LineAddr(addr)); got != nil {
 		t.Error("tile 1 not invalidated by upgrade")
 	}
-	if a.state != stModified {
-		t.Errorf("tile 0 state = %v, want M", a.state)
+	if a.state() != stModified {
+		t.Errorf("tile 0 state = %v, want M", a.state())
 	}
 }
 
@@ -136,11 +136,11 @@ func TestOwnerForwardOnRead(t *testing.T) {
 		t.Error("owner forward must not touch DRAM")
 	}
 	o := r.sys.tiles[2].l2.lookup(LineAddr(addr))
-	if o == nil || o.state != stShared {
-		t.Errorf("owner state = %v, want downgraded S", o.state)
+	if o == nil || o.state() != stShared {
+		t.Errorf("owner state = %v, want downgraded S", o.state())
 	}
 	n := r.sys.tiles[9].l2.lookup(LineAddr(addr))
-	if n == nil || n.state != stShared {
+	if n == nil || n.state() != stShared {
 		t.Error("requester must be S")
 	}
 }
@@ -163,7 +163,7 @@ func TestDirectoryInvariant(t *testing.T) {
 			mCount, sCount := 0, 0
 			for tIdx := 0; tIdx < 16; tIdx++ {
 				if l := r.sys.tiles[tIdx].l2.lookup(la); l != nil {
-					switch l.state {
+					switch l.state() {
 					case stModified, stExclusive:
 						mCount++
 					case stShared:
@@ -226,9 +226,10 @@ func TestGetUDoesNotTrackSharer(t *testing.T) {
 	// directory has no owner.
 	r.access(0, addr, Read)
 	r.sys.invalidatePrivate(0, addr)
-	if dl := r.sys.banks[r.cfg.HomeBank(addr)].lookup(addr); dl != nil {
-		dl.owner = -1
-		dl.sharers = 0
+	bank := r.sys.banks[r.cfg.HomeBank(addr)]
+	if dl := bank.lookup(addr); dl != nil {
+		w := bank.indexOf(dl)
+		bank.owner[w], bank.sharers[w] = noOwner, 0
 	}
 	delivered := false
 	r.sys.FloatRead(r.cfg.HomeBank(addr), addr, []int{7}, stats.L3FloatAffine, 64, nil,
@@ -237,11 +238,11 @@ func TestGetUDoesNotTrackSharer(t *testing.T) {
 	if !delivered {
 		t.Fatal("GetU response not delivered")
 	}
-	dl := r.sys.banks[r.cfg.HomeBank(addr)].lookup(addr)
-	if dl == nil {
+	sharers, owner, held := bank.entry(addr)
+	if !held {
 		t.Fatal("line evicted from L3")
 	}
-	if dl.sharers != 0 || dl.owner != -1 {
+	if sharers != 0 || owner != noOwner {
 		t.Error("GetU must not add the requester to the sharer vector (Fig 12)")
 	}
 	if got := r.sys.tiles[7].l2.lookup(addr); got != nil {
@@ -261,7 +262,7 @@ func TestGetUForwardFromOwnerKeepsState(t *testing.T) {
 		t.Fatal("no delivery")
 	}
 	o := r.sys.tiles[4].l2.lookup(addr)
-	if o == nil || o.state != stModified {
+	if o == nil || o.state() != stModified {
 		t.Errorf("owner state changed to %v by GetU forward (Fig 12c)", o)
 	}
 }
@@ -419,13 +420,20 @@ func TestRRIPVictimSelection(t *testing.T) {
 	}
 }
 
-// TestLineSizeof pins the packed layout: 24 bytes of metadata, the line
-// number's high bits (hi) included, plus the 4-byte tag held beside it is 28
-// bytes per way, and a 16-way set's tags (Table III's L2 and L3) fill one
-// 64-byte host cache line.
+// TestLineSizeof pins the packed layout: 8 bytes of metadata, the line
+// number's high bits (hi) included, plus the 4-byte tag held beside it is 12
+// bytes per private way; a bank way adds its 10-byte directory entry (sharer
+// vector and owner) for 22; and a 16-way set's tags (Table III's L2 and L3)
+// fill one 64-byte host cache line.
 func TestLineSizeof(t *testing.T) {
-	if sz := unsafe.Sizeof(line{}); sz > 24 {
-		t.Fatalf("sizeof(line) = %d bytes, want <= 24", sz)
+	if sz := unsafe.Sizeof(line{}); sz != 8 {
+		t.Fatalf("sizeof(line) = %d bytes, want 8", sz)
+	}
+	if sz := wayBytes(false); sz > 12 {
+		t.Fatalf("a private way takes %d bytes, want <= 12", sz)
+	}
+	if sz := wayBytes(true); sz > 22 {
+		t.Fatalf("a bank way takes %d bytes, want <= 22", sz)
 	}
 	var sl slab
 	if sz := 16 * unsafe.Sizeof(sl.tags[0]); sz != 64 {
@@ -454,19 +462,19 @@ func TestTagHighBits(t *testing.T) {
 			t.Fatalf("probe(%#x) hit an empty array", la)
 		}
 		a.insert(slot, la)
-		slot.owner = 1
+		slot.streamID = 1
 		if l, hit := a.probe(alias); hit {
 			t.Fatalf("probe(%#x) hit %#x's line", alias, la)
 		} else if _, held := a.addrOf(l); held {
 			t.Fatalf("probe(%#x) picked a held way over an empty one", alias)
 		} else {
 			a.insert(l, alias)
-			l.owner = 2
+			l.streamID = 2
 		}
-		for want, owner := range map[uint64]int16{la: 1, alias: 2} {
+		for want, sid := range map[uint64]int16{la: 1, alias: 2} {
 			l := a.lookup(want)
-			if l == nil || l.owner != owner {
-				t.Fatalf("lookup(%#x) = %+v, want the line with owner %d", want, l, owner)
+			if l == nil || l.streamID != sid {
+				t.Fatalf("lookup(%#x) = %+v, want the line with stream %d", want, l, sid)
 			}
 			if p, hit := a.probe(want); !hit || p != l {
 				t.Fatalf("probe(%#x) = %p/%v, want lookup's line %p", want, p, hit, l)
@@ -477,7 +485,7 @@ func TestTagHighBits(t *testing.T) {
 		}
 		var seen []uint64
 		a.forEachValid(func(got uint64, l *line) {
-			if want := map[int16]uint64{1: la, 2: alias}[l.owner]; got != want {
+			if want := map[int16]uint64{1: la, 2: alias}[l.streamID]; got != want {
 				t.Fatalf("forEachValid gave %#x for the line of %#x", got, want)
 			}
 			seen = append(seen, got)
@@ -498,29 +506,39 @@ func TestTagHighBits(t *testing.T) {
 
 // denseArray is the reference the directory array is held to: every set
 // owns its ways in one full-size slab from the start, as every array did
-// before slabs followed filled sets. Ways are addressed by index.
+// before slabs followed filled sets. Ways are addressed by index, and every
+// way has a directory entry (sharers, owner), checked for bank arrays.
 type denseArray struct {
-	a     *array // for geometry, setOf and the insertion policy's counter
-	lines []line
-	tags  []uint64
+	a       *array // for geometry, setOf and the insertion policy's counter
+	lines   []line
+	tags    []uint64
+	sharers []uint64
+	owner   []int16
 }
 
 func newDenseArray(a *array) *denseArray {
-	d := &denseArray{a: &array{}, lines: make([]line, a.sets*a.ways), tags: make([]uint64, a.sets*a.ways)}
+	n := a.sets * a.ways
+	d := &denseArray{a: &array{}, lines: make([]line, n), tags: make([]uint64, n), sharers: make([]uint64, n), owner: make([]int16, n)}
 	*d.a = *a
 	d.a.fillCount = 0
 	for i := range d.lines {
-		d.lines[i] = emptyLine
+		d.lines[i], d.owner[i] = emptyLine, noOwner
 	}
 	return d
 }
 
-// sameMeta compares a line with the dense model's copy of it. The dense
-// model keeps whole addresses in its tags, so hi, the directory array's
-// share of the address, is held to it through lookups and addresses instead.
-func sameMeta(l, dense line) bool {
-	l.hi, dense.hi = 0, 0
-	return l == dense
+// sameMeta compares the array's line l, directory entry included in a bank,
+// with the dense model's way i. The dense model keeps whole addresses in its
+// tags, so hi, the directory array's share of the address, is held to it
+// through lookups and addresses instead.
+func (d *denseArray) sameMeta(a *array, l *line, i int) bool {
+	got, want := *l, d.lines[i]
+	got.hi, want.hi = 0, 0
+	if got != want {
+		return false
+	}
+	w := a.indexOf(l)
+	return !a.directory || a.sharers[w] == d.sharers[i] && a.owner[w] == d.owner[i]
 }
 
 func (d *denseArray) lookup(la uint64) int {
@@ -559,13 +577,15 @@ func (d *denseArray) insert(i int, la uint64) {
 		rrpv = rrpvMax - 1
 	}
 	d.tags[i] = la | 1
-	d.lines[i] = line{state: stInvalid, rrpv: rrpv, streamID: noStream, owner: -1}
+	d.lines[i] = line{rrpv: rrpv, streamID: noStream}
+	d.sharers[i], d.owner[i] = 0, noOwner
 }
 
 // TestDirectoryArrayMatchesDense drives the directory array and the dense
 // reference through the same seeded lookup/probe/insert/invalidate/touch
 // sequences, field writes included, and requires the same answer from every
-// call and the same contents afterwards. A fill goes through probe, checked
+// call and the same contents afterwards, bank arrays' directory entries
+// (sharers, owner) included. A fill goes through probe, checked
 // against the dense model's lookup-then-victim: hit flag, way and evicted
 // address. The geometries cover Table III's, non-power-of-two set counts and
 // bank-local indexing; each array is released before the next is built, so
@@ -592,7 +612,7 @@ func TestDirectoryArrayMatchesDense(t *testing.T) {
 		g := geoms[run%len(geoms)]
 		a := newArray(g.sizeBytes, g.ways, 64, 0.03)
 		if g.interleave != 0 {
-			a.setBankLocal(g.interleave, g.tiles)
+			a = newBank(g.sizeBytes, g.ways, 64, 0.03, g.interleave, g.tiles)
 		}
 		a.check(run%3 == 2)
 		d := newDenseArray(a)
@@ -635,12 +655,14 @@ func TestDirectoryArrayMatchesDense(t *testing.T) {
 					}
 					a.insert(slot, la)
 					d.insert(dv, la)
-					slot.state, slot.stream, slot.streamID = stModified, true, int16(op%100)
-					d.lines[dv].state, d.lines[dv].stream, d.lines[dv].streamID = slot.state, slot.stream, slot.streamID
+					slot.setState(stModified)
+					slot.set(fStream, true)
+					slot.streamID = int16(op % 100)
+					d.lines[dv].bits, d.lines[dv].streamID = slot.bits, slot.streamID
 					continue
 				}
 			}
-			if !sameMeta(*hit, d.lines[want]) {
+			if !d.sameMeta(a, hit, want) {
 				t.Fatalf("run %d %+v op %d: line %#x = %+v, dense %+v", run, g, op, la, *hit, d.lines[want])
 			}
 			switch rng.Intn(3) {
@@ -650,14 +672,20 @@ func TestDirectoryArrayMatchesDense(t *testing.T) {
 			case 1:
 				a.invalidate(hit)
 				d.tags[want], d.lines[want] = 0, emptyLine
+				d.sharers[want], d.owner[want] = 0, noOwner
 			default:
-				hit.dirty, hit.sharers, hit.owner = true, rng.Uint64(), int16(rng.Intn(64))
-				d.lines[want].dirty, d.lines[want].sharers, d.lines[want].owner = hit.dirty, hit.sharers, hit.owner
+				hit.set(fDirty, true)
+				d.lines[want].bits = hit.bits
+				if a.directory {
+					w := a.indexOf(hit)
+					a.sharers[w], a.owner[w] = rng.Uint64(), int16(rng.Intn(64))
+					d.sharers[want], d.owner[want] = a.sharers[w], a.owner[w]
+				}
 			}
 		}
 		var got, want []uint64
 		a.forEachValid(func(la uint64, l *line) {
-			if !sameMeta(*l, d.lines[d.lookup(la)]) {
+			if !d.sameMeta(a, l, d.lookup(la)) {
 				t.Fatalf("run %d %+v: final line %#x = %+v, dense %+v", run, g, la, *l, d.lines[d.lookup(la)])
 			}
 			got = append(got, la)
@@ -673,7 +701,7 @@ func TestDirectoryArrayMatchesDense(t *testing.T) {
 		if !slices.Equal(got, want) {
 			t.Fatalf("run %d %+v: forEachValid visits %d lines, dense holds %d, or in another order", run, g, len(got), len(want))
 		}
-		if a.blocks > a.sets || len(a.lines) > a.sets*a.ways {
+		if a.blocks > a.sets || len(a.lines) > a.sets*a.ways || a.directory && (len(a.sharers) != len(a.lines) || len(a.owner) != len(a.lines)) {
 			t.Fatalf("run %d %+v: %d blocks in a slab of %d ways for %d sets", run, g, a.blocks, len(a.lines), a.sets)
 		}
 		a.release()
@@ -696,21 +724,33 @@ func TestReleasedArrayPanics(t *testing.T) {
 }
 
 // TestSanitizedGrowthPoisonsMovedLines: under a sanitizer a pointer kept
-// across the probe that grew the slab reads poison, not a plausible copy.
+// across the probe that grew the slab reads poison, not a plausible copy,
+// and so does the directory entry it left behind: every sharer bit set, and
+// an owner that names no tile.
 func TestSanitizedGrowthPoisonsMovedLines(t *testing.T) {
-	a := newArray(64*64*4, 4, 64, 0.03)
+	a := newBank(64*64*4, 4, 64, 0.03, 0, 1)
 	a.check(true)
 	slot, _ := a.probe(0)
 	a.insert(slot, 0)
-	slot.owner = 3
-	stale := slot
+	slot.streamID = 3
+	w := a.indexOf(slot)
+	a.sharers[w], a.owner[w] = 0b101, 1
+	stale, sharers, owner := slot, a.sharers, a.owner
 	slot, _ = a.probe(64) // a second set: the slab grows from 1 block to 2
 	a.insert(slot, 64)
 	if *stale != poisonLine {
 		t.Errorf("kept pointer reads %+v after growth, want the poison line", *stale)
 	}
-	if l := a.lookup(0); l == nil || l.owner != 3 {
-		t.Errorf("line 0 after growth = %+v, want the moved line with owner 3", l)
+	for i := range sharers {
+		if sharers[i] != ^uint64(0) || owner[i] >= 0 && owner[i] < 64 {
+			t.Errorf("left-behind directory entry %d = sharers %#x, owner %d; want every sharer bit set and no tile", i, sharers[i], owner[i])
+		}
+	}
+	if l := a.lookup(0); l == nil || l.streamID != 3 {
+		t.Errorf("line 0 after growth = %+v, want the moved line with stream 3", l)
+	}
+	if sh, ow, held := a.entry(0); !held || sh != 0b101 || ow != 1 {
+		t.Errorf("line 0's directory entry after growth = %#x/%d/%v, want the moved entry 0x5/1", sh, ow, held)
 	}
 }
 
@@ -814,11 +854,11 @@ func TestPropertyDirectoryAgreesWithCaches(t *testing.T) {
 			}
 		}
 		for _, la := range lines {
-			dl := r.sys.banks[r.cfg.HomeBank(la)].lookup(la)
+			sharers, owner, held := r.sys.banks[r.cfg.HomeBank(la)].entry(la)
 			for tile := 0; tile < 16; tile++ {
 				pl := r.sys.tiles[tile].l2.lookup(la)
-				has := pl != nil && pl.state != stInvalid
-				tracked := dl != nil && (dl.sharers&(1<<uint(tile)) != 0 || int(dl.owner) == tile)
+				has := pl != nil && pl.state() != stInvalid
+				tracked := held && (sharers&(1<<uint(tile)) != 0 || int(owner) == tile)
 				if has && !tracked {
 					return false // cached but invisible to the directory
 				}
@@ -870,7 +910,7 @@ func TestInclusionProperty(t *testing.T) {
 	violations := 0
 	for tile := 0; tile < 16; tile++ {
 		r.sys.tiles[tile].l2.forEachValid(func(la uint64, l *line) {
-			if l.state == stInvalid {
+			if l.state() == stInvalid {
 				return
 			}
 			if r.sys.banks[r.cfg.HomeBank(la)].lookup(la) == nil {

@@ -90,10 +90,12 @@ func grantFor(excl, exclusiveOK bool) state {
 }
 
 // bankHit applies the directory transition for a request hitting (or just
-// filled into) the bank, and sends the reply that will land as runMissReply.
-func (s *System) bankHit(m *missOp, l *line) {
+// filled into) way w of the bank, and sends the reply that will land as
+// runMissReply.
+func (s *System) bankHit(m *missOp, w int) {
 	bank, la, reqTile := m.bank, m.la, m.tile
-	owner := int(l.owner)
+	arr := s.banks[bank]
+	owner := int(arr.owner[w])
 	reqBit := uint64(1) << uint(reqTile)
 
 	if m.excl {
@@ -101,11 +103,11 @@ func (s *System) bankHit(m *missOp, l *line) {
 			s.bankWrite(bank, la, reqTile)
 		}
 		m.granted = stModified
-		upgrade := l.sharers&reqBit != 0
+		upgrade := arr.sharers[w]&reqBit != 0
 		// Invalidate all other sharers (inv + ack pairs). Remote copies on
 		// other shards are dropped at the quantum barrier.
 		for t := 0; t < s.ntiles; t++ {
-			if t == reqTile || l.sharers&(1<<uint(t)) == 0 {
+			if t == reqTile || arr.sharers[w]&(1<<uint(t)) == 0 {
 				continue
 			}
 			s.dropPrivate(bank, t, la)
@@ -126,8 +128,8 @@ func (s *System) bankHit(m *missOp, l *line) {
 		} else {
 			s.mesh.SendCall(bank, reqTile, stats.ClassData, lineSize, runMissReply, event.Ref{Obj: m})
 		}
-		l.sharers = 0
-		l.owner = int16(reqTile)
+		arr.sharers[w] = 0
+		arr.owner[w] = int16(reqTile)
 		return
 	}
 
@@ -137,15 +139,15 @@ func (s *System) bankHit(m *missOp, l *line) {
 		// and writes back if dirty.
 		m.granted, m.owner = stShared, owner
 		s.ownerForward(m)
-		l.owner = -1
-		l.sharers |= (1 << uint(owner)) | reqBit
+		arr.owner[w] = noOwner
+		arr.sharers[w] |= (1 << uint(owner)) | reqBit
 		return
 	}
-	exclusiveOK := l.sharers == 0 && owner < 0
+	exclusiveOK := arr.sharers[w] == 0 && owner < 0
 	if exclusiveOK {
-		l.owner = int16(reqTile)
+		arr.owner[w] = int16(reqTile)
 	} else {
-		l.sharers |= reqBit
+		arr.sharers[w] |= reqBit
 	}
 	m.granted = grantFor(false, exclusiveOK)
 	s.mesh.SendCall(bank, reqTile, stats.ClassData, lineSize, runMissReply, event.Ref{Obj: m})
@@ -184,15 +186,15 @@ func (s *System) probeOwner(bank, owner int, la uint64, invalidate bool) bool {
 	tc := s.tiles[owner]
 	dirty := false
 	if l2 := tc.l2.lookup(la); l2 != nil {
-		dirty = l2.dirty || l2.state == stModified
-		if l1 := tc.l1.lookup(la); l1 != nil && l1.dirty {
+		dirty = l2.has(fDirty) || l2.state() == stModified
+		if l1 := tc.l1.lookup(la); l1 != nil && l1.has(fDirty) {
 			dirty = true
 		}
 		if invalidate {
 			s.invalidatePrivate(owner, la)
 		} else {
-			l2.state = stShared
-			l2.dirty = false
+			l2.setState(stShared)
+			l2.set(fDirty, false)
 		}
 	}
 	if dirty {
@@ -282,21 +284,23 @@ func (s *System) installL3(bank int, la uint64) {
 // private copies (invalidation + ack traffic), dirty-owner writeback, and a
 // DRAM write if the line is dirty.
 func (s *System) evictL3(bank int, victim *line, va uint64) {
-	dirty := victim.dirty
+	arr := s.banks[bank]
+	w := arr.indexOf(victim)
+	dirty := victim.has(fDirty)
 	s.traceEvict("l3", bank, va, victim, s.lay.Eng(bank).Now())
 	if s.tr != nil {
 		var a int64
 		if dirty {
 			a = 1
 		}
-		s.tr.Emit(uint64(s.lay.Eng(bank).Now()), bank, trace.KindL3Evict, va, a, int64(victim.owner))
+		s.tr.Emit(uint64(s.lay.Eng(bank).Now()), bank, trace.KindL3Evict, va, a, int64(arr.owner[w]))
 	}
 	// The owner probe and back-invalidations touch other tiles' private
 	// caches — run the whole flush at the quantum barrier.
 	op := s.getCoh(bank)
-	op.s, op.bank, op.tile, op.la, op.flag, op.bits = s, bank, int(victim.owner), va, dirty, victim.sharers
+	op.s, op.bank, op.tile, op.la, op.flag, op.bits = s, bank, int(arr.owner[w]), va, dirty, arr.sharers[w]
 	s.lay.Defer(bank, runEvictL3Flush, op)
-	s.banks[bank].invalidate(victim)
+	arr.invalidate(victim)
 }
 
 // runEvictL3Flush is the barrier op performing the cross-tile part of a bank
@@ -309,7 +313,7 @@ func runEvictL3Flush(_ event.Cycle, arg any) {
 	s.putCoh(op)
 	if owner >= 0 {
 		tc := s.tiles[owner]
-		if l2 := tc.l2.lookup(va); l2 != nil && (l2.dirty || l2.state == stModified) {
+		if l2 := tc.l2.lookup(va); l2 != nil && (l2.has(fDirty) || l2.state() == stModified) {
 			dirty = true
 			s.mesh.Send(owner, bank, stats.ClassData, lineSize, func(event.Cycle) {})
 		}
@@ -450,17 +454,19 @@ func (s *System) floatLookup(f *floatOp, now event.Cycle) {
 	bank, la := f.bank, f.la
 	st := s.lay.St(bank)
 	st.L3Requests[f.l3kind]++
-	l := s.banks[bank].lookup(la)
+	arr := s.banks[bank]
+	l := arr.lookup(la)
 	if s.chk != nil && l != nil {
 		// GetU must never touch the sharer vector or ownership (§IV-A):
 		// snapshot the entry and re-check once this handler has applied
 		// whatever path it takes. Later demand accesses may legally mutate
 		// the entry, so the window is exactly this event.
+		w := arr.indexOf(l)
 		s.chk.Trace(sanitize.Record{
 			Cycle: uint64(now), Tile: f.dsts[0], Comp: "l3dir", Event: "getu",
-			Key: la, A: int64(l.sharers), B: int64(l.owner),
+			Key: la, A: int64(arr.sharers[w]), B: int64(arr.owner[w]),
 		})
-		defer s.checkGetU(bank, la, l, l.owner, l.sharers)
+		defer s.checkGetU(bank, la, w, arr.owner[w], arr.sharers[w])
 	}
 	if l == nil {
 		st.L3Misses++
@@ -471,8 +477,8 @@ func (s *System) floatLookup(f *floatOp, now event.Cycle) {
 		return
 	}
 	st.L3Hits++
-	s.banks[bank].touch(l)
-	if o := int(l.owner); o >= 0 && !containsTile(f.dsts, o) {
+	arr.touch(l)
+	if o := int(arr.owner[arr.indexOf(l)]); o >= 0 && !containsTile(f.dsts, o) {
 		// Another L2 owns the line: it forwards the data without changing
 		// its own state (Fig 12c).
 		f.owner = o
@@ -482,11 +488,13 @@ func (s *System) floatLookup(f *floatOp, now event.Cycle) {
 	f.send()
 }
 
-// checkGetU fails the run if a GetU changed the directory entry it read.
-func (s *System) checkGetU(bank int, la uint64, l *line, ow int16, sh uint64) {
-	if l.owner != ow || l.sharers != sh {
+// checkGetU fails the run if a GetU changed the directory entry (way w of
+// the bank) it read.
+func (s *System) checkGetU(bank int, la uint64, w int, ow int16, sh uint64) {
+	arr := s.banks[bank]
+	if arr.owner[w] != ow || arr.sharers[w] != sh {
 		s.chk.Failf(la, "l3dir[%d]: GetU for line %#x mutated directory state: sharers %#x->%#x, owner %d->%d",
-			bank, la, sh, l.sharers, ow, l.owner)
+			bank, la, sh, arr.sharers[w], ow, arr.owner[w])
 	}
 }
 
@@ -538,5 +546,5 @@ func (s *System) PrivateHas(tile int, addr uint64) bool {
 		return true
 	}
 	l2 := tc.l2.lookup(la)
-	return l2 != nil && l2.state != stInvalid
+	return l2 != nil && l2.state() != stInvalid
 }

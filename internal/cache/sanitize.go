@@ -48,31 +48,32 @@ func (s *System) privateOrPending(tile int, la uint64) bool {
 }
 
 // checkDirectoryLine verifies the per-line MESI invariants for one
-// directory entry. Only the directory->private direction is asserted: a
-// set sharer bit or owner id must correspond to a tile that holds (or is
-// filling) the line. The reverse direction legitimately breaks when a bank
-// victim is evicted while its private copies' fills are in flight (see
-// dramFill's racing-fill path), so it is not checked.
-func (s *System) checkDirectoryLine(bank int, la uint64, l *line, when string) {
+// directory entry, way w of the bank. Only the directory->private direction
+// is asserted: a set sharer bit or owner id must correspond to a tile that
+// holds (or is filling) the line. The reverse direction legitimately breaks
+// when a bank victim is evicted while its private copies' fills are in
+// flight (see dramFill's racing-fill path), so it is not checked.
+func (s *System) checkDirectoryLine(bank int, la uint64, w int, when string) {
 	tiles := s.ntiles
-	if int(l.owner) >= tiles {
-		s.chk.Failf(la, "l3dir[%d] %s: line %#x owner %d beyond %d tiles", bank, when, la, l.owner, tiles)
+	sharers, owner := s.banks[bank].sharers[w], s.banks[bank].owner[w]
+	if int(owner) >= tiles {
+		s.chk.Failf(la, "l3dir[%d] %s: line %#x owner %d beyond %d tiles", bank, when, la, owner, tiles)
 	}
-	if tiles < 64 && l.sharers>>uint(tiles) != 0 {
+	if tiles < 64 && sharers>>uint(tiles) != 0 {
 		s.chk.Failf(la, "l3dir[%d] %s: line %#x sharer vector %#x has bits beyond %d tiles",
-			bank, when, la, l.sharers, tiles)
+			bank, when, la, sharers, tiles)
 	}
-	if o := int(l.owner); o >= 0 {
-		if l.sharers&(1<<uint(o)) != 0 {
+	if o := int(owner); o >= 0 {
+		if sharers&(1<<uint(o)) != 0 {
 			s.chk.Failf(la, "l3dir[%d] %s: line %#x owner tile %d also appears in sharer vector %#x",
-				bank, when, la, o, l.sharers)
+				bank, when, la, o, sharers)
 		}
 		if !s.privateOrPending(o, la) {
 			s.chk.Failf(la, "l3dir[%d] %s: line %#x names owner tile %d, but that tile neither holds the line nor has a fill in flight",
 				bank, when, la, o)
 		}
 	}
-	for rem := l.sharers; rem != 0; {
+	for rem := sharers; rem != 0; {
 		t := bits.TrailingZeros64(rem)
 		rem &^= 1 << uint(t)
 		if !s.privateOrPending(t, la) {
@@ -82,9 +83,12 @@ func (s *System) checkDirectoryLine(bank int, la uint64, l *line, when string) {
 	}
 }
 
-// bankHitChecked wraps bankHit with the MESI probe: the directory entry is
-// traced and checked both before and after the transition it applies.
+// bankHitChecked wraps bankHit with the MESI probe: the directory entry of
+// l, the bank's line for m, is traced and checked both before and after the
+// transition it applies.
 func (s *System) bankHitChecked(m *missOp, l *line) {
+	arr := s.banks[m.bank]
+	w := arr.indexOf(l)
 	if s.chk != nil {
 		bank, la := m.bank, m.la
 		ev := "gets"
@@ -93,12 +97,12 @@ func (s *System) bankHitChecked(m *missOp, l *line) {
 		}
 		s.chk.Trace(sanitize.Record{
 			Cycle: uint64(s.lay.Eng(bank).Now()), Tile: m.tile, Comp: "l3dir", Event: ev,
-			Key: la, A: int64(l.sharers), B: int64(l.owner),
+			Key: la, A: int64(arr.sharers[w]), B: int64(arr.owner[w]),
 		})
-		s.checkDirectoryLine(bank, la, l, "pre:"+ev)
-		defer s.checkDirectoryLine(bank, la, l, "post:"+ev)
+		s.checkDirectoryLine(bank, la, w, "pre:"+ev)
+		defer s.checkDirectoryLine(bank, la, w, "post:"+ev)
 	}
-	s.bankHit(m, l)
+	s.bankHit(m, w)
 }
 
 // traceEvict records a private- or shared-cache eviction for violation
@@ -108,12 +112,12 @@ func (s *System) traceEvict(lvl string, tile int, va uint64, victim *line, now e
 		return
 	}
 	dirty := int64(0)
-	if victim.dirty {
+	if victim.has(fDirty) {
 		dirty = 1
 	}
 	s.chk.Trace(sanitize.Record{
 		Cycle: uint64(now), Tile: tile, Comp: lvl, Event: "evict",
-		Key: va, A: int64(victim.state), B: dirty,
+		Key: va, A: int64(victim.state()), B: dirty,
 	})
 }
 
@@ -168,9 +172,9 @@ func (s *System) Audit() {
 				s.chk.Failf(la, "cache: bank %d finished the run with %d open fill-MSHR entries (line %#x among them)", b, n, la)
 			}
 		}
-		bank := b
-		s.banks[b].forEachValid(func(la uint64, l *line) {
-			s.checkDirectoryLine(bank, la, l, "audit")
+		arr := s.banks[b]
+		arr.forEachValid(func(la uint64, l *line) {
+			s.checkDirectoryLine(b, la, arr.indexOf(l), "audit")
 		})
 	}
 }
@@ -180,11 +184,12 @@ func (s *System) Audit() {
 // silent coherence corruption the MESI probe exists to catch. It reports
 // whether the entry was present to corrupt.
 func (s *System) FlipSharerBit(la uint64, tile int) bool {
-	l := s.banks[s.HomeBank(la)].lookup(la)
+	arr := s.banks[s.HomeBank(la)]
+	l := arr.lookup(la)
 	if l == nil {
 		return false
 	}
-	l.sharers ^= 1 << uint(tile)
+	arr.sharers[arr.indexOf(l)] ^= 1 << uint(tile)
 	return true
 }
 
@@ -192,9 +197,9 @@ func (s *System) FlipSharerBit(la uint64, tile int) bool {
 // selection for sanitizer tests).
 func (s *System) ForEachDirectoryLine(fn func(bank int, la uint64, sharers uint64, owner int)) {
 	for b, arr := range s.banks {
-		bank := b
 		arr.forEachValid(func(la uint64, l *line) {
-			fn(bank, la, l.sharers, int(l.owner))
+			w := arr.indexOf(l)
+			fn(b, la, arr.sharers[w], int(arr.owner[w]))
 		})
 	}
 }

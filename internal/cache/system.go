@@ -348,9 +348,7 @@ func NewSystem(lay *par.Layout, cfg config.Config, mesh *noc.Mesh, dram *mem.DRA
 		// Sized for Table III's MSHRs; the tables grow past them (see mshr).
 		s.tiles[i].mshr.Reserve(cfg.L2.MSHREntries)
 		s.fillMSHR[i].Reserve(cfg.L3.MSHREntries)
-		bank := newArray(cfg.L3.SizeBytes, cfg.L3.Ways, cfg.L3.LineBytes, cfg.L3.BRRIPProb)
-		bank.setBankLocal(cfg.L3InterleaveBytes, n)
-		s.banks[i] = bank
+		s.banks[i] = newBank(cfg.L3.SizeBytes, cfg.L3.Ways, cfg.L3.LineBytes, cfg.L3.BRRIPProb, cfg.L3InterleaveBytes, n)
 	}
 	return s
 }
@@ -502,12 +500,12 @@ func (s *System) loadAfterL1(op *accessOp, now event.Cycle) {
 // demandHitLine updates reuse/prefetch/stream bookkeeping when a demand
 // access hits a private-cache line.
 func (s *System) demandHitLine(tile int, l *line) {
-	if l.pf {
-		l.pf = false
+	if l.has(fPF) {
+		l.set(fPF, false)
 		s.lay.St(tile).PrefetchUseful++
 	}
-	if !l.reused {
-		l.reused = true
+	if !l.has(fReused) {
+		l.set(fReused, true)
 	}
 	if l.streamID != noStream && s.streamReuse != nil {
 		s.streamReuse(tile, int(l.streamID))
@@ -524,7 +522,7 @@ func (s *System) loadAfterL2(op *accessOp, now event.Cycle) {
 		p.L2Done = uint64(now)
 	}
 	l := tc.l2.lookup(la)
-	if l != nil && l.state != stInvalid {
+	if l != nil && l.state() != stInvalid {
 		if demand {
 			st.L2Hits++
 			s.demandHitLine(tile, l)
@@ -573,11 +571,11 @@ func (s *System) storeAfterL1(op *accessOp, now event.Cycle) {
 		s.l1Observer(tile, op.addr, meta.PC, l1 != nil)
 	}
 	l2 := tc.l2.lookup(la)
-	if l2 != nil && (l2.state == stModified || l2.state == stExclusive) {
+	if l2 != nil && (l2.state() == stModified || l2.state() == stExclusive) {
 		// Writable locally: E upgrades to M silently.
 		st.L1Hits++ // store hit from the pipeline's perspective
-		l2.state = stModified
-		l2.dirty = true
+		l2.setState(stModified)
+		l2.set(fDirty, true)
 		s.demandHitLine(tile, l2)
 		tc.l2.touch(l2)
 		if l1 == nil {
@@ -585,7 +583,7 @@ func (s *System) storeAfterL1(op *accessOp, now event.Cycle) {
 			l1 = tc.l1.lookup(la)
 		}
 		if l1 != nil {
-			l1.dirty = true
+			l1.set(fDirty, true)
 			tc.l1.touch(l1)
 		}
 		s.notifyDone(op.done, now)
@@ -594,7 +592,7 @@ func (s *System) storeAfterL1(op *accessOp, now event.Cycle) {
 	}
 	st.L1Misses++
 	// Needs ownership: S upgrade or full RFO miss.
-	if l2 != nil && l2.state == stShared {
+	if l2 != nil && l2.state() == stShared {
 		st.L2Hits++
 	} else {
 		st.L2Misses++
@@ -722,9 +720,9 @@ func (s *System) fillL2(tile int, la uint64, granted state, meta Meta, kind Kind
 	slot, hit := tc.l2.probe(la)
 	if hit {
 		// Upgrade of an existing line.
-		slot.state = granted
+		slot.setState(granted)
 		if granted == stModified {
-			slot.dirty = true
+			slot.set(fDirty, true)
 		}
 		return
 	}
@@ -732,12 +730,12 @@ func (s *System) fillL2(tile int, la uint64, granted state, meta Meta, kind Kind
 		s.evictL2(tile, slot, va)
 	}
 	tc.l2.insert(slot, la)
-	slot.state = granted
-	slot.dirty = granted == stModified
-	slot.pf = kind == PrefL1 || kind == PrefL2
+	slot.setState(granted)
+	slot.set(fDirty, granted == stModified)
+	slot.set(fPF, kind == PrefL1 || kind == PrefL2)
 	if meta.StreamID >= 0 {
 		slot.streamID = int16(meta.StreamID)
-		slot.stream = true
+		slot.set(fStream, true)
 	}
 }
 
@@ -752,21 +750,21 @@ func (s *System) fillL1(tile int, la uint64, pf bool, meta Meta) {
 		s.evictL1(tile, slot, va)
 	}
 	tc.l1.insert(slot, la)
-	slot.pf = pf
+	slot.set(fPF, pf)
 	if meta.StreamID >= 0 {
 		slot.streamID = int16(meta.StreamID)
-		slot.stream = true
+		slot.set(fStream, true)
 	}
 }
 
 // evictL1 handles an L1 replacement: dirty data merges into the (inclusive)
 // L2 copy locally, with no network traffic.
 func (s *System) evictL1(tile int, victim *line, va uint64) {
-	if victim.dirty {
+	if victim.has(fDirty) {
 		if l2 := s.tiles[tile].l2.lookup(va); l2 != nil {
-			l2.dirty = true
-			if l2.state == stExclusive {
-				l2.state = stModified
+			l2.set(fDirty, true)
+			if l2.state() == stExclusive {
+				l2.setState(stModified)
 			}
 		}
 	}
@@ -780,23 +778,23 @@ func (s *System) evictL1(tile int, victim *line, va uint64) {
 func (s *System) evictL2(tile int, victim *line, va uint64) {
 	home := s.HomeBank(va)
 	st := s.lay.St(tile)
-	dirty := victim.dirty || victim.state == stModified
+	dirty := victim.has(fDirty) || victim.state() == stModified
 	s.traceEvict("l2", tile, va, victim, s.lay.Eng(tile).Now())
 	if s.tr != nil {
 		var a, b int64
 		if dirty {
 			a = 1
 		}
-		if victim.reused {
+		if victim.has(fReused) {
 			b = 1
 		}
 		s.tr.Emit(uint64(s.lay.Eng(tile).Now()), tile, trace.KindL2Evict, va, a, b)
 	}
 
 	st.L2Evictions++
-	if !dirty && !victim.reused {
+	if !dirty && !victim.has(fReused) {
 		st.L2EvictCleanNoReuse++
-		if victim.stream {
+		if victim.has(fStream) {
 			st.L2EvictCleanNoReuseStream++
 		}
 		// Fig 2b attribution: the flit-hops spent caching this line for
@@ -810,7 +808,7 @@ func (s *System) evictL2(tile int, victim *line, va uint64) {
 
 	// Back-invalidate the L1 copy (merging its dirty data first).
 	if l1 := s.tiles[tile].l1.lookup(va); l1 != nil {
-		if l1.dirty {
+		if l1.has(fDirty) {
 			dirty = true
 		}
 		s.tiles[tile].l1.invalidate(l1)
@@ -840,21 +838,30 @@ func (s *System) evictL2(tile int, victim *line, va uint64) {
 func runDirUpdate(_ event.Cycle, arg any) {
 	op := arg.(*cohOp)
 	s, tile := op.s, op.tile
-	if dl := s.banks[op.bank].lookup(op.la); dl != nil {
-		dl.sharers &^= 1 << uint(tile)
-		if dl.owner == int16(tile) {
-			dl.owner = -1
-		}
-		if op.flag {
-			dl.dirty = true
-		}
-	}
+	s.banks[op.bank].forget(op.la, tile, op.flag)
 	if s.chk != nil {
 		if s.evicting[tile][op.la]--; s.evicting[tile][op.la] == 0 {
 			delete(s.evicting[tile], op.la)
 		}
 	}
 	s.putCoh(op)
+}
+
+// forget makes the bank's directory entry for la, if it holds one, forget
+// tile's copy, marking the line dirty if the copy was.
+func (a *array) forget(la uint64, tile int, dirty bool) {
+	dl := a.lookup(la)
+	if dl == nil {
+		return
+	}
+	w := a.indexOf(dl)
+	a.sharers[w] &^= 1 << uint(tile)
+	if a.owner[w] == int16(tile) {
+		a.owner[w] = noOwner
+	}
+	if dirty {
+		dl.set(fDirty, true)
+	}
 }
 
 // runInvalidate is the barrier-op form of invalidatePrivate: a bank drops a
@@ -870,7 +877,7 @@ func runInvalidate(_ event.Cycle, arg any) {
 func runBankDirty(_ event.Cycle, arg any) {
 	op := arg.(*cohOp)
 	if dl := op.s.banks[op.bank].lookup(op.la); dl != nil {
-		dl.dirty = true
+		dl.set(fDirty, true)
 	}
 	op.s.putCoh(op)
 }

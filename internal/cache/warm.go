@@ -30,37 +30,38 @@ func (s *System) WarmShared(addr uint64) {
 func (s *System) WarmPrivate(tile int, addr uint64, write bool) {
 	la := LineAddr(addr)
 	tc := s.tiles[tile]
-	dl := s.warmBankLine(la)
+	bank, w := s.warmBankLine(la)
+	dl := &bank.lines[w]
 
 	if write {
 		// Take exclusive ownership: every other holder is invalidated, as
 		// the GetX invalidation round would do.
-		if o := int(dl.owner); o >= 0 && o != tile {
-			if l2 := s.tiles[o].l2.lookup(la); l2 != nil && (l2.dirty || l2.state == stModified) {
-				dl.dirty = true
+		if o := int(bank.owner[w]); o >= 0 && o != tile {
+			if l2 := s.tiles[o].l2.lookup(la); l2 != nil && (l2.has(fDirty) || l2.state() == stModified) {
+				dl.set(fDirty, true)
 			}
 			s.invalidatePrivate(o, la)
 		}
 		for t := 0; t < s.ntiles; t++ {
-			if t == tile || dl.sharers&(1<<uint(t)) == 0 {
+			if t == tile || bank.sharers[w]&(1<<uint(t)) == 0 {
 				continue
 			}
 			s.invalidatePrivate(t, la)
 		}
-		dl.sharers = 0
-		dl.owner = int16(tile)
+		bank.sharers[w] = 0
+		bank.owner[w] = int16(tile)
 		s.warmFillL2(tile, la, stModified, true)
 		s.warmFillL1(tile, la, true)
 		return
 	}
 
 	// Read hitting our own private copy: pure replacement-state refresh.
-	if l2 := tc.l2.lookup(la); l2 != nil && l2.state != stInvalid {
+	if l2 := tc.l2.lookup(la); l2 != nil && l2.state() != stInvalid {
 		tc.l2.touch(l2)
 		s.warmFillL1(tile, la, false)
 		return
 	}
-	if int(dl.owner) == tile {
+	if int(bank.owner[w]) == tile {
 		// Directory says we own it but the copy is gone (a detailed run can
 		// leave an untracked private copy behind via the racing-fill path;
 		// the mirror image is a stale ownership claim). Re-establish E.
@@ -69,63 +70,66 @@ func (s *System) WarmPrivate(tile int, addr uint64, write bool) {
 		return
 	}
 	// Downgrade a remote owner to sharer, as an owner forward would.
-	if o := int(dl.owner); o >= 0 {
+	if o := int(bank.owner[w]); o >= 0 {
 		otc := s.tiles[o]
 		if ol2 := otc.l2.lookup(la); ol2 != nil {
-			if ol2.dirty || ol2.state == stModified {
-				dl.dirty = true
+			if ol2.has(fDirty) || ol2.state() == stModified {
+				dl.set(fDirty, true)
 			}
-			if ol1 := otc.l1.lookup(la); ol1 != nil && ol1.dirty {
-				dl.dirty = true
-				ol1.dirty = false
+			if ol1 := otc.l1.lookup(la); ol1 != nil && ol1.has(fDirty) {
+				dl.set(fDirty, true)
+				ol1.set(fDirty, false)
 			}
-			ol2.state = stShared
-			ol2.dirty = false
+			ol2.setState(stShared)
+			ol2.set(fDirty, false)
 		}
-		dl.sharers |= 1 << uint(o)
-		dl.owner = -1
+		bank.sharers[w] |= 1 << uint(o)
+		bank.owner[w] = noOwner
 	}
 	var st state
-	if dl.owner < 0 && dl.sharers == 0 {
-		dl.owner = int16(tile)
+	if bank.owner[w] < 0 && bank.sharers[w] == 0 {
+		bank.owner[w] = int16(tile)
 		st = stExclusive
 	} else {
-		dl.sharers |= 1 << uint(tile)
+		bank.sharers[w] |= 1 << uint(tile)
 		st = stShared
 	}
 	s.warmFillL2(tile, la, st, false)
 	s.warmFillL1(tile, la, false)
 }
 
-// warmBankLine returns la's home-bank entry, installing it (with functional
-// victim eviction) if absent and refreshing its replacement state if present.
-func (s *System) warmBankLine(la uint64) *line {
+// warmBankLine returns la's home bank and the way holding its entry,
+// installing it (with functional victim eviction) if absent and refreshing
+// its replacement state if present.
+func (s *System) warmBankLine(la uint64) (*array, int) {
 	bank := s.HomeBank(la)
 	arr := s.banks[bank]
 	slot, hit := arr.probe(la)
 	if hit {
 		arr.touch(slot)
-		return slot
+		return arr, arr.indexOf(slot)
 	}
 	if va, ok := arr.addrOf(slot); ok {
 		s.warmEvictL3(bank, slot, va)
 	}
 	arr.insert(slot, la)
-	return slot
+	return arr, arr.indexOf(slot)
 }
 
 // warmEvictL3 drops a bank victim and back-invalidates every private copy
 // the directory names, preserving inclusion without traffic or stats.
 func (s *System) warmEvictL3(bank int, victim *line, va uint64) {
-	if o := int(victim.owner); o >= 0 {
+	arr := s.banks[bank]
+	w := arr.indexOf(victim)
+	if o := int(arr.owner[w]); o >= 0 {
 		s.invalidatePrivate(o, va)
 	}
 	for t := 0; t < s.ntiles; t++ {
-		if victim.sharers&(1<<uint(t)) != 0 {
+		if arr.sharers[w]&(1<<uint(t)) != 0 {
 			s.invalidatePrivate(t, va)
 		}
 	}
-	s.banks[bank].invalidate(victim)
+	arr.invalidate(victim)
 }
 
 // warmFillL2 installs (or upgrades) la in the tile's L2 with the given MESI
@@ -134,9 +138,9 @@ func (s *System) warmFillL2(tile int, la uint64, st state, dirty bool) {
 	tc := s.tiles[tile]
 	slot, hit := tc.l2.probe(la)
 	if hit {
-		slot.state = st
+		slot.setState(st)
 		if dirty {
-			slot.dirty = true
+			slot.set(fDirty, true)
 		}
 		tc.l2.touch(slot)
 		return
@@ -145,8 +149,8 @@ func (s *System) warmFillL2(tile int, la uint64, st state, dirty bool) {
 		s.warmEvictL2(tile, slot, va)
 	}
 	tc.l2.insert(slot, la)
-	slot.state = st
-	slot.dirty = dirty
+	slot.setState(st)
+	slot.set(fDirty, dirty)
 }
 
 // warmEvictL2 drops an L2 victim: L1 copy merges and back-invalidates, and
@@ -154,22 +158,14 @@ func (s *System) warmFillL2(tile int, la uint64, st state, dirty bool) {
 // PutM the detailed protocol would send.
 func (s *System) warmEvictL2(tile int, victim *line, va uint64) {
 	tc := s.tiles[tile]
-	dirty := victim.dirty || victim.state == stModified
+	dirty := victim.has(fDirty) || victim.state() == stModified
 	if l1 := tc.l1.lookup(va); l1 != nil {
-		if l1.dirty {
+		if l1.has(fDirty) {
 			dirty = true
 		}
 		tc.l1.invalidate(l1)
 	}
-	if dl := s.banks[s.HomeBank(va)].lookup(va); dl != nil {
-		dl.sharers &^= 1 << uint(tile)
-		if dl.owner == int16(tile) {
-			dl.owner = -1
-		}
-		if dirty {
-			dl.dirty = true
-		}
-	}
+	s.banks[s.HomeBank(va)].forget(va, tile, dirty)
 	tc.l2.invalidate(victim)
 }
 
@@ -181,7 +177,7 @@ func (s *System) warmFillL1(tile int, la uint64, dirty bool) {
 	if hit {
 		tc.l1.touch(slot)
 		if dirty {
-			slot.dirty = true
+			slot.set(fDirty, true)
 		}
 		return
 	}
@@ -189,5 +185,5 @@ func (s *System) warmFillL1(tile int, la uint64, dirty bool) {
 		s.evictL1(tile, slot, va)
 	}
 	tc.l1.insert(slot, la)
-	slot.dirty = dirty
+	slot.set(fDirty, dirty)
 }

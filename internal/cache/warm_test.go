@@ -35,45 +35,46 @@ func TestWarmBasicStates(t *testing.T) {
 	if !s.PrivateHas(0, a) {
 		t.Fatal("warm read did not install a private copy")
 	}
-	dl := s.banks[r.cfg.HomeBank(la)].lookup(la)
-	if dl == nil {
+	bank := s.banks[r.cfg.HomeBank(la)]
+	sharers, owner, held := bank.entry(la)
+	if !held {
 		t.Fatal("warm read did not install the home-bank entry")
 	}
-	if dl.owner != 0 || dl.sharers != 0 {
-		t.Fatalf("lone warm read: owner=%d sharers=%#x, want owner=0 sharers=0", dl.owner, dl.sharers)
+	if owner != 0 || sharers != 0 {
+		t.Fatalf("lone warm read: owner=%d sharers=%#x, want owner=0 sharers=0", owner, sharers)
 	}
-	if l2 := s.tiles[0].l2.lookup(la); l2 == nil || l2.state != stExclusive {
+	if l2 := s.tiles[0].l2.lookup(la); l2 == nil || l2.state() != stExclusive {
 		t.Fatalf("lone warm read should hold E, got %v", l2)
 	}
 
 	// Second tile's read downgrades the owner: both become sharers.
 	s.WarmPrivate(1, a, false)
-	if dl.owner != -1 || dl.sharers != 0b11 {
-		t.Fatalf("after second reader: owner=%d sharers=%#x, want owner=-1 sharers=0x3", dl.owner, dl.sharers)
+	if sharers, owner, _ = bank.entry(la); owner != -1 || sharers != 0b11 {
+		t.Fatalf("after second reader: owner=%d sharers=%#x, want owner=-1 sharers=0x3", owner, sharers)
 	}
-	if l2 := s.tiles[0].l2.lookup(la); l2 == nil || l2.state != stShared {
+	if l2 := s.tiles[0].l2.lookup(la); l2 == nil || l2.state() != stShared {
 		t.Fatalf("first reader should be downgraded to S, got %v", l2)
 	}
 
 	// A write invalidates every other holder and takes M.
 	s.WarmPrivate(2, a, true)
-	if dl.owner != 2 || dl.sharers != 0 {
-		t.Fatalf("after warm write: owner=%d sharers=%#x, want owner=2 sharers=0", dl.owner, dl.sharers)
+	if sharers, owner, _ = bank.entry(la); owner != 2 || sharers != 0 {
+		t.Fatalf("after warm write: owner=%d sharers=%#x, want owner=2 sharers=0", owner, sharers)
 	}
 	if s.PrivateHas(0, a) || s.PrivateHas(1, a) {
 		t.Error("warm write left stale copies in former sharers")
 	}
-	if l2 := s.tiles[2].l2.lookup(la); l2 == nil || l2.state != stModified || !l2.dirty {
+	if l2 := s.tiles[2].l2.lookup(la); l2 == nil || l2.state() != stModified || !l2.has(fDirty) {
 		t.Fatalf("writer should hold M dirty, got %v", l2)
 	}
 
 	// A read after the write downgrades the dirty owner and marks the bank
 	// entry dirty (the functional image of the writeback).
 	s.WarmPrivate(3, a, false)
-	if !dl.dirty {
+	if dl := bank.lookup(la); dl == nil || !dl.has(fDirty) {
 		t.Error("downgrading a dirty owner did not mark the bank entry dirty")
 	}
-	if l2 := s.tiles[2].l2.lookup(la); l2 == nil || l2.state != stShared || l2.dirty {
+	if l2 := s.tiles[2].l2.lookup(la); l2 == nil || l2.state() != stShared || l2.has(fDirty) {
 		t.Fatalf("former writer should be clean S, got %v", l2)
 	}
 
