@@ -73,9 +73,10 @@ func main() {
 	fmt.Fprintf(w, "  energy            %.4f J\n", s.EnergyJ)
 	fmt.Fprintf(w, "  noc flit-hops     %d (utilization %.1f%%)\n",
 		s.TotalFlitHops(), 100*s.NoCUtilization(res.NumLinks))
-	fmt.Fprintf(w, "  L1 hit rate       %.1f%%\n", 100*rate(s.L1Hits, s.L1Misses))
-	fmt.Fprintf(w, "  L2 hit rate       %.1f%%\n", 100*rate(s.L2Hits, s.L2Misses))
-	fmt.Fprintf(w, "  L3 hit rate       %.1f%%\n", 100*rate(s.L3Hits, s.L3Misses))
+	sum := res.Summary()
+	fmt.Fprintf(w, "  L1 hit rate       %.1f%%\n", 100*sum.L1HitRate)
+	fmt.Fprintf(w, "  L2 hit rate       %.1f%%\n", 100*sum.L2HitRate)
+	fmt.Fprintf(w, "  L3 hit rate       %.1f%%\n", 100*sum.L3HitRate)
 	fmt.Fprintf(w, "  DRAM lines        %d read, %d written\n", s.DRAMReads, s.DRAMWrites)
 	fmt.Fprintf(w, "  L3 requests       %v\n", s.L3Requests)
 	if s.StreamsFloated > 0 {
@@ -88,11 +89,4 @@ func main() {
 		fmt.Fprintf(w, "  prefetches        %d issued, %.1f%% useful\n",
 			s.PrefetchIssued, 100*s.PrefetchAccuracy())
 	}
-}
-
-func rate(hits, misses uint64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
 }

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
+
+	"streamfloat/internal/stream"
 )
 
 // MESI stable states tracked at the private L2 (L1 holds valid/dirty only
@@ -123,12 +125,19 @@ type slab struct {
 	dir     []int32
 }
 
-// Line addresses are lineSize-aligned (LineAddr), so an address is its line
-// number la >> lineBits: 58 bits, split between a tag and line.hi.
+// Line addresses are stream.LineBytes-aligned (LineAddr), so an address is
+// its line number la >> lineBits: 58 bits, split between a tag and line.hi.
 const (
-	lineBits = 6  // log2(lineSize)
+	lineBits = 6  // log2(stream.LineBytes)
 	loBits   = 31 // line number bits a tag holds
 	tagHeld  = 1 << loBits
+)
+
+// lineBits must stay log2(stream.LineBytes): either constant overflows uint,
+// and the package fails to compile, if the two part.
+const (
+	_ uint = 1<<lineBits - stream.LineBytes
+	_ uint = stream.LineBytes - 1<<lineBits
 )
 
 // tagOf returns la's tag: tagHeld (bit 31, which tells line 0 from an empty
@@ -187,7 +196,6 @@ func SetPoolBypass(on bool) (restore func()) {
 type array struct {
 	sets      int
 	ways      int
-	lineBytes uint64
 	directory bool // an L3 bank: sharers and owner hold each way's directory entry
 	slab      *slab
 	lines     []line   // slab.lines
@@ -204,32 +212,32 @@ type array struct {
 	fillCount      int
 
 	// Set selection: set = index % sets, where index is the line number
-	// (lineAddr / lineBytes) or, after setBankLocal, the bank-local line
-	// number. pow2 says every divisor is a power of two (Table III always
-	// is), so setOf shifts and masks instead of dividing by run-time values.
+	// (lineAddr / stream.LineBytes) or, after setBankLocal, the bank-local
+	// line number. pow2 says every divisor is a power of two (Table III
+	// always is), so setOf shifts and masks instead of dividing by run-time
+	// values.
 	interleave, tiles uint64 // bank-local indexing; interleave 0 = raw line number
 	pow2              bool
-	lineShift         uint // log2(lineBytes)
 	chunkShift        uint // log2(interleave)
 	tileShift         uint // log2(tiles)
 }
 
 // newArray returns a private (L1 or L2) array, indexed by line number.
-func newArray(sizeBytes, ways, lineBytes int, brripProb float64) *array {
-	return buildArray(sizeBytes, ways, lineBytes, brripProb, false)
+func newArray(sizeBytes, ways int, brripProb float64) *array {
+	return buildArray(sizeBytes, ways, brripProb, false)
 }
 
 // newBank returns an L3 bank's array: a directory entry beside every way,
 // and bank-local set indexing over tiles banks interleaved at
 // interleaveBytes (see setBankLocal; 0 indexes by line number).
-func newBank(sizeBytes, ways, lineBytes int, brripProb float64, interleaveBytes, tiles int) *array {
-	a := buildArray(sizeBytes, ways, lineBytes, brripProb, true)
+func newBank(sizeBytes, ways int, brripProb float64, interleaveBytes, tiles int) *array {
+	a := buildArray(sizeBytes, ways, brripProb, true)
 	a.setBankLocal(interleaveBytes, tiles)
 	return a
 }
 
-func buildArray(sizeBytes, ways, lineBytes int, brripProb float64, directory bool) *array {
-	sets := sizeBytes / (ways * lineBytes)
+func buildArray(sizeBytes, ways int, brripProb float64, directory bool) *array {
+	sets := sizeBytes / (ways * stream.LineBytes)
 	if sets <= 0 {
 		panic("cache: array must have at least one set")
 	}
@@ -240,7 +248,6 @@ func buildArray(sizeBytes, ways, lineBytes int, brripProb float64, directory boo
 	a := &array{
 		sets:           sets,
 		ways:           ways,
-		lineBytes:      uint64(lineBytes),
 		directory:      directory,
 		slab:           newSlab(geometry{sets, ways, directory}),
 		brripLongEvery: longEvery,
@@ -272,8 +279,7 @@ func (a *array) release() {
 func (a *array) setBankLocal(interleaveBytes, tiles int) {
 	a.interleave, a.tiles = uint64(interleaveBytes), uint64(tiles)
 	isPow2 := func(v uint64) bool { return v&(v-1) == 0 }
-	a.pow2 = isPow2(a.lineBytes) && isPow2(uint64(a.sets)) && isPow2(a.tiles) && isPow2(a.interleave)
-	a.lineShift = uint(bits.TrailingZeros64(a.lineBytes))
+	a.pow2 = isPow2(uint64(a.sets)) && isPow2(a.tiles) && isPow2(a.interleave)
 	a.chunkShift = uint(bits.TrailingZeros64(a.interleave))
 	a.tileShift = uint(bits.TrailingZeros64(a.tiles))
 }
@@ -282,20 +288,20 @@ func (a *array) setOf(lineAddr uint64) int {
 	if !a.pow2 {
 		return a.setOfDiv(lineAddr)
 	}
-	idx := lineAddr >> a.lineShift
+	idx := lineAddr >> lineBits
 	if a.interleave != 0 {
-		idx = lineAddr>>a.chunkShift>>a.tileShift<<(a.chunkShift-a.lineShift) +
-			(lineAddr&(a.interleave-1))>>a.lineShift
+		idx = lineAddr>>a.chunkShift>>a.tileShift<<(a.chunkShift-lineBits) +
+			(lineAddr&(a.interleave-1))>>lineBits
 	}
 	return int(idx & uint64(a.sets-1))
 }
 
 // setOfDiv is setOf for any geometry, in the division form that defines it.
 func (a *array) setOfDiv(lineAddr uint64) int {
-	idx := lineAddr / a.lineBytes
+	idx := lineAddr / stream.LineBytes
 	if a.interleave != 0 {
 		chunk := lineAddr / a.interleave
-		idx = (chunk/a.tiles)*(a.interleave/a.lineBytes) + (lineAddr%a.interleave)/a.lineBytes
+		idx = (chunk/a.tiles)*(a.interleave/stream.LineBytes) + (lineAddr%a.interleave)/stream.LineBytes
 	}
 	return int(idx % uint64(a.sets))
 }

@@ -15,6 +15,7 @@ import (
 	"streamfloat/internal/par/partest"
 	"streamfloat/internal/sanitize"
 	"streamfloat/internal/stats"
+	"streamfloat/internal/stream"
 )
 
 // rig bundles a small hierarchy for protocol tests, built on the shared
@@ -405,7 +406,7 @@ func TestPrivateHas(t *testing.T) {
 }
 
 func TestRRIPVictimSelection(t *testing.T) {
-	a := newArray(4*64*2, 2, 64, 1.0) // 4 sets x 2 ways
+	a := newArray(4*64*2, 2, 1.0) // 4 sets x 2 ways
 	// Fill both ways of set 0.
 	s1, _ := a.probe(0)
 	a.insert(s1, 0)
@@ -447,10 +448,10 @@ func TestLineSizeof(t *testing.T) {
 // operation, and every line address, up to the top of the 64-bit space,
 // must round-trip.
 func TestTagHighBits(t *testing.T) {
-	top := ^uint64(0) &^ (lineSize - 1)
+	top := ^uint64(0) &^ (stream.LineBytes - 1)
 	for _, la := range []uint64{0, 3 << 6, 1<<37 - 64, top - 1<<37, top} {
-		a := newArray(4*64*2, 2, 64, 1.0) // 4 sets x 2 ways
-		alias := la ^ 1<<37               // same low 31 bits, other hi
+		a := newArray(4*64*2, 2, 1.0) // 4 sets x 2 ways
+		alias := la ^ 1<<37           // same low 31 bits, other hi
 		if a.setOf(alias) != a.setOf(la) || tagOf(alias) != tagOf(la) || hiOf(alias) == hiOf(la) {
 			t.Fatalf("%#x and %#x must share a set and a tag and differ in hi", la, alias)
 		}
@@ -610,9 +611,9 @@ func TestDirectoryArrayMatchesDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for run := 0; run < 3*len(geoms); run++ {
 		g := geoms[run%len(geoms)]
-		a := newArray(g.sizeBytes, g.ways, 64, 0.03)
+		a := newArray(g.sizeBytes, g.ways, 0.03)
 		if g.interleave != 0 {
-			a = newBank(g.sizeBytes, g.ways, 64, 0.03, g.interleave, g.tiles)
+			a = newBank(g.sizeBytes, g.ways, 0.03, g.interleave, g.tiles)
 		}
 		a.check(run%3 == 2)
 		d := newDenseArray(a)
@@ -711,7 +712,7 @@ func TestDirectoryArrayMatchesDense(t *testing.T) {
 // TestReleasedArrayPanics: a released array has no storage, so touching it
 // fails loudly instead of reading the next machine's state.
 func TestReleasedArrayPanics(t *testing.T) {
-	a := newArray(64*64*4, 4, 64, 0.03)
+	a := newArray(64*64*4, 4, 0.03)
 	slot, _ := a.probe(64)
 	a.insert(slot, 64)
 	a.release()
@@ -728,7 +729,7 @@ func TestReleasedArrayPanics(t *testing.T) {
 // and so does the directory entry it left behind: every sharer bit set, and
 // an owner that names no tile.
 func TestSanitizedGrowthPoisonsMovedLines(t *testing.T) {
-	a := newBank(64*64*4, 4, 64, 0.03, 0, 1)
+	a := newBank(64*64*4, 4, 0.03, 0, 1)
 	a.check(true)
 	slot, _ := a.probe(0)
 	a.insert(slot, 0)
@@ -799,28 +800,28 @@ func TestHomeBankMatchesConfig(t *testing.T) {
 func TestSetOfShiftFormMatchesDivisionForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	cases := []struct {
-		sizeBytes, ways, lineBytes, interleave, tiles int
-		pow2                                          bool
+		sizeBytes, ways, interleave, tiles int
+		pow2                               bool
 	}{
-		{32 << 10, 8, 64, 0, 1, true},      // Table III L1
-		{256 << 10, 16, 64, 0, 1, true},    // Table III L2
-		{1 << 20, 16, 64, 64, 64, true},    // Table III L3 bank, 64 B interleave
-		{1 << 20, 16, 64, 1024, 64, true},  // 1 KiB interleave (SF)
-		{1 << 20, 16, 64, 4096, 16, true},  // Fig 17 sweep end, 4x4
-		{1 << 20, 16, 64, 1024, 9, false},  // 3x3 mesh
-		{1 << 20, 16, 64, 192, 64, false},  // odd interleave
-		{48 << 10, 8, 64, 0, 1, false},     // 96 sets
-		{96 << 10, 8, 64, 1024, 64, false}, // 192 sets, bank-local
+		{32 << 10, 8, 0, 1, true},      // Table III L1
+		{256 << 10, 16, 0, 1, true},    // Table III L2
+		{1 << 20, 16, 64, 64, true},    // Table III L3 bank, 64 B interleave
+		{1 << 20, 16, 1024, 64, true},  // 1 KiB interleave (SF)
+		{1 << 20, 16, 4096, 16, true},  // Fig 17 sweep end, 4x4
+		{1 << 20, 16, 1024, 9, false},  // 3x3 mesh
+		{1 << 20, 16, 192, 64, false},  // odd interleave
+		{48 << 10, 8, 0, 1, false},     // 96 sets
+		{96 << 10, 8, 1024, 64, false}, // 192 sets, bank-local
 	}
 	for _, c := range cases {
-		a := newArray(c.sizeBytes, c.ways, c.lineBytes, 0)
+		a := newArray(c.sizeBytes, c.ways, 0)
 		if c.interleave != 0 {
 			a.setBankLocal(c.interleave, c.tiles)
 		}
 		if a.pow2 != c.pow2 {
 			t.Errorf("%+v: pow2 = %v, want %v", c, a.pow2, c.pow2)
 		}
-		il, tiles, lb := uint64(c.interleave), uint64(c.tiles), uint64(c.lineBytes)
+		il, tiles, lb := uint64(c.interleave), uint64(c.tiles), uint64(stream.LineBytes)
 		for i := 0; i < 20000; i++ {
 			la := rng.Uint64() >> uint(rng.Intn(40)) &^ (lb - 1)
 			want := int(la / lb % uint64(a.sets))
@@ -926,7 +927,7 @@ func TestInclusionProperty(t *testing.T) {
 // TestBRRIPBimodalInsertion: with p=0.03 most fills insert distant and
 // roughly 1-in-33 inserts long.
 func TestBRRIPBimodalInsertion(t *testing.T) {
-	a := newArray(64*64*16, 16, 64, 0.03)
+	a := newArray(64*64*16, 16, 0.03)
 	long := 0
 	const n = 1000
 	for i := 0; i < n; i++ {
@@ -1084,12 +1085,12 @@ func missRounds(r *rig, hits int) (dram, l3hit func(i int), completed *int) {
 	done := func(event.Cycle) { *completed++ }
 	const coldBase, sharedBase = 0x4000000, 0x8000000
 	for i := 0; i < hits; i++ {
-		r.read(0, uint64(sharedBase+i*lineSize), done)
-		r.read(1, uint64(sharedBase+i*lineSize), done)
+		r.read(0, uint64(sharedBase+i*stream.LineBytes), done)
+		r.read(1, uint64(sharedBase+i*stream.LineBytes), done)
 	}
 	*completed = 0
-	dram = func(i int) { r.read(i%16, uint64(coldBase+i*lineSize), done) }
-	l3hit = func(i int) { r.read(5, uint64(sharedBase+i*lineSize), done) }
+	dram = func(i int) { r.read(i%16, uint64(coldBase+i*stream.LineBytes), done) }
+	l3hit = func(i int) { r.read(5, uint64(sharedBase+i*stream.LineBytes), done) }
 	return dram, l3hit, completed
 }
 
@@ -1126,14 +1127,14 @@ func TestDemandMissZeroAlloc(t *testing.T) {
 	done := func(event.Cycle) { *completed++ }
 	const mergeBase, prefBase = 0xc000000, 0x10000000
 	merged := func(i int) {
-		la := uint64(mergeBase + i*lineSize)
+		la := uint64(mergeBase + i*stream.LineBytes)
 		r.sys.Access(i%8, la, Read, NoMeta, done)
 		r.sys.Access(i%8, la, Read, NoMeta, done)   // parks in the tile's MSHR
 		r.sys.Access(8+i%8, la, Read, NoMeta, done) // merges into the bank's fill
 		r.Run()
 	}
 	prefetch := func(i int) {
-		r.sys.Access(i%16, uint64(prefBase+i*lineSize), PrefL2, NoMeta, nil)
+		r.sys.Access(i%16, uint64(prefBase+i*stream.LineBytes), PrefL2, NoMeta, nil)
 		r.Run()
 	}
 	next := 0

@@ -4,6 +4,7 @@ import (
 	"streamfloat/internal/event"
 	"streamfloat/internal/sanitize"
 	"streamfloat/internal/stats"
+	"streamfloat/internal/stream"
 	"streamfloat/internal/trace"
 )
 
@@ -65,7 +66,7 @@ func (m *missOp) filled() {
 	// The freshly installed line was itself evicted by a racing fill;
 	// respond as if granting E from memory.
 	m.granted = grantFor(m.excl, true)
-	s.mesh.SendCall(m.bank, m.tile, stats.ClassData, lineSize, runMissReply, event.Ref{Obj: m})
+	s.mesh.SendCall(m.bank, m.tile, stats.ClassData, stream.LineBytes, runMissReply, event.Ref{Obj: m})
 }
 
 // runInvAck sends the invalidation acknowledgement for a remote-sharer
@@ -126,7 +127,7 @@ func (s *System) bankHit(m *missOp, w int) {
 			// Requester already has the data: ownership ack only.
 			s.mesh.SendCall(bank, reqTile, stats.ClassCtrlCoh, 0, runMissReply, event.Ref{Obj: m})
 		} else {
-			s.mesh.SendCall(bank, reqTile, stats.ClassData, lineSize, runMissReply, event.Ref{Obj: m})
+			s.mesh.SendCall(bank, reqTile, stats.ClassData, stream.LineBytes, runMissReply, event.Ref{Obj: m})
 		}
 		arr.sharers[w] = 0
 		arr.owner[w] = int16(reqTile)
@@ -150,7 +151,7 @@ func (s *System) bankHit(m *missOp, w int) {
 		arr.sharers[w] |= reqBit
 	}
 	m.granted = grantFor(false, exclusiveOK)
-	s.mesh.SendCall(bank, reqTile, stats.ClassData, lineSize, runMissReply, event.Ref{Obj: m})
+	s.mesh.SendCall(bank, reqTile, stats.ClassData, stream.LineBytes, runMissReply, event.Ref{Obj: m})
 }
 
 // ownerForward sends m's forward request to the current owner (m.owner),
@@ -172,9 +173,9 @@ func runForwardData(_ event.Cycle, ref event.Ref) {
 	m := ref.Obj.(*missOp)
 	s, owner, la := m.s, m.owner, m.la
 	if s.probeOwner(m.bank, owner, la, m.excl) {
-		s.mesh.Send(owner, m.bank, stats.ClassData, lineSize, func(event.Cycle) {})
+		s.mesh.Send(owner, m.bank, stats.ClassData, stream.LineBytes, func(event.Cycle) {})
 	}
-	s.mesh.SendCall(owner, m.tile, stats.ClassData, lineSize, runMissReply, ref)
+	s.mesh.SendCall(owner, m.tile, stats.ClassData, stream.LineBytes, runMissReply, ref)
 }
 
 // probeOwner applies an owner forward to the owner's private copy of la
@@ -245,13 +246,13 @@ func (s *System) dramFill(bank int, la uint64, cont func()) {
 // runFillAtCtrl is the fill request reaching its memory controller's tile.
 func runFillAtCtrl(_ event.Cycle, ref event.Ref) {
 	f := ref.Obj.(*fillOp)
-	f.s.dram.Access(f.la, lineSize, false, f.dramDone)
+	f.s.dram.Access(f.la, stream.LineBytes, false, f.dramDone)
 }
 
 // dataFromDRAM sends the line back to the bank once the device has it (bound
 // as f.dramDone).
 func (f *fillOp) dataFromDRAM(event.Cycle) {
-	f.s.mesh.SendCall(f.ctrlTile, f.bank, stats.ClassData, lineSize, runFillAtBank, event.Ref{Obj: f})
+	f.s.mesh.SendCall(f.ctrlTile, f.bank, stats.ClassData, stream.LineBytes, runFillAtBank, event.Ref{Obj: f})
 }
 
 // runFillAtBank installs the arrived line and continues every request that
@@ -315,7 +316,7 @@ func runEvictL3Flush(_ event.Cycle, arg any) {
 		tc := s.tiles[owner]
 		if l2 := tc.l2.lookup(va); l2 != nil && (l2.has(fDirty) || l2.state() == stModified) {
 			dirty = true
-			s.mesh.Send(owner, bank, stats.ClassData, lineSize, func(event.Cycle) {})
+			s.mesh.Send(owner, bank, stats.ClassData, stream.LineBytes, func(event.Cycle) {})
 		}
 		s.invalidatePrivate(owner, va)
 		s.mesh.Send(bank, owner, stats.ClassCtrlCoh, 0, func(event.Cycle) {})
@@ -333,14 +334,14 @@ func runEvictL3Flush(_ event.Cycle, arg any) {
 		ctrlTile := s.dram.CtrlTile(s.dram.CtrlFor(va))
 		// The controller's queue belongs to its hosting tile's shard; reserve
 		// bandwidth when the writeback message arrives there.
-		s.mesh.SendCall(bank, ctrlTile, stats.ClassData, lineSize, runDRAMWriteback, event.Ref{Obj: s, A: int64(va)})
+		s.mesh.SendCall(bank, ctrlTile, stats.ClassData, stream.LineBytes, runDRAMWriteback, event.Ref{Obj: s, A: int64(va)})
 	}
 }
 
 // runDRAMWriteback writes an evicted dirty line (Ref.A) back to memory once
 // the writeback has reached its controller's tile.
 func runDRAMWriteback(_ event.Cycle, ref event.Ref) {
-	ref.Obj.(*System).dram.Access(uint64(ref.A), lineSize, true, func(event.Cycle) {})
+	ref.Obj.(*System).dram.Access(uint64(ref.A), stream.LineBytes, true, func(event.Cycle) {})
 }
 
 // floatOp is one GetU stream read from the bank that issues it to its

@@ -11,6 +11,7 @@ import (
 	"streamfloat/internal/par"
 	"streamfloat/internal/sanitize"
 	"streamfloat/internal/stats"
+	"streamfloat/internal/stream"
 	"streamfloat/internal/trace"
 )
 
@@ -43,9 +44,6 @@ type Meta struct {
 
 // NoMeta is the Meta for plain accesses.
 var NoMeta = Meta{StreamID: -1}
-
-// lineSize is fixed at 64 bytes throughout the system.
-const lineSize = 64
 
 // tileCaches is the private cache state of one tile.
 type tileCaches struct {
@@ -342,13 +340,13 @@ func NewSystem(lay *par.Layout, cfg config.Config, mesh *noc.Mesh, dram *mem.DRA
 	s.fillMSHR = make([]linetab.Table[*fillOp], n)
 	for i := 0; i < n; i++ {
 		s.tiles[i] = &tileCaches{
-			l1: newArray(cfg.L1.SizeBytes, cfg.L1.Ways, cfg.L1.LineBytes, cfg.L1.BRRIPProb),
-			l2: newArray(cfg.L2.SizeBytes, cfg.L2.Ways, cfg.L2.LineBytes, cfg.L2.BRRIPProb),
+			l1: newArray(cfg.L1.SizeBytes, cfg.L1.Ways, cfg.L1.BRRIPProb),
+			l2: newArray(cfg.L2.SizeBytes, cfg.L2.Ways, cfg.L2.BRRIPProb),
 		}
 		// Sized for Table III's MSHRs; the tables grow past them (see mshr).
 		s.tiles[i].mshr.Reserve(cfg.L2.MSHREntries)
 		s.fillMSHR[i].Reserve(cfg.L3.MSHREntries)
-		s.banks[i] = newBank(cfg.L3.SizeBytes, cfg.L3.Ways, cfg.L3.LineBytes, cfg.L3.BRRIPProb, cfg.L3InterleaveBytes, n)
+		s.banks[i] = newBank(cfg.L3.SizeBytes, cfg.L3.Ways, cfg.L3.BRRIPProb, cfg.L3InterleaveBytes, n)
 	}
 	return s
 }
@@ -424,7 +422,7 @@ func (s *System) SetBankWriteObserver(fn func(bank int, lineAddr uint64, writerT
 func (s *System) SetTracer(tr *trace.Tracer) { s.tr = tr }
 
 // LineAddr aligns addr down to its cache line.
-func LineAddr(addr uint64) uint64 { return addr &^ (lineSize - 1) }
+func LineAddr(addr uint64) uint64 { return addr &^ (stream.LineBytes - 1) }
 
 // Access sends one access into the hierarchy from the given tile. done (may
 // be nil) fires when the access completes from the core's perspective:
@@ -801,7 +799,7 @@ func (s *System) evictL2(tile int, victim *line, va uint64) {
 		// nothing — the original request and data response plus this
 		// eviction notification.
 		hops := uint64(s.mesh.Hops(tile, home))
-		dataFlits := uint64(s.mesh.Flits(lineSize))
+		dataFlits := uint64(s.mesh.Flits(stream.LineBytes))
 		st.UnreusedCtrlFlitHops += 2 * hops // GetS request + PutS
 		st.UnreusedDataFlitHops += dataFlits * hops
 	}
@@ -826,7 +824,7 @@ func (s *System) evictL2(tile int, victim *line, va uint64) {
 		if s.l2DirtyEvict != nil {
 			s.l2DirtyEvict(tile, va)
 		}
-		s.mesh.Send(tile, home, stats.ClassData, lineSize, func(event.Cycle) {})
+		s.mesh.Send(tile, home, stats.ClassData, stream.LineBytes, func(event.Cycle) {})
 	} else {
 		s.mesh.Send(tile, home, stats.ClassCtrlCoh, 0, func(event.Cycle) {})
 	}

@@ -3,6 +3,8 @@ package config
 import (
 	"encoding/binary"
 	"math"
+
+	"streamfloat/internal/stream"
 )
 
 // canonicalVersion tags the CanonicalBytes layout. Bump it whenever the
@@ -54,7 +56,12 @@ func (c Config) CanonicalBytes() []byte {
 		i(p.SizeBytes)
 		i(p.Ways)
 		i(p.LatCycles)
-		i(p.LineBytes)
+		// This word held the level's LineBytes field. The machine's one
+		// line size is the constant stream.LineBytes, the value every key
+		// already held here, so the word stays (like the retired sanitize
+		// word below) and stored results stay valid without a
+		// canonicalVersion bump.
+		i(stream.LineBytes)
 		f(p.BRRIPProb)
 		i(p.MSHREntries)
 	}

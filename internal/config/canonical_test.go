@@ -2,6 +2,8 @@ package config
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -12,13 +14,53 @@ import (
 // field is added to Config without extending CanonicalBytes (and bumping
 // canonicalVersion), two configs differing only in that field would alias to
 // one cache entry and serve wrong results. The constant forces the author of
-// the new field to visit canonical.go.
+// the new field to visit canonical.go. CacheParams and SampleParams nest
+// inside Config, so their fields are counted too.
 func TestCanonicalCoversAllFields(t *testing.T) {
-	n := reflect.TypeOf(Config{}).NumField()
-	if n != CanonicalFieldCount {
-		t.Fatalf("Config has %d fields but CanonicalFieldCount is %d: "+
-			"extend Config.CanonicalBytes, bump canonicalVersion, then update the constant",
-			n, CanonicalFieldCount)
+	for _, c := range []struct {
+		typ  reflect.Type
+		want int
+	}{
+		{reflect.TypeOf(Config{}), CanonicalFieldCount},
+		{reflect.TypeOf(CacheParams{}), 5},
+		{reflect.TypeOf(SampleParams{}), 4},
+	} {
+		if n := c.typ.NumField(); n != c.want {
+			t.Errorf("%s has %d fields but the encoding accounts for %d: "+
+				"extend Config.CanonicalBytes, bump canonicalVersion, then update the count",
+				c.typ.Name(), n, c.want)
+		}
+	}
+}
+
+// TestCanonicalBytesPinned pins the encoding of Default() and of every
+// comparison system on OOO8, so a change that moves a word (the constant
+// line-size and sanitize words included) fails here instead of silently
+// orphaning every stored result.
+// A deliberate layout change bumps canonicalVersion and rewrites these.
+func TestCanonicalBytesPinned(t *testing.T) {
+	want := map[string]string{
+		"Default": "e9961618b5ef872b9b5fa11b6efa42399d7a0795fde1d7bf9d34f35b63906939",
+		"Base":    "e9961618b5ef872b9b5fa11b6efa42399d7a0795fde1d7bf9d34f35b63906939",
+		"Stride":  "af31dd9b3936c0bf5dd05fa8188b321e9a39d287144131bb1fbddaebb8830872",
+		"Bingo":   "573f80d7ef5bd2db53fd452edbdfdfac9840226388beca03c9b0285d6c57e750",
+		"SS":      "c7dd82817ee026fddbbf6676dc4cd1b271a63320bc57516556941a2d4be96523",
+		"SF-Aff":  "743b9abe3fab3c4d28f37d18210fe01c2613c6698840a39a7437f01fb74582ea",
+		"SF-Ind":  "c26ad062310390a41cb22dd23682205ed4207d19b72c04f25a4f1c3f8a79958d",
+		"SF":      "cbccd85e5fedf30a9e27bea91902b3aff71682a49dc4fdf6e78d1f7663a3035e",
+	}
+	check := func(name string, c Config) {
+		if got := fmt.Sprintf("%x", sha256.Sum256(c.CanonicalBytes())); got != want[name] {
+			t.Errorf("%s: CanonicalBytes SHA-256 = %s, want %s", name, got, want[name])
+		}
+	}
+	check("Default", Default())
+	for _, name := range SystemNames() {
+		c, err := ForSystem(name, OOO8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name, c)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"fmt"
 
 	"streamfloat/internal/sanitize"
+	"streamfloat/internal/stream"
 )
 
 // CoreKind selects one of the three evaluated core microarchitectures.
@@ -119,18 +120,18 @@ func ParamsFor(kind CoreKind) CoreParams {
 	panic("config: unknown core kind")
 }
 
-// CacheParams describe one cache level.
+// CacheParams describe one cache level. Every level has stream.LineBytes
+// lines (Table III).
 type CacheParams struct {
 	SizeBytes   int
 	Ways        int
-	LatCycles   int // access (tag+data) latency
-	LineBytes   int
+	LatCycles   int     // access (tag+data) latency
 	BRRIPProb   float64 // bimodal RRIP long-insertion probability
 	MSHREntries int
 }
 
 // Sets returns the number of sets implied by size, ways and line size.
-func (c CacheParams) Sets() int { return c.SizeBytes / (c.Ways * c.LineBytes) }
+func (c CacheParams) Sets() int { return c.SizeBytes / (c.Ways * stream.LineBytes) }
 
 // Config is the full machine configuration.
 type Config struct {
@@ -290,9 +291,9 @@ func Default() Config {
 		// Private caches insert at "long" re-reference (SRRIP behaviour,
 		// probability 1); the shared L3 uses Bimodal RRIP with p = 0.03 as
 		// in Table III.
-		L1: CacheParams{SizeBytes: 32 << 10, Ways: 8, LatCycles: 2, LineBytes: 64, BRRIPProb: 1.0, MSHREntries: 16},
-		L2: CacheParams{SizeBytes: 256 << 10, Ways: 16, LatCycles: 16, LineBytes: 64, BRRIPProb: 1.0, MSHREntries: 32},
-		L3: CacheParams{SizeBytes: 1 << 20, Ways: 16, LatCycles: 20, LineBytes: 64, BRRIPProb: 0.03, MSHREntries: 64},
+		L1: CacheParams{SizeBytes: 32 << 10, Ways: 8, LatCycles: 2, BRRIPProb: 1.0, MSHREntries: 16},
+		L2: CacheParams{SizeBytes: 256 << 10, Ways: 16, LatCycles: 16, BRRIPProb: 1.0, MSHREntries: 32},
+		L3: CacheParams{SizeBytes: 1 << 20, Ways: 16, LatCycles: 20, BRRIPProb: 0.03, MSHREntries: 64},
 
 		L3InterleaveBytes: 64,
 
@@ -395,21 +396,21 @@ func (c Config) Validate() error {
 		return errLink
 	}
 	for _, cp := range []CacheParams{c.L1, c.L2, c.L3} {
-		if cp.LineBytes <= 0 || cp.Ways <= 0 || cp.SizeBytes <= 0 {
+		if cp.Ways <= 0 || cp.SizeBytes <= 0 {
 			return errCache
 		}
-		if cp.SizeBytes%(cp.Ways*cp.LineBytes) != 0 {
+		if cp.SizeBytes%(cp.Ways*stream.LineBytes) != 0 {
 			return errCache
 		}
 		if cp.BRRIPProb < 0 || cp.BRRIPProb > 1 {
 			return fmt.Errorf("config: BRRIP probability %v out of [0,1]", cp.BRRIPProb)
 		}
 	}
-	if c.L3InterleaveBytes < c.L3.LineBytes {
+	if c.L3InterleaveBytes < stream.LineBytes {
 		return fmt.Errorf("config: L3 interleave %dB smaller than line size %dB",
-			c.L3InterleaveBytes, c.L3.LineBytes)
+			c.L3InterleaveBytes, stream.LineBytes)
 	}
-	if c.L3InterleaveBytes%c.L3.LineBytes != 0 {
+	if c.L3InterleaveBytes%stream.LineBytes != 0 {
 		return fmt.Errorf("config: L3 interleave %dB not a multiple of line size", c.L3InterleaveBytes)
 	}
 	if c.Stream == StreamOff && (c.FloatIndirect || c.FloatConfluence) {

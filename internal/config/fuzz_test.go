@@ -9,6 +9,7 @@ import (
 
 	"streamfloat/internal/config"
 	"streamfloat/internal/sanitize"
+	"streamfloat/internal/stream"
 	"streamfloat/internal/system"
 )
 
@@ -21,8 +22,7 @@ func deriveConfig(data []byte) config.Config {
 	c := config.Default()
 	cacheMenu := func(p *config.CacheParams, v uint64) {
 		p.Ways = 1 << (v % 5) // 1..16
-		p.LineBytes = 64
-		p.SizeBytes = int(1+(v>>3)%64) * p.Ways * p.LineBytes
+		p.SizeBytes = int(1+(v>>3)%64) * p.Ways * stream.LineBytes
 		p.LatCycles = int(1 + (v>>9)%40)
 		p.BRRIPProb = float64((v>>15)%101) / 100
 		p.MSHREntries = int(1 + (v>>22)%64)
@@ -101,8 +101,8 @@ func deriveConfig(data []byte) config.Config {
 		c.FloatConfluence = false
 		c.StreamGrainCoherence = false
 	}
-	if c.L3InterleaveBytes < c.L3.LineBytes {
-		c.L3InterleaveBytes = c.L3.LineBytes
+	if c.L3InterleaveBytes < stream.LineBytes {
+		c.L3InterleaveBytes = stream.LineBytes
 	}
 	return c
 }

@@ -224,7 +224,7 @@ func (c *seCore) configurePhase(phase *workload.Phase, ready func()) {
 
 	// Size the stream FIFO. Every affine stream gets a share — floated
 	// streams too, since a sink returns them to FIFO service.
-	per := c.e.fifoBytes / (lineBytes * max(1, len(phase.Loads)))
+	per := c.e.fifoBytes / (stream.LineBytes * max(1, len(phase.Loads)))
 	if per < 1 {
 		per = 1
 	}
@@ -291,7 +291,7 @@ func (c *seCore) detectOffsetGroups(affines []*coreStream) map[*coreStream]*core
 		ok := true
 		for _, m := range members[:len(members)-1] {
 			k, _ := leader.decl.Affine.OffsetOf(*m.decl.Affine)
-			if k >= 0 || -k > maxSpan || (-k)%lineBytes != 0 {
+			if k >= 0 || -k > maxSpan || (-k)%stream.LineBytes != 0 {
 				ok = false
 				break
 			}

@@ -165,7 +165,7 @@ func (l *seL2) configureStream(owner *coreStream, startElem int64, children []st
 	// A quarter of the stream buffer per floated stream: deep enough for
 	// run-ahead plus stencil retention, with four concurrent floats the
 	// common worst case.
-	share := l.e.cfg.SEL2BufferBytes / lineBytes / 4
+	share := l.e.cfg.SEL2BufferBytes / stream.LineBytes / 4
 	if share < 8 {
 		share = 8
 	}
@@ -366,7 +366,7 @@ func (l *seL2) requestByAddr(g *l2Group, addr uint64, cb func(event.Cycle)) bool
 	if !g.live() {
 		return false
 	}
-	b, _ := g.byAddr.Get(addr &^ (lineBytes - 1))
+	b, _ := g.byAddr.Get(addr &^ (stream.LineBytes - 1))
 	if b == nil || b.gone {
 		return false
 	}

@@ -315,13 +315,13 @@ func (b *seL3) tryIssue(g *confGroup) bool {
 		if m.rangeLo == 0 || ref.addr < m.rangeLo {
 			m.rangeLo = ref.addr
 		}
-		if ref.addr+lineBytes > m.rangeHi {
-			m.rangeHi = ref.addr + lineBytes
+		if ref.addr+stream.LineBytes > m.rangeHi {
+			m.rangeHi = ref.addr + stream.LineBytes
 		}
 		m.advance()
 	}
 	clear(b.cands)
-	b.e.sys.FloatReadAuto(b.bank, ref.addr, req.dsts, kind, lineBytes, onBank, req.deliverFn)
+	b.e.sys.FloatReadAuto(b.bank, ref.addr, req.dsts, kind, stream.LineBytes, onBank, req.deliverFn)
 	return true
 }
 
@@ -442,7 +442,7 @@ func (r *indReq) issue() {
 	addr := r.child.Indirect.AddrFor(uint64(v))
 	payload := int(r.child.Indirect.WBytes)
 	st := b.e.lay.St(b.bank)
-	if payload < 64 {
+	if payload < stream.LineBytes {
 		st.SublineResponses++
 	}
 	st.TLBTranslations++

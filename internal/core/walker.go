@@ -8,9 +8,6 @@ package core
 
 import "streamfloat/internal/stream"
 
-// lineBytes mirrors the system-wide cache line size.
-const lineBytes = 64
-
 // lineRef is one cache-line request in a stream's line program: the walker
 // groups consecutive elements that fall on the same line, so seq increases
 // by one per distinct line in consumption order.
@@ -42,10 +39,10 @@ func (w *lineWalker) next() (lineRef, bool) {
 		return lineRef{}, false
 	}
 	first := w.nextElem
-	la := w.pat.AddrAt(first) &^ (lineBytes - 1)
+	la := w.pat.AddrAt(first) &^ (stream.LineBytes - 1)
 	last := first
 	for e := first + 1; e < w.total; e++ {
-		if w.pat.AddrAt(e)&^(lineBytes-1) != la {
+		if w.pat.AddrAt(e)&^(stream.LineBytes-1) != la {
 			break
 		}
 		last = e
@@ -59,8 +56,8 @@ func (w *lineWalker) next() (lineRef, bool) {
 // elemsPerLine is how many of pat's elements can share a line at most, as
 // a size hint for tables keyed by element.
 func elemsPerLine(pat stream.Affine) int {
-	if s := pat.Strides[0]; pat.Lens[0] > 1 && s > 0 && s < lineBytes {
-		return int(lineBytes / s)
+	if s := pat.Strides[0]; pat.Lens[0] > 1 && s > 0 && s < stream.LineBytes {
+		return int(stream.LineBytes / s)
 	}
 	return 1
 }

@@ -54,9 +54,6 @@ const (
 	KindTimeout Kind = "timeout"
 	// KindCancelled is a point killed by its caller's context.
 	KindCancelled Kind = "cancelled"
-	// KindTransient is an environmental failure (transport error, dropped
-	// connection, 5xx) expected to succeed on retry.
-	KindTransient Kind = "transient"
 	// KindInternal is any other failure: harness errors, bad configs,
 	// unclassifiable wrapped errors.
 	KindInternal Kind = "internal"

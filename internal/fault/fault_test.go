@@ -17,7 +17,6 @@ func TestKindDeterministic(t *testing.T) {
 		KindViolation: true,
 		KindTimeout:   false,
 		KindCancelled: false,
-		KindTransient: false,
 		KindInternal:  false,
 	}
 	for k, want := range det {

@@ -7,6 +7,8 @@ package mem
 import (
 	"encoding/binary"
 	"math"
+
+	"streamfloat/internal/stream"
 )
 
 const pageShift = 12 // 4 KiB pages
@@ -32,10 +34,10 @@ func NewBacking() *Backing {
 }
 
 // Alloc reserves size bytes aligned to align (which must be a power of two;
-// 0 means 64-byte line alignment) and returns the base address.
+// 0 means cache-line alignment) and returns the base address.
 func (b *Backing) Alloc(size uint64, align uint64) uint64 {
 	if align == 0 {
-		align = 64
+		align = stream.LineBytes
 	}
 	b.brk = (b.brk + align - 1) &^ (align - 1)
 	base := b.brk

@@ -9,6 +9,7 @@ import (
 	"streamfloat/internal/cache"
 	"streamfloat/internal/config"
 	"streamfloat/internal/linetab"
+	"streamfloat/internal/stream"
 )
 
 const (
@@ -16,7 +17,7 @@ const (
 	l1Degree        = 8
 	l2Degree        = 16
 	regionBytes     = 2048
-	linesPerRegion  = regionBytes / 64
+	linesPerRegion  = regionBytes / stream.LineBytes
 	regionTableSize = 64
 	phtSize         = 1024 // ~8 kB PHT: 1k entries x 32-bit footprints
 	bulkGroup       = 4
@@ -132,7 +133,7 @@ func bingoKey(pc uint32, lineOff uint32) uint32 { return pc<<5 ^ lineOff }
 func (bg *bingo) observe(pc uint32, addr uint64) (base uint64, footprint uint32, ok bool) {
 	bg.tick++
 	rbase := addr &^ (regionBytes - 1)
-	lineOff := uint32((addr % regionBytes) / 64)
+	lineOff := uint32((addr % regionBytes) / stream.LineBytes)
 	for i := range bg.regions {
 		if bg.regions[i].base == rbase {
 			bg.regions[i].footprint |= 1 << lineOff
@@ -214,7 +215,7 @@ type Prefetchers struct {
 // Attach builds the configured prefetchers and hooks them to the cache
 // system. With PrefetchNone it installs nothing.
 func Attach(cfg config.Config, sys *cache.System) *Prefetchers {
-	p := &Prefetchers{sys: sys, bulk: cfg.BulkPrefetch && cfg.L3InterleaveBytes > 64}
+	p := &Prefetchers{sys: sys, bulk: cfg.BulkPrefetch && cfg.L3InterleaveBytes > stream.LineBytes}
 	if cfg.Prefetch == config.PrefetchNone {
 		return p
 	}
@@ -254,7 +255,7 @@ func (p *Prefetchers) onL1Access(tile int, addr uint64, pc uint32, hit bool) {
 				if fp&(1<<uint(l)) == 0 {
 					continue
 				}
-				p.sys.Access(tile, base+uint64(l*64), cache.PrefL1, cache.Meta{PC: pc, StreamID: -1}, nil)
+				p.sys.Access(tile, base+uint64(l*stream.LineBytes), cache.PrefL1, cache.Meta{PC: pc, StreamID: -1}, nil)
 			}
 		}
 	}

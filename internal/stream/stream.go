@@ -6,7 +6,9 @@ package stream
 
 import "fmt"
 
-// LineBytes is the cache-line size assumed by element/line arithmetic.
+// LineBytes is the machine's one cache-line size (Table III): every cache
+// level, the NoC's line payloads, the prefetchers and the element/line
+// arithmetic of the stream engines use it.
 const LineBytes = 64
 
 // Levels is the maximum affine nesting depth supported by a single stream

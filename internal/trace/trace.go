@@ -17,6 +17,11 @@
 // so that cpu, cache, noc, core and system can all depend on it.
 package trace
 
+import (
+	"cmp"
+	"slices"
+)
+
 // Comp identifies the simulated component that emitted an event.
 type Comp uint8
 
@@ -585,47 +590,12 @@ func (t *Tracer) Events() []Event {
 	for i := range t.rings {
 		out = t.rings[i].drain(out)
 	}
-	stableSortEvents(out)
+	// Rings drain oldest-first, so a stable sort keeps each tile's emission
+	// order within a cycle.
+	slices.SortStableFunc(out, func(a, b Event) int {
+		return cmp.Or(cmp.Compare(a.Cycle, b.Cycle), cmp.Compare(a.Tile, b.Tile))
+	})
 	return out
-}
-
-// stableSortEvents orders by cycle, then tile, preserving per-tile emission
-// order (rings drain oldest-first, so a stable merge keeps causality).
-func stableSortEvents(ev []Event) {
-	// Insertion-friendly stable sort without pulling in sort.SliceStable's
-	// reflection on the hot export path: a simple merge sort.
-	if len(ev) < 2 {
-		return
-	}
-	buf := make([]Event, len(ev))
-	mergeSortEvents(ev, buf)
-}
-
-func mergeSortEvents(ev, buf []Event) {
-	if len(ev) < 2 {
-		return
-	}
-	mid := len(ev) / 2
-	mergeSortEvents(ev[:mid], buf[:mid])
-	mergeSortEvents(ev[mid:], buf[mid:])
-	copy(buf, ev)
-	i, j := 0, mid
-	for k := range ev {
-		if i < mid && (j >= len(ev) || !eventLess(buf[j], buf[i])) {
-			ev[k] = buf[i]
-			i++
-		} else {
-			ev[k] = buf[j]
-			j++
-		}
-	}
-}
-
-func eventLess(a, b Event) bool {
-	if a.Cycle != b.Cycle {
-		return a.Cycle < b.Cycle
-	}
-	return a.Tile < b.Tile
 }
 
 // Dropped reports how many events rotated out of full rings.
