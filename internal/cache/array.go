@@ -91,8 +91,8 @@ var emptyLine = line{streamID: noStream}
 // noOwner is the directory owner of a line no tile holds in E/M.
 const noOwner = -1
 
-// poisonLine, poisonSharers and poisonOwner are what a slab's ways read as
-// after growth under a sanitizer has moved them: no field is a value the
+// poisonLine, poisonSharers and poisonOwner are what an array's ways read
+// as after a move under a sanitizer has left them: no field is a value the
 // model writes (streamID and owner name no stream or tile, hi no line
 // number, rrpv is past rrpvMax, the top bits of line.bits are never set, and
 // every sharer bit is set), so a *line or way index kept across the probe
@@ -103,27 +103,6 @@ const (
 	poisonSharers = ^uint64(0)
 	poisonOwner   = 0x5a5a
 )
-
-// slab is the storage of one array. The blocks of lines and tags hold the
-// sets in the order the run first filled them, ways consecutive, and dir maps
-// a set to its block: dir[set] is 1 + the set's block, or 0 if the set was
-// never filled. tags[i] is tagOf the address way i holds and 0 for an empty
-// way, so a 16-way set's tags fill one 64-byte host cache line. A bank's
-// slab also holds way i's directory entry in sharers[i] (the tiles holding
-// the line in S) and owner[i] (the tile holding it in E/M, or noOwner);
-// a private array's has neither.
-//
-// A slab's capacity (len(lines)) is a whole number of blocks, up to the
-// array's sets×ways, and follows what runs filled, not the geometry: host
-// memory goes to the sets a workload uses. It survives recycling, so a
-// sweep's machines stop growing after its first points.
-type slab struct {
-	lines   []line
-	tags    []uint32
-	sharers []uint64 // banks only
-	owner   []int16  // banks only
-	dir     []int32
-}
 
 // Line addresses are stream.LineBytes-aligned (LineAddr), so an address is
 // its line number la >> lineBits: 58 bits, split between a tag and line.hi.
@@ -147,6 +126,32 @@ func tagOf(la uint64) uint32 { return uint32(la>>lineBits)&(tagHeld-1) | tagHeld
 // hiOf returns the line number bits of la a tag does not hold.
 func hiOf(la uint64) uint32 { return uint32(la >> lineBits >> loBits) }
 
+// slab is the storage of one array: lines and tags, and in a bank sharers
+// and owner, all indexed by way, plus the set directory and the free lists.
+// tags[i] is tagOf the address way i holds and 0 for an empty way. A bank's
+// sharers[i] is the tiles holding way i's line in S and owner[i] the tile
+// holding it in E/M, or noOwner; a private array's slab has neither.
+//
+// A set holds a block of ways: 1, 2, 4, ... ways, doubling when a fill
+// finds the block full, up to the array's ways (a way count that is not a
+// power of two gives every set all its ways at once). The ways are cut into
+// chunks of the array's ways, and blocks are split from chunks buddy-style,
+// so a block of n ways starts at a multiple of n and a 16-way set's tags
+// fill one 64-byte host cache line. dir[set] is the set's block,
+// offset<<sizeBits | size, or 0 if the set was never filled. So host memory
+// follows the lines a run holds, not Table III's geometry.
+//
+// A slab survives recycling with its capacity (len(lines)), so a sweep's
+// machines stop growing after its first points.
+type slab struct {
+	lines   []line
+	tags    []uint32
+	sharers []uint64 // banks only
+	owner   []int16  // banks only
+	dir     []uint32
+	free    [][]int32
+}
+
 // geometry keys the slab pools: a slab fits any array with its sets and ways
 // and, for a bank (directory), its directory entries.
 type geometry struct {
@@ -155,10 +160,11 @@ type geometry struct {
 }
 
 // slabPools recycles slabs between machines, one sync.Pool per geometry (a
-// machine has three: L1, L2, L3 bank). A pooled slab's dir is all zero; its
-// blocks hold whatever the last run left, and probe zeroes a block's tags
-// before it hands the block out, so a recycled slab is indistinguishable
-// from a fresh one.
+// machine has three: L1, L2, L3 bank). A pooled slab's dir is all zero and
+// its free lists are empty; its ways hold whatever the last run left. No
+// set reaches a way before alloc has zeroed its block's tags, and the
+// allocator reads a tag only at the head of a block it split or freed in
+// this run, so a recycled slab is indistinguishable from a fresh one.
 var slabPools sync.Map // geometry -> *sync.Pool of *slab
 
 func slabPool(g geometry) *sync.Pool {
@@ -170,14 +176,14 @@ func slabPool(g geometry) *sync.Pool {
 }
 
 // newSlab returns a slab for g with an empty directory: a pooled one of any
-// capacity if there is one, else a fresh one with no blocks.
+// capacity if there is one, else a fresh one with no ways.
 func newSlab(g geometry) *slab {
 	if !poolBypass.Load() {
 		if sl, ok := slabPool(g).Get().(*slab); ok {
 			return sl
 		}
 	}
-	return &slab{dir: make([]int32, g.sets)}
+	return &slab{dir: make([]uint32, g.sets), free: make([][]int32, bits.Len(uint(g.ways)))}
 }
 
 // poolBypass, while set, makes newSlab build every slab fresh.
@@ -199,11 +205,18 @@ type array struct {
 	directory bool // an L3 bank: sharers and owner hold each way's directory entry
 	slab      *slab
 	lines     []line   // slab.lines
-	tags      []uint32 // slab.tags; probe, insert and invalidate are the only writers
+	tags      []uint32 // slab.tags; probe, insert, invalidate and the block allocator are the only writers
 	sharers   []uint64 // slab.sharers (banks only)
 	owner     []int16  // slab.owner (banks only)
-	dir       []int32  // slab.dir
-	blocks    int      // blocks handed out; the rest of the slab is stale
+	dir       []uint32 // slab.dir
+	sizeBits  uint     // dir[set] >> sizeBits is the block's offset
+	sizeMask  uint32   // dir[set] & sizeMask is its size
+	first     int      // a set's first block size: 1, or ways if not a power of two
+	chunks    int      // chunks handed out; the rest of the slab is stale
+	// free[k] (slab.free) stacks the offsets of free 2^k-way blocks. An
+	// entry is only a hint: the block is free while its first tag is
+	// freeTag (see take).
+	free [][]int32
 	// checked is set under an attached sanitizer (see check).
 	checked bool
 	// brripLongEvery inserts at "long" re-reference once every N fills
@@ -245,28 +258,39 @@ func buildArray(sizeBytes, ways int, brripProb float64, directory bool) *array {
 	if brripProb > 0 && brripProb < 1 {
 		longEvery = int(1.0/brripProb + 0.5)
 	}
+	first := 1
+	if ways&(ways-1) != 0 {
+		first = ways
+	}
+	sizeBits := uint(bits.Len(uint(ways)))
 	a := &array{
 		sets:           sets,
 		ways:           ways,
 		directory:      directory,
 		slab:           newSlab(geometry{sets, ways, directory}),
+		sizeBits:       sizeBits,
+		sizeMask:       1<<sizeBits - 1,
+		first:          first,
 		brripLongEvery: longEvery,
 	}
 	sl := a.slab
-	a.lines, a.tags, a.sharers, a.owner, a.dir = sl.lines, sl.tags, sl.sharers, sl.owner, sl.dir
+	a.lines, a.tags, a.sharers, a.owner, a.dir, a.free = sl.lines, sl.tags, sl.sharers, sl.owner, sl.dir, sl.free
 	a.setBankLocal(0, 1)
 	return a
 }
 
-// release clears the directory and hands the slab, grown storage included,
-// back for the next machine's newArray. The array is unusable afterwards:
-// its storage is nil, so any later access panics instead of reading
-// recycled state.
+// release clears the directory and the free lists and hands the slab, grown
+// storage included, back for the next machine's newArray. The array is
+// unusable afterwards: its storage is nil, so any later access panics
+// instead of reading recycled state.
 func (a *array) release() {
 	clear(a.dir)
+	for k := range a.free {
+		a.free[k] = a.free[k][:0]
+	}
 	sl := a.slab
-	sl.lines, sl.tags, sl.sharers, sl.owner = a.lines, a.tags, a.sharers, a.owner
-	a.slab, a.lines, a.tags, a.sharers, a.owner, a.dir = nil, nil, nil, nil, nil, nil
+	sl.lines, sl.tags, sl.sharers, sl.owner, sl.free = a.lines, a.tags, a.sharers, a.owner, a.free
+	a.slab, a.lines, a.tags, a.sharers, a.owner, a.dir, a.free = nil, nil, nil, nil, nil, nil, nil
 	slabPool(geometry{a.sets, a.ways, a.directory}).Put(sl)
 }
 
@@ -306,18 +330,24 @@ func (a *array) setOfDiv(lineAddr uint64) int {
 	return int(idx % uint64(a.sets))
 }
 
+// block decodes a dir entry: the set's block starts at way base and has n
+// ways.
+func (a *array) block(d uint32) (base, n int) {
+	return int(d >> (a.sizeBits & 31)), int(d & a.sizeMask)
+}
+
 // lookup returns the line holding lineAddr, or nil. A set never filled
 // answers from the directory alone; otherwise the set's tags are scanned (a
 // 16-way set's are one host cache line) and a line is read only where its
 // tag matches.
 func (a *array) lookup(lineAddr uint64) *line {
-	b := int(a.dir[a.setOf(lineAddr)])
-	if b == 0 {
+	d := a.dir[a.setOf(lineAddr)]
+	if d == 0 {
 		return nil
 	}
-	base := (b - 1) * a.ways
+	base, n := a.block(d)
 	want, hi := tagOf(lineAddr), hiOf(lineAddr)
-	for i, tag := range a.tags[base : base+a.ways] {
+	for i, tag := range a.tags[base : base+n] {
 		if tag == want && a.lines[base+i].hi == hi {
 			return &a.lines[base+i]
 		}
@@ -354,28 +384,31 @@ func (a *array) touch(l *line) { l.rrpv = 0 }
 // the same pass over the set's tags: it returns the line holding lineAddr
 // with hit true, or else the slot to fill, an empty way if one exists,
 // otherwise the RRIP victim (aging RRPVs as needed). The first probe that
-// misses in a set gives it the slab's next block, growing the slab if the
-// run has filled as many sets as it holds.
+// misses in a set gives it a block; a miss in a full block smaller than
+// ways moves the set to a block twice the size and fills its first new way.
+// That is the way a dense array would fill: a fill takes the lowest empty
+// way, so the ways a set has ever used are a prefix of its ways, and the
+// victim search runs only once all of them are held.
 //
-// Growth moves the slab, so a *line from this array (lookup's or probe's)
-// is valid only until the next probe on the same array: re-lookup after one
-// instead of keeping the pointer. Probes on other arrays, and every other
-// operation, leave it valid. Under a sanitizer the slab regrows from empty
-// in every run and each growth poisons the lines it moved (see check), so a
-// pointer kept too long derails the run, as a golden diff or a probe
+// A move (and the slab growth a new block may need) relocates lines, so a
+// *line from this array (lookup's or probe's) is valid only until the next
+// probe on the same array: re-lookup after one instead of keeping the
+// pointer. Probes on other arrays, and every other operation, leave it
+// valid. Under a sanitizer each move poisons the ways it left (see check),
+// so a pointer kept too long derails the run, as a golden diff or a probe
 // failure, instead of going unnoticed.
 func (a *array) probe(lineAddr uint64) (l *line, hit bool) {
 	set := a.setOf(lineAddr)
-	b := int(a.dir[set])
-	if b == 0 {
-		b = a.newBlock()
-		a.dir[set] = int32(b)
-		return &a.lines[(b-1)*a.ways], false
+	d := a.dir[set]
+	if d == 0 {
+		base := a.alloc(a.first)
+		a.dir[set] = uint32(base)<<a.sizeBits | uint32(a.first)
+		return &a.lines[base], false
 	}
-	base := (b - 1) * a.ways
+	base, n := a.block(d)
 	want, hi := tagOf(lineAddr), hiOf(lineAddr)
 	empty := -1
-	for i, tag := range a.tags[base : base+a.ways] {
+	for i, tag := range a.tags[base : base+n] {
 		if tag == want && a.lines[base+i].hi == hi {
 			return &a.lines[base+i], true
 		}
@@ -386,7 +419,10 @@ func (a *array) probe(lineAddr uint64) (l *line, hit bool) {
 	if empty >= 0 {
 		return &a.lines[base+empty], false
 	}
-	ls := a.lines[base : base+a.ways]
+	if n < a.ways {
+		return &a.lines[a.move(set, base, n)+n], false
+	}
+	ls := a.lines[base : base+n]
 	for {
 		for i := range ls {
 			if ls[i].rrpv >= rrpvMax {
@@ -399,25 +435,103 @@ func (a *array) probe(lineAddr uint64) (l *line, hit bool) {
 	}
 }
 
-// newBlock hands out the slab's next block, emptied, and returns 1 + its
-// index. Zero tags are all an empty way needs: its line is never read
-// before insert overwrites it.
-func (a *array) newBlock() int {
-	base := a.blocks * a.ways
-	if base == len(a.lines) {
-		a.grow()
+// move gives set, whose n-way block at base is full, a block of 2n ways
+// holding the same ways in the same order, and frees the old block (after
+// poisoning it under a sanitizer). It returns the new block's offset.
+func (a *array) move(set, base, n int) int {
+	to := a.alloc(2 * n)
+	copy(a.lines[to:to+n], a.lines[base:base+n])
+	copy(a.tags[to:to+n], a.tags[base:base+n])
+	if a.directory {
+		copy(a.sharers[to:to+n], a.sharers[base:base+n])
+		copy(a.owner[to:to+n], a.owner[base:base+n])
 	}
-	a.blocks++
-	clear(a.tags[base : base+a.ways])
-	return a.blocks
+	a.dir[set] = uint32(to)<<a.sizeBits | uint32(2*n)
+	if a.checked {
+		a.poison(base, n)
+	}
+	a.freeBlock(base, n)
+	return to
 }
 
-// grow doubles the slab, up to the dense size, copying the blocks in use.
-// Under a sanitizer it also poisons the ways it leaves behind, directory
-// entries included.
+// freeTag marks the first way of a free n-way block: neither 0 nor held,
+// so no tag of a block in use reads as it.
+func freeTag(n int) uint32 { return uint32(bits.Len(uint(n))) }
+
+// alloc returns the offset of a block of n ways (a power of two up to
+// ways, or ways), every way empty. Zero tags are all an empty way needs:
+// its line is never read before insert overwrites it.
+func (a *array) alloc(n int) int {
+	off := a.take(n)
+	clear(a.tags[off : off+n])
+	return off
+}
+
+// take returns a free n-way block: the last one freed, else the lower half
+// of a 2n-way block whose upper half it frees, else a new chunk. A stacked
+// offset whose first tag is not freeTag(n) is stale (the block has since
+// merged into a larger one or been handed out) and is dropped.
+func (a *array) take(n int) int {
+	k := bits.Len(uint(n)) - 1
+	for len(a.free[k]) > 0 {
+		off := int(a.free[k][len(a.free[k])-1])
+		a.free[k] = a.free[k][:len(a.free[k])-1]
+		if a.tags[off] == freeTag(n) {
+			return off
+		}
+	}
+	if n == a.ways {
+		return a.newChunk()
+	}
+	off := a.take(2 * n)
+	a.markFree(off+n, n)
+	return off
+}
+
+// freeBlock frees the n-way block at off, merging it with its buddy (the
+// other half of the 2n-way block it was split from) while that is free.
+func (a *array) freeBlock(off, n int) {
+	for n < a.ways {
+		buddy := off ^ n
+		if a.tags[buddy] != freeTag(n) {
+			break
+		}
+		a.tags[buddy] = 0 // its stacked offset goes stale
+		off &^= n
+		n *= 2
+	}
+	a.markFree(off, n)
+}
+
+func (a *array) markFree(off, n int) {
+	a.tags[off] = freeTag(n)
+	k := bits.Len(uint(n)) - 1
+	a.free[k] = append(a.free[k], int32(off))
+}
+
+// newChunk hands out the slab's next unused chunk, growing the slab if every
+// chunk is out.
+func (a *array) newChunk() int {
+	off := a.chunks * a.ways
+	if off == len(a.lines) {
+		a.grow()
+	}
+	a.chunks++
+	return off
+}
+
+// grow doubles the slab's chunks, copying the ones handed out, up to one
+// chunk per set; past that, which buddy fragments can force, it adds an
+// eighth. Under a sanitizer it also poisons the ways it leaves behind.
 func (a *array) grow() {
-	n := min(max(2*a.blocks, 1), a.sets) * a.ways
-	used := a.blocks * a.ways
+	c := min(max(2*a.chunks, 1), a.sets)
+	if c <= a.chunks {
+		c = a.chunks + max(1, a.chunks/8)
+	}
+	n, used := c*a.ways, a.chunks*a.ways
+	if uint64(n) > 1<<(32-a.sizeBits) {
+		panic("cache: array too large for its set directory")
+	}
 	lines, tags := make([]line, n), make([]uint32, n)
 	copy(lines, a.lines[:used])
 	copy(tags, a.tags[:used])
@@ -429,20 +543,29 @@ func (a *array) grow() {
 		copy(owner, a.owner[:used])
 	}
 	if a.checked {
-		for i := range a.lines {
-			a.lines[i] = poisonLine
-		}
-		for i := range a.sharers {
-			a.sharers[i], a.owner[i] = poisonSharers, poisonOwner
-		}
+		a.poison(0, len(a.lines))
 	}
 	a.lines, a.tags, a.sharers, a.owner = lines, tags, sharers, owner
 }
 
-// check attaches (on) or detaches the sanitizer's growth rule. A checked
+// poison overwrites n ways from off, directory entries included, with
+// values no model code writes. Their tags are left alone: the allocator
+// keeps its marks there.
+func (a *array) poison(off, n int) {
+	for i := off; i < off+n; i++ {
+		a.lines[i] = poisonLine
+	}
+	if a.directory {
+		for i := off; i < off+n; i++ {
+			a.sharers[i], a.owner[i] = poisonSharers, poisonOwner
+		}
+	}
+}
+
+// check attaches (on) or detaches the sanitizer's move rule. A checked
 // array drops the capacity its slab kept, so it regrows from empty in every
-// run (at 1, 2, 4, ... filled sets) whatever the pool held, and every growth
-// poisons what it moved. Call before the first probe.
+// run whatever the pool held, and it poisons the ways every block move and
+// every slab growth leave. Call before the first probe.
 func (a *array) check(on bool) {
 	a.checked = on
 	if on {
@@ -484,12 +607,12 @@ func (a *array) invalidate(l *line) {
 // forEachValid visits every held line with its address, in set order (used
 // by tests and drain logic).
 func (a *array) forEachValid(fn func(lineAddr uint64, l *line)) {
-	for _, b := range a.dir {
-		if b == 0 {
+	for _, d := range a.dir {
+		if d == 0 {
 			continue
 		}
-		base := (int(b) - 1) * a.ways
-		for i, tag := range a.tags[base : base+a.ways] {
+		base, n := a.block(d)
+		for i, tag := range a.tags[base : base+n] {
 			if tag != 0 {
 				fn(addrFrom(tag, a.lines[base+i].hi), &a.lines[base+i])
 			}

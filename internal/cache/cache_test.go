@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -436,8 +437,8 @@ func TestLineSizeof(t *testing.T) {
 	if sz := wayBytes(true); sz > 22 {
 		t.Fatalf("a bank way takes %d bytes, want <= 22", sz)
 	}
-	var sl slab
-	if sz := 16 * unsafe.Sizeof(sl.tags[0]); sz != 64 {
+	var a array
+	if sz := 16 * unsafe.Sizeof(a.tags[0]); sz != 64 {
 		t.Fatalf("a 16-way set's tags take %d bytes, want 64", sz)
 	}
 }
@@ -586,14 +587,19 @@ func (d *denseArray) insert(i int, la uint64) {
 // reference through the same seeded lookup/probe/insert/invalidate/touch
 // sequences, field writes included, and requires the same answer from every
 // call and the same contents afterwards, bank arrays' directory entries
-// (sharers, owner) included. A fill goes through probe, checked
-// against the dense model's lookup-then-victim: hit flag, way and evicted
-// address. The geometries cover Table III's, non-power-of-two set counts and
-// bank-local indexing; each array is released before the next is built, so
-// later arrays run on recycled slabs of every size, grown and not, and one
-// in three runs under the sanitizer's regrow-and-poison rule (a checked
-// array). Every other run draws line numbers that collide in a tag's 31 bits
-// and differ above it.
+// (sharers, owner) included. A fill goes through probe, checked against the
+// dense model's lookup-then-victim: hit flag, way and evicted address. The
+// geometries cover Table III's, non-power-of-two set counts and bank-local
+// indexing. Each geometry runs spread sequences, from a few sets to past the
+// array's capacity (every other one with line numbers that collide in a
+// tag's 31 bits and differ above it), and sequences concentrated on three
+// sets of twice their ways' lines, which must take a set through every
+// block size, evict RRIP victims at full associativity and invalidate its
+// lowest and highest ways. Each array is released before the next is
+// built, so all but a geometry's first sequence run on recycled slabs, and
+// one in three is checked (the sanitizer's regrow-and-poison rule).
+// Afterwards the sets' blocks must be power-of-two sized, aligned to their
+// size and disjoint.
 func TestDirectoryArrayMatchesDense(t *testing.T) {
 	type geom struct{ sizeBytes, ways, interleave, tiles int }
 	geoms := []geom{
@@ -605,107 +611,177 @@ func TestDirectoryArrayMatchesDense(t *testing.T) {
 		{256 << 10, 16, 0, 1},    // Table III L2
 		{1 << 20, 16, 1024, 64},  // Table III L3 bank
 		{1 << 20, 16, 64, 64},    // 64 B interleave
-		{48 << 10, 8, 0, 1},      // again, on a recycled slab
-		{64 << 10, 16, 1024, 64},
 	}
 	rng := rand.New(rand.NewSource(27))
-	for run := 0; run < 3*len(geoms); run++ {
-		g := geoms[run%len(geoms)]
-		a := newArray(g.sizeBytes, g.ways, 0.03)
-		if g.interleave != 0 {
-			a = newBank(g.sizeBytes, g.ways, 0.03, g.interleave, g.tiles)
+	for _, g := range geoms {
+		for rep := 0; rep < 3; rep++ {
+			for _, concentrated := range []bool{false, true} {
+				name := fmt.Sprintf("%+v rep %d concentrated %v", g, rep, concentrated)
+				runDense(t, name, g.sizeBytes, g.ways, g.interleave, g.tiles, rep, concentrated, rep == 2, rng)
+			}
 		}
-		a.check(run%3 == 2)
-		d := newDenseArray(a)
+	}
+}
+
+// runDense is one sequence of TestDirectoryArrayMatchesDense.
+func runDense(t *testing.T, name string, sizeBytes, ways, interleave, tiles, rep int, concentrated, checked bool, rng *rand.Rand) {
+	var a *array
+	if interleave == 0 {
+		a = newArray(sizeBytes, ways, 0.03)
+	} else {
+		a = newBank(sizeBytes, ways, 0.03, interleave, tiles)
+	}
+	a.check(checked)
+	d := newDenseArray(a)
+	// addr maps a bank-local line index to an address of a chunk this bank
+	// owns (bank 0 of tiles), so set = index % sets in every geometry.
+	addr := func(idx uint64) uint64 {
+		if interleave == 0 {
+			return idx * 64
+		}
+		per := uint64(interleave / 64) // lines per interleave chunk
+		return (idx/per*uint64(tiles)*per + idx%per) * 64
+	}
+	var next func() uint64
+	if concentrated {
+		sets := []int{rng.Intn(a.sets), rng.Intn(a.sets), rng.Intn(a.sets)}
+		next = func() uint64 {
+			return addr(uint64(sets[rng.Intn(len(sets))] + rng.Intn(2*a.ways)*a.sets))
+		}
+	} else {
 		// Footprints from a few sets to past the array's capacity, so runs
 		// fill anything from a handful of sets to all of them.
 		span := 1 + rng.Intn(4*a.sets*a.ways)
-		aliases := 1 + 2*(run%2) // line numbers 0, 1 or 2 << 31 apart
-		for op := 0; op < 4000; op++ {
-			la := (uint64(rng.Intn(span)) + uint64(rng.Intn(aliases))<<loBits) * 64
-			if il := uint64(g.interleave); il != 0 {
-				// A line of a chunk this bank owns (bank 0 of tiles).
-				la = la/il*uint64(g.tiles)*il + la%il
+		aliases := 1 + 2*(rep%2) // line numbers 0, 1 or 2 << 31 apart
+		next = func() uint64 {
+			return addr(uint64(rng.Intn(span)) + uint64(rng.Intn(aliases))<<loBits)
+		}
+	}
+	// way is slot's way in la's set: its offset in the set's block.
+	way := func(la uint64, slot *line) int {
+		base, _ := a.block(a.dir[a.setOf(la)])
+		return a.indexOf(slot) - base
+	}
+	sizes := map[int]bool{}
+	victims, lowInval, highInval := 0, 0, 0
+	for op := 0; op < 4000; op++ {
+		la := next()
+		want := d.lookup(la)
+		var hit *line
+		if rng.Intn(3) == 0 {
+			if hit = a.lookup(la); (hit != nil) != (want >= 0) {
+				t.Fatalf("%s op %d: lookup(%#x) hit %v, dense %v", name, op, la, hit != nil, want >= 0)
 			}
-			want := d.lookup(la)
-			var hit *line
-			if rng.Intn(3) == 0 {
-				if hit = a.lookup(la); (hit != nil) != (want >= 0) {
-					t.Fatalf("run %d %+v op %d: lookup(%#x) hit %v, dense %v", run, g, op, la, hit != nil, want >= 0)
+			if hit == nil {
+				continue
+			}
+		} else {
+			// A fill: one probe against the dense lookup-then-victim.
+			slot, found := a.probe(la)
+			_, n := a.block(a.dir[a.setOf(la)])
+			sizes[n] = true
+			if found != (want >= 0) {
+				t.Fatalf("%s op %d: probe(%#x) hit %v, dense %v", name, op, la, found, want >= 0)
+			}
+			if found {
+				if way(la, slot) != want%a.ways {
+					t.Fatalf("%s op %d: probe(%#x) hit way %d, dense way %d", name, op, la, way(la, slot), want%a.ways)
 				}
-				if hit == nil {
-					continue
-				}
+				hit = slot
 			} else {
-				// A fill: one probe against the dense lookup-then-victim.
-				slot, found := a.probe(la)
-				if found != (want >= 0) {
-					t.Fatalf("run %d %+v op %d: probe(%#x) hit %v, dense %v", run, g, op, la, found, want >= 0)
+				dv := d.victim(la)
+				va, held := a.addrOf(slot)
+				if held != (d.tags[dv] != 0) || va != d.tags[dv]&^1 || way(la, slot) != dv%a.ways {
+					t.Fatalf("%s op %d: probe(%#x) victim = way %d %#x/%v, dense way %d %#x",
+						name, op, la, way(la, slot), va, held, dv%a.ways, d.tags[dv])
 				}
-				if found {
-					if a.indexOf(slot)%a.ways != want%a.ways {
-						t.Fatalf("run %d %+v op %d: probe(%#x) hit way %d, dense way %d", run, g, op, la, a.indexOf(slot)%a.ways, want%a.ways)
-					}
-					hit = slot
-				} else {
-					dv := d.victim(la)
-					va, held := a.addrOf(slot)
-					if held != (d.tags[dv] != 0) || va != d.tags[dv]&^1 || a.indexOf(slot)%a.ways != dv%a.ways {
-						t.Fatalf("run %d %+v op %d: probe(%#x) victim = way %d %#x/%v, dense way %d %#x",
-							run, g, op, la, a.indexOf(slot)%a.ways, va, held, dv%a.ways, d.tags[dv])
-					}
-					a.insert(slot, la)
-					d.insert(dv, la)
-					slot.setState(stModified)
-					slot.set(fStream, true)
-					slot.streamID = int16(op % 100)
-					d.lines[dv].bits, d.lines[dv].streamID = slot.bits, slot.streamID
-					continue
+				if held {
+					victims++
 				}
+				a.insert(slot, la)
+				d.insert(dv, la)
+				slot.setState(stModified)
+				slot.set(fStream, true)
+				slot.streamID = int16(op % 100)
+				d.lines[dv].bits, d.lines[dv].streamID = slot.bits, slot.streamID
+				continue
 			}
-			if !d.sameMeta(a, hit, want) {
-				t.Fatalf("run %d %+v op %d: line %#x = %+v, dense %+v", run, g, op, la, *hit, d.lines[want])
-			}
-			switch rng.Intn(3) {
+		}
+		if !d.sameMeta(a, hit, want) {
+			t.Fatalf("%s op %d: line %#x = %+v, dense %+v", name, op, la, *hit, d.lines[want])
+		}
+		switch rng.Intn(3) {
+		case 0:
+			a.touch(hit)
+			d.lines[want].rrpv = 0
+		case 1:
+			switch want % a.ways {
 			case 0:
-				a.touch(hit)
-				d.lines[want].rrpv = 0
-			case 1:
-				a.invalidate(hit)
-				d.tags[want], d.lines[want] = 0, emptyLine
-				d.sharers[want], d.owner[want] = 0, noOwner
-			default:
-				hit.set(fDirty, true)
-				d.lines[want].bits = hit.bits
-				if a.directory {
-					w := a.indexOf(hit)
-					a.sharers[w], a.owner[w] = rng.Uint64(), int16(rng.Intn(64))
-					d.sharers[want], d.owner[want] = a.sharers[w], a.owner[w]
-				}
+				lowInval++
+			case a.ways - 1:
+				highInval++
+			}
+			a.invalidate(hit)
+			d.tags[want], d.lines[want] = 0, emptyLine
+			d.sharers[want], d.owner[want] = 0, noOwner
+		default:
+			hit.set(fDirty, true)
+			d.lines[want].bits = hit.bits
+			if a.directory {
+				w := a.indexOf(hit)
+				a.sharers[w], a.owner[w] = rng.Uint64(), int16(rng.Intn(64))
+				d.sharers[want], d.owner[want] = a.sharers[w], a.owner[w]
 			}
 		}
-		var got, want []uint64
-		a.forEachValid(func(la uint64, l *line) {
-			if !d.sameMeta(a, l, d.lookup(la)) {
-				t.Fatalf("run %d %+v: final line %#x = %+v, dense %+v", run, g, la, *l, d.lines[d.lookup(la)])
+	}
+	var got, want []uint64
+	a.forEachValid(func(la uint64, l *line) {
+		if !d.sameMeta(a, l, d.lookup(la)) {
+			t.Fatalf("%s: final line %#x = %+v, dense %+v", name, la, *l, d.lines[d.lookup(la)])
+		}
+		got = append(got, la)
+	})
+	for i, tag := range d.tags {
+		if tag != 0 {
+			want = append(want, tag&^1)
+		}
+		if held := a.dir[i/a.ways] != 0; !held && tag != 0 {
+			t.Fatalf("%s: set %d holds %#x in the dense array but was never filled", name, i/a.ways, tag&^1)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: forEachValid visits %d lines, dense holds %d, or in another order", name, len(got), len(want))
+	}
+	owner := make([]int, len(a.lines))
+	for set, dv := range a.dir {
+		if dv == 0 {
+			continue
+		}
+		base, n := a.block(dv)
+		if n&(n-1) != 0 || n > a.ways || base%n != 0 || base+n > a.chunks*a.ways {
+			t.Fatalf("%s: set %d has a %d-way block at way %d of %d handed out", name, set, n, base, a.chunks*a.ways)
+		}
+		for i := base; i < base+n; i++ {
+			if owner[i] != 0 {
+				t.Fatalf("%s: sets %d and %d share way %d", name, owner[i]-1, set, i)
 			}
-			got = append(got, la)
-		})
-		for i, tag := range d.tags {
-			if tag != 0 {
-				want = append(want, tag&^1)
-			}
-			if held := a.dir[i/a.ways] != 0; !held && tag != 0 {
-				t.Fatalf("run %d %+v: set %d holds %#x in the dense array but was never filled", run, g, i/a.ways, tag&^1)
+			owner[i] = set + 1
+		}
+	}
+	if a.directory && (len(a.sharers) != len(a.lines) || len(a.owner) != len(a.lines)) {
+		t.Fatalf("%s: %d lines but %d sharers and %d owners", name, len(a.lines), len(a.sharers), len(a.owner))
+	}
+	a.release()
+	if concentrated {
+		for n := 1; n <= a.ways; n *= 2 {
+			if !sizes[n] {
+				t.Errorf("%s: no set reached a %d-way block", name, n)
 			}
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("run %d %+v: forEachValid visits %d lines, dense holds %d, or in another order", run, g, len(got), len(want))
+		if victims == 0 || lowInval == 0 || highInval == 0 {
+			t.Errorf("%s: %d victims at full associativity, %d invalidations in way 0 and %d in way %d; want each > 0",
+				name, victims, lowInval, highInval, a.ways-1)
 		}
-		if a.blocks > a.sets || len(a.lines) > a.sets*a.ways || a.directory && (len(a.sharers) != len(a.lines) || len(a.owner) != len(a.lines)) {
-			t.Fatalf("run %d %+v: %d blocks in a slab of %d ways for %d sets", run, g, a.blocks, len(a.lines), a.sets)
-		}
-		a.release()
 	}
 }
 
@@ -725,34 +801,64 @@ func TestReleasedArrayPanics(t *testing.T) {
 }
 
 // TestSanitizedGrowthPoisonsMovedLines: under a sanitizer a pointer kept
-// across the probe that grew the slab reads poison, not a plausible copy,
+// across a probe that moved its line reads poison, not a plausible copy,
 // and so does the directory entry it left behind: every sharer bit set, and
-// an owner that names no tile.
+// an owner that names no tile. Both moves are covered: a set's block
+// doubling (the block it vacated) and the slab growing (the whole old slab).
 func TestSanitizedGrowthPoisonsMovedLines(t *testing.T) {
-	a := newBank(64*64*4, 4, 0.03, 0, 1)
+	a := newBank(64*64*4, 4, 0.03, 0, 1) // 64 sets x 4 ways
 	a.check(true)
-	slot, _ := a.probe(0)
-	a.insert(slot, 0)
+	fill := func(la uint64) *line {
+		slot, hit := a.probe(la)
+		if hit {
+			t.Fatalf("probe(%#x) hit", la)
+		}
+		a.insert(slot, la)
+		return slot
+	}
+	poisoned := func(what string, l *line, sharers uint64, owner int16) {
+		t.Helper()
+		if *l != poisonLine {
+			t.Errorf("%s: kept pointer reads %+v, want the poison line", what, *l)
+		}
+		if sharers != ^uint64(0) || owner >= 0 && owner < 64 {
+			t.Errorf("%s: left-behind directory entry = sharers %#x, owner %d; want every sharer bit set and no tile", what, sharers, owner)
+		}
+	}
+	moved := func(what string, la uint64, stream int16, sharers uint64, owner int16) {
+		t.Helper()
+		if l := a.lookup(la); l == nil || l.streamID != stream {
+			t.Errorf("%s: line %#x = %+v, want the moved line with stream %d", what, la, l, stream)
+		}
+		if sh, ow, held := a.entry(la); !held || sh != sharers || ow != owner {
+			t.Errorf("%s: line %#x's directory entry = %#x/%d/%v, want the moved entry %#x/%d", what, la, sh, ow, held, sharers, owner)
+		}
+	}
+
+	// Set 0's first line sits in a 1-way block; a second line of set 0
+	// moves the set to a 2-way block and frees the first.
+	slot := fill(0)
 	slot.streamID = 3
 	w := a.indexOf(slot)
 	a.sharers[w], a.owner[w] = 0b101, 1
-	stale, sharers, owner := slot, a.sharers, a.owner
-	slot, _ = a.probe(64) // a second set: the slab grows from 1 block to 2
-	a.insert(slot, 64)
-	if *stale != poisonLine {
-		t.Errorf("kept pointer reads %+v after growth, want the poison line", *stale)
+	stale := slot
+	fill(64 * 64)
+	if a.indexOf(a.lookup(0)) == w {
+		t.Fatal("set 0 did not move when its 1-way block filled")
 	}
-	for i := range sharers {
-		if sharers[i] != ^uint64(0) || owner[i] >= 0 && owner[i] < 64 {
-			t.Errorf("left-behind directory entry %d = sharers %#x, owner %d; want every sharer bit set and no tile", i, sharers[i], owner[i])
-		}
+	poisoned("block move", stale, a.sharers[w], a.owner[w])
+	moved("block move", 0, 3, 0b101, 1)
+
+	// More sets than the first chunk holds: the slab grows and every way it
+	// held is poisoned where it was.
+	l := a.lookup(0)
+	w = a.indexOf(l)
+	stale, sharers, owner, size := l, a.sharers, a.owner, len(a.lines)
+	for set := uint64(1); len(a.lines) == size; set++ {
+		fill(set * 64)
 	}
-	if l := a.lookup(0); l == nil || l.streamID != 3 {
-		t.Errorf("line 0 after growth = %+v, want the moved line with stream 3", l)
-	}
-	if sh, ow, held := a.entry(0); !held || sh != 0b101 || ow != 1 {
-		t.Errorf("line 0's directory entry after growth = %#x/%d/%v, want the moved entry 0x5/1", sh, ow, held)
-	}
+	poisoned("slab growth", stale, sharers[w], owner[w])
+	moved("slab growth", 0, 3, 0b101, 1)
 }
 
 func TestBankLocalIndexingUsesAllSets(t *testing.T) {
@@ -1094,19 +1200,18 @@ func missRounds(r *rig, hits int) (dram, l3hit func(i int), completed *int) {
 	return dram, l3hit, completed
 }
 
-// fillEverySet leaves one line in every set of every cache array, through
-// the functional warm-up and at addresses no test here uses, so no array's
-// slab grows inside a measured window: a slab grows as a run fills sets for
-// the first time, and only a machine built on recycled slabs starts at the
-// size its predecessor reached.
-func fillEverySet(sys *System, cfg config.Config) {
+// fillEveryWay fills every way of every cache array through the functional
+// warm-up, at addresses no test here uses, so no set's block moves and no
+// slab grows inside a measured window: both happen only while a run still
+// fills ways for the first time.
+func fillEveryWay(sys *System, cfg config.Config) {
 	const far = 1 << 40
-	for la := uint64(0); la < uint64(cfg.Tiles()*cfg.L3.SizeBytes/cfg.L3.Ways); la += 64 {
+	for la := uint64(0); la < uint64(cfg.Tiles()*cfg.L3.SizeBytes); la += 64 {
 		sys.WarmShared(far + la)
 	}
 	for tile := 0; tile < cfg.Tiles(); tile++ {
 		base := uint64(far + (1+tile)<<30)
-		for la := uint64(0); la < uint64(cfg.L2.SizeBytes/cfg.L2.Ways); la += 64 {
+		for la := uint64(0); la < uint64(cfg.L2.SizeBytes); la += 64 {
 			sys.WarmPrivate(tile, base+la, false)
 		}
 	}
@@ -1122,7 +1227,7 @@ func fillEverySet(sys *System, cfg config.Config) {
 func TestDemandMissZeroAlloc(t *testing.T) {
 	const perRound, rounds, warm = 16, 20, 4
 	r := newRig(t, nil)
-	fillEverySet(r.sys, r.cfg)
+	fillEveryWay(r.sys, r.cfg)
 	dram, l3hit, completed := missRounds(r, perRound*(warm+rounds+1))
 	done := func(event.Cycle) { *completed++ }
 	const mergeBase, prefBase = 0xc000000, 0x10000000

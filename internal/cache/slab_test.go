@@ -3,57 +3,46 @@ package cache_test
 import (
 	"testing"
 
+	"streamfloat/internal/cache"
 	"streamfloat/internal/config"
 	"streamfloat/internal/sanitize"
 	"streamfloat/internal/system"
 )
 
-// TestSlabBytesFollowFilledSets: host memory follows the sets a run fills,
-// not the geometry, and a way costs what its level needs. On the second
-// scale-0.03 SF/OOO8 mv point, built on the slabs the first released, the
-// arrays hold at most twice the bytes of the blocks the run filled (slabs
-// grow by doubling) and under a quarter of Table III's dense arrays. In
-// absolute terms (linux/amd64), the filled sets take 4.4 MiB, the slabs hold
-// 4.6 MiB and the dense arrays would hold 25.4 MiB; while every way carried
-// the directory (28 bytes) these were 7.3, 7.8 and 35.9 MiB, so the ceilings
-// below fail that layout. The held ceiling is skipped under the race
-// detector, whose sync.Pool drops slabs at random and leaves some to regrow
-// by doubling. Unsanitized: a checked array regrows from empty.
-func TestSlabBytesFollowFilledSets(t *testing.T) {
+// TestSlabBytesFollowHeldLines: host memory follows the lines a run holds,
+// not the geometry, and a way costs what its level needs. A scale-0.03
+// SF/OOO8 mv point, built on fresh slabs (the pool bypassed, so the figure
+// does not depend on what earlier tests released), ends with slabs that hold
+// at most three times the bytes of the ways holding a line (a set's block
+// doubles as it fills, and a slab by whole chunks) and under 0.5 MiB, which
+// slabs of a whole block of ways per filled set fail (4.6 MiB), as does a
+// layout with the directory in every way. Table III's dense arrays would
+// hold 25.4 MiB.
+func TestSlabBytesFollowHeldLines(t *testing.T) {
 	cfg, err := config.ForSystem("SF", config.OOO8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.Sanitize = sanitize.ModeOff
-	point := func() *system.Machine {
-		m, err := system.Build(cfg, "mv", 0.03)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := m.Run(0); err != nil {
-			t.Fatal(err)
-		}
-		return m
+	defer cache.SetPoolBypass(true)()
+	m, err := system.Build(cfg, "mv", 0.03)
+	if err != nil {
+		t.Fatal(err)
 	}
-	point().Release()
-	m := point()
-	held, filled, dense := m.Caches.SlabBytes()
-	m.Release()
-	t.Logf("slabs hold %.1f MB for %.1f MB of filled sets; dense arrays would hold %.1f MB",
-		float64(held)/(1<<20), float64(filled)/(1<<20), float64(dense)/(1<<20))
-	if held > 2*filled {
-		t.Errorf("slabs hold %d bytes, more than twice the %d bytes of filled sets", held, filled)
+	if _, err := m.Run(0); err != nil {
+		t.Fatal(err)
 	}
-	if 4*held >= dense {
-		t.Errorf("slabs hold %d bytes, not under a quarter of the dense %d", held, dense)
+	held, blocks, lines, dense := m.Caches.SlabBytes()
+	mib := func(b int) float64 { return float64(b) / (1 << 20) }
+	t.Logf("slabs hold %.2f MiB: %.2f MiB of set blocks, %.2f MiB of held lines; dense arrays would hold %.1f MiB",
+		mib(held), mib(blocks), mib(lines), mib(dense))
+	if held > 3*lines {
+		t.Errorf("slabs hold %d bytes, more than three times the %d bytes of held lines", held, lines)
 	}
-	if filled >= 5<<20 {
-		t.Errorf("filled sets take %.1f MiB, want < 5 MiB", float64(filled)/(1<<20))
-	}
-	if held >= 6<<20 && !raceEnabled {
-		t.Errorf("slabs hold %.1f MiB, want < 6 MiB", float64(held)/(1<<20))
+	if held >= 1<<19 {
+		t.Errorf("slabs hold %.2f MiB, want < 0.5 MiB", mib(held))
 	}
 	if dense >= 26<<20 {
-		t.Errorf("dense arrays would hold %.1f MiB, want < 26 MiB", float64(dense)/(1<<20))
+		t.Errorf("dense arrays would hold %.1f MiB, want < 26 MiB", mib(dense))
 	}
 }

@@ -214,19 +214,18 @@ func TestIrregularPatternLowAccuracy(t *testing.T) {
 	}
 }
 
-// fillEverySet leaves one line in every set of every cache array, through
-// the functional warm-up and at addresses no test here uses, so no array's
-// slab grows inside a measured window: a slab grows as a run fills sets for
-// the first time, and only a machine built on recycled slabs starts at the
-// size its predecessor reached.
-func fillEverySet(sys *cache.System, cfg config.Config) {
+// fillEveryWay fills every way of every cache array through the functional
+// warm-up, at addresses no test here uses, so no set's block moves and no
+// slab grows inside a measured window: both happen only while a run still
+// fills ways for the first time.
+func fillEveryWay(sys *cache.System, cfg config.Config) {
 	const far = 1 << 40
-	for la := uint64(0); la < uint64(cfg.Tiles()*cfg.L3.SizeBytes/cfg.L3.Ways); la += 64 {
+	for la := uint64(0); la < uint64(cfg.Tiles()*cfg.L3.SizeBytes); la += 64 {
 		sys.WarmShared(far + la)
 	}
 	for tile := 0; tile < cfg.Tiles(); tile++ {
 		base := uint64(far + (1+tile)<<30)
-		for la := uint64(0); la < uint64(cfg.L2.SizeBytes/cfg.L2.Ways); la += 64 {
+		for la := uint64(0); la < uint64(cfg.L2.SizeBytes); la += 64 {
 			sys.WarmPrivate(tile, base+la, false)
 		}
 	}
@@ -249,7 +248,7 @@ func TestPrefetchBurstZeroAlloc(t *testing.T) {
 		{"bingo", config.PrefetchBingo, false},
 	} {
 		r, st, sys, _ := newRig(c.kind, c.bulk)
-		fillEverySet(sys, rigConfig(c.kind, c.bulk))
+		fillEveryWay(sys, rigConfig(c.kind, c.bulk))
 		next := 0
 		walk := func() {
 			for i := 0; i < perRound; i++ {
