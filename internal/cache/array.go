@@ -521,12 +521,14 @@ func (a *array) newChunk() int {
 }
 
 // grow doubles the slab's chunks, copying the ones handed out, up to one
-// chunk per set; past that, which buddy fragments can force, it adds an
-// eighth. Under a sanitizer it also poisons the ways it leaves behind.
+// chunk per set. Past that, which buddy fragments can force near full
+// occupancy (scale-1 runs need one chunk more), it doubles only the chunks
+// past one per set. Under a sanitizer it also poisons the ways it leaves
+// behind.
 func (a *array) grow() {
 	c := min(max(2*a.chunks, 1), a.sets)
 	if c <= a.chunks {
-		c = a.chunks + max(1, a.chunks/8)
+		c = a.chunks + max(1, a.chunks-a.sets)
 	}
 	n, used := c*a.ways, a.chunks*a.ways
 	if uint64(n) > 1<<(32-a.sizeBits) {

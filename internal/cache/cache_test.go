@@ -599,7 +599,7 @@ func (d *denseArray) insert(i int, la uint64) {
 // built, so all but a geometry's first sequence run on recycled slabs, and
 // one in three is checked (the sanitizer's regrow-and-poison rule).
 // Afterwards the sets' blocks must be power-of-two sized, aligned to their
-// size and disjoint.
+// size and disjoint, and the slab at most two chunks past one per set.
 func TestDirectoryArrayMatchesDense(t *testing.T) {
 	type geom struct{ sizeBytes, ways, interleave, tiles int }
 	geoms := []geom{
@@ -770,6 +770,11 @@ func runDense(t *testing.T, name string, sizeBytes, ways, interleave, tiles, rep
 	}
 	if a.directory && (len(a.sharers) != len(a.lines) || len(a.owner) != len(a.lines)) {
 		t.Fatalf("%s: %d lines but %d sharers and %d owners", name, len(a.lines), len(a.sharers), len(a.owner))
+	}
+	// Buddy fragments can need a chunk past one per set near full
+	// occupancy, never a growth step's worth.
+	if len(a.lines) > (a.sets+2)*a.ways {
+		t.Fatalf("%s: %d chunks for %d sets", name, len(a.lines)/a.ways, a.sets)
 	}
 	a.release()
 	if concentrated {
