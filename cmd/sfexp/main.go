@@ -17,11 +17,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -29,6 +31,7 @@ import (
 
 	"streamfloat"
 	"streamfloat/internal/cluster"
+	"streamfloat/internal/experiments"
 	"streamfloat/internal/serve"
 )
 
@@ -58,7 +61,7 @@ func run() (err error) {
 		sampleK   = flag.Int("sample-intervals", 16, "with -sample: intervals each kernel phase is partitioned into (K)")
 		sampleM   = flag.Int("sample-measure", 0, "with -sample: intervals measured in detail (0 = min(3, K))")
 		sampleSd  = flag.Int64("sample-seed", 0, "with -sample: deterministic measured-block placement (0 centers the block)")
-		chart     = flag.String("chart", "", "also render an ASCII bar chart of metrics with this suffix (e.g. speedup)")
+		chart     = flag.String("chart", "", "also render an ASCII bar chart of metrics with this suffix (e.g. speedup) under each aligned table (not with -csv or -json)")
 		san       = flag.String("sanitize", "auto", "runtime invariant probes: on, off, or auto (on inside go test, off here)")
 		cacheDir  = flag.String("cache", "", "keep the result cache in this directory (shared with sfserve) instead of memory only; re-running an interrupted sweep over the same directory replays its completed and quarantined points")
 		backends  = flag.String("backends", "", "comma-separated sfserve backends to shard the sweep over (host:port,...); the result cache computes the points they cannot serve")
@@ -76,8 +79,20 @@ func run() (err error) {
 	// a bad value is a usage error now, not a surprise minutes into a sweep.
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if err := validateSweepFlags(explicit, *scale, *workers, *sampleK, *sampleM); err != nil {
+	if err := validateSweepFlags(sweepFlags{
+		explicit: explicit, scale: *scale, workers: *workers, k: *sampleK, m: *sampleM,
+		chart: *chart, asCSV: *asCSV, asJSON: *asJSON,
+	}); err != nil {
 		return err
+	}
+	// Figure ids resolve up front too: a typo is reported before any
+	// simulation runs.
+	ids := experiments.Names()
+	if *fig != "all" {
+		if _, ok := experiments.ByName(*fig); !ok {
+			return fmt.Errorf("unknown figure %q (want 2, 13-19, area, ablations, latency, or all)", *fig)
+		}
+		ids = []string{*fig}
 	}
 
 	if *cpuProf != "" {
@@ -173,24 +188,15 @@ func run() (err error) {
 		}()
 	}
 
-	if *asJSON && *asCSV {
-		return fmt.Errorf("-json and -csv are mutually exclusive")
-	}
-
-	// -fig all -csv writes one CSV per figure; -out names the directory.
-	if *fig == "all" && *asCSV {
-		dir := *outPath
-		if dir == "" {
-			dir = "."
-		}
-		if err := streamfloat.WriteExperimentCSVs(opts, dir); err != nil {
-			return err
-		}
-		return runTrace(opts, *tracePath, *traceSys)
-	}
-
 	var w io.Writer = os.Stdout
-	if *outPath != "" {
+	out := output{json: *asJSON, csv: *asCSV, chart: *chart}
+	if *fig == "all" && *asCSV {
+		// -fig all -csv writes one CSV per figure; -out names the directory.
+		out.csvDir = *outPath
+		if out.csvDir == "" {
+			out.csvDir = "."
+		}
+	} else if *outPath != "" {
 		f, ferr := os.Create(*outPath)
 		if ferr != nil {
 			return ferr
@@ -202,75 +208,116 @@ func run() (err error) {
 		}()
 		w = f
 	}
-
-	// -json emits one machine-readable report for the whole evaluation or a
-	// single figure; sampled sweeps carry their confidence intervals.
-	if *asJSON {
-		var tables []streamfloat.NamedExperimentTable
-		if *fig == "all" {
-			tables, err = streamfloat.AllExperimentTables(opts)
-		} else {
-			var t *streamfloat.ExperimentTable
-			t, err = streamfloat.Experiment(*fig, opts)
-			tables = []streamfloat.NamedExperimentTable{{Name: *fig, Table: t}}
-		}
-		if err != nil {
-			return err
-		}
-		if err := streamfloat.WriteExperimentsJSON(w, tables); err != nil {
-			return err
-		}
-		return runTrace(opts, *tracePath, *traceSys)
+	run := func(id string) (*experiments.Table, error) {
+		fn, _ := experiments.ByName(id)
+		return fn(opts)
 	}
-
-	if *fig == "all" {
-		if err := streamfloat.AllExperiments(opts, w); err != nil {
-			return err
-		}
-		return runTrace(opts, *tracePath, *traceSys)
-	}
-	t, err := streamfloat.Experiment(*fig, opts)
-	if err != nil {
+	if err := emit(w, ids, run, out); err != nil {
 		return err
-	}
-	if *asCSV {
-		if err := t.WriteCSV(w); err != nil {
-			return err
-		}
-	} else {
-		t.Fprint(w)
-	}
-	if *chart != "" {
-		t.Chart(w, *chart, 48)
-	}
-	if !*asCSV {
-		// Trailing separator for the aligned-table form only: CSV output
-		// must stay machine-parseable with no stray blank record.
-		fmt.Fprintln(w)
 	}
 	return runTrace(opts, *tracePath, *traceSys)
 }
 
-// validateSweepFlags range-checks the sweep-shaping flags. explicit marks
-// flags the user actually passed: -workers and -sample-measure default to 0
+// output selects how emit writes the figures: an aligned table (with a chart
+// of the metrics ending in chart under it, when chart is set), CSV to the
+// writer, one CSV file per figure into csvDir, or one JSON report.
+type output struct {
+	json, csv bool
+	csvDir    string
+	chart     string
+}
+
+// emit regenerates the figures ids names, in order, through run, and writes
+// each one as it finishes; JSON collects the tables and writes them once at
+// the end. Every sfexp output format goes through this loop.
+func emit(w io.Writer, ids []string, run func(id string) (*experiments.Table, error), out output) error {
+	if out.csvDir != "" {
+		if err := os.MkdirAll(out.csvDir, 0o755); err != nil {
+			return err
+		}
+	}
+	var tables []experiments.NamedTable
+	for _, id := range ids {
+		t, err := run(id)
+		if err != nil {
+			return fmt.Errorf("%s: %w", id, err)
+		}
+		switch {
+		case out.json:
+			tables = append(tables, experiments.NamedTable{Name: id, Table: t})
+		case out.csvDir != "":
+			err = writeCSVFile(filepath.Join(out.csvDir, id+".csv"), t)
+		case out.csv:
+			err = t.WriteCSV(w)
+		default:
+			t.Fprint(w)
+			drew := out.chart != "" && t.Chart(w, out.chart, 48)
+			// A chart, and a lone figure, close with a blank line.
+			if drew || len(ids) == 1 {
+				fmt.Fprintln(w)
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("%s: %w", id, err)
+		}
+	}
+	if out.json {
+		return experiments.WriteJSON(w, tables)
+	}
+	return nil
+}
+
+// writeCSVFile writes t as CSV into a new file at path.
+func writeCSVFile(path string, t *experiments.Table) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteCSV(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// sweepFlags holds the flag values validateSweepFlags checks; explicit marks
+// the flags the user actually passed.
+type sweepFlags struct {
+	explicit      map[string]bool
+	scale         float64
+	workers, k, m int
+	chart         string
+	asCSV, asJSON bool
+}
+
+// validateSweepFlags range-checks the sweep-shaping flags and rejects output
+// flags that cannot combine. -workers and -sample-measure default to 0
 // meaning "auto-pick", so only explicit values are rejected for being
 // non-positive, while -scale and -sample-intervals must always be positive
-// and the measured block can never exceed the partition it samples from.
-func validateSweepFlags(explicit map[string]bool, scale float64, workers, sampleK, sampleM int) error {
-	if scale <= 0 {
-		return fmt.Errorf("-scale must be positive (got %v)", scale)
+// and the measured block can never exceed the partition it samples from. A
+// chart is drawn only under aligned tables, so -chart with -csv or -json is
+// an error rather than a stray bar chart in machine-readable output.
+func validateSweepFlags(f sweepFlags) error {
+	if f.scale <= 0 {
+		return fmt.Errorf("-scale must be positive (got %v)", f.scale)
 	}
-	if explicit["workers"] && workers <= 0 {
-		return fmt.Errorf("-workers must be positive (got %d); omit it to derive from GOMAXPROCS", workers)
+	if f.explicit["workers"] && f.workers <= 0 {
+		return fmt.Errorf("-workers must be positive (got %d); omit it to derive from GOMAXPROCS", f.workers)
 	}
-	if sampleK <= 0 {
-		return fmt.Errorf("-sample-intervals must be positive (got %d)", sampleK)
+	if f.k <= 0 {
+		return fmt.Errorf("-sample-intervals must be positive (got %d)", f.k)
 	}
-	if explicit["sample-measure"] && sampleM <= 0 {
-		return fmt.Errorf("-sample-measure must be positive (got %d); omit it for the min(3, K) default", sampleM)
+	if f.explicit["sample-measure"] && f.m <= 0 {
+		return fmt.Errorf("-sample-measure must be positive (got %d); omit it for the min(3, K) default", f.m)
 	}
-	if sampleM > sampleK {
-		return fmt.Errorf("-sample-measure (%d) cannot exceed -sample-intervals (%d)", sampleM, sampleK)
+	if f.m > f.k {
+		return fmt.Errorf("-sample-measure (%d) cannot exceed -sample-intervals (%d)", f.m, f.k)
+	}
+	if f.asJSON && f.asCSV {
+		return fmt.Errorf("-json and -csv are mutually exclusive")
+	}
+	if f.chart != "" && (f.asCSV || f.asJSON) {
+		return fmt.Errorf("-chart draws under aligned tables; it cannot combine with -csv or -json")
 	}
 	return nil
 }
@@ -300,7 +347,7 @@ func runTrace(opts streamfloat.ExperimentOptions, path, systemName string) error
 	if len(opts.Benchmarks) > 0 {
 		bench = opts.Benchmarks[0]
 	}
-	res, tr, err := streamfloat.TracedExperimentRun(opts, systemName, streamfloat.OOO8, bench)
+	res, tr, err := experiments.TracedRun(context.Background(), opts, systemName, streamfloat.OOO8, bench)
 	if err != nil {
 		return err
 	}

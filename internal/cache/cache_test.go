@@ -234,7 +234,7 @@ func TestGetUDoesNotTrackSharer(t *testing.T) {
 		bank.owner[w], bank.sharers[w] = noOwner, 0
 	}
 	delivered := false
-	r.sys.FloatRead(r.cfg.HomeBank(addr), addr, []int{7}, stats.L3FloatAffine, 64, nil,
+	r.sys.FloatReadAuto(r.cfg.HomeBank(addr), addr, []int{7}, stats.L3FloatAffine, 64, nil,
 		func(dst int, now event.Cycle) { delivered = dst == 7 })
 	r.Run()
 	if !delivered {
@@ -257,7 +257,7 @@ func TestGetUForwardFromOwnerKeepsState(t *testing.T) {
 	addr := LineAddr(0x800000)
 	r.access(4, addr, Write) // tile 4 owns M
 	delivered := false
-	r.sys.FloatRead(r.cfg.HomeBank(addr), addr, []int{11}, stats.L3FloatAffine, 64, nil,
+	r.sys.FloatReadAuto(r.cfg.HomeBank(addr), addr, []int{11}, stats.L3FloatAffine, 64, nil,
 		func(int, event.Cycle) { delivered = true })
 	r.Run()
 	if !delivered {
@@ -272,7 +272,7 @@ func TestGetUForwardFromOwnerKeepsState(t *testing.T) {
 func TestFloatReadSubline(t *testing.T) {
 	r := newRig(t, nil)
 	addr := LineAddr(0x900000)
-	r.sys.FloatRead(r.cfg.HomeBank(addr), addr, []int{3}, stats.L3FloatIndirect, 8, nil,
+	r.sys.FloatReadAuto(r.cfg.HomeBank(addr), addr, []int{3}, stats.L3FloatIndirect, 8, nil,
 		func(int, event.Cycle) {})
 	r.Run()
 	// An 8-byte subline response is a single flit; a full line would be 3.
@@ -1112,7 +1112,7 @@ func TestSanitizerCleanProtocolRun(t *testing.T) {
 	r.access(0, line+64, Write)
 	// A float read (GetU) over a directory-held line must not disturb it.
 	served := 0
-	r.sys.FloatRead(r.cfg.HomeBank(line), line, []int{5}, stats.L3FloatAffine, 64, nil,
+	r.sys.FloatReadAuto(r.cfg.HomeBank(line), line, []int{5}, stats.L3FloatAffine, 64, nil,
 		func(int, event.Cycle) { served++ })
 	r.Run()
 	if served != 1 {

@@ -100,9 +100,6 @@ func (s *System) bankHit(m *missOp, w int) {
 	reqBit := uint64(1) << uint(reqTile)
 
 	if m.excl {
-		if s.bankWrite != nil {
-			s.bankWrite(bank, la, reqTile)
-		}
 		m.granted = stModified
 		upgrade := arr.sharers[w]&reqBit != 0
 		// Invalidate all other sharers (inv + ack pairs). Remote copies on
@@ -383,25 +380,17 @@ func (s *System) putFloat(tile int, f *floatOp) {
 	s.lists[s.lay.Index(tile)].float.Put(f)
 }
 
-// FloatRead services an SE_L3-issued stream read at a bank: a GetU access
-// that never updates the sharer vector and responds directly to the
-// requesting tile(s) — multicast when a confluence group shares the data.
-// payloadBytes is the response payload (a full line, or a subline for
-// indirect elements). onBankReady (may be nil) fires when the data is
-// available at the bank (used by the operands table to chain indirect
-// accesses); deliver fires once per destination at arrival. dsts is copied.
-// Callers on the per-line path pass func values bound once, so a read
-// allocates nothing.
-func (s *System) FloatRead(bank int, la uint64, dsts []int, l3kind stats.L3ReqKind, payloadBytes int, onBankReady func(event.Cycle), deliver func(dst int, now event.Cycle)) {
-	f := s.newFloat(bank, la, l3kind, payloadBytes, onBankReady, deliver)
-	f.bank = bank
-	f.dsts = append(f.dsts, dsts...)
-	s.startFloat(f)
-}
-
-// FloatReadAuto issues a stream read from the bank currently running the
-// stream: if the line is homed elsewhere (a confluence member catching up
-// after a merge), a request message forwards it to the home bank first.
+// FloatReadAuto services an SE_L3-issued stream read: a GetU access that
+// never updates the sharer vector and responds directly to the requesting
+// tile(s) — multicast when a confluence group shares the data. curBank is
+// the bank currently running the stream: if the line is homed elsewhere (a
+// confluence member catching up after a merge), a request message forwards
+// it to the home bank first. payloadBytes is the response payload (a full
+// line, or a subline for indirect elements). onBankReady (may be nil) fires
+// when the data is available at the home bank (used by the operands table
+// to chain indirect accesses); deliver fires once per destination at
+// arrival. dsts is copied. Callers on the per-line path pass func values
+// bound once, so a read allocates nothing.
 func (s *System) FloatReadAuto(curBank int, la uint64, dsts []int, l3kind stats.L3ReqKind, payloadBytes int, onBankReady func(event.Cycle), deliver func(dst int, now event.Cycle)) {
 	f := s.newFloat(curBank, la, l3kind, payloadBytes, onBankReady, deliver)
 	f.dsts = append(f.dsts, dsts...)

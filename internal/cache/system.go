@@ -323,7 +323,6 @@ type System struct {
 	l2MissObserver func(tile int, lineAddr uint64, pc uint32)
 	streamReuse    func(tile int, streamID int)
 	l2DirtyEvict   func(tile int, lineAddr uint64)
-	bankWrite      func(bank int, lineAddr uint64, writerTile int)
 }
 
 // NewSystem builds the hierarchy for cfg over the machine's shard layout and
@@ -410,12 +409,6 @@ func (s *System) SetStreamReuseObserver(fn func(tile int, streamID int)) {
 // dirty line leaves the private L2 (§IV-E, window 2).
 func (s *System) SetL2DirtyEvictObserver(fn func(tile int, lineAddr uint64)) {
 	s.l2DirtyEvict = fn
-}
-
-// SetBankWriteObserver registers a hook fired when a bank grants write
-// ownership (GetX): the stream-grain coherence range check of §V-B.
-func (s *System) SetBankWriteObserver(fn func(bank int, lineAddr uint64, writerTile int)) {
-	s.bankWrite = fn
 }
 
 // SetTracer attaches the structured tracer to the hierarchy. nil detaches.

@@ -23,7 +23,7 @@ const (
 	// client sees a transport error (connection reset / EOF).
 	FaultDrop
 	// FaultDelay sleeps before forwarding (tail-latency injection; pair
-	// with the client's RequestTimeout to exercise the timed-out retry).
+	// with the client's request timeout to exercise the timed-out retry).
 	FaultDelay
 	// Fault5xx replies 503 without contacting the backend.
 	Fault5xx

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -31,30 +32,6 @@ type Config struct {
 	// nil uses a dedicated default client.
 	HTTPClient *http.Client
 
-	// RequestTimeout caps one remote attempt (<= 0 picks 5 minutes). A
-	// client-side timeout also cancels the backend's job: sfserve runs every
-	// job under the request context, so abandoning the connection aborts the
-	// simulation at its next event-loop poll.
-	RequestTimeout time.Duration
-
-	// MaxAttempts bounds remote tries per point across backends, including
-	// the first (<= 0 picks 3). Retries walk the key's failover order with
-	// exponential backoff + jitter; exhausting them degrades to local
-	// compute.
-	MaxAttempts int
-
-	// BaseBackoff seeds the exponential retry backoff (<= 0 picks 50ms);
-	// MaxBackoff caps it (<= 0 picks 2s). Each retry waits
-	// min(Base<<n, Max) plus up to 50% jitter.
-	BaseBackoff time.Duration
-	MaxBackoff  time.Duration
-
-	// FailThreshold is how many consecutive failures eject a backend
-	// (<= 0 picks 3); EjectFor is how long it stays ejected before being
-	// readmitted on probation (<= 0 picks 15s).
-	FailThreshold int
-	EjectFor      time.Duration
-
 	// Local handles local fallback computes (and plain Do calls), so even
 	// degraded points are cached: typically a durable *serve.Store. nil
 	// picks a memory-only Store.
@@ -65,8 +42,38 @@ type Config struct {
 	// backend ("" picks "sfexp").
 	Origin string
 
-	// now is an injectable clock for health-state tests. nil = time.Now.
-	now func() time.Time
+	// policy and now are injectable for tests: faster retry and ejection
+	// settings (zero fields take the constants below) and a clock for
+	// health-state tests (nil = time.Now).
+	policy policy
+	now    func() time.Time
+}
+
+// The retry and ejection settings.
+const (
+	// requestTimeout caps one remote attempt. A client-side timeout also
+	// cancels the backend's job: sfserve runs every job under the request
+	// context, so abandoning the connection aborts the simulation at its
+	// next event-loop poll.
+	requestTimeout = 5 * time.Minute
+	// maxAttempts bounds remote tries per point across backends, including
+	// the first. Retries walk the key's failover order with exponential
+	// backoff + jitter; exhausting them degrades to local compute.
+	maxAttempts = 3
+	// Each retry waits min(baseBackoff<<n, maxBackoff) plus up to 50%
+	// jitter.
+	baseBackoff = 50 * time.Millisecond
+	maxBackoff  = 2 * time.Second
+	// failThreshold consecutive failures eject a backend; it is readmitted
+	// on probation after ejectFor.
+	failThreshold = 3
+	ejectFor      = 15 * time.Second
+)
+
+// policy carries the retry and ejection settings into a Client.
+type policy struct {
+	requestTimeout, baseBackoff, maxBackoff, ejectFor time.Duration
+	maxAttempts, failThreshold                        int
 }
 
 // Client shards simulation points across sfserve backends by consistent-
@@ -114,24 +121,13 @@ func New(cfg Config) (*Client, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, errors.New("cluster: at least one backend is required")
 	}
-	if cfg.RequestTimeout <= 0 {
-		cfg.RequestTimeout = 5 * time.Minute
-	}
-	if cfg.MaxAttempts <= 0 {
-		cfg.MaxAttempts = 3
-	}
-	if cfg.BaseBackoff <= 0 {
-		cfg.BaseBackoff = 50 * time.Millisecond
-	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 2 * time.Second
-	}
-	if cfg.FailThreshold <= 0 {
-		cfg.FailThreshold = 3
-	}
-	if cfg.EjectFor <= 0 {
-		cfg.EjectFor = 15 * time.Second
-	}
+	p := &cfg.policy
+	p.requestTimeout = cmp.Or(p.requestTimeout, requestTimeout)
+	p.maxAttempts = cmp.Or(p.maxAttempts, maxAttempts)
+	p.baseBackoff = cmp.Or(p.baseBackoff, baseBackoff)
+	p.maxBackoff = cmp.Or(p.maxBackoff, maxBackoff)
+	p.failThreshold = cmp.Or(p.failThreshold, failThreshold)
+	p.ejectFor = cmp.Or(p.ejectFor, ejectFor)
 	if cfg.Origin == "" {
 		cfg.Origin = "sfexp"
 	}
@@ -161,7 +157,7 @@ func New(cfg Config) (*Client, error) {
 		cfg:      cfg,
 		backends: backends,
 		ring:     newRing(backends),
-		health:   newHealth(len(backends), cfg.FailThreshold, cfg.EjectFor, cfg.now),
+		health:   newHealth(len(backends), p.failThreshold, p.ejectFor, cfg.now),
 		http:     httpc,
 	}, nil
 }
@@ -205,7 +201,7 @@ func (c *Client) DoPoint(ctx context.Context, key string, cfg config.Config, ben
 			avail = append(avail, b)
 		}
 	}
-	for attempt := 0; len(avail) > 0 && attempt < c.cfg.MaxAttempts; attempt++ {
+	for attempt := 0; len(avail) > 0 && attempt < c.cfg.policy.maxAttempts; attempt++ {
 		if attempt > 0 {
 			c.retries.Add(1)
 			if err := sleepCtx(ctx, c.backoff(attempt)); err != nil {
@@ -245,7 +241,7 @@ func (c *Client) DoPoint(ctx context.Context, key string, cfg config.Config, ben
 // mismatch means the backend runs a different canonical encoding (version
 // skew) and its results cannot be trusted for this key.
 func (c *Client) runRemote(ctx context.Context, backend int, key string, job serve.JobRequest) (system.Results, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.RequestTimeout)
+	ctx, cancel := context.WithTimeout(ctx, c.cfg.policy.requestTimeout)
 	defer cancel()
 	body, err := json.Marshal(job)
 	if err != nil {
@@ -306,13 +302,13 @@ func decodePoison(body io.Reader, key string) *fault.PointError {
 	return &pe
 }
 
-// backoff computes the pre-retry wait: exponential from BaseBackoff, capped
-// at MaxBackoff, plus up to 50% uniform jitter so synchronized retries from
+// backoff computes the pre-retry wait: exponential from baseBackoff, capped
+// at maxBackoff, plus up to 50% uniform jitter so synchronized retries from
 // a wide sweep don't stampede a recovering backend.
 func (c *Client) backoff(attempt int) time.Duration {
-	d := c.cfg.BaseBackoff << (attempt - 1)
-	if d > c.cfg.MaxBackoff || d <= 0 {
-		d = c.cfg.MaxBackoff
+	d := c.cfg.policy.baseBackoff << (attempt - 1)
+	if d > c.cfg.policy.maxBackoff || d <= 0 {
+		d = c.cfg.policy.maxBackoff
 	}
 	return d + time.Duration(rand.Int64N(int64(d)/2+1))
 }

@@ -41,10 +41,9 @@ func newBackend(t *testing.T, runner func(ctx context.Context, cfg config.Config
 func sweepClient(t *testing.T, backends ...string) *Client {
 	t.Helper()
 	c, err := New(Config{
-		Backends:    backends,
-		BaseBackoff: 5 * time.Millisecond,
-		MaxBackoff:  20 * time.Millisecond,
-		Origin:      "cluster-test",
+		Backends: backends,
+		policy:   policy{baseBackoff: 5 * time.Millisecond, maxBackoff: 20 * time.Millisecond},
+		Origin:   "cluster-test",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -289,11 +288,9 @@ func TestClusterAllBackendsDownFallsBackLocal(t *testing.T) {
 	c, err := New(Config{
 		// Port 1 refuses connections immediately, so the test fails fast
 		// rather than waiting on timeouts.
-		Backends:    []string{"127.0.0.1:1", "127.0.0.2:1"},
-		MaxAttempts: 2,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
-		Local:       store,
+		Backends: []string{"127.0.0.1:1", "127.0.0.2:1"},
+		policy:   policy{maxAttempts: 2, baseBackoff: time.Millisecond, maxBackoff: 2 * time.Millisecond},
+		Local:    store,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -333,8 +330,8 @@ func TestClusterAllBackendsDownFallsBackLocal(t *testing.T) {
 // simulate it once.
 func TestClusterFallbackWithoutLocalComputesOnce(t *testing.T) {
 	c, err := New(Config{
-		Backends:    []string{"127.0.0.1:1"},
-		MaxAttempts: 1,
+		Backends: []string{"127.0.0.1:1"},
+		policy:   policy{maxAttempts: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -468,10 +465,8 @@ func TestClusterFailedAttemptsReaped(t *testing.T) {
 	b0 := echoBackend(t, "b0", &inFlight, fail)
 	b1 := echoBackend(t, "b1", &inFlight, fail)
 	c, err := New(Config{
-		Backends:    []string{b0.URL, b1.URL},
-		MaxAttempts: 2,
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
+		Backends: []string{b0.URL, b1.URL},
+		policy:   policy{maxAttempts: 2, baseBackoff: time.Millisecond, maxBackoff: 2 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -511,9 +506,8 @@ func TestClusterRetries5xx(t *testing.T) {
 	pts := httptest.NewServer(proxy)
 	t.Cleanup(pts.Close)
 	c, err := New(Config{
-		Backends:    []string{pts.URL},
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
+		Backends: []string{pts.URL},
+		policy:   policy{baseBackoff: time.Millisecond, maxBackoff: 2 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -547,9 +541,8 @@ func TestClusterTruncatedResponseFailsOver(t *testing.T) {
 	t.Cleanup(pts.Close)
 	good := newBackend(t, stubRunner("good", 0))
 	c, err := New(Config{
-		Backends:    []string{pts.URL, good.URL},
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
+		Backends: []string{pts.URL, good.URL},
+		policy:   policy{baseBackoff: time.Millisecond, maxBackoff: 2 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -574,7 +567,7 @@ func TestClusterTruncatedResponseFailsOver(t *testing.T) {
 
 // TestClusterEjectionAndReadmission drives the passive health checker end to
 // end with an injected clock: a persistently failing backend is ejected
-// after FailThreshold consecutive failures (and stops receiving traffic),
+// after failThreshold consecutive failures (and stops receiving traffic),
 // is readmitted on probation once the window passes, and one failed probe
 // re-ejects it immediately.
 func TestClusterEjectionAndReadmission(t *testing.T) {
@@ -592,13 +585,9 @@ func TestClusterEjectionAndReadmission(t *testing.T) {
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 
 	c, err := New(Config{
-		Backends:      []string{badTS.URL, good.URL},
-		MaxAttempts:   2,
-		BaseBackoff:   time.Millisecond,
-		MaxBackoff:    2 * time.Millisecond,
-		FailThreshold: 2,
-		EjectFor:      time.Minute,
-		now:           clock,
+		Backends: []string{badTS.URL, good.URL},
+		policy:   policy{maxAttempts: 2, baseBackoff: time.Millisecond, maxBackoff: 2 * time.Millisecond, failThreshold: 2, ejectFor: time.Minute},
+		now:      clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -659,8 +648,8 @@ func TestClusterKeyMismatchRejected(t *testing.T) {
 	}))
 	t.Cleanup(skewed.Close)
 	c, err := New(Config{
-		Backends:    []string{skewed.URL},
-		MaxAttempts: 1,
+		Backends: []string{skewed.URL},
+		policy:   policy{maxAttempts: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -145,10 +145,8 @@ func TestClusterHangTimesOutAndRetries(t *testing.T) {
 	pts := httptest.NewServer(proxy)
 	t.Cleanup(pts.Close)
 	c, err := New(Config{
-		Backends:       []string{pts.URL},
-		RequestTimeout: 100 * time.Millisecond,
-		BaseBackoff:    time.Millisecond,
-		MaxBackoff:     2 * time.Millisecond,
+		Backends: []string{pts.URL},
+		policy:   policy{requestTimeout: 100 * time.Millisecond, baseBackoff: time.Millisecond, maxBackoff: 2 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -185,9 +183,8 @@ func TestClusterMidBodyPanicFailsOver(t *testing.T) {
 	t.Cleanup(pts.Close)
 	good := newBackend(t, stubRunner("good", 0))
 	c, err := New(Config{
-		Backends:    []string{pts.URL, good.URL},
-		BaseBackoff: time.Millisecond,
-		MaxBackoff:  2 * time.Millisecond,
+		Backends: []string{pts.URL, good.URL},
+		policy:   policy{baseBackoff: time.Millisecond, maxBackoff: 2 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)

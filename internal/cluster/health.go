@@ -6,8 +6,8 @@ import (
 )
 
 // health tracks passive per-backend health: every real request reports its
-// outcome, and a backend accumulating FailThreshold consecutive failures is
-// ejected (skipped by shard routing) for EjectFor. After the ejection window
+// outcome, and a backend accumulating failThreshold consecutive failures is
+// ejected (skipped by shard routing) for ejectFor. After the ejection window
 // passes the backend is readmitted on probation — the next request routed to
 // it is a live probe, and a single further failure re-ejects it immediately
 // (the consecutive-failure count is still at the threshold), while a success

@@ -32,7 +32,7 @@ const samplerVersion = 2
 // aliasing distinct configurations. Workers and Sanitize are counted here but
 // excluded from the encoding: they are host knobs with bit-identical results
 // for every value, so runs that differ only in them share one cache key.
-const CanonicalFieldCount = 27
+const CanonicalFieldCount = 26
 
 // CanonicalBytes returns a deterministic, version-tagged binary encoding of
 // every simulation-affecting Config field. Two configurations produce the
@@ -75,7 +75,10 @@ func (c Config) CanonicalBytes() []byte {
 	b(c.FloatIndirect)
 	b(c.FloatConfluence)
 	b(c.BulkPrefetch)
-	b(c.StreamGrainCoherence)
+	// This word was Config.StreamGrainCoherence, the §V-B stream-grain
+	// alternative no run enabled. It is kept as the constant false every key
+	// held, like the retired sanitize word below, so no key moves.
+	b(false)
 	i(c.LinkBits)
 	i(c.RouterLatency)
 	i(c.LinkLatency)

@@ -152,14 +152,6 @@ type Config struct {
 	// coarse-grain-request baseline of §VI).
 	BulkPrefetch bool
 
-	// StreamGrainCoherence enables the §V-B alternate design: SE_L3 tracks
-	// each floated stream's accessed address range with base/bound
-	// registers, and a remote write hitting a tracked range invalidates
-	// the stream (it sinks and re-executes at the core). This restores
-	// traditional consistency speculation for stream data at the cost of
-	// range-check false positives and extra deallocation messages.
-	StreamGrainCoherence bool
-
 	// NoC.
 	LinkBits      int // link width: 128, 256 or 512
 	RouterLatency int // per-hop router pipeline stages
@@ -415,9 +407,6 @@ func (c Config) Validate() error {
 	}
 	if c.Stream == StreamOff && (c.FloatIndirect || c.FloatConfluence) {
 		return errors.New("config: floating toggles require StreamSF")
-	}
-	if c.StreamGrainCoherence && c.Stream != StreamSF {
-		return errors.New("config: stream-grain coherence requires StreamSF")
 	}
 	if c.MaxStreamsPerCore <= 0 {
 		return errors.New("config: MaxStreamsPerCore must be positive")

@@ -31,7 +31,7 @@ func deriveConfig(data []byte) config.Config {
 		sel := data[0]
 		v := binary.LittleEndian.Uint64(data[1:9])
 		data = data[9:]
-		switch sel % 26 {
+		switch sel % 25 {
 		case 0:
 			c.MeshWidth = int(1 + v%8)
 		case 1:
@@ -49,40 +49,38 @@ func deriveConfig(data []byte) config.Config {
 		case 7:
 			c.BulkPrefetch = v&1 == 1
 		case 8:
-			c.StreamGrainCoherence = v&1 == 1
-		case 9:
 			c.LinkBits = []int{128, 256, 512}[v%3]
-		case 10:
+		case 9:
 			c.RouterLatency = int(1 + v%8)
-		case 11:
+		case 10:
 			c.LinkLatency = int(1 + v%4)
-		case 12:
+		case 11:
 			cacheMenu(&c.L1, v)
-		case 13:
+		case 12:
 			cacheMenu(&c.L2, v)
-		case 14:
+		case 13:
 			cacheMenu(&c.L3, v)
-		case 15:
+		case 14:
 			c.L3InterleaveBytes = 64 << (v % 7) // 64B..4kB
-		case 16:
+		case 15:
 			c.DRAMLatency = int(1 + v%500)
-		case 17:
+		case 16:
 			c.DRAMBandwidthBpc = 0.1 + float64(v%1000)/10
-		case 18:
+		case 17:
 			c.MaxStreamsPerCore = int(1 + v%32)
-		case 19:
+		case 18:
 			c.SEL2BufferBytes = int(1 + v%(64<<10))
-		case 20:
+		case 19:
 			c.FloatMinRequests = int(v % 1024)
-		case 21:
+		case 20:
 			c.FloatMissRatio = float64(v%100) / 100
-		case 22:
+		case 21:
 			c.SinkHitThreshold = int(v % 64)
-		case 23:
+		case 22:
 			c.ConfluenceBlock = int(1 + v%4)
-		case 24:
+		case 23:
 			c.Sanitize = sanitize.Mode(v % 3)
-		case 25:
+		case 24:
 			// Sampling parameters, including disabled (Intervals 0/1) and
 			// out-of-range Measure spellings the resolver clamps.
 			c.Sample = config.SampleParams{
@@ -94,12 +92,11 @@ func deriveConfig(data []byte) config.Config {
 		}
 	}
 	// Sanitize the cross-field constraints Validate enforces: floating
-	// toggles and stream-grain coherence only exist under StreamSF, and the
-	// NUCA interleave must cover the L3 line size.
+	// toggles only exist under StreamSF, and the NUCA interleave must cover
+	// the L3 line size.
 	if c.Stream != config.StreamSF {
 		c.FloatIndirect = false
 		c.FloatConfluence = false
-		c.StreamGrainCoherence = false
 	}
 	if c.L3InterleaveBytes < stream.LineBytes {
 		c.L3InterleaveBytes = stream.LineBytes

@@ -440,60 +440,10 @@ func TestConfigPacketSizes(t *testing.T) {
 	}
 }
 
-// TestStreamGrainCoherenceInvalidates: with the §V-B alternate enabled, a
-// remote write into a floated stream's accessed range must invalidate the
-// stream (sink) and count the event.
-func TestStreamGrainCoherenceInvalidates(t *testing.T) {
-	r := newRig(func(c *config.Config) { c.StreamGrainCoherence = true })
-	lines := int64(r.cfg.L2.SizeBytes/64 + 2048)
-	base := uint64(0x2000000)
-	ph := bigStream(base, lines)
-	r.e.ConfigurePhase(0, ph, func() {})
-	r.Run()
-	// Consume a prefix so the stream establishes a range.
-	for i := int64(0); i < 64; i++ {
-		i := i
-		r.e.RequestElement(0, 0, i, func(event.Cycle) { r.e.ReleaseElement(0, 0, i) })
-	}
-	r.Run()
-	// A remote core writes into the consumed range.
-	r.sys.Access(9, base+64, cache.Write, cache.NoMeta, nil)
-	r.Run()
-	if r.St.StreamInvalidations == 0 {
-		t.Error("remote write in range did not invalidate the stream")
-	}
-	if r.St.StreamsSunk == 0 {
-		t.Error("invalidated stream did not sink")
-	}
-	r.e.EndPhase(0)
-	r.Run()
-}
-
-// TestStreamGrainCoherenceIgnoresOutside: writes outside every stream range
-// must not invalidate anything.
-func TestStreamGrainCoherenceIgnoresOutside(t *testing.T) {
-	r := newRig(func(c *config.Config) { c.StreamGrainCoherence = true })
-	lines := int64(r.cfg.L2.SizeBytes/64 + 2048)
-	ph := bigStream(0x3000000, lines)
-	r.e.ConfigurePhase(0, ph, func() {})
-	r.Run()
-	for i := int64(0); i < 32; i++ {
-		i := i
-		r.e.RequestElement(0, 0, i, func(event.Cycle) { r.e.ReleaseElement(0, 0, i) })
-	}
-	r.Run()
-	r.sys.Access(9, 0x9000000, cache.Write, cache.NoMeta, nil)
-	r.Run()
-	if r.St.StreamInvalidations != 0 {
-		t.Error("out-of-range write invalidated a stream")
-	}
-	r.e.EndPhase(0)
-	r.Run()
-}
-
-// TestStreamGrainDisabledByDefault: without the option, the same remote
-// write leaves the stream floating (our default uncached-data approach).
-func TestStreamGrainDisabledByDefault(t *testing.T) {
+// TestRemoteWriteKeepsStreamFloating: floated data is read uncached (GetU,
+// §IV-A), so a remote write into a floated stream's consumed range leaves
+// the stream floating.
+func TestRemoteWriteKeepsStreamFloating(t *testing.T) {
 	r := newRig(nil)
 	lines := int64(r.cfg.L2.SizeBytes/64 + 2048)
 	base := uint64(0x4000000)
@@ -505,10 +455,13 @@ func TestStreamGrainDisabledByDefault(t *testing.T) {
 		r.e.RequestElement(0, 0, i, func(event.Cycle) { r.e.ReleaseElement(0, 0, i) })
 	}
 	r.Run()
+	if r.St.StreamsFloated == 0 {
+		t.Fatal("stream did not float")
+	}
 	r.sys.Access(9, base+64, cache.Write, cache.NoMeta, nil)
 	r.Run()
-	if r.St.StreamInvalidations != 0 {
-		t.Error("invalidation fired with stream-grain coherence disabled")
+	if r.St.StreamsSunk != 0 {
+		t.Error("a remote write sank a floated stream")
 	}
 	r.e.EndPhase(0)
 	r.Run()

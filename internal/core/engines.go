@@ -1,9 +1,6 @@
 package core
 
 import (
-	"cmp"
-	"slices"
-
 	"streamfloat/internal/cache"
 	"streamfloat/internal/config"
 	"streamfloat/internal/event"
@@ -83,63 +80,7 @@ func NewEngines(lay *par.Layout, cfg config.Config, mesh *noc.Mesh,
 	}
 	sys.SetStreamReuseObserver(func(tile, sid int) { e.cores[tile].noteReuse(sid) })
 	sys.SetL2DirtyEvictObserver(func(tile int, lineAddr uint64) { e.l2s[tile].noteDirtyEvict(lineAddr) })
-	if cfg.StreamGrainCoherence {
-		sys.SetBankWriteObserver(e.checkStreamGrain)
-	}
 	return e
-}
-
-// grainOp carries one §V-B range check to the quantum barrier.
-type grainOp struct {
-	e      *Engines
-	bank   int
-	la     uint64
-	writer int
-}
-
-func runGrainCheck(_ event.Cycle, arg any) {
-	op := arg.(*grainOp)
-	op.e.streamGrainCheck(op.bank, op.la, op.writer)
-}
-
-// checkStreamGrain is the bank-write observer: it sweeps the stream
-// registry for ranges covering the written line. The sweep reads remote
-// stream and core state, so it runs at the barrier.
-func (e *Engines) checkStreamGrain(bank int, lineAddr uint64, writerTile int) {
-	e.lay.Defer(bank, runGrainCheck, &grainOp{e: e, bank: bank, la: lineAddr, writer: writerTile})
-}
-
-// streamGrainCheck implements the §V-B range check: a write that lands
-// inside a floated stream's accessed range (from another core) invalidates
-// the stream, which sinks and re-executes at its core. False positives from
-// the conservative base/bound ranges are possible and safe — they only cost
-// a sink. (The directory consults the stream registry directly; in hardware
-// each visited SE_L3 keeps the range registers until deallocation.)
-func (e *Engines) streamGrainCheck(bank int, lineAddr uint64, writerTile int) {
-	var hit []*l3Stream
-	for _, s := range e.registry {
-		if s.state == ended || s.reqTile == writerTile || !s.group.live() {
-			continue
-		}
-		if lineAddr >= s.rangeLo && lineAddr < s.rangeHi && s.rangeHi != 0 {
-			hit = append(hit, s)
-		}
-	}
-	// Sink in a fixed order: the registry is a map, and sinking schedules
-	// re-execution events.
-	slices.SortFunc(hit, func(a, b *l3Stream) int {
-		if c := cmp.Compare(a.key.tile, b.key.tile); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.key.sid, b.key.sid); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.key.gen, b.key.gen)
-	})
-	for _, s := range hit {
-		e.lay.St(bank).StreamInvalidations++
-		e.cores[s.reqTile].sinkStream(s.group.owner, true)
-	}
 }
 
 // floating reports whether the machine allows streams to float (SF mode).

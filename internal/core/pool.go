@@ -9,7 +9,7 @@ import (
 // are recycled through per-context freelists, as the cache's op records are:
 // a get names the tile whose event is running, so does a put, and a record
 // may migrate between lists. Records that a callee only reaches through a
-// func value (cache.System.Access's done, FloatRead's deliver) carry that
+// func value (cache.System.Access's done, FloatReadAuto's deliver) carry that
 // func bound to themselves when first allocated, so handing it over
 // allocates nothing. A put resets everything else.
 

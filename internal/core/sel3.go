@@ -28,11 +28,6 @@ type l3Stream struct {
 	issued      int64 // lines issued
 	lastPage    uint64
 
-	// Accessed-range registers for stream-grain coherence (§V-B): the
-	// base/bound of lines this stream has read so far. A remote write
-	// inside the range invalidates the stream.
-	rangeLo, rangeHi uint64
-
 	conf    *confGroup
 	curBank int
 
@@ -312,12 +307,6 @@ func (b *seL3) tryIssue(g *confGroup) bool {
 		m.lastPage = ref.addr >> 12
 		m.issued++
 		b.sanCheckIssue(m)
-		if m.rangeLo == 0 || ref.addr < m.rangeLo {
-			m.rangeLo = ref.addr
-		}
-		if ref.addr+stream.LineBytes > m.rangeHi {
-			m.rangeHi = ref.addr + stream.LineBytes
-		}
 		m.advance()
 	}
 	clear(b.cands)
@@ -340,8 +329,8 @@ type l3Req struct {
 	dsts    []int
 	pending atomic.Int32
 
-	readyFn   func(event.Cycle)      // FloatRead onBankReady, bound once
-	deliverFn func(int, event.Cycle) // FloatRead deliver, bound once
+	readyFn   func(event.Cycle)      // FloatReadAuto onBankReady, bound once
+	deliverFn func(int, event.Cycle) // FloatReadAuto deliver, bound once
 }
 
 func (b *seL3) getReq() *l3Req {

@@ -6,10 +6,12 @@
 // Points run in parallel across OS threads; each individual simulation is
 // deterministic.
 //
-// ByName, All, AllTables and WriteFigureCSVs are the only entry points. All
-// four reach a figure through figure.run, which folds the sampled-sweep
-// confidence intervals, keep-going failures and the sweep-parallelism derate
-// note into every table.
+// ByName and Names are the registry's only entry points: ByName hands out a
+// figure's figure.run, which folds the sampled-sweep confidence intervals,
+// keep-going failures and the sweep-parallelism derate note into every
+// table, and Names lists the ids in paper order. Rendering is the caller's:
+// Table prints itself as text, CSV or a chart, and WriteJSON writes a
+// report.
 package experiments
 
 import (

@@ -2,9 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -89,8 +86,7 @@ func (g *grid) keys(traced bool) []runKey {
 // run regenerates the figure's table: it sweeps the grid, renders the rows
 // and notes, and folds in the sampled-sweep confidence intervals, the
 // keep-going failures and, when the per-simulation worker count forces a
-// sweep-parallelism derate, a note saying so. ByName, All, AllTables and
-// WriteFigureCSVs all reach a figure through here.
+// sweep-parallelism derate, a note saying so. ByName is the only way in.
 func (f *figure) run(opts Options) (*Table, error) {
 	opts.figure = f.name
 	opts.Scale = max(opts.Scale, f.minScale)
@@ -313,62 +309,14 @@ func ByName(id string) (func(Options) (*Table, error), bool) {
 	return nil, false
 }
 
-// Names lists the figure ids All, AllTables and WriteFigureCSVs emit, in
-// order.
+// Names lists every figure id in paper order, the order `sfexp -fig all`
+// emits them in.
 func Names() []string {
 	names := make([]string, len(figures))
 	for i, f := range figures {
 		names[i] = f.name
 	}
 	return names
-}
-
-// each regenerates figs in order, handing every table to emit as soon as it
-// is done.
-func each(figs []*figure, opts Options, emit func(name string, t *Table) error) error {
-	for _, f := range figs {
-		t, err := f.run(opts)
-		if err != nil {
-			return fmt.Errorf("%s: %w", f.name, err)
-		}
-		if err := emit(f.name, t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// All runs every figure in order, writing each rendered table to w as it
-// finishes.
-func All(opts Options, w io.Writer) error {
-	return each(figures, opts, func(_ string, t *Table) error {
-		t.Fprint(w)
-		return nil
-	})
-}
-
-// WriteFigureCSVs regenerates every figure and writes one CSV per figure
-// into dir (created if missing), named <figure>.csv. This is the `-fig all
-// -csv -out dir/` path of sfexp.
-func WriteFigureCSVs(opts Options, dir string) error {
-	return writeCSVs(figures, opts, dir)
-}
-
-func writeCSVs(figs []*figure, opts Options, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return each(figs, opts, func(name string, t *Table) error {
-		f, err := os.Create(filepath.Join(dir, name+".csv"))
-		if err != nil {
-			return err
-		}
-		if err := t.WriteCSV(f); err != nil {
-			f.Close()
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		return f.Close()
-	})
 }
 
 // fig02 reproduces the cache-thrashing motivation: the fraction of L2

@@ -20,12 +20,6 @@ import (
 // them: go test ./internal/experiments -run Golden -update
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// goldenOpts is the spot scale the goldens were recorded at. Any change
-// here invalidates every golden file.
-func goldenOpts() Options {
-	return Options{Scale: 0.05, Benchmarks: []string{"nn", "conv3d"}}
-}
-
 // checkGolden compares a figure's headline metrics against its checked-in
 // golden file, exactly. Floats are compared as their shortest round-trip
 // decimal form (strconv 'g'/-1), so any bit-level drift in results fails.
@@ -76,26 +70,44 @@ func checkGolden(t *testing.T, name string, metrics map[string]float64) {
 }
 
 // TestGoldenFig13 pins the headline speedup and energy-efficiency geomeans
-// of every system/core pair at spot scale.
+// of every system/core pair at spot scale, and checks the table's shape and
+// the qualitative headline.
 func TestGoldenFig13(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full Fig 13 sweep (30 runs) skipped in -short")
+	tb := figureTable(t, "13", tinyOpts())
+	checkGolden(t, "golden_fig13", tb.Metrics)
+	// 3 cores x 4 non-base systems.
+	if len(tb.Rows) != 12 {
+		t.Fatalf("rows = %d", len(tb.Rows))
 	}
-	checkGolden(t, "golden_fig13", figureTable(t, "13", goldenOpts()).Metrics)
+	// The qualitative headline at any scale: SF-IO4 beats Base-IO4.
+	if tb.Metrics["SF-IO4-speedup"] < 1.0 {
+		t.Errorf("SF-IO4 speedup %.2f < 1", tb.Metrics["SF-IO4-speedup"])
+	}
 }
 
 // TestGoldenFig14 pins the floated-request share of SF-OOO8.
 func TestGoldenFig14(t *testing.T) {
-	checkGolden(t, "golden_fig14", figureTable(t, "14", goldenOpts()).Metrics)
+	tb := figureTable(t, "14", tinyOpts())
+	checkGolden(t, "golden_fig14", tb.Metrics)
+	if tb.Metrics["floated-share"] <= 0 {
+		t.Error("no floated requests measured")
+	}
 }
 
 // TestGoldenFig15 pins the normalized NoC traffic and utilization of every
-// Fig 15 variant at spot scale.
+// Fig 15 variant at spot scale, and checks that SF cuts Base's traffic.
 func TestGoldenFig15(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full Fig 15 sweep (18 runs) skipped in -short")
+	tb := figureTable(t, "15", tinyOpts())
+	checkGolden(t, "golden_fig15", tb.Metrics)
+	if len(tb.Rows) != 9 {
+		t.Fatalf("variants = %d", len(tb.Rows))
 	}
-	checkGolden(t, "golden_fig15", figureTable(t, "15", goldenOpts()).Metrics)
+	if tb.Metrics["Base-traffic"] != 1.0 {
+		t.Errorf("Base traffic normalization = %v", tb.Metrics["Base-traffic"])
+	}
+	if tb.Metrics["SF-traffic"] >= tb.Metrics["Base-traffic"] {
+		t.Errorf("SF traffic %.3f not below Base", tb.Metrics["SF-traffic"])
+	}
 }
 
 // TestGoldenTables pins every figure's whole table — title, header, rows,
@@ -106,9 +118,10 @@ func TestGoldenTables(t *testing.T) {
 	if testing.Short() {
 		t.Skip("every figure's sweep (~70 runs) skipped in -short")
 	}
-	tables, err := AllTables(Options{Scale: 0.03, Benchmarks: []string{"nn"}, Sanitize: sanitize.ModeOff})
-	if err != nil {
-		t.Fatal(err)
+	opts := Options{Scale: 0.03, Benchmarks: []string{"nn"}, Sanitize: sanitize.ModeOff}
+	var tables []NamedTable
+	for _, name := range Names() {
+		tables = append(tables, NamedTable{Name: name, Table: figureTable(t, name, opts)})
 	}
 	var got bytes.Buffer
 	if err := WriteJSON(&got, tables); err != nil {
@@ -152,7 +165,7 @@ func TestDeterministicStats(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := system.RunBenchmark(context.Background(), cfg, bench, goldenOpts().scale())
+				res, err := system.RunBenchmark(context.Background(), cfg, bench, tinyOpts().scale())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -188,9 +201,9 @@ func TestSweepParallelismInvariant(t *testing.T) {
 		{bench: "conv3d", system: "SF", core: config.OOO8},
 		{bench: "mv", system: "SF", core: config.OOO8},
 	}
-	serial := goldenOpts()
+	serial := tinyOpts()
 	serial.Parallelism = 1
-	wide := goldenOpts()
+	wide := tinyOpts()
 	wide.Parallelism = 4
 	a, err := runAll(context.Background(), serial, keys)
 	if err != nil {

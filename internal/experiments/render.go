@@ -30,8 +30,8 @@ func (t *Table) WriteCSV(w io.Writer) error {
 // figures. Bars are sorted by name; width is the maximum bar length in
 // characters. Bars scale by absolute value: negative metrics render as an
 // explicit '-' bar of the same magnitude, and non-finite values (NaN, ±Inf)
-// are skipped rather than coerced.
-func (t *Table) Chart(w io.Writer, suffix string, width int) {
+// are skipped rather than coerced. It reports whether it drew a chart.
+func (t *Table) Chart(w io.Writer, suffix string, width int) bool {
 	if width <= 0 {
 		width = 40
 	}
@@ -56,7 +56,7 @@ func (t *Table) Chart(w io.Writer, suffix string, width int) {
 		}
 	}
 	if len(bars) == 0 || maxV == 0 {
-		return
+		return false
 	}
 	sort.Slice(bars, func(i, j int) bool { return bars[i].label < bars[j].label })
 	labelW := 0
@@ -80,4 +80,5 @@ func (t *Table) Chart(w io.Writer, suffix string, width int) {
 		}
 		fmt.Fprintf(w, "  %-*s %6.2f |%s\n", labelW, b.label, b.v, strings.Repeat(ch, n))
 	}
+	return true
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"bytes"
 	"encoding/csv"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -99,33 +97,6 @@ func TestNames(t *testing.T) {
 		if names[i] != want[i] {
 			t.Errorf("names[%d] = %q, want %q", i, names[i], want[i])
 		}
-	}
-}
-
-// TestWriteCSVsPerFigure drives the per-figure CSV writer with stub figures
-// (the real sweep is exercised by the figure tests).
-func TestWriteCSVsPerFigure(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "nested", "out")
-	stub := []*figure{
-		{name: "one", header: []string{"a"}, rows: func(t *Table, _ *grid) { t.Rows = [][]string{{"1"}} }},
-		{name: "two", header: []string{"b"}, rows: func(t *Table, _ *grid) { t.Rows = [][]string{{"2"}} }},
-	}
-	if err := writeCSVs(stub, Options{}, dir); err != nil {
-		t.Fatal(err)
-	}
-	for name, want := range map[string]string{"one.csv": "a\n1\n", "two.csv": "b\n2\n"} {
-		b, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(b) != want {
-			t.Errorf("%s = %q, want %q", name, b, want)
-		}
-	}
-	// A failing figure aborts with its name in the error.
-	bad := []*figure{{name: "boom", outer: systems("no-such-system"), inner: noAxis, rows: func(*Table, *grid) {}}}
-	if err := writeCSVs(bad, Options{Benchmarks: []string{"nn"}}, dir); err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Errorf("figure error not propagated: %v", err)
 	}
 }
 

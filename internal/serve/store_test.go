@@ -363,11 +363,15 @@ func TestStoreSharesPointsAcrossFigures(t *testing.T) {
 		t.Skip("runs the whole evaluation twice")
 	}
 	all := func(cache experiments.ResultCache) []byte {
-		tables, err := experiments.AllTables(experiments.Options{
-			Scale: 0.03, Benchmarks: []string{"nn"}, Sanitize: sanitize.ModeOff, Cache: cache,
-		})
-		if err != nil {
-			t.Fatal(err)
+		opts := experiments.Options{Scale: 0.03, Benchmarks: []string{"nn"}, Sanitize: sanitize.ModeOff, Cache: cache}
+		var tables []experiments.NamedTable
+		for _, name := range experiments.Names() {
+			fn, _ := experiments.ByName(name)
+			tb, err := fn(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tables = append(tables, experiments.NamedTable{Name: name, Table: tb})
 		}
 		var buf bytes.Buffer
 		if err := experiments.WriteJSON(&buf, tables); err != nil {

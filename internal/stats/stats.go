@@ -126,11 +126,8 @@ type Stats struct {
 	StreamCredits    uint64
 	StreamsFloated   uint64
 	StreamsSunk      uint64
-	// StreamInvalidations counts streams killed by the stream-grain
-	// coherence range check (§V-B alternate design).
-	StreamInvalidations uint64
-	ConfluenceGroups    uint64 // streams that joined an existing group
-	SublineResponses    uint64 // indirect responses transmitted at subline size
+	ConfluenceGroups uint64 // streams that joined an existing group
+	SublineResponses uint64 // indirect responses transmitted at subline size
 
 	// SE buffer activity (for energy accounting).
 	SEFIFOAccesses uint64

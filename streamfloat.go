@@ -11,13 +11,12 @@
 //	res, _ := streamfloat.Run(cfg, "conv3d", 1.0)
 //	fmt.Println(res.Stats.Cycles, res.Stats.TotalFlitHops())
 //
-// Experiment runners regenerate every figure and table of the paper; see
-// the experiments API below, the sfexp command, and EXPERIMENTS.md.
+// Experiment regenerates one figure or table of the paper by id; the sfexp
+// command regenerates them all, as text, CSV or JSON (see EXPERIMENTS.md).
 package streamfloat
 
 import (
 	"context"
-	"io"
 
 	"streamfloat/internal/config"
 	"streamfloat/internal/energy"
@@ -188,43 +187,6 @@ func Experiment(id string, opts ExperimentOptions) (*ExperimentTable, error) {
 		return nil, errUnknownExperiment(id)
 	}
 	return fn(opts)
-}
-
-// AllExperiments regenerates every figure and table, writing rendered
-// output to w.
-func AllExperiments(opts ExperimentOptions, w io.Writer) error {
-	return experiments.All(opts, w)
-}
-
-// ExperimentNames lists every figure id AllExperiments renders, in order.
-func ExperimentNames() []string { return experiments.Names() }
-
-// NamedExperimentTable pairs a figure id with its regenerated table.
-type NamedExperimentTable = experiments.NamedTable
-
-// AllExperimentTables regenerates every figure (the AllExperiments set) and
-// returns the tables instead of rendering them.
-func AllExperimentTables(opts ExperimentOptions) ([]NamedExperimentTable, error) {
-	return experiments.AllTables(opts)
-}
-
-// WriteExperimentsJSON renders tables as one machine-readable JSON document
-// — the sfexp -json output format. Sampled sweeps carry their per-point
-// estimates and confidence intervals under each table's "sampling" key.
-func WriteExperimentsJSON(w io.Writer, tables []NamedExperimentTable) error {
-	return experiments.WriteJSON(w, tables)
-}
-
-// WriteExperimentCSVs regenerates every figure and writes one CSV per
-// figure into dir (created if missing), named <figure>.csv.
-func WriteExperimentCSVs(opts ExperimentOptions, dir string) error {
-	return experiments.WriteFigureCSVs(opts, dir)
-}
-
-// TracedExperimentRun runs one traced simulation of the named system (§VI)
-// on the given core and benchmark — the engine behind sfexp -trace.
-func TracedExperimentRun(opts ExperimentOptions, systemName string, core CoreKind, benchmark string) (Results, *Tracer, error) {
-	return experiments.TracedRun(context.Background(), opts, systemName, core, benchmark)
 }
 
 type errUnknownExperiment string
