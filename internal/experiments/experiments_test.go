@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
 	"streamfloat/internal/config"
@@ -47,6 +48,30 @@ func figureTable(t *testing.T, id string, opts Options) *Table {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tb
+}
+
+// tinyTables memoises each figure's table at tinyOpts, so a figure's shape
+// test and its golden test share one sweep. Callers must not mutate a table.
+var tinyTables struct {
+	sync.Mutex
+	m map[string]*Table
+}
+
+// tinyTable returns figure id's table at tinyOpts, sweeping it only once
+// per test binary.
+func tinyTable(t *testing.T, id string) *Table {
+	t.Helper()
+	tinyTables.Lock()
+	defer tinyTables.Unlock()
+	if tb, ok := tinyTables.m[id]; ok {
+		return tb
+	}
+	tb := figureTable(t, id, tinyOpts())
+	if tinyTables.m == nil {
+		tinyTables.m = map[string]*Table{}
+	}
+	tinyTables.m[id] = tb
 	return tb
 }
 
@@ -99,6 +124,41 @@ func TestAreaTable(t *testing.T) {
 	tb := figureTable(t, "area", Options{})
 	if len(tb.Rows) != 2 {
 		t.Fatalf("area rows = %d", len(tb.Rows))
+	}
+}
+
+func TestFig13Tiny(t *testing.T) {
+	tb := tinyTable(t, "13")
+	// 3 cores x 4 non-base systems.
+	if len(tb.Rows) != 12 {
+		t.Fatalf("rows = %d", len(tb.Rows))
+	}
+	if tb.Metrics["SF-IO4-speedup"] <= 0 {
+		t.Error("missing SF-IO4 speedup metric")
+	}
+	// The qualitative headline at any scale: SF-IO4 beats Base-IO4.
+	if tb.Metrics["SF-IO4-speedup"] < 1.0 {
+		t.Errorf("SF-IO4 speedup %.2f < 1", tb.Metrics["SF-IO4-speedup"])
+	}
+}
+
+func TestFig14Tiny(t *testing.T) {
+	tb := tinyTable(t, "14")
+	if tb.Metrics["floated-share"] <= 0 {
+		t.Error("no floated requests measured")
+	}
+}
+
+func TestFig15Tiny(t *testing.T) {
+	tb := tinyTable(t, "15")
+	if len(tb.Rows) != 9 {
+		t.Fatalf("variants = %d", len(tb.Rows))
+	}
+	if tb.Metrics["Base-traffic"] != 1.0 {
+		t.Errorf("Base traffic normalization = %v", tb.Metrics["Base-traffic"])
+	}
+	if tb.Metrics["SF-traffic"] >= tb.Metrics["Base-traffic"] {
+		t.Errorf("SF traffic %.3f not below Base", tb.Metrics["SF-traffic"])
 	}
 }
 

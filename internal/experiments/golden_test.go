@@ -70,44 +70,20 @@ func checkGolden(t *testing.T, name string, metrics map[string]float64) {
 }
 
 // TestGoldenFig13 pins the headline speedup and energy-efficiency geomeans
-// of every system/core pair at spot scale, and checks the table's shape and
-// the qualitative headline.
+// of every system/core pair at spot scale.
 func TestGoldenFig13(t *testing.T) {
-	tb := figureTable(t, "13", tinyOpts())
-	checkGolden(t, "golden_fig13", tb.Metrics)
-	// 3 cores x 4 non-base systems.
-	if len(tb.Rows) != 12 {
-		t.Fatalf("rows = %d", len(tb.Rows))
-	}
-	// The qualitative headline at any scale: SF-IO4 beats Base-IO4.
-	if tb.Metrics["SF-IO4-speedup"] < 1.0 {
-		t.Errorf("SF-IO4 speedup %.2f < 1", tb.Metrics["SF-IO4-speedup"])
-	}
+	checkGolden(t, "golden_fig13", tinyTable(t, "13").Metrics)
 }
 
 // TestGoldenFig14 pins the floated-request share of SF-OOO8.
 func TestGoldenFig14(t *testing.T) {
-	tb := figureTable(t, "14", tinyOpts())
-	checkGolden(t, "golden_fig14", tb.Metrics)
-	if tb.Metrics["floated-share"] <= 0 {
-		t.Error("no floated requests measured")
-	}
+	checkGolden(t, "golden_fig14", tinyTable(t, "14").Metrics)
 }
 
 // TestGoldenFig15 pins the normalized NoC traffic and utilization of every
-// Fig 15 variant at spot scale, and checks that SF cuts Base's traffic.
+// Fig 15 variant at spot scale.
 func TestGoldenFig15(t *testing.T) {
-	tb := figureTable(t, "15", tinyOpts())
-	checkGolden(t, "golden_fig15", tb.Metrics)
-	if len(tb.Rows) != 9 {
-		t.Fatalf("variants = %d", len(tb.Rows))
-	}
-	if tb.Metrics["Base-traffic"] != 1.0 {
-		t.Errorf("Base traffic normalization = %v", tb.Metrics["Base-traffic"])
-	}
-	if tb.Metrics["SF-traffic"] >= tb.Metrics["Base-traffic"] {
-		t.Errorf("SF traffic %.3f not below Base", tb.Metrics["SF-traffic"])
-	}
+	checkGolden(t, "golden_fig15", tinyTable(t, "15").Metrics)
 }
 
 // TestGoldenTables pins every figure's whole table — title, header, rows,
