@@ -12,12 +12,12 @@
 //	POST /run          {"system":"SF","core":"OOO8","benchmark":"mv","scale":0.25}
 //	                   (or {"config":{...},"benchmark":"mv","scale":0.25} for
 //	                   arbitrary sweep points shipped by a cluster client)
-//	POST /jobs         async sweep submission: returns a job id immediately;
-//	                   poll GET /jobs/{id}, fetch GET /jobs/{id}/result,
-//	                   cancel with DELETE /jobs/{id}. A figure is such a
-//	                   job, {"figure":{"id":"13","scale":0.05}}, and its
-//	                   result is the figure's JSON table (for text or CSV:
-//	                   sfexp -fig 13 -backends host:8080 [-csv]). With
+//	POST /jobs         {"figure":{"id":"13","scale":0.05}}: an async figure
+//	                   regeneration; returns a job id immediately. Poll
+//	                   GET /jobs/{id}, fetch GET /jobs/{id}/result (the
+//	                   figure's JSON table; for text or CSV: sfexp -fig 13
+//	                   -backends host:8080 [-csv]), cancel with
+//	                   DELETE /jobs/{id}. A single point is a /run. With
 //	                   -journal, jobs survive a crash and resume on
 //	                   restart; with -cache too, their completed and
 //	                   quarantined points replay from the cache.
@@ -26,9 +26,9 @@
 //	                   X-SF-Origin header, so backend load is attributable
 //	                   to the sweeps driving it)
 //
-// -workers bounds running jobs, not simulations: a /run or a points job
-// simulates one point at a time, while a figure job holds one slot and runs
-// its sweep at GOMAXPROCS parallelism inside it. /run and POST /jobs share
+// -workers bounds running jobs, not simulations: a /run simulates one
+// point, while a figure job holds one slot and runs its sweep at
+// GOMAXPROCS parallelism inside it. /run and POST /jobs share
 // one bound: with -workers + -queue jobs queued or running, both answer
 // 429. Jobs are cancellable end to end: a client disconnect, a DELETE or
 // the per-job timeout stops the simulation at its next event-loop
@@ -66,7 +66,7 @@ func run() error {
 		cacheDir     = flag.String("cache", "", "result-cache directory (empty = in-memory only)")
 		cacheEntries = flag.Int("cache-entries", 0, "max in-memory cached results (0 = default)")
 		journalDir   = flag.String("journal", "", "async-job journal directory: jobs submitted via POST /jobs survive restarts and resume; pair with -cache, which holds the resume state (completed and quarantined points)")
-		workers      = flag.Int("workers", 0, "concurrently running jobs: a /run or points job simulates one point at a time, a figure job runs its whole sweep at GOMAXPROCS parallelism in one slot (0 = GOMAXPROCS)")
+		workers      = flag.Int("workers", 0, "concurrently running jobs: a /run simulates one point, a figure job runs its whole sweep at GOMAXPROCS parallelism in one slot (0 = GOMAXPROCS)")
 		queue        = flag.Int("queue", 64, "queued /run and async jobs before 429 backpressure")
 		jobTimeout   = flag.Duration("job-timeout", 10*time.Minute, "per-job wall-clock cap")
 		stallTimeout = flag.Duration("stall-timeout", 0, "per-point watchdog: a simulation whose event loop stops advancing for this long is killed as stuck (0 = off)")

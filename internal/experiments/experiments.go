@@ -205,7 +205,14 @@ type Table struct {
 	Failures []PointFailure `json:"failures,omitempty"`
 }
 
+// metric records a derived metric. A keep-going sweep's failed point has
+// zero Results, which can make a ratio non-finite (a speedup over zero
+// cycles); JSON cannot carry that, so it is recorded as 0, the value
+// geomean gives a series it cannot average.
 func (t *Table) metric(name string, v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		v = 0
+	}
 	if t.Metrics == nil {
 		t.Metrics = map[string]float64{}
 	}

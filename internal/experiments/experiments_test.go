@@ -52,10 +52,14 @@ func figureTable(t *testing.T, id string, opts Options) *Table {
 }
 
 // tinyTables memoises each figure's table at tinyOpts, so a figure's shape
-// test and its golden test share one sweep. Callers must not mutate a table.
+// test and its golden test share one sweep, and figures share their points
+// through one memory cache (Fig 19's grid is Fig 13's). Callers must not
+// mutate a table. The cache stays out of tinyOpts: fault tests inject
+// panics through testFaultHook and must compute.
 var tinyTables struct {
 	sync.Mutex
-	m map[string]*Table
+	m     map[string]*Table
+	cache memCache
 }
 
 // tinyTable returns figure id's table at tinyOpts, sweeping it only once
@@ -67,7 +71,9 @@ func tinyTable(t *testing.T, id string) *Table {
 	if tb, ok := tinyTables.m[id]; ok {
 		return tb
 	}
-	tb := figureTable(t, id, tinyOpts())
+	opts := tinyOpts()
+	opts.Cache = &tinyTables.cache
+	tb := figureTable(t, id, opts)
 	if tinyTables.m == nil {
 		tinyTables.m = map[string]*Table{}
 	}
@@ -163,14 +169,14 @@ func TestFig15Tiny(t *testing.T) {
 }
 
 func TestFig16Tiny(t *testing.T) {
-	tb := figureTable(t, "16", tinyOpts())
+	tb := tinyTable(t, "16")
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
 }
 
 func TestFig17Tiny(t *testing.T) {
-	tb := figureTable(t, "17", tinyOpts())
+	tb := tinyTable(t, "17")
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -182,7 +188,7 @@ func TestFig17Tiny(t *testing.T) {
 }
 
 func TestFig18Tiny(t *testing.T) {
-	tb := figureTable(t, "18", tinyOpts())
+	tb := tinyTable(t, "18")
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}
@@ -192,7 +198,7 @@ func TestFig18Tiny(t *testing.T) {
 }
 
 func TestFig19Tiny(t *testing.T) {
-	tb := figureTable(t, "19", tinyOpts())
+	tb := tinyTable(t, "19")
 	if len(tb.Rows) != 15 {
 		t.Fatalf("points = %d", len(tb.Rows))
 	}

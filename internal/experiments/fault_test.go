@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -150,6 +151,27 @@ func TestRunFigureFailureFootnotes(t *testing.T) {
 		if !found {
 			t.Errorf("no FAILED footnote for %s in notes: %q", variant, tb.Notes)
 		}
+	}
+}
+
+// TestKeepGoingTableEncodes: a keep-going figure whose failed point is a
+// speedup's denominator still renders as JSON, with that speedup recorded
+// as 0 instead of +Inf, which encoding/json refuses.
+func TestKeepGoingTableEncodes(t *testing.T) {
+	setFaultHook(t, func(bench, sys string, core config.CoreKind) {
+		if sys == "SF" && core == config.IO4 {
+			panic("injected point fault")
+		}
+	})
+	tb := figureTable(t, "13", Options{Scale: 0.02, Benchmarks: []string{"nn"}, KeepGoing: true})
+	if len(tb.Failures) != 1 {
+		t.Fatalf("table failures = %+v, want the SF/IO4 point", tb.Failures)
+	}
+	if v, ok := tb.Metrics["SF-IO4-speedup"]; !ok || v != 0 {
+		t.Errorf("SF-IO4-speedup = %v (recorded %v), want 0", v, ok)
+	}
+	if err := WriteJSON(io.Discard, []NamedTable{{Name: "13", Table: tb}}); err != nil {
+		t.Errorf("keep-going table does not encode: %v", err)
 	}
 }
 

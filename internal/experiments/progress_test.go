@@ -8,9 +8,9 @@ import (
 	"streamfloat/internal/system"
 )
 
-// memCache is a minimal in-process ResultCache for progress tests: no
-// singleflight needed because the assertions only care about hit/miss
-// accounting, not concurrency.
+// memCache is a minimal in-process ResultCache for tests: no singleflight,
+// because a point that two callers compute at once computes the same
+// Results twice, and the assertions only care about what is served.
 type memCache struct {
 	mu sync.Mutex
 	m  map[string]system.Results

@@ -33,24 +33,19 @@ func (s JobState) terminal() bool {
 	return s == JobDone || s == JobFailed || s == JobCancelled
 }
 
-// JobSpec is the POST /jobs body: one async sweep, either a figure
-// regeneration or an explicit list of simulation points. Exactly one of
-// Figure and Points must be set.
+// JobSpec is the POST /jobs body: one async figure regeneration. A single
+// point is a POST /run.
 type JobSpec struct {
 	// Figure regenerates one of the paper's figures through the shared
-	// result cache; the job's result is the figure's table.
+	// result cache; the job's result is the figure's table. Required.
 	Figure *FigureSpec `json:"figure,omitempty"`
-	// Points runs an explicit list of simulation points (each one a /run
-	// body) in order, through the shared result cache.
-	Points []JobRequest `json:"points,omitempty"`
 	// TimeoutMS caps the whole job's wall-clock time; 0 inherits the server
 	// default (which exists to bound runaway jobs, not to race small ones).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// KeepGoing completes the sweep with failed points marked instead of
-	// failing the job on the first point error: a figure job folds failures
-	// into the table's footnotes, a points job records per-point Error/Fault
-	// in its JobResponses. The job only fails when cancelled or when every
-	// point failed.
+	// failing the job on the first point error: the failures fold into the
+	// table's Failures and footnotes. The job only fails when cancelled or
+	// when every point failed.
 	KeepGoing bool `json:"keep_going,omitempty"`
 }
 
@@ -62,36 +57,26 @@ type FigureSpec struct {
 	Sample     *config.SampleParams `json:"sample,omitempty"`     // sampled regeneration
 }
 
-// validate rejects malformed specs before a job id is minted.
+// validate rejects malformed specs before a job id is minted, and specs a
+// recovered journal holds that this server cannot run.
 func (s JobSpec) validate() error {
-	switch {
-	case s.Figure == nil && len(s.Points) == 0:
-		return fmt.Errorf("job spec needs a figure or at least one point")
-	case s.Figure != nil && len(s.Points) > 0:
-		return fmt.Errorf("job spec must set figure or points, not both")
+	f := s.Figure
+	if f == nil {
+		return fmt.Errorf("job spec needs a figure; POST /run runs a single point")
 	}
-	if f := s.Figure; f != nil {
-		if _, ok := experiments.ByName(f.ID); !ok {
-			return fmt.Errorf("unknown figure %q (want 2, 13-19, area, ablations, latency)", f.ID)
-		}
-		if f.Scale < 0 {
-			return fmt.Errorf("bad figure scale %v", f.Scale)
-		}
-		for _, b := range f.Benchmarks {
-			if !workload.Valid(b) {
-				return fmt.Errorf("unknown benchmark %q (valid: %s)", b, strings.Join(workload.Names(), ", "))
-			}
-		}
-		if f.Sample != nil {
-			if err := f.Sample.Validate(); err != nil {
-				return err
-			}
+	if _, ok := experiments.ByName(f.ID); !ok {
+		return fmt.Errorf("unknown figure %q (want 2, 13-19, area, ablations, latency)", f.ID)
+	}
+	if f.Scale < 0 {
+		return fmt.Errorf("bad figure scale %v", f.Scale)
+	}
+	for _, b := range f.Benchmarks {
+		if !workload.Valid(b) {
+			return fmt.Errorf("unknown benchmark %q (valid: %s)", b, strings.Join(workload.Names(), ", "))
 		}
 	}
-	for i, p := range s.Points {
-		if _, _, _, err := p.resolve(); err != nil {
-			return fmt.Errorf("point %d: %w", i, err)
-		}
+	if f.Sample != nil {
+		return f.Sample.Validate()
 	}
 	return nil
 }
@@ -122,11 +107,9 @@ type JobStatus struct {
 	Progress JobProgress       `json:"progress"`
 }
 
-// JobResult is the GET /jobs/{id}/result reply: the figure table or the
-// per-point responses, depending on the spec.
+// JobResult is the GET /jobs/{id}/result reply: the figure's table.
 type JobResult struct {
 	Figure *experiments.Table `json:"figure,omitempty"`
-	Points []JobResponse      `json:"points,omitempty"`
 }
 
 // SubmitResponse is the POST /jobs reply.
@@ -238,7 +221,10 @@ func (s *Server) registerFinishedJob(rec RecoveredJob) {
 
 // resumeJournal recovers journaled jobs at startup: unfinished jobs are
 // re-submitted (their completed and quarantined points replay from the
-// Store), finished ones are re-registered for status/result queries.
+// Store), finished ones are re-registered for status/result queries. An
+// unfinished job whose spec no longer validates (a point-list job from an
+// older journal, which decodes without a figure) is journaled as failed
+// with the validation error instead.
 func (s *Server) resumeJournal() {
 	recs, err := s.cfg.Journal.Recover()
 	if err != nil {
@@ -246,11 +232,17 @@ func (s *Server) resumeJournal() {
 		return
 	}
 	for _, rec := range recs {
-		if rec.Resumable() {
-			s.submitJob(rec.Spec, &rec)
-		} else {
+		if !rec.Resumable() {
 			s.registerFinishedJob(rec)
+			continue
 		}
+		if err := rec.Spec.validate(); err != nil {
+			rec.State, rec.Error = JobFailed, err.Error()
+			s.journalTry(s.cfg.Journal.JobState(rec.ID, JobStatus{State: JobFailed, Error: rec.Error}))
+			s.registerFinishedJob(rec)
+			continue
+		}
+		s.submitJob(rec.Spec, &rec)
 	}
 }
 
@@ -295,11 +287,7 @@ func (s *Server) runJob(j *job) {
 	var res JobResult
 	err := s.execute(j.ctx, j.resumed, j.spec.TimeoutMS, func(ctx context.Context) (err error) {
 		s.setJobState(j, JobRunning, "", nil)
-		if j.spec.Figure != nil {
-			res.Figure, err = s.runFigure(ctx, j)
-		} else {
-			res.Points, err = s.runPointsJob(ctx, j)
-		}
+		res.Figure, err = s.runFigure(ctx, j)
 		return err
 	})
 	s.finishJob(j, res, err)
@@ -330,65 +318,6 @@ func (s *Server) finishJob(j *job, res JobResult, err error) {
 		}
 		s.setJobState(j, JobFailed, err.Error(), nil)
 	}
-}
-
-// runPointsJob runs the spec's explicit points in order through runPoint.
-// Under spec.KeepGoing a failed point is marked in its JobResponse
-// (Error/Fault, zero Results) and the sweep continues; otherwise the first
-// failure fails the job.
-func (s *Server) runPointsJob(ctx context.Context, j *job) ([]JobResponse, error) {
-	points := j.spec.Points
-	j.mu.Lock()
-	j.progress.Total = len(points)
-	j.mu.Unlock()
-	out := make([]JobResponse, 0, len(points))
-	var wallSumMS float64
-	wallN := 0
-	failures := 0
-	for i, pr := range points {
-		cfg, bench, scale, err := pr.resolve()
-		if err != nil {
-			return nil, fmt.Errorf("point %d: %w", i, err)
-		}
-		j.mu.Lock()
-		j.progress.Started++
-		j.mu.Unlock()
-		resp, e, err := s.runPoint(ctx, cfg, bench, scale)
-		if err == nil {
-			resp.Results, err = s.cfg.Store.results(e)
-		}
-		if err == nil && !resp.Cached {
-			wallSumMS += resp.ElapsedMS
-			wallN++
-		}
-		j.mu.Lock()
-		if err != nil {
-			j.progress.Failed++
-		} else {
-			j.progress.Completed++
-			if resp.Cached {
-				j.progress.Cached++
-			}
-		}
-		if wallN > 0 {
-			remaining := len(points) - j.progress.Completed - j.progress.Failed
-			j.progress.EstRemainingMS = wallSumMS / float64(wallN) * float64(remaining)
-		}
-		j.mu.Unlock()
-		if err != nil {
-			if !j.spec.KeepGoing || ctx.Err() != nil {
-				return nil, fmt.Errorf("point %d (%s): %w", i, bench, err)
-			}
-			failures++
-			pe := fault.Classify(resp.Key, err)
-			resp.Error, resp.Fault = pe.Error(), pe.Served()
-		}
-		out = append(out, resp)
-	}
-	if failures > 0 && failures == len(points) {
-		return nil, fmt.Errorf("all %d points failed: %w", failures, out[0].Fault)
-	}
-	return out, nil
 }
 
 // handleJobs accepts new async jobs: POST /jobs -> 202 {id, state}, or
@@ -456,9 +385,11 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		j.mu.Lock()
 		res := j.result
 		j.mu.Unlock()
-		if res == nil {
-			// A journaled done-job whose result record was lost: the points
-			// are all cached, so re-submitting the spec rebuilds it cheaply.
+		if res == nil || res.Figure == nil {
+			// A journaled done-job whose result record was lost, or an older
+			// journal's point-list result: the points are all cached, so
+			// re-submitting the spec (or the points to /run) rebuilds it
+			// cheaply.
 			http.Error(w, "result not retained; resubmit the job (points are cached)", http.StatusGone)
 			return
 		}

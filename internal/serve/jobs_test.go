@@ -11,7 +11,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -153,12 +155,189 @@ func diskEntries(t *testing.T, dir string) int {
 	return len(all) - len(poison)
 }
 
-func TestJournalRoundTrip(t *testing.T) {
-	j, err := OpenJournal(t.TempDir())
+// mustStore opens a Store over dir ("" = memory only).
+func mustStore(t *testing.T, dir string) *Store {
+	t.Helper()
+	st, err := NewStore(0, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := JobSpec{Points: []JobRequest{{Benchmark: "nn", Scale: 0.05}}, TimeoutMS: 1234}
+	return st
+}
+
+// mustJournal opens a Journal over dir.
+func mustJournal(t *testing.T, dir string) *Journal {
+	t.Helper()
+	jn, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return jn
+}
+
+// tinyFigure is the figure job the job tests run: Fig 13 over nn at scale
+// 0.01, whose 15 points (3 cores x 5 systems) simulate in well under a
+// second.
+func tinyFigure() JobSpec {
+	return JobSpec{Figure: &FigureSpec{ID: "13", Scale: 0.01, Benchmarks: []string{"nn"}}}
+}
+
+// tinyFigurePoints is the number of points tinyFigure sweeps.
+const tinyFigurePoints = 15
+
+// tinyRef memoises one uninterrupted run of tinyFigure per test binary.
+var tinyRef struct {
+	sync.Mutex
+	keys  []string          // the figure's point keys, sorted
+	files map[string][]byte // each point's <key>.json, as the Store wrote it
+	table []byte            // the figure's table, as JSON
+}
+
+// tinyReference runs tinyFigure once through a job on a disk Store and
+// returns its point keys, their result files and its table's JSON. Tests
+// seed cache directories from the files, so a point they do not mean to
+// compute is a disk hit.
+func tinyReference(t *testing.T) (keys []string, files map[string][]byte, table []byte) {
+	t.Helper()
+	tinyRef.Lock()
+	defer tinyRef.Unlock()
+	if tinyRef.files == nil {
+		dir := t.TempDir()
+		_, ts := newTestServer(t, Config{Store: mustStore(t, dir)})
+		id := submitJobSpec(t, ts.URL, tinyFigure())
+		waitJobState(t, ts.URL, id, JobDone)
+		code, res, body := getJobResult(t, ts.URL, id)
+		if code != http.StatusOK || res.Figure == nil {
+			t.Fatalf("reference figure result = %d (%s)", code, body)
+		}
+		table, err := json.Marshal(res.Figure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths, err := filepath.Glob(filepath.Join(dir, "*.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files := map[string][]byte{}
+		var keys []string
+		for _, p := range paths {
+			data, err := os.ReadFile(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := strings.TrimSuffix(filepath.Base(p), ".json")
+			keys = append(keys, key)
+			files[key] = data
+		}
+		if len(keys) != tinyFigurePoints {
+			t.Fatalf("reference run stored %d results, want %d", len(keys), tinyFigurePoints)
+		}
+		sort.Strings(keys)
+		tinyRef.keys, tinyRef.files, tinyRef.table = keys, files, table
+	}
+	return tinyRef.keys, tinyRef.files, tinyRef.table
+}
+
+// seedCache writes the reference result files of keys into dir, as a
+// process that finished those points would have left them.
+func seedCache(t *testing.T, dir string, keys ...string) {
+	t.Helper()
+	_, files, _ := tinyReference(t)
+	for _, key := range keys {
+		if err := os.WriteFile(filepath.Join(dir, key+".json"), files[key], 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// poisonKey quarantines key in dir, as a point that panicked in a Store
+// over dir would have: it leaves <key>.poison.json behind.
+func poisonKey(t *testing.T, dir, key string) {
+	t.Helper()
+	_, err := mustStore(t, dir).Do(context.Background(), key, func() (system.Results, error) {
+		return system.Results{}, fault.FromPanic(key, "injected simulator fault")
+	})
+	if pe, ok := fault.As(err); !ok || pe.Kind != fault.KindPanic {
+		t.Fatalf("poisoning %s: err %v, want a panic", key, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, key+".poison.json")); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// holdKey makes st's lookups of key wait until release is called: the test
+// leads key's singleflight with a compute that blocks, and on release gives
+// the key up as a cancelled leader, so a waiting sweep point takes it over
+// and computes it. A figure job with key among its points stays running
+// until release.
+func holdKey(t *testing.T, st *Store, key string) (release func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	held, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		st.Do(ctx, key, func() (system.Results, error) {
+			close(held)
+			<-ctx.Done()
+			return system.Results{}, ctx.Err()
+		})
+	}()
+	<-held
+	var once sync.Once
+	release = func() {
+		once.Do(func() {
+			cancel()
+			<-done
+		})
+	}
+	t.Cleanup(release)
+	return release
+}
+
+// killQueued submits spec to a journaled server over cacheDir and
+// journalDir and kills the server while the job waits for a worker: a /run
+// whose stub Runner holds the only worker slot keeps it queued, so the kill
+// lands before any of its points ran, whatever the scheduling. The journal
+// then shows the job unfinished.
+func killQueued(t *testing.T, cacheDir, journalDir string, spec JobSpec) string {
+	t.Helper()
+	started := make(chan struct{})
+	runner := func(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error) {
+		close(started)
+		<-ctx.Done()
+		return system.Results{}, ctx.Err()
+	}
+	h := NewServer(Config{Store: mustStore(t, cacheDir), Journal: mustJournal(t, journalDir), Workers: 1, Runner: runner})
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	runDone := make(chan struct{})
+	go func() {
+		defer close(runDone)
+		body, _ := json.Marshal(JobRequest{Benchmark: "mv", Scale: 0.01})
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/run", bytes.NewReader(body))
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	select {
+	case <-started:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the /run holding the worker never started")
+	}
+	id := submitJobSpec(t, ts.URL, spec)
+	h.Kill() // crash emulation: no terminal state is journaled
+	cancel() // the client goes away, so the stub gives the worker back
+	<-runDone
+	return id
+}
+
+func TestJournalRoundTrip(t *testing.T) {
+	j := mustJournal(t, t.TempDir())
+	spec := tinyFigure()
+	spec.TimeoutMS = 1234
 	if err := j.JobCreated("job1", spec); err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +374,8 @@ func TestJournalRoundTrip(t *testing.T) {
 	if err := j.JobState("job1", JobStatus{State: JobDone, Fault: pe, Progress: progress}); err != nil {
 		t.Fatal(err)
 	}
-	if err := j.JobResult("job1", JobResult{Points: []JobResponse{{Key: "k1"}}}); err != nil {
+	table := &experiments.Table{Title: "T", Rows: [][]string{{"1"}}, Metrics: map[string]float64{"m": 2}}
+	if err := j.JobResult("job1", JobResult{Figure: table}); err != nil {
 		t.Fatal(err)
 	}
 	rec, ok := recoverJob(t, j, "job1")
@@ -208,7 +388,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	if rec.Progress != progress || !reflect.DeepEqual(rec.Fault, pe) {
 		t.Errorf("final status recovered as %+v / %+v, want %+v / %+v", rec.Progress, rec.Fault, progress, pe)
 	}
-	if rec.Result == nil || len(rec.Result.Points) != 1 || rec.Result.Points[0].Key != "k1" {
+	if rec.Result == nil || !reflect.DeepEqual(rec.Result.Figure, table) {
 		t.Errorf("result did not round-trip: %+v", rec.Result)
 	}
 
@@ -234,11 +414,8 @@ func TestJournalRoundTrip(t *testing.T) {
 // everything else.
 func TestJournalCorruptionTolerance(t *testing.T) {
 	dir := t.TempDir()
-	j, err := OpenJournal(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := JobSpec{Points: []JobRequest{{Benchmark: "nn"}}}
+	j := mustJournal(t, dir)
+	spec := tinyFigure()
 	if err := j.JobCreated("j2", spec); err != nil {
 		t.Fatal(err)
 	}
@@ -281,58 +458,106 @@ func TestJournalCorruptionTolerance(t *testing.T) {
 	}
 }
 
-// TestJobsAsyncPoints drives the async job API end to end with a stub
-// runner: submit, poll to done, fetch the result, resubmit (all cached),
-// and delete.
-func TestJobsAsyncPoints(t *testing.T) {
-	var calls atomic.Int64
-	h, ts := newTestServer(t, Config{Runner: markRunner(&calls)})
-	spec := JobSpec{Points: []JobRequest{
-		{Benchmark: "nn", Scale: 0.05},
-		{Benchmark: "mv", Scale: 0.05},
-	}}
-
-	id := submitJobSpec(t, ts.URL, spec)
-	st := waitJobState(t, ts.URL, id, JobDone)
-	if p := st.Progress; p.Total != 2 || p.Started != 2 || p.Completed != 2 || p.Cached != 0 || p.Failed != 0 {
-		t.Errorf("progress %+v, want 2 points all computed", p)
+// TestJobsKillRestartPoints: a server killed while POST /jobs also ran
+// point lists leaves journals whose specs hold no figure, which decode
+// leniently into an empty JobSpec. On restart an unfinished one must not
+// reach the figure runner: it ends failed, with the validation error naming
+// /run, and is journaled so. A finished one stays queryable, and its
+// point-list result answers 410 like a lost result.
+func TestJobsKillRestartPoints(t *testing.T) {
+	dir := t.TempDir()
+	fixtures := map[string]string{
+		"pending": `{"v":1,"t":"job","id":"pending","spec":{"points":[{"benchmark":"nn"}]}}
+{"v":1,"t":"state","state":"queued"}
+{"v":1,"t":"state","state":"running"}
+`,
+		"finished": `{"v":1,"t":"job","id":"finished","spec":{"points":[{"benchmark":"nn","scale":0.05}]}}
+{"v":1,"t":"state","state":"queued"}
+{"v":1,"t":"state","state":"running"}
+{"v":1,"t":"state","state":"done","progress":{"total":1,"started":1,"completed":1,"cached":0}}
+{"v":1,"t":"result","result":{"points":[{"key":"k1","cached":false,"elapsed_ms":1.5,"results":{"Benchmark":"nn"}}]}}
+`,
 	}
-	code, res, body := getJobResult(t, ts.URL, id)
-	if code != http.StatusOK {
-		t.Fatalf("result = %d (%s)", code, body)
-	}
-	if len(res.Points) != 2 {
-		t.Fatalf("result has %d points, want 2", len(res.Points))
-	}
-	for i, want := range []string{"nn@0.05", "mv@0.05"} {
-		p := res.Points[i]
-		if p.Results.Benchmark != want || p.Cached || p.Key == "" {
-			t.Errorf("point %d = %+v, want computed %q with a key", i, p, want)
+	for id, lines := range fixtures {
+		if err := os.WriteFile(filepath.Join(dir, id+journalSuffix), []byte(lines), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if calls.Load() != 2 {
-		t.Errorf("runner ran %d times, want 2", calls.Load())
+	var calls atomic.Int64
+	start := func() (*Server, *httptest.Server) {
+		h := NewServer(Config{Store: mustStore(t, ""), Journal: mustJournal(t, dir), Runner: markRunner(&calls)})
+		ts := httptest.NewServer(h)
+		t.Cleanup(ts.Close)
+		return h, ts
 	}
 
-	// Identical resubmission: a new job, served entirely from the cache.
-	id2 := submitJobSpec(t, ts.URL, spec)
-	st = waitJobState(t, ts.URL, id2, JobDone)
-	if st.Progress.Cached != 2 {
-		t.Errorf("resubmitted progress %+v, want 2 cached", st.Progress)
+	for restart := 0; restart < 2; restart++ {
+		h, ts := start()
+		code, st := getJobStatus(t, ts.URL, "pending")
+		if code != http.StatusOK || st.State != JobFailed || !st.Resumed || !strings.Contains(st.Error, "POST /run") {
+			t.Errorf("restart %d: pending point-list job = %d %+v, want failed, resumed, naming POST /run", restart, code, st)
+		}
+		if code, _, body := getJobResult(t, ts.URL, "pending"); code != http.StatusInternalServerError {
+			t.Errorf("restart %d: pending point-list result = %d (%s), want 500", restart, code, body)
+		}
+		if code, st := getJobStatus(t, ts.URL, "finished"); code != http.StatusOK || st.State != JobDone || st.Progress.Completed != 1 {
+			t.Errorf("restart %d: finished point-list job = %d %+v, want done with its journaled progress", restart, code, st)
+		}
+		if code, _, body := getJobResult(t, ts.URL, "finished"); code != http.StatusGone {
+			t.Errorf("restart %d: finished point-list result = %d (%s), want 410", restart, code, body)
+		}
+		if n := h.asyncResumed.Load(); n != 0 {
+			t.Errorf("restart %d: resubmitted %d jobs, want none", restart, n)
+		}
+		rec, ok := recoverJob(t, mustJournal(t, dir), "pending")
+		if !ok || rec.State != JobFailed || !strings.Contains(rec.Error, "POST /run") {
+			t.Errorf("restart %d: journal holds %+v, want the pending job failed", restart, rec)
+		}
 	}
-	if calls.Load() != 2 {
-		t.Errorf("runner ran %d times after resubmit, want still 2", calls.Load())
+	if calls.Load() != 0 {
+		t.Errorf("recovery ran %d simulations, want none", calls.Load())
+	}
+}
+
+// TestJobsFigureAsync drives the async job API end to end over a real
+// figure sweep: submit, poll to done, fetch the table; resubmit, and the new
+// job is served entirely from the cache with the identical table. The
+// async counters surface in /metrics, /jobs/{id} paths are checked, and
+// DELETE forgets a finished job.
+func TestJobsFigureAsync(t *testing.T) {
+	var calls atomic.Int64
+	h, ts := newTestServer(t, Config{Runner: markRunner(&calls)})
+	run := func() (string, JobStatus, *experiments.Table) {
+		t.Helper()
+		id := submitJobSpec(t, ts.URL, tinyFigure())
+		st := waitJobState(t, ts.URL, id, JobDone)
+		code, res, body := getJobResult(t, ts.URL, id)
+		if code != http.StatusOK || res.Figure == nil {
+			t.Fatalf("figure result = %d (%s)", code, body)
+		}
+		return id, st, res.Figure
 	}
 
-	// The async counters surface in /metrics.
-	mr, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	id, st, first := run()
+	if p := st.Progress; p.Total != tinyFigurePoints || p.Started != tinyFigurePoints || p.Completed != tinyFigurePoints || p.Cached != 0 || p.Failed != 0 {
+		t.Errorf("figure progress %+v, want %d points all computed", p, tinyFigurePoints)
 	}
-	mdata, _ := io.ReadAll(mr.Body)
-	mr.Body.Close()
-	if !strings.Contains(string(mdata), "sfserve_async_jobs_submitted 2") {
-		t.Errorf("metrics missing async submission counter:\n%s", mdata)
+	_, st, second := run()
+	if p := st.Progress; p.Completed != tinyFigurePoints || p.Cached != tinyFigurePoints {
+		t.Errorf("second figure job progress %+v, want all %d cached", p, tinyFigurePoints)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("second figure job diverged from the first:\nfirst  %+v\nsecond %+v", first, second)
+	}
+	if s := h.cfg.Store.Stats(); s.Misses != tinyFigurePoints {
+		t.Errorf("store misses = %d, want exactly %d (second job from cache)", s.Misses, tinyFigurePoints)
+	}
+	if calls.Load() != 0 {
+		t.Errorf("figure jobs ran Config.Runner %d times; a sweep computes with its own closure", calls.Load())
+	}
+
+	if m := getBody(t, ts.URL+"/metrics"); !strings.Contains(m, "sfserve_async_jobs_submitted 2\n") {
+		t.Errorf("metrics missing async submission counter:\n%s", m)
 	}
 
 	// Path hygiene around /jobs/{id}.
@@ -365,22 +590,17 @@ func TestJobsAsyncPoints(t *testing.T) {
 	if code, _ := getJobStatus(t, ts.URL, id); code != http.StatusNotFound {
 		t.Errorf("status after DELETE = %d, want 404", code)
 	}
-	_ = h
 }
 
 func TestJobsValidation(t *testing.T) {
 	var calls atomic.Int64
 	h, ts := newTestServer(t, Config{Runner: markRunner(&calls)})
-	point := []JobRequest{{Benchmark: "nn"}}
 	for name, spec := range map[string]JobSpec{
 		"empty":             {},
-		"figure and points": {Figure: &FigureSpec{ID: "13"}, Points: point},
 		"unknown figure":    {Figure: &FigureSpec{ID: "99"}},
 		"bad figure bench":  {Figure: &FigureSpec{ID: "13", Benchmarks: []string{"typo"}}},
 		"bad figure scale":  {Figure: &FigureSpec{ID: "13", Scale: -1}},
 		"bad figure sample": {Figure: &FigureSpec{ID: "13", Sample: &config.SampleParams{Intervals: -1}}},
-		"bad point":         {Points: []JobRequest{{Benchmark: "typo"}}},
-		"bad point scale":   {Points: []JobRequest{{Benchmark: "nn", Scale: -0.5}}},
 	} {
 		resp, data := postJobs(t, ts.URL, spec)
 		if resp.StatusCode != http.StatusBadRequest {
@@ -391,9 +611,10 @@ func TestJobsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	data, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("malformed body = %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "bad request body") {
+		t.Errorf("POST /jobs { = %d (%s), want 400 naming a bad request body", resp.StatusCode, data)
 	}
 	resp, err = http.Get(ts.URL + "/jobs")
 	if err != nil {
@@ -403,32 +624,64 @@ func TestJobsValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /jobs = %d, want 405", resp.StatusCode)
 	}
-	if calls.Load() != 0 {
-		t.Errorf("invalid specs ran %d simulations", calls.Load())
+	h.jobsMu.Lock()
+	n := len(h.jobs)
+	h.jobsMu.Unlock()
+	if n != 0 || calls.Load() != 0 {
+		t.Errorf("invalid specs created %d jobs and ran %d simulations", n, calls.Load())
 	}
 
 	h.Drain()
-	if resp, data := postJobs(t, ts.URL, JobSpec{Points: point}); resp.StatusCode != http.StatusServiceUnavailable {
+	if resp, data := postJobs(t, ts.URL, tinyFigure()); resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("draining POST /jobs = %d (%s), want 503", resp.StatusCode, data)
 	}
 }
 
-// TestJobsCancel: DELETE on a running job cancels its simulation and the job
-// terminates as cancelled; its result endpoint reports 410.
+// TestJobsAsyncPoints: POST /jobs no longer runs point lists. A points body
+// is a 400 naming POST /run; it creates no job, counts no async submission
+// and simulates nothing. The same point posted to /run is computed.
+func TestJobsAsyncPoints(t *testing.T) {
+	var calls atomic.Int64
+	h, ts := newTestServer(t, Config{Runner: markRunner(&calls)})
+	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(`{"points":[{"benchmark":"nn","scale":0.05}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), "POST /run") {
+		t.Errorf("POST /jobs with points = %d (%s), want 400 naming POST /run", resp.StatusCode, data)
+	}
+	h.jobsMu.Lock()
+	n := len(h.jobs)
+	h.jobsMu.Unlock()
+	if n != 0 || calls.Load() != 0 {
+		t.Errorf("a points body created %d jobs and ran %d simulations", n, calls.Load())
+	}
+	if m := getBody(t, ts.URL+"/metrics"); !strings.Contains(m, "sfserve_async_jobs_submitted 0\n") {
+		t.Errorf("a points body counted as an async submission:\n%s", m)
+	}
+	if resp, data := postRun(t, ts.URL, JobRequest{Benchmark: "nn", Scale: 0.05}); resp.StatusCode != http.StatusOK {
+		t.Errorf("POST /run of the same point = %d (%s), want 200", resp.StatusCode, data)
+	}
+	if calls.Load() != 1 {
+		t.Errorf("/run ran %d simulations, want 1", calls.Load())
+	}
+}
+
+// TestJobsCancel: DELETE on a running figure job cancels its sweep and the
+// job terminates as cancelled; its result endpoint reports 410. The job
+// cannot finish first: all its points but one are on disk, and the lookup
+// of that one waits behind a leader the test holds.
 func TestJobsCancel(t *testing.T) {
-	started := make(chan struct{})
-	runner := func(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error) {
-		close(started)
-		<-ctx.Done()
-		return system.Results{}, ctx.Err()
-	}
-	_, ts := newTestServer(t, Config{Runner: runner})
-	id := submitJobSpec(t, ts.URL, JobSpec{Points: []JobRequest{{Benchmark: "nn"}}})
-	select {
-	case <-started:
-	case <-time.After(5 * time.Second):
-		t.Fatal("job never started")
-	}
+	keys, _, _ := tinyReference(t)
+	dir := t.TempDir()
+	seedCache(t, dir, keys[1:]...)
+	st := mustStore(t, dir)
+	holdKey(t, st, keys[0])
+	_, ts := newTestServer(t, Config{Store: st})
+	id := submitJobSpec(t, ts.URL, tinyFigure())
+	waitJobState(t, ts.URL, id, JobRunning)
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+id, nil)
 	resp, err := http.DefaultClient.Do(req)
@@ -439,22 +692,25 @@ func TestJobsCancel(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("DELETE running job = %d, want 202", resp.StatusCode)
 	}
-	st := waitJobState(t, ts.URL, id, JobCancelled)
-	if st.State != JobCancelled {
-		t.Fatalf("state %s, want cancelled", st.State)
-	}
+	waitJobState(t, ts.URL, id, JobCancelled)
 	if code, _, _ := getJobResult(t, ts.URL, id); code != http.StatusGone {
 		t.Errorf("cancelled job result = %d, want 410", code)
+	}
+	if s := st.Stats(); s.Misses != 0 {
+		t.Errorf("store stats %+v: the cancelled job computed points", s)
 	}
 }
 
 // TestJobsBackpressure: async jobs and /run share one queue bound. With the
-// one worker and the one queue slot held by two blocked points jobs, a
-// third POST /jobs and a POST /run both answer 429, both count as
-// rejected, and the held jobs then finish.
+// one worker held by a blocked /run and the one queue slot held by a figure
+// job waiting behind it, a further POST /jobs and POST /run both answer
+// 429, both count as rejected, and the held requests then finish.
 func TestJobsBackpressure(t *testing.T) {
+	keys, _, _ := tinyReference(t)
+	dir := t.TempDir()
+	seedCache(t, dir, keys...) // the figure job computes nothing
 	block := make(chan struct{})
-	started := make(chan struct{}, 2)
+	started := make(chan struct{}, 1)
 	runner := func(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error) {
 		started <- struct{}{}
 		select {
@@ -464,24 +720,34 @@ func TestJobsBackpressure(t *testing.T) {
 			return system.Results{}, ctx.Err()
 		}
 	}
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, Runner: runner})
-	first := submitJobSpec(t, ts.URL, JobSpec{Points: []JobRequest{{Benchmark: "nn", Scale: 0.05}}})
+	_, ts := newTestServer(t, Config{Store: mustStore(t, dir), Workers: 1, QueueDepth: 1, Runner: runner})
+	runCode := make(chan int, 1)
+	go func() {
+		body, _ := json.Marshal(JobRequest{Benchmark: "nn", Scale: 0.05})
+		resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(body))
+		if err != nil {
+			runCode <- 0
+			return
+		}
+		resp.Body.Close()
+		runCode <- resp.StatusCode
+	}()
 	select {
 	case <-started:
 	case <-time.After(5 * time.Second):
-		t.Fatal("first job never started")
+		t.Fatal("the /run never started")
 	}
-	// The second job holds the queue slot from the moment it is accepted.
-	second := submitJobSpec(t, ts.URL, JobSpec{Points: []JobRequest{{Benchmark: "mv", Scale: 0.05}}})
+	// The figure job holds the queue slot from the moment it is accepted.
+	id := submitJobSpec(t, ts.URL, tinyFigure())
 
-	// A request that is not refused would wait behind the held jobs; the
+	// A request that is not refused would wait behind the held ones; the
 	// client's timeout turns that into a failure instead of a hang.
 	client := &http.Client{Timeout: 5 * time.Second}
 	for _, req := range []struct {
 		path string
 		body any
 	}{
-		{"/jobs", JobSpec{Points: []JobRequest{{Benchmark: "conv3d", Scale: 0.05}}}},
+		{"/jobs", tinyFigure()},
 		{"/run", JobRequest{Benchmark: "conv3d", Scale: 0.05}},
 	} {
 		path := req.path
@@ -496,316 +762,61 @@ func TestJobsBackpressure(t *testing.T) {
 			t.Errorf("POST %s on a full queue = %d (%s), want 429", path, resp.StatusCode, data)
 		}
 	}
-	mr, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mdata, _ := io.ReadAll(mr.Body)
-	mr.Body.Close()
-	if !strings.Contains(string(mdata), "sfserve_jobs_rejected 2\n") {
-		t.Errorf("metrics do not count both rejections:\n%s", mdata)
+	if m := getBody(t, ts.URL+"/metrics"); !strings.Contains(m, "sfserve_jobs_rejected 2\n") {
+		t.Errorf("metrics do not count both rejections:\n%s", m)
 	}
 
 	close(block)
-	for _, id := range []string{first, second} {
-		waitJobState(t, ts.URL, id, JobDone)
+	if code := <-runCode; code != http.StatusOK {
+		t.Errorf("held /run = %d, want 200", code)
 	}
+	waitJobState(t, ts.URL, id, JobDone)
 }
 
-// TestJobsFigureAsync: a figure job runs the real sweep asynchronously, and
-// a second, identical figure job replays every point from the now-warm
-// cache and returns the identical table.
-func TestJobsFigureAsync(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs 15 real simulations")
-	}
-	h, ts := newTestServer(t, Config{})
-	spec := JobSpec{Figure: &FigureSpec{ID: "13", Scale: 0.02, Benchmarks: []string{"nn"}}}
-	run := func() (JobStatus, *experiments.Table) {
-		t.Helper()
-		id := submitJobSpec(t, ts.URL, spec)
-		st := waitJobState(t, ts.URL, id, JobDone)
-		code, res, body := getJobResult(t, ts.URL, id)
-		if code != http.StatusOK || res.Figure == nil {
-			t.Fatalf("figure result = %d (%s)", code, body)
-		}
-		return st, res.Figure
-	}
-
-	st, first := run()
-	if p := st.Progress; p.Total != 15 || p.Completed != 15 || p.Failed != 0 {
-		t.Errorf("figure progress %+v, want 15/15 completed", p)
-	}
-	st, second := run()
-	if p := st.Progress; p.Completed != 15 || p.Cached != 15 {
-		t.Errorf("second figure job progress %+v, want 15/15 cached", p)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Errorf("second figure job diverged from the first:\nfirst  %+v\nsecond %+v", first, second)
-	}
-	if s := h.cfg.Store.Stats(); s.Misses != 15 {
-		t.Errorf("store misses = %d, want exactly 15 (second job from cache)", s.Misses)
-	}
-}
-
-// TestJobsKillRestartPoints is the deterministic crash-resume test: a points
-// job is killed after exactly 3 of its 6 points complete, and a new server
-// over the same journal and cache finishes it while recomputing only the
-// other 3 — with per-point results identical to an uninterrupted run. The
-// Store, not the journal, holds the 3 completed points.
-func TestJobsKillRestartPoints(t *testing.T) {
-	cacheDir, journalDir := t.TempDir(), t.TempDir()
-	spec := JobSpec{Points: []JobRequest{
-		{Benchmark: "nn", Scale: 0.01},
-		{Benchmark: "nn", Scale: 0.02},
-		{Benchmark: "nn", Scale: 0.03},
-		{Benchmark: "nn", Scale: 0.04},
-		{Benchmark: "nn", Scale: 0.05},
-		{Benchmark: "nn", Scale: 0.06},
-	}}
-	newDiskServer := func(runner func(context.Context, config.Config, string, float64) (system.Results, error)) (*Server, *Store, *httptest.Server) {
-		st, err := NewStore(0, cacheDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jn, err := OpenJournal(journalDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := NewServer(Config{Store: st, Runner: runner, Journal: jn})
-		ts := httptest.NewServer(h)
-		return h, st, ts
-	}
-
-	// Server A: points run sequentially; the 4th blocks until killed.
-	var callsA atomic.Int64
-	blocked := make(chan struct{})
-	runnerA := func(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error) {
-		if callsA.Add(1) > 3 {
-			close(blocked) // exactly once: points jobs run sequentially
-			<-ctx.Done()
-			return system.Results{}, ctx.Err()
-		}
-		return system.Results{Benchmark: fmt.Sprintf("%s@%.2f", bench, scale)}, nil
-	}
-	hA, _, tsA := newDiskServer(runnerA)
-	id := submitJobSpec(t, tsA.URL, spec)
-	select {
-	case <-blocked:
-	case <-time.After(10 * time.Second):
-		t.Fatal("job never reached its 4th point")
-	}
-	hA.Kill() // crash emulation: no terminal state is journaled
-	tsA.Close()
-
-	jn, err := OpenJournal(journalDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec, ok := recoverJob(t, jn, id); !ok || !rec.Resumable() {
-		t.Fatalf("journal after kill: ok=%v state=%s, want a resumable job", ok, rec.State)
-	}
-	if n := diskEntries(t, cacheDir); n != 3 {
-		t.Fatalf("store holds %d results after the kill, want the 3 completed points", n)
-	}
-
-	// Server B over the same dirs auto-resumes the job; only the 3 missing
-	// points are recomputed.
-	var callsB atomic.Int64
-	hB, stB, tsB := newDiskServer(markRunner(&callsB))
-	defer tsB.Close()
-	st := waitJobState(t, tsB.URL, id, JobDone)
-	if !st.Resumed {
-		t.Error("resumed job not flagged Resumed")
-	}
-	if st.Progress.Cached != 3 {
-		t.Errorf("resumed progress %+v, want 3 cached points", st.Progress)
-	}
-	if got := callsB.Load(); got != 3 {
-		t.Errorf("restart recomputed %d points, want exactly 3", got)
-	}
-	if s := stB.Stats(); s.DiskHits < 3 {
-		t.Errorf("store stats %+v, want the 3 pre-crash points served from disk", s)
-	}
-	code, resB, body := getJobResult(t, tsB.URL, id)
-	if code != http.StatusOK {
-		t.Fatalf("resumed result = %d (%s)", code, body)
-	}
-	for i, p := range resB.Points {
-		if wantCached := i < 3; p.Cached != wantCached {
-			t.Errorf("point %d cached=%v, want %v", i, p.Cached, wantCached)
-		}
-	}
-	_ = hB
-
-	// Server C on fresh dirs runs the same spec uninterrupted; the resumed
-	// job's per-point results must be DeepEqual to it.
-	cacheDir, journalDir = t.TempDir(), t.TempDir()
-	var callsC atomic.Int64
-	_, _, tsC := newDiskServer(markRunner(&callsC))
-	defer tsC.Close()
-	idC := submitJobSpec(t, tsC.URL, spec)
-	waitJobState(t, tsC.URL, idC, JobDone)
-	_, resC, _ := getJobResult(t, tsC.URL, idC)
-	if len(resB.Points) != len(resC.Points) {
-		t.Fatalf("resumed run has %d points, uninterrupted %d", len(resB.Points), len(resC.Points))
-	}
-	for i := range resB.Points {
-		if resB.Points[i].Key != resC.Points[i].Key ||
-			!reflect.DeepEqual(resB.Points[i].Results, resC.Points[i].Results) {
-			t.Errorf("point %d diverged:\nresumed       %+v\nuninterrupted %+v", i, resB.Points[i], resC.Points[i])
-		}
-	}
-	if callsB.Load() >= callsC.Load() {
-		t.Errorf("resume recomputed %d points, want strictly fewer than the uninterrupted %d", callsB.Load(), callsC.Load())
-	}
-}
-
-// TestJobsKillRestartBeyondQueue: a journal can hold more resumable jobs
-// than the queue admits (Workers+QueueDepth). A restarted server accepted
-// them all before the crash, so it refuses none: each waits for a queue
-// ticket like any other job, counts against the bound while it waits, and
-// runs to done.
-func TestJobsKillRestartBeyondQueue(t *testing.T) {
-	const workers, depth = 1, 1
-	journalDir := t.TempDir()
-	jn, err := OpenJournal(journalDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []string
-	for i := 0; i < workers+depth+1; i++ {
-		id := fmt.Sprintf("job%d", i)
-		spec := JobSpec{Points: []JobRequest{{Benchmark: "nn", Scale: 0.01 * float64(i+1)}}}
-		if err := jn.JobCreated(id, spec); err != nil {
-			t.Fatal(err)
-		}
-		if err := jn.JobState(id, JobStatus{State: JobRunning}); err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-	}
-
-	block := make(chan struct{})
-	var calls atomic.Int64
-	runner := func(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error) {
-		calls.Add(1)
-		select {
-		case <-block:
-			return system.Results{Benchmark: fmt.Sprintf("%s@%.2f", bench, scale)}, nil
-		case <-ctx.Done():
-			return system.Results{}, ctx.Err()
-		}
-	}
-	h, ts := newTestServer(t, Config{Workers: workers, QueueDepth: depth, Runner: runner, Journal: jn})
-	// Every ticket is held by a resumed job and the third waits for one, so
-	// a new job is refused.
-	waitFor(t, func() bool { return len(h.queue) == cap(h.queue) && h.queued.Load() == depth+1 })
-	if resp, data := postJobs(t, ts.URL, JobSpec{Points: []JobRequest{{Benchmark: "mv"}}}); resp.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("POST /jobs behind resumed jobs = %d (%s), want 429", resp.StatusCode, data)
-	}
-	close(block)
-	for _, id := range ids {
-		if st := waitJobState(t, ts.URL, id, JobDone); !st.Resumed {
-			t.Errorf("job %s not flagged Resumed", id)
-		}
-	}
-	if got := calls.Load(); got != int64(len(ids)) {
-		t.Errorf("runner ran %d times, want %d", got, len(ids))
-	}
-	if got := h.asyncResumed.Load(); got != uint64(len(ids)) {
-		t.Errorf("resumed %d jobs, want %d", got, len(ids))
-	}
-}
-
-// TestJobsKillRestartFigure: a real figure sweep is killed mid-flight, a
-// restarted server resumes the journaled job, and the resumed figure is
-// byte-identical to an uninterrupted render with at least one point served
-// from the Store's disk layer and strictly fewer than all points
-// recomputed. The journal records the job only, never its points.
+// TestJobsKillRestartFigure is the crash-resume test: a figure job is
+// killed while it waits for a worker, the cache directory then holds k of
+// its points' results (what the crashed process had finished), and a new
+// server over the same journal and cache resumes the job, computing only
+// the other points. The resumed table is byte-identical to an
+// uninterrupted run's, and the journal records the job only, never its
+// points.
 func TestJobsKillRestartFigure(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs ~2x15 real simulations across a kill/restart")
-	}
+	const k = 5
+	keys, _, want := tinyReference(t)
 	cacheDir, journalDir := t.TempDir(), t.TempDir()
-	spec := JobSpec{Figure: &FigureSpec{ID: "13", Scale: 0.02, Benchmarks: []string{"nn"}}}
-	newDiskServer := func() (*Server, *Store, *httptest.Server) {
-		st, err := NewStore(0, cacheDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jn, err := OpenJournal(journalDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := NewServer(Config{Store: st, Journal: jn})
-		ts := httptest.NewServer(h)
-		return h, st, ts
-	}
-
-	hA, _, tsA := newDiskServer()
-	id := submitJobSpec(t, tsA.URL, spec)
-	// Kill once some — but not all — of the 15 points are done.
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		code, st := getJobStatus(t, tsA.URL, id)
-		if code != http.StatusOK {
-			t.Fatalf("status = %d", code)
-		}
-		if st.State.terminal() {
-			t.Fatalf("sweep finished (%s) before the kill; cannot exercise resume", st.State)
-		}
-		if st.Progress.Completed >= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("sweep never progressed")
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	hA.Kill()
-	tsA.Close()
-
-	jn, err := OpenJournal(journalDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec, ok := recoverJob(t, jn, id); !ok || !rec.Resumable() {
+	id := killQueued(t, cacheDir, journalDir, tinyFigure())
+	if rec, ok := recoverJob(t, mustJournal(t, journalDir), id); !ok || !rec.Resumable() {
 		t.Fatalf("journal after kill: ok=%v state=%s, want a resumable job", ok, rec.State)
 	}
-	if n := diskEntries(t, cacheDir); n < 1 || n >= 15 {
-		t.Fatalf("store holds %d results after the kill, want a mid-sweep 1..14", n)
+	if n := diskEntries(t, cacheDir); n != 0 {
+		t.Fatalf("store holds %d results after the kill, want none (the job never ran)", n)
 	}
+	seedCache(t, cacheDir, keys[:k]...)
 
-	hB, stB, tsB := newDiskServer()
-	defer tsB.Close()
-	st := waitJobState(t, tsB.URL, id, JobDone)
-	if !st.Resumed {
+	st := mustStore(t, cacheDir)
+	h, ts := newTestServer(t, Config{Store: st, Journal: mustJournal(t, journalDir)})
+	got := waitJobState(t, ts.URL, id, JobDone)
+	if !got.Resumed {
 		t.Error("resumed job not flagged Resumed")
 	}
-	if st.Progress.Cached == 0 {
-		t.Errorf("resumed progress %+v, want >= 1 cached point", st.Progress)
+	if p := got.Progress; p.Completed != tinyFigurePoints || p.Cached != k {
+		t.Errorf("resumed progress %+v, want %d completed, %d of them cached", p, tinyFigurePoints, k)
 	}
-	if s := stB.Stats(); s.Misses >= 15 || s.DiskHits == 0 {
-		t.Errorf("store stats %+v, want strictly fewer than 15 recomputes and >= 1 disk hit", s)
+	if s := st.Stats(); s.Misses != tinyFigurePoints-k || s.DiskHits != k {
+		t.Errorf("store stats %+v, want %d computed and %d disk hits", s, tinyFigurePoints-k, k)
 	}
-	code, resB, body := getJobResult(t, tsB.URL, id)
-	if code != http.StatusOK || resB.Figure == nil {
+	code, res, body := getJobResult(t, ts.URL, id)
+	if code != http.StatusOK || res.Figure == nil {
 		t.Fatalf("resumed result = %d (%s)", code, body)
 	}
-	_ = hB
+	if gotJSON, _ := json.Marshal(res.Figure); !bytes.Equal(gotJSON, want) {
+		t.Errorf("resumed figure is not byte-identical to the uninterrupted run:\nresumed       %s\nuninterrupted %s", gotJSON, want)
+	}
 
-	// Uninterrupted reference on fresh dirs.
-	cacheDir, journalDir = t.TempDir(), t.TempDir()
-	hC, _, tsC := newDiskServer()
-	defer tsC.Close()
-	idC := submitJobSpec(t, tsC.URL, spec)
-	waitJobState(t, tsC.URL, idC, JobDone)
-	_, resC, _ := getJobResult(t, tsC.URL, idC)
-	if err := hC.WaitJobs(context.Background()); err != nil {
+	if err := h.WaitJobs(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(journalDir, idC+journalSuffix))
+	data, err := os.ReadFile(filepath.Join(journalDir, id+journalSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -815,57 +826,84 @@ func TestJobsKillRestartFigure(t *testing.T) {
 			t.Errorf("journal line %q: want only job, state and result records (err %v)", line, err)
 		}
 	}
+}
 
-	gotJSON, _ := json.Marshal(resB.Figure)
-	wantJSON, _ := json.Marshal(resC.Figure)
-	if !bytes.Equal(gotJSON, wantJSON) {
-		t.Errorf("resumed figure is not byte-identical to the uninterrupted render:\nresumed       %s\nuninterrupted %s", gotJSON, wantJSON)
+// TestJobsKillRestartBeyondQueue: a journal can hold more resumable jobs
+// than the queue admits (Workers+QueueDepth). A restarted server accepted
+// them all before the crash, so it refuses none: each waits for a queue
+// ticket like any other job, counts against the bound while it waits, and
+// runs to done. The running job holds its worker until the test releases
+// the one point its sweep cannot find on disk.
+func TestJobsKillRestartBeyondQueue(t *testing.T) {
+	const workers, depth = 1, 1
+	keys, _, _ := tinyReference(t)
+	cacheDir, journalDir := t.TempDir(), t.TempDir()
+	seedCache(t, cacheDir, keys[1:]...)
+	jn := mustJournal(t, journalDir)
+	var ids []string
+	for i := 0; i < workers+depth+1; i++ {
+		id := fmt.Sprintf("job%d", i)
+		if err := jn.JobCreated(id, tinyFigure()); err != nil {
+			t.Fatal(err)
+		}
+		if err := jn.JobState(id, JobStatus{State: JobRunning}); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+
+	st := mustStore(t, cacheDir)
+	release := holdKey(t, st, keys[0])
+	h, ts := newTestServer(t, Config{Workers: workers, QueueDepth: depth, Store: st, Journal: jn})
+	// Every ticket is held by a resumed job and the third waits for one, so
+	// a new job is refused.
+	waitFor(t, func() bool { return len(h.queue) == cap(h.queue) && h.queued.Load() == depth+1 })
+	if resp, data := postJobs(t, ts.URL, tinyFigure()); resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("POST /jobs behind resumed jobs = %d (%s), want 429", resp.StatusCode, data)
+	}
+	release()
+	for _, id := range ids {
+		if st := waitJobState(t, ts.URL, id, JobDone); !st.Resumed {
+			t.Errorf("job %s not flagged Resumed", id)
+		}
+	}
+	if s := st.Stats(); s.Misses != 1 {
+		t.Errorf("store stats %+v, want the held point computed once for all %d jobs", s, len(ids))
+	}
+	if got := h.asyncResumed.Load(); got != uint64(len(ids)) {
+		t.Errorf("resumed %d jobs, want %d", got, len(ids))
 	}
 }
 
 // TestJobsRestartStatus: a finished job's status survives a restart
-// verbatim — progress counts and fault included — for a keep-going job with
-// a panicking point and for a failed job; and a done keep-going job
-// estimates no time remaining.
+// verbatim — progress counts and fault included — for a keep-going figure
+// job that skips a quarantined point, and for a job that is not keep-going,
+// which fails with that point's fault. A done keep-going job estimates no
+// time remaining.
 func TestJobsRestartStatus(t *testing.T) {
-	journalDir := t.TempDir()
-	runner := func(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error) {
-		if bench == "mv" {
-			panic("injected simulator fault")
-		}
-		time.Sleep(time.Millisecond) // a computed point's wall time feeds the estimate
-		return system.Results{Benchmark: fmt.Sprintf("%s@%.2f", bench, scale)}, nil
-	}
+	keys, _, _ := tinyReference(t)
+	cacheDir, journalDir := t.TempDir(), t.TempDir()
+	// keys[0] is quarantined and keys[1] is computed, so a wall time feeds
+	// the estimate; the rest are disk hits.
+	seedCache(t, cacheDir, keys[2:]...)
+	poisonKey(t, cacheDir, keys[0])
 	newJournalServer := func() (*Server, *httptest.Server) {
-		st, err := NewStore(0, t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		jn, err := OpenJournal(journalDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := NewServer(Config{Store: st, Runner: runner, Journal: jn})
+		h := NewServer(Config{Store: mustStore(t, cacheDir), Journal: mustJournal(t, journalDir)})
 		return h, httptest.NewServer(h)
 	}
 
 	hA, tsA := newJournalServer()
-	// The computed point comes after the failed one, so an estimate that
-	// ignores failures would still count one point outstanding.
-	keep := submitJobSpec(t, tsA.URL, JobSpec{KeepGoing: true, Points: []JobRequest{
-		{Benchmark: "mv", Scale: 0.01},
-		{Benchmark: "nn", Scale: 0.02},
-	}})
-	failed := submitJobSpec(t, tsA.URL, JobSpec{Points: []JobRequest{{Benchmark: "mv", Scale: 0.03}}})
-	before := map[string]JobStatus{
-		keep:   waitJobState(t, tsA.URL, keep, JobDone),
-		failed: waitJobState(t, tsA.URL, failed, JobFailed),
+	keepSpec := tinyFigure()
+	keepSpec.KeepGoing = true
+	keep := submitJobSpec(t, tsA.URL, keepSpec)
+	keepSt := waitJobState(t, tsA.URL, keep, JobDone)
+	failed := submitJobSpec(t, tsA.URL, tinyFigure())
+	before := map[string]JobStatus{keep: keepSt, failed: waitJobState(t, tsA.URL, failed, JobFailed)}
+	if p := keepSt.Progress; p.Total != tinyFigurePoints || p.Completed != tinyFigurePoints-1 || p.Cached != tinyFigurePoints-2 || p.Failed != 1 || p.EstRemainingMS != 0 {
+		t.Errorf("done keep-going progress %+v, want 1 computed, %d cached, 1 failed, nothing remaining", p, tinyFigurePoints-2)
 	}
-	if p := before[keep].Progress; p.Total != 2 || p.Completed != 1 || p.Failed != 1 || p.EstRemainingMS != 0 {
-		t.Errorf("done keep-going progress %+v, want 1 completed, 1 failed, nothing remaining", p)
-	}
-	if st := before[failed]; st.Fault == nil || st.Fault.Kind != fault.KindPanic || st.Progress.Failed != 1 {
-		t.Errorf("failed job status %+v, want a panic fault and 1 failed point", st)
+	if st := before[failed]; st.Fault == nil || st.Fault.Kind != fault.KindPanic || !st.Fault.Quarantined || st.Fault.Key != keys[0] || st.Progress.Failed < 1 {
+		t.Errorf("failed job status %+v, want the quarantined panic of %s", st, keys[0])
 	}
 	if err := hA.WaitJobs(context.Background()); err != nil {
 		t.Fatal(err)
@@ -916,8 +954,8 @@ func TestLatencyPercentilesNearestRank(t *testing.T) {
 // 413 and no job is created.
 func TestJobsBodyTooLarge(t *testing.T) {
 	h, ts := newTestServer(t, Config{})
-	point := `{"benchmark":"nn","scale":0.05},`
-	body := `{"points":[` + strings.Repeat(point, maxBodyBytes/len(point)+1) + `{"benchmark":"nn"}]}`
+	bench := `"nn",`
+	body := `{"figure":{"id":"13","benchmarks":[` + strings.Repeat(bench, maxBodyBytes/len(bench)+1) + `"nn"]}}`
 	resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

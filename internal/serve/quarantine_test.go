@@ -1,12 +1,12 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -283,138 +283,82 @@ func TestServerStallWatchdog(t *testing.T) {
 	}
 }
 
-// TestJobsKillRestartQuarantine: a keep-going job is killed mid-flight after
-// one point was poisoned; the restarted server resumes it and the poisoned
-// point is skipped via the Store's poison file, never recomputed.
+// TestJobsKillRestartQuarantine: a keep-going figure job is killed before
+// it ran, and the crashed process had finished all its points but one,
+// which panicked and was quarantined. The restarted server resumes the job:
+// the finished points replay from disk, and the quarantined one is skipped
+// through its poison file, never recomputed, and named in the table's
+// failures.
 func TestJobsKillRestartQuarantine(t *testing.T) {
+	keys, _, _ := tinyReference(t)
 	cacheDir, journalDir := t.TempDir(), t.TempDir()
-	spec := JobSpec{KeepGoing: true, Points: []JobRequest{
-		{Benchmark: "nn", Scale: 0.01},
-		{Benchmark: "mv", Scale: 0.02},
-		{Benchmark: "nn", Scale: 0.03},
-	}}
-	newJournalServer := func(runner func(context.Context, config.Config, string, float64) (system.Results, error)) (*Server, *httptest.Server) {
-		st, err := NewStore(0, cacheDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		jn, err := OpenJournal(journalDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := NewServer(Config{Store: st, Runner: runner, Journal: jn})
-		return h, httptest.NewServer(h)
-	}
-
-	// Server A: point 1 completes, point 2 panics (quarantined on disk),
-	// point 3 blocks until the kill.
-	var callsA atomic.Int64
-	blocked := make(chan struct{})
-	runnerA := func(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error) {
-		switch callsA.Add(1) {
-		case 2:
-			panic("injected simulator fault")
-		case 3:
-			close(blocked)
-			<-ctx.Done()
-			return system.Results{}, ctx.Err()
-		}
-		return system.Results{Benchmark: fmt.Sprintf("%s@%.2f", bench, scale)}, nil
-	}
-	hA, tsA := newJournalServer(runnerA)
-	id := submitJobSpec(t, tsA.URL, spec)
-	select {
-	case <-blocked:
-	case <-time.After(10 * time.Second):
-		t.Fatal("job never reached its 3rd point")
-	}
-	hA.Kill()
-	tsA.Close()
-
-	jn, err := OpenJournal(journalDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec, ok := recoverJob(t, jn, id); !ok || !rec.Resumable() {
+	spec := tinyFigure()
+	spec.KeepGoing = true
+	id := killQueued(t, cacheDir, journalDir, spec)
+	if rec, ok := recoverJob(t, mustJournal(t, journalDir), id); !ok || !rec.Resumable() {
 		t.Fatalf("journal after kill: ok=%v state=%s, want a resumable job", ok, rec.State)
 	}
-	poison, err := filepath.Glob(filepath.Join(cacheDir, "*.poison.json"))
-	if err != nil || len(poison) != 1 {
-		t.Fatalf("store holds poison files %v (err %v), want the one panicked point", poison, err)
+	seedCache(t, cacheDir, keys[1:]...)
+	poisonKey(t, cacheDir, keys[0])
+
+	st := mustStore(t, cacheDir)
+	_, ts := newTestServer(t, Config{Store: st, Journal: mustJournal(t, journalDir)})
+	got := waitJobState(t, ts.URL, id, JobDone)
+	if p := got.Progress; p.Failed != 1 || p.Completed != tinyFigurePoints-1 {
+		t.Errorf("resumed progress %+v, want 1 failed point and the rest completed", p)
+	}
+	if s := st.Stats(); s.Misses != 0 || s.PoisonHits != 1 || s.DiskHits != tinyFigurePoints-1 {
+		t.Errorf("store stats %+v: the completed and quarantined points must replay, nothing recomputed", s)
 	}
 
-	// Server B resumes: point 1 replays from disk and point 3 is
-	// recomputed — but never the quarantined point 2.
-	var callsB atomic.Int64
-	benchesB := make(chan string, 8)
-	runnerB := func(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error) {
-		callsB.Add(1)
-		benchesB <- bench
-		return system.Results{Benchmark: fmt.Sprintf("%s@%.2f", bench, scale)}, nil
-	}
-	_, tsB := newJournalServer(runnerB)
-	defer tsB.Close()
-	st := waitJobState(t, tsB.URL, id, JobDone)
-	if st.Progress.Failed != 1 {
-		t.Errorf("resumed progress %+v, want 1 failed point", st.Progress)
-	}
-	if got := callsB.Load(); got != 1 {
-		t.Errorf("restart ran %d simulations, want 1 (the completed and quarantined points must replay)", got)
-	}
-	close(benchesB)
-	for b := range benchesB {
-		if b == "mv" {
-			t.Error("the quarantined mv point was recomputed on resume")
-		}
-	}
-
-	code, res, body := getJobResult(t, tsB.URL, id)
-	if code != http.StatusOK {
+	code, res, body := getJobResult(t, ts.URL, id)
+	if code != http.StatusOK || res.Figure == nil {
 		t.Fatalf("resumed result = %d (%s)", code, body)
 	}
-	if len(res.Points) != 3 {
-		t.Fatalf("resumed result has %d points, want 3", len(res.Points))
-	}
-	p := res.Points[1]
-	if p.Fault == nil || p.Fault.Kind != fault.KindPanic || !p.Fault.Quarantined || p.Error == "" {
-		t.Errorf("poisoned point response = %+v, want quarantined panic fault", p)
-	}
-	for _, i := range []int{0, 2} {
-		if res.Points[i].Fault != nil || res.Points[i].Results.Benchmark == "" {
-			t.Errorf("healthy point %d carries a fault or empty results: %+v", i, res.Points[i])
-		}
+	if f := res.Figure.Failures; len(f) != 1 || f[0].Key != keys[0] || f[0].Kind != fault.KindPanic || !f[0].Quarantined {
+		t.Errorf("table failures %+v, want the quarantined panic of %s", f, keys[0])
 	}
 }
 
-// TestServerPanicCountedOnce: two jobs sharing one poisoned point's
-// simulation (a singleflight leader and its follower) contain one panic,
-// and /metrics counts one — only the caller that ran the simulation counts
-// it.
+// TestServerPanicCountedOnce: two /run calls sharing one poisoned point's
+// simulation (a singleflight leader and its follower) both answer 422 and
+// contain one panic, and /metrics counts one — only the caller that ran
+// the simulation counts it.
 func TestServerPanicCountedOnce(t *testing.T) {
-	st, err := NewStore(0, "")
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := mustStore(t, "")
 	var calls atomic.Int64
 	runner := func(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error) {
 		calls.Add(1)
-		// Hold the simulation until the second job has joined it.
+		// Hold the simulation until the second call has joined it.
 		for deadline := time.Now().Add(5 * time.Second); st.Stats().Dedups == 0 && time.Now().Before(deadline); {
 			time.Sleep(time.Millisecond)
 		}
 		panic("injected simulator fault")
 	}
 	_, ts := newTestServer(t, Config{Store: st, Runner: runner, Workers: 2})
-	spec := JobSpec{Points: []JobRequest{{Benchmark: "mv", Scale: 0.05}}}
-	a := submitJobSpec(t, ts.URL, spec)
-	b := submitJobSpec(t, ts.URL, spec)
-	waitJobState(t, ts.URL, a, JobFailed)
-	waitJobState(t, ts.URL, b, JobFailed)
+	body, _ := json.Marshal(JobRequest{Benchmark: "mv", Scale: 0.05})
+	codes := make(chan int, 2)
+	for i := 0; i < 2; i++ {
+		go func() {
+			resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(body))
+			if err != nil {
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	for i := 0; i < 2; i++ {
+		if code := <-codes; code != http.StatusUnprocessableEntity {
+			t.Errorf("/run of the shared poisoned point = %d, want 422", code)
+		}
+	}
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("the shared point simulated %d times, want 1", n)
 	}
 	if st.Stats().Dedups != 1 {
-		t.Fatalf("store stats %+v: the second job never joined the first's simulation", st.Stats())
+		t.Fatalf("store stats %+v: the second call never joined the first's simulation", st.Stats())
 	}
 	if m := getBody(t, ts.URL+"/metrics"); !strings.Contains(m, "sfserve_panics_total 1\n") {
 		t.Errorf("one contained panic, metrics say otherwise:\n%s", m)

@@ -43,15 +43,16 @@ type Config struct {
 	// and fails as a stuck timeout (see fault.Guard). 0 disables the
 	// watchdog; panic containment is always on.
 	StallTimeout time.Duration
-	// Runner executes one /run or points-job simulation. nil picks
-	// sample.Run, which dispatches on cfg.Sample — full detailed simulation
-	// when sampling is disabled, sampled estimation (Results.Sampled set)
-	// when a job carries sampling parameters. Figure sweeps compute their
-	// points with their own closure, which also runs sample.Run: the sweep
-	// can only tell that a point was computed rather than cached when that
-	// closure runs, and its progress (cached counts, est_remaining_ms)
-	// depends on it. Tests substitute stubs to exercise queueing and
-	// cancellation deterministically.
+	// Runner executes one /run simulation: it is /run's compute seam, and
+	// nothing else calls it. nil picks sample.Run, which dispatches on
+	// cfg.Sample — full detailed simulation when sampling is disabled,
+	// sampled estimation (Results.Sampled set) when the request carries
+	// sampling parameters. Figure jobs compute their points with the
+	// sweep's own closure, which also runs sample.Run: the sweep can only
+	// tell that a point was computed rather than cached when that closure
+	// runs, and its progress (cached counts, est_remaining_ms) depends on
+	// it. Tests substitute stubs to hold a worker slot or to exercise
+	// queueing, faults and cancellation deterministically.
 	Runner func(ctx context.Context, cfg config.Config, bench string, scale float64) (system.Results, error)
 	// Journal, when non-nil, makes async jobs crash-safe: each job's spec,
 	// state transitions and final status are appended to its on-disk
@@ -68,8 +69,8 @@ type Config struct {
 // cache.
 //
 //	POST /run               JSON JobRequest -> JSON JobResponse (stored Results bytes)
-//	POST /jobs              submit an async sweep -> 202 {id} (see JobSpec);
-//	                        a figure is a job whose result is its JSON table
+//	POST /jobs              submit an async figure -> 202 {id} (see JobSpec);
+//	                        its result is the figure's JSON table
 //	GET  /jobs/{id}         async job status + per-point progress
 //	GET  /jobs/{id}/result  async job result once done
 //	DELETE /jobs/{id}       cancel an async job
@@ -219,19 +220,13 @@ type JobRequest struct {
 	Sample *config.SampleParams `json:"sample,omitempty"`
 }
 
-// JobResponse is the POST /run reply (and one element of a points job's
-// result).
+// JobResponse is the POST /run reply. A failed /run is an HTTP error
+// instead (422 with the PointError for a poisoned point).
 type JobResponse struct {
 	Key       string         `json:"key"`        // canonical cache key of the point
 	Cached    bool           `json:"cached"`     // served without running a simulation
 	ElapsedMS float64        `json:"elapsed_ms"` // wall-clock job time
 	Results   system.Results `json:"results"`
-	// Error/Fault mark a point that failed under a keep-going job: Results
-	// is zero-valued, Error is the failure text, and Fault its structured
-	// classification. Absent on /run replies (a failed /run is an HTTP
-	// error, 422 for poisoned points).
-	Error string            `json:"error,omitempty"`
-	Fault *fault.PointError `json:"fault,omitempty"`
 }
 
 // resolve turns a JobRequest into a runnable configuration, benchmark and
@@ -462,14 +457,14 @@ func writeRun(w http.ResponseWriter, resp JobResponse, results []byte) {
 	io.WriteString(w, tail)
 }
 
-// runPoint computes one resolved /run or points-job point through the
-// Store's lookup, simulating with Config.Runner under the fault guard:
-// panics become structured PointErrors (keeping the serving process up),
-// and with Config.StallTimeout set the stall watchdog kills points whose
-// event loop stops advancing simulated time. The Store quarantines and
-// counts those faults. The response carries the key, cached flag and
-// elapsed time, even on error, but not the Results: those are in the
-// entry, next to the encoded bytes /run splices.
+// runPoint computes one resolved /run point through the Store's lookup,
+// simulating with Config.Runner under the fault guard: panics become
+// structured PointErrors (keeping the serving process up), and with
+// Config.StallTimeout set the stall watchdog kills points whose event loop
+// stops advancing simulated time. The Store quarantines and counts those
+// faults. The response carries the key, cached flag and elapsed time, even
+// on error, but not the Results: those are in the entry, whose encoded
+// bytes /run splices.
 func (s *Server) runPoint(ctx context.Context, cfg config.Config, bench string, scale float64) (JobResponse, *entry, error) {
 	key := system.CacheKey(cfg, bench, scale)
 	start := time.Now()

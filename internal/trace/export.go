@@ -300,10 +300,6 @@ func spanBar(s StreamSpan, cycles uint64, width int) []byte {
 	return bar
 }
 
-// WriteTimeline renders this tracer's spans (see the package-level
-// WriteTimeline).
-func (t *Tracer) WriteTimeline(w io.Writer) { WriteTimeline(w, t.cycles, t.spans) }
-
 // WriteAttribution renders a latency-attribution breakdown as text.
 func WriteAttribution(w io.Writer, a TileAttribution) {
 	if a.Loads == 0 {

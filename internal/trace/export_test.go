@@ -150,8 +150,8 @@ func TestRenderLinkHeatmap(t *testing.T) {
 func TestTracerRendererMethods(t *testing.T) {
 	tr := populated()
 	var buf bytes.Buffer
-	tr.WriteTimeline(&buf)
-	tr.LinkHeatmap(&buf)
+	WriteTimeline(&buf, tr.Cycles(), tr.Spans())
+	RenderLinkHeatmap(&buf, tr.cfg.MeshW, tr.cfg.MeshH, tr.LinkFlits())
 	WriteAttribution(&buf, tr.Attribution())
 	if buf.Len() == 0 {
 		t.Error("renderers produced no output")

@@ -71,8 +71,3 @@ func RenderLinkHeatmap(w io.Writer, meshW, meshH int, flits []uint64) {
 	}
 	fmt.Fprintln(w, "pairs: horizontal = east,west; vertical = south,north")
 }
-
-// LinkHeatmap renders this tracer's accumulated link flits.
-func (t *Tracer) LinkHeatmap(w io.Writer) {
-	RenderLinkHeatmap(w, t.cfg.MeshW, t.cfg.MeshH, t.linkFlits)
-}

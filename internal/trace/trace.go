@@ -409,9 +409,6 @@ func New(cfg Config) *Tracer {
 	return t
 }
 
-// Info returns the tracer's configuration.
-func (t *Tracer) Info() Config { return t.cfg }
-
 // Cycles returns the final simulated cycle recorded by FinishRun.
 func (t *Tracer) Cycles() uint64 { return t.cycles }
 

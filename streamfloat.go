@@ -151,9 +151,6 @@ func ParseBenchmarks(list string) ([]string, error) {
 // sftrace command's renderers. Tracing is purely observational.
 type Tracer = trace.Tracer
 
-// TraceFile is a parsed sftrace Chrome-trace export (see trace.ReadFile).
-type TraceFile = trace.File
-
 // NewTracer sizes a tracer for cfg. label names the run in exports (e.g.
 // "SF/OOO8"); ringDepth 0 picks the default per-tile depth.
 func NewTracer(cfg Config, benchmark, label string, ringDepth int) *Tracer {
@@ -165,10 +162,6 @@ func NewTracer(cfg Config, benchmark, label string, ringDepth int) *Tracer {
 func RunTraced(cfg Config, benchmark, label string, scale float64) (Results, *Tracer, error) {
 	return system.RunBenchmarkTraced(context.Background(), cfg, benchmark, label, scale)
 }
-
-// ReadTrace parses a Chrome-trace JSON file written by WriteChromeFile /
-// sfexp -trace back into its summary form.
-func ReadTrace(path string) (*TraceFile, error) { return trace.ReadFile(path) }
 
 // Area computes the stream-floating area overheads for a configuration.
 func Area(cfg Config) AreaBreakdown { return energy.Area(cfg) }
